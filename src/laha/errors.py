@@ -27,9 +27,5 @@ class ValidationError(ValueError):
     """Semantically invalid input (out-of-range label, empty label set, ...)."""
 
 
-class MissingArtifactError(FileNotFoundError):
-    """A pipeline artifact required by this command has not been produced yet."""
-
-
 class CheckpointError(ValueError):
     """Checkpoint file is unreadable or incompatible with the run config."""

@@ -38,12 +38,6 @@ class LabelGraph:
         self._adj[i][j] = self._adj[i].get(j, 0) + weight
         self._adj[j][i] = self._adj[i][j]
 
-    def increment_edge(self, i: int, j: int) -> None:
-        if i == j:
-            raise ValidationError("self-loops are not allowed")
-        self._adj[i][j] = self._adj[i].get(j, 0) + 1
-        self._adj[j][i] = self._adj[i][j]
-
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(neighbor, weight) pairs sorted by neighbor id."""
         return sorted(self._adj[i].items())
@@ -81,13 +75,13 @@ def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
     for doc in corpus:
         labels = sorted(doc.labels)
         for label in labels:
-            if label >= k:
+            if not (0 <= label < k):
                 raise ValidationError(
-                    f"document {doc.doc_id!r} has label {label} >= label count {k}"
+                    f"document {doc.doc_id!r} has label {label} outside range [0,{k})"
                 )
         for a_idx in range(len(labels)):
             for b_idx in range(a_idx + 1, len(labels)):
-                graph.increment_edge(labels[a_idx], labels[b_idx])
+                graph.add_edge(labels[a_idx], labels[b_idx])
     return graph
 
 

@@ -35,22 +35,18 @@ def precision_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
     return sum(1.0 for label in top if label in truth) / tau
 
 
-def ndcg_at_k(scores: np.ndarray, truth: set[int], tau: int, base: float = 2.0) -> float:
-    """Discounted cumulative gain over the top tau, against the ideal ranking.
-
-    The log base cancels between numerator and denominator, so it only
-    exists to let tests pin the invariance down.
-    """
+def ndcg_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
+    """Discounted cumulative gain over the top tau, against the ideal ranking."""
     scores = np.asarray(scores, dtype=np.float64)
     _validate_metric_args(scores, truth, tau)
     top = rank_labels(scores)[:tau]
     dcg = sum(
-        1.0 / math.log(rank + 2, base)
+        1.0 / math.log2(rank + 2)
         for rank, label in enumerate(top)
         if label in truth
     )
     ideal = sum(
-        1.0 / math.log(rank + 2, base) for rank in range(min(tau, len(truth)))
+        1.0 / math.log2(rank + 2) for rank in range(min(tau, len(truth)))
     )
     return dcg / ideal
 
@@ -101,7 +97,7 @@ def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
     freqs = np.zeros(k, dtype=np.int64)
     for doc in corpus:
         for label in doc.labels:
-            if label >= k:
+            if not (0 <= label < k):
                 raise ValidationError(f"label {label} outside range [0,{k})")
             freqs[label] += 1
     return freqs
@@ -187,7 +183,7 @@ def evaluate(
                 f"score vector length {scores.size} != label count {k}"
             )
         for label in doc.labels:
-            if label >= k:
+            if not (0 <= label < k):
                 raise ValidationError(
                     f"document {doc.doc_id!r} label {label} outside range [0,{k})"
                 )

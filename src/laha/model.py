@@ -7,7 +7,9 @@ label: a content route tanh(W_s1 H) scored by per-label rows of W_s2, and
 an interaction route matching (H_f + H_b) against projected label vectors
 Q = W_q L.  Each route yields per-label context vectors (columns of a
 2r x k' matrix); a learned gate mixes the two convexly per label, and a
-small feed-forward head turns each mixed column into a probability.
+small feed-forward head turns each mixed column into a logit.  The model
+yields logits; the sigmoid is applied only by `ForwardTrace.scores()`, and
+training feeds the logits straight to `numeric.bce_with_logits`.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -47,25 +49,25 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Every trainable matrix, in canonical (checkpoint) order."""
+    """Every trainable matrix, in canonical (checkpoint) order; see `param_table`."""
 
-    embedding: np.ndarray      # vocab x d
-    lstm_wx_f: np.ndarray      # 4r x d   gate order: input, forget, cell, output
-    lstm_wh_f: np.ndarray      # 4r x r
-    lstm_b_f: np.ndarray       # 4r x 1
+    embedding: np.ndarray
+    lstm_wx_f: np.ndarray
+    lstm_wh_f: np.ndarray
+    lstm_b_f: np.ndarray
     lstm_wx_b: np.ndarray
     lstm_wh_b: np.ndarray
     lstm_b_b: np.ndarray
-    w_s1: np.ndarray           # d_a x 2r
-    w_s2: np.ndarray           # k x d_a
-    w_q: np.ndarray            # r x r
-    fuse1_w: np.ndarray        # 1 x 2r
-    fuse1_b: np.ndarray        # 1 x 1
-    fuse2_w: np.ndarray        # 1 x 2r
-    fuse2_b: np.ndarray        # 1 x 1
-    w_f: np.ndarray            # r x 2r
-    w_o: np.ndarray            # 1 x r
-    b_o: np.ndarray            # 1 x 1
+    w_s1: np.ndarray
+    w_s2: np.ndarray
+    w_q: np.ndarray
+    fuse1_w: np.ndarray
+    fuse1_b: np.ndarray
+    fuse2_w: np.ndarray
+    fuse2_b: np.ndarray
+    w_f: np.ndarray
+    w_o: np.ndarray
+    b_o: np.ndarray
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -75,57 +77,53 @@ class ModelParams:
         return [f.name for f in fields(ModelParams)]
 
 
-def expected_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
+def param_table(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int, int | str]]:
+    """(rows, cols, init) of every parameter, in ModelParams field order.
+
+    `init` is the Xavier fan-out (the fan-in is always cols), "zeros" for a
+    bias, or "given" for the word-embedding table.  LSTM blocks stack the
+    input, forget, cell and output gates, in that order.
+    """
     r, d, d_a, k = cfg.r, cfg.d, cfg.d_a, cfg.k
     return {
-        "embedding": (vocab_size, d),
-        "lstm_wx_f": (4 * r, d), "lstm_wh_f": (4 * r, r), "lstm_b_f": (4 * r, 1),
-        "lstm_wx_b": (4 * r, d), "lstm_wh_b": (4 * r, r), "lstm_b_b": (4 * r, 1),
-        "w_s1": (d_a, 2 * r), "w_s2": (k, d_a), "w_q": (r, r),
-        "fuse1_w": (1, 2 * r), "fuse1_b": (1, 1),
-        "fuse2_w": (1, 2 * r), "fuse2_b": (1, 1),
-        "w_f": (r, 2 * r), "w_o": (1, r), "b_o": (1, 1),
+        "embedding": (vocab_size, d, "given"),
+        "lstm_wx_f": (4 * r, d, r),
+        "lstm_wh_f": (4 * r, r, r),
+        "lstm_b_f": (4 * r, 1, "zeros"),
+        "lstm_wx_b": (4 * r, d, r),
+        "lstm_wh_b": (4 * r, r, r),
+        "lstm_b_b": (4 * r, 1, "zeros"),
+        "w_s1": (d_a, 2 * r, d_a),
+        "w_s2": (k, d_a, k),
+        "w_q": (r, r, r),
+        "fuse1_w": (1, 2 * r, 1),
+        "fuse1_b": (1, 1, "zeros"),
+        "fuse2_w": (1, 2 * r, 1),
+        "fuse2_b": (1, 1, "zeros"),
+        "w_f": (r, 2 * r, r),
+        "w_o": (1, r, 1),
+        "b_o": (1, 1, "zeros"),
     }
 
 
-def _xavier(rng, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelParams:
-    """Xavier-uniform weights, zero biases, seeded; embedding table given."""
+    """Seeded parameters per `param_table`, Xavier-uniform draws in table order."""
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.ndim != 2 or embedding.shape[1] != cfg.d:
         raise ShapeError(
             f"embedding table must be (vocab, {cfg.d}), got {embedding.shape}"
         )
     rng = np.random.default_rng(seed)
-    r, d, d_a, k = cfg.r, cfg.d, cfg.d_a, cfg.k
-
-    def lstm_direction():
-        wx = _xavier(rng, (4 * r, d), d, r)
-        wh = _xavier(rng, (4 * r, r), r, r)
-        b = np.zeros((4 * r, 1))
-        return wx, wh, b
-
-    wx_f, wh_f, b_f = lstm_direction()
-    wx_b, wh_b, b_b = lstm_direction()
-    return ModelParams(
-        embedding=embedding.copy(),
-        lstm_wx_f=wx_f, lstm_wh_f=wh_f, lstm_b_f=b_f,
-        lstm_wx_b=wx_b, lstm_wh_b=wh_b, lstm_b_b=b_b,
-        w_s1=_xavier(rng, (d_a, 2 * r), 2 * r, d_a),
-        w_s2=_xavier(rng, (k, d_a), d_a, k),
-        w_q=_xavier(rng, (r, r), r, r),
-        fuse1_w=_xavier(rng, (1, 2 * r), 2 * r, 1),
-        fuse1_b=np.zeros((1, 1)),
-        fuse2_w=_xavier(rng, (1, 2 * r), 2 * r, 1),
-        fuse2_b=np.zeros((1, 1)),
-        w_f=_xavier(rng, (r, 2 * r), 2 * r, r),
-        w_o=_xavier(rng, (1, r), r, 1),
-        b_o=np.zeros((1, 1)),
-    )
+    arrays = {}
+    for name, (rows, cols, init) in param_table(cfg, embedding.shape[0]).items():
+        if init == "given":
+            arrays[name] = embedding.copy()
+        elif init == "zeros":
+            arrays[name] = np.zeros((rows, cols))
+        else:
+            limit = math.sqrt(6.0 / (cols + init))
+            arrays[name] = rng.uniform(-limit, limit, size=(rows, cols))
+    return ModelParams(**arrays)
 
 
 def wrap_params(params: ModelParams) -> dict[str, Node]:
@@ -147,14 +145,17 @@ class ForwardTrace:
     ctx: Node
     alpha: Node
     beta: Node
-    y_hat: Node
+    logits: Node
     subset: list[int]
     variant: str
     mask: np.ndarray
 
     def scores(self) -> np.ndarray:
-        """Per-label probabilities as a flat vector aligned with subset."""
-        return self.y_hat.value.ravel().copy()
+        """Per-label probabilities, sigmoid of the logits, aligned with subset.
+
+        This is the only place the model's sigmoid is applied.
+        """
+        return nm.sigmoid(self.logits.value).ravel()
 
     def fused_attention(self) -> np.ndarray:
         """n x k' convex mix of the two attention matrices (variant-aware)."""
@@ -262,9 +263,9 @@ def fuse(ctx_self: Node, ctx_inter: Node, f1_w, f1_b, f2_w, f2_b):
 
 
 def predict(ctx: Node, w_f, w_o, b_o) -> Node:
-    """Probabilities per label: sigmoid(W_o relu(W_f C) + b), a 1 x k' row."""
+    """Logits per label: W_o relu(W_f C) + b, a 1 x k' row (no sigmoid)."""
     hidden = nm.activate(nm.matmul(w_f, ctx), "relu")
-    return nm.activate(nm.add_colvec(nm.matmul(w_o, hidden), b_o), "sigmoid")
+    return nm.add_colvec(nm.matmul(w_o, hidden), b_o)
 
 
 def forward(
@@ -322,12 +323,12 @@ def forward(
             param_nodes["fuse2_w"], param_nodes["fuse2_b"],
         )
 
-    y_hat = predict(ctx, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
+    logits = predict(ctx, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
     return ForwardTrace(
         h_fwd=h_fwd, h_bwd=h_bwd, h=h,
         attn_self=attn_self, attn_inter=attn_inter,
         ctx_self=ctx_self, ctx_inter=ctx_inter, ctx=ctx,
-        alpha=alpha, beta=beta, y_hat=y_hat,
+        alpha=alpha, beta=beta, logits=logits,
         subset=subset, variant=variant, mask=np.asarray(mask).astype(bool),
     )
 

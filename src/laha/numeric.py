@@ -5,7 +5,9 @@ carries a gradient slot and links to its operands.  `backward()` runs one
 reverse sweep from a scalar output; `grad_check()` pits the resulting
 gradients against central finite differences.  Ops never broadcast
 implicitly (dedicated column/row-vector ops exist instead) and every
-produced value is checked finite.
+produced value is checked finite.  The loss is one fused op,
+`bce_with_logits`, on raw logits; `sigmoid` maps logits to probabilities
+on plain arrays, outside the graph.
 """
 
 from __future__ import annotations
@@ -122,17 +124,6 @@ def add(a, b) -> Node:
     return Node(a.value + b.value, (a, b), bwd)
 
 
-def sub(a, b) -> Node:
-    a, b = _node(a), _node(b)
-    _same_shape(a, b, "sub")
-
-    def bwd(g):
-        a.grad += g
-        b.grad -= g
-
-    return Node(a.value - b.value, (a, b), bwd)
-
-
 def mul(a, b) -> Node:
     """Elementwise (Hadamard) product."""
     a, b = _node(a), _node(b)
@@ -177,30 +168,6 @@ def const_minus(c: float, a) -> Node:
         a.grad -= g
 
     return Node(c - a.value, (a,), bwd)
-
-
-def log(a) -> Node:
-    """Elementwise natural log; entries must be positive."""
-    a = _node(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Node(np.log(a.value), (a,), None)
-
-    def bwd(g):
-        a.grad += g / a.value
-
-    out._backward = bwd
-    return out
-
-
-def clamp(a, lo: float, hi: float) -> Node:
-    """Clip entries into [lo, hi]; gradient passes only where unclamped."""
-    a = _node(a)
-    inside = (a.value >= lo) & (a.value <= hi)
-
-    def bwd(g):
-        a.grad += g * inside
-
-    return Node(np.clip(a.value, lo, hi), (a,), bwd)
 
 
 def matmul(a, b) -> Node:
@@ -347,8 +314,14 @@ def sum_nodes(nodes: Sequence[Node]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# activations and softmax
+# activations, softmax and loss
 # ---------------------------------------------------------------------------
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a plain array, split by sign so exp cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def activate(a, kind: str) -> Node:
@@ -361,10 +334,7 @@ def activate(a, kind: str) -> Node:
             a.grad += g * (1.0 - y * y)
 
     elif kind == "sigmoid":
-        # split by sign to avoid exp overflow
-        x = a.value
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        y = sigmoid(a.value)
 
         def bwd(g):
             a.grad += g * y * (1.0 - y)
@@ -413,6 +383,28 @@ def softmax_columns(a, mask=None) -> Node:
 
     out._backward = bwd
     return out
+
+
+def bce_with_logits(z, y) -> Node:
+    """Binary cross-entropy of logits z against constant targets y, summed to 1x1.
+
+    Computed as max(z, 0) - z*y + log1p(exp(-|z|)), which cannot overflow;
+    the gradient is sigmoid(z) - y, so a confidently wrong logit keeps a
+    gradient of magnitude near 1 instead of saturating to 0.
+    """
+    z = _node(z)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != z.value.shape:
+        raise ShapeError(
+            f"bce_with_logits: target shape {y.shape} != logit shape {z.value.shape}"
+        )
+    x = z.value
+    loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+
+    def bwd(g):
+        z.grad += g[0, 0] * (sigmoid(x) - y)
+
+    return Node(np.array([[loss.sum()]]), (z,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Negative-sampled training loop, Adam optimizer, checkpointing.
 
 Each document trains against its positive labels plus a small random set
-of negatives; the loss is binary cross-entropy summed over that subset and
+of negatives; the loss is binary cross-entropy on the model's logits (one
+fused `bce_with_logits` op per document), summed over that subset and
 averaged over the batch.  All randomness derives from (seed, epoch), so a
 run is a pure function of its config and resuming from a checkpoint
 reproduces the uninterrupted run bit for bit.
@@ -24,7 +25,6 @@ from .errors import CheckpointError, NumericalError, ShapeError, ValidationError
 from .model import ModelConfig, ModelParams
 from .numeric import Node
 
-PROB_CLAMP = 1e-7
 CHECKPOINT_FORMAT = "laha-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -122,28 +122,20 @@ def sample_labels(
     return pos + [int(x) for x in drawn]
 
 
-def bce_loss(y_hats: Sequence[Node], targets: Sequence[np.ndarray]) -> Node:
-    """Binary cross-entropy, summed per document and averaged over the batch.
+def bce_loss(logits: Sequence[Node], targets: Sequence[np.ndarray]) -> Node:
+    """Binary cross-entropy on logits, summed per document, averaged over the batch.
 
-    Predictions clamp into [PROB_CLAMP, 1 - PROB_CLAMP] before the logs.
+    Takes the head's logits, not probabilities: each document is one
+    `numeric.bce_with_logits` op, so a saturated logit keeps its gradient.
     """
-    if len(y_hats) != len(targets):
-        raise ShapeError(f"{len(y_hats)} predictions vs {len(targets)} target vectors")
-    if not y_hats:
+    if len(logits) != len(targets):
+        raise ShapeError(f"{len(logits)} predictions vs {len(targets)} target vectors")
+    if not logits:
         raise ValidationError("bce_loss needs at least one document")
-    per_doc = []
-    for y_hat, target in zip(y_hats, targets):
-        y = np.asarray(target, dtype=np.float64).reshape(1, -1)
-        if y.shape != y_hat.value.shape:
-            raise ShapeError(
-                f"target shape {y.shape} != prediction shape {y_hat.value.shape}"
-            )
-        p = nm.clamp(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        terms = nm.add(
-            nm.mul(Node(y), nm.log(p)),
-            nm.mul(Node(1.0 - y), nm.log(nm.const_minus(1.0, p))),
-        )
-        per_doc.append(nm.scale(nm.sum_all(terms), -1.0))
+    per_doc = [
+        nm.bce_with_logits(z, np.asarray(y, dtype=np.float64).reshape(1, -1))
+        for z, y in zip(logits, targets)
+    ]
     return nm.scale(nm.sum_nodes(per_doc), 1.0 / len(per_doc))
 
 
@@ -186,7 +178,7 @@ def train(
             arrays = params.arrays()
             param_nodes = model_mod.wrap_params(params)
             try:
-                preds, targets = [], []
+                logits, targets = [], []
                 for doc_idx in batch:
                     doc = corpus[doc_idx]
                     ids, mask = encoded[doc_idx]
@@ -196,11 +188,11 @@ def train(
                     trace = model_mod.forward(
                         ids, mask, param_nodes, label_vectors, subset, variant
                     )
-                    preds.append(trace.y_hat)
+                    logits.append(trace.logits)
                     targets.append(
                         np.array([1.0 if l in doc.labels else 0.0 for l in subset])
                     )
-                loss = bce_loss(preds, targets)
+                loss = bce_loss(logits, targets)
                 nm.backward(loss)
             except NumericalError as err:
                 raise NumericalError(
@@ -284,15 +276,25 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(raw[:newline].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"unreadable checkpoint header: {err}") from err
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {header.get('version')} is incompatible "
             f"with supported version {CHECKPOINT_VERSION}"
         )
-    payload = raw[newline + 1 :]
+    try:
+        return _parse_checkpoint(header, raw[newline + 1 :])
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"malformed checkpoint: {err!r}") from err
+
+
+def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     declared = header["tensors"]
+    if any(r < 0 or c < 0 for _, r, c in declared):
+        raise CheckpointError("checkpoint declares a negative tensor shape")
     expected_bytes = sum(r * c for _, r, c in declared) * 8
     if len(payload) != expected_bytes:
         raise CheckpointError(
@@ -306,37 +308,40 @@ def load_checkpoint(path: str) -> Checkpoint:
         tensors[name] = arr.reshape(r, c).astype(np.float64)
         offset += count * 8
 
-    try:
-        model_cfg = ModelConfig(**header["model"])
-        train_cfg = TrainConfig(**header["train"])
-    except (TypeError, ValidationError) as err:
-        raise CheckpointError(f"bad checkpoint config: {err}") from err
+    model_cfg = ModelConfig(**header["model"])
+    train_cfg = TrainConfig(**header["train"])
+    variant = header["variant"]
+    if variant not in model_mod.VARIANTS:
+        raise CheckpointError(f"unknown variant {variant!r}")
+    vocab_tokens = list(header["vocab"])
     param_arrays = {}
-    for name in ModelParams.names():
+    table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
+    for name, (rows, cols, _) in table.items():
         key = f"param/{name}"
         if key not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        param_arrays[name] = tensors[key]
-    params = ModelParams(**param_arrays)
-    shapes = model_mod.expected_shapes(model_cfg, params.embedding.shape[0])
-    for name, shape in shapes.items():
-        if param_arrays[name].shape != shape:
+        if tensors[key].shape != (rows, cols):
             raise CheckpointError(
-                f"tensor {name!r} has shape {param_arrays[name].shape}, "
-                f"config implies {shape}"
+                f"tensor {name!r} has shape {tensors[key].shape}, "
+                f"config and vocabulary imply {(rows, cols)}"
             )
+        param_arrays[name] = tensors[key]
     adam_info = header["adam"]
     adam = AdamState(beta1=adam_info["beta1"], beta2=adam_info["beta2"],
                      eps=adam_info["eps"])
     adam.step = adam_info["step"]
     for name in adam_info["params"]:
+        if name not in param_arrays:
+            raise CheckpointError(f"Adam state names unknown parameter {name!r}")
         adam.m[name] = tensors[f"adam_m/{name}"]
         adam.v[name] = tensors[f"adam_v/{name}"]
+        if not adam.m[name].shape == adam.v[name].shape == param_arrays[name].shape:
+            raise CheckpointError(f"Adam state for {name!r} does not match its shape")
     return Checkpoint(
-        params=params,
+        params=ModelParams(**param_arrays),
         model_cfg=model_cfg,
-        variant=header["variant"],
-        vocab_tokens=list(header["vocab"]),
+        variant=variant,
+        vocab_tokens=vocab_tokens,
         train_cfg=train_cfg,
         adam=adam,
         epoch=int(header["epoch"]),
@@ -354,7 +359,3 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))

@@ -45,6 +45,11 @@ def test_cooccurrence_label_out_of_range():
         build_cooccurrence_graph([_doc(0, {0, 5})], k=3)
 
 
+def test_cooccurrence_negative_label_rejected():
+    with pytest.raises(ValidationError):
+        build_cooccurrence_graph([_doc(0, {-1, 2})], k=4)
+
+
 def test_graph_symmetry_and_no_self_loops():
     rng = np.random.default_rng(0)
     docs = []

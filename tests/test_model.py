@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from laha.model import (
     fuse,
     init_params,
     interaction_attention,
+    param_table,
     predict,
     self_attention,
     wrap_params,
@@ -231,20 +233,25 @@ def test_fuse_shape_mismatch():
 
 
 def test_predict_zero_head_gives_half():
+    # a zero output layer yields logit 0, i.e. probability 1/2
     ctx = Node(np.random.default_rng(10).normal(size=(6, 5)))
-    y = predict(ctx, Node(np.ones((3, 6))), Node(np.zeros((1, 3))), Node(np.zeros((1, 1))))
-    np.testing.assert_allclose(y.value, np.full((1, 5), 0.5), atol=1e-15)
+    z = predict(ctx, Node(np.ones((3, 6))), Node(np.zeros((1, 3))), Node(np.zeros((1, 1))))
+    np.testing.assert_array_equal(z.value, np.zeros((1, 5)))
+    np.testing.assert_allclose(nm.sigmoid(z.value), np.full((1, 5), 0.5), atol=1e-15)
 
 
 def test_predict_monotone_in_logit():
+    # the output bias shifts every logit, so the probabilities rise with it
     rng = np.random.default_rng(11)
     ctx = Node(rng.normal(size=(4, 3)))
     w_f = Node(rng.normal(size=(2, 4)))
     w_o = Node(rng.normal(size=(1, 2)))
-    y_lo = predict(ctx, w_f, w_o, Node(np.array([[0.0]])))
-    y_hi = predict(ctx, w_f, w_o, Node(np.array([[0.5]])))
-    assert (y_hi.value > y_lo.value).all()
-    assert ((y_lo.value > 0) & (y_lo.value < 1)).all()
+    z_lo = predict(ctx, w_f, w_o, Node(np.array([[0.0]])))
+    z_hi = predict(ctx, w_f, w_o, Node(np.array([[0.5]])))
+    np.testing.assert_allclose(z_hi.value - z_lo.value, 0.5, atol=1e-15)
+    p_lo, p_hi = nm.sigmoid(z_lo.value), nm.sigmoid(z_hi.value)
+    assert (p_hi > p_lo).all()
+    assert ((p_lo > 0) & (p_lo < 1)).all()
 
 
 def _forward(cfg, params, lv, variant, subset=None, seed=12):
@@ -303,7 +310,7 @@ def test_forward_deterministic():
     lv = _label_vectors(cfg)
     t1 = _forward(cfg, params, lv, "laha")
     t2 = _forward(cfg, params, lv, "laha")
-    np.testing.assert_array_equal(t1.y_hat.value, t2.y_hat.value)
+    np.testing.assert_array_equal(t1.logits.value, t2.logits.value)
     np.testing.assert_array_equal(t1.ctx.value, t2.ctx.value)
 
 
@@ -314,6 +321,7 @@ def test_forward_full_subset_scores_every_label():
     scores = trace.scores()
     assert scores.shape == (cfg.k,)
     assert ((scores > 0) & (scores < 1)).all()
+    np.testing.assert_array_equal(scores, nm.sigmoid(trace.logits.value).ravel())
 
 
 def test_forward_label_equivariance():
@@ -371,3 +379,36 @@ def test_export_attention_weights_sum_to_one_and_sorted():
 def test_params_canonical_order_stable():
     assert ModelParams.names()[0] == "embedding"
     assert len(ModelParams.names()) == 17
+    assert list(param_table(_cfg(), 9)) == ModelParams.names()
+
+
+# sha256 of every init_params array for _cfg() with a 9-row embedding, seed 7
+INIT_DIGESTS = {
+    "embedding": "3548a04901ae322e27874dc5b4abaaef288b94d520db8669e4479db6f34afdb1",
+    "lstm_wx_f": "516630eb1796a598347683971cf013e0cefe10d14853deb8d4527dc81acfe511",
+    "lstm_wh_f": "14ad8a49f1966c4ee1b46ea3ef1c1b124342878f7c5136c9f3335cbec1dd35bb",
+    "lstm_b_f": "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4",
+    "lstm_wx_b": "c7539fa67764581951293135d5f493e3e1b8b7f6359708f29501d9dcc4e946e7",
+    "lstm_wh_b": "39f600e82f5879cd10a976530bb70dc36910f83cbdeb14f21f7b6fd3e795c7ea",
+    "lstm_b_b": "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4",
+    "w_s1": "579bc89dbdea649a0b9afe8a7a341113911eff911e3f2b146d2c4c32a5872d04",
+    "w_s2": "20a3296f955d0e52231abecdfb9291118e3122d2d8b665df20880e038af42f27",
+    "w_q": "34e144ade3915fa03560f4c17df20ab605dc0d2ab4ebe506cafdc64e39d02bf3",
+    "fuse1_w": "90eb2c86b57ad3bcde31ec05e80b98acecc1f6ede62079f6b6dcd6f155d9276d",
+    "fuse1_b": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "fuse2_w": "ab9894b46c32c94bf8596cc822a842ef6e327d8059a9e707a5ff6a8902d73257",
+    "fuse2_b": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "w_f": "96cb21b243e332f3b14ade078b0d493994b9565807894c53ba82c4a8343de8db",
+    "w_o": "614e9d2923275dca8d85f4970dfbf06d5fb1fc6166405bb67a8d48fad9fff1e1",
+    "b_o": "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+}
+
+
+def test_init_params_bit_identical_to_pinned_digests():
+    emb = np.random.default_rng(1000).uniform(-0.3, 0.3, size=(9, 5))
+    params = init_params(_cfg(), emb, seed=7)
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
+        for name, arr in params.arrays().items()
+    }
+    assert digests == INIT_DIGESTS

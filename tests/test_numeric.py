@@ -11,12 +11,11 @@ from laha.numeric import (
     add,
     add_colvec,
     backward,
-    clamp,
+    bce_with_logits,
     const_minus,
     div,
     grad_check,
     hconcat,
-    log,
     matmul,
     mul,
     scale,
@@ -24,7 +23,6 @@ from laha.numeric import (
     slice_cols,
     slice_rows,
     softmax_columns,
-    sub,
     sum_all,
     sum_nodes,
     take_rows,
@@ -147,10 +145,20 @@ def test_grad_check_rejects_bad_epsilon():
 
 def test_grad_check_non_finite_function():
     def f(p):
-        return sum_all(log(p["x"]))
+        return sum_all(scale(p["x"], math.inf))
 
     with pytest.raises(NumericalError):
-        grad_check(f, {"x": np.array([[-1.0]])})
+        grad_check(f, {"x": np.array([[1.0]])})
+
+
+def test_bce_with_logits_closed_form():
+    # z = 0 costs ln 2 whatever the target; z = ln 3, y = 1 costs ln(4/3)
+    z = np.array([[0.0, 0.0, math.log(3.0)]])
+    y = np.array([[0.0, 1.0, 1.0]])
+    out = bce_with_logits(z, y)
+    assert out.value[0, 0] == pytest.approx(2 * math.log(2.0) + math.log(4 / 3), abs=1e-15)
+    with pytest.raises(ShapeError):
+        bce_with_logits(z, np.zeros((1, 2)))
 
 
 def test_backward_populates_reused_leaf_once_per_use():
@@ -206,7 +214,6 @@ def test_grad_binary_ops(trial):
     b = _rand(rng, (2, 3))
     pos = _rand(rng, (2, 3), 0.5, 2.0)
     _check(lambda p: sum_all(add(p["a"], p["b"])), {"a": a, "b": b})
-    _check(lambda p: sum_all(sub(p["a"], p["b"])), {"a": a, "b": b})
     _check(lambda p: sum_all(mul(p["a"], p["b"])), {"a": a, "b": b})
     _check(lambda p: sum_all(div(p["a"], p["b"])), {"a": a, "b": pos})
 
@@ -251,13 +258,11 @@ def test_grad_activations(trial):
     x = _rand(rng, (3, 3))
     # keep relu inputs away from the kink so central differences are valid
     x_relu = np.where(np.abs(x) < 1e-2, x + np.sign(x + 0.5) * 0.1, x)
-    pos = _rand(rng, (3, 3), 0.1, 3.0)
+    y = rng.integers(0, 2, size=(3, 3)).astype(float)
     _check(lambda p: sum_all(activate(p["x"], "tanh")), {"x": x})
     _check(lambda p: sum_all(activate(p["x"], "sigmoid")), {"x": x})
     _check(lambda p: sum_all(activate(p["x"], "relu")), {"x": x_relu})
-    _check(lambda p: sum_all(log(p["x"])), {"x": pos})
-    _check(lambda p: sum_all(clamp(p["x"], -1.5, 1.5)),
-           {"x": np.where(np.abs(np.abs(x) - 1.5) < 1e-2, x * 2.0, x)})
+    _check(lambda p: bce_with_logits(p["x"], y), {"x": x})
 
 
 @pytest.mark.parametrize("trial", range(N_TRIALS))

@@ -74,18 +74,30 @@ def test_sample_labels_size_bound():
 
 
 def test_bce_perfect_prediction_is_tiny():
+    # logits of +-30 on the right side: each label costs log1p(e^-30)
     y = np.array([1.0, 0.0, 1.0])
-    y_hat = Node(y.reshape(1, -1))
-    loss = bce_loss([y_hat], [y])
-    assert 0.0 <= loss.value[0, 0] <= 3 * -math.log(1 - 1e-7) + 1e-12
+    logits = Node((60.0 * y - 30.0).reshape(1, -1))
+    loss = bce_loss([logits], [y])
+    assert 0.0 <= loss.value[0, 0] <= 3 * math.log1p(math.exp(-30.0)) + 1e-15
 
 
 def test_bce_half_everywhere_is_kprime_ln2():
+    # logit 0 is probability 1/2 for every label
     for kp in (1, 2, 5):
-        y_hat = Node(np.full((1, kp), 0.5))
+        logits = Node(np.zeros((1, kp)))
         y = (np.arange(kp) % 2).astype(float)
-        loss = bce_loss([y_hat], [y])
+        loss = bce_loss([logits], [y])
         assert loss.value[0, 0] == pytest.approx(kp * math.log(2), abs=1e-12)
+
+
+def test_bce_saturated_wrong_label_keeps_gradient():
+    # sigmoid(50) is 1.0 in float64; the loss is still 50 and dL/dz = sigmoid(z) - y
+    for z, y, grad in ((50.0, 0.0, 1.0), (-50.0, 1.0, -1.0)):
+        leaf = Node(np.array([[z]]))
+        loss = bce_loss([leaf], [np.array([y])])
+        nm.backward(loss)
+        assert loss.value[0, 0] == pytest.approx(50.0, abs=1e-12)
+        assert abs(leaf.grad[0, 0] - grad) <= 1e-12
 
 
 def test_bce_length_mismatch():
@@ -98,19 +110,18 @@ def test_bce_length_mismatch():
 def test_bce_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     y = np.array([1.0, 0.0, 1.0, 0.0])
-    y_hat = rng.uniform(0.2, 0.8, size=(1, 4))
+    z = rng.uniform(-3.0, 3.0, size=(1, 4))
 
     def f(p):
-        return bce_loss([p["y_hat"]], [y])
+        return bce_loss([p["z"]], [y])
 
-    err = nm.grad_check(f, {"y_hat": y_hat}, epsilon=1e-6)
+    err = nm.grad_check(f, {"z": z}, epsilon=1e-6)
     assert err <= 1e-6
-    # closed form: dloss/dy_hat_j = (y_hat_j - y_j) / (y_hat_j (1 - y_hat_j)) / N
-    leaf = Node(y_hat)
+    # closed form for one document: dloss/dz_j = sigmoid(z_j) - y_j
+    leaf = Node(z)
     loss = bce_loss([leaf], [y])
     nm.backward(loss)
-    expected = (y_hat - y) / (y_hat * (1 - y_hat))
-    np.testing.assert_allclose(leaf.grad, expected, atol=1e-9)
+    np.testing.assert_allclose(leaf.grad, 1.0 / (1.0 + np.exp(-z)) - y, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +214,11 @@ def micro_loss_builder(cfg, vocab, label_vectors, docs, variant="laha"):
     ]
 
     def f(param_nodes):
-        preds = [
-            forward(ids, mask, param_nodes, label_vectors, subset, variant).y_hat
+        logits = [
+            forward(ids, mask, param_nodes, label_vectors, subset, variant).logits
             for (ids, mask), subset in zip(encoded, subsets)
         ]
-        return bce_loss(preds, targets)
+        return bce_loss(logits, targets)
 
     return f
 
@@ -379,6 +390,60 @@ def test_checkpoint_version_mismatch(tmp_path):
     header["version"] = 999
     open(path, "wb").write(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def _drop_tensors(h):
+    del h["tensors"]
+
+
+def _drop_adam(h):
+    del h["adam"]
+
+
+def _drop_variant(h):
+    del h["variant"]
+
+
+def _unknown_adam_param(h):
+    h["adam"]["params"].append("not_a_param")
+
+
+def _adam_shape_mismatch(h):
+    entry = next(t for t in h["tensors"] if t[0] == "adam_m/lstm_b_f")
+    entry[1:] = entry[2:0:-1]
+
+
+def _negative_shape(h):
+    _, r, c = h["tensors"][0]
+    h["tensors"][0][1:] = [-r, -c]
+
+
+def _unknown_variant(h):
+    h["variant"] = "hybrid"
+
+
+def _vocab_size_mismatch(h):
+    h["vocab"].pop()
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_tensors, _drop_adam, _drop_variant, _unknown_adam_param,
+    _adam_shape_mismatch, _negative_shape, _unknown_variant, _vocab_size_mismatch,
+])
+def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
+    import json
+
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    adam = AdamState.init(params.arrays())
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    blob = open(path, "rb").read()
+    nl = blob.find(b"\n")
+    header = json.loads(blob[:nl])
+    mutate(header)
+    open(path, "wb").write(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
