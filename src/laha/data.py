@@ -156,6 +156,8 @@ def load_word_vectors(
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as err:
             raise DataFormatError(f"bad float value ({err})", line=lineno) from err
+        if not np.isfinite(vec).all():
+            raise DataFormatError("non-finite float value", line=lineno)
         if token in vocab:
             found[vocab.id(token)] = vec
     rng = np.random.default_rng(seed)

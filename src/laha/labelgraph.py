@@ -280,4 +280,6 @@ def load_embedding(path: str) -> LabelEmbedding:
                 vectors[:, i] = [float(x) for x in parts]
             except ValueError as err:
                 raise DataFormatError(f"bad float ({err})", line=i + 2) from err
+            if not np.isfinite(vectors[:, i]).all():
+                raise DataFormatError("non-finite float", line=i + 2)
     return LabelEmbedding(vectors=vectors)

@@ -170,37 +170,17 @@ class ForwardTrace:
 
 
 def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
-    """Run both LSTM directions over embedded tokens (d x n).
+    """Run both LSTM directions over embedded tokens (d x n), one node each.
 
     Returns (H_f, H_b, H): r x n forward states, r x n backward states
     (column t = state after reading token t from the right), and their
-    2r x n vertical stack.  Initial hidden and cell states are zero.
+    2r x n vertical stack.  Initial hidden and cell states are zero.  Every
+    one of the n columns is stepped, padded positions included, so the
+    backward direction starts at column n - 1 whatever the padding.
     """
-    n = embedded.cols
-    r = wh_f.rows // 4
-    fwd_cols = _lstm_direction(embedded, range(n), wx_f, wh_f, b_f, r)
-    bwd_cols = _lstm_direction(embedded, range(n - 1, -1, -1), wx_b, wh_b, b_b, r)
-    h_fwd = nm.hconcat(fwd_cols)
-    h_bwd = nm.hconcat(bwd_cols[::-1])
+    h_fwd = nm.lstm(embedded, wx_f, wh_f, b_f)
+    h_bwd = nm.lstm(embedded, wx_b, wh_b, b_b, reverse=True)
     return h_fwd, h_bwd, nm.vconcat([h_fwd, h_bwd])
-
-
-def _lstm_direction(embedded: Node, order, wx, wh, b, r: int) -> list[Node]:
-    h = Node(np.zeros((r, 1)))
-    c = Node(np.zeros((r, 1)))
-    out = []
-    for t in order:
-        e_t = nm.slice_cols(embedded, t, t + 1)
-        z = nm.add_colvec(nm.add(nm.matmul(wx, e_t), nm.matmul(wh, h)), b)
-        gates_sig = nm.activate(nm.slice_rows(z, 0, 2 * r), "sigmoid")
-        gate_in = nm.slice_rows(gates_sig, 0, r)
-        gate_forget = nm.slice_rows(gates_sig, r, 2 * r)
-        gate_cell = nm.activate(nm.slice_rows(z, 2 * r, 3 * r), "tanh")
-        gate_out = nm.activate(nm.slice_rows(z, 3 * r, 4 * r), "sigmoid")
-        c = nm.add(nm.mul(gate_forget, c), nm.mul(gate_in, gate_cell))
-        h = nm.mul(gate_out, nm.activate(c, "tanh"))
-        out.append(h)
-    return out
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> tuple[Node, Node]:

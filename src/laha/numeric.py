@@ -7,7 +7,11 @@ gradients against central finite differences.  Ops never broadcast
 implicitly (dedicated column/row-vector ops exist instead) and every
 produced value is checked finite.  The loss is one fused op,
 `bce_with_logits`, on raw logits; `sigmoid` maps logits to probabilities
-on plain arrays, outside the graph.
+on plain arrays, outside the graph.  `lstm` runs a whole LSTM direction as
+one node: the input projection of every token is a single GEMM, only the
+recurrent product and the gate math stay in the per-step loop, and its
+backward is hand-written BPTT that checks its stored pre-activations and
+cell states finite once instead of per node.
 """
 
 from __future__ import annotations
@@ -212,46 +216,6 @@ def vconcat(parts: Sequence) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), bwd)
 
 
-def hconcat(parts: Sequence) -> Node:
-    """Stack blocks horizontally (same row count)."""
-    nodes = [_node(p) for p in parts]
-    if not nodes:
-        raise ShapeError("hconcat of zero blocks")
-    rows = nodes[0].rows
-    for n in nodes:
-        if n.rows != rows:
-            raise ShapeError(f"hconcat: row counts differ ({n.rows} vs {rows})")
-    offsets = np.cumsum([0] + [n.cols for n in nodes])
-
-    def bwd(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            n.grad += g[:, lo:hi]
-
-    return Node(np.concatenate([n.value for n in nodes], axis=1), tuple(nodes), bwd)
-
-
-def slice_rows(a, lo: int, hi: int) -> Node:
-    a = _node(a)
-    if not (0 <= lo < hi <= a.rows):
-        raise ShapeError(f"slice_rows[{lo}:{hi}] out of range for {a.rows} rows")
-
-    def bwd(g):
-        a.grad[lo:hi, :] += g
-
-    return Node(a.value[lo:hi, :], (a,), bwd)
-
-
-def slice_cols(a, lo: int, hi: int) -> Node:
-    a = _node(a)
-    if not (0 <= lo < hi <= a.cols):
-        raise ShapeError(f"slice_cols[{lo}:{hi}] out of range for {a.cols} cols")
-
-    def bwd(g):
-        a.grad[:, lo:hi] += g
-
-    return Node(a.value[:, lo:hi], (a,), bwd)
-
-
 def take_rows(a, indices) -> Node:
     """Gather rows by index; gradient scatters back (repeats accumulate)."""
     a = _node(a)
@@ -405,6 +369,81 @@ def bce_with_logits(z, y) -> Node:
         z.grad += g[0, 0] * (sigmoid(x) - y)
 
     return Node(np.array([[loss.sum()]]), (z,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+# ---------------------------------------------------------------------------
+
+
+def lstm(x, wx, wh, b, reverse: bool = False) -> Node:
+    """One LSTM direction over the columns of x (d x n) as a single node.
+
+    wx (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell
+    and output gates.  Every column is stepped, from the right when
+    `reverse`; the initial hidden and cell states are zero.  Returns the
+    r x n hidden states, column t being the state after reading token t.
+    The input projection wx @ x is one GEMM for all tokens; the backward
+    pass is hand-written BPTT whose weight gradients are GEMMs over all
+    steps.  A non-finite gate pre-activation or cell state raises
+    NumericalError.
+    """
+    x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
+    r = wh.cols
+    if (wx.rows, wh.rows, b.value.shape, wx.cols) != (4 * r, 4 * r, (4 * r, 1), x.rows):
+        raise ShapeError(
+            f"lstm: wx {wx.value.shape}, wh {wh.value.shape}, b {b.value.shape} "
+            f"do not fit input {x.value.shape}"
+        )
+    n = x.cols
+    xs = x.value[:, ::-1] if reverse else x.value  # columns in stepping order
+    z = (wx.value @ xs).T.copy()                    # n x 4r, becomes the pre-activations
+    bias = b.value[:, 0]
+    gates = np.empty((n, 4, r))                     # i, f, g, o per step
+    c = np.zeros((n + 1, r))                        # c[s + 1] is the cell state after step s
+    h = np.zeros((n + 1, r))
+    for s in range(n):
+        zs = z[s]
+        zs += wh.value @ h[s]
+        zs += bias
+        gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r)
+        gates[s, 2] = np.tanh(zs[2 * r : 3 * r])
+        gates[s, 3] = sigmoid(zs[3 * r :])
+        i, f, g, o = gates[s]
+        c[s + 1] = f * c[s] + i * g
+        h[s + 1] = o * np.tanh(c[s + 1])
+    if not (np.isfinite(z).all() and np.isfinite(c).all()):
+        raise NumericalError("lstm: non-finite gate pre-activation or cell state")
+    hs = h[1:].T
+    out = Node(hs[:, ::-1] if reverse else hs, (x, wx, wh, b), None)
+
+    def bwd(grad):
+        dh_out = grad.T[::-1] if reverse else grad.T   # n x r, stepping order
+        i, f, g, o = gates.transpose(1, 0, 2)
+        tc = np.tanh(c[1:])
+        dc_dh = o * (1.0 - tc * tc)
+        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step
+        k = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f), i * (1.0 - g * g),
+                      tc * o * (1.0 - o)], axis=1)
+        dz = np.empty((n, 4, r))
+        dh_next = np.zeros(r)
+        dc_next = np.zeros(r)
+        for s in range(n - 1, -1, -1):
+            dh = dh_out[s] + dh_next
+            dc = dc_next + dh * dc_dh[s]
+            dz[s, :3] = dc * k[s, :3]
+            dz[s, 3] = dh * k[s, 3]
+            dh_next = dz[s].reshape(-1) @ wh.value
+            dc_next = dc * f[s]
+        dz = dz.reshape(n, 4 * r)
+        wx.grad += dz.T @ xs.T
+        wh.grad += dz.T @ h[:-1]
+        b.grad += dz.sum(axis=0)[:, None]
+        dx = wx.value.T @ dz.T
+        x.grad += dx[:, ::-1] if reverse else dx
+
+    out._backward = bwd
+    return out
 
 
 # ---------------------------------------------------------------------------

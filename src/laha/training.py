@@ -295,6 +295,11 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     declared = header["tensors"]
     if any(r < 0 or c < 0 for _, r, c in declared):
         raise CheckpointError("checkpoint declares a negative tensor shape")
+    adam_names = header["adam"]["params"]
+    saved_order = [f"param/{n}" for n in ModelParams.names()]
+    saved_order += [f"adam_{m}/{n}" for m in "mv" for n in adam_names]
+    if [name for name, _, _ in declared] != saved_order:
+        raise CheckpointError("checkpoint tensor table is not in the order it is saved in")
     expected_bytes = sum(r * c for _, r, c in declared) * 8
     if len(payload) != expected_bytes:
         raise CheckpointError(
@@ -317,20 +322,17 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     param_arrays = {}
     table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
     for name, (rows, cols, _) in table.items():
-        key = f"param/{name}"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        if tensors[key].shape != (rows, cols):
+        param_arrays[name] = tensors[f"param/{name}"]
+        if param_arrays[name].shape != (rows, cols):
             raise CheckpointError(
-                f"tensor {name!r} has shape {tensors[key].shape}, "
+                f"tensor {name!r} has shape {param_arrays[name].shape}, "
                 f"config and vocabulary imply {(rows, cols)}"
             )
-        param_arrays[name] = tensors[key]
     adam_info = header["adam"]
     adam = AdamState(beta1=adam_info["beta1"], beta2=adam_info["beta2"],
                      eps=adam_info["eps"])
     adam.step = adam_info["step"]
-    for name in adam_info["params"]:
+    for name in adam_names:
         if name not in param_arrays:
             raise CheckpointError(f"Adam state names unknown parameter {name!r}")
         adam.m[name] = tensors[f"adam_m/{name}"]

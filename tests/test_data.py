@@ -138,6 +138,13 @@ def test_word_vectors_bad_float():
         load_word_vectors(["a 1.0 oops"], vocab, d=2, seed=0)
 
 
+def test_word_vectors_non_finite_rejected_with_line():
+    vocab = Vocabulary(["a", "b"])
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_word_vectors(["a 1.0 2.0", f"b 0.5 {bad}"], vocab, d=2, seed=0)
+
+
 def test_encode_pads_and_masks():
     vocab = Vocabulary(["t1", "t2", "t3"])
     doc = Document("d", ["t1", "t2", "t3"], {0})

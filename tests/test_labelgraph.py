@@ -243,6 +243,14 @@ def test_embedding_header_mismatch(tmp_path):
         load_embedding(str(path))
 
 
+def test_embedding_non_finite_rejected_with_line(tmp_path):
+    path = tmp_path / "bad.emb"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"2 2\n0.1 0.2\n0.3 {bad}\n")
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_embedding(str(path))
+
+
 def test_walk_config_validation():
     with pytest.raises(ValidationError):
         WalkConfig(p=0.0)

@@ -87,6 +87,54 @@ def test_lstm_single_step_scalar_oracle():
     assert h_fwd.value[0, 0] == pytest.approx(h_hand, abs=1e-12)
 
 
+def _reference_lstm(x, wx, wh, b):
+    """Per-step LSTM in plain numpy: the oracle for the fused `nm.lstm`."""
+    r = wh.shape[1]
+    h, c = np.zeros((r, 1)), np.zeros((r, 1))
+    out = []
+    for t in range(x.shape[1]):
+        z = (wx @ x[:, t : t + 1] + wh @ h) + b
+        i, f, o = nm.sigmoid(z[:r]), nm.sigmoid(z[r : 2 * r]), nm.sigmoid(z[3 * r :])
+        c = f * c + i * np.tanh(z[2 * r : 3 * r])
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.hstack(out)
+
+
+@pytest.mark.parametrize("d, r, n", [(1, 1, 1), (5, 3, 4), (4, 2, 9), (300, 256, 20)])
+def test_bilstm_matches_per_step_reference(d, r, n):
+    rng = np.random.default_rng(d + r + n)
+    x = rng.normal(size=(d, n))
+    weights = []
+    for _ in range(2):
+        limit = math.sqrt(6.0 / (d + r))
+        weights += [rng.uniform(-limit, limit, size=(4 * r, d)),
+                    rng.uniform(-limit, limit, size=(4 * r, r)),
+                    rng.normal(scale=0.5, size=(4 * r, 1))]
+    h_fwd, h_bwd, h = bilstm_forward(Node(x), *map(Node, weights))
+    ref_fwd = _reference_lstm(x, *weights[:3])
+    ref_bwd = _reference_lstm(x[:, ::-1], *weights[3:])[:, ::-1]
+    np.testing.assert_allclose(h_fwd.value, ref_fwd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h_bwd.value, ref_bwd, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(h.value, np.vstack([h_fwd.value, h_bwd.value]))
+
+
+def test_forward_node_count_independent_of_max_len(monkeypatch):
+    counts = []
+    node_init = Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts[-1] += 1
+        node_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counting_init)
+    for max_len in (4, 40):
+        cfg = _cfg(max_len=max_len)
+        counts.append(0)
+        _forward(cfg, _params(cfg), _label_vectors(cfg), "laha")
+    assert counts[0] == counts[1]
+
+
 def test_self_attention_single_word():
     cfg = _cfg()
     pn = wrap_params(_params(cfg))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,8 +372,8 @@ def test_checkpoint_corrupted_file(tmp_path):
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 16])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) - 16])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -382,13 +383,13 @@ def test_checkpoint_version_mismatch(tmp_path):
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     nl = blob.find(b"\n")
     import json
 
     header = json.loads(blob[:nl])
     header["version"] = 999
-    open(path, "wb").write(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
@@ -427,9 +428,17 @@ def _vocab_size_mismatch(h):
     h["vocab"].pop()
 
 
+def _swapped_tensor_names(h):
+    # fuse1_b and b_o are both 1x1, so only the names' order gives the swap away
+    names = [t[0] for t in h["tensors"]]
+    i, j = names.index("param/fuse1_b"), names.index("param/b_o")
+    h["tensors"][i][0], h["tensors"][j][0] = names[j], names[i]
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_tensors, _drop_adam, _drop_variant, _unknown_adam_param,
     _adam_shape_mismatch, _negative_shape, _unknown_variant, _vocab_size_mismatch,
+    _swapped_tensor_names,
 ])
 def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     import json
@@ -438,11 +447,11 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     nl = blob.find(b"\n")
     header = json.loads(blob[:nl])
     mutate(header)
-    open(path, "wb").write(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
