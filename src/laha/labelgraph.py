@@ -48,9 +48,6 @@ class LabelGraph:
     def weight(self, i: int, j: int) -> int:
         return self._adj[i].get(j, 0)
 
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
     @property
     def num_edges(self) -> int:
         return sum(len(a) for a in self._adj) // 2
@@ -269,7 +266,7 @@ def load_embedding(path: str) -> LabelEmbedding:
             line = fh.readline()
             if not line:
                 raise DataFormatError(
-                    f"expected {k} embedding rows, file ends after {i}", line=i + 1
+                    f"expected {k} embedding rows, file ends after {i}", line=i + 2
                 )
             parts = line.split()
             if len(parts) != r:

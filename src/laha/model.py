@@ -5,11 +5,14 @@ giving forward/backward context matrices H_f, H_b (r x n each) stacked
 into H (2r x n).  Two attention routes score every word against every
 label: a content route tanh(W_s1 H) scored by per-label rows of W_s2, and
 an interaction route matching (H_f + H_b) against projected label vectors
-Q = W_q L.  Each route yields per-label context vectors (columns of a
-2r x k' matrix); a learned gate mixes the two convexly per label, and a
-small feed-forward head turns each mixed column into a logit.  The model
-yields logits; the sigmoid is applied only by `ForwardTrace.scores()`, and
-training feeds the logits straight to `numeric.bce_with_logits`.
+W_q L.  Each route yields an n x k' attention matrix A (a softmax over
+words per label).  A learned gate mixes the two per label, and a small
+feed-forward head turns each column of the paper's mixed context
+H (alpha A_s + beta A_i) into a logit.  The 2r x k' contexts H A are
+never built: every product of three matrices goes through
+`numeric.matmul_chain`, which takes the cheaper association.  The model
+yields logits; the sigmoid is applied only by `ForwardTrace.scores()`,
+and training feeds the logits straight to `numeric.bce_with_logits`.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -140,9 +143,7 @@ class ForwardTrace:
     h: Node
     attn_self: Node | None
     attn_inter: Node | None
-    ctx_self: Node | None
-    ctx_inter: Node | None
-    ctx: Node
+    mix: Node
     alpha: Node
     beta: Node
     logits: Node
@@ -159,14 +160,7 @@ class ForwardTrace:
 
     def fused_attention(self) -> np.ndarray:
         """n x k' convex mix of the two attention matrices (variant-aware)."""
-        alpha = self.alpha.value
-        beta = self.beta.value
-        out = np.zeros((self.h.cols, len(self.subset)))
-        if self.attn_self is not None:
-            out += self.attn_self.value * alpha
-        if self.attn_inter is not None:
-            out += self.attn_inter.value * beta
-        return out
+        return self.mix.value
 
 
 def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
@@ -183,29 +177,28 @@ def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     return h_fwd, h_bwd, nm.vconcat([h_fwd, h_bwd])
 
 
-def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> tuple[Node, Node]:
+def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     """Content attention: rows of W_s2 score tanh(W_s1 H) per label.
 
-    Returns (A_s, C_s): n x k' column-stochastic attention over unmasked
-    words and the 2r x k' per-label context matrix H @ A_s.
+    Returns A_s, n x k' column-stochastic attention over unmasked words;
+    the paper's per-label context matrix is C_s = H @ A_s.
     """
     subset = _valid_subset(subset, w_s2.rows)
     t = nm.activate(nm.matmul(w_s1, h), "tanh")
     scores = nm.matmul(nm.take_rows(w_s2, subset), t)          # k' x n
-    attn = nm.softmax_columns(nm.transpose(scores), mask)      # n x k'
-    return attn, nm.matmul(h, attn)
+    return nm.softmax_columns(nm.transpose(scores), mask)      # n x k'
 
 
 def interaction_attention(
     h_fwd: Node, h_bwd: Node, label_vectors: np.ndarray, w_q,
     subset: Sequence[int], mask,
-) -> tuple[Node, Node]:
+) -> Node:
     """Structure attention: words match projected label vectors.
 
-    Queries are Q = W_q L restricted to the subset; the matching score for
-    word t and label j is (H_f + H_b)[:, t] . Q[:, j], i.e. the block form
-    [H_f^T H_b^T][Q; Q] collapsed.  Softmax over words gives A_i; context
-    is [H_f; H_b] @ A_i.
+    The matching score for word t and label j is (H_f + H_b)[:, t] . Q[:, j]
+    with Q = W_q L over the subset: the block form [H_f^T H_b^T][Q; Q]
+    collapsed, built by `matmul_chain`.  Returns A_i, the n x k' softmax
+    over words; the paper's context matrix is C_i = [H_f; H_b] @ A_i.
     """
     label_vectors = np.asarray(label_vectors, dtype=np.float64)
     if label_vectors.ndim != 2 or label_vectors.shape[0] != w_q.cols:
@@ -213,38 +206,36 @@ def interaction_attention(
             f"label embedding must be ({w_q.cols}, k), got {label_vectors.shape}"
         )
     subset = _valid_subset(subset, label_vectors.shape[1])
-    queries = nm.matmul(w_q, Node(label_vectors[:, subset]))   # r x k'
     summed = nm.add(h_fwd, h_bwd)                              # r x n
-    match = nm.matmul(nm.transpose(summed), queries)           # n x k'
-    attn = nm.softmax_columns(match, mask)
-    h = nm.vconcat([h_fwd, h_bwd])
-    return attn, nm.matmul(h, attn)
+    match = nm.matmul_chain(nm.transpose(summed), w_q, label_vectors[:, subset])
+    return nm.softmax_columns(match, mask)                     # n x k'
 
 
-def fuse(ctx_self: Node, ctx_inter: Node, f1_w, f1_b, f2_w, f2_b):
-    """Adaptive convex mix of the two context matrices, per label.
+def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
+    """Adaptive convex mix of the two attention matrices, per label.
 
-    Raw gate values a_j = sigmoid(F1(C_s[:, j])), b_j = sigmoid(F2(C_i[:, j]))
-    normalize to alpha_j = a_j / (a_j + b_j), beta_j = 1 - alpha_j; the mixed
-    column is alpha_j * C_s[:, j] + beta_j * C_i[:, j].  Sigmoid positivity
-    keeps the normalization well-defined.
+    Raw gates a_j = sigmoid(F1 C_s[:, j]), b_j = sigmoid(F2 C_i[:, j]) on the
+    contexts C = H A, taken as F H A, normalize to alpha_j = a_j / (a_j + b_j)
+    and beta_j = 1 - alpha_j (sigmoid positivity keeps this well-defined).
+    Returns (mix, alpha, beta): column j of mix is alpha_j A_s[:, j] +
+    beta_j A_i[:, j], so H @ mix is the mixed context alpha C_s + beta C_i.
     """
-    if ctx_self.value.shape != ctx_inter.value.shape:
+    if a_s.value.shape != a_i.value.shape:
         raise ShapeError(
-            f"fuse: context shapes {ctx_self.value.shape} and "
-            f"{ctx_inter.value.shape} differ"
+            f"fuse: attention shapes {a_s.value.shape} and "
+            f"{a_i.value.shape} differ"
         )
-    raw_a = nm.activate(nm.add_colvec(nm.matmul(f1_w, ctx_self), f1_b), "sigmoid")
-    raw_b = nm.activate(nm.add_colvec(nm.matmul(f2_w, ctx_inter), f2_b), "sigmoid")
+    raw_a = nm.activate(nm.add_colvec(nm.matmul_chain(f1_w, h, a_s), f1_b), "sigmoid")
+    raw_b = nm.activate(nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b), "sigmoid")
     alpha = nm.div(raw_a, nm.add(raw_a, raw_b))
     beta = nm.const_minus(1.0, alpha)
-    mixed = nm.add(nm.scale_cols(ctx_self, alpha), nm.scale_cols(ctx_inter, beta))
-    return mixed, alpha, beta
+    mix = nm.add(nm.scale_cols(a_s, alpha), nm.scale_cols(a_i, beta))
+    return mix, alpha, beta
 
 
-def predict(ctx: Node, w_f, w_o, b_o) -> Node:
-    """Logits per label: W_o relu(W_f C) + b, a 1 x k' row (no sigmoid)."""
-    hidden = nm.activate(nm.matmul(w_f, ctx), "relu")
+def predict(h: Node, mix: Node, w_f, w_o, b_o) -> Node:
+    """Logits per label: W_o relu(W_f H mix) + b, a 1 x k' row (no sigmoid)."""
+    hidden = nm.activate(nm.matmul_chain(w_f, h, mix), "relu")
     return nm.add_colvec(nm.matmul(w_o, hidden), b_o)
 
 
@@ -274,40 +265,40 @@ def forward(
         param_nodes["lstm_wx_b"], param_nodes["lstm_wh_b"], param_nodes["lstm_b_b"],
     )
 
-    attn_self = ctx_self = attn_inter = ctx_inter = None
+    attn_self = attn_inter = None
     if variant != "ia":
-        attn_self, ctx_self = self_attention(
+        attn_self = self_attention(
             h, param_nodes["w_s1"], param_nodes["w_s2"], subset, mask
         )
     if variant != "sa":
         if label_vectors is None:
             raise ValidationError(f"variant {variant!r} needs a label embedding")
-        attn_inter, ctx_inter = interaction_attention(
+        attn_inter = interaction_attention(
             h_fwd, h_bwd, label_vectors, param_nodes["w_q"], subset, mask
         )
 
     k_sub = len(subset)
     if variant == "sa":
-        ctx = ctx_self
+        mix = attn_self
         alpha, beta = Node(np.ones((1, k_sub))), Node(np.zeros((1, k_sub)))
     elif variant == "ia":
-        ctx = ctx_inter
+        mix = attn_inter
         alpha, beta = Node(np.zeros((1, k_sub))), Node(np.ones((1, k_sub)))
     elif variant == "sa+ia":
-        ctx = nm.add(nm.scale(ctx_self, 0.5), nm.scale(ctx_inter, 0.5))
+        mix = nm.add(nm.scale(attn_self, 0.5), nm.scale(attn_inter, 0.5))
         alpha, beta = Node(np.full((1, k_sub), 0.5)), Node(np.full((1, k_sub), 0.5))
     else:
-        ctx, alpha, beta = fuse(
-            ctx_self, ctx_inter,
+        mix, alpha, beta = fuse(
+            h, attn_self, attn_inter,
             param_nodes["fuse1_w"], param_nodes["fuse1_b"],
             param_nodes["fuse2_w"], param_nodes["fuse2_b"],
         )
 
-    logits = predict(ctx, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
+    logits = predict(h, mix, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
     return ForwardTrace(
         h_fwd=h_fwd, h_bwd=h_bwd, h=h,
         attn_self=attn_self, attn_inter=attn_inter,
-        ctx_self=ctx_self, ctx_inter=ctx_inter, ctx=ctx,
+        mix=mix,
         alpha=alpha, beta=beta, logits=logits,
         subset=subset, variant=variant, mask=np.asarray(mask).astype(bool),
     )

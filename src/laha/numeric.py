@@ -1,17 +1,17 @@
 """Dense float64 matrices with reverse-mode differentiation.
 
 Every tensor in the model is a 2-D numpy array wrapped in a `Node` that
-carries a gradient slot and links to its operands.  `backward()` runs one
-reverse sweep from a scalar output; `grad_check()` pits the resulting
-gradients against central finite differences.  Ops never broadcast
-implicitly (dedicated column/row-vector ops exist instead) and every
-produced value is checked finite.  The loss is one fused op,
-`bce_with_logits`, on raw logits; `sigmoid` maps logits to probabilities
-on plain arrays, outside the graph.  `lstm` runs a whole LSTM direction as
-one node: the input projection of every token is a single GEMM, only the
-recurrent product and the gate math stay in the per-step loop, and its
-backward is hand-written BPTT that checks its stored pre-activations and
-cell states finite once instead of per node.
+carries a lazily allocated gradient slot and links to its operands.
+`backward()` runs one reverse sweep from a scalar output; `grad_check()`
+pits the resulting gradients against central finite differences.  Ops
+never broadcast implicitly (dedicated column/row-vector ops exist
+instead) and every produced value is checked finite.  The loss is one
+fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
+probabilities on plain arrays, outside the graph.  `lstm` runs a whole
+LSTM direction as one node: the input projection of every token is a
+single GEMM, only the recurrent product and the gate math stay in the
+per-step loop, and its backward is hand-written BPTT that checks its
+stored pre-activations and cell states finite once instead of per node.
 """
 
 from __future__ import annotations
@@ -42,19 +42,30 @@ class Node:
     """A matrix in the computation graph: value, gradient slot, operand links.
 
     Leaves wrap caller arrays without copying, so optimizer updates written
-    to the original array are seen by the next graph built over it.  The
-    gradient starts at zero and is filled by `backward`.
+    to the original array are seen by the next graph built over it.  Every
+    value is checked finite.  `grad` reads as zeros until `backward` fills
+    it, and its buffer is made on first read, so a forward pass makes none.
     """
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "_grad", "_parents", "_backward")
 
     def __init__(self, value, _parents: tuple = (), _backward=None):
         self.value = as_matrix(value)
         if not np.isfinite(self.value).all():
             raise NumericalError("matrix contains non-finite entries")
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self._parents = _parents
         self._backward = _backward
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def rows(self) -> int:
@@ -144,14 +155,12 @@ def div(a, b) -> Node:
     """Elementwise quotient a / b."""
     a, b = _node(a), _node(b)
     _same_shape(a, b, "div")
-    out = Node(a.value / b.value, (a, b), None)
 
     def bwd(g):
         a.grad += g / b.value
         b.grad -= g * a.value / (b.value * b.value)
 
-    out._backward = bwd
-    return out
+    return Node(a.value / b.value, (a, b), bwd)
 
 
 def scale(a, c: float) -> Node:
@@ -187,6 +196,14 @@ def matmul(a, b) -> Node:
         b.grad += a.value.T @ g
 
     return Node(a.value @ b.value, (a, b), bwd)
+
+
+def matmul_chain(a, b, c) -> Node:
+    """a @ b @ c in whichever association needs fewer multiply-adds, (ab)c on a tie."""
+    a, b, c = _node(a), _node(b), _node(c)
+    if a.rows * b.cols * (a.cols + c.cols) <= b.rows * c.cols * (b.cols + a.rows):
+        return matmul(matmul(a, b), c)
+    return matmul(a, matmul(b, c))
 
 
 def transpose(a) -> Node:
@@ -331,22 +348,17 @@ def softmax_columns(a, mask=None) -> Node:
         if not valid.any():
             raise DegenerateInputError("softmax_columns: every row is masked out")
 
-    x = a.value[valid, :]
-    shifted = x - x.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=0, keepdims=True)
-    out_val = np.zeros_like(a.value)
-    out_val[valid, :] = probs
-    out = Node(out_val, (a,), None)
-    s = out.value
+    x = np.where(valid[:, None], a.value, -np.inf)
+    x -= x.max(axis=0, keepdims=True)
+    np.exp(x, out=x)  # masked rows: exp(-inf) == 0 exactly
+    x /= x.sum(axis=0, keepdims=True)
 
     def bwd(g):
-        # per column: ds = s * (g - sum(g * s)); masked rows have s == 0
-        dot = (g * s).sum(axis=0, keepdims=True)
-        a.grad += s * (g - dot)
+        # per column: ds = x * (g - sum(g * x)); masked rows have x == 0
+        dot = (g * x).sum(axis=0, keepdims=True)
+        a.grad += x * (g - dot)
 
-    out._backward = bwd
-    return out
+    return Node(x, (a,), bwd)
 
 
 def bce_with_logits(z, y) -> Node:
@@ -415,7 +427,6 @@ def lstm(x, wx, wh, b, reverse: bool = False) -> Node:
     if not (np.isfinite(z).all() and np.isfinite(c).all()):
         raise NumericalError("lstm: non-finite gate pre-activation or cell state")
     hs = h[1:].T
-    out = Node(hs[:, ::-1] if reverse else hs, (x, wx, wh, b), None)
 
     def bwd(grad):
         dh_out = grad.T[::-1] if reverse else grad.T   # n x r, stepping order
@@ -442,8 +453,7 @@ def lstm(x, wx, wh, b, reverse: bool = False) -> Node:
         dx = wx.value.T @ dz.T
         x.grad += dx[:, ::-1] if reverse else dx
 
-    out._backward = bwd
-    return out
+    return Node(hs[:, ::-1] if reverse else hs, (x, wx, wh, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_embedding_truncated_file(tmp_path):
     save_embedding(str(path), emb)
     text = path.read_text().splitlines()
     path.write_text("\n".join(text[:-1]) + "\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="line 4"):
         load_embedding(str(path))
 
 

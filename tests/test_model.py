@@ -139,9 +139,10 @@ def test_self_attention_single_word():
     cfg = _cfg()
     pn = wrap_params(_params(cfg))
     h = Node(np.random.default_rng(2).normal(size=(2 * cfg.r, 1)))
-    attn, ctx = self_attention(h, pn["w_s1"], pn["w_s2"], [0, 2], np.array([True]))
+    attn = self_attention(h, pn["w_s1"], pn["w_s2"], [0, 2], np.array([True]))
     np.testing.assert_array_equal(attn.value, np.ones((1, 2)))
-    np.testing.assert_allclose(ctx.value, np.column_stack([h.value[:, 0]] * 2))
+    ctx = h.value @ attn.value
+    np.testing.assert_allclose(ctx, np.column_stack([h.value[:, 0]] * 2))
 
 
 def test_self_attention_zero_scores_uniform():
@@ -151,19 +152,18 @@ def test_self_attention_zero_scores_uniform():
     h = Node(np.random.default_rng(3).normal(size=(2 * cfg.r, n)))
     w_s2 = Node(np.zeros((cfg.k, cfg.d_a)))
     mask = np.array([True, True, True, True, False])
-    attn, ctx = self_attention(h, pn["w_s1"], w_s2, [1], mask)
+    attn = self_attention(h, pn["w_s1"], w_s2, [1], mask)
     np.testing.assert_allclose(attn.value[:4, 0], np.full(4, 0.25), atol=1e-15)
     assert attn.value[4, 0] == 0.0
-    np.testing.assert_allclose(
-        ctx.value[:, 0], h.value[:, :4].mean(axis=1), atol=1e-12
-    )
+    ctx = h.value @ attn.value
+    np.testing.assert_allclose(ctx[:, 0], h.value[:, :4].mean(axis=1), atol=1e-12)
 
 
 def test_self_attention_columns_normalized():
     cfg = _cfg()
     pn = wrap_params(_params(cfg))
     h = Node(np.random.default_rng(4).normal(size=(2 * cfg.r, 6)))
-    attn, _ = self_attention(h, pn["w_s1"], pn["w_s2"], [0, 1, 3], np.ones(6, bool))
+    attn = self_attention(h, pn["w_s1"], pn["w_s2"], [0, 1, 3], np.ones(6, bool))
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(3), atol=1e-9)
 
 
@@ -183,7 +183,7 @@ def test_interaction_attention_identity_oracle():
     w_q = Node(np.eye(n))
     label_vectors = np.zeros((n, 2))
     label_vectors[0, 0] = 1.0
-    attn, _ = interaction_attention(eye, eye, label_vectors, w_q, [0], np.ones(n, bool))
+    attn = interaction_attention(eye, eye, label_vectors, w_q, [0], np.ones(n, bool))
     e = np.exp(np.array([2.0, 0.0, 0.0]))
     np.testing.assert_allclose(attn.value[:, 0], e / e.sum(), atol=1e-12)
 
@@ -195,10 +195,11 @@ def test_interaction_attention_single_word():
     h_fwd = Node(rng.normal(size=(cfg.r, 1)))
     h_bwd = Node(rng.normal(size=(cfg.r, 1)))
     lv = _label_vectors(cfg)
-    attn, ctx = interaction_attention(h_fwd, h_bwd, lv, pn["w_q"], [0, 1, 2], [True])
+    attn = interaction_attention(h_fwd, h_bwd, lv, pn["w_q"], [0, 1, 2], [True])
+    ctx = np.vstack([h_fwd.value, h_bwd.value]) @ attn.value
     h1 = np.concatenate([h_fwd.value[:, 0], h_bwd.value[:, 0]])
     for j in range(3):
-        np.testing.assert_allclose(ctx.value[:, j], h1, atol=1e-12)
+        np.testing.assert_allclose(ctx[:, j], h1, atol=1e-12)
 
 
 def test_interaction_attention_columns_normalized():
@@ -209,7 +210,7 @@ def test_interaction_attention_columns_normalized():
     h_fwd = Node(rng.normal(size=(cfg.r, n)))
     h_bwd = Node(rng.normal(size=(cfg.r, n)))
     mask = np.array([True, True, False, True, True])
-    attn, _ = interaction_attention(
+    attn = interaction_attention(
         h_fwd, h_bwd, _label_vectors(cfg), pn["w_q"], [0, 3], mask
     )
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(2), atol=1e-9)
@@ -239,22 +240,25 @@ def test_block_identity_of_interaction_scores():
 
 def test_fuse_symmetric_inputs_give_half_half():
     rng = np.random.default_rng(8)
-    ctx = Node(rng.normal(size=(6, 3)))
+    h = Node(rng.normal(size=(6, 4)))
+    attn = Node(rng.normal(size=(4, 3)))
     w = Node(rng.normal(size=(1, 6)))
     b = Node(np.array([[0.2]]))
-    mixed, alpha, beta = fuse(ctx, Node(ctx.value.copy()), w, b, w, b)
+    mix, alpha, beta = fuse(h, attn, Node(attn.value.copy()), w, b, w, b)
     np.testing.assert_allclose(alpha.value, np.full((1, 3), 0.5), atol=1e-15)
-    np.testing.assert_allclose(mixed.value, ctx.value, atol=1e-15)
+    np.testing.assert_allclose(mix.value, attn.value, atol=1e-15)
 
 
 def test_fuse_hand_normalization():
     # raw gates 0.6 and 0.2 normalize to 0.75 / 0.25
     logit = lambda p: math.log(p / (1 - p))
-    ctx_a = Node(np.zeros((4, 2)))
-    ctx_b = Node(np.zeros((4, 2)))
+    h = Node(np.zeros((4, 3)))
+    attn_a = Node(np.zeros((3, 2)))
+    attn_b = Node(np.zeros((3, 2)))
     w = Node(np.zeros((1, 4)))
     _, alpha, beta = fuse(
-        ctx_a, ctx_b, w, Node(np.array([[logit(0.6)]])), w, Node(np.array([[logit(0.2)]]))
+        h, attn_a, attn_b, w, Node(np.array([[logit(0.6)]])), w,
+        Node(np.array([[logit(0.2)]])),
     )
     np.testing.assert_allclose(alpha.value, np.full((1, 2), 0.75), atol=1e-12)
     np.testing.assert_allclose(beta.value, np.full((1, 2), 0.25), atol=1e-12)
@@ -263,13 +267,14 @@ def test_fuse_hand_normalization():
 def test_fuse_weights_sum_to_one_exactly():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        ctx_a = Node(rng.normal(size=(4, 5)))
-        ctx_b = Node(rng.normal(size=(4, 5)))
+        h = Node(rng.normal(size=(4, 3)))
+        attn_a = Node(rng.normal(size=(3, 5)))
+        attn_b = Node(rng.normal(size=(3, 5)))
         w1 = Node(rng.normal(size=(1, 4)))
         w2 = Node(rng.normal(size=(1, 4)))
         b1 = Node(rng.normal(size=(1, 1)))
         b2 = Node(rng.normal(size=(1, 1)))
-        _, alpha, beta = fuse(ctx_a, ctx_b, w1, b1, w2, b2)
+        _, alpha, beta = fuse(h, attn_a, attn_b, w1, b1, w2, b2)
         assert (alpha.value + beta.value == 1.0).all()
 
 
@@ -277,13 +282,16 @@ def test_fuse_shape_mismatch():
     w = Node(np.zeros((1, 4)))
     b = Node(np.zeros((1, 1)))
     with pytest.raises(ShapeError):
-        fuse(Node(np.zeros((4, 2))), Node(np.zeros((4, 3))), w, b, w, b)
+        fuse(Node(np.zeros((4, 4))), Node(np.zeros((4, 2))), Node(np.zeros((4, 3))),
+             w, b, w, b)
 
 
 def test_predict_zero_head_gives_half():
     # a zero output layer yields logit 0, i.e. probability 1/2
-    ctx = Node(np.random.default_rng(10).normal(size=(6, 5)))
-    z = predict(ctx, Node(np.ones((3, 6))), Node(np.zeros((1, 3))), Node(np.zeros((1, 1))))
+    rng = np.random.default_rng(10)
+    h = Node(rng.normal(size=(6, 4)))
+    mix = Node(rng.normal(size=(4, 5)))
+    z = predict(h, mix, Node(np.ones((3, 6))), Node(np.zeros((1, 3))), Node(np.zeros((1, 1))))
     np.testing.assert_array_equal(z.value, np.zeros((1, 5)))
     np.testing.assert_allclose(nm.sigmoid(z.value), np.full((1, 5), 0.5), atol=1e-15)
 
@@ -291,11 +299,12 @@ def test_predict_zero_head_gives_half():
 def test_predict_monotone_in_logit():
     # the output bias shifts every logit, so the probabilities rise with it
     rng = np.random.default_rng(11)
-    ctx = Node(rng.normal(size=(4, 3)))
+    h = Node(rng.normal(size=(4, 5)))
+    mix = Node(rng.normal(size=(5, 3)))
     w_f = Node(rng.normal(size=(2, 4)))
     w_o = Node(rng.normal(size=(1, 2)))
-    z_lo = predict(ctx, w_f, w_o, Node(np.array([[0.0]])))
-    z_hi = predict(ctx, w_f, w_o, Node(np.array([[0.5]])))
+    z_lo = predict(h, mix, w_f, w_o, Node(np.array([[0.0]])))
+    z_hi = predict(h, mix, w_f, w_o, Node(np.array([[0.5]])))
     np.testing.assert_allclose(z_hi.value - z_lo.value, 0.5, atol=1e-15)
     p_lo, p_hi = nm.sigmoid(z_lo.value), nm.sigmoid(z_hi.value)
     assert (p_hi > p_lo).all()
@@ -317,19 +326,19 @@ def test_forward_variant_field_population():
     params = _params(cfg)
     lv = _label_vectors(cfg)
     t_sa = _forward(cfg, params, None, "sa")
-    assert t_sa.attn_inter is None and t_sa.ctx_inter is None
-    assert t_sa.attn_self is not None
+    assert t_sa.attn_inter is None
+    assert t_sa.attn_self is not None and t_sa.mix is t_sa.attn_self
     assert (t_sa.alpha.value == 1.0).all() and (t_sa.beta.value == 0.0).all()
 
     t_ia = _forward(cfg, params, lv, "ia")
     assert t_ia.attn_self is None
-    assert t_ia.attn_inter is not None
+    assert t_ia.attn_inter is not None and t_ia.mix is t_ia.attn_inter
 
     t_mix = _forward(cfg, params, lv, "sa+ia")
     assert (t_mix.alpha.value == 0.5).all()
     np.testing.assert_allclose(
-        t_mix.ctx.value,
-        0.5 * t_mix.ctx_self.value + 0.5 * t_mix.ctx_inter.value,
+        t_mix.mix.value,
+        0.5 * t_mix.attn_self.value + 0.5 * t_mix.attn_inter.value,
         atol=1e-15,
     )
 
@@ -359,7 +368,7 @@ def test_forward_deterministic():
     t1 = _forward(cfg, params, lv, "laha")
     t2 = _forward(cfg, params, lv, "laha")
     np.testing.assert_array_equal(t1.logits.value, t2.logits.value)
-    np.testing.assert_array_equal(t1.ctx.value, t2.ctx.value)
+    np.testing.assert_array_equal(t1.mix.value, t2.mix.value)
 
 
 def test_forward_full_subset_scores_every_label():
@@ -389,11 +398,88 @@ def test_forward_convexity_of_mixed_context():
     cfg = _cfg()
     params = _params(cfg)
     trace = _forward(cfg, params, _label_vectors(cfg), "laha")
+    h = trace.h.value
     recombined = (
-        trace.ctx_self.value * trace.alpha.value
-        + trace.ctx_inter.value * trace.beta.value
+        (h @ trace.attn_self.value) * trace.alpha.value
+        + (h @ trace.attn_inter.value) * trace.beta.value
     )
-    assert np.abs(trace.ctx.value - recombined).max() <= 1e-12
+    assert np.abs(h @ trace.mix.value - recombined).max() <= 1e-12
+
+
+def _context_form_logits(ids, mask, params, lv, subset, variant):
+    """The paper's context form in plain numpy: C = H A, gates on F C, W_f on the mix."""
+    a = params.arrays()
+    emb = a["embedding"][ids].T
+    hf = _reference_lstm(emb, a["lstm_wx_f"], a["lstm_wh_f"], a["lstm_b_f"])
+    hb = _reference_lstm(emb[:, ::-1], a["lstm_wx_b"], a["lstm_wh_b"], a["lstm_b_b"])[:, ::-1]
+    h = np.vstack([hf, hb])
+
+    def softmax(scores):
+        e = np.where(mask[:, None], np.exp(scores - scores[mask].max(axis=0)), 0.0)
+        return e / e.sum(axis=0)
+
+    c_s = h @ softmax((a["w_s2"][subset] @ np.tanh(a["w_s1"] @ h)).T)
+    c_i = h @ softmax((hf + hb).T @ (a["w_q"] @ lv[:, subset]))
+    if variant == "laha":
+        g1 = nm.sigmoid(a["fuse1_w"] @ c_s + a["fuse1_b"])
+        g2 = nm.sigmoid(a["fuse2_w"] @ c_i + a["fuse2_b"])
+        alpha = g1 / (g1 + g2)
+    else:
+        alpha = {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]
+    ctx = alpha * c_s + (1.0 - alpha) * c_i
+    return a["w_o"] @ np.maximum(a["w_f"] @ ctx, 0.0) + a["b_o"]
+
+
+@pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
+@pytest.mark.parametrize("k, n, r, head_order", [(4, 40, 16, "a(bc)"), (400, 8, 16, "(ab)c")])
+def test_forward_matches_context_form_oracle(monkeypatch, variant, k, n, r, head_order):
+    # k' far below n builds H @ mix and W_q L; k' far above n builds W_f H and H^T W_q
+    orders = []
+    chain = nm.matmul_chain
+
+    def recording_chain(a, b, c):
+        out = chain(a, b, c)
+        orders.append("a(bc)" if out._parents[0] is a else "(ab)c")
+        return out
+
+    monkeypatch.setattr(nm, "matmul_chain", recording_chain)
+    cfg = ModelConfig(k=k, max_len=n, d=10, r=r, d_a=r)
+    rng = np.random.default_rng(k + n)
+    emb = rng.uniform(-0.5, 0.5, size=(20, cfg.d))
+    emb[0] = 0.0
+    params = init_params(cfg, emb, seed=3)
+    lv = rng.normal(size=(r, k))
+    ids = rng.integers(1, 20, size=n)
+    mask = np.arange(n) < n - 3
+    ids[~mask] = 0
+    subset = list(rng.permutation(k))
+    trace = forward(ids, mask, wrap_params(params), lv, subset, variant)
+    oracle = _context_form_logits(ids, mask, params, lv, subset, variant)
+    np.testing.assert_allclose(trace.logits.value, oracle, rtol=0, atol=1e-12)
+    assert orders[-1] == head_order
+    if variant != "sa":
+        assert orders[0] == head_order  # the interaction match
+
+
+def test_forward_only_pass_allocates_no_gradient():
+    cfg = _cfg()
+    trace = _forward(cfg, _params(cfg), _label_vectors(cfg), "laha")
+    reached = nm._toposort(trace.logits)
+    assert len(reached) > 20
+    assert all(node._grad is None for node in reached)
+
+
+def test_unreached_leaf_gets_no_gradient_buffer():
+    # under "sa" the interaction route is never built, so w_q gets no buffer
+    cfg = _cfg()
+    params = _params(cfg)
+    pn = wrap_params(params)
+    ids = np.array([3, 5, 2, 0])
+    trace = forward(ids, ids > 0, pn, None, [0, 2], "sa")
+    nm.backward(nm.bce_with_logits(trace.logits, np.array([[1.0, 0.0]])))
+    assert pn["w_q"]._grad is None
+    np.testing.assert_array_equal(pn["w_q"].grad, np.zeros_like(params.w_q))
+    assert np.abs(pn["w_s2"].grad).sum() > 0
 
 
 def test_export_attention_single_token():

@@ -17,6 +17,7 @@ from laha.numeric import (
     grad_check,
     lstm,
     matmul,
+    matmul_chain,
     mul,
     scale,
     scale_cols,
@@ -280,6 +281,61 @@ def test_lstm_rejects_overflow_and_bad_shapes():
         lstm(np.ones((1, 2)), big, np.zeros((4, 1)), big)
     with pytest.raises(ShapeError):
         lstm(np.ones((2, 3)), np.ones((4, 3)), np.ones((4, 1)), np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("shapes, parent, parent_shape", [
+    # (ab)c costs 2*4*(3+8) = 88 against a(bc) at 3*8*(4+2) = 144
+    (((2, 3), (3, 4), (4, 8)), 0, (2, 4)),
+    # (ab)c costs 8*3*(4+2) = 144 against a(bc) at 4*2*(3+8) = 88
+    (((8, 4), (4, 3), (3, 2)), 1, (4, 2)),
+])
+@pytest.mark.parametrize("trial", range(10))
+def test_grad_matmul_chain_each_order(trial, shapes, parent, parent_shape):
+    rng = np.random.default_rng(250 + trial)
+    a, b, c = (_rand(rng, s) for s in shapes)
+    w = _rand(rng, (shapes[0][0], shapes[2][1]))
+    out = matmul_chain(a, b, c)
+    assert out.value.shape == w.shape
+    assert out._parents[parent].value.shape == parent_shape
+    assert out._parents[parent]._parents  # the intermediate product, not an operand
+    np.testing.assert_allclose(out.value, a @ b @ c, rtol=0, atol=1e-12)
+    _check(lambda p: sum_all(mul(matmul_chain(p["a"], p["b"], p["c"]), w)),
+           {"a": a, "b": b, "c": c})
+
+
+def test_matmul_chain_tie_keeps_left_order_and_checks_shapes():
+    # square operands cost the same both ways
+    out = matmul_chain(np.eye(2), 2 * np.eye(2), 3 * np.eye(2))
+    assert out._parents[0]._parents
+    np.testing.assert_array_equal(out.value, 6 * np.eye(2))
+    with pytest.raises(ShapeError):
+        matmul_chain(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 1)))
+
+
+def _softmax_columns_reference(a, mask):
+    """Softmax over the gathered valid rows: the oracle for `softmax_columns`."""
+    valid = np.asarray(mask).astype(bool)
+    x = a[valid, :]
+    e = np.exp(x - x.max(axis=0, keepdims=True))
+    out = np.zeros_like(a)
+    out[valid, :] = e / e.sum(axis=0, keepdims=True)
+    return out
+
+
+def test_softmax_columns_matches_fancy_index_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        n, k = rng.integers(1, 12), rng.integers(1, 6)
+        a = rng.normal(scale=rng.choice([0.1, 3.0, 300.0]), size=(n, k))
+        mask = rng.integers(0, 2, size=n).astype(bool)
+        mask[rng.integers(n)] = True
+        got = softmax_columns(a, mask).value
+        want = _softmax_columns_reference(a, mask)
+        if k >= 2:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert (got[~mask] == 0.0).all()
 
 
 @pytest.mark.parametrize("trial", range(N_TRIALS))
