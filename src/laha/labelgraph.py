@@ -1,74 +1,87 @@
 """Label co-occurrence graph and structure-preserving label embeddings.
 
 Two labels are connected whenever they tag at least one common document;
-edge weight is the number of shared documents.  Labels embed into a dense
-low-dimensional space by running second-order biased random walks over the
-graph (return parameter p, in-out parameter q) and training skip-gram with
-negative sampling on the walk corpus, so nearby labels end up with similar
-vectors.
+edge weight is the number of shared documents.  The graph is an immutable
+CSR matrix.  Labels embed into a dense low-dimensional space by node2vec:
+second-order biased random walks over the graph (return parameter p,
+in-out parameter q), all stepped together as arrays, then skip-gram with
+negative sampling on the walk corpus, updated in blocks of pairs, so
+nearby labels end up with similar vectors.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .data import Corpus
 from .errors import DataFormatError, ValidationError
+from .numeric import sigmoid
 
 
 class LabelGraph:
-    """Undirected weighted graph over label ids 0..k-1, no self-loops."""
+    """Undirected weighted graph over label ids 0..k-1, no self-loops, as CSR.
 
-    def __init__(self, k: int):
+    Built once from (i, j, weight) triples; duplicate edges add their
+    weights.  Row i's neighbours are `indices[indptr[i]:indptr[i + 1]]`,
+    sorted by id, with their `weights`.
+    """
+
+    def __init__(self, k: int, edges=()):
         if k < 1:
             raise ValidationError("label count must be >= 1")
-        self.k = k
-        self._adj: list[dict[int, int]] = [dict() for _ in range(k)]
-
-    def add_edge(self, i: int, j: int, weight: int = 1) -> None:
-        if i == j:
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        i, j, w = e.T
+        if (i == j).any():
             raise ValidationError("self-loops are not allowed")
-        if not (0 <= i < self.k and 0 <= j < self.k):
-            raise ValidationError(f"edge ({i},{j}) outside label range [0,{self.k})")
-        if weight < 1:
+        bad = np.flatnonzero(((e[:, :2] < 0) | (e[:, :2] >= k)).any(axis=1))
+        if bad.size:
+            raise ValidationError(
+                f"edge ({i[bad[0]]},{j[bad[0]]}) outside label range [0,{k})")
+        if (w < 1).any():
             raise ValidationError("edge weight must be >= 1")
-        self._adj[i][j] = self._adj[i].get(j, 0) + weight
-        self._adj[j][i] = self._adj[i][j]
+        keys, slot = np.unique(np.concatenate([i * k + j, j * k + i]), return_inverse=True)
+        self.k = k
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
+        self.indices = keys % k
+        self.weights = np.bincount(slot, weights=np.concatenate([w, w])).astype(np.int64)
+        # one sorted key per entry, plus a sentinel past every real key
+        self._keys = np.append(keys, k * k)
+        for a in (self.indptr, self.indices, self.weights, self._keys):
+            a.flags.writeable = False
+
+    def _find(self, i, j):
+        """Entry positions of (i, j) in `indices`/`weights`, and which exist."""
+        key = np.asarray(i, dtype=np.int64) * self.k + j
+        pos = np.searchsorted(self._keys, key)
+        return pos, self._keys[pos] == key
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(neighbor, weight) pairs sorted by neighbor id."""
-        return sorted(self._adj[i].items())
+        s = slice(self.indptr[i], self.indptr[i + 1])
+        return list(zip(self.indices[s].tolist(), self.weights[s].tolist()))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
+        return bool(self._find(i, j)[1])
 
     def weight(self, i: int, j: int) -> int:
-        return self._adj[i].get(j, 0)
+        pos, found = self._find(i, j)
+        return int(self.weights[pos]) if found else 0
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return self.indices.size // 2
 
     @property
     def isolated(self) -> list[int]:
-        return [i for i in range(self.k) if not self._adj[i]]
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """(i, j, weight) with i < j, sorted."""
-        out = []
-        for i in range(self.k):
-            for j, w in sorted(self._adj[i].items()):
-                if i < j:
-                    out.append((i, j, w))
-        return out
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
 
 def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
     """Edge (i, j) weighted by the number of documents containing both labels."""
-    graph = LabelGraph(k)
+    edges = []
     for doc in corpus:
         labels = sorted(doc.labels)
         for label in labels:
@@ -76,10 +89,8 @@ def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
                 raise ValidationError(
                     f"document {doc.doc_id!r} has label {label} outside range [0,{k})"
                 )
-        for a_idx in range(len(labels)):
-            for b_idx in range(a_idx + 1, len(labels)):
-                graph.add_edge(labels[a_idx], labels[b_idx])
-    return graph
+        edges.extend((a, b, 1) for a, b in combinations(labels, 2))
+    return LabelGraph(k, edges)
 
 
 @dataclass
@@ -100,51 +111,57 @@ class WalkConfig:
 
 
 def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
-    """Second-order biased walks, walks_per_node from every node.
+    """Second-order biased walks of walk_length nodes, walks_per_node from every node.
 
-    From prev t at cur v the next candidate x gets weight
-    w(v,x) * (1/p if x == t, 1 if x neighbors t, 1/q otherwise); the first
-    step is plain weight-proportional.  Each (node, walk index) pair draws
-    from its own seeded stream, so output is reproducible and per-walk
-    generation could run in parallel.
+    Walks come out grouped by start node in id order; a walk from an
+    isolated node is the singleton [node].  From prev t at cur v the next
+    node x has probability proportional to w(v,x) * bias, with bias 1/p if
+    x == t, 1 if x neighbors t and 1/q otherwise; the first step is plain
+    weight-proportional.  Every walk takes each step at once under one
+    generator seeded with config.seed: a weight-proportional candidate is
+    drawn from one cumulative-weight array over all rows and accepted with
+    probability bias / max(1/p, 1, 1/q); each rejected walk then draws once
+    from its exact biased row.  That mixture is exactly the node2vec
+    transition, and at p = q = 1 nothing is rejected.
     """
-    walks = []
-    for node in range(graph.k):
-        for walk_idx in range(config.walks_per_node):
-            rng = np.random.default_rng((config.seed, node, walk_idx))
-            walks.append(_one_walk(graph, node, config, rng))
-    return walks
+    rng = np.random.default_rng(config.seed)
+    starts = np.repeat(np.arange(graph.k), config.walks_per_node)
+    moving = np.diff(graph.indptr)[starts] > 0
+    steps = np.empty((int(moving.sum()), config.walk_length), dtype=np.int64)
+    steps[:, 0] = starts[moving]
+    cum = np.concatenate([[0.0], np.cumsum(graph.weights, dtype=np.float64)])
+    bound = max(1 / config.p, 1.0, 1 / config.q)
+    for s in range(1, config.walk_length):
+        lo, hi = graph.indptr[steps[:, s - 1]], graph.indptr[steps[:, s - 1] + 1]
+        steps[:, s] = graph.indices[_inverse_cdf(cum, lo, hi, rng)]
+        if s == 1 or config.p == config.q == 1:
+            continue
+        prev = steps[:, s - 2]
+        accept = _bias(graph, prev, steps[:, s], config) / bound
+        rej = np.flatnonzero(rng.random(len(steps)) >= accept)
+        lens = hi[rej] - lo[rej]
+        seg = np.cumsum(lens) - lens
+        entry = np.repeat(lo[rej] - seg, lens) + np.arange(lens.sum())
+        nxt = graph.indices[entry]
+        biased = graph.weights[entry] * _bias(graph, np.repeat(prev[rej], lens), nxt, config)
+        # each row scaled to sum 1, so one running total resolves every row alike
+        biased /= np.repeat(np.add.reduceat(biased, seg), lens)
+        cum_biased = np.concatenate([[0.0], np.cumsum(biased)])
+        steps[rej, s] = nxt[_inverse_cdf(cum_biased, seg, seg + lens, rng)]
+    rows = iter(steps.tolist())
+    return [next(rows) if m else [node] for node, m in zip(starts.tolist(), moving.tolist())]
 
 
-def _one_walk(graph: LabelGraph, start: int, config: WalkConfig, rng) -> list[int]:
-    walk = [start]
-    nbrs = graph.neighbors(start)
-    if not nbrs:
-        return walk
-    walk.append(_weighted_pick(rng, nbrs))
-    while len(walk) < config.walk_length:
-        cur = walk[-1]
-        prev = walk[-2]
-        nbrs = graph.neighbors(cur)
-        if not nbrs:
-            break
-        biased = []
-        for nxt, w in nbrs:
-            if nxt == prev:
-                bias = 1.0 / config.p
-            elif graph.has_edge(prev, nxt):
-                bias = 1.0
-            else:
-                bias = 1.0 / config.q
-            biased.append((nxt, w * bias))
-        walk.append(_weighted_pick(rng, biased))
-    return walk
+def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, rng) -> np.ndarray:
+    """Per row, an entry in [lo, hi) drawn by weight; cum is the running total from 0."""
+    u = cum[lo] + rng.random(lo.size) * (cum[hi] - cum[lo])
+    return np.clip(np.searchsorted(cum, u, side="right") - 1, lo, hi - 1)
 
 
-def _weighted_pick(rng, weighted: list[tuple[int, float]]) -> int:
-    cum = np.cumsum([w for _, w in weighted])
-    r = rng.random() * cum[-1]
-    return weighted[int(np.searchsorted(cum, r, side="right"))][0]
+def _bias(graph: LabelGraph, prev: np.ndarray, nxt: np.ndarray, config: WalkConfig):
+    """node2vec's search bias of stepping to nxt after prev."""
+    return np.where(nxt == prev, 1 / config.p,
+                    np.where(graph._find(prev, nxt)[1], 1.0, 1 / config.q))
 
 
 @dataclass
@@ -177,12 +194,18 @@ def train_skipgram(
     lr: float = 0.025,
     seed: int = 0,
 ) -> LabelEmbedding:
-    """Skip-gram with negative sampling over walk windows.
+    """Skip-gram with negative sampling over walk windows, updated in blocks.
 
-    Negatives draw from the unigram^0.75 distribution of walk occurrences.
-    Nodes absent from every walk keep their seeded random initialization;
-    epochs=0 returns that initialization unchanged.  Learning rate decays
-    linearly per epoch.
+    Each epoch visits the walks in a seeded random order and, in each walk,
+    every (center, context) pair at most `window` positions apart, by
+    center then context position.  Each pair draws `negatives` noise nodes
+    from the unigram^0.75 distribution of walk occurrences and drops those
+    equal to its context.  Pairs run in blocks of min(k, 256) consecutive
+    pairs: each pair's gradient is taken at the vectors as they were at its
+    block's start, and the block's gradients are summed, so a row met twice
+    gets both.  Nodes absent from every walk keep their seeded random
+    initialization; epochs=0 returns that initialization unchanged.
+    Learning rate decays linearly per epoch.
     """
     if r < 1 or window < 1:
         raise ValidationError("r and window must be >= 1")
@@ -190,56 +213,51 @@ def train_skipgram(
         raise ValidationError("negatives and epochs must be >= 0")
     if not walks:
         raise ValidationError("cannot embed labels from zero walks")
+    lens = np.array([len(walk) for walk in walks])
+    if lens.min() == 0:
+        raise ValidationError("walks must not be empty")
+    flat = np.concatenate(walks)
+    if flat.dtype.kind not in "iu":
+        raise ValidationError(f"walk nodes must be integers, got {flat.dtype}")
+    outside = flat[(flat < 0) | (flat >= k)]
+    if outside.size:
+        raise ValidationError(f"walk node {outside[0]} outside label range [0,{k})")
 
     rng = np.random.default_rng(seed)
     vec_in = (rng.random((k, r)) - 0.5) / r
     vec_out = np.zeros((k, r))
-
-    counts = Counter()
-    for walk in walks:
-        counts.update(walk)
-    for node in counts:
-        if not (0 <= node < k):
-            raise ValidationError(f"walk node {node} outside label range [0,{k})")
-    noise_nodes = np.array(sorted(counts), dtype=np.int64)
-    noise_weights = np.array([counts[n] for n in noise_nodes], dtype=np.float64) ** 0.75
-    noise_cum = np.cumsum(noise_weights)
-    noise_total = noise_cum[-1]
+    counts = np.bincount(flat, minlength=k)
+    noise_nodes = np.flatnonzero(counts)
+    noise_cum = np.cumsum(counts[noise_nodes] ** 0.75)
+    label, cols, block = np.eye(1, negatives + 1), np.arange(r), min(k, 256)
 
     for epoch in range(epochs):
         step = lr * max(1.0 - epoch / epochs, 1e-4)
         order = rng.permutation(len(walks))
-        for wi in order:
-            walk = walks[wi]
-            for pos, center in enumerate(walk):
-                lo = max(0, pos - window)
-                hi = min(len(walk), pos + window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    _sgns_pair(
-                        vec_in, vec_out, center, walk[ctx_pos],
-                        negatives, step, rng, noise_nodes, noise_cum, noise_total,
-                    )
+        n = lens[order]
+        start = np.repeat(np.cumsum(n) - n, n)
+        pos = np.arange(n.sum())
+        nodes = flat[np.repeat(np.cumsum(lens)[order] - np.cumsum(n), n) + pos]
+        lo = np.maximum(start, pos - window)
+        count = np.minimum(start + np.repeat(n, n), pos + window + 1) - lo - 1
+        first, total = np.cumsum(count) - count, count.sum()
+        for b in range(0, total, block):
+            pair = np.arange(b, min(b + block, total))
+            at = np.searchsorted(first, pair, side="right") - 1  # center positions
+            ctx = lo[at] + pair - first[at]
+            ctx += ctx >= at  # skip the center itself
+            center, v = nodes[at], vec_in[nodes[at]]
+            neg = noise_nodes[np.searchsorted(
+                noise_cum, rng.random((pair.size, negatives)) * noise_cum[-1], side="right")]
+            targets = np.column_stack([nodes[ctx], neg])
+            u = vec_out[targets]
+            g = step * (label - sigmoid(np.matmul(u, v[:, :, None])[:, :, 0]))
+            g[:, 1:] *= neg != targets[:, :1]
+            np.add.at(vec_in.reshape(-1), (center[:, None] * r + cols).ravel(),
+                      np.matmul(g[:, None, :], u)[:, 0].ravel())
+            np.add.at(vec_out.reshape(-1), (targets[:, :, None] * r + cols).ravel(),
+                      (g[:, :, None] * v[:, None, :]).ravel())
     return LabelEmbedding(vectors=vec_in.T.copy())
-
-
-def _sgns_pair(vec_in, vec_out, center, context, negatives, lr, rng,
-               noise_nodes, noise_cum, noise_total):
-    v = vec_in[center]
-    accum = np.zeros_like(v)
-    targets = [(context, 1.0)]
-    if negatives > 0:
-        draws = noise_nodes[np.searchsorted(noise_cum, rng.random(negatives) * noise_total,
-                                            side="right")]
-        targets.extend((int(n), 0.0) for n in draws if n != context)
-    for node, label in targets:
-        u = vec_out[node]
-        score = 1.0 / (1.0 + np.exp(-np.dot(v, u)))
-        g = lr * (label - score)
-        accum += g * u
-        vec_out[node] = u + g * v
-    vec_in[center] = v + accum
 
 
 def save_embedding(path: str, embedding: LabelEmbedding) -> None:

@@ -65,21 +65,33 @@ def test_graph_symmetry_and_no_self_loops():
 
 
 def _path_graph():
-    g = LabelGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    return g
+    return LabelGraph(3, [(0, 1, 1), (1, 2, 1)])
 
 
 def _weighted_5_node():
-    g = LabelGraph(5)
-    g.add_edge(0, 1, 3)
-    g.add_edge(0, 2, 1)
-    g.add_edge(1, 2, 2)
-    g.add_edge(2, 3, 4)
-    g.add_edge(3, 4, 1)
-    g.add_edge(1, 4, 2)
-    return g
+    return LabelGraph(5, [(0, 1, 3), (0, 2, 1), (1, 2, 2), (2, 3, 4), (3, 4, 1), (1, 4, 2)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1), (2, 2, 1)],  # self-loop
+    [(0, 1, 1), (1, 3, 1)],  # id == k
+    [(-1, 1, 1)],  # negative id
+    [(0, 1, 1), (1, 2, 0)],  # weight 0
+])
+def test_graph_constructor_rejects_bad_edges(edges):
+    with pytest.raises(ValidationError):
+        LabelGraph(3, edges)
+
+
+def test_graph_duplicate_edges_sum_weights():
+    g = LabelGraph(4, [(0, 1, 2), (1, 0, 3), (2, 3, 1), (0, 1, 1)])
+    assert g.weight(0, 1) == g.weight(1, 0) == 6
+    assert g.neighbors(1) == [(0, 6)]
+    assert g.num_edges == 2
+    assert g.indptr.tolist() == [0, 1, 2, 3, 4]
+    assert g.indices.tolist() == [1, 0, 3, 2]
+    assert g.weights.tolist() == [6, 6, 1, 1]
+    assert not g.has_edge(0, 2) and g.weight(0, 2) == 0
 
 
 def test_walks_start_everywhere_and_deterministic():
@@ -90,11 +102,14 @@ def test_walks_start_everywhere_and_deterministic():
     assert walks1 == walks2
     assert len(walks1) == 15
     assert Counter(w[0] for w in walks1) == {i: 3 for i in range(5)}
+    assert all(len(w) == 10 for w in walks1)
+    # walk_length counts nodes, the start included
+    one = sample_walks(g, WalkConfig(walk_length=1, walks_per_node=3, seed=9))
+    assert one == [[i] for i in range(5) for _ in range(3)]
 
 
 def test_isolated_node_walk_is_singleton():
-    g = LabelGraph(3)
-    g.add_edge(0, 1)
+    g = LabelGraph(3, [(0, 1, 1)])
     cfg = WalkConfig(walk_length=10, walks_per_node=2, seed=1)
     walks = sample_walks(g, cfg)
     assert [2] in walks
@@ -156,6 +171,51 @@ def test_huge_q_returns_to_previous_node():
     assert returns / len(walks) >= 0.999
 
 
+def _node2vec_probs(g, prev, cur, p, q):
+    """Exact node2vec transition out of cur after prev, as {next: probability}."""
+    biased = {}
+    for nxt, w in g.neighbors(cur):
+        bias = 1 / p if nxt == prev else 1.0 if g.has_edge(prev, nxt) else 1 / q
+        biased[nxt] = w * bias
+    total = sum(biased.values())
+    return {nxt: b / total for nxt, b in biased.items()}
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.5)])
+def test_chi_square_second_order_matches_node2vec(p, q):
+    g = _weighted_5_node()
+    walks = sample_walks(g, WalkConfig(p=p, q=q, walk_length=50, walks_per_node=120, seed=5))
+    trans = Counter()
+    for walk in walks:
+        for prev, cur, nxt in zip(walk, walk[1:], walk[2:]):
+            trans[(prev, cur, nxt)] += 1
+    rows = 0
+    for cur in range(5):
+        for prev, _ in g.neighbors(cur):
+            probs = _node2vec_probs(g, prev, cur, p, q)
+            observed = np.array([trans[(prev, cur, nxt)] for nxt in probs], dtype=float)
+            assert observed.sum() >= 500
+            expected = np.array(list(probs.values())) * observed.sum()
+            chi2 = ((observed - expected) ** 2 / expected).sum()
+            assert stats.chi2.sf(chi2, df=len(probs) - 1) > 0.001
+            rows += 1
+    assert rows == 12
+
+
+def test_huge_p_and_q_walks_finish_and_split_evenly():
+    # every bias is 1e-9 against an acceptance bound of 1, so nearly every
+    # step is rejected and taken from the exact biased row instead
+    g = _path_graph()
+    walks = sample_walks(g, WalkConfig(p=1e9, q=1e9, walk_length=6, walks_per_node=2000, seed=8))
+    assert len(walks) == 6000
+    assert all(len(w) == 6 for w in walks)
+    after_middle = [nxt for walk in walks
+                    for prev, cur, nxt in zip(walk, walk[1:], walk[2:]) if cur == 1]
+    assert set(after_middle) == {0, 2}
+    ends_at_2 = sum(nxt == 2 for nxt in after_middle)
+    assert stats.binomtest(ends_at_2, len(after_middle), 0.5).pvalue > 0.001
+
+
 def test_skipgram_output_shape():
     g = _weighted_5_node()
     walks = sample_walks(g, WalkConfig(walk_length=10, walks_per_node=3, seed=0))
@@ -187,16 +247,54 @@ def test_skipgram_no_walks_errors():
         train_skipgram([], k=3, r=2)
 
 
+@pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]]])
+def test_skipgram_malformed_walks_raise_validation_error(walks):
+    with pytest.raises(ValidationError):
+        train_skipgram(walks, k=3, r=2)
+
+
+def test_skipgram_block_matches_summed_pair_gradients():
+    # 6 pairs per epoch fit in one block of min(k, 256) = 8; every pair's
+    # gradient is taken at the block-start vectors and the gradients summed
+    walks, k, r, negatives, lr, seed = [[0, 1, 2], [2, 1]], 8, 4, 5, 0.3, 7
+    got = train_skipgram(walks, k=k, r=r, window=1, negatives=negatives, epochs=2,
+                         lr=lr, seed=seed).vectors
+    rng = np.random.default_rng(seed)
+    vec_in = (rng.random((k, r)) - 0.5) / r
+    vec_out = np.zeros((k, r))
+    counts = Counter(node for walk in walks for node in walk)
+    nodes = np.array(sorted(counts))
+    cum = np.cumsum([counts[n] ** 0.75 for n in nodes])
+    repeated = dropped = False
+    for epoch in range(2):
+        pairs = [(walk[i], walk[j]) for w in rng.permutation(len(walks))
+                 for walk in [walks[w]] for i in range(len(walk))
+                 for j in range(max(0, i - 1), min(len(walk), i + 2)) if j != i]
+        assert len(pairs) <= k
+        neg = nodes[np.searchsorted(cum, rng.random((len(pairs), negatives)) * cum[-1],
+                                    side="right")]
+        d_in, d_out = np.zeros_like(vec_in), np.zeros_like(vec_out)
+        for (center, context), draws in zip(pairs, neg):
+            repeated |= len(set(draws.tolist())) < negatives
+            dropped |= context in draws
+            targets = [(context, 1.0)] + [(int(n), 0.0) for n in draws if n != context]
+            for node, label in targets:
+                score = 1 / (1 + np.exp(-vec_in[center] @ vec_out[node]))
+                g = lr * (1 - epoch / 2) * (label - score)
+                d_in[center] += g * vec_out[node]
+                d_out[node] += g * vec_in[center]
+        vec_in, vec_out = vec_in + d_in, vec_out + d_out
+    assert repeated and dropped
+    np.testing.assert_allclose(got, vec_in.T, rtol=0, atol=1e-12)
+    assert not np.allclose(got, train_skipgram(walks, k=k, r=r, epochs=0, seed=seed).vectors)
+
+
 def _cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def test_skipgram_separates_disconnected_cliques():
-    g = LabelGraph(6)
-    for clique in ([0, 1, 2], [3, 4, 5]):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                g.add_edge(clique[i], clique[j], 3)
+    g = LabelGraph(6, [(c + i, c + j, 3) for c in (0, 3) for i in range(3) for j in range(i + 1, 3)])
     walks = sample_walks(g, WalkConfig(walk_length=20, walks_per_node=20, seed=4))
     emb = train_skipgram(walks, k=6, r=8, epochs=10, seed=4).vectors
     intra, inter = [], []
