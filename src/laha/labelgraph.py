@@ -32,7 +32,10 @@ class LabelGraph:
     def __init__(self, k: int, edges=()):
         if k < 1:
             raise ValidationError("label count must be >= 1")
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        e = np.asarray(edges).reshape(-1, 3)
+        if e.size and e.dtype.kind not in "iu":
+            raise ValidationError(f"edge ids and weights must be integers, got {e.dtype}")
+        e = e.astype(np.int64)
         i, j, w = e.T
         if (i == j).any():
             raise ValidationError("self-loops are not allowed")
@@ -54,9 +57,11 @@ class LabelGraph:
 
     def _find(self, i, j):
         """Entry positions of (i, j) in `indices`/`weights`, and which exist."""
-        key = np.asarray(i, dtype=np.int64) * self.k + j
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        inside = (i >= 0) & (i < self.k) & (j >= 0) & (j < self.k)
+        key = np.where(inside, i * self.k + j, self.k * self.k)
         pos = np.searchsorted(self._keys, key)
-        return pos, self._keys[pos] == key
+        return pos, inside & (self._keys[pos] == key)
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(neighbor, weight) pairs sorted by neighbor id."""
@@ -118,11 +123,9 @@ def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
     node x has probability proportional to w(v,x) * bias, with bias 1/p if
     x == t, 1 if x neighbors t and 1/q otherwise; the first step is plain
     weight-proportional.  Every walk takes each step at once under one
-    generator seeded with config.seed: a weight-proportional candidate is
-    drawn from one cumulative-weight array over all rows and accepted with
-    probability bias / max(1/p, 1, 1/q); each rejected walk then draws once
-    from its exact biased row.  That mixture is exactly the node2vec
-    transition, and at p = q = 1 nothing is rejected.
+    generator seeded with config.seed.  A weight-proportional step is one
+    draw from a cumulative-weight array over all rows; a biased step
+    (p or q != 1) draws from each walk's exact biased row.
     """
     rng = np.random.default_rng(config.seed)
     starts = np.repeat(np.arange(graph.k), config.walks_per_node)
@@ -130,24 +133,22 @@ def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
     steps = np.empty((int(moving.sum()), config.walk_length), dtype=np.int64)
     steps[:, 0] = starts[moving]
     cum = np.concatenate([[0.0], np.cumsum(graph.weights, dtype=np.float64)])
-    bound = max(1 / config.p, 1.0, 1 / config.q)
     for s in range(1, config.walk_length):
         lo, hi = graph.indptr[steps[:, s - 1]], graph.indptr[steps[:, s - 1] + 1]
-        steps[:, s] = graph.indices[_inverse_cdf(cum, lo, hi, rng)]
         if s == 1 or config.p == config.q == 1:
+            steps[:, s] = graph.indices[_inverse_cdf(cum, lo, hi, rng)]
             continue
-        prev = steps[:, s - 2]
-        accept = _bias(graph, prev, steps[:, s], config) / bound
-        rej = np.flatnonzero(rng.random(len(steps)) >= accept)
-        lens = hi[rej] - lo[rej]
+        lens = hi - lo
         seg = np.cumsum(lens) - lens
-        entry = np.repeat(lo[rej] - seg, lens) + np.arange(lens.sum())
-        nxt = graph.indices[entry]
-        biased = graph.weights[entry] * _bias(graph, np.repeat(prev[rej], lens), nxt, config)
+        entry = np.repeat(lo - seg, lens) + np.arange(lens.sum())
+        prev, nxt = np.repeat(steps[:, s - 2], lens), graph.indices[entry]
+        bias = np.where(nxt == prev, 1 / config.p,
+                        np.where(graph._find(prev, nxt)[1], 1.0, 1 / config.q))
+        biased = graph.weights[entry] * bias
         # each row scaled to sum 1, so one running total resolves every row alike
         biased /= np.repeat(np.add.reduceat(biased, seg), lens)
         cum_biased = np.concatenate([[0.0], np.cumsum(biased)])
-        steps[rej, s] = nxt[_inverse_cdf(cum_biased, seg, seg + lens, rng)]
+        steps[:, s] = nxt[_inverse_cdf(cum_biased, seg, seg + lens, rng)]
     rows = iter(steps.tolist())
     return [next(rows) if m else [node] for node, m in zip(starts.tolist(), moving.tolist())]
 
@@ -156,12 +157,6 @@ def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, rng) -> np.nda
     """Per row, an entry in [lo, hi) drawn by weight; cum is the running total from 0."""
     u = cum[lo] + rng.random(lo.size) * (cum[hi] - cum[lo])
     return np.clip(np.searchsorted(cum, u, side="right") - 1, lo, hi - 1)
-
-
-def _bias(graph: LabelGraph, prev: np.ndarray, nxt: np.ndarray, config: WalkConfig):
-    """node2vec's search bias of stepping to nxt after prev."""
-    return np.where(nxt == prev, 1 / config.p,
-                    np.where(graph._find(prev, nxt)[1], 1.0, 1 / config.q))
 
 
 @dataclass
@@ -200,11 +195,13 @@ def train_skipgram(
     every (center, context) pair at most `window` positions apart, by
     center then context position.  Each pair draws `negatives` noise nodes
     from the unigram^0.75 distribution of walk occurrences and drops those
-    equal to its context.  Pairs run in blocks of min(k, 256) consecutive
-    pairs: each pair's gradient is taken at the vectors as they were at its
-    block's start, and the block's gradients are summed, so a row met twice
-    gets both.  Nodes absent from every walk keep their seeded random
-    initialization; epochs=0 returns that initialization unchanged.
+    equal to its context.  Pairs run in blocks of at most 256 consecutive
+    pairs, sized so that the most frequent node is expected about 4 times
+    per block as a context or negative: each pair's gradient is taken at
+    the vectors as they were at its block's start, and the block's
+    gradients are summed, so a row met twice gets both.  Nodes absent from
+    every walk keep their seeded random initialization; epochs=0 returns
+    that initialization unchanged.
     Learning rate decays linearly per epoch.
     """
     if r < 1 or window < 1:
@@ -229,7 +226,10 @@ def train_skipgram(
     counts = np.bincount(flat, minlength=k)
     noise_nodes = np.flatnonzero(counts)
     noise_cum = np.cumsum(counts[noise_nodes] ** 0.75)
-    label, cols, block = np.eye(1, negatives + 1), np.arange(r), min(k, 256)
+    # block sums track sequential SGD only while no row recurs often in a block,
+    # so expect the busiest vec_out row (context or negative) about 4 times
+    busiest = (counts / flat.size + negatives * counts ** 0.75 / noise_cum[-1]).max()
+    label, cols, block = np.eye(1, negatives + 1), np.arange(r), int(np.clip(4 / busiest, 1, 256))
 
     for epoch in range(epochs):
         step = lr * max(1.0 - epoch / epochs, 1e-4)

@@ -77,6 +77,8 @@ def _weighted_5_node():
     [(0, 1, 1), (1, 3, 1)],  # id == k
     [(-1, 1, 1)],  # negative id
     [(0, 1, 1), (1, 2, 0)],  # weight 0
+    [(0, 1, 2.7)],  # float weight, not truncated to 2
+    [(0.0, 1, 1)],  # float id
 ])
 def test_graph_constructor_rejects_bad_edges(edges):
     with pytest.raises(ValidationError):
@@ -92,6 +94,16 @@ def test_graph_duplicate_edges_sum_weights():
     assert g.indices.tolist() == [1, 0, 3, 2]
     assert g.weights.tolist() == [6, 6, 1, 1]
     assert not g.has_edge(0, 2) and g.weight(0, 2) == 0
+
+
+def test_graph_lookups_outside_label_range_find_nothing():
+    g = _path_graph()
+    # (0, 3) and (2, -1) share their flat keys with the real edges (1, 0) and (1, 2)
+    assert not g.has_edge(0, 3) and g.weight(0, 3) == 0
+    assert not g.has_edge(2, -1) and g.weight(2, -1) == 0
+    assert not g.has_edge(2, 3) and g.weight(2, 3) == 0
+    assert not g.has_edge(3, 0) and g.weight(3, 0) == 0
+    assert g.has_edge(1, 0) and g.weight(1, 2) == 1
 
 
 def test_walks_start_everywhere_and_deterministic():
@@ -203,8 +215,8 @@ def test_chi_square_second_order_matches_node2vec(p, q):
 
 
 def test_huge_p_and_q_walks_finish_and_split_evenly():
-    # every bias is 1e-9 against an acceptance bound of 1, so nearly every
-    # step is rejected and taken from the exact biased row instead
+    # every bias is 1e-9, so each row's biased weights must be scaled
+    # before they are drawn from
     g = _path_graph()
     walks = sample_walks(g, WalkConfig(p=1e9, q=1e9, walk_length=6, walks_per_node=2000, seed=8))
     assert len(walks) == 6000
@@ -254,9 +266,11 @@ def test_skipgram_malformed_walks_raise_validation_error(walks):
 
 
 def test_skipgram_block_matches_summed_pair_gradients():
-    # 6 pairs per epoch fit in one block of min(k, 256) = 8; every pair's
-    # gradient is taken at the block-start vectors and the gradients summed
-    walks, k, r, negatives, lr, seed = [[0, 1, 2], [2, 1]], 8, 4, 5, 0.3, 7
+    # 14 pairs per epoch over 8 nodes seen equally often: the busiest row's
+    # expected uses per pair are 1/8 as context plus 2/8 as a negative, so
+    # blocks hold 4 / (3/8) -> 10 pairs; every pair's gradient is taken at
+    # its block-start vectors and the block's gradients summed
+    walks, k, r, negatives, lr, seed, block = [list(range(8))], 12, 4, 2, 0.3, 7, 10
     got = train_skipgram(walks, k=k, r=r, window=1, negatives=negatives, epochs=2,
                          lr=lr, seed=seed).vectors
     rng = np.random.default_rng(seed)
@@ -270,20 +284,21 @@ def test_skipgram_block_matches_summed_pair_gradients():
         pairs = [(walk[i], walk[j]) for w in rng.permutation(len(walks))
                  for walk in [walks[w]] for i in range(len(walk))
                  for j in range(max(0, i - 1), min(len(walk), i + 2)) if j != i]
-        assert len(pairs) <= k
+        assert len(pairs) == 14
         neg = nodes[np.searchsorted(cum, rng.random((len(pairs), negatives)) * cum[-1],
                                     side="right")]
-        d_in, d_out = np.zeros_like(vec_in), np.zeros_like(vec_out)
-        for (center, context), draws in zip(pairs, neg):
-            repeated |= len(set(draws.tolist())) < negatives
-            dropped |= context in draws
-            targets = [(context, 1.0)] + [(int(n), 0.0) for n in draws if n != context]
-            for node, label in targets:
-                score = 1 / (1 + np.exp(-vec_in[center] @ vec_out[node]))
-                g = lr * (1 - epoch / 2) * (label - score)
-                d_in[center] += g * vec_out[node]
-                d_out[node] += g * vec_in[center]
-        vec_in, vec_out = vec_in + d_in, vec_out + d_out
+        for b in range(0, len(pairs), block):
+            d_in, d_out = np.zeros_like(vec_in), np.zeros_like(vec_out)
+            for (center, context), draws in zip(pairs[b:b + block], neg[b:b + block]):
+                repeated |= len(set(draws.tolist())) < negatives
+                dropped |= context in draws
+                targets = [(context, 1.0)] + [(int(n), 0.0) for n in draws if n != context]
+                for node, label in targets:
+                    score = 1 / (1 + np.exp(-vec_in[center] @ vec_out[node]))
+                    g = lr * (1 - epoch / 2) * (label - score)
+                    d_in[center] += g * vec_out[node]
+                    d_out[node] += g * vec_in[center]
+            vec_in, vec_out = vec_in + d_in, vec_out + d_out
     assert repeated and dropped
     np.testing.assert_allclose(got, vec_in.T, rtol=0, atol=1e-12)
     assert not np.allclose(got, train_skipgram(walks, k=k, r=r, epochs=0, seed=seed).vectors)
