@@ -297,4 +297,7 @@ def load_embedding(path: str) -> LabelEmbedding:
                 raise DataFormatError(f"bad float ({err})", line=i + 2) from err
             if not np.isfinite(vectors[:, i]).all():
                 raise DataFormatError("non-finite float", line=i + 2)
+        for lineno, line in enumerate(fh, start=k + 2):
+            if line.strip():
+                raise DataFormatError(f"row after the {k} declared embedding rows", line=lineno)
     return LabelEmbedding(vectors=vectors)

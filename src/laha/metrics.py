@@ -5,11 +5,14 @@ relevant; nDCG@tau discounts hits by log2(rank + 1) and normalizes by the
 ideal ordering truncated at min(tau, #relevant).  Ties in scores break
 toward the lower label index.  Group evaluation restricts both the truth
 and the candidate ranking to the labels of a frequency group computed
-from the training corpus.
+from the training corpus.  `evaluate` ranks each score vector once; a
+group's ranking is that ranking restricted to the group's labels, which
+the stable tie order makes equal to ranking the group's own scores.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -27,31 +30,34 @@ def rank_labels(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
 
 
+def _ranked_metrics(ranking: np.ndarray, truth: set[int], taus: Sequence[int]) -> list[float]:
+    """P@t for every t in taus, then nDCG@t for every t, over one ranking.
+
+    Each t is capped at the ranking's length.  P@t is the hit count over t;
+    nDCG@t sums 1/log2(rank + 2) over the hits in rank order and divides by
+    the same sum over the first min(t, |truth|) ranks.
+    """
+    caps = [min(t, ranking.size) for t in taus]
+    gains = [1.0 / math.log2(rank + 2) for rank in range(max(caps))]
+    hits = [label in truth for label in ranking[: max(caps)].tolist()]
+    precision = [sum(hits[:t]) / t for t in caps]
+    ndcg = [sum(g for g, hit in zip(gains[:t], hits) if hit) / sum(gains[: min(t, len(truth))])
+            for t in caps]
+    return precision + ndcg
+
+
 def precision_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
     """Fraction of the top-tau ranked labels present in truth."""
-    scores = np.asarray(scores, dtype=np.float64)
-    _validate_metric_args(scores, truth, tau)
-    top = rank_labels(scores)[:tau]
-    return sum(1.0 for label in top if label in truth) / tau
+    return _ranked_metrics(_validated_ranking(scores, truth, tau), truth, [tau])[0]
 
 
 def ndcg_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
     """Discounted cumulative gain over the top tau, against the ideal ranking."""
+    return _ranked_metrics(_validated_ranking(scores, truth, tau), truth, [tau])[1]
+
+
+def _validated_ranking(scores: np.ndarray, truth: set[int], tau: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    _validate_metric_args(scores, truth, tau)
-    top = rank_labels(scores)[:tau]
-    dcg = sum(
-        1.0 / math.log2(rank + 2)
-        for rank, label in enumerate(top)
-        if label in truth
-    )
-    ideal = sum(
-        1.0 / math.log2(rank + 2) for rank in range(min(tau, len(truth)))
-    )
-    return dcg / ideal
-
-
-def _validate_metric_args(scores: np.ndarray, truth: set[int], tau: int) -> None:
     if not truth:
         raise ValidationError("ground-truth label set must be nonempty")
     if tau < 1:
@@ -61,6 +67,7 @@ def _validate_metric_args(scores: np.ndarray, truth: set[int], tau: int) -> None
     for label in truth:
         if not (0 <= label < scores.size):
             raise ValidationError(f"truth label {label} outside score range")
+    return rank_labels(scores)
 
 
 @dataclass
@@ -76,20 +83,14 @@ class LabelGroupSpec:
 
     @property
     def names(self) -> list[str]:
-        names = []
-        prev = None
-        for i, b in enumerate(self.boundaries):
-            names.append(f"G{i + 1}(F<={b})" if prev is None else f"G{i + 1}({prev}<F<={b})")
-            prev = b
-        names.append(f"G{len(self.boundaries) + 1}(F>{prev})" if prev is not None
-                     else "G1(all)")
-        return names
+        b = self.boundaries
+        ranges = [f"F<={hi}" for hi in b[:1]] + [f"{lo}<F<={hi}" for lo, hi in zip(b, b[1:])]
+        ranges.append(f"F>{b[-1]}" if b else "all")
+        return [f"G{i + 1}({r})" for i, r in enumerate(ranges)]
 
-    def group_of(self, frequency: int) -> int:
-        for i, b in enumerate(self.boundaries):
-            if frequency <= b:
-                return i
-        return len(self.boundaries)
+    def group_of(self, frequency: int | np.ndarray):
+        """Group index of a frequency, or an array of them for an array."""
+        return np.searchsorted(self.boundaries, frequency)
 
 
 def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
@@ -119,20 +120,7 @@ class EvalReport:
     histograms: dict[str, list[int]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "groups": [
-                {
-                    "name": g.name,
-                    "label_count": g.label_count,
-                    "doc_count": g.doc_count,
-                    "metrics": g.metrics,
-                }
-                for g in self.groups
-            ],
-            "documents": self.documents,
-            "histograms": self.histograms,
-        }
+        return dataclasses.asdict(self)
 
 
 def evaluate(
@@ -156,73 +144,44 @@ def evaluate(
     taus = sorted(set(int(t) for t in taus))
     if any(t < 1 for t in taus):
         raise ValidationError("every tau must be >= 1")
-
-    first = np.asarray(score_fn(test_corpus[0]), dtype=np.float64).ravel()
-    if k is None:
-        k = first.size
-    if first.size != k:
-        raise ValidationError(f"score vector length {first.size} != label count {k}")
-
-    overall_acc = {f"P@{t}": 0.0 for t in taus} | {f"nDCG@{t}": 0.0 for t in taus}
+    keys = [f"P@{t}" for t in taus] + [f"nDCG@{t}" for t in taus]
+    all_scores = [np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus]
+    k = all_scores[0].size if k is None else k
     group_spec = group_spec or LabelGroupSpec()
-    if train_corpus is not None:
-        freqs = label_frequencies(train_corpus, k)
-        group_ids = np.array([group_spec.group_of(int(f)) for f in freqs])
-    else:
-        group_ids = None
-    n_groups = len(group_spec.names)
-    group_acc = [dict.fromkeys(overall_acc, 0.0) for _ in range(n_groups)]
-    group_docs = [0] * n_groups
+    names = group_spec.names
+    group_ids = (group_spec.group_of(label_frequencies(train_corpus, k))
+                 if train_corpus is not None else None)
 
-    scores_cache = [first] + [
-        np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus[1:]
-    ]
-    for doc, scores in zip(test_corpus, scores_cache):
+    # Row 0 sums the overall metrics, row 1 + g those of group g.
+    sums = np.zeros((1 + len(names), len(keys)))
+    doc_counts = [0] * (1 + len(names))
+    for doc, scores in zip(test_corpus, all_scores):
         if scores.size != k:
+            raise ValidationError(f"score vector length {scores.size} != label count {k}")
+        if not np.isfinite(scores).all():
+            raise ValidationError(f"document {doc.doc_id!r} has a non-finite score")
+        if not doc.labels or not all(0 <= label < k for label in doc.labels):
             raise ValidationError(
-                f"score vector length {scores.size} != label count {k}"
+                f"document {doc.doc_id!r} labels {sorted(doc.labels)} empty or outside [0,{k})"
             )
-        for label in doc.labels:
-            if not (0 <= label < k):
-                raise ValidationError(
-                    f"document {doc.doc_id!r} label {label} outside range [0,{k})"
-                )
-        for t in taus:
-            overall_acc[f"P@{t}"] += precision_at_k(scores, doc.labels, min(t, k))
-            overall_acc[f"nDCG@{t}"] += ndcg_at_k(scores, doc.labels, min(t, k))
+        ranking = rank_labels(scores)
+        sums[0] += _ranked_metrics(ranking, doc.labels, taus)
+        doc_counts[0] += 1
         if group_ids is None:
             continue
-        for gid in range(n_groups):
-            members = np.flatnonzero(group_ids == gid)
-            local_truth = {
-                int(np.searchsorted(members, l)) for l in doc.labels if group_ids[l] == gid
-            }
-            if not local_truth:
-                continue
-            group_docs[gid] += 1
-            local_scores = scores[members]
-            for t in taus:
-                t_eff = min(t, members.size)
-                group_acc[gid][f"P@{t}"] += precision_at_k(local_scores, local_truth, t_eff)
-                group_acc[gid][f"nDCG@{t}"] += ndcg_at_k(local_scores, local_truth, t_eff)
+        ranked_groups = group_ids[ranking]
+        for gid in np.unique(group_ids[list(doc.labels)]).tolist():
+            truth = {label for label in doc.labels if group_ids[label] == gid}
+            sums[1 + gid] += _ranked_metrics(ranking[ranked_groups == gid], truth, taus)
+            doc_counts[1 + gid] += 1
 
-    n_docs = len(test_corpus)
-    overall = {name: value / n_docs for name, value in overall_acc.items()}
-    groups = []
-    for gid, name in enumerate(group_spec.names):
-        label_count = int((group_ids == gid).sum()) if group_ids is not None else 0
-        if group_ids is None or group_docs[gid] == 0:
-            groups.append(GroupReport(name, label_count, 0, None))
-        else:
-            groups.append(
-                GroupReport(
-                    name,
-                    label_count,
-                    group_docs[gid],
-                    {m: v / group_docs[gid] for m, v in group_acc[gid].items()},
-                )
-            )
-    return EvalReport(overall=overall, groups=groups, documents=n_docs)
+    means = [dict(zip(keys, (row / n).tolist())) if n else None
+             for row, n in zip(sums, doc_counts)]
+    label_counts = (np.bincount(group_ids, minlength=len(names)).tolist()
+                    if group_ids is not None else [0] * len(names))
+    groups = [GroupReport(name, label_counts[g], doc_counts[1 + g], means[1 + g])
+              for g, name in enumerate(names)]
+    return EvalReport(overall=means[0], groups=groups, documents=len(test_corpus))
 
 
 def fusion_weight_histogram(

@@ -158,10 +158,6 @@ class ForwardTrace:
         """
         return nm.sigmoid(self.logits.value).ravel()
 
-    def fused_attention(self) -> np.ndarray:
-        """n x k' convex mix of the two attention matrices (variant-aware)."""
-        return self.mix.value
-
 
 def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     """Run both LSTM directions over embedded tokens (d x n), one node each.
@@ -317,7 +313,7 @@ def export_attention(
         raise ShapeError(
             f"{len(label_names)} label names for {len(trace.subset)} subset labels"
         )
-    fused = trace.fused_attention()
+    fused = trace.mix.value
     n_real = int(trace.mask.sum())
     shown = list(tokens)[:n_real]
     report = {"doc_id": doc_id, "labels": []}

@@ -250,7 +250,6 @@ def save_checkpoint(
         "vocab": vocab.tokens,
         "train": train_cfg.to_dict(),
         "epoch": epoch,
-        "rng": {"seed": train_cfg.seed, "next_epoch": epoch},
         "adam": {
             "step": adam.step,
             "beta1": adam.beta1,
@@ -329,6 +328,11 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
                 f"config and vocabulary imply {(rows, cols)}"
             )
     adam_info = header["adam"]
+    for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
+        if type(count) is not int or count < 0:
+            raise CheckpointError(f"{name} must be a non-negative integer, got {count!r}")
+    if not (0 <= adam_info["beta1"] < 1 and 0 <= adam_info["beta2"] < 1 and adam_info["eps"] > 0):
+        raise CheckpointError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0")
     adam = AdamState(beta1=adam_info["beta1"], beta2=adam_info["beta2"],
                      eps=adam_info["eps"])
     adam.step = adam_info["step"]
@@ -346,7 +350,7 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
         vocab_tokens=vocab_tokens,
         train_cfg=train_cfg,
         adam=adam,
-        epoch=int(header["epoch"]),
+        epoch=header["epoch"],
     )
 
 

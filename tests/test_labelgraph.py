@@ -349,6 +349,15 @@ def test_embedding_truncated_file(tmp_path):
         load_embedding(str(path))
 
 
+def test_embedding_extra_rows_name_the_first_one(tmp_path):
+    path = tmp_path / "labels.emb"
+    path.write_text("2 2\n0.1 0.2\n0.3 0.4\n\n0.5 0.6\n0.7 0.8\n")
+    with pytest.raises(DataFormatError, match="line 5"):
+        load_embedding(str(path))
+    path.write_text("2 2\n0.1 0.2\n0.3 0.4\n\n  \n")
+    assert load_embedding(str(path)).vectors.shape == (2, 2)
+
+
 def test_embedding_header_mismatch(tmp_path):
     path = tmp_path / "bad.emb"
     path.write_text("3\n0.0 0.0 0.0\n")

@@ -275,6 +275,66 @@ def test_evaluate_macro_average_against_brute_force():
         assert report.overall[f"nDCG@{tau}"] == pytest.approx(expected_n, abs=1e-12)
 
 
+def _brute_group_means(table, docs, train, k, boundaries, taus):
+    """Per-group macro means from plain loops: each group's labels, ranked alone."""
+    freqs = [sum(label in d.labels for d in train) for label in range(k)]
+    group = [sum(f > b for b in boundaries) for f in freqs]
+    means = []
+    for gid in range(len(boundaries) + 1):
+        members = [label for label in range(k) if group[label] == gid]
+        rows = []
+        for d in docs:
+            truth = {members.index(label) for label in d.labels if label in members}
+            if not truth:
+                continue
+            scores = [table[d.doc_id][label] for label in members]
+            rows.append({f"P@{t}": brute_precision(scores, truth, min(t, len(members)))
+                         for t in taus}
+                        | {f"nDCG@{t}": brute_ndcg(scores, truth, min(t, len(members)))
+                           for t in taus})
+        means.append((len(members), len(rows),
+                      {m: np.mean([r[m] for r in rows]) for m in rows[0]} if rows else None))
+    return means
+
+
+@pytest.mark.parametrize("boundaries", [(1, 3), (2,), ()])
+def test_evaluate_groups_match_brute_force_oracle(boundaries):
+    rng = np.random.default_rng(8)
+    k, taus = 14, (1, 3, 5, 20)
+
+    def draw(prefix, n):
+        return [Document(f"{prefix}{i}", ["x"], set(
+            rng.choice(k, size=int(rng.integers(1, 4)), replace=False).tolist()))
+            for i in range(n)]
+
+    train, docs = draw("r", 12), draw("d", 40)
+    # integer-valued scores, so most rankings contain ties
+    table = {d.doc_id: rng.integers(0, 3, size=k).astype(float) for d in docs}
+    report = evaluate(_score_fn_from_table(table), docs, taus=taus,
+                      group_spec=LabelGroupSpec(boundaries), train_corpus=train, k=k)
+    expected = _brute_group_means(table, docs, train, k, boundaries, taus)
+    assert len(report.groups) == len(expected)
+    for group, (label_count, doc_count, means) in zip(report.groups, expected):
+        assert (group.label_count, group.doc_count) == (label_count, doc_count)
+        assert (group.metrics is None) == (means is None)
+        for name, value in (means or {}).items():
+            assert abs(group.metrics[name] - value) <= 1e-12
+    # tau 20 exceeds every group's size; some documents miss some group
+    assert max(g.label_count for g in report.groups) < max(taus)
+    if boundaries:
+        assert min(g.doc_count for g in report.groups if g.label_count) < len(docs)
+    else:
+        assert report.groups[0].metrics == pytest.approx(report.overall, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite_scores(bad):
+    docs = [Document("a", ["x"], {0}), Document("b", ["x"], {1})]
+    table = {"a": np.array([0.9, 0.5, 0.1]), "b": np.array([bad, 0.5, 0.1])}
+    with pytest.raises(ValidationError, match="'b'"):
+        evaluate(_score_fn_from_table(table), docs, taus=(1,), k=3)
+
+
 # ---------------------------------------------------------------------------
 # histograms
 # ---------------------------------------------------------------------------

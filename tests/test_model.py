@@ -501,7 +501,7 @@ def test_export_attention_weights_sum_to_one_and_sorted():
     trace = _forward(cfg, params, _label_vectors(cfg), "laha")
     tokens = ["alpha", "beta", "gamma"]
     report = export_attention(trace, tokens, [str(i) for i in range(cfg.k)])
-    fused = trace.fused_attention()
+    fused = trace.mix.value
     for j, entry in enumerate(report["labels"]):
         weights = [w for _, w in entry["tokens"]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)

@@ -435,10 +435,27 @@ def _swapped_tensor_names(h):
     h["tensors"][i][0], h["tensors"][j][0] = names[j], names[i]
 
 
+def _setting(*keys_then_value):
+    *keys, value = keys_then_value
+
+    def mutate(h):
+        for key in keys[:-1]:
+            h = h[key]
+        h[keys[-1]] = value
+
+    mutate.__name__ = f"{'.'.join(keys)}={value!r}"
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_tensors, _drop_adam, _drop_variant, _unknown_adam_param,
     _adam_shape_mismatch, _negative_shape, _unknown_variant, _vocab_size_mismatch,
     _swapped_tensor_names,
+    _setting("epoch", 2.7), _setting("epoch", -3), _setting("epoch", True),
+    _setting("adam", "step", -1), _setting("adam", "step", 2.0), _setting("adam", "step", True),
+    _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
+    _setting("adam", "beta2", 1.0), _setting("adam", "beta2", -0.1),
+    _setting("adam", "eps", 0.0), _setting("adam", "eps", -1e-8),
 ])
 def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     import json
