@@ -58,6 +58,8 @@ def ndcg_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
 
 def _validated_ranking(scores: np.ndarray, truth: set[int], tau: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
     if not truth:
         raise ValidationError("ground-truth label set must be nonempty")
     if tau < 1:

@@ -14,6 +14,11 @@ never built: every product of three matrices goes through
 yields logits; the sigmoid is applied only by `ForwardTrace.scores()`,
 and training feeds the logits straight to `numeric.bce_with_logits`.
 
+`forward_batch` runs equal-length documents through one embedding gather
+and one Bi-LSTM pass (one node per direction, the documents side by side
+as column blocks), then the rest per document on its column slice of
+H_f, H_b and H; `forward` is a batch of one.
+
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
 """
@@ -159,17 +164,18 @@ class ForwardTrace:
         return nm.sigmoid(self.logits.value).ravel()
 
 
-def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
-    """Run both LSTM directions over embedded tokens (d x n), one node each.
+def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1):
+    """Run both LSTM directions over embedded tokens, one node each.
 
-    Returns (H_f, H_b, H): r x n forward states, r x n backward states
-    (column t = state after reading token t from the right), and their
-    2r x n vertical stack.  Initial hidden and cell states are zero.  Every
-    one of the n columns is stepped, padded positions included, so the
-    backward direction starts at column n - 1 whatever the padding.
+    `embedded` is d x (docs * n), document j in columns j*n ... j*n + n - 1.
+    Returns (H_f, H_b, H) in its column order: r-row forward and backward
+    states (column t = state after reading token t from the right) and
+    their 2r-row stack, each document from zero states.  Padded positions
+    are stepped too, so the backward direction starts at a document's last
+    column whatever the padding.
     """
-    h_fwd = nm.lstm(embedded, wx_f, wh_f, b_f)
-    h_bwd = nm.lstm(embedded, wx_b, wh_b, b_b, reverse=True)
+    h_fwd = nm.lstm(embedded, wx_f, wh_f, b_f, docs=docs)
+    h_bwd = nm.lstm(embedded, wx_b, wh_b, b_b, reverse=True, docs=docs)
     return h_fwd, h_bwd, nm.vconcat([h_fwd, h_bwd])
 
 
@@ -236,36 +242,56 @@ def predict(h: Node, mix: Node, w_f, w_o, b_o) -> Node:
 
 
 def forward(
-    token_ids: np.ndarray,
-    mask: np.ndarray,
-    param_nodes: dict[str, Node],
-    label_vectors: np.ndarray | None,
-    subset: Sequence[int],
-    variant: str = "laha",
+    token_ids: np.ndarray, mask: np.ndarray, param_nodes: dict[str, Node],
+    label_vectors: np.ndarray | None, subset: Sequence[int], variant: str = "laha",
 ) -> ForwardTrace:
     """Full pass over one encoded document for the labels in `subset`."""
+    return forward_batch([token_ids], [mask], param_nodes, label_vectors, [subset], variant)[0]
+
+
+def forward_batch(
+    token_rows: Sequence[np.ndarray], masks: Sequence[np.ndarray],
+    param_nodes: dict[str, Node], label_vectors: np.ndarray | None,
+    subsets: Sequence[Sequence[int]], variant: str = "laha",
+) -> list[ForwardTrace]:
+    """Full pass over equal-length encoded documents, each with its label subset.
+
+    One embedding gather and one `bilstm_forward` call step every document;
+    attention, fuse and predict then run per document on its column slice
+    of the Bi-LSTM states.  Returns one trace per document, in order.
+    """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    subset = list(subset)
+    docs = len(token_rows)
+    if docs == 0 or len(masks) != docs or len(subsets) != docs:
+        raise ShapeError(f"{docs} token rows, {len(masks)} masks, {len(subsets)} label subsets")
+    n = len(token_rows[0])
+    if any(len(ids) != n for ids in token_rows):
+        raise ShapeError(f"token rows differ in length: {[len(ids) for ids in token_rows]}")
     k = param_nodes["w_s2"].rows
-    _valid_subset(subset, k)
+    subsets = [_valid_subset(subset, k) for subset in subsets]
     if label_vectors is not None and label_vectors.shape[1] != k:
-        raise ShapeError(
-            f"label embedding has {label_vectors.shape[1]} columns, expected {k}"
-        )
+        raise ShapeError(f"label embedding has {label_vectors.shape[1]} columns, expected {k}")
 
-    embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], token_ids))
-    h_fwd, h_bwd, h = bilstm_forward(
+    embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], np.concatenate(token_rows)))
+    states = bilstm_forward(
         embedded,
         param_nodes["lstm_wx_f"], param_nodes["lstm_wh_f"], param_nodes["lstm_b_f"],
         param_nodes["lstm_wx_b"], param_nodes["lstm_wh_b"], param_nodes["lstm_b_b"],
+        docs=docs,
     )
+    return [
+        _attend(*(nm.slice_cols(a, j * n, (j + 1) * n) for a in states),
+                mask, param_nodes, label_vectors, subset, variant)
+        for j, (mask, subset) in enumerate(zip(masks, subsets))
+    ]
 
+
+def _attend(h_fwd, h_bwd, h, mask, param_nodes, label_vectors, subset, variant):
+    """Attention routes, gate and head of one document over its Bi-LSTM states."""
     attn_self = attn_inter = None
     if variant != "ia":
-        attn_self = self_attention(
-            h, param_nodes["w_s1"], param_nodes["w_s2"], subset, mask
-        )
+        attn_self = self_attention(h, param_nodes["w_s1"], param_nodes["w_s2"], subset, mask)
     if variant != "sa":
         if label_vectors is None:
             raise ValidationError(f"variant {variant!r} needs a label embedding")
@@ -273,22 +299,19 @@ def forward(
             h_fwd, h_bwd, label_vectors, param_nodes["w_q"], subset, mask
         )
 
-    k_sub = len(subset)
-    if variant == "sa":
-        mix = attn_self
-        alpha, beta = Node(np.ones((1, k_sub))), Node(np.zeros((1, k_sub)))
-    elif variant == "ia":
-        mix = attn_inter
-        alpha, beta = Node(np.zeros((1, k_sub))), Node(np.ones((1, k_sub)))
-    elif variant == "sa+ia":
-        mix = nm.add(nm.scale(attn_self, 0.5), nm.scale(attn_inter, 0.5))
-        alpha, beta = Node(np.full((1, k_sub), 0.5)), Node(np.full((1, k_sub), 0.5))
-    else:
+    if variant == "laha":
         mix, alpha, beta = fuse(
             h, attn_self, attn_inter,
             param_nodes["fuse1_w"], param_nodes["fuse1_b"],
             param_nodes["fuse2_w"], param_nodes["fuse2_b"],
         )
+    else:
+        weight = {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]  # fixed alpha
+        alpha, beta = (Node(np.full((1, len(subset)), a)) for a in (weight, 1.0 - weight))
+        if variant == "sa+ia":
+            mix = nm.add(nm.scale(attn_self, 0.5), nm.scale(attn_inter, 0.5))
+        else:
+            mix = attn_self if variant == "sa" else attn_inter
 
     logits = predict(h, mix, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
     return ForwardTrace(

@@ -8,10 +8,12 @@ never broadcast implicitly (dedicated column/row-vector ops exist
 instead) and every produced value is checked finite.  The loss is one
 fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
 probabilities on plain arrays, outside the graph.  `lstm` runs a whole
-LSTM direction as one node: the input projection of every token is a
-single GEMM, only the recurrent product and the gate math stay in the
-per-step loop, and its backward is hand-written BPTT that checks its
-stored pre-activations and cell states finite once instead of per node.
+LSTM direction over a batch of documents as one node: one GEMM projects
+every token, the per-step loop keeps only the recurrent GEMM over the
+documents and the gate math, and the backward is hand-written BPTT.  A
+backward pass consumes its graph: it overwrites the `lstm` node's stored
+gates, and it releases each op node's gradient once passed on, so only
+the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ def _same_shape(a: Node, b: Node, op: str) -> None:
 
 
 def backward(root: Node) -> None:
-    """Reverse sweep from a 1x1 scalar node.
+    """Reverse sweep from a 1x1 scalar node; it consumes the graph.
 
-    Gradients accumulate into every reachable node exactly once per call;
-    run it on a freshly built graph (a second call would double-count).
+    Gradients accumulate into every reachable leaf exactly once.  Each
+    op node's gradient is released as soon as its own backward has run,
+    and an `lstm` node overwrites its stored gates, so the graph cannot
+    be swept again: build a fresh one for every call.
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 scalar root, got {root.value.shape}")
@@ -102,6 +106,7 @@ def backward(root: Node) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node._grad = None
 
 
 def _toposort(root: Node) -> list[Node]:
@@ -137,18 +142,6 @@ def add(a, b) -> Node:
         b.grad += g
 
     return Node(a.value + b.value, (a, b), bwd)
-
-
-def mul(a, b) -> Node:
-    """Elementwise (Hadamard) product."""
-    a, b = _node(a), _node(b)
-    _same_shape(a, b, "mul")
-
-    def bwd(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    return Node(a.value * b.value, (a, b), bwd)
 
 
 def div(a, b) -> Node:
@@ -233,6 +226,20 @@ def vconcat(parts: Sequence) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), bwd)
 
 
+def slice_cols(a, lo: int, hi: int) -> Node:
+    """Columns lo .. hi - 1 of a, as a view; the full range returns a itself."""
+    a = _node(a)
+    if not 0 <= lo < hi <= a.cols:
+        raise ShapeError(f"slice_cols: [{lo}, {hi}) is not a column range of {a.value.shape}")
+    if hi - lo == a.cols:
+        return a
+
+    def bwd(g):
+        a.grad[:, lo:hi] += g
+
+    return Node(a.value[:, lo:hi], (a,), bwd)
+
+
 def take_rows(a, indices) -> Node:
     """Gather rows by index; gradient scatters back (repeats accumulate)."""
     a = _node(a)
@@ -274,16 +281,6 @@ def scale_cols(m, v) -> Node:
     return Node(m.value * v.value, (m, v), bwd)
 
 
-def sum_all(a) -> Node:
-    """Sum of all entries as a 1x1 node."""
-    a = _node(a)
-
-    def bwd(g):
-        a.grad += g[0, 0]
-
-    return Node(np.array([[a.value.sum()]]), (a,), bwd)
-
-
 def sum_nodes(nodes: Sequence[Node]) -> Node:
     """Fold a nonempty sequence with `add` in index order."""
     if not nodes:
@@ -302,7 +299,8 @@ def sum_nodes(nodes: Sequence[Node]) -> Node:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of a plain array, split by sign so exp cannot overflow."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def activate(a, kind: str) -> Node:
@@ -388,37 +386,41 @@ def bce_with_logits(z, y) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def lstm(x, wx, wh, b, reverse: bool = False) -> Node:
-    """One LSTM direction over the columns of x (d x n) as a single node.
+def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
+    """One LSTM direction over `docs` equal-length documents as a single node.
 
-    wx (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell
-    and output gates.  Every column is stepped, from the right when
-    `reverse`; the initial hidden and cell states are zero.  Returns the
-    r x n hidden states, column t being the state after reading token t.
-    The input projection wx @ x is one GEMM for all tokens; the backward
-    pass is hand-written BPTT whose weight gradients are GEMMs over all
-    steps.  A non-finite gate pre-activation or cell state raises
-    NumericalError.
+    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; wx
+    (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell and
+    output gates.  Each document is stepped over every column, from the
+    right when `reverse`, from zero hidden and cell states.  Returns the
+    r x (docs * n) hidden states in x's column order, column t of a
+    document being its state after reading token t.  Internal arrays keep
+    the documents on their last axis, so each step's recurrent product is
+    one GEMM over them, and one document makes the BLAS calls of an
+    unbatched LSTM.  wx @ x is one GEMM; the backward is hand-written BPTT
+    that overwrites the stored gates, so it runs once.  A non-finite
+    pre-activation or cell state raises NumericalError.
     """
     x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
-    r = wh.cols
-    if (wx.rows, wh.rows, b.value.shape, wx.cols) != (4 * r, 4 * r, (4 * r, 1), x.rows):
+    r, d = wh.cols, x.rows
+    if (wx.rows, wh.rows, b.value.shape, wx.cols) != (4 * r, 4 * r, (4 * r, 1), d):
         raise ShapeError(
             f"lstm: wx {wx.value.shape}, wh {wh.value.shape}, b {b.value.shape} "
             f"do not fit input {x.value.shape}"
         )
-    n = x.cols
-    xs = x.value[:, ::-1] if reverse else x.value  # columns in stepping order
-    z = (wx.value @ xs).T.copy()                    # n x 4r, becomes the pre-activations
-    bias = b.value[:, 0]
-    gates = np.empty((n, 4, r))                     # i, f, g, o per step
-    c = np.zeros((n + 1, r))                        # c[s + 1] is the cell state after step s
-    h = np.zeros((n + 1, r))
+    if docs < 1 or x.cols % docs:
+        raise ShapeError(f"lstm: {x.cols} columns do not split into {docs} documents")
+    n, step = x.cols // docs, -1 if reverse else 1
+    # column s * docs + j of xs is the s-th token in stepping order of document j
+    xs = x.value.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
+    z = (wx.value @ xs).reshape(4 * r, n, docs).transpose(1, 0, 2).copy()  # n x 4r x docs
+    gates = np.empty((n, 4, r, docs))               # i, f, g, o per step
+    c, h = np.zeros((2, n + 1, r, docs))            # c[s + 1], h[s + 1]: states after step s
     for s in range(n):
         zs = z[s]
         zs += wh.value @ h[s]
-        zs += bias
-        gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r)
+        zs += b.value
+        gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r, docs)
         gates[s, 2] = np.tanh(zs[2 * r : 3 * r])
         gates[s, 3] = sigmoid(zs[3 * r :])
         i, f, g, o = gates[s]
@@ -426,34 +428,40 @@ def lstm(x, wx, wh, b, reverse: bool = False) -> Node:
         h[s + 1] = o * np.tanh(c[s + 1])
     if not (np.isfinite(z).all() and np.isfinite(c).all()):
         raise NumericalError("lstm: non-finite gate pre-activation or cell state")
-    hs = h[1:].T
+
+    def to_columns(a):  # stepping-order (n, rows, docs) -> rows x (docs * n) input order
+        return a[::step].transpose(1, 2, 0).reshape(a.shape[1], docs * n)
 
     def bwd(grad):
-        dh_out = grad.T[::-1] if reverse else grad.T   # n x r, stepping order
-        i, f, g, o = gates.transpose(1, 0, 2)
+        dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs
+        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k
+        # overwrites its gate in the stored buffer, and then dz overwrites k
+        i, f, g, o = gates.transpose(1, 0, 2, 3)
         tc = np.tanh(c[1:])
         dc_dh = o * (1.0 - tc * tc)
-        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step
-        k = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f), i * (1.0 - g * g),
-                      tc * o * (1.0 - o)], axis=1)
-        dz = np.empty((n, 4, r))
-        dh_next = np.zeros(r)
-        dc_next = np.zeros(r)
+        f_kept = f.copy()
+        o[...] = tc * o * (1.0 - o)
+        k2 = i * (1.0 - g * g)
+        i[...] = g * i * (1.0 - i)
+        g[...] = k2
+        f[...] = c[:-1] * f * (1.0 - f)
+        del tc, k2
+        dh_next = dc_next = np.zeros((r, docs))
         for s in range(n - 1, -1, -1):
             dh = dh_out[s] + dh_next
             dc = dc_next + dh * dc_dh[s]
-            dz[s, :3] = dc * k[s, :3]
-            dz[s, 3] = dh * k[s, 3]
-            dh_next = dz[s].reshape(-1) @ wh.value
-            dc_next = dc * f[s]
-        dz = dz.reshape(n, 4 * r)
-        wx.grad += dz.T @ xs.T
-        wh.grad += dz.T @ h[:-1]
-        b.grad += dz.sum(axis=0)[:, None]
-        dx = wx.value.T @ dz.T
-        x.grad += dx[:, ::-1] if reverse else dx
+            dz = gates[s]
+            dz[:3] *= dc
+            dz[3] *= dh
+            dh_next = wh.value.T @ dz.reshape(4 * r, docs)
+            dc_next = dc * f_kept[s]
+        dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
+        wx.grad += dz @ xs.T
+        wh.grad += dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
+        b.grad += dz.sum(axis=1)[:, None]
+        x.grad += to_columns((wx.value.T @ dz).reshape(d, n, docs).transpose(1, 0, 2))
 
-    return Node(hs[:, ::-1] if reverse else hs, (x, wx, wh, b), bwd)
+    return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
 
 
 # ---------------------------------------------------------------------------

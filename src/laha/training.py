@@ -1,9 +1,10 @@
 """Negative-sampled training loop, Adam optimizer, checkpointing.
 
 Each document trains against its positive labels plus a small random set
-of negatives; the loss is binary cross-entropy on the model's logits (one
-fused `bce_with_logits` op per document), summed over that subset and
-averaged over the batch.  All randomness derives from (seed, epoch), so a
+of negatives; a batch runs through one `model.forward_batch` call, and
+the loss is binary cross-entropy on the model's logits (one fused
+`bce_with_logits` op per document), summed over that subset and averaged
+over the batch.  All randomness derives from (seed, epoch), so a
 run is a pure function of its config and resuming from a checkpoint
 reproduces the uninterrupted run bit for bit.
 """
@@ -177,34 +178,30 @@ def train(
             batch = order[start : start + cfg.batch_size]
             arrays = params.arrays()
             param_nodes = model_mod.wrap_params(params)
+            labels = [corpus[doc_idx].labels for doc_idx in batch]
+            subsets = [
+                sample_labels(pos, cfg.negatives_per_doc, model_cfg.k, rng) for pos in labels
+            ]
             try:
-                logits, targets = [], []
-                for doc_idx in batch:
-                    doc = corpus[doc_idx]
-                    ids, mask = encoded[doc_idx]
-                    subset = sample_labels(
-                        doc.labels, cfg.negatives_per_doc, model_cfg.k, rng
-                    )
-                    trace = model_mod.forward(
-                        ids, mask, param_nodes, label_vectors, subset, variant
-                    )
-                    logits.append(trace.logits)
-                    targets.append(
-                        np.array([1.0 if l in doc.labels else 0.0 for l in subset])
-                    )
-                loss = bce_loss(logits, targets)
+                ids, masks = zip(*(encoded[doc_idx] for doc_idx in batch))
+                traces = model_mod.forward_batch(
+                    ids, masks, param_nodes, label_vectors, subsets, variant
+                )
+                targets = [
+                    np.array([1.0 if l in pos else 0.0 for l in subset])
+                    for pos, subset in zip(labels, subsets)
+                ]
+                loss = bce_loss([trace.logits for trace in traces], targets)
                 nm.backward(loss)
             except NumericalError as err:
                 raise NumericalError(
                     f"non-finite value at epoch {epoch}, batch {batch_no}: {err}"
                 ) from err
-            adam_step(
-                {n: arrays[n] for n in trainable},
-                {n: param_nodes[n].grad for n in trainable},
-                adam,
-                cfg.learning_rate,
-            )
-            loss_sum += float(loss.value[0, 0]) * len(batch)
+            loss_value = float(loss.value[0, 0])
+            grads = {n: param_nodes[n].grad for n in trainable}
+            del traces, loss, param_nodes  # free the graph before Adam's temporaries
+            adam_step({n: arrays[n] for n in trainable}, grads, adam, cfg.learning_rate)
+            loss_sum += loss_value * len(batch)
             docs_seen += len(batch)
         history.append(loss_sum / docs_seen)
     return params, history

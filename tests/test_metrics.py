@@ -142,6 +142,17 @@ def test_metric_validation_errors():
         ndcg_at_k(np.array([0.1, 0.2]), {5}, 1)
 
 
+def test_precision_at_k_rejects_non_finite_scores():
+    # ranked silently, the NaN would sort last and label 1 would score P@1 = 1
+    with pytest.raises(ValidationError, match="finite"):
+        precision_at_k(np.array([np.nan, 0.5, 0.1]), {1}, 1)
+
+
+def test_ndcg_at_k_rejects_non_finite_scores():
+    with pytest.raises(ValidationError, match="finite"):
+        ndcg_at_k(np.array([np.inf, np.nan, 0.1]), {1}, 3)
+
+
 # ---------------------------------------------------------------------------
 # grouping
 # ---------------------------------------------------------------------------

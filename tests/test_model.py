@@ -13,6 +13,7 @@ from laha.model import (
     bilstm_forward,
     export_attention,
     forward,
+    forward_batch,
     fuse,
     init_params,
     interaction_attention,
@@ -459,6 +460,46 @@ def test_forward_matches_context_form_oracle(monkeypatch, variant, k, n, r, head
     assert orders[-1] == head_order
     if variant != "sa":
         assert orders[0] == head_order  # the interaction match
+
+
+def _batch(cfg, vocab_size, docs, seed):
+    """Encoded documents with 1..max_len real tokens and a random label subset each."""
+    rng = np.random.default_rng(seed)
+    rows, masks, subsets = [], [], []
+    for _ in range(docs):
+        n_real = int(rng.integers(1, cfg.max_len + 1))
+        ids = np.zeros(cfg.max_len, dtype=np.int64)
+        ids[:n_real] = rng.integers(1, vocab_size, size=n_real)
+        rows.append(ids)
+        masks.append(np.arange(cfg.max_len) < n_real)
+        subsets.append(list(rng.permutation(cfg.k)[: int(rng.integers(1, cfg.k + 1))]))
+    return rows, masks, subsets
+
+
+@pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
+@pytest.mark.parametrize("dims", [{"d": 5, "r": 3, "d_a": 3}, {"d": 40, "r": 24, "d_a": 16}])
+def test_forward_batch_matches_forward_per_document(variant, dims):
+    cfg = ModelConfig(k=6, max_len=7, **dims)
+    params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
+    rows, masks, subsets = _batch(cfg, 15, docs=4, seed=len(variant))
+    batched = forward_batch(rows, masks, wrap_params(params), lv, subsets, variant)
+    assert len(batched) == 4
+    for trace, ids, mask, subset in zip(batched, rows, masks, subsets):
+        alone = forward(ids, mask, wrap_params(params), lv, subset, variant)
+        assert trace.subset == subset and trace.h.value.shape == (2 * cfg.r, cfg.max_len)
+        np.testing.assert_allclose(trace.logits.value, alone.logits.value, rtol=0, atol=1e-12)
+
+
+def test_forward_batch_rejects_ragged_or_mismatched_batches():
+    cfg = _cfg()
+    pn, lv = wrap_params(_params(cfg)), _label_vectors(cfg)
+    rows, masks, subsets = _batch(cfg, 9, docs=2, seed=0)
+    with pytest.raises(ShapeError, match="differ in length"):
+        forward_batch([rows[0], rows[1][:-1]], masks, pn, lv, subsets)
+    with pytest.raises(ShapeError):
+        forward_batch(rows, masks[:1], pn, lv, subsets)
+    with pytest.raises(ShapeError):
+        forward_batch([], [], pn, lv, [])
 
 
 def test_forward_only_pass_allocates_no_gradient():

@@ -18,16 +18,17 @@ from laha.numeric import (
     lstm,
     matmul,
     matmul_chain,
-    mul,
     scale,
     scale_cols,
+    slice_cols,
     softmax_columns,
-    sum_all,
     sum_nodes,
     take_rows,
     transpose,
     vconcat,
 )
+
+from extra_ops import mul, sum_all
 
 
 def test_matmul_identity():
@@ -272,6 +273,90 @@ def test_grad_lstm(trial, reverse):
     }
     _check(lambda p: sum_all(mul(lstm(p["x"], p["wx"], p["wh"], p["b"], reverse), w)),
            params)
+
+
+def _lstm_loss(x, wx, wh, b, w, reverse, docs):
+    return sum_all(mul(lstm(x, wx, wh, b, reverse, docs), w))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("d, r, n, docs", [(3, 2, 5, 3), (300, 256, 6, 3)])
+def test_batched_lstm_matches_one_call_per_document(d, r, n, docs, reverse):
+    rng = np.random.default_rng(d + r + n)
+    limit = math.sqrt(6.0 / (d + r))
+    x = rng.normal(size=(d, docs * n))
+    weights = [rng.uniform(-limit, limit, size=(4 * r, d)),
+               rng.uniform(-limit, limit, size=(4 * r, r)),
+               rng.normal(scale=0.5, size=(4 * r, 1))]
+    w = rng.normal(size=(r, docs * n))
+
+    batched = [Node(a) for a in [x, *weights]]
+    out = lstm(*batched, reverse=reverse, docs=docs)
+    backward(_lstm_loss(*batched, w, reverse, docs))
+
+    single = [Node(a) for a in weights]
+    cols = [slice(j * n, (j + 1) * n) for j in range(docs)]
+    xs = [Node(x[:, c]) for c in cols]
+    values = [lstm(xj, *single, reverse=reverse).value for xj in xs]
+    backward(sum_nodes([_lstm_loss(xj, *single, w[:, c], reverse, 1)
+                        for xj, c in zip(xs, cols)]))
+
+    np.testing.assert_allclose(out.value, np.hstack(values), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batched[0].grad, np.hstack([xj.grad for xj in xs]),
+                               rtol=0, atol=1e-12)
+    for got, want in zip(batched[1:], single):
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("trial", range(5))
+def test_grad_lstm_two_documents(trial, reverse):
+    rng = np.random.default_rng(650 + trial)
+    d, r, n = 3, 2, 4
+    w = _rand(rng, (r, 2 * n))
+    params = {
+        "x": _rand(rng, (d, 2 * n)),
+        "wx": _rand(rng, (4 * r, d), -1.0, 1.0),
+        "wh": _rand(rng, (4 * r, r), -1.0, 1.0),
+        "b": _rand(rng, (4 * r, 1), -1.0, 1.0),
+    }
+    _check(lambda p: _lstm_loss(p["x"], p["wx"], p["wh"], p["b"], w, reverse, 2), params)
+
+
+@pytest.mark.parametrize("cols, docs", [(5, 2), (4, 0), (3, 4)])
+def test_lstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
+    with pytest.raises(ShapeError, match="documents"):
+        lstm(np.ones((2, cols)), np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)), docs=docs)
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_grad_slice_cols(trial):
+    rng = np.random.default_rng(700 + trial)
+    a = _rand(rng, (3, 5))
+    w = _rand(rng, (3, 2))
+    _check(lambda p: add(sum_all(mul(slice_cols(p["a"], 1, 3), w)),
+                         sum_all(activate(slice_cols(p["a"], 2, 5), "tanh"))), {"a": a})
+
+
+def test_slice_cols_full_range_is_the_input_and_bad_ranges_raise():
+    a = Node(np.ones((2, 3)))
+    assert slice_cols(a, 0, 3) is a
+    for lo, hi in [(1, 1), (2, 1), (-1, 2), (0, 4)]:
+        with pytest.raises(ShapeError):
+            slice_cols(a, lo, hi)
+
+
+def test_backward_keeps_leaf_gradients_and_releases_intermediate_ones():
+    x = Node(np.array([[1.0, -2.0]]))
+    w = Node(np.array([[3.0], [4.0]]))
+    hidden = activate(matmul(x, w), "tanh")
+    root = scale(hidden, 2.0)
+    backward(root)
+    slope = 2.0 * (1.0 - math.tanh(-5.0) ** 2)
+    np.testing.assert_allclose(x.grad, slope * w.value.T, rtol=1e-15)
+    np.testing.assert_allclose(w.grad, slope * x.value.T, rtol=1e-15)
+    for node in (root, hidden, hidden._parents[0]):
+        assert node._grad is None
 
 
 def test_lstm_rejects_overflow_and_bad_shapes():

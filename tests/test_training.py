@@ -305,6 +305,45 @@ def test_train_frozen_word_vectors():
     assert not np.array_equal(params.w_s1, w_before)
 
 
+def _train_per_document(docs, vocab, params, cfg, lv, tcfg):
+    """One `forward` per document, as the loop ran before batching: the oracle for `train`."""
+    from laha.data import encode_document
+
+    encoded = [encode_document(d, vocab, cfg.max_len) for d in docs]
+    adam = AdamState.init(params.arrays())
+    history = []
+    for epoch in range(tcfg.epochs):
+        rng = np.random.default_rng((tcfg.seed, epoch))
+        order = rng.permutation(len(docs))
+        total = 0.0
+        for start in range(0, len(docs), tcfg.batch_size):
+            nodes = wrap_params(params)
+            logits, targets = [], []
+            for i in order[start : start + tcfg.batch_size]:
+                subset = sample_labels(docs[i].labels, tcfg.negatives_per_doc, cfg.k, rng)
+                logits.append(forward(*encoded[i], nodes, lv, subset).logits)
+                targets.append(np.array([float(l in docs[i].labels) for l in subset]))
+            loss = bce_loss(logits, targets)
+            nm.backward(loss)
+            adam_step(params.arrays(), {n: nodes[n].grad for n in nodes}, adam,
+                      tcfg.learning_rate)
+            total += loss.value[0, 0] * len(logits)
+        history.append(total / len(docs))
+    return history
+
+
+def test_train_batches_match_per_document_oracle():
+    cfg, vocab, params, lv, docs, _ = _train_setup(seed=4)
+    docs = docs + [Document("m2", ["w5", "w2"], {0}), Document("m3", ["w4"], {3, 1, 2})]
+    tcfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=3, negatives_per_doc=1, seed=4)
+    oracle = init_params(cfg, params.embedding, 4)
+    _, history = train(docs, vocab, params, cfg, lv, tcfg)
+    want = _train_per_document(docs, vocab, oracle, cfg, lv, tcfg)
+    np.testing.assert_allclose(history, want, rtol=0, atol=1e-12)
+    for name, arr in params.arrays().items():
+        np.testing.assert_allclose(arr, oracle.arrays()[name], rtol=0, atol=1e-12)
+
+
 def test_train_all_variants():
     for variant in ("sa", "ia", "sa+ia", "laha"):
         cfg, vocab, params, lv, docs, tcfg = _train_setup(seed=7)
