@@ -1,4 +1,4 @@
-"""Corpus ingestion, vocabulary building, token encoding, word vectors.
+"""Corpus ingestion, vocabulary, token encoding, word vectors, atomic file writes.
 
 Corpora are JSON-lines files with one document per line:
 ``{"id": "...", "labels": [int, ...], "text": "..."}``.  Tokenization is
@@ -9,8 +9,10 @@ lowercase + whitespace split.  Word vectors load from GloVe-style text
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -62,7 +64,9 @@ def load_corpus(lines: Iterable[str]) -> Corpus:
         labels = set(labels_raw)
         if not labels:
             raise DataFormatError("document has an empty label set", line=lineno)
-        tokens = tokenize(str(obj["text"]))
+        if not isinstance(obj["text"], str):
+            raise DataFormatError("text must be a string", line=lineno)
+        tokens = tokenize(obj["text"])
         if not tokens:
             raise DataFormatError("document has no tokens", line=lineno)
         docs.append(Document(doc_id=str(obj["id"]), tokens=tokens, labels=labels))
@@ -126,11 +130,9 @@ class WordVectors:
     """Embedding table; row id matches the vocabulary, PAD row all-zero."""
 
     table: np.ndarray
-    d: int = field(init=False)
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=np.float64)
-        self.d = self.table.shape[1]
 
 
 def load_word_vectors(
@@ -201,3 +203,17 @@ def encode_document(
 def decode_document(ids: np.ndarray, mask: np.ndarray, vocab: Vocabulary) -> list[str]:
     """Tokens at masked-true positions (inverse of encode for in-vocab docs)."""
     return [vocab.token(int(i)) for i, m in zip(ids, mask) if m]
+
+
+def atomic_write_bytes(path: str, blob: bytes) -> None:
+    """Write `blob` to `path` through a temporary file, so `path` is old or new, never partial."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

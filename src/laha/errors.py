@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -29,3 +31,15 @@ class ValidationError(ValueError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is unreadable or incompatible with the run config."""
+
+
+def check_int(name: str, value, low: int, high: float = float("inf")) -> None:
+    """Raise ValidationError unless `value` is an integer, not a bool, in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValidationError unless `value` is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < float("inf"):
+        raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Corpus
-from .errors import DataFormatError, ValidationError
+from .data import Corpus, atomic_write_bytes
+from .errors import DataFormatError, ValidationError, check_int, check_positive
 from .numeric import sigmoid
 
 
@@ -107,12 +107,11 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValidationError("p and q must be positive")
-        if self.walk_length < 1 or self.walks_per_node < 1:
-            raise ValidationError("walk_length and walks_per_node must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        check_positive("p", self.p)
+        check_positive("q", self.q)
+        check_int("walk_length", self.walk_length, 1)
+        check_int("walks_per_node", self.walks_per_node, 1)
+        check_int("seed", self.seed, 0)
 
 
 def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
@@ -262,10 +261,9 @@ def train_skipgram(
 
 def save_embedding(path: str, embedding: LabelEmbedding) -> None:
     """Text format: header `r k`, then k lines of r floats (line i = label i)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{embedding.r} {embedding.k}\n")
-        for i in range(embedding.k):
-            fh.write(" ".join(repr(float(x)) for x in embedding.vectors[:, i]) + "\n")
+    lines = [f"{embedding.r} {embedding.k}"]
+    lines += [" ".join(repr(float(x)) for x in column) for column in embedding.vectors.T]
+    atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode())
 
 
 def load_embedding(path: str) -> LabelEmbedding:

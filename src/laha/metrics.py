@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,7 +119,6 @@ class EvalReport:
     overall: dict[str, float]
     groups: list[GroupReport]
     documents: int
-    histograms: dict[str, list[int]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

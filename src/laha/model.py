@@ -13,6 +13,8 @@ never built: every product of three matrices goes through
 `numeric.matmul_chain`, which takes the cheaper association.  The model
 yields logits; the sigmoid is applied only by `ForwardTrace.scores()`,
 and training feeds the logits straight to `numeric.bce_with_logits`.
+The parameters are the arrays `param_table` lists, the one place their
+names, shapes and order are written down.
 
 `forward_batch` runs equal-length documents through one embedding gather
 and one Bi-LSTM pass (one node per direction, the documents side by side
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numeric as nm
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_int
 from .numeric import Node
 
 VARIANTS = ("sa", "ia", "sa+ia", "laha")
@@ -48,46 +50,20 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValidationError(f"{f.name} must be a positive integer")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+            check_int(f.name, getattr(self, f.name), 1)
 
 
-@dataclass
-class ModelParams:
-    """Every trainable matrix, in canonical (checkpoint) order; see `param_table`."""
-
-    embedding: np.ndarray
-    lstm_wx_f: np.ndarray
-    lstm_wh_f: np.ndarray
-    lstm_b_f: np.ndarray
-    lstm_wx_b: np.ndarray
-    lstm_wh_b: np.ndarray
-    lstm_b_b: np.ndarray
-    w_s1: np.ndarray
-    w_s2: np.ndarray
-    w_q: np.ndarray
-    fuse1_w: np.ndarray
-    fuse1_b: np.ndarray
-    fuse2_w: np.ndarray
-    fuse2_b: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
+class ModelParams(dict):
+    """Parameter name -> array, one entry per `param_table` row, in its order."""
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @staticmethod
-    def names() -> list[str]:
-        return [f.name for f in fields(ModelParams)]
+        return self
 
 
 def param_table(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int, int | str]]:
-    """(rows, cols, init) of every parameter, in ModelParams field order.
+    """(rows, cols, init) of every parameter: the one list of names, shapes and order.
 
+    The parameters (`ModelParams`) are this table's arrays, in its order.
     `init` is the Xavier fan-out (the fan-in is always cols), "zeros" for a
     bias, or "given" for the word-embedding table.  LSTM blocks stack the
     input, forget, cell and output gates, in that order.
@@ -131,12 +107,12 @@ def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelPara
         else:
             limit = math.sqrt(6.0 / (cols + init))
             arrays[name] = rng.uniform(-limit, limit, size=(rows, cols))
-    return ModelParams(**arrays)
+    return ModelParams(arrays)
 
 
 def wrap_params(params: ModelParams) -> dict[str, Node]:
     """Leaf nodes sharing the parameter buffers (grads land on the nodes)."""
-    return {name: Node(arr) for name, arr in params.arrays().items()}
+    return {name: Node(arr) for name, arr in params.items()}
 
 
 @dataclass
@@ -270,8 +246,11 @@ def forward_batch(
         raise ShapeError(f"token rows differ in length: {[len(ids) for ids in token_rows]}")
     k = param_nodes["w_s2"].rows
     subsets = [_valid_subset(subset, k) for subset in subsets]
-    if label_vectors is not None and label_vectors.shape[1] != k:
-        raise ShapeError(f"label embedding has {label_vectors.shape[1]} columns, expected {k}")
+    if label_vectors is not None:
+        label_vectors = np.asarray(label_vectors, dtype=np.float64)
+        expected = (param_nodes["w_q"].cols, k)
+        if label_vectors.shape != expected:
+            raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
 
     embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], np.concatenate(token_rows)))
     states = bilstm_forward(
@@ -354,6 +333,6 @@ def _valid_subset(subset: Sequence[int], k: int) -> list[int]:
     if not subset:
         raise ValidationError("label subset must be nonempty")
     for label in subset:
-        if not (0 <= label < k):
-            raise ValidationError(f"label {label} outside range [0,{k})")
+        if type(label) is not int or not 0 <= label < k:  # plain in-range ids skip the full check
+            check_int("label", label, 0, k)
     return subset

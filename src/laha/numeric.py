@@ -2,8 +2,8 @@
 
 Every tensor in the model is a 2-D numpy array wrapped in a `Node` that
 carries a lazily allocated gradient slot and links to its operands.
-`backward()` runs one reverse sweep from a scalar output; `grad_check()`
-pits the resulting gradients against central finite differences.  Ops
+`backward()` runs one reverse sweep from a scalar output; the tests'
+`grad_check` pits its gradients against central finite differences.  Ops
 never broadcast implicitly (dedicated column/row-vector ops exist
 instead) and every produced value is checked finite.  The loss is one
 fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
@@ -18,8 +18,7 @@ the leaves keep theirs.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -463,58 +462,3 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
 
     return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[dict[str, Node]], Node],
-    params: dict[str, np.ndarray],
-    epsilon: float = 1e-5,
-) -> float:
-    """Worst relative error of reverse-mode gradients vs central differences.
-
-    `f` maps a dict of leaf nodes to a 1x1 output and must be deterministic.
-    Every entry of every parameter is perturbed by +/- epsilon.  The error
-    denominator is floored at 1e-6 so finite-difference noise on near-zero
-    entries does not dominate; two exact zeros score 0.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    arrays = {k: as_matrix(v) for k, v in params.items()}
-    leaves = {k: Node(v) for k, v in arrays.items()}
-    out = f(leaves)
-    _check_scalar(out)
-    backward(out)
-    analytic = {k: leaves[k].grad.copy() for k in arrays}
-
-    worst = 0.0
-    for k, arr in arrays.items():
-        flat = arr.ravel()
-        ana = analytic[k].ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + epsilon
-            f_plus = _eval_scalar(f, arrays)
-            flat[i] = keep - epsilon
-            f_minus = _eval_scalar(f, arrays)
-            flat[i] = keep
-            numeric_grad = (f_plus - f_minus) / (2.0 * epsilon)
-            denom = max(abs(ana[i]), abs(numeric_grad), 1e-6)
-            worst = max(worst, abs(ana[i] - numeric_grad) / denom)
-    return worst
-
-
-def _check_scalar(out: Node) -> None:
-    if out.value.shape != (1, 1):
-        raise ShapeError(f"grad_check function must return 1x1, got {out.value.shape}")
-    if not math.isfinite(out.value[0, 0]):
-        raise NumericalError("grad_check function produced a non-finite value")
-
-
-def _eval_scalar(f, arrays: dict[str, np.ndarray]) -> float:
-    out = f({k: Node(v) for k, v in arrays.items()})
-    _check_scalar(out)
-    return float(out.value[0, 0])

@@ -12,17 +12,17 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from . import model as model_mod
 from . import numeric as nm
-from .data import Corpus, Vocabulary, encode_document
+from .data import Corpus, Vocabulary, atomic_write_bytes, encode_document
 from .errors import CheckpointError, NumericalError, ShapeError, ValidationError
+from .errors import check_int, check_positive
 from .model import ModelConfig, ModelParams
 from .numeric import Node
 
@@ -40,19 +40,11 @@ class TrainConfig:
     finetune_word_vectors: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.negatives_per_doc < 0:
-            raise ValidationError("negatives_per_doc must be >= 0")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_doc", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        check_positive("learning_rate", self.learning_rate)
+        if not isinstance(self.finetune_word_vectors, bool):
+            raise ValidationError("finetune_word_vectors must be a bool")
 
 
 class AdamState:
@@ -161,11 +153,12 @@ def train(
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
-    trainable = list(params.arrays())
+    check_int("start_epoch", start_epoch, 0)
+    trainable = list(params)
     if not cfg.finetune_word_vectors:
         trainable.remove("embedding")
     if adam is None:
-        adam = AdamState.init({n: params.arrays()[n] for n in trainable})
+        adam = AdamState.init({n: params[n] for n in trainable})
 
     encoded = [encode_document(doc, vocab, model_cfg.max_len) for doc in corpus]
     history: list[float] = []
@@ -176,7 +169,6 @@ def train(
         docs_seen = 0
         for batch_no, start in enumerate(range(0, len(corpus), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            arrays = params.arrays()
             param_nodes = model_mod.wrap_params(params)
             labels = [corpus[doc_idx].labels for doc_idx in batch]
             subsets = [
@@ -200,7 +192,7 @@ def train(
             loss_value = float(loss.value[0, 0])
             grads = {n: param_nodes[n].grad for n in trainable}
             del traces, loss, param_nodes  # free the graph before Adam's temporaries
-            adam_step({n: arrays[n] for n in trainable}, grads, adam, cfg.learning_rate)
+            adam_step({n: params[n] for n in trainable}, grads, adam, cfg.learning_rate)
             loss_sum += loss_value * len(batch)
             docs_seen += len(batch)
         history.append(loss_sum / docs_seen)
@@ -234,18 +226,17 @@ def save_checkpoint(
     epoch: int,
 ) -> None:
     """JSON header line, then raw little-endian float64 payloads in header order."""
-    arrays = params.arrays()
-    tensors: list[tuple[str, np.ndarray]] = [(f"param/{n}", a) for n, a in arrays.items()]
-    adam_names = sorted(adam.m)
+    tensors: list[tuple[str, np.ndarray]] = [(f"param/{n}", a) for n, a in params.items()]
+    adam_names = [n for n in params if n in adam.m]
     tensors += [(f"adam_m/{n}", adam.m[n]) for n in adam_names]
     tensors += [(f"adam_v/{n}", adam.v[n]) for n in adam_names]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "model": model_cfg.to_dict(),
+        "model": asdict(model_cfg),
         "variant": variant,
         "vocab": vocab.tokens,
-        "train": train_cfg.to_dict(),
+        "train": asdict(train_cfg),
         "epoch": epoch,
         "adam": {
             "step": adam.step,
@@ -288,43 +279,36 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
-    declared = header["tensors"]
-    if any(r < 0 or c < 0 for _, r, c in declared):
-        raise CheckpointError("checkpoint declares a negative tensor shape")
-    adam_names = header["adam"]["params"]
-    saved_order = [f"param/{n}" for n in ModelParams.names()]
-    saved_order += [f"adam_{m}/{n}" for m in "mv" for n in adam_names]
-    if [name for name, _, _ in declared] != saved_order:
-        raise CheckpointError("checkpoint tensor table is not in the order it is saved in")
-    expected_bytes = sum(r * c for _, r, c in declared) * 8
-    if len(payload) != expected_bytes:
-        raise CheckpointError(
-            f"payload is {len(payload)} bytes, header declares {expected_bytes}"
-        )
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, r, c in declared:
-        count = r * c
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        tensors[name] = arr.reshape(r, c).astype(np.float64)
-        offset += count * 8
-
     model_cfg = ModelConfig(**header["model"])
     train_cfg = TrainConfig(**header["train"])
     variant = header["variant"]
     if variant not in model_mod.VARIANTS:
         raise CheckpointError(f"unknown variant {variant!r}")
     vocab_tokens = list(header["vocab"])
-    param_arrays = {}
     table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
-    for name, (rows, cols, _) in table.items():
-        param_arrays[name] = tensors[f"param/{name}"]
-        if param_arrays[name].shape != (rows, cols):
-            raise CheckpointError(
-                f"tensor {name!r} has shape {param_arrays[name].shape}, "
-                f"config and vocabulary imply {(rows, cols)}"
-            )
     adam_info = header["adam"]
+    adam_names = adam_info["params"]
+    for name in adam_names:
+        if name not in table:
+            raise CheckpointError(f"Adam state names unknown parameter {name!r}")
+    # the tensor table this config, vocabulary and Adam state imply, in saved order
+    expected = [[f"param/{n}", rows, cols] for n, (rows, cols, _) in table.items()]
+    expected += [[f"adam_{m}/{n}", *table[n][:2]] for m in "mv" for n in adam_names]
+    declared = header["tensors"]
+    if declared != expected:
+        i, (got, want) = next((i, pair) for i, pair in enumerate(zip_longest(declared, expected))
+                              if pair[0] != pair[1])
+        raise CheckpointError(f"tensor table entry {i} is {got}, the config implies {want}")
+    expected_bytes = sum(rows * cols for _, rows, cols in expected) * 8
+    if len(payload) != expected_bytes:
+        raise CheckpointError(f"payload is {len(payload)} bytes, header declares {expected_bytes}")
+    tensors: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, rows, cols in expected:
+        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+        tensors[name] = arr.reshape(rows, cols).astype(np.float64)
+        offset += rows * cols * 8
+
     for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
         if type(count) is not int or count < 0:
             raise CheckpointError(f"{name} must be a non-negative integer, got {count!r}")
@@ -334,14 +318,10 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
                      eps=adam_info["eps"])
     adam.step = adam_info["step"]
     for name in adam_names:
-        if name not in param_arrays:
-            raise CheckpointError(f"Adam state names unknown parameter {name!r}")
         adam.m[name] = tensors[f"adam_m/{name}"]
         adam.v[name] = tensors[f"adam_v/{name}"]
-        if not adam.m[name].shape == adam.v[name].shape == param_arrays[name].shape:
-            raise CheckpointError(f"Adam state for {name!r} does not match its shape")
     return Checkpoint(
-        params=ModelParams(**param_arrays),
+        params=ModelParams((n, tensors[f"param/{n}"]) for n in table),
         model_cfg=model_cfg,
         variant=variant,
         vocab_tokens=vocab_tokens,
@@ -349,16 +329,3 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
         adam=adam,
         epoch=header["epoch"],
     )
-
-
-def atomic_write_bytes(path: str, blob: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -42,6 +42,13 @@ def test_load_corpus_empty_text_rejected():
                      '{"id":"d1","labels":[1],"text":"   "}'])
 
 
+@pytest.mark.parametrize("text", ["null", "12", '["a", "b"]'], ids=["null", "number", "list"])
+def test_load_corpus_rejects_non_string_text(text):
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_corpus(['{"id":"d0","labels":[1],"text":"x"}',
+                     f'{{"id":"d1","labels":[1],"text":{text}}}'])
+
+
 def test_load_corpus_empty_input():
     assert load_corpus([]) == []
 

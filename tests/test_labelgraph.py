@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -330,6 +331,21 @@ def test_embedding_roundtrip_bit_identical(tmp_path):
     assert loaded.r == 5 and loaded.k == 3
 
 
+def test_interrupted_embedding_save_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "labels.emb"
+    save_embedding(str(path), LabelEmbedding(vectors=np.ones((2, 3))))
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_embedding(str(path), LabelEmbedding(vectors=np.zeros((4, 5))))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["labels.emb"]
+
+
 def test_embedding_roundtrip_single_label(tmp_path):
     emb = LabelEmbedding(vectors=np.array([[0.1], [0.2]]))
     path = tmp_path / "one.emb"
@@ -378,3 +394,12 @@ def test_walk_config_validation():
         WalkConfig(p=0.0)
     with pytest.raises(ValidationError):
         WalkConfig(walk_length=0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"p": float("nan")}, {"q": float("inf")}, {"p": True}, {"walk_length": 2.5},
+    {"walks_per_node": True}, {"seed": 1.5},
+])
+def test_walk_config_rejects_malformed_values(fields):
+    with pytest.raises(ValidationError):
+        WalkConfig(**fields)

@@ -9,7 +9,6 @@ from laha.errors import ShapeError, ValidationError
 from laha.model import (
     ForwardTrace,
     ModelConfig,
-    ModelParams,
     bilstm_forward,
     export_attention,
     forward,
@@ -43,6 +42,15 @@ def _label_vectors(cfg, seed=0):
 def test_config_rejects_nonpositive():
     with pytest.raises(ValidationError):
         ModelConfig(k=0, max_len=4)
+
+
+@pytest.mark.parametrize("fields", [
+    {"k": 3, "max_len": 2.5}, {"k": True, "max_len": 3}, {"k": 3, "max_len": 3, "d": "8"},
+    {"k": 3, "max_len": 3, "r": float("nan")},
+])
+def test_config_rejects_non_integer_fields(fields):
+    with pytest.raises(ValidationError):
+        ModelConfig(**fields)
 
 
 def test_bilstm_zero_weights_zero_states():
@@ -316,7 +324,7 @@ def _forward(cfg, params, lv, variant, subset=None, seed=12):
     rng = np.random.default_rng(seed)
     n_real = 3
     ids = np.zeros(cfg.max_len, dtype=np.int64)
-    ids[:n_real] = rng.integers(2, params.embedding.shape[0], size=n_real)
+    ids[:n_real] = rng.integers(2, params["embedding"].shape[0], size=n_real)
     mask = np.arange(cfg.max_len) < n_real
     subset = list(range(cfg.k)) if subset is None else subset
     return forward(ids, mask, wrap_params(params), lv, subset, variant)
@@ -353,6 +361,28 @@ def test_forward_requires_embedding_for_interaction():
     params = _params(cfg)
     with pytest.raises(ValidationError):
         _forward(cfg, params, None, "ia")
+
+
+def test_forward_rejects_one_dimensional_label_vectors():
+    cfg = _cfg()
+    with pytest.raises(ShapeError):
+        _forward(cfg, _params(cfg), _label_vectors(cfg)[0], "laha")
+
+
+def test_forward_takes_nested_list_label_vectors_and_rejects_a_misshapen_one():
+    cfg = _cfg()
+    params, lv = _params(cfg), _label_vectors(cfg)
+    listed = _forward(cfg, params, lv.tolist(), "laha")
+    np.testing.assert_array_equal(listed.scores(), _forward(cfg, params, lv, "laha").scores())
+    with pytest.raises(ShapeError):
+        _forward(cfg, params, lv[:, 1:].tolist(), "laha")
+
+
+@pytest.mark.parametrize("label", [1.5, True, "1"])
+def test_forward_rejects_non_integer_label(label):
+    cfg = _cfg()
+    with pytest.raises(ValidationError):
+        _forward(cfg, _params(cfg), _label_vectors(cfg), "laha", subset=[0, label])
 
 
 def test_forward_unknown_variant():
@@ -519,7 +549,7 @@ def test_unreached_leaf_gets_no_gradient_buffer():
     trace = forward(ids, ids > 0, pn, None, [0, 2], "sa")
     nm.backward(nm.bce_with_logits(trace.logits, np.array([[1.0, 0.0]])))
     assert pn["w_q"]._grad is None
-    np.testing.assert_array_equal(pn["w_q"].grad, np.zeros_like(params.w_q))
+    np.testing.assert_array_equal(pn["w_q"].grad, np.zeros_like(params["w_q"]))
     assert np.abs(pn["w_s2"].grad).sum() > 0
 
 
@@ -552,9 +582,11 @@ def test_export_attention_weights_sum_to_one_and_sorted():
 
 
 def test_params_canonical_order_stable():
-    assert ModelParams.names()[0] == "embedding"
-    assert len(ModelParams.names()) == 17
-    assert list(param_table(_cfg(), 9)) == ModelParams.names()
+    cfg = _cfg()
+    params = init_params(cfg, np.zeros((9, cfg.d)), 7)
+    assert list(params) == list(param_table(cfg, 9))
+    assert list(params)[0] == "embedding"
+    assert len(params) == 17
 
 
 # sha256 of every init_params array for _cfg() with a 9-row embedding, seed 7

@@ -14,7 +14,6 @@ from laha.numeric import (
     bce_with_logits,
     const_minus,
     div,
-    grad_check,
     lstm,
     matmul,
     matmul_chain,
@@ -28,7 +27,7 @@ from laha.numeric import (
     vconcat,
 )
 
-from extra_ops import mul, sum_all
+from extra_ops import grad_check, mul, sum_all
 
 
 def test_matmul_identity():

@@ -13,7 +13,7 @@ from laha.errors import (
     ShapeError,
     ValidationError,
 )
-from laha.model import ModelConfig, ModelParams, forward, init_params, wrap_params
+from laha.model import ModelConfig, forward, init_params, wrap_params
 from laha.numeric import Node
 from laha.training import (
     AdamState,
@@ -25,6 +25,8 @@ from laha.training import (
     save_checkpoint,
     train,
 )
+
+from extra_ops import grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,7 @@ def test_bce_gradient_matches_finite_differences():
     def f(p):
         return bce_loss([p["z"]], [y])
 
-    err = nm.grad_check(f, {"z": z}, epsilon=1e-6)
+    err = grad_check(f, {"z": z}, epsilon=1e-6)
     assert err <= 1e-6
     # closed form for one document: dloss/dz_j = sigmoid(z_j) - y_j
     leaf = Node(z)
@@ -227,7 +229,7 @@ def micro_loss_builder(cfg, vocab, label_vectors, docs, variant="laha"):
 def test_full_model_gradient_check_micro():
     cfg, vocab, params, lv, docs = micro_setup(seed=3)
     f = micro_loss_builder(cfg, vocab, lv, docs)
-    err = nm.grad_check(f, params.arrays(), epsilon=1e-5)
+    err = grad_check(f, params.arrays(), epsilon=1e-5)
     assert err <= 1e-4
 
 
@@ -281,6 +283,22 @@ def test_train_zero_epochs_is_noop():
         np.testing.assert_array_equal(arr, before[name])
 
 
+def test_train_rejects_negative_start_epoch():
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    with pytest.raises(ValidationError, match="start_epoch"):
+        train(docs, vocab, params, cfg, lv, tcfg, start_epoch=-1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"batch_size": 2.5}, {"seed": 1.5}, {"epochs": True}, {"negatives_per_doc": "2"},
+    {"learning_rate": math.nan}, {"learning_rate": math.inf}, {"learning_rate": 0.0},
+    {"finetune_word_vectors": "no"},
+])
+def test_train_config_rejects_malformed_values(fields):
+    with pytest.raises(ValidationError):
+        TrainConfig(**{"epochs": 1, **fields})
+
+
 def test_train_empty_corpus_rejected():
     cfg, vocab, params, lv, _, tcfg = _train_setup()
     with pytest.raises(ValidationError):
@@ -297,12 +315,12 @@ def test_train_loss_decreases_on_micro_corpus():
 
 def test_train_frozen_word_vectors():
     cfg, vocab, params, lv, docs, _ = _train_setup(seed=2)
-    emb_before = params.embedding.copy()
-    w_before = params.w_s1.copy()
+    emb_before = params["embedding"].copy()
+    w_before = params["w_s1"].copy()
     tcfg = TrainConfig(epochs=2, seed=2, finetune_word_vectors=False, batch_size=2)
     train(docs, vocab, params, cfg, lv, tcfg)
-    np.testing.assert_array_equal(params.embedding, emb_before)
-    assert not np.array_equal(params.w_s1, w_before)
+    np.testing.assert_array_equal(params["embedding"], emb_before)
+    assert not np.array_equal(params["w_s1"], w_before)
 
 
 def _train_per_document(docs, vocab, params, cfg, lv, tcfg):
@@ -336,7 +354,7 @@ def test_train_batches_match_per_document_oracle():
     cfg, vocab, params, lv, docs, _ = _train_setup(seed=4)
     docs = docs + [Document("m2", ["w5", "w2"], {0}), Document("m3", ["w4"], {3, 1, 2})]
     tcfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=3, negatives_per_doc=1, seed=4)
-    oracle = init_params(cfg, params.embedding, 4)
+    oracle = init_params(cfg, params["embedding"], 4)
     _, history = train(docs, vocab, params, cfg, lv, tcfg)
     want = _train_per_document(docs, vocab, oracle, cfg, lv, tcfg)
     np.testing.assert_allclose(history, want, rtol=0, atol=1e-12)
@@ -363,12 +381,12 @@ def _checkpoint_roundtrip(tmp_path, epochs_first=1, epochs_total=2, seed=11):
                        negatives_per_doc=2, seed=seed)
 
     # uninterrupted run
-    params_full = init_params(cfg, params.embedding.copy(), seed)
+    params_full = init_params(cfg, params["embedding"].copy(), seed)
     adam_full = AdamState.init(params_full.arrays())
     train(docs, vocab, params_full, cfg, lv, tcfg, adam=adam_full)
 
     # run to epochs_first, checkpoint, resume
-    params_a = init_params(cfg, params.embedding.copy(), seed)
+    params_a = init_params(cfg, params["embedding"].copy(), seed)
     adam_a = AdamState.init(params_a.arrays())
     first_cfg = TrainConfig(epochs=epochs_first, learning_rate=0.01, batch_size=2,
                             negatives_per_doc=2, seed=seed)
@@ -495,6 +513,9 @@ def _setting(*keys_then_value):
     _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
     _setting("adam", "beta2", 1.0), _setting("adam", "beta2", -0.1),
     _setting("adam", "eps", 0.0), _setting("adam", "eps", -1e-8),
+    _setting("model", "max_len", 2.5), _setting("train", "batch_size", 2.5),
+    _setting("train", "seed", 1.5), _setting("train", "learning_rate", math.nan),
+    _setting("train", "finetune_word_vectors", "no"),
 ])
 def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     import json
@@ -510,6 +531,58 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     Path(path).write_bytes(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fixture_state():
+    """The state `fixtures/checkpoint_v1_tiny.bin` holds, rebuilt from its seeds.
+
+    The file was written by the format-1 saver that listed Adam moments in
+    sorted name order; only seeded draws and elementwise products go in, so
+    the rebuild is exact.
+    """
+    cfg = ModelConfig(k=3, max_len=4, d=2, r=2, d_a=2)
+    vocab = Vocabulary(["a", "b", "c"])
+    emb = np.random.default_rng(11).uniform(-0.5, 0.5, size=(len(vocab), cfg.d))
+    params = init_params(cfg, emb, 11)
+    adam = AdamState.init({n: a for n, a in params.items() if n != "embedding"})
+    for name in adam.m:
+        adam.m[name] += 0.1 * params[name]
+        adam.v[name] += params[name] ** 2
+    adam.step = 7
+    tcfg = TrainConfig(epochs=5, learning_rate=0.01, batch_size=2, negatives_per_doc=1,
+                       seed=11, finetune_word_vectors=False)
+    return cfg, vocab, params, tcfg, adam
+
+
+def _assert_fixture_state(ckpt):
+    cfg, vocab, params, tcfg, adam = _fixture_state()
+    assert (ckpt.model_cfg, ckpt.train_cfg, ckpt.variant) == (cfg, tcfg, "laha")
+    assert ckpt.vocab_tokens == vocab.tokens
+    assert (ckpt.epoch, ckpt.adam.step) == (3, adam.step)
+    assert list(ckpt.params) == list(params)
+    for name, arr in params.items():
+        np.testing.assert_array_equal(ckpt.params[name], arr)
+    assert sorted(ckpt.adam.m) == sorted(adam.m) and sorted(ckpt.adam.v) == sorted(adam.v)
+    for name in adam.m:
+        np.testing.assert_array_equal(ckpt.adam.m[name], adam.m[name])
+        np.testing.assert_array_equal(ckpt.adam.v[name], adam.v[name])
+
+
+def test_checkpoint_fixture_from_sorted_adam_saver_loads_identically(tmp_path):
+    import json
+
+    ckpt = load_checkpoint(str(FIXTURES / "checkpoint_v1_tiny.bin"))
+    _assert_fixture_state(ckpt)
+    # saved again, the Adam moments follow the parameter table's order
+    path = tmp_path / "again.bin"
+    save_checkpoint(str(path), ckpt.params, ckpt.model_cfg, ckpt.variant,
+                    Vocabulary(ckpt.vocab_tokens), ckpt.train_cfg, ckpt.adam, ckpt.epoch)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["adam"]["params"] == list(ckpt.params)[1:]
+    _assert_fixture_state(load_checkpoint(str(path)))
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):
