@@ -1,7 +1,7 @@
 """Corpus ingestion, vocabulary, token encoding, word vectors, atomic file writes.
 
 Corpora are JSON-lines files with one document per line:
-``{"id": "...", "labels": [int, ...], "text": "..."}``.  Tokenization is
+``{"id": "..." or int, "labels": [int, ...], "text": "..."}``.  Tokenization is
 lowercase + whitespace split.  Word vectors load from GloVe-style text
 (``token float*d`` per line, no header).
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -40,7 +40,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_corpus(lines: Iterable[str]) -> Corpus:
-    """Parse JSON-lines into documents; reject empty-label or empty-text docs."""
+    """Parse JSON-lines into documents; reject bad ids and empty-label or empty-text docs."""
     docs: Corpus = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -66,16 +66,13 @@ def load_corpus(lines: Iterable[str]) -> Corpus:
             raise DataFormatError("document has an empty label set", line=lineno)
         if not isinstance(obj["text"], str):
             raise DataFormatError("text must be a string", line=lineno)
+        if type(obj["id"]) not in (str, int):
+            raise DataFormatError("id must be a string or an integer", line=lineno)
         tokens = tokenize(obj["text"])
         if not tokens:
             raise DataFormatError("document has no tokens", line=lineno)
         docs.append(Document(doc_id=str(obj["id"]), tokens=tokens, labels=labels))
     return docs
-
-
-def load_corpus_file(path: str) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return load_corpus(fh)
 
 
 class Vocabulary:
@@ -172,11 +169,6 @@ def load_word_vectors(
     return WordVectors(table=table)
 
 
-def load_word_vectors_file(path: str, vocab: Vocabulary, d: int, seed: int) -> WordVectors:
-    with open(path, encoding="utf-8") as fh:
-        return load_word_vectors(fh, vocab, d, seed)
-
-
 def random_word_vectors(vocab: Vocabulary, d: int, seed: int) -> WordVectors:
     """All-random table (no pretrained file); same convention as load."""
     return load_word_vectors([], vocab, d, seed)
@@ -207,8 +199,8 @@ def decode_document(ids: np.ndarray, mask: np.ndarray, vocab: Vocabulary) -> lis
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:
     """Write `blob` to `path` through a temporary file, so `path` is old or new, never partial."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)  # less the umask, as open()
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)

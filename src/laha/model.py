@@ -11,10 +11,11 @@ feed-forward head turns each column of the paper's mixed context
 H (alpha A_s + beta A_i) into a logit.  The 2r x k' contexts H A are
 never built: every product of three matrices goes through
 `numeric.matmul_chain`, which takes the cheaper association.  The model
-yields logits; the sigmoid is applied only by `ForwardTrace.scores()`,
-and training feeds the logits straight to `numeric.bce_with_logits`.
-The parameters are the arrays `param_table` lists, the one place their
-names, shapes and order are written down.
+yields logits, and a non-finite logit raises NumericalError, since every
+score and loss passes through them; the sigmoid is applied only by
+`ForwardTrace.scores()`, and training feeds the logits straight to
+`numeric.bce_with_logits`.  The parameters are the arrays `param_table`
+lists, the one place their names, shapes and order are written down.
 
 `forward_batch` runs equal-length documents through one embedding gather
 and one Bi-LSTM pass (one node per direction, the documents side by side
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numeric as nm
-from .errors import ShapeError, ValidationError, check_int
+from .errors import NumericalError, ShapeError, ValidationError, check_int
 from .numeric import Node
 
 VARIANTS = ("sa", "ia", "sa+ia", "laha")
@@ -119,8 +120,6 @@ def wrap_params(params: ModelParams) -> dict[str, Node]:
 class ForwardTrace:
     """Intermediate tensors of one document pass (nodes keep the graph alive)."""
 
-    h_fwd: Node
-    h_bwd: Node
     h: Node
     attn_self: Node | None
     attn_inter: Node | None
@@ -129,7 +128,6 @@ class ForwardTrace:
     beta: Node
     logits: Node
     subset: list[int]
-    variant: str
     mask: np.ndarray
 
     def scores(self) -> np.ndarray:
@@ -293,12 +291,11 @@ def _attend(h_fwd, h_bwd, h, mask, param_nodes, label_vectors, subset, variant):
             mix = attn_self if variant == "sa" else attn_inter
 
     logits = predict(h, mix, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
+    if not np.isfinite(logits.value).all():
+        raise NumericalError("non-finite logit")
     return ForwardTrace(
-        h_fwd=h_fwd, h_bwd=h_bwd, h=h,
-        attn_self=attn_self, attn_inter=attn_inter,
-        mix=mix,
-        alpha=alpha, beta=beta, logits=logits,
-        subset=subset, variant=variant, mask=np.asarray(mask).astype(bool),
+        h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha, beta=beta,
+        logits=logits, subset=subset, mask=np.asarray(mask).astype(bool),
     )
 
 

@@ -5,8 +5,13 @@ carries a lazily allocated gradient slot and links to its operands.
 `backward()` runs one reverse sweep from a scalar output; the tests'
 `grad_check` pits its gradients against central finite differences.  Ops
 never broadcast implicitly (dedicated column/row-vector ops exist
-instead) and every produced value is checked finite.  The loss is one
-fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
+instead).  Finiteness is checked where values enter and leave a graph:
+at each leaf, in `lstm` (whose sigmoid and tanh would hide an overflow),
+at the root of `backward`, and by the model on its logits and Adam on
+its gradients.  A non-finite op value that reaches none of these does
+not raise; with finite leaves it is an overflow near 1e308 that a later
+op absorbs (a masked softmax row, tanh or relu of +-inf).  The loss is
+one fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
 probabilities on plain arrays, outside the graph.  `lstm` runs a whole
 LSTM direction over a batch of documents as one node: one GEMM projects
 every token, the per-step loop keeps only the recurrent GEMM over the
@@ -42,17 +47,18 @@ def as_matrix(x) -> np.ndarray:
 class Node:
     """A matrix in the computation graph: value, gradient slot, operand links.
 
-    Leaves wrap caller arrays without copying, so optimizer updates written
-    to the original array are seen by the next graph built over it.  Every
-    value is checked finite.  `grad` reads as zeros until `backward` fills
-    it, and its buffer is made on first read, so a forward pass makes none.
+    A leaf (no parents) wraps a caller array without copying, so optimizer
+    updates written to the original array are seen by the next graph built
+    over it; only a leaf is coerced to a 2-D float64 array and checked
+    finite.  `grad` reads as zeros until `backward` fills it, and its
+    buffer is made on first read, so a forward pass makes none.
     """
 
     __slots__ = ("value", "_grad", "_parents", "_backward")
 
     def __init__(self, value, _parents: tuple = (), _backward=None):
-        self.value = as_matrix(value)
-        if not np.isfinite(self.value).all():
+        self.value = value if _parents else as_matrix(value)
+        if not _parents and not np.isfinite(self.value).all():
             raise NumericalError("matrix contains non-finite entries")
         self._grad = None
         self._parents = _parents
@@ -91,7 +97,7 @@ def _same_shape(a: Node, b: Node, op: str) -> None:
 
 
 def backward(root: Node) -> None:
-    """Reverse sweep from a 1x1 scalar node; it consumes the graph.
+    """Reverse sweep from a 1x1 scalar node, which must be finite; it consumes the graph.
 
     Gradients accumulate into every reachable leaf exactly once.  Each
     op node's gradient is released as soon as its own backward has run,
@@ -100,6 +106,8 @@ def backward(root: Node) -> None:
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 scalar root, got {root.value.shape}")
+    if not np.isfinite(root.value).all():
+        raise NumericalError(f"backward from a non-finite root {root.value[0, 0]}")
     order = _toposort(root)
     root.grad = np.ones((1, 1))
     for node in reversed(order):

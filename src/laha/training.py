@@ -306,6 +306,8 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     offset = 0
     for name, rows, cols in expected:
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} has non-finite entries")
         tensors[name] = arr.reshape(rows, cols).astype(np.float64)
         offset += rows * cols * 8
 

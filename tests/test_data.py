@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from laha.data import (
     load_word_vectors,
 )
 from laha.errors import DataFormatError, ValidationError
+from laha.labelgraph import LabelEmbedding, save_embedding
+from laha.model import ModelConfig, init_params
+from laha.training import AdamState, TrainConfig, save_checkpoint
 
 
 def _docs(*texts_labels):
@@ -47,6 +53,32 @@ def test_load_corpus_rejects_non_string_text(text):
     with pytest.raises(DataFormatError, match="line 2"):
         load_corpus(['{"id":"d0","labels":[1],"text":"x"}',
                      f'{{"id":"d1","labels":[1],"text":{text}}}'])
+
+
+@pytest.mark.parametrize("doc_id", ["null", "[1, 2]", "1.5", "true"],
+                         ids=["null", "list", "float", "bool"])
+def test_load_corpus_rejects_ids_that_are_not_strings_or_integers(doc_id):
+    with pytest.raises(DataFormatError, match="line 2"):
+        load_corpus(['{"id":7,"labels":[1],"text":"x"}',
+                     f'{{"id":{doc_id},"labels":[1],"text":"y"}}'])
+    assert load_corpus(['{"id":7,"labels":[1],"text":"x"}'])[0].doc_id == "7"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_saved_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    cfg = ModelConfig(k=2, max_len=2, d=2, r=1, d_a=1)
+    vocab = Vocabulary(["a"])
+    params = init_params(cfg, np.zeros((len(vocab), cfg.d)), 0)
+    previous = os.umask(umask)
+    try:
+        save_checkpoint(str(tmp_path / "ckpt.bin"), params, cfg, "laha", vocab,
+                        TrainConfig(epochs=1), AdamState.init(params), 0)
+        save_embedding(str(tmp_path / "labels.emb"), LabelEmbedding(vectors=np.ones((2, 3))))
+    finally:
+        os.umask(previous)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "labels.emb"]
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_load_corpus_empty_input():

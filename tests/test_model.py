@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from laha import numeric as nm
-from laha.errors import ShapeError, ValidationError
+from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
     ForwardTrace,
     ModelConfig,
@@ -551,6 +551,15 @@ def test_unreached_leaf_gets_no_gradient_buffer():
     assert pn["w_q"]._grad is None
     np.testing.assert_array_equal(pn["w_q"].grad, np.zeros_like(params["w_q"]))
     assert np.abs(pn["w_s2"].grad).sum() > 0
+
+
+def test_forward_rejects_a_gate_that_computes_zero_over_zero():
+    # both raw gates underflow to 0, so alpha = 0 / 0 reaches every logit
+    cfg = _cfg()
+    params = _params(cfg)
+    params["fuse1_b"][:] = params["fuse2_b"][:] = -1e4
+    with np.errstate(invalid="ignore", under="ignore"), pytest.raises(NumericalError):
+        _forward(cfg, params, _label_vectors(cfg), "laha")
 
 
 def test_export_attention_single_token():

@@ -125,6 +125,13 @@ def test_backward_requires_scalar_root():
         backward(Node(np.ones((2, 2))))
 
 
+def test_backward_rejects_non_finite_root():
+    x = Node(np.array([[1e308]]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        backward(scale(x, 10.0))
+    assert not x.grad.any()
+
+
 def test_grad_check_square():
     # f(x) = x^2 at x = 3 has derivative 6; central differences are exact
     # for quadratics up to rounding

@@ -289,6 +289,17 @@ def test_train_rejects_negative_start_epoch():
         train(docs, vocab, params, cfg, lv, tcfg, start_epoch=-1)
 
 
+def test_train_stops_on_a_non_finite_gate_before_any_update():
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    params["fuse1_b"][:] = params["fuse2_b"][:] = -1e4
+    before = {n: a.copy() for n, a in params.items()}
+    with np.errstate(invalid="ignore", under="ignore"), \
+            pytest.raises(NumericalError, match="epoch 0, batch 0"):
+        train(docs, vocab, params, cfg, lv, tcfg)
+    for name, arr in params.items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
 @pytest.mark.parametrize("fields", [
     {"batch_size": 2.5}, {"seed": 1.5}, {"epochs": True}, {"negatives_per_doc": "2"},
     {"learning_rate": math.nan}, {"learning_rate": math.inf}, {"learning_rate": 0.0},
@@ -530,6 +541,18 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     mutate(header)
     Path(path).write_bytes(json.dumps(header).encode() + b"\n" + blob[nl + 1 :])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tensor, value", [("param/w_q", math.nan), ("adam_v/lstm_b_f", math.inf)])
+def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, tensor, value):
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    adam = AdamState.init(params.arrays())
+    kind, name = tensor.split("/")
+    (params if kind == "param" else adam.v)[name][1, 0] = value
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    with pytest.raises(CheckpointError, match=tensor):
         load_checkpoint(path)
 
 
