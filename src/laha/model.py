@@ -18,8 +18,8 @@ score and loss passes through them; the sigmoid is applied only by
 lists, the one place their names, shapes and order are written down.
 
 `forward_batch` runs equal-length documents through one embedding gather
-and one Bi-LSTM pass (one node per direction, the documents side by side
-as column blocks), then the rest per document on its column slice of
+and one Bi-LSTM node (both directions, the documents side by side as
+column blocks), then the rest per document on its column slice of
 H_f, H_b and H; `forward` is a batch of one.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
@@ -139,17 +139,20 @@ class ForwardTrace:
 
 
 def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1):
-    """Run both LSTM directions over embedded tokens, one node each.
+    """Run both LSTM directions over embedded tokens in one `numeric.bilstm` node.
 
     `embedded` is d x (docs * n), document j in columns j*n ... j*n + n - 1.
     Returns (H_f, H_b, H) in its column order: r-row forward and backward
     states (column t = state after reading token t from the right) and
     their 2r-row stack, each document from zero states.  Padded positions
     are stepped too, so the backward direction starts at a document's last
-    column whatever the padding.
+    column whatever the padding.  At large shapes, with two usable CPUs,
+    the node steps the reverse direction on a worker thread that touches no
+    Node.  H_f and H_b are row views of the node; H stacks them again, so
+    each entry of the node's gradient sums just two terms, in any order.
     """
-    h_fwd = nm.lstm(embedded, wx_f, wh_f, b_f, docs=docs)
-    h_bwd = nm.lstm(embedded, wx_b, wh_b, b_b, reverse=True, docs=docs)
+    both = nm.bilstm(embedded, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs)
+    h_fwd, h_bwd = (nm.slice_rows(both, lo, lo + both.rows // 2) for lo in (0, both.rows // 2))
     return h_fwd, h_bwd, nm.vconcat([h_fwd, h_bwd])
 
 

@@ -6,30 +6,37 @@ carries a lazily allocated gradient slot and links to its operands.
 `grad_check` pits its gradients against central finite differences.  Ops
 never broadcast implicitly (dedicated column/row-vector ops exist
 instead).  Finiteness is checked where values enter and leave a graph:
-at each leaf, in `lstm` (whose sigmoid and tanh would hide an overflow),
+at each leaf, in `bilstm` (whose sigmoid and tanh would hide an overflow),
 at the root of `backward`, and by the model on its logits and Adam on
 its gradients.  A non-finite op value that reaches none of these does
 not raise; with finite leaves it is an overflow near 1e308 that a later
 op absorbs (a masked softmax row, tanh or relu of +-inf).  The loss is
 one fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
-probabilities on plain arrays, outside the graph.  `lstm` runs a whole
-LSTM direction over a batch of documents as one node: one GEMM projects
-every token, the per-step loop keeps only the recurrent GEMM over the
-documents and the gate math, and the backward is hand-written BPTT.  A
-backward pass consumes its graph: it overwrites the `lstm` node's stored
-gates, and it releases each op node's gradient once passed on, so only
-the leaves keep theirs.
+probabilities on plain arrays, outside the graph.  `bilstm` runs both
+LSTM directions over a batch of documents as one node: a GEMM per
+direction projects every token, the step loops keep only the recurrent
+GEMM and the gate math, and the backward is hand-written BPTT.  From
+r * r * docs = `_WORKER_MIN` on, with two usable CPUs, a worker thread
+steps the reverse direction in both passes: it touches no Node, runs in
+a copy of the caller's context (numpy's error state) and is joined
+before the node returns or raises.  That overlap assumes BLAS on one
+thread; with two, the serial loops are faster.  A backward pass consumes
+its graph: it overwrites `bilstm`'s stored gates, and it releases each
+op node's gradient once passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, ShapeError
+from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
 ACTIVATIONS = ("tanh", "sigmoid", "relu")
+_WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 
 
 def as_matrix(x) -> np.ndarray:
@@ -247,6 +254,11 @@ def slice_cols(a, lo: int, hi: int) -> Node:
     return Node(a.value[:, lo:hi], (a,), bwd)
 
 
+def slice_rows(a, lo: int, hi: int) -> Node:
+    """Rows lo .. hi - 1 of a, as a view: `slice_cols` between two transposes."""
+    return transpose(slice_cols(transpose(a), lo, hi))
+
+
 def take_rows(a, indices) -> Node:
     """Gather rows by index; gradient scatters back (repeats accumulate)."""
     a = _node(a)
@@ -305,9 +317,11 @@ def sum_nodes(nodes: Sequence[Node]) -> Node:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of a plain array, split by sign so exp cannot overflow."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    e = np.exp(np.copysign(x, -1.0))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+_sigmoid = sigmoid  # for the LSTM worker thread, out of reach of a wrapper set on `sigmoid`
 
 
 def activate(a, kind: str) -> Node:
@@ -332,7 +346,7 @@ def activate(a, kind: str) -> Node:
             a.grad += g * (a.value > 0)
 
     else:
-        raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
+        raise ValidationError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
     return Node(y, (a,), bwd)
 
 
@@ -393,80 +407,103 @@ def bce_with_logits(z, y) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
-    """One LSTM direction over `docs` equal-length documents as a single node.
+def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """Both LSTM directions over `docs` equal-length documents as one node (see the module).
 
-    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; wx
-    (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell and
-    output gates.  Each document is stepped over every column, from the
-    right when `reverse`, from zero hidden and cell states.  Returns the
-    r x (docs * n) hidden states in x's column order, column t of a
-    document being its state after reading token t.  Internal arrays keep
-    the documents on their last axis, so each step's recurrent product is
-    one GEMM over them, and one document makes the BLAS calls of an
-    unbatched LSTM.  wx @ x is one GEMM; the backward is hand-written BPTT
-    that overwrites the stored gates, so it runs once.  A non-finite
-    pre-activation or cell state raises NumericalError.
+    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; each direction's wx
+    (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value is the
+    2r x (docs * n) forward over reverse states, column t after reading token t.
     """
-    x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
-    r, d = wh.cols, x.rows
-    if (wx.rows, wh.rows, b.value.shape, wx.cols) != (4 * r, 4 * r, (4 * r, 1), d):
-        raise ShapeError(
-            f"lstm: wx {wx.value.shape}, wh {wh.value.shape}, b {b.value.shape} "
-            f"do not fit input {x.value.shape}"
-        )
-    if docs < 1 or x.cols % docs:
-        raise ShapeError(f"lstm: {x.cols} columns do not split into {docs} documents")
-    n, step = x.cols // docs, -1 if reverse else 1
-    # column s * docs + j of xs is the s-th token in stepping order of document j
-    xs = x.value.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
-    z = (wx.value @ xs).reshape(4 * r, n, docs).transpose(1, 0, 2).copy()  # n x 4r x docs
-    gates = np.empty((n, 4, r, docs))               # i, f, g, o per step
-    c, h = np.zeros((2, n + 1, r, docs))            # c[s + 1], h[s + 1]: states after step s
-    for s in range(n):
-        zs = z[s]
-        zs += wh.value @ h[s]
-        zs += b.value
-        gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r, docs)
-        gates[s, 2] = np.tanh(zs[2 * r : 3 * r])
-        gates[s, 3] = sigmoid(zs[3 * r :])
-        i, f, g, o = gates[s]
-        c[s + 1] = f * c[s] + i * g
-        h[s + 1] = o * np.tanh(c[s + 1])
-    if not (np.isfinite(z).all() and np.isfinite(c).all()):
-        raise NumericalError("lstm: non-finite gate pre-activation or cell state")
-
-    def to_columns(a):  # stepping-order (n, rows, docs) -> rows x (docs * n) input order
-        return a[::step].transpose(1, 2, 0).reshape(a.shape[1], docs * n)
+    x, *w = (_node(a) for a in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
+    r, d, shapes = w[1].cols, x.rows, [a.value.shape for a in w]
+    if shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or docs < 1 or x.cols % docs:
+        raise ShapeError(f"bilstm: {shapes} and {docs} documents do not fit {x.value.shape}")
+    threaded = r * r * docs >= _WORKER_MIN and len(os.sched_getaffinity(0)) >= 2
+    h = np.empty((2 * r, x.cols), order="F" if docs == 1 else "C")  # see `_lstm`
+    bptt = _pair(lambda k: _lstm(x.value, *(a.value for a in w[3 * k : 3 * k + 3]), k == 1,
+                                 docs, h[k * r : (k + 1) * r]), threaded)
 
     def bwd(grad):
+        grads = _pair(lambda k: bptt[k](grad[k * r : (k + 1) * r]), threaded)
+        for node, g in zip((*w[:3], x, *w[3:], x), (*grads[0], *grads[1])):  # forward first
+            node.grad += g
+
+    return Node(h, (x, *w), bwd)
+
+
+def _pair(step, threaded: bool) -> list:
+    """[step(0), step(1)], step(1) on a worker thread for this call only if threaded."""
+    if not threaded:
+        return [step(0), step(1)]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only once a worker is needed
+    with ThreadPoolExecutor(1) as one_thread:  # for this call only: leaving the block joins it
+        reverse = one_thread.submit(contextvars.copy_context().run, step, 1)
+        return [step(0), reverse.result()]
+
+
+def _lstm(x, wx, wh, b, reverse: bool, docs: int, out):
+    """Step one direction, write its states to out, and return its BPTT to (dwx, dwh, db, dx).
+
+    Operands keep the oracle's layouts (tests/extra_ops.py), as BLAS may sum others differently."""
+    d, r = x.shape[0], wh.shape[1]
+    n, step = x.shape[1] // docs, -1 if reverse else 1
+    # column s * docs + j of xs is the s-th token in stepping order of document j
+    xs = x.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
+    gates = (wx @ xs).reshape(4 * r, n, docs)
+    by_step = gates.transpose(1, 0, 2)  # [s]: step s's input projection, then i, f, g, o, then dz
+    c, h = np.zeros((2, n + 1, r, docs))  # c[s + 1], h[s + 1]: states after step s
+    zs = np.empty((4 * r, docs))  # one step's pre-activations, then its gates
+    z_if, z_g, z_o = zs[: 2 * r], zs[2 * r : 3 * r], zs[3 * r :]
+    i, f, g, o = zs.reshape(4, r, docs)
+    for s in range(n):
+        np.matmul(wh, h[s], out=zs)
+        zs += by_step[s]
+        zs += b
+        if not np.isfinite(zs).all():
+            raise NumericalError("lstm: non-finite gate pre-activation")
+        z_if[...] = _sigmoid(z_if)
+        np.tanh(z_g, out=z_g)
+        z_o[...] = _sigmoid(z_o)
+        by_step[s] = zs
+        c[s + 1] = f * c[s] + i * g
+        h[s + 1] = o * np.tanh(c[s + 1])
+    if not np.isfinite(c).all():
+        raise NumericalError("lstm: non-finite cell state")
+    out.reshape(r, docs, n)[...] = h[1:][::step].transpose(1, 2, 0)
+    saved = [xs, gates, c, h]
+
+    def bptt(grad):
+        xs, gates, c, h = saved
+        saved.clear()
         dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs
-        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k
-        # overwrites its gate in the stored buffer, and then dz overwrites k
-        i, f, g, o = gates.transpose(1, 0, 2, 3)
-        tc = np.tanh(c[1:])
-        dc_dh = o * (1.0 - tc * tc)
-        f_kept = f.copy()
-        o[...] = tc * o * (1.0 - o)
-        k2 = i * (1.0 - g * g)
-        i[...] = g * i * (1.0 - i)
+        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k overwrites its
+        # gate (n x r x docs views), with products in the oracle's order, and then dz overwrites k
+        i, f, g, o = gates.reshape(4, r, n, docs).transpose(0, 2, 1, 3)
+        f_kept, tc = f.copy(), np.tanh(c[1:])
+        dc_dh, k2 = o * (1.0 - tc * tc), i * (1.0 - g * g)
+        for a, y in ((tc, o), (g, i), (c[:-1], f)):  # y <- a * y * (1 - y)
+            a = a * y
+            np.subtract(1.0, y, out=y)
+            y *= a
         g[...] = k2
-        f[...] = c[:-1] * f * (1.0 - f)
-        del tc, k2
+        del tc, k2, c, a
         dh_next = dc_next = np.zeros((r, docs))
+        dz = np.empty((4 * r, docs))
+        k_c, k_h = gates[: 3 * r].reshape(3, r, n, docs).transpose(2, 0, 1, 3), gates[3 * r :]
+        dz_c, dz_h = dz[: 3 * r].reshape(3, r, docs), dz[3 * r :]
         for s in range(n - 1, -1, -1):
             dh = dh_out[s] + dh_next
             dc = dc_next + dh * dc_dh[s]
-            dz = gates[s]
-            dz[:3] *= dc
-            dz[3] *= dh
-            dh_next = wh.value.T @ dz.reshape(4 * r, docs)
+            np.multiply(k_c[s], dc, out=dz_c)
+            np.multiply(k_h[:, s], dh, out=dz_h)
+            dh_next = wh.T @ dz
             dc_next = dc * f_kept[s]
-        dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
-        wx.grad += dz @ xs.T
-        wh.grad += dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
-        b.grad += dz.sum(axis=1)[:, None]
-        x.grad += to_columns((wx.value.T @ dz).reshape(d, n, docs).transpose(1, 0, 2))
+            gates[:, s] = dz
+        del dc_dh, f_kept
+        dz = np.asarray(gates.reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
+        dwx, dwh = dz @ xs.T, dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
+        del xs, h
+        dx = (wx.T @ dz).reshape(d, n, docs)[:, ::step].transpose(0, 2, 1).reshape(d, docs * n)
+        return dwx, dwh, dz.sum(axis=1)[:, None], dx
 
-    return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
-
+    return bptt

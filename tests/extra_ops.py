@@ -1,8 +1,11 @@
-"""What only the tests need of the autograd: two graph ops and a gradient checker.
+"""What only the tests need of the autograd: graph ops, an LSTM oracle and a gradient checker.
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
 output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, and follow the op conventions of `laha.numeric`.
+each entry, and follow the op conventions of `laha.numeric`.  `lstm` is
+one LSTM direction as its own node, stepped serially, and
+`bilstm_oracle` composes two of them with `vconcat`: the reference that
+`numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
 `grad_check` pits `backward`'s gradients against central finite
 differences.
 """
@@ -13,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from laha.errors import NumericalError, ShapeError
-from laha.numeric import Node, _node, _same_shape, as_matrix, backward
+from laha.numeric import Node, _node, _same_shape, as_matrix, backward, sigmoid, vconcat
 
 
 def mul(a, b) -> Node:
@@ -36,6 +39,96 @@ def sum_all(a) -> Node:
         a.grad += g[0, 0]
 
     return Node(np.array([[a.value.sum()]]), (a,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# the Bi-LSTM oracle
+# ---------------------------------------------------------------------------
+
+
+def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
+    """One LSTM direction over `docs` equal-length documents as a single node.
+
+    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; wx
+    (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell and
+    output gates.  Each document is stepped over every column, from the
+    right when `reverse`, from zero hidden and cell states.  Returns the
+    r x (docs * n) hidden states in x's column order, column t of a
+    document being its state after reading token t.  Internal arrays keep
+    the documents on their last axis, so each step's recurrent product is
+    one GEMM over them, and one document makes the BLAS calls of an
+    unbatched LSTM.  wx @ x is one GEMM; the backward is hand-written BPTT
+    that overwrites the stored gates, so it runs once.  A non-finite
+    pre-activation or cell state raises NumericalError.
+    """
+    x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
+    r, d = wh.cols, x.rows
+    if (wx.rows, wh.rows, b.value.shape, wx.cols) != (4 * r, 4 * r, (4 * r, 1), d):
+        raise ShapeError(
+            f"lstm: wx {wx.value.shape}, wh {wh.value.shape}, b {b.value.shape} "
+            f"do not fit input {x.value.shape}"
+        )
+    if docs < 1 or x.cols % docs:
+        raise ShapeError(f"lstm: {x.cols} columns do not split into {docs} documents")
+    n, step = x.cols // docs, -1 if reverse else 1
+    # column s * docs + j of xs is the s-th token in stepping order of document j
+    xs = x.value.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
+    z = (wx.value @ xs).reshape(4 * r, n, docs).transpose(1, 0, 2).copy()  # n x 4r x docs
+    gates = np.empty((n, 4, r, docs))               # i, f, g, o per step
+    c, h = np.zeros((2, n + 1, r, docs))            # c[s + 1], h[s + 1]: states after step s
+    for s in range(n):
+        zs = z[s]
+        zs += wh.value @ h[s]
+        zs += b.value
+        gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r, docs)
+        gates[s, 2] = np.tanh(zs[2 * r : 3 * r])
+        gates[s, 3] = sigmoid(zs[3 * r :])
+        i, f, g, o = gates[s]
+        c[s + 1] = f * c[s] + i * g
+        h[s + 1] = o * np.tanh(c[s + 1])
+    if not (np.isfinite(z).all() and np.isfinite(c).all()):
+        raise NumericalError("lstm: non-finite gate pre-activation or cell state")
+
+    def to_columns(a):  # stepping-order (n, rows, docs) -> rows x (docs * n) input order
+        return a[::step].transpose(1, 2, 0).reshape(a.shape[1], docs * n)
+
+    def bwd(grad):
+        dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs
+        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k
+        # overwrites its gate in the stored buffer, and then dz overwrites k
+        i, f, g, o = gates.transpose(1, 0, 2, 3)
+        tc = np.tanh(c[1:])
+        dc_dh = o * (1.0 - tc * tc)
+        f_kept = f.copy()
+        o[...] = tc * o * (1.0 - o)
+        k2 = i * (1.0 - g * g)
+        i[...] = g * i * (1.0 - i)
+        g[...] = k2
+        f[...] = c[:-1] * f * (1.0 - f)
+        del tc, k2
+        dh_next = dc_next = np.zeros((r, docs))
+        for s in range(n - 1, -1, -1):
+            dh = dh_out[s] + dh_next
+            dc = dc_next + dh * dc_dh[s]
+            dz = gates[s]
+            dz[:3] *= dc
+            dz[3] *= dh
+            dh_next = wh.value.T @ dz.reshape(4 * r, docs)
+            dc_next = dc * f_kept[s]
+        dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
+        wx.grad += dz @ xs.T
+        wh.grad += dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
+        b.grad += dz.sum(axis=1)[:, None]
+        x.grad += to_columns((wx.value.T @ dz).reshape(d, n, docs).transpose(1, 0, 2))
+
+    return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
+
+
+def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1):
+    """(H_f, H_b, H) as two `lstm` nodes and their `vconcat`, the forward direction first."""
+    h_fwd = lstm(x, wx_f, wh_f, b_f, docs=docs)
+    h_bwd = lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs)
+    return h_fwd, h_bwd, vconcat([h_fwd, h_bwd])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laha import numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
@@ -22,6 +24,9 @@ from laha.model import (
     wrap_params,
 )
 from laha.numeric import Node
+from laha.training import bce_loss
+
+from extra_ops import bilstm_oracle
 
 
 def _cfg(k=4, max_len=4, d=5, r=3, d_a=3):
@@ -97,7 +102,7 @@ def test_lstm_single_step_scalar_oracle():
 
 
 def _reference_lstm(x, wx, wh, b):
-    """Per-step LSTM in plain numpy: the oracle for the fused `nm.lstm`."""
+    """Per-step LSTM in plain numpy: the oracle for each direction of `nm.bilstm`."""
     r = wh.shape[1]
     h, c = np.zeros((r, 1)), np.zeros((r, 1))
     out = []
@@ -518,6 +523,35 @@ def test_forward_batch_matches_forward_per_document(variant, dims):
         alone = forward(ids, mask, wrap_params(params), lv, subset, variant)
         assert trace.subset == subset and trace.h.value.shape == (2 * cfg.r, cfg.max_len)
         np.testing.assert_allclose(trace.logits.value, alone.logits.value, rtol=0, atol=1e-12)
+
+
+def _batch_gradients(params, lv, batch, variant, encoder):
+    """Parameter gradients of the batch's mean BCE loss, the Bi-LSTM built by `encoder`."""
+    rows, masks, subsets = batch
+    pn = wrap_params(params)
+    with mock.patch("laha.model.bilstm_forward", encoder):
+        traces = forward_batch(rows, masks, pn, lv, subsets, variant)
+    targets = [np.arange(len(t.subset)) % 2 for t in traces]
+    nm.backward(bce_loss([t.logits for t in traces], targets))
+    return {name: node.grad for name, node in pn.items()}
+
+
+@pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
+@pytest.mark.parametrize("docs", [1, 3])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(r=st.integers(1, 40), d=st.integers(1, 12), d_a=st.integers(1, 8),
+       k=st.integers(1, 6), max_len=st.integers(1, 12), threaded=st.booleans())
+def test_forward_batch_gradients_are_bit_identical_to_the_two_lstm_oracle(
+        variant, docs, r, d, d_a, k, max_len, threaded):
+    cfg = ModelConfig(k=k, max_len=max_len, d=d, r=r, d_a=d_a)
+    params, lv = _params(cfg, vocab_size=11), _label_vectors(cfg)
+    batch = _batch(cfg, 11, docs, seed=r + d + k)
+    with mock.patch.object(nm, "_WORKER_MIN", 0 if threaded else math.inf), \
+            mock.patch.object(nm.os, "sched_getaffinity", lambda pid: {0, 1}):
+        got = _batch_gradients(params, lv, batch, variant, bilstm_forward)
+    want = _batch_gradients(params, lv, batch, variant, bilstm_oracle)
+    for name in param_table(cfg, 11):
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 def test_forward_batch_rejects_ragged_or_mismatched_batches():

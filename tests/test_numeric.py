@@ -1,10 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from laha import numeric
-from laha.errors import DegenerateInputError, NumericalError, ShapeError
+from laha.errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 from laha.numeric import (
     Node,
     activate,
@@ -12,14 +13,15 @@ from laha.numeric import (
     add_colvec,
     backward,
     bce_with_logits,
+    bilstm,
     const_minus,
     div,
-    lstm,
     matmul,
     matmul_chain,
     scale,
     scale_cols,
     slice_cols,
+    slice_rows,
     softmax_columns,
     sum_nodes,
     take_rows,
@@ -27,7 +29,7 @@ from laha.numeric import (
     vconcat,
 )
 
-from extra_ops import grad_check, mul, sum_all
+from extra_ops import bilstm_oracle, grad_check, lstm, mul, sum_all
 
 
 def test_matmul_identity():
@@ -110,6 +112,19 @@ def test_activation_values():
     assert activate(np.zeros((1, 1)), "sigmoid").value[0, 0] == 0.5
     assert activate(np.array([[-3.2]]), "relu").value[0, 0] == 0.0
     with pytest.raises(ValueError):
+        activate(np.zeros((1, 1)), "gelu")
+
+
+def test_sigmoid_is_bit_identical_to_dividing_each_branch():
+    # the two-branch form 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|)
+    x = np.concatenate([np.random.default_rng(5).normal(scale=s, size=2000) for s in (0.1, 10, 800)]
+                       + [np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])])
+    e = np.exp(-np.abs(x))
+    np.testing.assert_array_equal(numeric.sigmoid(x), np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
+
+
+def test_unknown_activation_kind_raises_validation_error():
+    with pytest.raises(ValidationError, match="gelu"):
         activate(np.zeros((1, 1)), "gelu")
 
 
@@ -333,6 +348,132 @@ def test_grad_lstm_two_documents(trial, reverse):
 def test_lstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
     with pytest.raises(ShapeError, match="documents"):
         lstm(np.ones((2, cols)), np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)), docs=docs)
+
+
+BILSTM_WEIGHTS = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")
+
+
+def _bilstm_arrays(rng, d, r, n, docs, scale=1.0):
+    """x (d x docs * n), then each direction's wx, wh, b, drawn from [-scale, scale]."""
+    shapes = [(d, docs * n)] + [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2
+    return dict(zip(("x", *BILSTM_WEIGHTS), (_rand(rng, s, -scale, scale) for s in shapes)))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report CPUs 0 and 1 as usable, so a large enough `bilstm` takes a worker thread."""
+    monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started during the test, recorded in a list."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return threads
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("docs", [1, 2])
+def test_grad_bilstm(monkeypatch, two_cpus, started, docs, threaded):
+    monkeypatch.setattr(numeric, "_WORKER_MIN", 0 if threaded else math.inf)
+    rng = np.random.default_rng(680 + docs)
+    params = _bilstm_arrays(rng, 3, 2, 4, docs)
+    params["x"] *= 2.0
+    w = _rand(rng, (4, docs * 4))
+    _check(lambda p: sum_all(mul(bilstm(p["x"], *(p[k] for k in BILSTM_WEIGHTS), docs), w)),
+           params)
+    assert bool(started) is threaded
+
+
+@pytest.mark.parametrize("d, r, n, docs", [(5, 3, 6, 3), (20, 256, 5, 1), (30, 160, 4, 3)])
+def test_bilstm_is_bit_identical_to_two_lstm_nodes(two_cpus, d, r, n, docs):
+    rng = np.random.default_rng(d + r + n + docs)
+    arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
+    w = rng.normal(size=(2 * r, docs * n))
+    got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
+    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)[2]
+    np.testing.assert_array_equal(node.value, h.value)
+    backward(sum_all(mul(node, w)))
+    backward(sum_all(mul(h, w)))
+    for k in arrays:
+        np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+
+
+@pytest.mark.parametrize("cols, docs", [(5, 2), (4, 0), (3, 4)])
+def test_bilstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
+    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
+    with pytest.raises(ShapeError, match="documents"):
+        bilstm(np.ones((2, cols)), *w, *w, docs=docs)
+
+
+def test_bilstm_rejects_a_direction_that_does_not_fit():
+    fits, wide = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1))), np.ones((4, 3))
+    with pytest.raises(ShapeError):
+        bilstm(np.ones((2, 3)), *fits, wide, *fits[1:])
+
+
+def test_bilstm_joins_its_worker_after_a_forward_and_a_backward(two_cpus, started):
+    before = threading.active_count()
+    arrays = _bilstm_arrays(np.random.default_rng(0), 6, 256, 3, 1, 0.1)
+    node = bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
+    assert threading.active_count() == before
+    backward(sum_all(node))
+    assert threading.active_count() == before
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("direction", ["_f", "_b"])
+def test_bilstm_overflow_in_either_direction_raises_on_the_caller(two_cpus, started, direction):
+    # wx @ x and b are each 1e308 in one direction only, so its first pre-activation is inf;
+    # the worker must see the caller's errstate, or the overflow warning would raise instead
+    arrays = _bilstm_arrays(np.random.default_rng(1), 6, 256, 3, 1, 0.1)
+    arrays["x"][:] = 1.0 / 6
+    arrays["wx" + direction][:] = arrays["b" + direction][:] = 1e308
+    before = threading.active_count()
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="pre-activation"):
+        bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
+    assert threading.active_count() == before
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+@pytest.mark.parametrize("r, docs, cpus, threads", [
+    (32, 1, {0, 1}, 0),         # aapd-quality: r = 32, one document per batch
+    (256, 16, {0}, 0),          # aapd-train with one usable CPU
+    (256, 16, {0, 1}, 2),       # aapd-train: r = 256, 16 documents per batch
+    (256, 1, {0, 1}, 2),        # eurlex-score: r = 256, one document at a time
+    (128, 2, {0, 1, 2, 3}, 0),
+])
+def test_bilstm_takes_a_worker_only_at_large_shapes_with_two_cpus(
+        monkeypatch, started, r, docs, cpus, threads):
+    monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus)
+    arrays = _bilstm_arrays(np.random.default_rng(2), 1, r, 1, docs, 0.1)
+    backward(sum_all(bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS), docs)))
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_grad_slice_rows(trial):
+    rng = np.random.default_rng(720 + trial)
+    a = _rand(rng, (5, 3))
+    w = _rand(rng, (2, 3))
+    _check(lambda p: add(sum_all(mul(slice_rows(p["a"], 1, 3), w)),
+                         sum_all(activate(slice_rows(p["a"], 2, 5), "tanh"))), {"a": a})
+
+
+def test_slice_rows_is_a_view_and_bad_ranges_raise():
+    a = Node(np.arange(6.0).reshape(3, 2))
+    assert np.shares_memory(slice_rows(a, 0, 3).value, a.value)
+    for lo, hi in [(1, 1), (2, 1), (-1, 2), (0, 4)]:
+        with pytest.raises(ShapeError):
+            slice_rows(a, lo, hi)
 
 
 @pytest.mark.parametrize("trial", range(10))
