@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Corpus, Document
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 DEFAULT_TAUS = (1, 3, 5)
 
@@ -62,10 +62,7 @@ def _validated_ranking(scores: np.ndarray, truth: set[int], tau: int) -> np.ndar
         raise ValidationError("scores must be finite")
     if not truth:
         raise ValidationError("ground-truth label set must be nonempty")
-    if tau < 1:
-        raise ValidationError("tau must be >= 1")
-    if tau > scores.size:
-        raise ValidationError(f"tau {tau} exceeds label count {scores.size}")
+    check_int("tau", tau, 1, scores.size + 1)
     for label in truth:
         if not (0 <= label < scores.size):
             raise ValidationError(f"truth label {label} outside score range")
@@ -142,9 +139,9 @@ def evaluate(
     """
     if not test_corpus:
         raise ValidationError("test corpus must be nonempty")
+    for t in taus:
+        check_int("tau", t, 1)
     taus = sorted(set(int(t) for t in taus))
-    if any(t < 1 for t in taus):
-        raise ValidationError("every tau must be >= 1")
     keys = [f"P@{t}" for t in taus] + [f"nDCG@{t}" for t in taus]
     all_scores = [np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus]
     k = all_scores[0].size if k is None else k

@@ -1,26 +1,27 @@
 """Label-aware document representation via hybrid attention.
 
 Pipeline per document: token embeddings (d x n) run through a Bi-LSTM
-giving forward/backward context matrices H_f, H_b (r x n each) stacked
-into H (2r x n).  Two attention routes score every word against every
-label: a content route tanh(W_s1 H) scored by per-label rows of W_s2, and
-an interaction route matching (H_f + H_b) against projected label vectors
-W_q L.  Each route yields an n x k' attention matrix A (a softmax over
-words per label).  A learned gate mixes the two per label, and a small
-feed-forward head turns each column of the paper's mixed context
-H (alpha A_s + beta A_i) into a logit.  The 2r x k' contexts H A are
-never built: every product of three matrices goes through
-`numeric.matmul_chain`, which takes the cheaper association.  The model
-yields logits, and a non-finite logit raises NumericalError, since every
-score and loss passes through them; the sigmoid is applied only by
-`ForwardTrace.scores()`, and training feeds the logits straight to
-`numeric.bce_with_logits`.  The parameters are the arrays `param_table`
-lists, the one place their names, shapes and order are written down.
+giving H = [H_f; H_b] (2r x n), the forward context states (r x n) over
+the backward ones, as one node.  Two attention routes score every word
+against every label: a content route tanh(W_s1 H) scored by per-label
+rows of W_s2, and an interaction route matching H_f + H_b, summed from
+H's halves, against projected label vectors W_q L.  Each route yields an
+n x k' attention matrix A (a softmax over words per label).  A learned
+gate mixes the two per label, and a small feed-forward head turns each
+column of the paper's mixed context H (alpha A_s + beta A_i) into a
+logit.  The 2r x k' contexts H A are never built: every product of three
+matrices goes through `numeric.matmul_chain`, which takes the cheaper
+association.  The model yields logits, and a non-finite logit raises
+NumericalError, since every score and loss passes through them; the
+sigmoid is applied only by `ForwardTrace.scores()`, and training feeds
+the logits straight to `numeric.bce_with_logits`.  The parameters are
+the arrays `param_table` lists, the one place their names, shapes and
+order are written down.
 
-`forward_batch` runs equal-length documents through one embedding gather
-and one Bi-LSTM node (both directions, the documents side by side as
-column blocks), then the rest per document on its column slice of
-H_f, H_b and H; `forward` is a batch of one.
+`forward_batch` checks its inputs, then runs equal-length documents
+through one embedding gather and one Bi-LSTM node (both directions, the
+documents side by side as column blocks), then the rest per document on
+its column slice of H; `forward` is a batch of one.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -138,22 +139,19 @@ class ForwardTrace:
         return nm.sigmoid(self.logits.value).ravel()
 
 
-def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1):
-    """Run both LSTM directions over embedded tokens in one `numeric.bilstm` node.
+def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """Run both LSTM directions over embedded tokens: H, one `numeric.bilstm` node.
 
     `embedded` is d x (docs * n), document j in columns j*n ... j*n + n - 1.
-    Returns (H_f, H_b, H) in its column order: r-row forward and backward
-    states (column t = state after reading token t from the right) and
-    their 2r-row stack, each document from zero states.  Padded positions
-    are stepped too, so the backward direction starts at a document's last
-    column whatever the padding.  At large shapes, with two usable CPUs,
-    the node steps the reverse direction on a worker thread that touches no
-    Node.  H_f and H_b are row views of the node; H stacks them again, so
-    each entry of the node's gradient sums just two terms, in any order.
+    Returns H = [H_f; H_b], 2r x (docs * n) in that column order: the
+    forward states over the backward ones (column t = state after reading
+    token t from the right), each document from zero states.  Padded
+    positions are stepped too, so the backward direction starts at a
+    document's last column whatever the padding.  At large shapes, with two
+    usable CPUs, the node steps the reverse direction on a worker thread
+    that touches no Node.
     """
-    both = nm.bilstm(embedded, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs)
-    h_fwd, h_bwd = (nm.slice_rows(both, lo, lo + both.rows // 2) for lo in (0, both.rows // 2))
-    return h_fwd, h_bwd, nm.vconcat([h_fwd, h_bwd])
+    return nm.bilstm(embedded, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs)
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
@@ -162,31 +160,23 @@ def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     Returns A_s, n x k' column-stochastic attention over unmasked words;
     the paper's per-label context matrix is C_s = H @ A_s.
     """
-    subset = _valid_subset(subset, w_s2.rows)
     t = nm.activate(nm.matmul(w_s1, h), "tanh")
     scores = nm.matmul(nm.take_rows(w_s2, subset), t)          # k' x n
     return nm.softmax_columns(nm.transpose(scores), mask)      # n x k'
 
 
 def interaction_attention(
-    h_fwd: Node, h_bwd: Node, label_vectors: np.ndarray, w_q,
-    subset: Sequence[int], mask,
+    h: Node, label_vectors: np.ndarray, w_q, subset: Sequence[int], mask,
 ) -> Node:
     """Structure attention: words match projected label vectors.
 
-    The matching score for word t and label j is (H_f + H_b)[:, t] . Q[:, j]
-    with Q = W_q L over the subset: the block form [H_f^T H_b^T][Q; Q]
-    collapsed, built by `matmul_chain`.  Returns A_i, the n x k' softmax
-    over words; the paper's context matrix is C_i = [H_f; H_b] @ A_i.
+    With H = [H_f; H_b], the matching score for word t and label j is
+    H[:, t] . [Q; Q][:, j], Q = W_q L over the subset: the block form
+    [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q (`add_halves`) and
+    built by `matmul_chain`.  Returns A_i, the n x k' softmax over words;
+    the paper's context matrix is C_i = H @ A_i.
     """
-    label_vectors = np.asarray(label_vectors, dtype=np.float64)
-    if label_vectors.ndim != 2 or label_vectors.shape[0] != w_q.cols:
-        raise ShapeError(
-            f"label embedding must be ({w_q.cols}, k), got {label_vectors.shape}"
-        )
-    subset = _valid_subset(subset, label_vectors.shape[1])
-    summed = nm.add(h_fwd, h_bwd)                              # r x n
-    match = nm.matmul_chain(nm.transpose(summed), w_q, label_vectors[:, subset])
+    match = nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, label_vectors[:, subset])
     return nm.softmax_columns(match, mask)                     # n x k'
 
 
@@ -199,11 +189,6 @@ def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
     Returns (mix, alpha, beta): column j of mix is alpha_j A_s[:, j] +
     beta_j A_i[:, j], so H @ mix is the mixed context alpha C_s + beta C_i.
     """
-    if a_s.value.shape != a_i.value.shape:
-        raise ShapeError(
-            f"fuse: attention shapes {a_s.value.shape} and "
-            f"{a_i.value.shape} differ"
-        )
     raw_a = nm.activate(nm.add_colvec(nm.matmul_chain(f1_w, h, a_s), f1_b), "sigmoid")
     raw_b = nm.activate(nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b), "sigmoid")
     alpha = nm.div(raw_a, nm.add(raw_a, raw_b))
@@ -233,12 +218,15 @@ def forward_batch(
 ) -> list[ForwardTrace]:
     """Full pass over equal-length encoded documents, each with its label subset.
 
-    One embedding gather and one `bilstm_forward` call step every document;
-    attention, fuse and predict then run per document on its column slice
-    of the Bi-LSTM states.  Returns one trace per document, in order.
+    The one place the model's inputs are checked.  One embedding gather and
+    one `bilstm_forward` call step every document; attention, fuse and
+    predict then run per document on its column slice of H.  Returns one
+    trace per document, in order.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant != "sa" and label_vectors is None:
+        raise ValidationError(f"variant {variant!r} needs a label embedding")
     docs = len(token_rows)
     if docs == 0 or len(masks) != docs or len(subsets) != docs:
         raise ShapeError(f"{docs} token rows, {len(masks)} masks, {len(subsets)} label subsets")
@@ -254,30 +242,26 @@ def forward_batch(
             raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
 
     embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], np.concatenate(token_rows)))
-    states = bilstm_forward(
+    h = bilstm_forward(
         embedded,
         param_nodes["lstm_wx_f"], param_nodes["lstm_wh_f"], param_nodes["lstm_b_f"],
         param_nodes["lstm_wx_b"], param_nodes["lstm_wh_b"], param_nodes["lstm_b_b"],
         docs=docs,
     )
     return [
-        _attend(*(nm.slice_cols(a, j * n, (j + 1) * n) for a in states),
-                mask, param_nodes, label_vectors, subset, variant)
+        _attend(nm.slice_cols(h, j * n, (j + 1) * n), mask, param_nodes, label_vectors,
+                subset, variant)
         for j, (mask, subset) in enumerate(zip(masks, subsets))
     ]
 
 
-def _attend(h_fwd, h_bwd, h, mask, param_nodes, label_vectors, subset, variant):
-    """Attention routes, gate and head of one document over its Bi-LSTM states."""
+def _attend(h, mask, param_nodes, label_vectors, subset, variant):
+    """Attention routes, gate and head of one document over its Bi-LSTM states H."""
     attn_self = attn_inter = None
     if variant != "ia":
         attn_self = self_attention(h, param_nodes["w_s1"], param_nodes["w_s2"], subset, mask)
     if variant != "sa":
-        if label_vectors is None:
-            raise ValidationError(f"variant {variant!r} needs a label embedding")
-        attn_inter = interaction_attention(
-            h_fwd, h_bwd, label_vectors, param_nodes["w_q"], subset, mask
-        )
+        attn_inter = interaction_attention(h, label_vectors, param_nodes["w_q"], subset, mask)
 
     if variant == "laha":
         mix, alpha, beta = fuse(

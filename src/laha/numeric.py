@@ -13,16 +13,18 @@ not raise; with finite leaves it is an overflow near 1e308 that a later
 op absorbs (a masked softmax row, tanh or relu of +-inf).  The loss is
 one fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
 probabilities on plain arrays, outside the graph.  `bilstm` runs both
-LSTM directions over a batch of documents as one node: a GEMM per
-direction projects every token, the step loops keep only the recurrent
-GEMM and the gate math, and the backward is hand-written BPTT.  From
-r * r * docs = `_WORKER_MIN` on, with two usable CPUs, a worker thread
-steps the reverse direction in both passes: it touches no Node, runs in
-a copy of the caller's context (numpy's error state) and is joined
-before the node returns or raises.  That overlap assumes BLAS on one
-thread; with two, the serial loops are faster.  A backward pass consumes
-its graph: it overwrites `bilstm`'s stored gates, and it releases each
-op node's gradient once passed on, so only the leaves keep theirs.
+LSTM directions over a batch of documents as one node, whose value is
+the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from it): a
+GEMM per direction projects every token, the step loops keep only the
+recurrent GEMM and the gate math, and the backward is hand-written
+BPTT.  From r * r * docs = `_WORKER_MIN` on, with two usable CPUs, a
+worker thread steps the reverse direction in both passes: it touches no
+Node, runs in a copy of the caller's context (numpy's error state) and
+is joined before the node returns or raises.  That overlap assumes BLAS
+on one thread; with two, the serial loops are faster.  A backward pass
+consumes its graph: it overwrites `bilstm`'s stored gates and releases
+them, so a second sweep raises ValidationError, and it releases each op
+node's gradient once passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ def backward(root: Node) -> None:
 
     Gradients accumulate into every reachable leaf exactly once.  Each
     op node's gradient is released as soon as its own backward has run,
-    and an `lstm` node overwrites its stored gates, so the graph cannot
-    be swept again: build a fresh one for every call.
+    and a `bilstm` node releases its stored arrays, so the graph cannot be
+    swept again (a second sweep through a `bilstm` node raises
+    ValidationError): build a fresh one for every call.
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 scalar root, got {root.value.shape}")
@@ -222,24 +225,6 @@ def transpose(a) -> Node:
     return Node(a.value.T, (a,), bwd)
 
 
-def vconcat(parts: Sequence) -> Node:
-    """Stack blocks vertically (same column count)."""
-    nodes = [_node(p) for p in parts]
-    if not nodes:
-        raise ShapeError("vconcat of zero blocks")
-    cols = nodes[0].cols
-    for n in nodes:
-        if n.cols != cols:
-            raise ShapeError(f"vconcat: column counts differ ({n.cols} vs {cols})")
-    offsets = np.cumsum([0] + [n.rows for n in nodes])
-
-    def bwd(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            n.grad += g[lo:hi, :]
-
-    return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), bwd)
-
-
 def slice_cols(a, lo: int, hi: int) -> Node:
     """Columns lo .. hi - 1 of a, as a view; the full range returns a itself."""
     a = _node(a)
@@ -254,9 +239,18 @@ def slice_cols(a, lo: int, hi: int) -> Node:
     return Node(a.value[:, lo:hi], (a,), bwd)
 
 
-def slice_rows(a, lo: int, hi: int) -> Node:
-    """Rows lo .. hi - 1 of a, as a view: `slice_cols` between two transposes."""
-    return transpose(slice_cols(transpose(a), lo, hi))
+def add_halves(a) -> Node:
+    """Top half of a's rows plus its bottom half: a[:r] + a[r:] for 2r rows."""
+    a = _node(a)
+    if a.rows % 2:
+        raise ShapeError(f"add_halves: {a.rows} rows do not split into two halves")
+    r = a.rows // 2
+
+    def bwd(g):
+        a.grad[:r] += g
+        a.grad[r:] += g
+
+    return Node(a.value[:r] + a.value[r:], (a,), bwd)
 
 
 def take_rows(a, indices) -> Node:
@@ -473,6 +467,8 @@ def _lstm(x, wx, wh, b, reverse: bool, docs: int, out):
     saved = [xs, gates, c, h]
 
     def bptt(grad):
+        if not saved:
+            raise ValidationError("bilstm: the graph was already swept; build a fresh one")
         xs, gates, c, h = saved
         saved.clear()
         dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs

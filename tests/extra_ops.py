@@ -2,21 +2,21 @@
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
 output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, and follow the op conventions of `laha.numeric`.  `lstm` is
-one LSTM direction as its own node, stepped serially, and
-`bilstm_oracle` composes two of them with `vconcat`: the reference that
-`numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
-`grad_check` pits `backward`'s gradients against central finite
-differences.
+each entry, and `vconcat` stacks blocks; all three follow the op
+conventions of `laha.numeric`.  `lstm` is one LSTM direction as its own
+node, stepped serially, and `bilstm_oracle` stacks two of them with
+`vconcat` into H: the reference that `numeric.bilstm` and
+`model.bilstm_forward` must match bit for bit.  `grad_check` pits
+`backward`'s gradients against central finite differences.
 """
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from laha.errors import NumericalError, ShapeError
-from laha.numeric import Node, _node, _same_shape, as_matrix, backward, sigmoid, vconcat
+from laha.numeric import Node, _node, _same_shape, as_matrix, backward, sigmoid
 
 
 def mul(a, b) -> Node:
@@ -39,6 +39,24 @@ def sum_all(a) -> Node:
         a.grad += g[0, 0]
 
     return Node(np.array([[a.value.sum()]]), (a,), bwd)
+
+
+def vconcat(parts: Sequence) -> Node:
+    """Stack blocks vertically (same column count)."""
+    nodes = [_node(p) for p in parts]
+    if not nodes:
+        raise ShapeError("vconcat of zero blocks")
+    cols = nodes[0].cols
+    for n in nodes:
+        if n.cols != cols:
+            raise ShapeError(f"vconcat: column counts differ ({n.cols} vs {cols})")
+    offsets = np.cumsum([0] + [n.rows for n in nodes])
+
+    def bwd(g):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            n.grad += g[lo:hi, :]
+
+    return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +142,10 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
     return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
 
 
-def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1):
-    """(H_f, H_b, H) as two `lstm` nodes and their `vconcat`, the forward direction first."""
-    h_fwd = lstm(x, wx_f, wh_f, b_f, docs=docs)
-    h_bwd = lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs)
-    return h_fwd, h_bwd, vconcat([h_fwd, h_bwd])
+def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """H as the `vconcat` of two `lstm` nodes, the forward direction first."""
+    return vconcat([lstm(x, wx_f, wh_f, b_f, docs=docs),
+                    lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs)])
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,11 @@ def test_metric_validation_errors():
         precision_at_k(np.array([0.1, 0.2]), {0}, 3)
     with pytest.raises(ValidationError):
         ndcg_at_k(np.array([0.1, 0.2]), {5}, 1)
+    for tau in (0, 1.5, True, "1"):  # int() would truncate 1.5 to P@1 and read True as 1
+        with pytest.raises(ValidationError, match="tau"):
+            precision_at_k(np.array([0.1, 0.2]), {0}, tau)
+        with pytest.raises(ValidationError, match="tau"):
+            ndcg_at_k(np.array([0.1, 0.2]), {0}, tau)
 
 
 def test_precision_at_k_rejects_non_finite_scores():
@@ -263,6 +268,13 @@ def test_evaluate_label_space_mismatch():
     docs = [Document("d", ["x"], {7})]
     with pytest.raises(ValidationError):
         evaluate(_score_fn_from_table({"d": np.zeros(3)}), docs, taus=(1,), k=3)
+
+
+@pytest.mark.parametrize("taus", [(0,), (1.5, 2.9), (True,), (1, "3")])
+def test_evaluate_rejects_non_integer_or_non_positive_taus(taus):
+    docs = [Document("d", ["x"], {0})]
+    with pytest.raises(ValidationError, match="tau"):
+        evaluate(_score_fn_from_table({"d": np.arange(3.0)}), docs, taus=taus, k=3)
 
 
 def test_evaluate_macro_average_against_brute_force():

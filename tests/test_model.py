@@ -63,7 +63,7 @@ def test_bilstm_zero_weights_zero_states():
     r, d, n = cfg.r, cfg.d, 4
     zeros = lambda *s: Node(np.zeros(s))
     emb = Node(np.random.default_rng(0).normal(size=(d, n)))
-    h_fwd, h_bwd, h = bilstm_forward(
+    h = bilstm_forward(
         emb,
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
@@ -77,7 +77,7 @@ def test_bilstm_output_shape():
     pn = wrap_params(params)
     n = 6
     emb = Node(np.random.default_rng(1).normal(size=(cfg.d, n)))
-    _, _, h = bilstm_forward(
+    h = bilstm_forward(
         emb, pn["lstm_wx_f"], pn["lstm_wh_f"], pn["lstm_b_f"],
         pn["lstm_wx_b"], pn["lstm_wh_b"], pn["lstm_b_b"],
     )
@@ -97,8 +97,8 @@ def test_lstm_single_step_scalar_oracle():
     wh = Node(np.zeros((4, 1)))
     b = Node(np.array([[bi], [bf], [bg], [bo]]))
     emb = Node(np.array([[e]]))
-    h_fwd, _, _ = bilstm_forward(emb, wx, wh, b, wx, wh, b)
-    assert h_fwd.value[0, 0] == pytest.approx(h_hand, abs=1e-12)
+    h = bilstm_forward(emb, wx, wh, b, wx, wh, b)
+    assert h.value[0, 0] == pytest.approx(h_hand, abs=1e-12)
 
 
 def _reference_lstm(x, wx, wh, b):
@@ -125,12 +125,27 @@ def test_bilstm_matches_per_step_reference(d, r, n):
         weights += [rng.uniform(-limit, limit, size=(4 * r, d)),
                     rng.uniform(-limit, limit, size=(4 * r, r)),
                     rng.normal(scale=0.5, size=(4 * r, 1))]
-    h_fwd, h_bwd, h = bilstm_forward(Node(x), *map(Node, weights))
+    h = bilstm_forward(Node(x), *map(Node, weights))
     ref_fwd = _reference_lstm(x, *weights[:3])
     ref_bwd = _reference_lstm(x[:, ::-1], *weights[3:])[:, ::-1]
-    np.testing.assert_allclose(h_fwd.value, ref_fwd, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(h_bwd.value, ref_bwd, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(h.value, np.vstack([h_fwd.value, h_bwd.value]))
+    assert h.value.shape == (2 * r, n)
+    np.testing.assert_allclose(h.value[:r], ref_fwd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h.value[r:], ref_bwd, rtol=0, atol=1e-12)
+
+
+def test_bilstm_forward_hands_the_bilstm_node_itself_to_the_trace():
+    # one document: H is the `nm.bilstm` node, and its trace reads it without a copy
+    cfg = _cfg()
+    built, bilstm = [], nm.bilstm
+
+    def recording_bilstm(*args):
+        built.append(bilstm(*args))
+        return built[-1]
+
+    with mock.patch.object(nm, "bilstm", recording_bilstm):
+        trace = _forward(cfg, _params(cfg), _label_vectors(cfg), "laha")
+    assert len(built) == 1 and trace.h is built[0]
+    assert np.shares_memory(trace.h.value, built[0].value)
 
 
 def test_forward_node_count_independent_of_max_len(monkeypatch):
@@ -181,23 +196,15 @@ def test_self_attention_columns_normalized():
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(3), atol=1e-9)
 
 
-def test_self_attention_empty_subset():
-    cfg = _cfg()
-    pn = wrap_params(_params(cfg))
-    h = Node(np.ones((2 * cfg.r, 2)))
-    with pytest.raises(ValidationError):
-        self_attention(h, pn["w_s1"], pn["w_s2"], [], np.ones(2, bool))
-
-
 def test_interaction_attention_identity_oracle():
     # H_f = H_b = I (r = n), W_q = I, label vector = e_1: the match scores
     # are (I + I)^T e_1 = 2 e_1, so attention = softmax([2, 0, 0])
     n = 3
-    eye = Node(np.eye(n))
+    h = Node(np.vstack([np.eye(n), np.eye(n)]))
     w_q = Node(np.eye(n))
     label_vectors = np.zeros((n, 2))
     label_vectors[0, 0] = 1.0
-    attn = interaction_attention(eye, eye, label_vectors, w_q, [0], np.ones(n, bool))
+    attn = interaction_attention(h, label_vectors, w_q, [0], np.ones(n, bool))
     e = np.exp(np.array([2.0, 0.0, 0.0]))
     np.testing.assert_allclose(attn.value[:, 0], e / e.sum(), atol=1e-12)
 
@@ -206,12 +213,13 @@ def test_interaction_attention_single_word():
     cfg = _cfg()
     pn = wrap_params(_params(cfg))
     rng = np.random.default_rng(5)
-    h_fwd = Node(rng.normal(size=(cfg.r, 1)))
-    h_bwd = Node(rng.normal(size=(cfg.r, 1)))
+    h_fwd = rng.normal(size=(cfg.r, 1))
+    h_bwd = rng.normal(size=(cfg.r, 1))
     lv = _label_vectors(cfg)
-    attn = interaction_attention(h_fwd, h_bwd, lv, pn["w_q"], [0, 1, 2], [True])
-    ctx = np.vstack([h_fwd.value, h_bwd.value]) @ attn.value
-    h1 = np.concatenate([h_fwd.value[:, 0], h_bwd.value[:, 0]])
+    attn = interaction_attention(Node(np.vstack([h_fwd, h_bwd])), lv, pn["w_q"], [0, 1, 2],
+                                 [True])
+    ctx = np.vstack([h_fwd, h_bwd]) @ attn.value
+    h1 = np.concatenate([h_fwd[:, 0], h_bwd[:, 0]])
     for j in range(3):
         np.testing.assert_allclose(ctx[:, j], h1, atol=1e-12)
 
@@ -221,11 +229,11 @@ def test_interaction_attention_columns_normalized():
     pn = wrap_params(_params(cfg))
     rng = np.random.default_rng(6)
     n = 5
-    h_fwd = Node(rng.normal(size=(cfg.r, n)))
-    h_bwd = Node(rng.normal(size=(cfg.r, n)))
+    h_fwd = rng.normal(size=(cfg.r, n))
+    h_bwd = rng.normal(size=(cfg.r, n))
     mask = np.array([True, True, False, True, True])
     attn = interaction_attention(
-        h_fwd, h_bwd, _label_vectors(cfg), pn["w_q"], [0, 3], mask
+        Node(np.vstack([h_fwd, h_bwd])), _label_vectors(cfg), pn["w_q"], [0, 3], mask
     )
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(2), atol=1e-9)
     assert (attn.value[2, :] == 0.0).all()
@@ -234,9 +242,9 @@ def test_interaction_attention_columns_normalized():
 def test_interaction_attention_bad_label_matrix():
     cfg = _cfg()
     pn = wrap_params(_params(cfg))
-    h = Node(np.ones((cfg.r, 2)))
+    h = Node(np.ones((2 * cfg.r, 2)))
     with pytest.raises(ShapeError):
-        interaction_attention(h, h, np.ones((cfg.r + 1, cfg.k)), pn["w_q"], [0], [1, 1])
+        interaction_attention(h, np.ones((cfg.r + 1, cfg.k)), pn["w_q"], [0], [1, 1])
 
 
 def test_block_identity_of_interaction_scores():
@@ -364,8 +372,10 @@ def test_forward_variant_field_population():
 def test_forward_requires_embedding_for_interaction():
     cfg = _cfg()
     params = _params(cfg)
-    with pytest.raises(ValidationError):
+    with mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
+            pytest.raises(ValidationError, match="label embedding"):
         _forward(cfg, params, None, "ia")
+    bilstm.assert_not_called()  # checked before the Bi-LSTM runs
 
 
 def test_forward_rejects_one_dimensional_label_vectors():
@@ -383,11 +393,12 @@ def test_forward_takes_nested_list_label_vectors_and_rejects_a_misshapen_one():
         _forward(cfg, params, lv[:, 1:].tolist(), "laha")
 
 
-@pytest.mark.parametrize("label", [1.5, True, "1"])
-def test_forward_rejects_non_integer_label(label):
+@pytest.mark.parametrize("subset", [[0, 1.5], [0, True], [0, "1"], []],
+                         ids=["1.5", "True", "1", "empty"])
+def test_forward_rejects_non_integer_label(subset):
     cfg = _cfg()
     with pytest.raises(ValidationError):
-        _forward(cfg, _params(cfg), _label_vectors(cfg), "laha", subset=[0, label])
+        _forward(cfg, _params(cfg), _label_vectors(cfg), "laha", subset=subset)
 
 
 def test_forward_unknown_variant():

@@ -11,6 +11,7 @@ from laha.numeric import (
     activate,
     add,
     add_colvec,
+    add_halves,
     backward,
     bce_with_logits,
     bilstm,
@@ -21,15 +22,13 @@ from laha.numeric import (
     scale,
     scale_cols,
     slice_cols,
-    slice_rows,
     softmax_columns,
     sum_nodes,
     take_rows,
     transpose,
-    vconcat,
 )
 
-from extra_ops import bilstm_oracle, grad_check, lstm, mul, sum_all
+from extra_ops import bilstm_oracle, grad_check, lstm, mul, sum_all, vconcat
 
 
 def test_matmul_identity():
@@ -399,7 +398,7 @@ def test_bilstm_is_bit_identical_to_two_lstm_nodes(two_cpus, d, r, n, docs):
     w = rng.normal(size=(2 * r, docs * n))
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
     node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)[2]
+    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -460,20 +459,32 @@ def test_bilstm_takes_a_worker_only_at_large_shapes_with_two_cpus(
 
 
 @pytest.mark.parametrize("trial", range(5))
-def test_grad_slice_rows(trial):
+def test_grad_add_halves(trial):
     rng = np.random.default_rng(720 + trial)
-    a = _rand(rng, (5, 3))
-    w = _rand(rng, (2, 3))
-    _check(lambda p: add(sum_all(mul(slice_rows(p["a"], 1, 3), w)),
-                         sum_all(activate(slice_rows(p["a"], 2, 5), "tanh"))), {"a": a})
+    a = _rand(rng, (6, 3))
+    w = _rand(rng, (3, 3))
+    _check(lambda p: add(sum_all(mul(add_halves(p["a"]), w)),
+                         sum_all(activate(add_halves(p["a"]), "tanh"))), {"a": a})
 
 
-def test_slice_rows_is_a_view_and_bad_ranges_raise():
-    a = Node(np.arange(6.0).reshape(3, 2))
-    assert np.shares_memory(slice_rows(a, 0, 3).value, a.value)
-    for lo, hi in [(1, 1), (2, 1), (-1, 2), (0, 4)]:
-        with pytest.raises(ShapeError):
-            slice_rows(a, lo, hi)
+def test_add_halves_equals_the_sum_of_the_halves_and_rejects_an_odd_row_count():
+    a = np.random.default_rng(0).normal(size=(6, 4))
+    np.testing.assert_array_equal(add_halves(a).value, add(a[:3], a[3:]).value)
+    for rows in (1, 5):
+        with pytest.raises(ShapeError, match="halves"):
+            add_halves(np.ones((rows, 2)))
+
+
+@pytest.mark.parametrize("docs", [1, 2])
+def test_a_second_sweep_through_a_bilstm_node_raises_a_typed_error(docs):
+    arrays = _bilstm_arrays(np.random.default_rng(3), 3, 2, 4, docs)
+    x = Node(arrays["x"])
+    root = sum_all(bilstm(x, *(arrays[k] for k in BILSTM_WEIGHTS), docs))
+    backward(root)
+    swept = x.grad.copy()
+    with pytest.raises(ValidationError, match="already swept"):
+        backward(root)
+    np.testing.assert_array_equal(x.grad, swept)
 
 
 @pytest.mark.parametrize("trial", range(10))
