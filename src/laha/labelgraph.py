@@ -256,7 +256,7 @@ def train_skipgram(
                       np.matmul(g[:, None, :], u)[:, 0].ravel())
             np.add.at(vec_out.reshape(-1), (targets[:, :, None] * r + cols).ravel(),
                       (g[:, :, None] * v[:, None, :]).ravel())
-    return LabelEmbedding(vectors=vec_in.T.copy())
+    return LabelEmbedding(vectors=vec_in.T)  # column-major, as the model reads it
 
 
 def save_embedding(path: str, embedding: LabelEmbedding) -> None:

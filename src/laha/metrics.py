@@ -64,8 +64,7 @@ def _validated_ranking(scores: np.ndarray, truth: set[int], tau: int) -> np.ndar
         raise ValidationError("ground-truth label set must be nonempty")
     check_int("tau", tau, 1, scores.size + 1)
     for label in truth:
-        if not (0 <= label < scores.size):
-            raise ValidationError(f"truth label {label} outside score range")
+        check_int("truth label", label, 0, scores.size)
     return rank_labels(scores)
 
 

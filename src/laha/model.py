@@ -9,14 +9,16 @@ H's halves, against projected label vectors W_q L.  Each route yields an
 n x k' attention matrix A (a softmax over words per label).  A learned
 gate mixes the two per label, and a small feed-forward head turns each
 column of the paper's mixed context H (alpha A_s + beta A_i) into a
-logit.  The 2r x k' contexts H A are never built: every product of three
-matrices goes through `numeric.matmul_chain`, which takes the cheaper
-association.  The model yields logits, and a non-finite logit raises
-NumericalError, since every score and loss passes through them; the
-sigmoid is applied only by `ForwardTrace.scores()`, and training feeds
-the logits straight to `numeric.bce_with_logits`.  The parameters are
-the arrays `param_table` lists, the one place their names, shapes and
-order are written down.
+logit.  The 2r x k' contexts H A are never built: each product of three
+matrices takes the cheaper association, and each route's softmax runs in
+its last product's buffer.  Every label in index order takes W_s2 and L
+as they are, L column-major as a gather of its columns would be, so
+both give the same bits.  The model yields logits, and a non-finite
+logit raises NumericalError, since every score and loss passes through
+them; the sigmoid is applied only by `ForwardTrace.scores()`, and
+training feeds the logits straight to `numeric.bce_with_logits`.  The
+parameters are the arrays `param_table` lists, the one place their
+names, shapes and order are written down.
 
 `forward_batch` checks its inputs, then runs equal-length documents
 through one embedding gather and one Bi-LSTM node (both directions, the
@@ -99,6 +101,8 @@ def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelPara
         raise ShapeError(
             f"embedding table must be (vocab, {cfg.d}), got {embedding.shape}"
         )
+    if not np.isfinite(embedding).all():
+        raise NumericalError("embedding table has non-finite entries")
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, (rows, cols, init) in param_table(cfg, embedding.shape[0]).items():
@@ -113,8 +117,8 @@ def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelPara
 
 
 def wrap_params(params: ModelParams) -> dict[str, Node]:
-    """Leaf nodes sharing the parameter buffers (grads land on the nodes)."""
-    return {name: Node(arr) for name, arr in params.items()}
+    """Leaf nodes over the parameter buffers, unscanned: init_params and load_checkpoint check."""
+    return {name: Node(arr, _scan=False) for name, arr in params.items()}
 
 
 @dataclass
@@ -161,8 +165,7 @@ def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     the paper's per-label context matrix is C_s = H @ A_s.
     """
     t = nm.activate(nm.matmul(w_s1, h), "tanh")
-    scores = nm.matmul(nm.take_rows(w_s2, subset), t)          # k' x n
-    return nm.softmax_columns(nm.transpose(scores), mask)      # n x k'
+    return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask, transposed=True)  # n x k'
 
 
 def interaction_attention(
@@ -172,12 +175,14 @@ def interaction_attention(
 
     With H = [H_f; H_b], the matching score for word t and label j is
     H[:, t] . [Q; Q][:, j], Q = W_q L over the subset: the block form
-    [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q (`add_halves`) and
-    built by `matmul_chain`.  Returns A_i, the n x k' softmax over words;
-    the paper's context matrix is C_i = H @ A_i.
+    [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q (`add_halves`),
+    associated as `matmul_chain` would.  Returns A_i, the n x k' softmax
+    over words; the paper's context matrix is C_i = H @ A_i.
     """
-    match = nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, label_vectors[:, subset])
-    return nm.softmax_columns(match, mask)                     # n x k'
+    if not np.array_equal(subset, np.arange(label_vectors.shape[1])):
+        label_vectors = label_vectors[:, subset]
+    h_sum = nm.transpose(nm.add_halves(h))
+    return nm.softmax_product(*nm.associate(h_sum, w_q, label_vectors), mask)  # n x k'
 
 
 def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
@@ -193,8 +198,7 @@ def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
     raw_b = nm.activate(nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b), "sigmoid")
     alpha = nm.div(raw_a, nm.add(raw_a, raw_b))
     beta = nm.const_minus(1.0, alpha)
-    mix = nm.add(nm.scale_cols(a_s, alpha), nm.scale_cols(a_i, beta))
-    return mix, alpha, beta
+    return nm.mix_columns(a_s, alpha, a_i, beta), alpha, beta
 
 
 def predict(h: Node, mix: Node, w_f, w_o, b_o) -> Node:
@@ -236,7 +240,7 @@ def forward_batch(
     k = param_nodes["w_s2"].rows
     subsets = [_valid_subset(subset, k) for subset in subsets]
     if label_vectors is not None:
-        label_vectors = np.asarray(label_vectors, dtype=np.float64)
+        label_vectors = np.asfortranarray(label_vectors, dtype=np.float64)  # as lv[:, subset] is
         expected = (param_nodes["w_q"].cols, k)
         if label_vectors.shape != expected:
             raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
@@ -273,7 +277,7 @@ def _attend(h, mask, param_nodes, label_vectors, subset, variant):
         weight = {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]  # fixed alpha
         alpha, beta = (Node(np.full((1, len(subset)), a)) for a in (weight, 1.0 - weight))
         if variant == "sa+ia":
-            mix = nm.add(nm.scale(attn_self, 0.5), nm.scale(attn_inter, 0.5))
+            mix = nm.mix_columns(attn_self, alpha, attn_inter, beta)
         else:
             mix = attn_self if variant == "sa" else attn_inter
 

@@ -6,17 +6,19 @@ carries a lazily allocated gradient slot and links to its operands.
 `grad_check` pits its gradients against central finite differences.  Ops
 never broadcast implicitly (dedicated column/row-vector ops exist
 instead).  Finiteness is checked where values enter and leave a graph:
-at each leaf, in `bilstm` (whose sigmoid and tanh would hide an overflow),
-at the root of `backward`, and by the model on its logits and Adam on
-its gradients.  A non-finite op value that reaches none of these does
-not raise; with finite leaves it is an overflow near 1e308 that a later
-op absorbs (a masked softmax row, tanh or relu of +-inf).  The loss is
-one fused op, `bce_with_logits`, on raw logits; `sigmoid` maps logits to
-probabilities on plain arrays, outside the graph.  `bilstm` runs both
-LSTM directions over a batch of documents as one node, whose value is
-the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from it): a
-GEMM per direction projects every token, the step loops keep only the
-recurrent GEMM and the gate math, and the backward is hand-written
+at each leaf but the model's parameters (checked where they are set), in
+`bilstm` (whose sigmoid and tanh would hide an overflow), at the root of
+`backward`, and by the model on its logits and Adam on its gradients.  A
+non-finite op value that reaches none of these does not raise; with
+finite leaves it is an overflow near 1e308 that a later op absorbs (a
+masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
+where a chain of nodes kept several: `softmax_product` (a softmax in its
+product's buffer), `mix_columns` and the loss `bce_with_logits`; the
+`sigmoid` of logits runs on plain arrays, outside the graph.  `bilstm`
+runs both LSTM directions over a batch of documents as one node, whose
+value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from
+it): a GEMM per direction projects every token, the step loops keep only
+the recurrent GEMM and the gate math, and the backward is hand-written
 BPTT.  From r * r * docs = `_WORKER_MIN` on, with two usable CPUs, a
 worker thread steps the reverse direction in both passes: it touches no
 Node, runs in a copy of the caller's context (numpy's error state) and
@@ -59,15 +61,15 @@ class Node:
     A leaf (no parents) wraps a caller array without copying, so optimizer
     updates written to the original array are seen by the next graph built
     over it; only a leaf is coerced to a 2-D float64 array and checked
-    finite.  `grad` reads as zeros until `backward` fills it, and its
-    buffer is made on first read, so a forward pass makes none.
+    finite (unless `_scan=False`: its owner checks it).  `grad` reads as
+    zeros until `backward` fills it, made on first read.
     """
 
     __slots__ = ("value", "_grad", "_parents", "_backward")
 
-    def __init__(self, value, _parents: tuple = (), _backward=None):
+    def __init__(self, value, _parents: tuple = (), _backward=None, _scan: bool = True):
         self.value = value if _parents else as_matrix(value)
-        if not _parents and not np.isfinite(self.value).all():
+        if _scan and not _parents and not np.isfinite(self.value).all():
             raise NumericalError("matrix contains non-finite entries")
         self._grad = None
         self._parents = _parents
@@ -208,12 +210,17 @@ def matmul(a, b) -> Node:
     return Node(a.value @ b.value, (a, b), bwd)
 
 
-def matmul_chain(a, b, c) -> Node:
-    """a @ b @ c in whichever association needs fewer multiply-adds, (ab)c on a tie."""
+def associate(a, b, c) -> tuple[Node, Node]:
+    """(ab, c) or (a, bc), whichever product needs fewer multiply-adds, (ab, c) on a tie."""
     a, b, c = _node(a), _node(b), _node(c)
     if a.rows * b.cols * (a.cols + c.cols) <= b.rows * c.cols * (b.cols + a.rows):
-        return matmul(matmul(a, b), c)
-    return matmul(a, matmul(b, c))
+        return matmul(a, b), c
+    return a, matmul(b, c)
+
+
+def matmul_chain(a, b, c) -> Node:
+    """a @ b @ c in the association `associate` picks."""
+    return matmul(*associate(a, b, c))
 
 
 def transpose(a) -> Node:
@@ -254,13 +261,15 @@ def add_halves(a) -> Node:
 
 
 def take_rows(a, indices) -> Node:
-    """Gather rows by index; gradient scatters back (repeats accumulate)."""
+    """Gather rows by index (the identity returns a); the gradient scatters back, repeats add."""
     a = _node(a)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("take_rows needs a nonempty 1-D index list")
     if idx.min() < 0 or idx.max() >= a.rows:
         raise ShapeError(f"take_rows: index out of range for {a.rows} rows")
+    if idx.size == a.rows and (idx == np.arange(a.rows)).all():
+        return a
 
     def bwd(g):
         np.add.at(a.grad, idx, g)
@@ -281,17 +290,21 @@ def add_colvec(m, v) -> Node:
     return Node(m.value + v.value, (m, v), bwd)
 
 
-def scale_cols(m, v) -> Node:
-    """Scale column j of m by entry j of a (1 x cols) row vector."""
-    m, v = _node(m), _node(v)
-    if v.value.shape != (1, m.cols):
-        raise ShapeError(f"scale_cols: expected {(1, m.cols)}, got {v.value.shape}")
+def mix_columns(a, u, b, v) -> Node:
+    """a * u + b * v for 1 x cols rows u and v, in one C-order buffer."""
+    a, u, b, v = _node(a), _node(u), _node(b), _node(v)
+    if not (a.value.shape == b.value.shape and u.value.shape == v.value.shape == (1, a.cols)):
+        raise ShapeError(f"mix_columns: {[n.value.shape for n in (a, u, b, v)]} do not fit")
+    out = np.multiply(a.value, u.value, order="C")
+    out += b.value * v.value
 
     def bwd(g):
-        m.grad += g * v.value
-        v.grad += (g * m.value).sum(axis=0, keepdims=True)
+        for m, w in ((a, u), (b, v)):  # w's column sums in m's own layout, as the scale_cols oracle
+            m.grad += g * w.value
+            w.grad += np.multiply(g, m.value, order="F" if m.value.flags.f_contiguous else "C"
+                                  ).sum(axis=0, keepdims=True)
 
-    return Node(m.value * v.value, (m, v), bwd)
+    return Node(out, (a, u, b, v), bwd)
 
 
 def sum_nodes(nodes: Sequence[Node]) -> Node:
@@ -344,34 +357,33 @@ def activate(a, kind: str) -> Node:
     return Node(y, (a,), bwd)
 
 
-def softmax_columns(a, mask=None) -> Node:
-    """Column-wise softmax with optional row validity mask.
+def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:
+    """Column softmax of P = a @ b (of P^T if `transposed`) in P's buffer: masked rows get 0.
 
-    Each column sums to 1 over the valid rows; masked rows come out exactly
-    zero and receive zero gradient.  Uses per-column max subtraction so huge
-    scores cannot overflow.
+    Max subtraction keeps huge scores from overflowing; the backward forms dS once.
     """
-    a = _node(a)
-    if mask is None:
-        valid = np.ones(a.rows, dtype=bool)
-    else:
+    a, b = _node(a), _node(b)
+    if a.cols != b.rows:
+        raise ShapeError(f"softmax_product: {a.value.shape} x {b.value.shape} do not fit")
+    x = (a.value @ b.value).T if transposed else a.value @ b.value
+    if mask is not None:
         valid = np.asarray(mask).astype(bool).ravel()
-        if valid.shape != (a.rows,):
-            raise ShapeError(f"mask length {valid.shape} does not match {a.rows} rows")
+        if valid.shape != (x.shape[0],):
+            raise ShapeError(f"mask length {valid.shape} does not match {x.shape[0]} rows")
         if not valid.any():
-            raise DegenerateInputError("softmax_columns: every row is masked out")
-
-    x = np.where(valid[:, None], a.value, -np.inf)
+            raise DegenerateInputError("softmax_product: every row is masked out")
+        x[~valid] = -np.inf
     x -= x.max(axis=0, keepdims=True)
     np.exp(x, out=x)  # masked rows: exp(-inf) == 0 exactly
     x /= x.sum(axis=0, keepdims=True)
 
     def bwd(g):
-        # per column: ds = x * (g - sum(g * x)); masked rows have x == 0
-        dot = (g * x).sum(axis=0, keepdims=True)
-        a.grad += x * (g - dot)
+        ds = x * (g - (g * x).sum(axis=0, keepdims=True))  # per column; masked rows have x == 0
+        ds = ds.T if transposed else ds
+        a.grad += ds @ b.value.T
+        b.grad += a.value.T @ ds
 
-    return Node(x, (a,), bwd)
+    return Node(x, (a, b), bwd)
 
 
 def bce_with_logits(z, y) -> Node:

@@ -1,13 +1,17 @@
-"""What only the tests need of the autograd: graph ops, an LSTM oracle and a gradient checker.
+"""What only the tests need of the autograd: graph ops, oracles and a gradient checker.
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
 output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, and `vconcat` stacks blocks; all three follow the op
-conventions of `laha.numeric`.  `lstm` is one LSTM direction as its own
-node, stepped serially, and `bilstm_oracle` stacks two of them with
-`vconcat` into H: the reference that `numeric.bilstm` and
-`model.bilstm_forward` must match bit for bit.  `grad_check` pits
-`backward`'s gradients against central finite differences.
+each entry, and `vconcat` stacks blocks; all of them follow the op
+conventions of `laha.numeric`.  `softmax_columns` and `scale_cols` are the
+per-step ops that `numeric.softmax_product` and `numeric.mix_columns`
+fuse, and `softmax_product_oracle` and `mix_columns_oracle` compose them
+as the model once did: the references those fused ops must match bit for
+bit.  `lstm` is one LSTM direction as its own node, stepped serially, and
+`bilstm_oracle` stacks two of them with `vconcat` into H: the reference
+that `numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
+`grad_check` pits `backward`'s gradients against central finite
+differences.
 """
 
 import math
@@ -15,8 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from laha.errors import NumericalError, ShapeError
-from laha.numeric import Node, _node, _same_shape, as_matrix, backward, sigmoid
+from laha.errors import DegenerateInputError, NumericalError, ShapeError
+from laha.numeric import (
+    Node, _node, _same_shape, add, as_matrix, backward, matmul, sigmoid, transpose,
+)
 
 
 def mul(a, b) -> Node:
@@ -57,6 +63,65 @@ def vconcat(parts: Sequence) -> Node:
             n.grad += g[lo:hi, :]
 
     return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), bwd)
+
+
+# ---------------------------------------------------------------------------
+# the per-step compositions the fused ops replace
+# ---------------------------------------------------------------------------
+
+
+def scale_cols(m, v) -> Node:
+    """Scale column j of m by entry j of a (1 x cols) row vector."""
+    m, v = _node(m), _node(v)
+    if v.value.shape != (1, m.cols):
+        raise ShapeError(f"scale_cols: expected {(1, m.cols)}, got {v.value.shape}")
+
+    def bwd(g):
+        m.grad += g * v.value
+        v.grad += (g * m.value).sum(axis=0, keepdims=True)
+
+    return Node(m.value * v.value, (m, v), bwd)
+
+
+def softmax_columns(a, mask=None) -> Node:
+    """Column-wise softmax with optional row validity mask.
+
+    Each column sums to 1 over the valid rows; masked rows come out exactly
+    zero and receive zero gradient.  Uses per-column max subtraction so huge
+    scores cannot overflow.
+    """
+    a = _node(a)
+    if mask is None:
+        valid = np.ones(a.rows, dtype=bool)
+    else:
+        valid = np.asarray(mask).astype(bool).ravel()
+        if valid.shape != (a.rows,):
+            raise ShapeError(f"mask length {valid.shape} does not match {a.rows} rows")
+        if not valid.any():
+            raise DegenerateInputError("softmax_columns: every row is masked out")
+
+    x = np.where(valid[:, None], a.value, -np.inf)
+    x -= x.max(axis=0, keepdims=True)
+    np.exp(x, out=x)  # masked rows: exp(-inf) == 0 exactly
+    x /= x.sum(axis=0, keepdims=True)
+
+    def bwd(g):
+        # per column: ds = x * (g - sum(g * x)); masked rows have x == 0
+        dot = (g * x).sum(axis=0, keepdims=True)
+        a.grad += x * (g - dot)
+
+    return Node(x, (a,), bwd)
+
+
+def softmax_product_oracle(a, b, mask=None, transposed: bool = False) -> Node:
+    """`numeric.softmax_product` as `softmax_columns` of a `matmul` (or of its `transpose`)."""
+    product = matmul(a, b)
+    return softmax_columns(transpose(product) if transposed else product, mask)
+
+
+def mix_columns_oracle(a, u, b, v) -> Node:
+    """`numeric.mix_columns` as the `add` of two `scale_cols` nodes."""
+    return add(scale_cols(a, u), scale_cols(b, v))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,18 @@ def test_metric_validation_errors():
             ndcg_at_k(np.array([0.1, 0.2]), {0}, tau)
 
 
+def test_truth_labels_must_be_integers_in_range():
+    # a float or bool label would otherwise never match a rank and score 0.0
+    scores = np.array([0.1, 0.2, 0.3])
+    for bad in (1.5, True, 2.0, "2", -1, 3):
+        with pytest.raises(ValidationError, match="truth label"):
+            precision_at_k(scores, {bad}, 1)
+        with pytest.raises(ValidationError, match="truth label"):
+            ndcg_at_k(scores, {bad}, 1)
+    assert precision_at_k(scores, {np.int64(2)}, 1) == 1.0
+    assert ndcg_at_k(scores, {np.int64(2)}, 1) == 1.0
+
+
 def test_precision_at_k_rejects_non_finite_scores():
     # ranked silently, the NaN would sort last and label 1 would score P@1 = 1
     with pytest.raises(ValidationError, match="finite"):

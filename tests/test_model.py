@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from laha.model import (
 from laha.numeric import Node
 from laha.training import bce_loss
 
-from extra_ops import bilstm_oracle
+from extra_ops import bilstm_oracle, mix_columns_oracle, softmax_columns
 
 
 def _cfg(k=4, max_len=4, d=5, r=3, d_a=3):
@@ -482,14 +483,14 @@ def _context_form_logits(ids, mask, params, lv, subset, variant):
 def test_forward_matches_context_form_oracle(monkeypatch, variant, k, n, r, head_order):
     # k' far below n builds H @ mix and W_q L; k' far above n builds W_f H and H^T W_q
     orders = []
-    chain = nm.matmul_chain
+    associate = nm.associate
 
-    def recording_chain(a, b, c):
-        out = chain(a, b, c)
-        orders.append("a(bc)" if out._parents[0] is a else "(ab)c")
-        return out
+    def recording_associate(a, b, c):
+        left, right = associate(a, b, c)
+        orders.append("a(bc)" if left is a else "(ab)c")
+        return left, right
 
-    monkeypatch.setattr(nm, "matmul_chain", recording_chain)
+    monkeypatch.setattr(nm, "associate", recording_associate)
     cfg = ModelConfig(k=k, max_len=n, d=10, r=r, d_a=r)
     rng = np.random.default_rng(k + n)
     emb = rng.uniform(-0.5, 0.5, size=(20, cfg.d))
@@ -563,6 +564,78 @@ def test_forward_batch_gradients_are_bit_identical_to_the_two_lstm_oracle(
     want = _batch_gradients(params, lv, batch, variant, bilstm_oracle)
     for name in param_table(cfg, 11):
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def _old_self_attention(h, w_s1, w_s2, subset, mask):
+    """The content route as two matmuls, a transpose and a softmax node."""
+    t = nm.activate(nm.matmul(w_s1, h), "tanh")
+    return softmax_columns(nm.transpose(nm.matmul(nm.take_rows(w_s2, subset), t)), mask)
+
+
+def _old_interaction_attention(h, label_vectors, w_q, subset, mask):
+    """The interaction route on a row-major label matrix's column slice, softmax on its own."""
+    lv = np.ascontiguousarray(label_vectors)[:, subset]
+    return softmax_columns(nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, lv), mask)
+
+
+@pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
+@pytest.mark.parametrize("docs", [1, 3])
+@pytest.mark.parametrize("dims", [{"k": 5, "max_len": 6, "d": 5, "r": 3, "d_a": 3},
+                                  {"k": 60, "max_len": 20, "d": 10, "r": 16, "d_a": 8}])
+def test_forward_batch_gradients_are_bit_identical_to_the_unfused_composition(
+        variant, docs, dims):
+    # the first document scores every label in index order, the others a random subset
+    cfg = ModelConfig(**dims)
+    params, lv = _params(cfg, vocab_size=11), _label_vectors(cfg)
+    rows, masks, subsets = _batch(cfg, 11, docs, seed=docs + cfg.k)
+    batch = rows, masks, [list(range(cfg.k))] + subsets[1:]
+    got = _batch_gradients(params, lv, batch, variant, bilstm_forward)
+    with mock.patch("laha.model.self_attention", _old_self_attention), \
+            mock.patch("laha.model.interaction_attention", _old_interaction_attention), \
+            mock.patch.object(nm, "mix_columns", mix_columns_oracle):
+        want = _batch_gradients(params, lv, batch, variant, bilstm_forward)
+    for name in param_table(cfg, 11):
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_all_label_forward_keeps_few_label_by_word_buffers():
+    # peak traced bytes of one all-label pass, in n x k float64 buffers
+    cfg = ModelConfig(k=2000, max_len=50, d=16, r=16, d_a=16)
+    params, lv = _params(cfg, vocab_size=30), _label_vectors(cfg)
+    ids = np.random.default_rng(0).integers(1, 30, size=cfg.max_len)
+    nodes, subset = wrap_params(params), list(range(cfg.k))
+    tracemalloc.start()
+    try:
+        trace = forward(ids, ids > 0, nodes, lv, subset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.logits.value.shape == (1, cfg.k)
+    assert peak / (cfg.max_len * cfg.k * 8) <= 6
+
+
+def test_init_params_rejects_a_non_finite_embedding():
+    cfg = _cfg()
+    emb = np.zeros((9, cfg.d))
+    for bad in (np.nan, np.inf):
+        emb[3, 1] = bad
+        with pytest.raises(NumericalError, match="embedding"):
+            init_params(cfg, emb, 0)
+
+
+def test_wrap_params_shares_the_parameter_buffers():
+    params = _params(_cfg())
+    for name, node in wrap_params(params).items():
+        assert node.value is params[name] and node._grad is None and not node._parents
+
+
+@pytest.mark.parametrize("name", ["lstm_wh_f", "w_s1", "w_s2", "w_q", "fuse2_w", "w_f", "b_o"])
+def test_forward_raises_on_a_non_finite_parameter_planted_after_init(name):
+    cfg = _cfg()
+    params = _params(cfg)
+    params[name][0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        _forward(cfg, params, _label_vectors(cfg), "laha")
 
 
 def test_forward_batch_rejects_ragged_or_mismatched_batches():

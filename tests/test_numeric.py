@@ -19,16 +19,35 @@ from laha.numeric import (
     div,
     matmul,
     matmul_chain,
+    mix_columns,
     scale,
-    scale_cols,
     slice_cols,
-    softmax_columns,
+    softmax_product,
     sum_nodes,
     take_rows,
     transpose,
 )
 
-from extra_ops import bilstm_oracle, grad_check, lstm, mul, sum_all, vconcat
+from extra_ops import (
+    bilstm_oracle,
+    grad_check,
+    lstm,
+    mix_columns_oracle,
+    mul,
+    scale_cols,
+    softmax_columns,
+    softmax_product_oracle,
+    sum_all,
+    vconcat,
+)
+
+# A column softmax three ways: the per-step op, and the fused op on x = x @ I and on x = (I x^T)^T
+SOFTMAXES = {
+    "softmax_columns": softmax_columns,
+    "softmax_product": lambda x, mask=None: softmax_product(x, np.eye(np.shape(x)[1]), mask),
+    "softmax_product_transposed": lambda x, mask=None: softmax_product(
+        np.eye(np.shape(x)[1]), np.transpose(x), mask, transposed=True),
+}
 
 
 def test_matmul_identity():
@@ -66,25 +85,31 @@ def test_matmul_associativity_random():
 
 
 def test_softmax_equal_values_uniform():
-    out = softmax_columns(np.zeros((4, 1)))
-    np.testing.assert_allclose(out.value, np.full((4, 1), 0.25), atol=1e-15)
+    for softmax in SOFTMAXES.values():
+        out = softmax(np.zeros((4, 1)))
+        np.testing.assert_allclose(out.value, np.full((4, 1), 0.25), atol=1e-15)
 
 
 def test_softmax_closed_form():
     # column [0, ln 2] -> [1/3, 2/3] because e^0 = 1 and e^{ln 2} = 2
-    out = softmax_columns(np.array([[0.0], [math.log(2.0)]]))
-    np.testing.assert_allclose(out.value, np.array([[1 / 3], [2 / 3]]), atol=1e-12)
+    for softmax in SOFTMAXES.values():
+        out = softmax(np.array([[0.0], [math.log(2.0)]]))
+        np.testing.assert_allclose(out.value, np.array([[1 / 3], [2 / 3]]), atol=1e-12)
 
 
 def test_softmax_masked_renormalizes():
-    out = softmax_columns(np.array([[5.0], [5.0], [5.0]]), mask=[1, 1, 0])
-    np.testing.assert_allclose(out.value, np.array([[0.5], [0.5], [0.0]]), atol=1e-15)
-    assert out.value[2, 0] == 0.0
+    for softmax in SOFTMAXES.values():
+        out = softmax(np.array([[5.0], [5.0], [5.0]]), mask=[1, 1, 0])
+        np.testing.assert_allclose(out.value, np.array([[0.5], [0.5], [0.0]]), atol=1e-15)
+        assert out.value[2, 0] == 0.0
 
 
 def test_softmax_all_masked_is_degenerate():
-    with pytest.raises(DegenerateInputError):
-        softmax_columns(np.ones((3, 2)), mask=[0, 0, 0])
+    for softmax in SOFTMAXES.values():
+        with pytest.raises(DegenerateInputError):
+            softmax(np.ones((3, 2)), mask=[0, 0, 0])
+        with pytest.raises(ShapeError):
+            softmax(np.ones((3, 2)), mask=[1, 1])
 
 
 def test_softmax_columns_sum_to_one_random():
@@ -95,15 +120,17 @@ def test_softmax_columns_sum_to_one_random():
         mask = rng.integers(0, 2, size=n)
         if mask.sum() == 0:
             mask[rng.integers(0, n)] = 1
-        out = softmax_columns(m, mask).value
-        np.testing.assert_allclose(out.sum(axis=0), np.ones(k), atol=1e-9)
-        assert (out >= 0.0).all() and (out <= 1.0).all()
-        assert (out[mask == 0, :] == 0.0).all()
+        for softmax in SOFTMAXES.values():
+            out = softmax(m, mask).value
+            np.testing.assert_allclose(out.sum(axis=0), np.ones(k), atol=1e-9)
+            assert (out >= 0.0).all() and (out <= 1.0).all()
+            assert (out[mask == 0, :] == 0.0).all()
 
 
 def test_softmax_overflow_safe():
-    out = softmax_columns(np.array([[1e4], [1e4 - 700.0]]))
-    assert np.isfinite(out.value).all()
+    for softmax in SOFTMAXES.values():
+        out = softmax(np.array([[1e4], [1e4 - 700.0]]))
+        assert np.isfinite(out.value).all()
 
 
 def test_activation_values():
@@ -594,6 +621,85 @@ def test_grad_softmax_columns(trial):
         return sum_all(mul(softmax_columns(p["x"], mask), p["w"]))
 
     _check(f, {"x": x, "w": w})
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("trial", range(30))
+def test_grad_softmax_product(trial, transposed):
+    rng = np.random.default_rng(600 + trial)
+    a, b = _rand(rng, (4, 2), -1.5, 1.5), _rand(rng, (2, 3), -1.5, 1.5)
+    rows = 3 if transposed else 4
+    w = _rand(rng, (rows, 7 - rows))
+    mask = rng.integers(0, 2, size=rows)
+    mask[rng.integers(rows)] = 1
+    _check(lambda p: sum_all(mul(softmax_product(p["a"], p["b"], mask, transposed), p["w"])),
+           {"a": a, "b": b, "w": w})
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_grad_mix_columns(trial):
+    rng = np.random.default_rng(700 + trial)
+    a, b, w = (_rand(rng, (3, 4)) for _ in range(3))
+    u, v = _rand(rng, (1, 4)), _rand(rng, (1, 4))
+    _check(lambda p: sum_all(mul(mix_columns(p["a"], p["u"], p["b"], p["v"]), p["w"])),
+           {"a": a, "u": u, "b": b, "v": v, "w": w})
+
+
+def _value_and_grads(build, arrays, weight):
+    """An op's value and every operand's gradient of sum(op * weight), the graph built anew."""
+    leaves = [Node(a) for a in arrays]
+    out = build(*leaves)
+    backward(sum_all(mul(out, weight)))
+    return out.value, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_softmax_product_is_bit_identical_to_matmul_then_softmax_columns(transposed):
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        m, inner, n = (int(x) for x in rng.integers(1, 40, size=3))
+        a, b = rng.normal(size=(m, inner)), rng.normal(size=(inner, n))
+        rows, cols = (n, m) if transposed else (m, n)
+        mask = rng.integers(0, 2, size=rows).astype(bool)
+        mask[rng.integers(rows)] = True
+        weight = rng.normal(size=(rows, cols))
+        fused = _value_and_grads(lambda x, y: softmax_product(x, y, mask, transposed), (a, b),
+                                 weight)
+        oracle = _value_and_grads(lambda x, y: softmax_product_oracle(x, y, mask, transposed),
+                                  (a, b), weight)
+        assert fused[0].flags.f_contiguous == oracle[0].flags.f_contiguous
+        np.testing.assert_array_equal(fused[0], oracle[0])
+        for got, want in zip(fused[1], oracle[1]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
+    # a column-major a and a row-major b, as the attention routes hand them over
+    rng = np.random.default_rng(44)
+    for _ in range(60):
+        n, k = (int(x) for x in rng.integers(1, 40, size=2))
+        arrays = (rng.random((k, n)).T, rng.random((1, k)), rng.random((n, k)), rng.random((1, k)))
+        weight = rng.normal(size=(n, k))
+        fused = _value_and_grads(mix_columns, arrays, weight)
+        oracle = _value_and_grads(mix_columns_oracle, arrays, weight)
+        assert fused[0].flags.c_contiguous and oracle[0].flags.c_contiguous
+        np.testing.assert_array_equal(fused[0], oracle[0])
+        for got, want in zip(fused[1], oracle[1]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_mix_columns_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 3)))
+    with pytest.raises(ShapeError):
+        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 3)), np.ones((3, 1)))
+
+
+def test_take_rows_identity_is_the_input():
+    a = Node(np.arange(6.0).reshape(3, 2))
+    assert take_rows(a, [0, 1, 2]) is a
+    assert take_rows(a, [0, 2, 1]) is not a
+    assert take_rows(a, [0, 1]) is not a
 
 
 def test_sum_nodes_orders_terms():

@@ -300,6 +300,18 @@ def test_train_stops_on_a_non_finite_gate_before_any_update():
         np.testing.assert_array_equal(arr, before[name])
 
 
+@pytest.mark.parametrize("name", ["lstm_wx_b", "w_s1", "w_q", "fuse1_w", "w_o"])
+def test_train_stops_on_a_non_finite_parameter_before_any_update(name):
+    # parameters are not scanned when wrapped, so the planted NaN must surface in the pass
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    params[name][0, 0] = np.nan
+    before = {n: a.copy() for n, a in params.items()}
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="epoch 0, batch 0"):
+        train(docs, vocab, params, cfg, lv, tcfg)
+    for n, arr in params.items():
+        np.testing.assert_array_equal(arr, before[n], err_msg=n)
+
+
 @pytest.mark.parametrize("fields", [
     {"batch_size": 2.5}, {"seed": 1.5}, {"epochs": True}, {"negatives_per_doc": "2"},
     {"learning_rate": math.nan}, {"learning_rate": math.inf}, {"learning_rate": 0.0},
