@@ -4,9 +4,9 @@ Two labels are connected whenever they tag at least one common document;
 edge weight is the number of shared documents.  The graph is an immutable
 CSR matrix.  Labels embed into a dense low-dimensional space by node2vec:
 second-order biased random walks over the graph (return parameter p,
-in-out parameter q), all stepped together as arrays, then skip-gram with
-negative sampling on the walk corpus, updated in blocks of pairs, so
-nearby labels end up with similar vectors.
+in-out parameter q), all stepped together as arrays, then one randomized
+SVD of the positive PMI of the walks' (center, context) pairs, the matrix
+skip-gram factorizes, so nearby labels end up with similar vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import Corpus, atomic_write_bytes
 from .errors import DataFormatError, ValidationError, check_int, check_positive
-from .numeric import sigmoid
 
 
 class LabelGraph:
@@ -178,30 +177,20 @@ class LabelEmbedding:
         return self.vectors.shape[1]
 
 
-def train_skipgram(
-    walks: list[list[int]],
-    k: int,
-    r: int,
-    window: int = 5,
-    negatives: int = 5,
-    epochs: int = 5,
-    lr: float = 0.025,
-    seed: int = 0,
-) -> LabelEmbedding:
-    """Skip-gram with negative sampling over walk windows, updated in blocks.
+def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, negatives: int = 5,
+                   epochs: int = 5, seed: int = 0) -> LabelEmbedding:
+    """Label vectors from a rank-r factorization of the walks' positive PMI matrix.
 
-    Each epoch visits the walks in a seeded random order and, in each walk,
-    every (center, context) pair at most `window` positions apart, by
-    center then context position.  Each pair draws `negatives` noise nodes
-    from the unigram^0.75 distribution of walk occurrences and drops those
-    equal to its context.  Pairs run in blocks of at most 256 consecutive
-    pairs, sized so that the most frequent node is expected about 4 times
-    per block as a context or negative: each pair's gradient is taken at
-    the vectors as they were at its block's start, and the block's
-    gradients are summed, so a row met twice gets both.  Nodes absent from
-    every walk keep their seeded random initialization; epochs=0 returns
-    that initialization unchanged.
-    Learning rate decays linearly per epoch.
+    Skip-gram implicitly factorizes this matrix (Levy & Goldberg, NeurIPS
+    2014; Qiu et al., WSDM 2018).  Nodes at most `window` apart in a walk
+    pair up both ways; over the m labels in a pair, M[w, c] =
+    max(log(#(w,c) / (#w * P(c))), 0), with P the pair counts raised to
+    0.75 and normalized (Levy, Goldberg & Dagan, TACL 2015).  The vectors
+    are U S^1/2 from a randomized SVD of M (Halko, Martinsson & Tropp, SIAM
+    Review 2011) with min(r + 10, m) columns and `epochs - 1` power
+    iterations, 0 past M's numerical rank.  `negatives` is unused: a
+    log(negatives) shift empties M on small graphs.  Labels in no pair
+    keep their seeded random init, which epochs=0 returns unchanged.
     """
     if r < 1 or window < 1:
         raise ValidationError("r and window must be >= 1")
@@ -220,43 +209,52 @@ def train_skipgram(
         raise ValidationError(f"walk node {outside[0]} outside label range [0,{k})")
 
     rng = np.random.default_rng(seed)
-    vec_in = (rng.random((k, r)) - 0.5) / r
-    vec_out = np.zeros((k, r))
-    counts = np.bincount(flat, minlength=k)
-    noise_nodes = np.flatnonzero(counts)
-    noise_cum = np.cumsum(counts[noise_nodes] ** 0.75)
-    # block sums track sequential SGD only while no row recurs often in a block,
-    # so expect the busiest vec_out row (context or negative) about 4 times
-    busiest = (counts / flat.size + negatives * counts ** 0.75 / noise_cum[-1]).max()
-    label, cols, block = np.eye(1, negatives + 1), np.arange(r), int(np.clip(4 / busiest, 1, 256))
+    vectors = (rng.random((k, r)) - 0.5) / r
+    if epochs == 0:
+        return LabelEmbedding(vectors=vectors.T)  # column-major, as the model reads it
+    flat = flat.astype(np.int32 if k * k < 2**31 else np.int64)  # keys center * k + context
+    after = np.repeat(np.cumsum(lens), lens) - np.arange(flat.size) - 1  # later nodes in its walk
+    pairs = []
+    for offset in range(1, min(window, lens.max()) + 1):
+        head = np.flatnonzero(after >= offset)
+        pairs += [flat[head] * k + flat[head + offset], flat[head + offset] * k + flat[head]]
+    keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
+    labels = np.unique(keys // k)
+    omega = rng.standard_normal((labels.size, min(r + 10, labels.size)))
+    rows, cols = np.searchsorted(labels, keys // k), np.searchsorted(labels, keys % k)
+    # pairs are symmetric: #w is also w's context count, and M^T has M's entry positions
+    total = np.bincount(rows, weights=counts, minlength=labels.size)
+    smooth = total ** 0.75 / (total ** 0.75).sum()
+    mat = rows, cols, np.maximum(np.log(counts / (total[rows] * smooth[cols])), 0)
+    mat_t = rows, cols, np.maximum(np.log(counts / (total[cols] * smooth[rows])), 0)
+    basis = _orthonormal(_sparse_times(*mat, omega))
+    for _ in range(epochs - 1):
+        basis = _orthonormal(_sparse_times(*mat, _orthonormal(_sparse_times(*mat_t, basis))))
+    bt = _sparse_times(*mat_t, basis)  # (basis^T M)^T
+    evals, u = np.linalg.eigh(bt.T @ bt)
+    evals, u = evals[:-r - 1:-1], u[:, :-r - 1:-1]  # the top r, largest first
+    root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2
+    vectors[labels] = basis @ np.pad(u * root, ((0, 0), (0, r - evals.size)))  # 0 past the rank
+    return LabelEmbedding(vectors=vectors.T)
 
-    for epoch in range(epochs):
-        step = lr * max(1.0 - epoch / epochs, 1e-4)
-        order = rng.permutation(len(walks))
-        n = lens[order]
-        start = np.repeat(np.cumsum(n) - n, n)
-        pos = np.arange(n.sum())
-        nodes = flat[np.repeat(np.cumsum(lens)[order] - np.cumsum(n), n) + pos]
-        lo = np.maximum(start, pos - window)
-        count = np.minimum(start + np.repeat(n, n), pos + window + 1) - lo - 1
-        first, total = np.cumsum(count) - count, count.sum()
-        for b in range(0, total, block):
-            pair = np.arange(b, min(b + block, total))
-            at = np.searchsorted(first, pair, side="right") - 1  # center positions
-            ctx = lo[at] + pair - first[at]
-            ctx += ctx >= at  # skip the center itself
-            center, v = nodes[at], vec_in[nodes[at]]
-            neg = noise_nodes[np.searchsorted(
-                noise_cum, rng.random((pair.size, negatives)) * noise_cum[-1], side="right")]
-            targets = np.column_stack([nodes[ctx], neg])
-            u = vec_out[targets]
-            g = step * (label - sigmoid(np.matmul(u, v[:, :, None])[:, :, 0]))
-            g[:, 1:] *= neg != targets[:, :1]
-            np.add.at(vec_in.reshape(-1), (center[:, None] * r + cols).ravel(),
-                      np.matmul(g[:, None, :], u)[:, 0].ravel())
-            np.add.at(vec_out.reshape(-1), (targets[:, :, None] * r + cols).ravel(),
-                      (g[:, :, None] * v[:, None, :]).ravel())
-    return LabelEmbedding(vectors=vec_in.T)  # column-major, as the model reads it
+
+def _sparse_times(rows, cols, vals, x: np.ndarray) -> np.ndarray:
+    """Sparse square matrix (sorted by row) times x: 128-row blocks, dense over used columns."""
+    out, n = np.empty(x.shape), x.shape[0]
+    bounds = np.searchsorted(rows, np.arange(0, n + 128, 128))
+    for top, lo, hi in zip(range(0, n, 128), bounds[:-1], bounds[1:]):
+        used, at = np.unique(cols[lo:hi], return_inverse=True)
+        block = np.zeros((min(128, n - top), used.size))
+        block[rows[lo:hi] - top, at] = vals[lo:hi]
+        out[top:top + 128] = block @ x[used]
+    return out
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """Basis of y's columns from eigh of y^T y, dropping eigenvalues below 1e-12 of the top."""
+    evals, v = np.linalg.eigh(y.T @ y)
+    keep = evals > 1e-12 * evals[-1:]
+    return y @ (v[:, keep] / np.sqrt(evals[keep]))
 
 
 def save_embedding(path: str, embedding: LabelEmbedding) -> None:

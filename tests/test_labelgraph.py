@@ -1,5 +1,6 @@
 import os
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -266,43 +267,76 @@ def test_skipgram_malformed_walks_raise_validation_error(walks):
         train_skipgram(walks, k=3, r=2)
 
 
-def test_skipgram_block_matches_summed_pair_gradients():
-    # 14 pairs per epoch over 8 nodes seen equally often: the busiest row's
-    # expected uses per pair are 1/8 as context plus 2/8 as a negative, so
-    # blocks hold 4 / (3/8) -> 10 pairs; every pair's gradient is taken at
-    # its block-start vectors and the block's gradients summed
-    walks, k, r, negatives, lr, seed, block = [list(range(8))], 12, 4, 2, 0.3, 7, 10
-    got = train_skipgram(walks, k=k, r=r, window=1, negatives=negatives, epochs=2,
-                         lr=lr, seed=seed).vectors
+def _ppmi_oracle(walks, window):
+    """Labels in a pair and their dense PPMI matrix, from loops over each walk's pairs."""
+    pairs = Counter()
+    for walk in walks:
+        for i in range(len(walk)):
+            for j in range(i + 1, min(len(walk), i + window + 1)):
+                pairs[walk[i], walk[j]] += 1
+                pairs[walk[j], walk[i]] += 1
+    labels = sorted({w for w, _ in pairs})
+    count = np.zeros((len(labels), len(labels)))
+    for (w, c), n in pairs.items():
+        count[labels.index(w), labels.index(c)] = n
+    smooth = count.sum(axis=0) ** 0.75
+    with np.errstate(divide="ignore"):
+        pmi = np.log(count / count.sum(axis=1, keepdims=True) / (smooth / smooth.sum()))
+    return labels, np.maximum(pmi, 0)
+
+
+@pytest.mark.parametrize("walks, k, r, window, epochs", [
+    pytest.param(sample_walks(_weighted_5_node(),
+                              WalkConfig(walk_length=8, walks_per_node=3, seed=1)),
+                 5, 3, 2, 1, id="weighted-graph"),
+    pytest.param(sample_walks(LabelGraph(9, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (4, 5, 2),
+                                             (5, 6, 1), (6, 4, 4), (2, 5, 1)]),
+                              WalkConfig(walk_length=6, walks_per_node=2, seed=3)),
+                 9, 4, 3, 3, id="isolated-labels-power-iterations"),
+    pytest.param([[0, 1, 2, 0, 1]], 6, 5, 1, 2, id="revisits-fewer-labels-than-r"),
+    pytest.param([[4, 2, 4, 4], [1]], 5, 2, 2, 1, id="revisits-itself-next-to-itself"),
+    pytest.param([[0], [2], [1]], 3, 2, 4, 2, id="all-singleton-walks"),
+])
+def test_skipgram_matches_dense_ppmi_svd_oracle(walks, k, r, window, epochs):
+    got = train_skipgram(walks, k=k, r=r, window=window, epochs=epochs, seed=9).vectors
+    init = train_skipgram(walks, k=k, r=r, window=window, epochs=0, seed=9).vectors
+    labels, ppmi = _ppmi_oracle(walks, window)
+    assert len(labels) <= r + 10  # the sketch spans all of M, so the result is exact
+    u, s, _ = np.linalg.svd(ppmi)
+    assert s.size <= r or s[r - 1] > s[r] * (1 + 1e-6)  # rank r is well defined
+    np.testing.assert_allclose(got[:, labels].T @ got[:, labels],
+                               (u[:, :r] * s[:r]) @ u[:, :r].T, rtol=0, atol=1e-10)
+    assert (got[len(labels):, labels] == 0).all()
+    others = [c for c in range(k) if c not in labels]
+    np.testing.assert_array_equal(got[:, others], init[:, others])
+    np.testing.assert_array_equal(
+        got, train_skipgram(walks, k=k, r=r, window=window, negatives=0, epochs=epochs,
+                            seed=9).vectors)
+
+
+def _link_auc(vectors, edges, non_edges):
+    unit = vectors / np.linalg.norm(vectors, axis=0)
+    pos = np.array([unit[:, i] @ unit[:, j] for i, j in edges])
+    neg = np.array([unit[:, i] @ unit[:, j] for i, j in non_edges])
+    return float(np.mean((pos[:, None] > neg) + 0.5 * (pos[:, None] == neg)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_skipgram_ranks_planted_cluster_edges_above_non_edges(seed, epochs):
     rng = np.random.default_rng(seed)
-    vec_in = (rng.random((k, r)) - 0.5) / r
-    vec_out = np.zeros((k, r))
-    counts = Counter(node for walk in walks for node in walk)
-    nodes = np.array(sorted(counts))
-    cum = np.cumsum([counts[n] ** 0.75 for n in nodes])
-    repeated = dropped = False
-    for epoch in range(2):
-        pairs = [(walk[i], walk[j]) for w in rng.permutation(len(walks))
-                 for walk in [walks[w]] for i in range(len(walk))
-                 for j in range(max(0, i - 1), min(len(walk), i + 2)) if j != i]
-        assert len(pairs) == 14
-        neg = nodes[np.searchsorted(cum, rng.random((len(pairs), negatives)) * cum[-1],
-                                    side="right")]
-        for b in range(0, len(pairs), block):
-            d_in, d_out = np.zeros_like(vec_in), np.zeros_like(vec_out)
-            for (center, context), draws in zip(pairs[b:b + block], neg[b:b + block]):
-                repeated |= len(set(draws.tolist())) < negatives
-                dropped |= context in draws
-                targets = [(context, 1.0)] + [(int(n), 0.0) for n in draws if n != context]
-                for node, label in targets:
-                    score = 1 / (1 + np.exp(-vec_in[center] @ vec_out[node]))
-                    g = lr * (1 - epoch / 2) * (label - score)
-                    d_in[center] += g * vec_out[node]
-                    d_out[node] += g * vec_in[center]
-            vec_in, vec_out = vec_in + d_in, vec_out + d_out
-    assert repeated and dropped
-    np.testing.assert_allclose(got, vec_in.T, rtol=0, atol=1e-12)
-    assert not np.allclose(got, train_skipgram(walks, k=k, r=r, epochs=0, seed=seed).vectors)
+    members = np.arange(48).reshape(8, 6)
+    edges = {(int(a), int(b)) for c in members for a, b in combinations(c, 2)}
+    while len(edges) < 8 * 15 + 10:
+        a, b = sorted(rng.choice(48, size=2, replace=False).tolist())
+        if a // 6 != b // 6:
+            edges.add((a, b))
+    edges = sorted(edges)
+    non_edges = [pair for pair in combinations(range(48), 2) if pair not in set(edges)]
+    non_edges = [non_edges[i] for i in rng.choice(len(non_edges), len(edges), replace=False)]
+    walks = sample_walks(LabelGraph(48, [(a, b, 1) for a, b in edges]), WalkConfig(seed=seed))
+    vectors = train_skipgram(walks, k=48, r=8, epochs=epochs, seed=seed).vectors
+    assert _link_auc(vectors, edges, non_edges) >= 0.95
 
 
 def _cosine(a, b):
