@@ -2,11 +2,11 @@
 
 Two labels are connected whenever they tag at least one common document;
 edge weight is the number of shared documents.  The graph is an immutable
-CSR matrix.  Labels embed into a dense low-dimensional space by node2vec:
-second-order biased random walks over the graph (return parameter p,
-in-out parameter q), all stepped together as arrays, then one randomized
+CSR matrix.  Labels embed into a dense low-dimensional space from node2vec
+walks, second-order biased random walks over the graph (return parameter
+p, in-out parameter q) all stepped together as arrays, then one randomized
 SVD of the positive PMI of the walks' (center, context) pairs, the matrix
-skip-gram factorizes, so nearby labels end up with similar vectors.
+skip-gram implicitly factorizes, so nearby labels get similar vectors.
 """
 
 from __future__ import annotations

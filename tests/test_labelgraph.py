@@ -331,8 +331,8 @@ def test_skipgram_ranks_planted_cluster_edges_above_non_edges(seed, epochs):
         a, b = sorted(rng.choice(48, size=2, replace=False).tolist())
         if a // 6 != b // 6:
             edges.add((a, b))
+    non_edges = [pair for pair in combinations(range(48), 2) if pair not in edges]
     edges = sorted(edges)
-    non_edges = [pair for pair in combinations(range(48), 2) if pair not in set(edges)]
     non_edges = [non_edges[i] for i in rng.choice(len(non_edges), len(edges), replace=False)]
     walks = sample_walks(LabelGraph(48, [(a, b, 1) for a, b in edges]), WalkConfig(seed=seed))
     vectors = train_skipgram(walks, k=48, r=8, epochs=epochs, seed=seed).vectors
