@@ -7,9 +7,9 @@ For each seed, runs
 for W in aapd-quality and eurlex-score, one subprocess per run, and reads
 the record it leaves in .bench_out/W-seedS-trace0.json.  The file written
 at the repo root holds the commit, the environment, each run's calibrated
-and raw label_embed_s, its quality figures and its operation counts, and
-each workload's median and quartiles.  On eurlex-score the quality figures
-come from the aapd-quality gate that the workload runs.
+and raw label_embed_s, its operation counts and, for aapd-quality (the
+only workload that trains a model), its quality figures, and each
+workload's median and quartiles.
 
     python3 scripts/experiments.py --seeds 1-10
 """
@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("aapd-quality", "eurlex-score")
 SECONDS = 5
 QUALITY = ("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5", "g1_ndcg_at_5")
-FIGURES = ("label_embed_s", "label_embed_raw_s") + QUALITY
+TIMINGS = ("label_embed_s", "label_embed_raw_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -50,7 +50,7 @@ def bench_run(workload: str, seed: int) -> tuple[dict, dict]:
     raw = [raw_s for raw_s, _ in record["info"]["raw_and_reference_seconds"]["label_embed_s"]]
     row = {"seed": seed, "label_embed_s": measures["label_embed_s"],
            "label_embed_raw_s": float(np.median(raw)), "label_embed_samples": len(raw),
-           **{name: measures[name] for name in QUALITY},
+           **{name: measures[name] for name in QUALITY if workload == "aapd-quality"},
            **{name: result[name] for name in ("correct", "attempted", "failed")}}
     return row, record["environment"]
 
@@ -58,7 +58,7 @@ def bench_run(workload: str, seed: int) -> tuple[dict, dict]:
 def summarize(rows: list[dict]) -> dict:
     """Median and quartiles of each figure over the runs, and the operation totals."""
     out = {}
-    for name in FIGURES:
+    for name in TIMINGS + tuple(name for name in QUALITY if name in rows[0]):
         q1, median, q3 = np.percentile([row[name] for row in rows], [25, 50, 75])
         out[name] = {"median": median, "q1": q1, "q3": q3}
     out["runs"] = len(rows)

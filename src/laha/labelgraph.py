@@ -188,7 +188,8 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     0.75 and normalized (Levy, Goldberg & Dagan, TACL 2015).  The vectors
     are U S^1/2 from a randomized SVD of M (Halko, Martinsson & Tropp, SIAM
     Review 2011) with min(r + 10, m) columns and `epochs - 1` power
-    iterations, 0 past M's numerical rank.  `negatives` is unused: a
+    iterations, 0 past M's numerical rank, each column of U signed so that
+    its largest entry is positive.  `negatives` is unused: a
     log(negatives) shift empties M on small graphs.  Labels in no pair
     keep their seeded random init, which epochs=0 returns unchanged.
     """
@@ -219,6 +220,8 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
         head = np.flatnonzero(after >= offset)
         pairs += [flat[head] * k + flat[head + offset], flat[head + offset] * k + flat[head]]
     keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
+    if not keys.size:  # single-node walks only: no label is in a pair
+        return LabelEmbedding(vectors=vectors.T)
     labels = np.unique(keys // k)
     omega = rng.standard_normal((labels.size, min(r + 10, labels.size)))
     rows, cols = np.searchsorted(labels, keys // k), np.searchsorted(labels, keys % k)
@@ -227,14 +230,16 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     smooth = total ** 0.75 / (total ** 0.75).sum()
     mat = rows, cols, np.maximum(np.log(counts / (total[rows] * smooth[cols])), 0)
     mat_t = rows, cols, np.maximum(np.log(counts / (total[cols] * smooth[rows])), 0)
-    basis = _orthonormal(_sparse_times(*mat, omega))
+    basis = np.linalg.qr(_sparse_times(*mat, omega))[0]
     for _ in range(epochs - 1):
-        basis = _orthonormal(_sparse_times(*mat, _orthonormal(_sparse_times(*mat_t, basis))))
+        basis = np.linalg.qr(_sparse_times(*mat, np.linalg.qr(_sparse_times(*mat_t, basis))[0]))[0]
     bt = _sparse_times(*mat_t, basis)  # (basis^T M)^T
     evals, u = np.linalg.eigh(bt.T @ bt)
-    evals, u = evals[:-r - 1:-1], u[:, :-r - 1:-1]  # the top r, largest first
-    root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2
-    vectors[labels] = basis @ np.pad(u * root, ((0, 0), (0, r - evals.size)))  # 0 past the rank
+    evals, u = evals[:-r - 1:-1], basis @ u[:, :-r - 1:-1]  # the top r, largest first
+    # a singular vector's sign is arbitrary, and training follows it: fix it here, not in LAPACK
+    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(evals.size)])
+    root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2, 0 past M's rank
+    vectors[labels] = np.pad(u * root, ((0, 0), (0, r - evals.size)))
     return LabelEmbedding(vectors=vectors.T)
 
 
@@ -248,13 +253,6 @@ def _sparse_times(rows, cols, vals, x: np.ndarray) -> np.ndarray:
         block[rows[lo:hi] - top, at] = vals[lo:hi]
         out[top:top + 128] = block @ x[used]
     return out
-
-
-def _orthonormal(y: np.ndarray) -> np.ndarray:
-    """Basis of y's columns from eigh of y^T y, dropping eigenvalues below 1e-12 of the top."""
-    evals, v = np.linalg.eigh(y.T @ y)
-    keep = evals > 1e-12 * evals[-1:]
-    return y @ (v[:, keep] / np.sqrt(evals[keep]))
 
 
 def save_embedding(path: str, embedding: LabelEmbedding) -> None:
