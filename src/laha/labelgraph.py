@@ -236,7 +236,7 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     bt = _sparse_times(*mat_t, basis)  # (basis^T M)^T
     evals, u = np.linalg.eigh(bt.T @ bt)
     evals, u = evals[:-r - 1:-1], basis @ u[:, :-r - 1:-1]  # the top r, largest first
-    # a singular vector's sign is arbitrary, and training follows it: fix it here, not in LAPACK
+    # a singular vector's sign is arbitrary and training follows it: fix it, not LAPACK's pick
     u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(evals.size)])
     root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2, 0 past M's rank
     vectors[labels] = np.pad(u * root, ((0, 0), (0, r - evals.size)))

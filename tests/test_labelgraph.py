@@ -308,6 +308,8 @@ def test_skipgram_matches_dense_ppmi_svd_oracle(walks, k, r, window, epochs):
     np.testing.assert_allclose(got[:, labels].T @ got[:, labels],
                                (u[:, :r] * s[:r]) @ u[:, :r].T, rtol=0, atol=1e-10)
     assert (got[np.linalg.matrix_rank(ppmi):, labels] == 0).all()
+    coords = got[:, labels]  # each coordinate's largest entry over the labels is positive
+    assert not labels or (coords[np.arange(r), np.abs(coords).argmax(axis=1)] >= 0).all()
     others = [c for c in range(k) if c not in labels]
     np.testing.assert_array_equal(got[:, others], init[:, others])
     np.testing.assert_array_equal(
