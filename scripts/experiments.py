@@ -1,15 +1,24 @@
-"""Label-embedding runs of the benchmark over seeds, summarized in BENCH_labelembed.json.
+"""Bench runs over seeds, summarized in BENCH_labelembed.json, BENCH_score.json, BENCH_train.json.
 
 For each seed, runs
 
     python3 bench/run.py --workload W --seed S --seconds 5 --trace 0
 
-for W in aapd-quality and eurlex-score, one subprocess per run, and reads
-the record it leaves in .bench_out/W-seedS-trace0.json.  The file written
-at the repo root holds the commit, the environment, each run's calibrated
-and raw label_embed_s, its operation counts and, for aapd-quality (the
-only workload that trains a model), its quality figures, and each
-workload's median and quartiles.
+for W in aapd-quality, eurlex-score and aapd-train, one subprocess per
+run, and reads the record it leaves in .bench_out/W-seedS-trace0.json.
+Each file at the repo root covers one end-to-end metric on the workloads
+that measure it themselves (not through aapd-quality's quality gate):
+
+    BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
+    BENCH_score.json       score_docs_per_s  eurlex-score, aapd-quality
+    BENCH_train.json       train_docs_per_s  aapd-train, aapd-quality
+
+and holds the commit, the environment, each run's calibrated figure, the
+median raw seconds of its samples (a sample is one timed call: an
+embedding, a chunk of scored documents, a batch or epoch of training)
+and their count, its operation counts and, for aapd-quality (the only
+workload that trains a model to the quality check), its quality figures,
+and each workload's median and quartiles.
 
     python3 scripts/experiments.py --seeds 1-10
 """
@@ -25,10 +34,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("aapd-quality", "eurlex-score")
 SECONDS = 5
 QUALITY = ("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5", "g1_ndcg_at_5")
-TIMINGS = ("label_embed_s", "label_embed_raw_s")
+# file -> (prefix of its per-run keys, the calibrated metric, its workloads)
+BENCH_FILES = {
+    "BENCH_labelembed.json": ("label_embed", "label_embed_s", ("aapd-quality", "eurlex-score")),
+    "BENCH_score.json": ("score", "score_docs_per_s", ("eurlex-score", "aapd-quality")),
+    "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
+}
+WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -40,25 +54,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def bench_run(workload: str, seed: int) -> tuple[dict, dict]:
-    """One untraced bench run: its figures, and the environment it recorded."""
+def bench_run(workload: str, seed: int) -> dict:
+    """The record of one untraced bench run."""
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                     "--seconds", str(SECONDS), "--trace", "0"],
                    cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    record = json.loads((ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return json.loads((ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+
+
+def run_row(record: dict, prefix: str, metric: str) -> dict:
+    """One run's figures for one bench file."""
     measures, result = record["measures"], record["result"]
-    raw = [raw_s for raw_s, _ in record["info"]["raw_and_reference_seconds"]["label_embed_s"]]
-    row = {"seed": seed, "label_embed_s": measures["label_embed_s"],
-           "label_embed_raw_s": float(np.median(raw)), "label_embed_samples": len(raw),
-           **{name: measures[name] for name in QUALITY if workload == "aapd-quality"},
-           **{name: result[name] for name in ("correct", "attempted", "failed")}}
-    return row, record["environment"]
+    raw = [raw_s for raw_s, _ in record["info"]["raw_and_reference_seconds"][metric]]
+    return {"seed": record["environment"]["seed"], metric: measures[metric],
+            f"{prefix}_raw_s": float(np.median(raw)), f"{prefix}_samples": len(raw),
+            **{name: measures[name] for name in QUALITY if record["workload"] == "aapd-quality"},
+            **{name: result[name] for name in ("correct", "attempted", "failed")}}
 
 
-def summarize(rows: list[dict]) -> dict:
+def summarize(rows: list[dict], prefix: str, metric: str) -> dict:
     """Median and quartiles of each figure over the runs, and the operation totals."""
     out = {}
-    for name in TIMINGS + tuple(name for name in QUALITY if name in rows[0]):
+    for name in (metric, f"{prefix}_raw_s") + tuple(name for name in QUALITY if name in rows[0]):
         q1, median, q3 = np.percentile([row[name] for row in rows], [25, 50, 75])
         out[name] = {"median": median, "q1": q1, "q3": q3}
     out["runs"] = len(rows)
@@ -74,23 +91,27 @@ def main(argv=None) -> int:
                         help="seeds to run, as 1-10 or 3,5,8")
     args = parser.parse_args(argv)
 
-    runs = {workload: [] for workload in WORKLOADS}
-    env = {}
+    records = {workload: [] for workload in WORKLOADS}
     for seed in args.seeds:
         for workload in WORKLOADS:
-            row, env = bench_run(workload, seed)
-            runs[workload].append(row)
-            print(json.dumps({"workload": workload, **row}), flush=True)
-    env = {key: value for key, value in env.items() if key != "seed"}
-    report = {
-        "commit": env.pop("git_commit"),
-        "environment": env,
-        "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "seeds": args.seeds,
-        "workloads": {workload: {"summary": summarize(rows), "runs": rows}
-                      for workload, rows in runs.items()},
-    }
-    (ROOT / "BENCH_labelembed.json").write_text(json.dumps(report, indent=1) + "\n")
+            record = bench_run(workload, seed)
+            records[workload].append(record)
+            print(json.dumps({"workload": workload, "seed": seed, **record["result"]}), flush=True)
+    env = {key: value for key, value in record["environment"].items() if key != "seed"}
+    commit = env.pop("git_commit")
+    for path, (prefix, metric, workloads) in BENCH_FILES.items():
+        runs = {workload: [run_row(record, prefix, metric) for record in records[workload]]
+                for workload in workloads}
+        report = {
+            "commit": commit,
+            "environment": env,
+            "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+            "metric": metric,
+            "seeds": args.seeds,
+            "workloads": {workload: {"summary": summarize(rows, prefix, metric), "runs": rows}
+                          for workload, rows in runs.items()},
+        }
+        (ROOT / path).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

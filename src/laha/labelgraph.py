@@ -193,10 +193,9 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     log(negatives) shift empties M on small graphs.  Labels in no pair
     keep their seeded random init, which epochs=0 returns unchanged.
     """
-    if r < 1 or window < 1:
-        raise ValidationError("r and window must be >= 1")
-    if negatives < 0 or epochs < 0:
-        raise ValidationError("negatives and epochs must be >= 0")
+    for name, value, low in (("k", k, 1), ("r", r, 1), ("window", window, 1),
+                             ("negatives", negatives, 0), ("epochs", epochs, 0), ("seed", seed, 0)):
+        check_int(name, value, low)
     if not walks:
         raise ValidationError("cannot embed labels from zero walks")
     lens = np.array([len(walk) for walk in walks])

@@ -141,6 +141,8 @@ def evaluate(
     for t in taus:
         check_int("tau", t, 1)
     taus = sorted(set(int(t) for t in taus))
+    if not taus:
+        raise ValidationError("taus must name at least one cutoff")
     keys = [f"P@{t}" for t in taus] + [f"nDCG@{t}" for t in taus]
     all_scores = [np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus]
     k = all_scores[0].size if k is None else k

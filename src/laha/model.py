@@ -11,14 +11,16 @@ gate mixes the two per label, and a small feed-forward head turns each
 column of the paper's mixed context H (alpha A_s + beta A_i) into a
 logit.  The 2r x k' contexts H A are never built: each product of three
 matrices takes the cheaper association, and each route's softmax runs in
-its last product's buffer.  Every label in index order takes W_s2 and L
-as they are, L column-major as a gather of its columns would be, so
-both give the same bits.  The model yields logits, and a non-finite
-logit raises NumericalError, since every score and loss passes through
-them; the sigmoid is applied only by `ForwardTrace.scores()`, and
-training feeds the logits straight to `numeric.bce_with_logits`.  The
-parameters are the arrays `param_table` lists, the one place their
-names, shapes and order are written down.
+its last product's buffer.  Both routes read their label side through
+`numeric.take_rows`: rows of W_s2, and rows of the k x r label matrix,
+one leaf per `forward_batch` call (checked finite there once), taken
+transposed as L.  Every label in index order takes either as it is.  The
+model yields logits, and a non-finite logit raises NumericalError, since
+every score and loss passes through them; the sigmoid is applied only
+by `ForwardTrace.scores()`, and training feeds a batch's logits straight
+to `numeric.bce_with_logits`, one node.  The parameters are the arrays
+`param_table` lists, the one place their names, shapes and order are
+written down.
 
 `forward_batch` checks its inputs, then runs equal-length documents
 through one embedding gather and one Bi-LSTM node (both directions, the
@@ -168,21 +170,19 @@ def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask, transposed=True)  # n x k'
 
 
-def interaction_attention(
-    h: Node, label_vectors: np.ndarray, w_q, subset: Sequence[int], mask,
-) -> Node:
+def interaction_attention(h: Node, label_rows: Node, w_q, subset: Sequence[int], mask) -> Node:
     """Structure attention: words match projected label vectors.
 
-    With H = [H_f; H_b], the matching score for word t and label j is
-    H[:, t] . [Q; Q][:, j], Q = W_q L over the subset: the block form
+    `label_rows` is the k x r label matrix, one row per label, and L its
+    transposed subset rows.  With H = [H_f; H_b], the matching score for
+    word t and label j is H[:, t] . [Q; Q][:, j], Q = W_q L: the block form
     [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q (`add_halves`),
     associated as `matmul_chain` would.  Returns A_i, the n x k' softmax
     over words; the paper's context matrix is C_i = H @ A_i.
     """
-    if not np.array_equal(subset, np.arange(label_vectors.shape[1])):
-        label_vectors = label_vectors[:, subset]
     h_sum = nm.transpose(nm.add_halves(h))
-    return nm.softmax_product(*nm.associate(h_sum, w_q, label_vectors), mask)  # n x k'
+    lv = nm.transpose(nm.take_rows(label_rows, subset))
+    return nm.softmax_product(*nm.associate(h_sum, w_q, lv), mask)  # n x k'
 
 
 def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
@@ -239,11 +239,13 @@ def forward_batch(
         raise ShapeError(f"token rows differ in length: {[len(ids) for ids in token_rows]}")
     k = param_nodes["w_s2"].rows
     subsets = [_valid_subset(subset, k) for subset in subsets]
+    label_rows = None
     if label_vectors is not None:
-        label_vectors = np.asfortranarray(label_vectors, dtype=np.float64)  # as lv[:, subset] is
+        label_vectors = np.asarray(label_vectors, dtype=np.float64)
         expected = (param_nodes["w_q"].cols, k)
         if label_vectors.shape != expected:
             raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
+        label_rows = Node(np.ascontiguousarray(label_vectors.T))  # scanned once per call
 
     embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], np.concatenate(token_rows)))
     h = bilstm_forward(
@@ -253,19 +255,19 @@ def forward_batch(
         docs=docs,
     )
     return [
-        _attend(nm.slice_cols(h, j * n, (j + 1) * n), mask, param_nodes, label_vectors,
+        _attend(nm.slice_cols(h, j * n, (j + 1) * n), mask, param_nodes, label_rows,
                 subset, variant)
         for j, (mask, subset) in enumerate(zip(masks, subsets))
     ]
 
 
-def _attend(h, mask, param_nodes, label_vectors, subset, variant):
+def _attend(h, mask, param_nodes, label_rows, subset, variant):
     """Attention routes, gate and head of one document over its Bi-LSTM states H."""
     attn_self = attn_inter = None
     if variant != "ia":
         attn_self = self_attention(h, param_nodes["w_s1"], param_nodes["w_s2"], subset, mask)
     if variant != "sa":
-        attn_inter = interaction_attention(h, label_vectors, param_nodes["w_q"], subset, mask)
+        attn_inter = interaction_attention(h, label_rows, param_nodes["w_q"], subset, mask)
 
     if variant == "laha":
         mix, alpha, beta = fuse(

@@ -13,9 +13,11 @@ non-finite op value that reaches none of these does not raise; with
 finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
 where a chain of nodes kept several: `softmax_product` (a softmax in its
-product's buffer), `mix_columns` and the loss `bce_with_logits`; the
-`sigmoid` of logits runs on plain arrays, outside the graph.  `bilstm`
-runs both LSTM directions over a batch of documents as one node, whose
+product's buffer), `mix_columns`, and the loss `bce_with_logits`, one
+node for a whole batch of documents; the `sigmoid` of logits runs on
+plain arrays, outside the graph.  `take_rows` gathers rows by integer
+index and returns its input for the identity, the one such shortcut.
+`bilstm` runs both LSTM directions over a batch of documents as one node, whose
 value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from
 it): a GEMM per direction projects every token, the step loops keep only
 the recurrent GEMM and the gate math, and the backward is hand-written
@@ -175,16 +177,6 @@ def div(a, b) -> Node:
     return Node(a.value / b.value, (a, b), bwd)
 
 
-def scale(a, c: float) -> Node:
-    """Multiply by a constant scalar."""
-    a = _node(a)
-
-    def bwd(g):
-        a.grad += g * c
-
-    return Node(a.value * c, (a,), bwd)
-
-
 def const_minus(c: float, a) -> Node:
     """c - a for a constant scalar c."""
     a = _node(a)
@@ -263,9 +255,11 @@ def add_halves(a) -> Node:
 def take_rows(a, indices) -> Node:
     """Gather rows by index (the identity returns a); the gradient scatters back, repeats add."""
     a = _node(a)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("take_rows needs a nonempty 1-D index list")
+    if idx.dtype.kind not in "iu":
+        raise ValidationError(f"take_rows needs integer indices, got {idx.dtype}")
     if idx.min() < 0 or idx.max() >= a.rows:
         raise ShapeError(f"take_rows: index out of range for {a.rows} rows")
     if idx.size == a.rows and (idx == np.arange(a.rows)).all():
@@ -305,16 +299,6 @@ def mix_columns(a, u, b, v) -> Node:
                                   ).sum(axis=0, keepdims=True)
 
     return Node(out, (a, u, b, v), bwd)
-
-
-def sum_nodes(nodes: Sequence[Node]) -> Node:
-    """Fold a nonempty sequence with `add` in index order."""
-    if not nodes:
-        raise ShapeError("sum_nodes of zero terms")
-    total = nodes[0]
-    for n in nodes[1:]:
-        total = add(total, n)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +370,33 @@ def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:
     return Node(x, (a, b), bwd)
 
 
-def bce_with_logits(z, y) -> Node:
-    """Binary cross-entropy of logits z against constant targets y, summed to 1x1.
+def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
+    """Binary cross-entropy of each document's logits against its constant targets, one 1x1 node.
 
-    Computed as max(z, 0) - z*y + log1p(exp(-|z|)), which cannot overflow;
-    the gradient is sigmoid(z) - y, so a confidently wrong logit keeps a
-    gradient of magnitude near 1 instead of saturating to 0.
+    Each document's loss is summed over its labels, then the sums are added
+    in document order and averaged.  Computed as max(z, 0) - z*y +
+    log1p(exp(-|z|)), which cannot overflow; the gradient is (sigmoid(z) -
+    y) / documents, so a confidently wrong logit keeps a gradient of
+    magnitude near 1 / documents instead of saturating to 0.
     """
-    z = _node(z)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != z.value.shape:
-        raise ShapeError(
-            f"bce_with_logits: target shape {y.shape} != logit shape {z.value.shape}"
-        )
-    x = z.value
-    loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    if len(logits) != len(targets):
+        raise ShapeError(f"bce_with_logits: {len(logits)} logit rows vs {len(targets)} targets")
+    if not logits:
+        raise ValidationError("bce_with_logits needs at least one document")
+    zs, ys = [_node(z) for z in logits], [np.asarray(y, dtype=np.float64) for y in targets]
+    total = 0.0
+    for z, y in zip(zs, ys):
+        if y.shape != z.value.shape:
+            raise ShapeError(f"bce_with_logits: target {y.shape} != logit {z.value.shape}")
+        x = z.value
+        total += (np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))).sum()
+    inv = 1.0 / len(zs)
 
     def bwd(g):
-        z.grad += g[0, 0] * (sigmoid(x) - y)
+        for z, y in zip(zs, ys):
+            z.grad += (g[0, 0] * inv) * (sigmoid(z.value) - y)
 
-    return Node(np.array([[loss.sum()]]), (z,), bwd)
+    return Node(np.array([[total * inv]]), tuple(zs), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each document trains against its positive labels plus a small random set
 of negatives; a batch runs through one `model.forward_batch` call, and
 the loss is binary cross-entropy on the model's logits (one fused
-`bce_with_logits` op per document), summed over that subset and averaged
+`bce_with_logits` op per batch), summed over each subset and averaged
 over the batch.  All randomness derives from (seed, epoch), so a
 run is a pure function of its config and resuming from a checkpoint
 reproduces the uninterrupted run bit for bit.
@@ -118,18 +118,12 @@ def sample_labels(
 def bce_loss(logits: Sequence[Node], targets: Sequence[np.ndarray]) -> Node:
     """Binary cross-entropy on logits, summed per document, averaged over the batch.
 
-    Takes the head's logits, not probabilities: each document is one
+    Takes the head's logits, not probabilities, and the batch is one
     `numeric.bce_with_logits` op, so a saturated logit keeps its gradient.
     """
-    if len(logits) != len(targets):
-        raise ShapeError(f"{len(logits)} predictions vs {len(targets)} target vectors")
-    if not logits:
-        raise ValidationError("bce_loss needs at least one document")
-    per_doc = [
-        nm.bce_with_logits(z, np.asarray(y, dtype=np.float64).reshape(1, -1))
-        for z, y in zip(logits, targets)
-    ]
-    return nm.scale(nm.sum_nodes(per_doc), 1.0 / len(per_doc))
+    return nm.bce_with_logits(
+        logits, [np.asarray(y, dtype=np.float64).reshape(1, -1) for y in targets]
+    )
 
 
 def train(

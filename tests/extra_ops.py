@@ -2,7 +2,8 @@
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
 output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, and `vconcat` stacks blocks; all of them follow the op
+each entry, `scale` multiplies by a constant, `sum_nodes` folds nodes
+with `add`, and `vconcat` stacks blocks; all of them follow the op
 conventions of `laha.numeric`.  `softmax_columns` and `scale_cols` are the
 per-step ops that `numeric.softmax_product` and `numeric.mix_columns`
 fuse, and `softmax_product_oracle` and `mix_columns_oracle` compose them
@@ -45,6 +46,26 @@ def sum_all(a) -> Node:
         a.grad += g[0, 0]
 
     return Node(np.array([[a.value.sum()]]), (a,), bwd)
+
+
+def scale(a, c: float) -> Node:
+    """Multiply by a constant scalar."""
+    a = _node(a)
+
+    def bwd(g):
+        a.grad += g * c
+
+    return Node(a.value * c, (a,), bwd)
+
+
+def sum_nodes(nodes: Sequence[Node]) -> Node:
+    """Fold a nonempty sequence with `add` in index order."""
+    if not nodes:
+        raise ShapeError("sum_nodes of zero terms")
+    total = nodes[0]
+    for n in nodes[1:]:
+        total = add(total, n)
+    return total
 
 
 def vconcat(parts: Sequence) -> Node:

@@ -1,0 +1,43 @@
+"""The experiment runner's seed parser and summary, loaded from scripts/ by path."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "experiments.py"
+
+
+@pytest.fixture(scope="module")
+def experiments():
+    spec = importlib.util.spec_from_file_location("experiments", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_seeds_takes_ranges_and_single_seeds(experiments):
+    assert experiments.parse_seeds("1-3,7") == [1, 2, 3, 7]
+
+
+def test_summarize_two_runs(experiments):
+    rows = [
+        {"seed": 1, "score_docs_per_s": 4.0, "score_raw_s": 0.5, "score_samples": 3,
+         "correct": True, "attempted": 10, "failed": 0},
+        {"seed": 2, "score_docs_per_s": 6.0, "score_raw_s": 0.25, "score_samples": 4,
+         "correct": False, "attempted": 12, "failed": 1},
+    ]
+    assert experiments.summarize(rows, "score", "score_docs_per_s") == {
+        "score_docs_per_s": {"median": 5.0, "q1": 4.5, "q3": 5.5},
+        "score_raw_s": {"median": 0.375, "q1": 0.3125, "q3": 0.4375},
+        "runs": 2, "correct_runs": 1, "attempted": 22, "failed": 1,
+    }
+
+
+def test_summarize_reports_quality_where_the_runs_have_it(experiments):
+    quality = dict.fromkeys(experiments.QUALITY, 0.5)
+    rows = [{"seed": s, "train_docs_per_s": 2.0, "train_raw_s": 1.0, "correct": True,
+             "attempted": 1, "failed": 0, **quality} for s in (1, 2)]
+    summary = experiments.summarize(rows, "train", "train_docs_per_s")
+    for name in experiments.QUALITY:
+        assert summary[name] == {"median": 0.5, "q1": 0.5, "q3": 0.5}

@@ -440,3 +440,14 @@ def test_walk_config_validation():
 def test_walk_config_rejects_malformed_values(fields):
     with pytest.raises(ValidationError):
         WalkConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"k": 2.0}, {"k": 0}, {"r": 2.5}, {"r": 0}, {"window": "2"}, {"window": 0},
+    {"negatives": -1}, {"epochs": 1.0}, {"epochs": -1}, {"seed": -1}, {"seed": None},
+    {"seed": True},
+])
+def test_skipgram_rejects_malformed_arguments(fields):
+    args = {"k": 3, "r": 2, "window": 1, "negatives": 0, "epochs": 1, "seed": 0, **fields}
+    with pytest.raises(ValidationError):
+        train_skipgram([[0, 1, 2]], **args)

@@ -282,7 +282,7 @@ def test_evaluate_label_space_mismatch():
         evaluate(_score_fn_from_table({"d": np.zeros(3)}), docs, taus=(1,), k=3)
 
 
-@pytest.mark.parametrize("taus", [(0,), (1.5, 2.9), (True,), (1, "3")])
+@pytest.mark.parametrize("taus", [(0,), (1.5, 2.9), (True,), (1, "3"), ()])
 def test_evaluate_rejects_non_integer_or_non_positive_taus(taus):
     docs = [Document("d", ["x"], {0})]
     with pytest.raises(ValidationError, match="tau"):

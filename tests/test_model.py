@@ -203,9 +203,9 @@ def test_interaction_attention_identity_oracle():
     n = 3
     h = Node(np.vstack([np.eye(n), np.eye(n)]))
     w_q = Node(np.eye(n))
-    label_vectors = np.zeros((n, 2))
-    label_vectors[0, 0] = 1.0
-    attn = interaction_attention(h, label_vectors, w_q, [0], np.ones(n, bool))
+    label_rows = np.zeros((2, n))
+    label_rows[0, 0] = 1.0
+    attn = interaction_attention(h, label_rows, w_q, [0], np.ones(n, bool))
     e = np.exp(np.array([2.0, 0.0, 0.0]))
     np.testing.assert_allclose(attn.value[:, 0], e / e.sum(), atol=1e-12)
 
@@ -217,7 +217,7 @@ def test_interaction_attention_single_word():
     h_fwd = rng.normal(size=(cfg.r, 1))
     h_bwd = rng.normal(size=(cfg.r, 1))
     lv = _label_vectors(cfg)
-    attn = interaction_attention(Node(np.vstack([h_fwd, h_bwd])), lv, pn["w_q"], [0, 1, 2],
+    attn = interaction_attention(Node(np.vstack([h_fwd, h_bwd])), lv.T, pn["w_q"], [0, 1, 2],
                                  [True])
     ctx = np.vstack([h_fwd, h_bwd]) @ attn.value
     h1 = np.concatenate([h_fwd[:, 0], h_bwd[:, 0]])
@@ -234,7 +234,7 @@ def test_interaction_attention_columns_normalized():
     h_bwd = rng.normal(size=(cfg.r, n))
     mask = np.array([True, True, False, True, True])
     attn = interaction_attention(
-        Node(np.vstack([h_fwd, h_bwd])), _label_vectors(cfg), pn["w_q"], [0, 3], mask
+        Node(np.vstack([h_fwd, h_bwd])), _label_vectors(cfg).T, pn["w_q"], [0, 3], mask
     )
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(2), atol=1e-9)
     assert (attn.value[2, :] == 0.0).all()
@@ -245,7 +245,7 @@ def test_interaction_attention_bad_label_matrix():
     pn = wrap_params(_params(cfg))
     h = Node(np.ones((2 * cfg.r, 2)))
     with pytest.raises(ShapeError):
-        interaction_attention(h, np.ones((cfg.r + 1, cfg.k)), pn["w_q"], [0], [1, 1])
+        interaction_attention(h, np.ones((cfg.k, cfg.r + 1)), pn["w_q"], [0], [1, 1])
 
 
 def test_block_identity_of_interaction_scores():
@@ -392,6 +392,42 @@ def test_forward_takes_nested_list_label_vectors_and_rejects_a_misshapen_one():
     np.testing.assert_array_equal(listed.scores(), _forward(cfg, params, lv, "laha").scores())
     with pytest.raises(ShapeError):
         _forward(cfg, params, lv[:, 1:].tolist(), "laha")
+
+
+@pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
+@pytest.mark.parametrize("subset", ["all", "permuted"])
+def test_forward_batch_scans_the_label_matrix_once_before_the_bilstm(variant, subset):
+    cfg = _cfg()
+    params, lv = _params(cfg), _label_vectors(cfg)
+    subset = list(range(cfg.k)) if subset == "all" else [2, 0, 3, 1]
+    lv[1, 2] = np.nan
+    with mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
+            pytest.raises(NumericalError):
+        _forward(cfg, params, lv, variant, subset=subset)
+    bilstm.assert_not_called()
+
+    lv[1, 2] = 0.0
+    scanned, node_init = [], Node.__init__
+
+    def spy(self, value, _parents=(), _backward=None, _scan=True):
+        if _scan and not _parents:
+            scanned.append(np.shape(value))
+        node_init(self, value, _parents, _backward, _scan)
+
+    rows, masks, _ = _batch(cfg, 9, docs=3, seed=1)
+    pn = wrap_params(params)
+    with mock.patch.object(Node, "__init__", spy):
+        forward_batch(rows, masks, pn, lv, [subset] * 3, variant)
+    # the fixed gates of "sa", "ia" and "sa+ia" are 1 x k' leaves of their own
+    assert [shape for shape in scanned if shape != (1, cfg.k)] == [(cfg.k, cfg.r)]
+
+
+def test_forward_rejects_float_token_ids():
+    cfg = _cfg()
+    pn, lv = wrap_params(_params(cfg)), _label_vectors(cfg)
+    ids = np.array([2.5, 3, 0, 1])
+    with pytest.raises(ValidationError, match="integer indices"):
+        forward(ids, ids > 0, pn, lv, [0, 1])
 
 
 @pytest.mark.parametrize("subset", [[0, 1.5], [0, True], [0, "1"], []],
@@ -572,9 +608,9 @@ def _old_self_attention(h, w_s1, w_s2, subset, mask):
     return softmax_columns(nm.transpose(nm.matmul(nm.take_rows(w_s2, subset), t)), mask)
 
 
-def _old_interaction_attention(h, label_vectors, w_q, subset, mask):
+def _old_interaction_attention(h, label_rows, w_q, subset, mask):
     """The interaction route on a row-major label matrix's column slice, softmax on its own."""
-    lv = np.ascontiguousarray(label_vectors)[:, subset]
+    lv = np.ascontiguousarray(label_rows.value.T)[:, subset]
     return softmax_columns(nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, lv), mask)
 
 
@@ -665,7 +701,7 @@ def test_unreached_leaf_gets_no_gradient_buffer():
     pn = wrap_params(params)
     ids = np.array([3, 5, 2, 0])
     trace = forward(ids, ids > 0, pn, None, [0, 2], "sa")
-    nm.backward(nm.bce_with_logits(trace.logits, np.array([[1.0, 0.0]])))
+    nm.backward(nm.bce_with_logits([trace.logits], [np.array([[1.0, 0.0]])]))
     assert pn["w_q"]._grad is None
     np.testing.assert_array_equal(pn["w_q"].grad, np.zeros_like(params["w_q"]))
     assert np.abs(pn["w_s2"].grad).sum() > 0

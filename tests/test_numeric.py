@@ -20,10 +20,8 @@ from laha.numeric import (
     matmul,
     matmul_chain,
     mix_columns,
-    scale,
     slice_cols,
     softmax_product,
-    sum_nodes,
     take_rows,
     transpose,
 )
@@ -34,10 +32,12 @@ from extra_ops import (
     lstm,
     mix_columns_oracle,
     mul,
+    scale,
     scale_cols,
     softmax_columns,
     softmax_product_oracle,
     sum_all,
+    sum_nodes,
     vconcat,
 )
 
@@ -202,10 +202,33 @@ def test_bce_with_logits_closed_form():
     # z = 0 costs ln 2 whatever the target; z = ln 3, y = 1 costs ln(4/3)
     z = np.array([[0.0, 0.0, math.log(3.0)]])
     y = np.array([[0.0, 1.0, 1.0]])
-    out = bce_with_logits(z, y)
+    out = bce_with_logits([z], [y])
     assert out.value[0, 0] == pytest.approx(2 * math.log(2.0) + math.log(4 / 3), abs=1e-15)
     with pytest.raises(ShapeError):
-        bce_with_logits(z, np.zeros((1, 2)))
+        bce_with_logits([z], [np.zeros((1, 2))])
+    with pytest.raises(ShapeError):
+        bce_with_logits([z, z], [y])
+    with pytest.raises(ValidationError):
+        bce_with_logits([], [])
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_bce_with_logits_is_bit_identical_to_the_mean_of_per_document_nodes(trial):
+    # the batch op against one op per document, folded with `add` and scaled by 1 / documents
+    rng = np.random.default_rng(900 + trial)
+    docs = int(rng.integers(1, 6))
+    zs = [rng.normal(scale=4.0, size=(1, int(rng.integers(1, 9)))) for _ in range(docs)]
+    ys = [rng.integers(0, 2, size=z.shape).astype(float) for z in zs]
+    fused = [Node(z) for z in zs]
+    root = bce_with_logits(fused, ys)
+    backward(root)
+    alone = [Node(z) for z in zs]
+    oracle = scale(sum_nodes([bce_with_logits([a], [y]) for a, y in zip(alone, ys)]), 1.0 / docs)
+    want = oracle.value.copy()
+    backward(oracle)
+    np.testing.assert_array_equal(root.value, want)
+    for got, ref in zip(fused, alone):
+        np.testing.assert_array_equal(got.grad, ref.grad)
 
 
 def test_backward_populates_reused_leaf_once_per_use():
@@ -303,7 +326,9 @@ def test_grad_activations(trial):
     _check(lambda p: sum_all(activate(p["x"], "tanh")), {"x": x})
     _check(lambda p: sum_all(activate(p["x"], "sigmoid")), {"x": x})
     _check(lambda p: sum_all(activate(p["x"], "relu")), {"x": x_relu})
-    _check(lambda p: bce_with_logits(p["x"], y), {"x": x})
+    _check(lambda p: bce_with_logits([p["x"]], [y]), {"x": x})
+    _check(lambda p: bce_with_logits([p["x"], slice_cols(p["x"], 1, 3)], [y, y[:, 1:]]),
+           {"x": x})
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -693,6 +718,23 @@ def test_mix_columns_rejects_mismatched_shapes():
         mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 3)))
     with pytest.raises(ShapeError):
         mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 3)), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("indices, error", [
+    ([], ShapeError), ([[0, 1]], ShapeError), ([0, 3], ShapeError), ([-1], ShapeError),
+    ([0.7, 1.2], ValidationError), ([True, False, True], ValidationError),
+    (np.array([0.0, 2.0]), ValidationError), (["1"], ValidationError),
+], ids=["empty", "2-D", "past the end", "negative", "float", "bool", "float array", "str"])
+def test_take_rows_rejects_bad_indices(indices, error):
+    with pytest.raises(error):
+        take_rows(Node(np.ones((3, 2))), indices)
+
+
+def test_take_rows_takes_any_integer_dtype():
+    a = Node(np.arange(6.0).reshape(3, 2))
+    for dtype in (np.int8, np.int32, np.uint16, np.int64):
+        np.testing.assert_array_equal(take_rows(a, np.array([2, 0], dtype=dtype)).value,
+                                      [[4.0, 5.0], [0.0, 1.0]])
 
 
 def test_take_rows_identity_is_the_input():
