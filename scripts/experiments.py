@@ -20,7 +20,13 @@ and their count, its operation counts and, for aapd-quality (the only
 workload that trains a model to the quality check), its quality figures,
 and each workload's median and quartiles.
 
-    python3 scripts/experiments.py --seeds 1-10
+With --trace, each workload and seed also gets one run with --trace 1,
+and BENCH_layers.json records, for every span of each traced run, its
+milliseconds per document, a document being one model.forward call or
+one training.sample_labels call (so a trained document counts once, and
+once more if it is scored).
+
+    python3 scripts/experiments.py --seeds 1-10 [--trace]
 """
 
 from __future__ import annotations
@@ -43,23 +49,30 @@ BENCH_FILES = {
     "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
 }
 WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")
+DOCUMENT_SPANS = ("model.forward", "training.sample_labels")  # one call per document
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`1-10`, `3,5,8` or a mix of both."""
+    """`1-10`, `3,5,8` or a mix of both; an empty range or a repeated seed raises ValueError."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise ValueError(f"seed range {part!r} is empty")
+        seeds += span
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seed list {text!r} names a seed twice")
     return seeds
 
 
-def bench_run(workload: str, seed: int) -> dict:
-    """The record of one untraced bench run."""
+def bench_run(workload: str, seed: int, trace: int = 0) -> dict:
+    """The record of one bench run, untraced or traced."""
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(SECONDS), "--trace", "0"],
+                    "--seconds", str(SECONDS), "--trace", str(trace)],
                    cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((ROOT / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return json.loads((ROOT / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
+                      .read_text())
 
 
 def run_row(record: dict, prefix: str, metric: str) -> dict:
@@ -70,6 +83,26 @@ def run_row(record: dict, prefix: str, metric: str) -> dict:
             f"{prefix}_raw_s": float(np.median(raw)), f"{prefix}_samples": len(raw),
             **{name: measures[name] for name in QUALITY if record["workload"] == "aapd-quality"},
             **{name: result[name] for name in ("correct", "attempted", "failed")}}
+
+
+def layer_row(record: dict) -> dict:
+    """One traced run's milliseconds per document of each span, and its operation counts."""
+    spans = {span["name"]: span for span in record["info"]["spans"]}
+    documents = sum(spans[name]["calls"] for name in DOCUMENT_SPANS if name in spans)
+    return {"seed": record["environment"]["seed"], "documents": documents,
+            "ms_per_doc": {name: 1000.0 * span["total_s"] / documents
+                           for name, span in spans.items()},
+            **{name: record["result"][name] for name in ("correct", "attempted", "failed")}}
+
+
+def summarize_layers(rows: list[dict]) -> dict:
+    """Median and quartiles of each span's milliseconds per document over the runs."""
+    out = {}
+    for name in rows[0]["ms_per_doc"]:
+        q1, median, q3 = np.percentile([row["ms_per_doc"].get(name, 0.0) for row in rows],
+                                       [25, 50, 75])
+        out[name] = {"median": median, "q1": q1, "q3": q3}
+    return out
 
 
 def summarize(rows: list[dict], prefix: str, metric: str) -> dict:
@@ -89,29 +122,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seeds to run, as 1-10 or 3,5,8")
+    parser.add_argument("--trace", action="store_true",
+                        help="also run each workload and seed traced; write BENCH_layers.json")
     args = parser.parse_args(argv)
 
     records = {workload: [] for workload in WORKLOADS}
+    layers = {workload: [] for workload in WORKLOADS}
     for seed in args.seeds:
         for workload in WORKLOADS:
             record = bench_run(workload, seed)
             records[workload].append(record)
             print(json.dumps({"workload": workload, "seed": seed, **record["result"]}), flush=True)
+            if args.trace:
+                layers[workload].append(layer_row(bench_run(workload, seed, trace=1)))
     env = {key: value for key, value in record["environment"].items() if key != "seed"}
-    commit = env.pop("git_commit")
-    for path, (prefix, metric, workloads) in BENCH_FILES.items():
-        runs = {workload: [run_row(record, prefix, metric) for record in records[workload]]
-                for workload in workloads}
-        report = {
-            "commit": commit,
-            "environment": env,
-            "command": f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
-            "metric": metric,
-            "seeds": args.seeds,
-            "workloads": {workload: {"summary": summarize(rows, prefix, metric), "runs": rows}
-                          for workload, rows in runs.items()},
-        }
+    head = {"commit": env.pop("git_commit"), "environment": env}
+
+    def write(path: str, trace: int, metric: str, workloads: dict) -> None:
+        command = f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace {trace}"
+        report = {**head, "command": command, "metric": metric, "seeds": args.seeds,
+                  "workloads": workloads}
         (ROOT / path).write_text(json.dumps(report, indent=1) + "\n")
+
+    for path, (prefix, metric, names) in BENCH_FILES.items():
+        runs = {name: [run_row(record, prefix, metric) for record in records[name]]
+                for name in names}
+        write(path, 0, metric, {name: {"summary": summarize(rows, prefix, metric), "runs": rows}
+                                for name, rows in runs.items()})
+    if args.trace:
+        write("BENCH_layers.json", 1, "ms_per_doc", {
+            name: {"summary": summarize_layers(rows), "runs": rows} for name, rows in layers.items()})
     return 0
 
 

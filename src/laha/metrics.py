@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,7 +75,11 @@ class LabelGroupSpec:
     boundaries: tuple[int, ...] = (5, 50)
 
     def __post_init__(self):
+        if not isinstance(self.boundaries, Iterable):
+            raise ValidationError(f"group boundaries must be integers, got {self.boundaries!r}")
         self.boundaries = tuple(self.boundaries)
+        for b in self.boundaries:
+            check_int("group boundary", b, 0)
         if any(b <= a for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValidationError("group boundaries must be strictly increasing")
 
@@ -96,8 +100,7 @@ def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
     freqs = np.zeros(k, dtype=np.int64)
     for doc in corpus:
         for label in doc.labels:
-            if not (0 <= label < k):
-                raise ValidationError(f"label {label} outside range [0,{k})")
+            check_int(f"document {doc.doc_id!r} label", label, 0, k)
             freqs[label] += 1
     return freqs
 
@@ -146,6 +149,7 @@ def evaluate(
     keys = [f"P@{t}" for t in taus] + [f"nDCG@{t}" for t in taus]
     all_scores = [np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus]
     k = all_scores[0].size if k is None else k
+    check_int("k", k, 1)
     group_spec = group_spec or LabelGroupSpec()
     names = group_spec.names
     group_ids = (group_spec.group_of(label_frequencies(train_corpus, k))
@@ -159,10 +163,10 @@ def evaluate(
             raise ValidationError(f"score vector length {scores.size} != label count {k}")
         if not np.isfinite(scores).all():
             raise ValidationError(f"document {doc.doc_id!r} has a non-finite score")
-        if not doc.labels or not all(0 <= label < k for label in doc.labels):
-            raise ValidationError(
-                f"document {doc.doc_id!r} labels {sorted(doc.labels)} empty or outside [0,{k})"
-            )
+        if not doc.labels:
+            raise ValidationError(f"document {doc.doc_id!r} has no labels")
+        for label in doc.labels:
+            check_int(f"document {doc.doc_id!r} label", label, 0, k)
         ranking = rank_labels(scores)
         sums[0] += _ranked_metrics(ranking, doc.labels, taus)
         doc_counts[0] += 1
@@ -196,8 +200,7 @@ def fusion_weight_histogram(
     """
     if not documents:
         raise ValidationError("need at least one document")
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
+    check_int("bins", bins, 1)
     counts = {"alpha": [0] * bins, "beta": [0] * bins}
     for doc in documents:
         trace = trace_fn(doc)

@@ -17,23 +17,27 @@ product's buffer), `mix_columns`, and the loss `bce_with_logits`, one
 node for a whole batch of documents; the `sigmoid` of logits runs on
 plain arrays, outside the graph.  `take_rows` gathers rows by integer
 index and returns its input for the identity, the one such shortcut.
-`bilstm` runs both LSTM directions over a batch of documents as one node, whose
-value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from
-it): a GEMM per direction projects every token, the step loops keep only
-the recurrent GEMM and the gate math, and the backward is hand-written
-BPTT.  From r * r * docs = `_WORKER_MIN` on, with two usable CPUs, a
-worker thread steps the reverse direction in both passes: it touches no
-Node, runs in a copy of the caller's context (numpy's error state) and
-is joined before the node returns or raises.  That overlap assumes BLAS
-on one thread; with two, the serial loops are faster.  A backward pass
-consumes its graph: it overwrites `bilstm`'s stored gates and releases
-them, so a second sweep raises ValidationError, and it releases each op
-node's gradient once passed on, so only the leaves keep theirs.
+`bilstm` runs both LSTM directions over a batch of documents as one node,
+whose value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b
+from it): a GEMM per direction projects every token, the step loops keep
+only the recurrent GEMM and the gate math, and the backward is
+hand-written BPTT.  Its kernel steps a stack of directions, every array
+with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
+lockstep, each op one call for the two; from it on each is a stack of its
+own, and with two usable CPUs (and BLAS on one thread) a worker thread
+steps the reverse one in both passes: it touches no Node, runs in a copy
+of the caller's context (numpy's error state) and is joined before the
+node returns or raises.  The gates' sigmoid is the public `sigmoid`'s one
+formula, in place.  A backward pass consumes its graph: it overwrites
+`bilstm`'s stored gates and releases them, so a second sweep raises
+ValidationError, and it releases each op node's gradient once passed on,
+so only the leaves keep theirs.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from typing import Sequence
 
@@ -307,12 +311,19 @@ def mix_columns(a, u, b, v) -> Node:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of a plain array, split by sign so exp cannot overflow."""
-    e = np.exp(np.copysign(x, -1.0))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function of a plain array: `_sigmoid` of a float64 copy."""
+    x = np.array(x, dtype=np.float64)
+    return _sigmoid(x, np.empty_like(x))
 
 
-_sigmoid = sigmoid  # for the LSTM worker thread, out of reach of a wrapper set on `sigmoid`
+def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x <- max(e, sign(x)) / (1 + e) in place, through scratch e = exp(-|x|) of x's shape.
+
+    As e <= 1 that is 1 / (1 + e) for x >= 0 and e / (1 + e) below: exp cannot overflow."""
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.maximum(e, np.sign(x, out=x), out=x)
+    x /= np.add(e, 1.0, out=e)
+    return x
 
 
 def activate(a, kind: str) -> Node:
@@ -409,100 +420,129 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
 
     x is d x (docs * n), document j in columns j*n ... j*n + n - 1; each direction's wx
     (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value is the
-    2r x (docs * n) forward over reverse states, column t after reading token t.
+    2r x (docs * n) forward over reverse states, column t after reading token t.  Below
+    r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
+    two 4r x r recurrent matrices would evict each other from the cache, so each direction
+    is a stack of its own, the reverse one on a worker thread if two CPUs are usable.
     """
     x, *w = (_node(a) for a in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
     r, d, shapes = w[1].cols, x.rows, [a.value.shape for a in w]
     if shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or docs < 1 or x.cols % docs:
         raise ShapeError(f"bilstm: {shapes} and {docs} documents do not fit {x.value.shape}")
-    threaded = r * r * docs >= _WORKER_MIN and len(os.sched_getaffinity(0)) >= 2
     h = np.empty((2 * r, x.cols), order="F" if docs == 1 else "C")  # see `_lstm`
-    bptt = _pair(lambda k: _lstm(x.value, *(a.value for a in w[3 * k : 3 * k + 3]), k == 1,
-                                 docs, h[k * r : (k + 1) * r]), threaded)
+    bptt = _lstm(x.value, [a.value for a in w], docs, h)
 
     def bwd(grad):
-        grads = _pair(lambda k: bptt[k](grad[k * r : (k + 1) * r]), threaded)
-        for node, g in zip((*w[:3], x, *w[3:], x), (*grads[0], *grads[1])):  # forward first
+        for node, g in zip((*w[:3], x, *w[3:], x), bptt(grad)):  # forward direction first
             node.grad += g
 
     return Node(h, (x, *w), bwd)
 
 
-def _pair(step, threaded: bool) -> list:
-    """[step(0), step(1)], step(1) on a worker thread for this call only if threaded."""
-    if not threaded:
-        return [step(0), step(1)]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only once a worker is needed
-    with ThreadPoolExecutor(1) as one_thread:  # for this call only: leaving the block joins it
-        reverse = one_thread.submit(contextvars.copy_context().run, step, 1)
-        return [step(0), reverse.result()]
+def _lstm(x, w, docs: int, out):
+    """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
+    The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
+    D directions makes one recurrent GEMM and one call per elementwise op a step, through
+    buffers made before the loop; each direction's GEMMs keep the oracle's layouts
+    (tests/extra_ops.py), as BLAS may sum others differently.
+    """
+    d, r, n = x.shape[0], w[1].shape[1], x.shape[1] // docs
+    stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
+    worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
 
-def _lstm(x, wx, wh, b, reverse: bool, docs: int, out):
-    """Step one direction, write its states to out, and return its BPTT to (dwx, dwh, db, dx).
+    def each(run, items: list) -> list:  # the second item on the worker, if there is one
+        if not worker:
+            return [run(item) for item in items]
+        from concurrent.futures import ThreadPoolExecutor  # loaded only once a worker is needed
+        with ThreadPoolExecutor(1) as one_thread:  # for this call only: leaving the block joins it
+            second = one_thread.submit(contextvars.copy_context().run, run, items[1])
+            return [run(items[0]), second.result()]
 
-    Operands keep the oracle's layouts (tests/extra_ops.py), as BLAS may sum others differently."""
-    d, r = x.shape[0], wh.shape[1]
-    n, step = x.shape[1] // docs, -1 if reverse else 1
-    # column s * docs + j of xs is the s-th token in stepping order of document j
-    xs = x.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
-    gates = (wx @ xs).reshape(4 * r, n, docs)
-    by_step = gates.transpose(1, 0, 2)  # [s]: step s's input projection, then i, f, g, o, then dz
-    c, h = np.zeros((2, n + 1, r, docs))  # c[s + 1], h[s + 1]: states after step s
-    zs = np.empty((4 * r, docs))  # one step's pre-activations, then its gates
-    z_if, z_g, z_o = zs[: 2 * r], zs[2 * r : 3 * r], zs[3 * r :]
-    i, f, g, o = zs.reshape(4, r, docs)
-    for s in range(n):
-        np.matmul(wh, h[s], out=zs)
-        zs += by_step[s]
-        zs += b
-        if not np.isfinite(zs).all():
-            raise NumericalError("lstm: non-finite gate pre-activation")
-        z_if[...] = _sigmoid(z_if)
-        np.tanh(z_g, out=z_g)
-        z_o[...] = _sigmoid(z_o)
-        by_step[s] = zs
-        c[s + 1] = f * c[s] + i * g
-        h[s + 1] = o * np.tanh(c[s + 1])
-    if not np.isfinite(c).all():
-        raise NumericalError("lstm: non-finite cell state")
-    out.reshape(r, docs, n)[...] = h[1:][::step].transpose(1, 2, 0)
-    saved = [xs, gates, c, h]
+    def stack(ks: tuple):
+        D, steps = len(ks), [-1 if k else 1 for k in ks]
+        # column s * docs + j of xs[j] is the s-th token in stepping order of document j
+        xs = [x.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
+              for step in steps]
+        # gates[:, :, s]: step s's input projection, then its gates, then (in the BPTT) its dz
+        gates = np.empty((D, 4 * r, n, docs))
+        for j, k in enumerate(ks):
+            np.matmul(w[3 * k], xs[j], out=gates[j].reshape(4 * r, n * docs))
+        wh, b = (w[3 * ks[0] + m][None] if D == 1 else np.stack(w[m::3]) for m in (1, 2))
+        by_step = gates.transpose(2, 0, 1, 3)
+        c, h = np.zeros((2, n + 1, D, r, docs))  # c[s + 1], h[s + 1]: states after step s
+        zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
+        i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
+        e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
+        with np.errstate(over="ignore"):  # each overflow leaves a non-finite value, checked
+            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h, h[1:]):
+                np.matmul(wh, h_prev, out=zs)
+                zs += x_s
+                zs += b
+                # a sum of squares is finite only if every term is; one BLAS call
+                if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(zs).all():
+                    raise NumericalError("lstm: non-finite gate pre-activation")
+                np.tanh(g, out=tanh_g)  # one sigmoid over all four gates, then g's tanh put back
+                _sigmoid(zs, e)
+                g[...] = tanh_g
+                x_s[...] = zs
+                np.multiply(f, c_prev, out=c_s)
+                np.multiply(i, g, out=tanh_g)
+                c_s += tanh_g
+                np.tanh(c_s, out=h_s)
+                h_s *= o
+        if not np.isfinite(c).all():
+            raise NumericalError("lstm: non-finite cell state")
+        for j, (k, step) in enumerate(zip(ks, steps)):
+            out[k * r : (k + 1) * r].reshape(r, docs, n)[...] = h[1:, j][::step].transpose(1, 2, 0)
+        saved = [xs, gates, c, h]
 
-    def bptt(grad):
-        if not saved:
-            raise ValidationError("bilstm: the graph was already swept; build a fresh one")
-        xs, gates, c, h = saved
-        saved.clear()
-        dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs
-        # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k overwrites its
-        # gate (n x r x docs views), with products in the oracle's order, and then dz overwrites k
-        i, f, g, o = gates.reshape(4, r, n, docs).transpose(0, 2, 1, 3)
-        f_kept, tc = f.copy(), np.tanh(c[1:])
-        dc_dh, k2 = o * (1.0 - tc * tc), i * (1.0 - g * g)
-        for a, y in ((tc, o), (g, i), (c[:-1], f)):  # y <- a * y * (1 - y)
-            a = a * y
-            np.subtract(1.0, y, out=y)
-            y *= a
-        g[...] = k2
-        del tc, k2, c, a
-        dh_next = dc_next = np.zeros((r, docs))
-        dz = np.empty((4 * r, docs))
-        k_c, k_h = gates[: 3 * r].reshape(3, r, n, docs).transpose(2, 0, 1, 3), gates[3 * r :]
-        dz_c, dz_h = dz[: 3 * r].reshape(3, r, docs), dz[3 * r :]
-        for s in range(n - 1, -1, -1):
-            dh = dh_out[s] + dh_next
-            dc = dc_next + dh * dc_dh[s]
-            np.multiply(k_c[s], dc, out=dz_c)
-            np.multiply(k_h[:, s], dh, out=dz_h)
-            dh_next = wh.T @ dz
-            dc_next = dc * f_kept[s]
-            gates[:, s] = dz
-        del dc_dh, f_kept
-        dz = np.asarray(gates.reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
-        dwx, dwh = dz @ xs.T, dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
-        del xs, h
-        dx = (wx.T @ dz).reshape(d, n, docs)[:, ::step].transpose(0, 2, 1).reshape(d, docs * n)
-        return dwx, dwh, dz.sum(axis=1)[:, None], dx
+        def bptt(grad):
+            if not saved:
+                raise ValidationError("bilstm: the graph was already swept; build a fresh one")
+            xs, gates, c, h = saved
+            saved.clear()
+            dh_out = [grad[k * r : (k + 1) * r].reshape(r, docs, n).transpose(2, 0, 1)[::step, None]
+                      for k, step in zip(ks, steps)]
+            dh_out = np.concatenate(dh_out, axis=1) if D == 2 else dh_out[0]  # n x D x r x docs
+            # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k overwrites its
+            # gate (n x D x r x docs views), with products in the oracle's order, and then dz
+            # overwrites k
+            i, f, g, o = gates.reshape(D, 4, r, n, docs).transpose(1, 3, 0, 2, 4)
+            f_kept, tc = f.copy(), np.tanh(c[1:])
+            dc_dh, k2 = o * (1.0 - tc * tc), i * (1.0 - g * g)
+            for a, y in ((tc, o), (g, i), (c[:-1], f)):  # y <- a * y * (1 - y)
+                a = a * y
+                np.subtract(1.0, y, out=y)
+                y *= a
+            g[...] = k2
+            del tc, k2, c, a
+            dh, dc, dh_next, dc_next = np.zeros((4, D, r, docs))
+            dz = np.empty((D, 4 * r, docs))
+            dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
+            k_c = gates[:, : 3 * r].reshape(D, 3, r, n, docs).transpose(3, 0, 1, 2, 4)
+            k_h, wh_t = gates[:, 3 * r :].transpose(2, 0, 1, 3), wh.transpose(0, 2, 1)
+            for dh_s, dc_dh_s, k_c_s, k_h_s, f_s, dz_s in zip(
+                    dh_out[::-1], dc_dh[::-1], k_c[::-1], k_h[::-1], f_kept[::-1],
+                    gates.transpose(2, 0, 1, 3)[::-1]):
+                np.add(dh_s, dh_next, out=dh)
+                np.multiply(dh, dc_dh_s, out=dc)
+                dc += dc_next
+                np.multiply(k_c_s, dc_c, out=dz_c)
+                np.multiply(k_h_s, dh, out=dz_h)
+                np.matmul(wh_t, dz, out=dh_next)
+                np.multiply(dc, f_s, out=dc_next)
+                dz_s[...] = dz
+            del dh_out, dc_dh, f_kept, dh_s, dc_dh_s, f_s
+            grads = []
+            for j, (k, step) in enumerate(zip(ks, steps)):
+                dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
+                h_j = h[:-1, j].transpose(0, 2, 1).reshape(n * docs, r)
+                dx = (w[3 * k].T @ dz).reshape(d, n, docs)[:, ::step].transpose(0, 2, 1)
+                grads += [dz @ xs[j].T, dz @ h_j, dz.sum(axis=1)[:, None], dx.reshape(d, docs * n)]
+            return grads
 
-    return bptt
+        return bptt
+
+    bptts = each(stack, stacks)
+    return lambda grad: [g for grads in each(lambda bptt: bptt(grad), bptts) for g in grads]

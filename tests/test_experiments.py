@@ -41,3 +41,27 @@ def test_summarize_reports_quality_where_the_runs_have_it(experiments):
     summary = experiments.summarize(rows, "train", "train_docs_per_s")
     for name in experiments.QUALITY:
         assert summary[name] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+@pytest.mark.parametrize("text", ["5-3", "1,1", "1-3,2", "4,2-5"])
+def test_parse_seeds_rejects_an_empty_range_or_a_repeated_seed(experiments, text, capsys):
+    with pytest.raises(ValueError):
+        experiments.parse_seeds(text)
+    with pytest.raises(SystemExit) as exit_info:  # argparse reports it before any run starts
+        experiments.main(["--seeds", text])
+    assert exit_info.value.code == 2 and "--seeds" in capsys.readouterr().err
+
+
+def test_layer_row_counts_a_document_per_forward_and_per_label_draw(experiments):
+    record = {"environment": {"seed": 4}, "result": {"correct": True, "attempted": 3, "failed": 0},
+              "info": {"spans": [
+                  {"name": "model.forward", "calls": 2, "total_s": 0.5, "self_s": 0.1},
+                  {"name": "training.sample_labels", "calls": 3, "total_s": 0.05, "self_s": 0.05},
+                  {"name": "model.bilstm_forward", "calls": 2, "total_s": 0.25, "self_s": 0.25},
+                  {"name": "numeric.backward", "calls": 1, "total_s": 1.0, "self_s": 1.0}]}}
+    row = experiments.layer_row(record)
+    assert row["documents"] == 5
+    assert row["ms_per_doc"] == {"model.forward": 100.0, "training.sample_labels": 10.0,
+                                 "model.bilstm_forward": 50.0, "numeric.backward": 200.0}
+    assert experiments.summarize_layers([row, row])["numeric.backward"] == {
+        "median": 200.0, "q1": 200.0, "q3": 200.0}

@@ -427,3 +427,24 @@ def test_histogram_right_closed_last_bin():
 def test_histogram_empty_documents():
     with pytest.raises(ValidationError):
         fusion_weight_histogram(lambda d: None, [])
+
+
+
+_DOCS = [Document("a", ["x"], {0, 2}), Document("b", ["x"], {1})]
+_SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(_SCORES, _DOCS, train_corpus=_DOCS, k=2.5),
+    lambda: evaluate(_SCORES, _DOCS, k=3.0),
+    lambda: evaluate(_SCORES, [Document("a", ["x"], {1.0})], train_corpus=_DOCS, k=3),
+    lambda: evaluate(_SCORES, _DOCS, train_corpus=[Document("t", ["x"], {0.0})], k=3),
+    lambda: fusion_weight_histogram(lambda doc: _FakeTrace([0, 1, 2], [0.5] * 3), _DOCS, bins=2.5),
+    lambda: LabelGroupSpec(boundaries=5),
+    lambda: LabelGroupSpec((5.5, "a")),
+    lambda: LabelGroupSpec((5, "a")),
+], ids=["k=2.5", "k=3.0", "float test label", "float train label", "bins=2.5",
+        "boundaries=5", "float boundary", "str boundary"])
+def test_malformed_integer_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError, match="integer"):
+        call()

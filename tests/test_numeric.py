@@ -149,6 +149,22 @@ def test_sigmoid_is_bit_identical_to_dividing_each_branch():
     np.testing.assert_array_equal(numeric.sigmoid(x), np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)))
 
 
+def test_in_place_sigmoid_is_bit_identical_to_the_two_branch_where():
+    # the formula the public sigmoid used before, on a strided view, special values included
+    x = np.concatenate([np.random.default_rng(6).normal(scale=s, size=1000) for s in (1, 50, 800)]
+                       + [np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 745.0, -745.0,
+                                    746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan])])
+    e = np.exp(np.copysign(x, -1.0))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    buffer = np.zeros((x.size, 2))
+    buffer[:, 1] = x
+    view = buffer[:, 1]
+    assert numeric._sigmoid(view, np.empty(x.size)) is view
+    np.testing.assert_array_equal(view.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(numeric.sigmoid(x).view(np.int64), want.view(np.int64))
+    assert not buffer[:, 0].any()
+
+
 def test_unknown_activation_kind_raises_validation_error():
     with pytest.raises(ValidationError, match="gelu"):
         activate(np.zeros((1, 1)), "gelu")
@@ -458,6 +474,44 @@ def test_bilstm_is_bit_identical_to_two_lstm_nodes(two_cpus, d, r, n, docs):
         np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
 
 
+# how `bilstm` steps its directions: `_WORKER_MIN`, the usable CPUs, and the worker threads a pass
+# starts: in lockstep on the caller, as two stacks with the reverse one on a worker, or as two
+# stacks one after the other on one CPU
+SCHEDULES = {"lockstep": (math.inf, {0, 1}, 0), "worker": (0, {0, 1}, 1), "one cpu": (0, {0}, 0)}
+
+
+def _force(monkeypatch, schedule: str) -> int:
+    """Force a schedule on `bilstm`; return the worker threads it starts per pass."""
+    worker_min, cpus, threads = SCHEDULES[schedule]
+    monkeypatch.setattr(numeric, "_WORKER_MIN", worker_min)
+    monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus)
+    return threads
+
+
+@pytest.mark.parametrize("d, r, n", [(7, 5, 4), (32, 32, 14)])
+@pytest.mark.parametrize("docs", [1, 3])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
+        monkeypatch, started, schedule, d, r, n, docs):
+    threads, before = _force(monkeypatch, schedule), threading.active_count()
+    rng = np.random.default_rng(d + r + n + docs)
+    arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
+    w = rng.normal(size=(2 * r, docs * n))
+    got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
+    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)
+    np.testing.assert_array_equal(node.value, h.value)
+    root = sum_all(mul(node, w))
+    backward(root)
+    backward(sum_all(mul(h, w)))
+    for k in arrays:
+        np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+    with pytest.raises(ValidationError, match="already swept"):
+        backward(root)
+    assert len(started) == 3 * threads  # the forward, the backward and the second sweep
+    assert threading.active_count() == before and not any(t.is_alive() for t in started)
+
+
 @pytest.mark.parametrize("cols, docs", [(5, 2), (4, 0), (3, 4)])
 def test_bilstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
     w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
@@ -482,17 +536,33 @@ def test_bilstm_joins_its_worker_after_a_forward_and_a_backward(two_cpus, starte
 
 
 @pytest.mark.parametrize("direction", ["_f", "_b"])
-def test_bilstm_overflow_in_either_direction_raises_on_the_caller(two_cpus, started, direction):
+def test_bilstm_overflow_in_either_direction_raises_on_the_caller(monkeypatch, started, direction):
     # wx @ x and b are each 1e308 in one direction only, so its first pre-activation is inf;
     # the worker must see the caller's errstate, or the overflow warning would raise instead
     arrays = _bilstm_arrays(np.random.default_rng(1), 6, 256, 3, 1, 0.1)
     arrays["x"][:] = 1.0 / 6
     arrays["wx" + direction][:] = arrays["b" + direction][:] = 1e308
     before = threading.active_count()
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="pre-activation"):
-        bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
-    assert threading.active_count() == before
-    assert len(started) == 1 and not started[0].is_alive()
+    for schedule in SCHEDULES:
+        started.clear()
+        threads = _force(monkeypatch, schedule)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="pre-activation"):
+            bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
+        assert threading.active_count() == before
+        assert len(started) == threads and not any(t.is_alive() for t in started)
+
+
+def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
+    # the squares of 1e200 overflow the per-step check's sum, so it must look at every entry
+    arrays = _bilstm_arrays(np.random.default_rng(1), 6, 3, 4, 1, 0.1)
+    arrays["x"][:] = 1.0 / 6
+    arrays["wx_b"][:] = 1e200
+    for schedule in SCHEDULES:
+        _force(monkeypatch, schedule)
+        h = bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS)).value
+        # every reverse gate is 1, so its cell state counts the tokens read, from the right
+        np.testing.assert_array_equal(h[3:], np.tanh([[4.0, 3.0, 2.0, 1.0]] * 3))
+        assert np.isfinite(h).all()
 
 
 @pytest.mark.parametrize("r, docs, cpus, threads", [
