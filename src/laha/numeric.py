@@ -474,12 +474,12 @@ def _lstm(x, w, docs: int, out):
         zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
-        with np.errstate(over="ignore"):  # each overflow leaves a non-finite value, checked
+        with np.errstate(over="ignore"):  # an overflow leaves a non-finite value, checked below
             for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h, h[1:]):
                 np.matmul(wh, h_prev, out=zs)
                 zs += x_s
                 zs += b
-                # a sum of squares is finite only if every term is; one BLAS call
+                # finite values square to a finite sum unless some are huge: then check each
                 if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(zs).all():
                     raise NumericalError("lstm: non-finite gate pre-activation")
                 np.tanh(g, out=tanh_g)  # one sigmoid over all four gates, then g's tanh put back

@@ -429,7 +429,6 @@ def test_histogram_empty_documents():
         fusion_weight_histogram(lambda d: None, [])
 
 
-
 _DOCS = [Document("a", ["x"], {0, 2}), Document("b", ["x"], {1})]
 _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
 
