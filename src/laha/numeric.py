@@ -27,11 +27,12 @@ lockstep, each op one call for the two; from it on each is a stack of its
 own, and with two usable CPUs (and BLAS on one thread) a worker thread
 steps the reverse one in both passes: it touches no Node, runs in a copy
 of the caller's context (numpy's error state) and is joined before the
-node returns or raises.  The gates' sigmoid is the public `sigmoid`'s one
-formula, in place.  A backward pass consumes its graph: it overwrites
-`bilstm`'s stored gates and releases them, so a second sweep raises
-ValidationError, and it releases each op node's gradient once passed on,
-so only the leaves keep theirs.
+node returns or raises.  The gates take the public `sigmoid`'s one
+formula, max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A
+backward pass consumes its graph: it overwrites `bilstm`'s stored gates
+and releases them, so a second sweep raises ValidationError, and it
+releases each op node's gradient once passed on, so only the leaves keep
+theirs.
 """
 
 from __future__ import annotations
@@ -312,8 +313,7 @@ def mix_columns(a, u, b, v) -> Node:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of a plain array: `_sigmoid` of a float64 copy."""
-    x = np.array(x, dtype=np.float64)
-    return _sigmoid(x, np.empty_like(x))
+    return _sigmoid(np.array(x, dtype=np.float64), np.empty(np.shape(x)))
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -423,7 +423,9 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
     2r x (docs * n) forward over reverse states, column t after reading token t.  Below
     r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
     two 4r x r recurrent matrices would evict each other from the cache, so each direction
-    is a stack of its own, the reverse one on a worker thread if two CPUs are usable.
+    is a stack of its own, the reverse one on a worker thread if two CPUs are usable.  A
+    stack's step makes one call per op for all its directions and allocates nothing; the
+    gates take one in-place `_sigmoid`.
     """
     x, *w = (_node(a) for a in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
     r, d, shapes = w[1].cols, x.rows, [a.value.shape for a in w]
