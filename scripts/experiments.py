@@ -22,9 +22,11 @@ and each workload's median and quartiles.
 
 With --trace, each workload and seed also gets one run with --trace 1,
 and BENCH_layers.json records, for every span of each traced run, its
-milliseconds per document, a document being one model.forward call or
-one training.sample_labels call (so a trained document counts once, and
-once more if it is scored).
+milliseconds per document of the phase it runs in, and that base beside
+it: "trained" documents (one training.sample_labels call each) for the
+training.* spans and numeric.backward, "scored" documents (one
+model.forward call each) for model.forward, metrics.evaluate and
+bench.score_fn, and "both" (their sum) for the rest.
 
     python3 scripts/experiments.py --seeds 1-10 [--trace]
 """
@@ -49,7 +51,7 @@ BENCH_FILES = {
     "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
 }
 WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")
-DOCUMENT_SPANS = ("model.forward", "training.sample_labels")  # one call per document
+SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for scored docs only
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -85,23 +87,38 @@ def run_row(record: dict, prefix: str, metric: str) -> dict:
             **{name: result[name] for name in ("correct", "attempted", "failed")}}
 
 
+def span_base(name: str) -> str:
+    """The documents a span runs for: "trained", "scored" or "both"."""
+    if name.startswith("training.") or name == "numeric.backward":
+        return "trained"
+    return "scored" if name in SCORED_SPANS else "both"
+
+
 def layer_row(record: dict) -> dict:
-    """One traced run's milliseconds per document of each span, and its operation counts."""
+    """One traced run's documents, each span's milliseconds per document of its base, and
+    its operation counts; a span whose base has no documents reads 0."""
     spans = {span["name"]: span for span in record["info"]["spans"]}
-    documents = sum(spans[name]["calls"] for name in DOCUMENT_SPANS if name in spans)
-    return {"seed": record["environment"]["seed"], "documents": documents,
-            "ms_per_doc": {name: 1000.0 * span["total_s"] / documents
-                           for name, span in spans.items()},
+    trained, scored = (spans[name]["calls"] if name in spans else 0
+                       for name in ("training.sample_labels", "model.forward"))
+    documents = {"trained": trained, "scored": scored, "both": trained + scored}
+    per_doc = {}
+    for name, span in spans.items():
+        base = span_base(name)
+        count = documents[base]
+        per_doc[name] = {"ms_per_doc": 1000.0 * span["total_s"] / count if count else 0.0,
+                         "base": base}
+    return {"seed": record["environment"]["seed"], "documents": documents, "spans": per_doc,
             **{name: record["result"][name] for name in ("correct", "attempted", "failed")}}
 
 
 def summarize_layers(rows: list[dict]) -> dict:
     """Median and quartiles of each span's milliseconds per document over the runs."""
     out = {}
-    for name in rows[0]["ms_per_doc"]:
-        q1, median, q3 = np.percentile([row["ms_per_doc"].get(name, 0.0) for row in rows],
-                                       [25, 50, 75])
-        out[name] = {"median": median, "q1": q1, "q3": q3}
+    for name, first in rows[0]["spans"].items():
+        figures = [row["spans"][name]["ms_per_doc"] if name in row["spans"] else 0.0
+                   for row in rows]
+        q1, median, q3 = np.percentile(figures, [25, 50, 75])
+        out[name] = {"base": first["base"], "median": median, "q1": q1, "q3": q3}
     return out
 
 

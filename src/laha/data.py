@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_int
 
 PAD = 0
 UNK = 1
@@ -110,8 +110,8 @@ def build_vocab(corpus: Corpus, min_freq: int = 1, max_size: int = 100000) -> Vo
 
     Ties break lexicographically; at most max_size non-reserved tokens kept.
     """
-    if min_freq < 1:
-        raise ValidationError("min_freq must be >= 1")
+    check_int("min_freq", min_freq, 1)
+    check_int("max_size", max_size, 0)
     counts: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
@@ -141,8 +141,8 @@ def load_word_vectors(
     the rest draw uniform(-0.25, 0.25) from one seeded stream in id order,
     so two calls with the same seed agree exactly.  PAD stays zero.
     """
-    if d < 1:
-        raise ValidationError("word vector dimension must be >= 1")
+    check_int("d", d, 1)
+    check_int("seed", seed, 0)
     found: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines, start=1):
         parts = line.rstrip("\n").split(" ")
@@ -182,8 +182,7 @@ def encode_document(
     Truncates to the first max_len tokens or right-pads with PAD; unknown
     tokens map to UNK.  mask is True exactly at real token positions.
     """
-    if max_len < 1:
-        raise ValidationError("max_len must be >= 1")
+    check_int("max_len", max_len, 1)
     ids = np.full(max_len, PAD, dtype=np.int64)
     mask = np.zeros(max_len, dtype=bool)
     for i, tok in enumerate(doc.tokens[:max_len]):

@@ -192,7 +192,7 @@ def fusion_weight_histogram(
     documents: Corpus,
     bins: int = 10,
 ) -> dict[str, list[int]]:
-    """Histogram of gate weights over (document, positive label) pairs.
+    """Histogram of gate weights alpha and beta = 1 - alpha over (document, positive label) pairs.
 
     Bin b covers [b/bins, (b+1)/bins), except the last bin which also
     includes 1.0.  `trace_fn` must return a forward trace whose subset
@@ -211,7 +211,7 @@ def fusion_weight_histogram(
                     f"trace subset for {doc.doc_id!r} is missing label {label}"
                 )
             j = positions[label]
-            for key, row in (("alpha", trace.alpha), ("beta", trace.beta)):
-                w = float(row.value[0, j])
+            alpha = float(trace.alpha.value[0, j])
+            for key, w in (("alpha", alpha), ("beta", 1.0 - alpha)):
                 counts[key][min(int(w * bins), bins - 1)] += 1
     return counts

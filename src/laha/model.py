@@ -7,20 +7,20 @@ against every label: a content route tanh(W_s1 H) scored by per-label
 rows of W_s2, and an interaction route matching H_f + H_b, summed from
 H's halves, against projected label vectors W_q L.  Each route yields an
 n x k' attention matrix A (a softmax over words per label).  A learned
-gate mixes the two per label, and a small feed-forward head turns each
-column of the paper's mixed context H (alpha A_s + beta A_i) into a
-logit.  The 2r x k' contexts H A are never built: each product of three
-matrices takes the cheaper association, and each route's softmax runs in
-its last product's buffer.  Both routes read their label side through
-`numeric.take_rows`: rows of W_s2, and rows of the k x r label matrix,
-one leaf per `forward_batch` call (checked finite there once), taken
-transposed as L.  Every label in index order takes either as it is.  The
-model yields logits, and a non-finite logit raises NumericalError, since
-every score and loss passes through them; the sigmoid is applied only
-by `ForwardTrace.scores()`, and training feeds a batch's logits straight
-to `numeric.bce_with_logits`, one node.  The parameters are the arrays
-`param_table` lists, the one place their names, shapes and order are
-written down.
+gate (`fuse`) weighs the two per label, and a small feed-forward head
+turns each column of the paper's mixed context H (alpha A_s + beta A_i)
+into a logit.  The 2r x k' contexts H A are never built: each product of
+three matrices takes the cheaper association, and each route's softmax
+runs in its last product's buffer.  Both routes read their label side
+through `numeric.take_rows`: rows of W_s2, and rows of the k x r label
+matrix, one leaf per `forward_batch` call (checked finite there once),
+taken transposed as L.  Every label in index order takes either as it
+is.  The model yields logits, and a non-finite logit raises
+NumericalError, since every score and loss passes through them; the
+sigmoid is applied only by `ForwardTrace.scores()`, and training feeds a
+batch's logits straight to `numeric.bce_with_logits`, one node.  The
+parameters are the arrays `param_table` lists, the one place their
+names, shapes and order are written down.
 
 `forward_batch` checks its inputs, then runs equal-length documents
 through one embedding gather and one Bi-LSTM node (both directions, the
@@ -131,8 +131,7 @@ class ForwardTrace:
     attn_self: Node | None
     attn_inter: Node | None
     mix: Node
-    alpha: Node
-    beta: Node
+    alpha: Node  # the weight of the content route per label; beta is 1 - alpha
     logits: Node
     subset: list[int]
     mask: np.ndarray
@@ -186,19 +185,16 @@ def interaction_attention(h: Node, label_rows: Node, w_q, subset: Sequence[int],
 
 
 def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
-    """Adaptive convex mix of the two attention matrices, per label.
+    """Adaptive convex mix of the two attention matrices, per label: (mix, alpha).
 
-    Raw gates a_j = sigmoid(F1 C_s[:, j]), b_j = sigmoid(F2 C_i[:, j]) on the
-    contexts C = H A, taken as F H A, normalize to alpha_j = a_j / (a_j + b_j)
-    and beta_j = 1 - alpha_j (sigmoid positivity keeps this well-defined).
-    Returns (mix, alpha, beta): column j of mix is alpha_j A_s[:, j] +
-    beta_j A_i[:, j], so H @ mix is the mixed context alpha C_s + beta C_i.
+    alpha_j = a_j / (a_j + b_j) for a_j = sigmoid(F1 C_s[:, j] + b1) and b_j =
+    sigmoid(F2 C_i[:, j] + b2) on the contexts C = H A, taken as F H A: one
+    `numeric.gate` node.  Column j of mix is alpha_j A_s[:, j] + beta_j A_i[:, j],
+    beta_j = 1 - alpha_j, so H @ mix is the mixed context alpha C_s + beta C_i.
     """
-    raw_a = nm.activate(nm.add_colvec(nm.matmul_chain(f1_w, h, a_s), f1_b), "sigmoid")
-    raw_b = nm.activate(nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b), "sigmoid")
-    alpha = nm.div(raw_a, nm.add(raw_a, raw_b))
-    beta = nm.const_minus(1.0, alpha)
-    return nm.mix_columns(a_s, alpha, a_i, beta), alpha, beta
+    alpha = nm.gate(nm.add_colvec(nm.matmul_chain(f1_w, h, a_s), f1_b),
+                    nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b))
+    return nm.mix_columns(a_s, alpha, a_i), alpha
 
 
 def predict(h: Node, mix: Node, w_f, w_o, b_o) -> Node:
@@ -270,16 +266,15 @@ def _attend(h, mask, param_nodes, label_rows, subset, variant):
         attn_inter = interaction_attention(h, label_rows, param_nodes["w_q"], subset, mask)
 
     if variant == "laha":
-        mix, alpha, beta = fuse(
+        mix, alpha = fuse(
             h, attn_self, attn_inter,
             param_nodes["fuse1_w"], param_nodes["fuse1_b"],
             param_nodes["fuse2_w"], param_nodes["fuse2_b"],
         )
     else:
-        weight = {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]  # fixed alpha
-        alpha, beta = (Node(np.full((1, len(subset)), a)) for a in (weight, 1.0 - weight))
+        alpha = Node(np.full((1, len(subset)), {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]))
         if variant == "sa+ia":
-            mix = nm.mix_columns(attn_self, alpha, attn_inter, beta)
+            mix = nm.mix_columns(attn_self, alpha, attn_inter)
         else:
             mix = attn_self if variant == "sa" else attn_inter
 
@@ -287,7 +282,7 @@ def _attend(h, mask, param_nodes, label_rows, subset, variant):
     if not np.isfinite(logits.value).all():
         raise NumericalError("non-finite logit")
     return ForwardTrace(
-        h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha, beta=beta,
+        h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha,
         logits=logits, subset=subset, mask=np.asarray(mask).astype(bool),
     )
 

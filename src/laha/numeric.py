@@ -13,10 +13,11 @@ non-finite op value that reaches none of these does not raise; with
 finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
 where a chain of nodes kept several: `softmax_product` (a softmax in its
-product's buffer), `mix_columns`, and the loss `bce_with_logits`, one
-node for a whole batch of documents; the `sigmoid` of logits runs on
-plain arrays, outside the graph.  `take_rows` gathers rows by integer
-index and returns its input for the identity, the one such shortcut.
+product's buffer), `gate` (two sigmoids and their ratio), `mix_columns`
+(forming 1 - u itself), and the loss `bce_with_logits`, one node for a
+batch of documents; the `sigmoid` of logits runs on plain arrays, outside
+the graph.  `take_rows` gathers rows by integer index and returns its
+input for the identity, the one such shortcut.
 `bilstm` runs both LSTM directions over a batch of documents as one node,
 whose value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b
 from it): a GEMM per direction projects every token, the step loops keep
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
-ACTIVATIONS = ("tanh", "sigmoid", "relu")
+ACTIVATIONS = ("tanh", "relu")
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 
 
@@ -159,39 +160,6 @@ def _toposort(root: Node) -> list[Node]:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Node:
-    a, b = _node(a), _node(b)
-    _same_shape(a, b, "add")
-
-    def bwd(g):
-        a.grad += g
-        b.grad += g
-
-    return Node(a.value + b.value, (a, b), bwd)
-
-
-def div(a, b) -> Node:
-    """Elementwise quotient a / b."""
-    a, b = _node(a), _node(b)
-    _same_shape(a, b, "div")
-
-    def bwd(g):
-        a.grad += g / b.value
-        b.grad -= g * a.value / (b.value * b.value)
-
-    return Node(a.value / b.value, (a, b), bwd)
-
-
-def const_minus(c: float, a) -> Node:
-    """c - a for a constant scalar c."""
-    a = _node(a)
-
-    def bwd(g):
-        a.grad -= g
-
-    return Node(c - a.value, (a,), bwd)
-
-
 def matmul(a, b) -> Node:
     """Matrix product a @ b; gradients flow to both operands."""
     a, b = _node(a), _node(b)
@@ -289,21 +257,23 @@ def add_colvec(m, v) -> Node:
     return Node(m.value + v.value, (m, v), bwd)
 
 
-def mix_columns(a, u, b, v) -> Node:
-    """a * u + b * v for 1 x cols rows u and v, in one C-order buffer."""
-    a, u, b, v = _node(a), _node(u), _node(b), _node(v)
-    if not (a.value.shape == b.value.shape and u.value.shape == v.value.shape == (1, a.cols)):
-        raise ShapeError(f"mix_columns: {[n.value.shape for n in (a, u, b, v)]} do not fit")
+def mix_columns(a, u, b) -> Node:
+    """a * u + b * (1 - u) for a 1 x cols row u, in one C-order buffer."""
+    a, u, b = _node(a), _node(u), _node(b)
+    if not (a.value.shape == b.value.shape and u.value.shape == (1, a.cols)):
+        raise ShapeError(f"mix_columns: {[n.value.shape for n in (a, u, b)]} do not fit")
+    v = 1.0 - u.value
     out = np.multiply(a.value, u.value, order="C")
-    out += b.value * v.value
+    out += b.value * v
 
     def bwd(g):
-        for m, w in ((a, u), (b, v)):  # w's column sums in m's own layout, as the scale_cols oracle
-            m.grad += g * w.value
-            w.grad += np.multiply(g, m.value, order="F" if m.value.flags.f_contiguous else "C"
-                                  ).sum(axis=0, keepdims=True)
+        a.grad += g * u.value
+        b.grad += g * v
+        a_sum, b_sum = (np.multiply(g, m.value, order="F" if m.value.flags.f_contiguous else "C")
+                        .sum(axis=0, keepdims=True) for m in (a, b))  # in m's layout, as the oracle
+        u.grad += a_sum - b_sum
 
-    return Node(out, (a, u, b, v), bwd)
+    return Node(out, (a, u, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +297,13 @@ def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def activate(a, kind: str) -> Node:
-    """Elementwise activation: one of tanh | sigmoid | relu."""
+    """Elementwise activation: tanh or relu."""
     a = _node(a)
     if kind == "tanh":
         y = np.tanh(a.value)
 
         def bwd(g):
             a.grad += g * (1.0 - y * y)
-
-    elif kind == "sigmoid":
-        y = sigmoid(a.value)
-
-        def bwd(g):
-            a.grad += g * y * (1.0 - y)
 
     elif kind == "relu":
         y = np.maximum(a.value, 0.0)
@@ -350,6 +314,25 @@ def activate(a, kind: str) -> Node:
     else:
         raise ValidationError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
     return Node(y, (a,), bwd)
+
+
+def gate(z_a, z_b) -> Node:
+    """sigmoid(z_a) / s, s = sigmoid(z_a) + sigmoid(z_b), elementwise: LAHA's fusion weight.
+
+    The backward repeats the sigmoid, add and div chain's arithmetic in its order.  Equal
+    inputs, or two above 37 (both sigmoids round to 1), give 1/2; two below -745 give NaN.
+    """
+    z_a, z_b = _node(z_a), _node(z_b)
+    _same_shape(z_a, z_b, "gate")
+    y_a, y_b = sigmoid(z_a.value), sigmoid(z_b.value)
+    s = y_a + y_b
+
+    def bwd(g):
+        g_s = 0.0 - g * y_a / (s * s)  # the gradient of s, as the add node held it
+        z_a.grad += (g / s + g_s) * y_a * (1.0 - y_a)
+        z_b.grad += g_s * y_b * (1.0 - y_b)
+
+    return Node(y_a / s, (z_a, z_b), bwd)
 
 
 def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:

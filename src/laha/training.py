@@ -101,13 +101,13 @@ def sample_labels(
     Positives come first (sorted), then negatives in draw order.  When the
     complement is not larger than the request, the subset is all k labels.
     """
+    check_int("negatives_per_doc", negatives_per_doc, 0)
+    check_int("k", k, 1)
     if not positives:
         raise ValidationError("cannot sample labels for an empty positive set")
     pos = sorted(positives)
     if pos[0] < 0 or pos[-1] >= k:
         raise ValidationError(f"positive labels {pos} outside range [0,{k})")
-    if negatives_per_doc < 0:
-        raise ValidationError("negatives_per_doc must be >= 0")
     complement = np.setdiff1d(np.arange(k), pos, assume_unique=False)
     if negatives_per_doc >= complement.size:
         return pos + complement.tolist()
@@ -143,7 +143,8 @@ def train(
     history.  The label embedding is held fixed; the word-embedding table
     updates only when cfg.finetune_word_vectors.  Epoch randomness comes
     from a stream seeded by (cfg.seed, epoch), so training from epoch e of
-    a checkpoint continues the original run exactly.
+    a checkpoint continues the original run exactly.  A given `adam` must
+    hold m and v in the shape of every trainable parameter.
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
@@ -153,6 +154,10 @@ def train(
         trainable.remove("embedding")
     if adam is None:
         adam = AdamState.init({n: params[n] for n in trainable})
+    for name in trainable:
+        if any(np.shape(moments.get(name)) != params[name].shape for moments in (adam.m, adam.v)):
+            raise ValidationError(f"Adam state lacks m or v of shape {params[name].shape} "
+                                  f"for the trainable parameter {name!r}")
 
     encoded = [encode_document(doc, vocab, model_cfg.max_len) for doc in corpus]
     history: list[float] = []

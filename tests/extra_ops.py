@@ -2,13 +2,15 @@
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
 output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, `scale` multiplies by a constant, `sum_nodes` folds nodes
-with `add`, and `vconcat` stacks blocks; all of them follow the op
-conventions of `laha.numeric`.  `softmax_columns` and `scale_cols` are the
-per-step ops that `numeric.softmax_product` and `numeric.mix_columns`
-fuse, and `softmax_product_oracle` and `mix_columns_oracle` compose them
-as the model once did: the references those fused ops must match bit for
-bit.  `lstm` is one LSTM direction as its own node, stepped serially, and
+each entry, `add`, `div` and `const_minus` (c - a) are the other
+elementwise ops, `scale` multiplies by a constant, `sum_nodes` folds
+nodes with `add`, and `vconcat` stacks blocks; all of them follow the op
+conventions of `laha.numeric`.  `softmax_columns`, `scale_cols` and
+`sigmoid_node` are the per-step ops that `numeric.softmax_product`,
+`numeric.mix_columns` and `numeric.gate` fuse, and
+`softmax_product_oracle`, `mix_columns_oracle`, `gate_oracle` and
+`fuse_oracle` (all of `model.fuse`) compose them as the model once did:
+the references those fused ops must match bit for bit.  `lstm` is one LSTM direction as its own node, stepped serially, and
 `bilstm_oracle` stacks two of them with `vconcat` into H: the reference
 that `numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
 `grad_check` pits `backward`'s gradients against central finite
@@ -22,8 +24,42 @@ import numpy as np
 
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
 from laha.numeric import (
-    Node, _node, _same_shape, add, as_matrix, backward, matmul, sigmoid, transpose,
+    Node, _node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid,
+    transpose,
 )
+
+
+def add(a, b) -> Node:
+    a, b = _node(a), _node(b)
+    _same_shape(a, b, "add")
+
+    def bwd(g):
+        a.grad += g
+        b.grad += g
+
+    return Node(a.value + b.value, (a, b), bwd)
+
+
+def div(a, b) -> Node:
+    """Elementwise quotient a / b."""
+    a, b = _node(a), _node(b)
+    _same_shape(a, b, "div")
+
+    def bwd(g):
+        a.grad += g / b.value
+        b.grad -= g * a.value / (b.value * b.value)
+
+    return Node(a.value / b.value, (a, b), bwd)
+
+
+def const_minus(c: float, a) -> Node:
+    """c - a for a constant scalar c."""
+    a = _node(a)
+
+    def bwd(g):
+        a.grad -= g
+
+    return Node(c - a.value, (a,), bwd)
 
 
 def mul(a, b) -> Node:
@@ -140,9 +176,33 @@ def softmax_product_oracle(a, b, mask=None, transposed: bool = False) -> Node:
     return softmax_columns(transpose(product) if transposed else product, mask)
 
 
-def mix_columns_oracle(a, u, b, v) -> Node:
-    """`numeric.mix_columns` as the `add` of two `scale_cols` nodes."""
-    return add(scale_cols(a, u), scale_cols(b, v))
+def sigmoid_node(a) -> Node:
+    """Elementwise logistic function as its own node."""
+    a = _node(a)
+    y = sigmoid(a.value)
+
+    def bwd(g):
+        a.grad += g * y * (1.0 - y)
+
+    return Node(y, (a,), bwd)
+
+
+def mix_columns_oracle(a, u, b) -> Node:
+    """`numeric.mix_columns` as the `add` of two `scale_cols` nodes, by u and by 1 - u."""
+    return add(scale_cols(a, u), scale_cols(b, const_minus(1.0, u)))
+
+
+def gate_oracle(z_a, z_b) -> Node:
+    """`numeric.gate` as a `div` of one `sigmoid_node` by the `add` of both."""
+    raw_a = sigmoid_node(z_a)
+    return div(raw_a, add(raw_a, sigmoid_node(z_b)))
+
+
+def fuse_oracle(h, a_s, a_i, f1_w, f1_b, f2_w, f2_b) -> tuple[Node, Node]:
+    """`model.fuse` as the model once composed it: (mix, alpha) through the oracles above."""
+    alpha = gate_oracle(add_colvec(matmul_chain(f1_w, h, a_s), f1_b),
+                        add_colvec(matmul_chain(f2_w, h, a_i), f2_b))
+    return mix_columns_oracle(a_s, alpha, a_i), alpha
 
 
 # ---------------------------------------------------------------------------

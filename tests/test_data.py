@@ -19,7 +19,7 @@ from laha.data import (
 from laha.errors import DataFormatError, ValidationError
 from laha.labelgraph import LabelEmbedding, save_embedding
 from laha.model import ModelConfig, init_params
-from laha.training import AdamState, TrainConfig, save_checkpoint
+from laha.training import AdamState, TrainConfig, sample_labels, save_checkpoint
 
 
 def _docs(*texts_labels):
@@ -142,6 +142,29 @@ def test_build_vocab_deterministic():
 def test_build_vocab_bad_min_freq():
     with pytest.raises(ValidationError):
         build_vocab([], min_freq=0)
+
+
+_CORPUS = [Document("d", ["a", "b", "a"], {0})]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: encode_document(_CORPUS[0], Vocabulary(["a"]), 2.5),
+    lambda: encode_document(_CORPUS[0], Vocabulary(["a"]), True),
+    lambda: build_vocab(_CORPUS, min_freq=1.5),
+    lambda: build_vocab(_CORPUS, max_size=-1),
+    lambda: build_vocab(_CORPUS, max_size=2.5),
+    lambda: load_word_vectors([], Vocabulary(["a"]), 2.5, 0),
+    lambda: load_word_vectors([], Vocabulary(["a"]), 2, 1.5),
+    lambda: load_word_vectors([], Vocabulary(["a"]), 2, -1),
+    lambda: sample_labels({0}, 1.5, 4, np.random.default_rng(0)),
+    lambda: sample_labels({0}, 1, 2.5, np.random.default_rng(0)),
+    lambda: sample_labels({0}, -1, 4, np.random.default_rng(0)),
+], ids=["max_len float", "max_len bool", "min_freq float", "max_size negative",
+        "max_size float", "d float", "seed float", "seed negative", "negatives float",
+        "k float", "negatives negative"])
+def test_integer_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_word_vectors_from_file():

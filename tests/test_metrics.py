@@ -383,8 +383,7 @@ class _FakeTraceRow:
 class _FakeTrace:
     def __init__(self, subset, alphas):
         self.subset = subset
-        self.alpha = _FakeTraceRow(alphas)
-        self.beta = _FakeTraceRow(1.0 - np.asarray(alphas))
+        self.alpha = _FakeTraceRow(alphas)  # a trace holds alpha alone; beta is 1 - alpha
 
 
 def test_histogram_all_half():
@@ -421,7 +420,7 @@ def test_histogram_right_closed_last_bin():
     docs = [Document("d", ["x"], {0})]
     trace_fn = lambda doc: _FakeTrace([0], [1.0])
     counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts["alpha"][9] == 1
+    assert counts["alpha"][9] == 1 and counts["beta"][0] == 1
 
 
 def test_histogram_empty_documents():

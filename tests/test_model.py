@@ -27,7 +27,7 @@ from laha.model import (
 from laha.numeric import Node
 from laha.training import bce_loss
 
-from extra_ops import bilstm_oracle, mix_columns_oracle, softmax_columns
+from extra_ops import bilstm_oracle, fuse_oracle, mix_columns_oracle, softmax_columns
 
 
 def _cfg(k=4, max_len=4, d=5, r=3, d_a=3):
@@ -267,7 +267,7 @@ def test_fuse_symmetric_inputs_give_half_half():
     attn = Node(rng.normal(size=(4, 3)))
     w = Node(rng.normal(size=(1, 6)))
     b = Node(np.array([[0.2]]))
-    mix, alpha, beta = fuse(h, attn, Node(attn.value.copy()), w, b, w, b)
+    mix, alpha = fuse(h, attn, Node(attn.value.copy()), w, b, w, b)
     np.testing.assert_allclose(alpha.value, np.full((1, 3), 0.5), atol=1e-15)
     np.testing.assert_allclose(mix.value, attn.value, atol=1e-15)
 
@@ -279,12 +279,12 @@ def test_fuse_hand_normalization():
     attn_a = Node(np.zeros((3, 2)))
     attn_b = Node(np.zeros((3, 2)))
     w = Node(np.zeros((1, 4)))
-    _, alpha, beta = fuse(
+    _, alpha = fuse(
         h, attn_a, attn_b, w, Node(np.array([[logit(0.6)]])), w,
         Node(np.array([[logit(0.2)]])),
     )
     np.testing.assert_allclose(alpha.value, np.full((1, 2), 0.75), atol=1e-12)
-    np.testing.assert_allclose(beta.value, np.full((1, 2), 0.25), atol=1e-12)
+    np.testing.assert_allclose(1 - alpha.value, np.full((1, 2), 0.25), atol=1e-12)
 
 
 def test_fuse_weights_sum_to_one_exactly():
@@ -297,8 +297,11 @@ def test_fuse_weights_sum_to_one_exactly():
         w2 = Node(rng.normal(size=(1, 4)))
         b1 = Node(rng.normal(size=(1, 1)))
         b2 = Node(rng.normal(size=(1, 1)))
-        _, alpha, beta = fuse(h, attn_a, attn_b, w1, b1, w2, b2)
-        assert (alpha.value + beta.value == 1.0).all()
+        mix, alpha = fuse(h, attn_a, attn_b, w1, b1, w2, b2)
+        assert (alpha.value + (1 - alpha.value) == 1.0).all()
+        assert ((alpha.value > 0) & (alpha.value < 1)).all()
+        np.testing.assert_array_equal(
+            mix.value, attn_a.value * alpha.value + attn_b.value * (1 - alpha.value))
 
 
 def test_fuse_shape_mismatch():
@@ -351,7 +354,7 @@ def test_forward_variant_field_population():
     t_sa = _forward(cfg, params, None, "sa")
     assert t_sa.attn_inter is None
     assert t_sa.attn_self is not None and t_sa.mix is t_sa.attn_self
-    assert (t_sa.alpha.value == 1.0).all() and (t_sa.beta.value == 0.0).all()
+    assert (t_sa.alpha.value == 1.0).all() and not hasattr(t_sa, "beta")
 
     t_ia = _forward(cfg, params, lv, "ia")
     assert t_ia.attn_self is None
@@ -367,7 +370,7 @@ def test_forward_variant_field_population():
 
     t_full = _forward(cfg, params, lv, "laha")
     assert t_full.attn_self is not None and t_full.attn_inter is not None
-    assert (t_full.alpha.value + t_full.beta.value == 1.0).all()
+    assert (t_full.alpha.value + (1 - t_full.alpha.value) == 1.0).all()
 
 
 def test_forward_requires_embedding_for_interaction():
@@ -485,7 +488,7 @@ def test_forward_convexity_of_mixed_context():
     h = trace.h.value
     recombined = (
         (h @ trace.attn_self.value) * trace.alpha.value
-        + (h @ trace.attn_inter.value) * trace.beta.value
+        + (h @ trace.attn_inter.value) * (1 - trace.alpha.value)
     )
     assert np.abs(h @ trace.mix.value - recombined).max() <= 1e-12
 
@@ -628,6 +631,7 @@ def test_forward_batch_gradients_are_bit_identical_to_the_unfused_composition(
     got = _batch_gradients(params, lv, batch, variant, bilstm_forward)
     with mock.patch("laha.model.self_attention", _old_self_attention), \
             mock.patch("laha.model.interaction_attention", _old_interaction_attention), \
+            mock.patch("laha.model.fuse", fuse_oracle), \
             mock.patch.object(nm, "mix_columns", mix_columns_oracle):
         want = _batch_gradients(params, lv, batch, variant, bilstm_forward)
     for name in param_table(cfg, 11):

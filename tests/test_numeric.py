@@ -9,14 +9,12 @@ from laha.errors import DegenerateInputError, NumericalError, ShapeError, Valida
 from laha.numeric import (
     Node,
     activate,
-    add,
     add_colvec,
     add_halves,
     backward,
     bce_with_logits,
     bilstm,
-    const_minus,
-    div,
+    gate,
     matmul,
     matmul_chain,
     mix_columns,
@@ -27,7 +25,11 @@ from laha.numeric import (
 )
 
 from extra_ops import (
+    add,
     bilstm_oracle,
+    const_minus,
+    div,
+    gate_oracle,
     grad_check,
     lstm,
     mix_columns_oracle,
@@ -135,7 +137,7 @@ def test_softmax_overflow_safe():
 
 def test_activation_values():
     assert activate(np.zeros((1, 1)), "tanh").value[0, 0] == 0.0
-    assert activate(np.zeros((1, 1)), "sigmoid").value[0, 0] == 0.5
+    assert gate(np.zeros((1, 1)), np.zeros((1, 1))).value[0, 0] == 0.5
     assert activate(np.array([[-3.2]]), "relu").value[0, 0] == 0.0
     with pytest.raises(ValueError):
         activate(np.zeros((1, 1)), "gelu")
@@ -340,7 +342,8 @@ def test_grad_activations(trial):
     x_relu = np.where(np.abs(x) < 1e-2, x + np.sign(x + 0.5) * 0.1, x)
     y = rng.integers(0, 2, size=(3, 3)).astype(float)
     _check(lambda p: sum_all(activate(p["x"], "tanh")), {"x": x})
-    _check(lambda p: sum_all(activate(p["x"], "sigmoid")), {"x": x})
+    _check(lambda p: sum_all(mul(gate(p["x"], p["y"]), p["w"])),
+           {"x": x, "y": _rand(rng, (3, 3), -4.0, 4.0), "w": _rand(rng, (3, 3))})
     _check(lambda p: sum_all(activate(p["x"], "relu")), {"x": x_relu})
     _check(lambda p: bce_with_logits([p["x"]], [y]), {"x": x})
     _check(lambda p: bce_with_logits([p["x"], slice_cols(p["x"], 1, 3)], [y, y[:, 1:]]),
@@ -735,9 +738,9 @@ def test_grad_softmax_product(trial, transposed):
 def test_grad_mix_columns(trial):
     rng = np.random.default_rng(700 + trial)
     a, b, w = (_rand(rng, (3, 4)) for _ in range(3))
-    u, v = _rand(rng, (1, 4)), _rand(rng, (1, 4))
-    _check(lambda p: sum_all(mul(mix_columns(p["a"], p["u"], p["b"], p["v"]), p["w"])),
-           {"a": a, "u": u, "b": b, "v": v, "w": w})
+    u = _rand(rng, (1, 4))
+    _check(lambda p: sum_all(mul(mix_columns(p["a"], p["u"], p["b"]), p["w"])),
+           {"a": a, "u": u, "b": b, "w": w})
 
 
 def _value_and_grads(build, arrays, weight):
@@ -773,7 +776,7 @@ def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
     rng = np.random.default_rng(44)
     for _ in range(60):
         n, k = (int(x) for x in rng.integers(1, 40, size=2))
-        arrays = (rng.random((k, n)).T, rng.random((1, k)), rng.random((n, k)), rng.random((1, k)))
+        arrays = (rng.random((k, n)).T, rng.random((1, k)), rng.random((n, k)))
         weight = rng.normal(size=(n, k))
         fused = _value_and_grads(mix_columns, arrays, weight)
         oracle = _value_and_grads(mix_columns_oracle, arrays, weight)
@@ -785,9 +788,43 @@ def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
 
 def test_mix_columns_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 3)))
+        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 3)), np.ones((3, 1)))
+        mix_columns(np.ones((2, 3)), np.ones((3, 1)), np.ones((2, 3)))
+
+
+def test_gate_of_saturated_inputs_is_one_half_with_finite_gradients():
+    # both sigmoids round to 1 above about 37; equal inputs share any value
+    z_a, z_b = np.array([[40.0, 41.0, 39.5, -40.0]]), np.array([[41.0, 40.0, 44.0, -40.0]])
+    np.testing.assert_array_equal(gate(z_a, z_b).value, np.full((1, 4), 0.5))
+    leaves = [Node(z_a), Node(z_b)]
+    backward(sum_all(mul(gate(*leaves), np.array([[1.0, -2.0, 3.0, 0.5]]))))
+    assert all(np.isfinite(leaf.grad).all() for leaf in leaves)
+    # on the negative side sigmoid(z) ~ e^z, so alpha is a two-way softmax: slope 1/4 at a tie
+    assert leaves[0].grad[0, 3] == pytest.approx(0.5 * 0.25, rel=1e-12)
+    _check(lambda p: sum_all(mul(gate(p["a"], p["b"]), np.array([[1.0, -2.0, 3.0, 0.5]]))),
+           {"a": z_a, "b": z_b})
+    _check(lambda p: sum_all(gate(p["a"], p["b"])),
+           {"a": np.array([[-40.0, -39.0, -41.0]]), "b": np.array([[-39.0, -40.0, -42.0]])})
+
+
+def test_gate_is_bit_identical_to_sigmoid_add_and_div_nodes():
+    # random, huge and saturated inputs; zero weights give zero gradients, whose sign must match
+    rng = np.random.default_rng(45)
+    for _ in range(60):
+        shape = tuple(int(x) for x in rng.integers(1, 12, size=2))
+        arrays = tuple(rng.normal(scale=rng.choice([0.5, 5.0, 50.0]), size=shape) for _ in "ab")
+        weight = rng.normal(size=shape) * rng.integers(0, 2, size=shape)
+        fused = _value_and_grads(gate, arrays, weight)
+        oracle = _value_and_grads(gate_oracle, arrays, weight)
+        np.testing.assert_array_equal(fused[0], oracle[0])
+        for got, want in zip(fused[1], oracle[1]):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_gate_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="gate"):
+        gate(np.ones((1, 3)), np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("indices, error", [

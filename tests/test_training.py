@@ -447,6 +447,30 @@ def test_checkpoint_resume_equals_uninterrupted(tmp_path):
         np.testing.assert_array_equal(params_resumed.arrays()[name], arr)
 
 
+@pytest.mark.parametrize("case", ["frozen word vectors resumed fine-tuned", "moment reshaped"])
+def test_resume_rejects_adam_state_that_does_not_fit_the_trainable_parameters(tmp_path, case):
+    cfg, vocab, params, lv, docs, _ = _train_setup(seed=12)
+    frozen = TrainConfig(epochs=1, batch_size=2, negatives_per_doc=2, seed=12,
+                         finetune_word_vectors=False)
+    adam = AdamState.init({n: a for n, a in params.items() if n != "embedding"})
+    train(docs, vocab, params, cfg, lv, frozen, adam=adam)
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, params, cfg, "laha", vocab, frozen, adam, 1)
+    ckpt = load_checkpoint(path)
+    finetune = case == "frozen word vectors resumed fine-tuned"  # no moments for embedding
+    resumed = TrainConfig(epochs=2, batch_size=2, negatives_per_doc=2, seed=12,
+                          finetune_word_vectors=finetune)
+    if not finetune:
+        ckpt.adam.v["w_q"] = ckpt.adam.v["w_q"][:, :1].copy()
+    saved = {n: a.copy() for n, a in ckpt.params.items()}
+    with pytest.raises(ValidationError, match="'embedding'" if finetune else "'w_q'"):
+        train(docs, Vocabulary(ckpt.vocab_tokens), ckpt.params, ckpt.model_cfg, lv, resumed,
+              adam=ckpt.adam, start_epoch=ckpt.epoch)
+    for name, arr in ckpt.params.items():
+        np.testing.assert_array_equal(arr, saved[name])
+    assert ckpt.adam.step == adam.step
+
+
 def test_checkpoint_corrupted_file(tmp_path):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
