@@ -22,11 +22,12 @@ and each workload's median and quartiles.
 
 With --trace, each workload and seed also gets one run with --trace 1,
 and BENCH_layers.json records, for every span of each traced run, its
-milliseconds per document of the phase it runs in, and that base beside
-it: "trained" documents (one training.sample_labels call each) for the
-training.* spans and numeric.backward, "scored" documents (one
-model.forward call each) for model.forward, metrics.evaluate and
-bench.score_fn, and "both" (their sum) for the rest.
+milliseconds per unit of its base, and that base beside it: "run" for
+the spans that run once per run (labelgraph.* and bench.run), "trained"
+documents (one training.sample_labels call each) for the training.*
+spans and numeric.backward, "scored" documents (one model.forward call
+each) for model.forward, metrics.evaluate and bench.score_fn, and
+"both" (their sum) for the rest.
 
     python3 scripts/experiments.py --seeds 1-10 [--trace]
 """
@@ -88,34 +89,36 @@ def run_row(record: dict, prefix: str, metric: str) -> dict:
 
 
 def span_base(name: str) -> str:
-    """The documents a span runs for: "trained", "scored" or "both"."""
+    """What a span's time is divided by: "run", or its documents: "trained", "scored", "both"."""
+    if name.startswith("labelgraph.") or name == "bench.run":
+        return "run"
     if name.startswith("training.") or name == "numeric.backward":
         return "trained"
     return "scored" if name in SCORED_SPANS else "both"
 
 
 def layer_row(record: dict) -> dict:
-    """One traced run's documents, each span's milliseconds per document of its base, and
-    its operation counts; a span whose base has no documents reads 0."""
+    """One traced run's documents, each span's milliseconds per unit of its base, and its
+    operation counts; a span whose base has no documents reads 0."""
     spans = {span["name"]: span for span in record["info"]["spans"]}
     trained, scored = (spans[name]["calls"] if name in spans else 0
                        for name in ("training.sample_labels", "model.forward"))
     documents = {"trained": trained, "scored": scored, "both": trained + scored}
-    per_doc = {}
+    units = {**documents, "run": 1}
+    per_unit = {}
     for name, span in spans.items():
         base = span_base(name)
-        count = documents[base]
-        per_doc[name] = {"ms_per_doc": 1000.0 * span["total_s"] / count if count else 0.0,
-                         "base": base}
-    return {"seed": record["environment"]["seed"], "documents": documents, "spans": per_doc,
+        count = units[base]
+        per_unit[name] = {"ms": 1000.0 * span["total_s"] / count if count else 0.0, "base": base}
+    return {"seed": record["environment"]["seed"], "documents": documents, "spans": per_unit,
             **{name: record["result"][name] for name in ("correct", "attempted", "failed")}}
 
 
 def summarize_layers(rows: list[dict]) -> dict:
-    """Median and quartiles of each span's milliseconds per document over the runs."""
+    """Median and quartiles of each span's milliseconds per unit of its base over the runs."""
     out = {}
     for name, first in rows[0]["spans"].items():
-        figures = [row["spans"][name]["ms_per_doc"] if name in row["spans"] else 0.0
+        figures = [row["spans"][name]["ms"] if name in row["spans"] else 0.0
                    for row in rows]
         q1, median, q3 = np.percentile(figures, [25, 50, 75])
         out[name] = {"base": first["base"], "median": median, "q1": q1, "q3": q3}
@@ -167,7 +170,7 @@ def main(argv=None) -> int:
         write(path, 0, metric, {name: {"summary": summarize(rows, prefix, metric), "runs": rows}
                                 for name, rows in runs.items()})
     if args.trace:
-        write("BENCH_layers.json", 1, "ms_per_doc", {
+        write("BENCH_layers.json", 1, "ms_per_base", {
             name: {"summary": summarize_layers(rows), "runs": rows} for name, rows in layers.items()})
     return 0
 

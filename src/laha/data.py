@@ -96,9 +96,6 @@ class Vocabulary:
     def id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK)
 
-    def token(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
-
     @property
     def tokens(self) -> list[str]:
         """Non-reserved tokens in id order (for serialization)."""
@@ -189,11 +186,6 @@ def encode_document(
         ids[i] = vocab.id(tok)
         mask[i] = True
     return ids, mask
-
-
-def decode_document(ids: np.ndarray, mask: np.ndarray, vocab: Vocabulary) -> list[str]:
-    """Tokens at masked-true positions (inverse of encode for in-vocab docs)."""
-    return [vocab.token(int(i)) for i, m in zip(ids, mask) if m]
 
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import Corpus, atomic_write_bytes
-from .errors import DataFormatError, ValidationError, check_int, check_positive
+from .data import Corpus
+from .errors import ValidationError, check_int, check_positive
 
 
 class LabelGraph:
@@ -29,12 +29,16 @@ class LabelGraph:
     """
 
     def __init__(self, k: int, edges=()):
-        if k < 1:
-            raise ValidationError("label count must be >= 1")
-        e = np.asarray(edges).reshape(-1, 3)
+        check_int("k", k, 1)
+        try:
+            e = np.asarray(edges)
+        except ValueError as err:  # rows of unequal length
+            raise ValidationError(f"edges must be (i, j, weight) triples: {err}") from err
+        if e.size and (e.ndim != 2 or e.shape[1] != 3):
+            raise ValidationError(f"edges must be (i, j, weight) triples, got shape {e.shape}")
         if e.size and e.dtype.kind not in "iu":
             raise ValidationError(f"edge ids and weights must be integers, got {e.dtype}")
-        e = e.astype(np.int64)
+        e = e.reshape(-1, 3).astype(np.int64)
         i, j, w = e.T
         if (i == j).any():
             raise ValidationError("self-loops are not allowed")
@@ -53,34 +57,6 @@ class LabelGraph:
         self._keys = np.append(keys, k * k)
         for a in (self.indptr, self.indices, self.weights, self._keys):
             a.flags.writeable = False
-
-    def _find(self, i, j):
-        """Entry positions of (i, j) in `indices`/`weights`, and which exist."""
-        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        inside = (i >= 0) & (i < self.k) & (j >= 0) & (j < self.k)
-        key = np.where(inside, i * self.k + j, self.k * self.k)
-        pos = np.searchsorted(self._keys, key)
-        return pos, inside & (self._keys[pos] == key)
-
-    def neighbors(self, i: int) -> list[tuple[int, int]]:
-        """(neighbor, weight) pairs sorted by neighbor id."""
-        s = slice(self.indptr[i], self.indptr[i + 1])
-        return list(zip(self.indices[s].tolist(), self.weights[s].tolist()))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._find(i, j)[1])
-
-    def weight(self, i: int, j: int) -> int:
-        pos, found = self._find(i, j)
-        return int(self.weights[pos]) if found else 0
-
-    @property
-    def num_edges(self) -> int:
-        return self.indices.size // 2
-
-    @property
-    def isolated(self) -> list[int]:
-        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
 
 def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
@@ -140,8 +116,9 @@ def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
         seg = np.cumsum(lens) - lens
         entry = np.repeat(lo - seg, lens) + np.arange(lens.sum())
         prev, nxt = np.repeat(steps[:, s - 2], lens), graph.indices[entry]
-        bias = np.where(nxt == prev, 1 / config.p,
-                        np.where(graph._find(prev, nxt)[1], 1.0, 1 / config.q))
+        key = prev * graph.k + nxt  # the k * k sentinel keeps every search inside _keys
+        linked = graph._keys[np.searchsorted(graph._keys, key)] == key
+        bias = np.where(nxt == prev, 1 / config.p, np.where(linked, 1.0, 1 / config.q))
         biased = graph.weights[entry] * bias
         # each row scaled to sum 1, so one running total resolves every row alike
         biased /= np.repeat(np.add.reduceat(biased, seg), lens)
@@ -167,14 +144,6 @@ class LabelEmbedding:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValidationError("label embedding must be a 2-D matrix")
-
-    @property
-    def r(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[1]
 
 
 def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, negatives: int = 5,
@@ -252,45 +221,3 @@ def _sparse_times(rows, cols, vals, x: np.ndarray) -> np.ndarray:
         block[rows[lo:hi] - top, at] = vals[lo:hi]
         out[top:top + 128] = block @ x[used]
     return out
-
-
-def save_embedding(path: str, embedding: LabelEmbedding) -> None:
-    """Text format: header `r k`, then k lines of r floats (line i = label i)."""
-    lines = [f"{embedding.r} {embedding.k}"]
-    lines += [" ".join(repr(float(x)) for x in column) for column in embedding.vectors.T]
-    atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode())
-
-
-def load_embedding(path: str) -> LabelEmbedding:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataFormatError("embedding header must be `r k`", line=1)
-        try:
-            r, k = int(header[0]), int(header[1])
-        except ValueError as err:
-            raise DataFormatError("embedding header must be two integers", line=1) from err
-        if r < 1 or k < 1:
-            raise DataFormatError("embedding dimensions must be positive", line=1)
-        vectors = np.zeros((r, k))
-        for i in range(k):
-            line = fh.readline()
-            if not line:
-                raise DataFormatError(
-                    f"expected {k} embedding rows, file ends after {i}", line=i + 2
-                )
-            parts = line.split()
-            if len(parts) != r:
-                raise DataFormatError(
-                    f"expected {r} floats, got {len(parts)}", line=i + 2
-                )
-            try:
-                vectors[:, i] = [float(x) for x in parts]
-            except ValueError as err:
-                raise DataFormatError(f"bad float ({err})", line=i + 2) from err
-            if not np.isfinite(vectors[:, i]).all():
-                raise DataFormatError("non-finite float", line=i + 2)
-        for lineno, line in enumerate(fh, start=k + 2):
-            if line.strip():
-                raise DataFormatError(f"row after the {k} declared embedding rows", line=lineno)
-    return LabelEmbedding(vectors=vectors)

@@ -12,7 +12,6 @@ the stable tie order makes equal to ranking the group's own scores.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -46,28 +45,6 @@ def _ranked_metrics(ranking: np.ndarray, truth: set[int], taus: Sequence[int]) -
     return precision + ndcg
 
 
-def precision_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
-    """Fraction of the top-tau ranked labels present in truth."""
-    return _ranked_metrics(_validated_ranking(scores, truth, tau), truth, [tau])[0]
-
-
-def ndcg_at_k(scores: np.ndarray, truth: set[int], tau: int) -> float:
-    """Discounted cumulative gain over the top tau, against the ideal ranking."""
-    return _ranked_metrics(_validated_ranking(scores, truth, tau), truth, [tau])[1]
-
-
-def _validated_ranking(scores: np.ndarray, truth: set[int], tau: int) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValidationError("scores must be finite")
-    if not truth:
-        raise ValidationError("ground-truth label set must be nonempty")
-    check_int("tau", tau, 1, scores.size + 1)
-    for label in truth:
-        check_int("truth label", label, 0, scores.size)
-    return rank_labels(scores)
-
-
 @dataclass
 class LabelGroupSpec:
     """Frequency boundaries; (5, 50) means G1 F<=5, G2 5<F<=50, G3 F>50."""
@@ -97,6 +74,7 @@ class LabelGroupSpec:
 
 def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
     """Occurrences of each label over the corpus documents."""
+    check_int("k", k, 1)
     freqs = np.zeros(k, dtype=np.int64)
     for doc in corpus:
         for label in doc.labels:
@@ -118,9 +96,6 @@ class EvalReport:
     overall: dict[str, float]
     groups: list[GroupReport]
     documents: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def evaluate(

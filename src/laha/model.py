@@ -134,7 +134,6 @@ class ForwardTrace:
     alpha: Node  # the weight of the content route per label; beta is 1 - alpha
     logits: Node
     subset: list[int]
-    mask: np.ndarray
 
     def scores(self) -> np.ndarray:
         """Per-label probabilities, sigmoid of the logits, aligned with subset.
@@ -281,36 +280,8 @@ def _attend(h, mask, param_nodes, label_rows, subset, variant):
     logits = predict(h, mix, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
     if not np.isfinite(logits.value).all():
         raise NumericalError("non-finite logit")
-    return ForwardTrace(
-        h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha,
-        logits=logits, subset=subset, mask=np.asarray(mask).astype(bool),
-    )
-
-
-def export_attention(
-    trace: ForwardTrace, tokens: Sequence[str], label_names: Sequence[str],
-    doc_id: str = "",
-) -> dict:
-    """Per-label (token, fused weight) lists, heaviest token first.
-
-    Weights are the variant-aware convex mix of the two attention columns,
-    so each label's weights over the real tokens sum to 1.
-    """
-    if len(label_names) != len(trace.subset):
-        raise ShapeError(
-            f"{len(label_names)} label names for {len(trace.subset)} subset labels"
-        )
-    fused = trace.mix.value
-    n_real = int(trace.mask.sum())
-    shown = list(tokens)[:n_real]
-    report = {"doc_id": doc_id, "labels": []}
-    for j, name in enumerate(label_names):
-        weighted = sorted(
-            ((tok, float(fused[t, j])) for t, tok in enumerate(shown)),
-            key=lambda tw: -tw[1],
-        )
-        report["labels"].append({"label": name, "tokens": [[t, w] for t, w in weighted]})
-    return report
+    return ForwardTrace(h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha,
+                        logits=logits, subset=subset)
 
 
 def _valid_subset(subset: Sequence[int], k: int) -> list[int]:

@@ -49,6 +49,7 @@ from .errors import DegenerateInputError, NumericalError, ShapeError, Validation
 
 ACTIVATIONS = ("tanh", "relu")
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
+_GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
 
 def as_matrix(x) -> np.ndarray:
@@ -320,19 +321,34 @@ def gate(z_a, z_b) -> Node:
     """sigmoid(z_a) / s, s = sigmoid(z_a) + sigmoid(z_b), elementwise: LAHA's fusion weight.
 
     The backward repeats the sigmoid, add and div chain's arithmetic in its order.  Equal
-    inputs, or two above 37 (both sigmoids round to 1), give 1/2; two below -745 give NaN.
+    inputs, or two above 37 (both sigmoids round to 1), give 1/2.  Where both inputs are
+    below about -354, s * s underflows (s itself below about -745) and the chain's gradient
+    is infinite; there sigmoid(z) is e^z to double precision, so the weight is sigmoid(z_a -
+    z_b), with slopes +-alpha (1 - alpha).  Every other element keeps the chain's bits.
     """
     z_a, z_b = _node(z_a), _node(z_b)
     _same_shape(z_a, z_b, "gate")
     y_a, y_b = sigmoid(z_a.value), sigmoid(z_b.value)
     s = y_a + y_b
+    low = s < _GATE_FLOOR
+    if low.any():
+        s[low] = 1.0  # keeps the chain's arithmetic finite there; its results are replaced
+    else:
+        low = None
+    alpha = y_a / s
+    if low is not None:
+        alpha[low] = sigmoid(z_a.value[low] - z_b.value[low])
 
     def bwd(g):
         g_s = 0.0 - g * y_a / (s * s)  # the gradient of s, as the add node held it
-        z_a.grad += (g / s + g_s) * y_a * (1.0 - y_a)
-        z_b.grad += g_s * y_b * (1.0 - y_b)
+        d_a, d_b = (g / s + g_s) * y_a * (1.0 - y_a), g_s * y_b * (1.0 - y_b)
+        if low is not None:
+            d_a[low] = g[low] * alpha[low] * (1.0 - alpha[low])
+            d_b[low] = -d_a[low]
+        z_a.grad += d_a
+        z_b.grad += d_b
 
-    return Node(y_a / s, (z_a, z_b), bwd)
+    return Node(alpha, (z_a, z_b), bwd)
 
 
 def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:

@@ -11,13 +11,11 @@ from laha.data import (
     UNK,
     Vocabulary,
     build_vocab,
-    decode_document,
     encode_document,
     load_corpus,
     load_word_vectors,
 )
 from laha.errors import DataFormatError, ValidationError
-from laha.labelgraph import LabelEmbedding, save_embedding
 from laha.model import ModelConfig, init_params
 from laha.training import AdamState, TrainConfig, sample_labels, save_checkpoint
 
@@ -64,21 +62,38 @@ def test_load_corpus_rejects_ids_that_are_not_strings_or_integers(doc_id):
     assert load_corpus(['{"id":7,"labels":[1],"text":"x"}'])[0].doc_id == "7"
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
-def test_saved_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
+def _save_tiny_checkpoint(path, seed=0):
     cfg = ModelConfig(k=2, max_len=2, d=2, r=1, d_a=1)
     vocab = Vocabulary(["a"])
-    params = init_params(cfg, np.zeros((len(vocab), cfg.d)), 0)
+    params = init_params(cfg, np.zeros((len(vocab), cfg.d)), seed)
+    save_checkpoint(str(path), params, cfg, "laha", vocab, TrainConfig(epochs=1),
+                    AdamState.init(params), 0)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_saved_artifacts_take_their_mode_from_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
-        save_checkpoint(str(tmp_path / "ckpt.bin"), params, cfg, "laha", vocab,
-                        TrainConfig(epochs=1), AdamState.init(params), 0)
-        save_embedding(str(tmp_path / "labels.emb"), LabelEmbedding(vectors=np.ones((2, 3))))
+        _save_tiny_checkpoint(tmp_path / "ckpt.bin")
     finally:
         os.umask(previous)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "labels.emb"]
-    for path in tmp_path.iterdir():
-        assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    assert stat.S_IMODE((tmp_path / "ckpt.bin").stat().st_mode) == mode
+
+
+def test_interrupted_checkpoint_save_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    _save_tiny_checkpoint(path, seed=0)
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        _save_tiny_checkpoint(path, seed=1)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 def test_load_corpus_empty_input():
@@ -121,8 +136,9 @@ def test_build_vocab_min_freq_filters():
 def test_build_vocab_empty_corpus():
     vocab = build_vocab([], min_freq=1, max_size=10)
     assert len(vocab) == 2
-    assert vocab.token(PAD) == data.PAD_TOKEN
-    assert vocab.token(UNK) == data.UNK_TOKEN
+    assert vocab.tokens == []
+    assert vocab.id(data.PAD_TOKEN) == PAD
+    assert vocab.id(data.UNK_TOKEN) == UNK
 
 
 def test_build_vocab_max_size_cap():
@@ -239,4 +255,5 @@ def test_encode_decode_roundtrip_and_mask_sum():
         max_len = int(rng.integers(1, 10))
         ids, mask = encode_document(doc, vocab, max_len)
         assert mask.sum() == min(n, max_len)
-        assert decode_document(ids, mask, vocab) == toks[: min(n, max_len)]
+        assert ids[mask].tolist() == [vocab.id(tok) for tok in toks[:max_len]]
+        assert not mask[mask.sum():].any() and (ids[~mask] == PAD).all()

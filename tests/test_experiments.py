@@ -53,7 +53,8 @@ def test_parse_seeds_rejects_an_empty_range_or_a_repeated_seed(experiments, text
 
 
 def test_layer_row_counts_a_document_per_forward_and_per_label_draw(experiments):
-    # 2 scored and 3 trained documents; each span is divided by the documents of its phase
+    # 2 scored and 3 trained documents; each span is divided by the documents of its phase,
+    # or by the run where it runs once per run
     record = {"environment": {"seed": 4}, "result": {"correct": True, "attempted": 3, "failed": 0},
               "info": {"spans": [
                   {"name": "model.forward", "calls": 2, "total_s": 0.5, "self_s": 0.1},
@@ -62,17 +63,23 @@ def test_layer_row_counts_a_document_per_forward_and_per_label_draw(experiments)
                   {"name": "numeric.backward", "calls": 1, "total_s": 1.2, "self_s": 1.2},
                   {"name": "metrics.evaluate", "calls": 1, "total_s": 0.6, "self_s": 0.1},
                   {"name": "bench.score_fn", "calls": 2, "total_s": 0.55, "self_s": 0.05},
-                  {"name": "training.adam_step", "calls": 1, "total_s": 0.3, "self_s": 0.3}]}}
+                  {"name": "training.adam_step", "calls": 1, "total_s": 0.3, "self_s": 0.3},
+                  {"name": "labelgraph.sample_walks", "calls": 1, "total_s": 0.02, "self_s": 0.02},
+                  {"name": "labelgraph.train_skipgram", "calls": 1, "total_s": 0.04,
+                   "self_s": 0.04},
+                  {"name": "bench.run", "calls": 1, "total_s": 3.0, "self_s": 0.2}]}}
     row = experiments.layer_row(record)
     assert row["documents"] == {"trained": 3, "scored": 2, "both": 5}
     assert {name: span["base"] for name, span in row["spans"].items()} == {
         "model.forward": "scored", "training.sample_labels": "trained",
         "model.bilstm_forward": "both", "numeric.backward": "trained",
-        "metrics.evaluate": "scored", "bench.score_fn": "scored", "training.adam_step": "trained"}
-    assert {name: span["ms_per_doc"] for name, span in row["spans"].items()} == pytest.approx({
+        "metrics.evaluate": "scored", "bench.score_fn": "scored", "training.adam_step": "trained",
+        "labelgraph.sample_walks": "run", "labelgraph.train_skipgram": "run", "bench.run": "run"}
+    assert {name: span["ms"] for name, span in row["spans"].items()} == pytest.approx({
         "model.forward": 250.0, "training.sample_labels": 20.0, "model.bilstm_forward": 50.0,
         "numeric.backward": 400.0, "metrics.evaluate": 300.0, "bench.score_fn": 275.0,
-        "training.adam_step": 100.0}, rel=1e-12)
+        "training.adam_step": 100.0, "labelgraph.sample_walks": 20.0,
+        "labelgraph.train_skipgram": 40.0, "bench.run": 3000.0}, rel=1e-12)
     assert experiments.summarize_layers([row, row])["numeric.backward"] == pytest.approx({
         "base": "trained", "median": 400.0, "q1": 400.0, "q3": 400.0}, rel=1e-12)
 
@@ -84,5 +91,5 @@ def test_layer_row_of_a_run_that_only_scores_reads_0_for_training_spans(experime
                   {"name": "training.encode_document", "calls": 1, "total_s": 0.1, "self_s": 0.1}]}}
     row = experiments.layer_row(record)
     assert row["documents"] == {"trained": 0, "scored": 4, "both": 4}
-    assert row["spans"]["training.encode_document"] == {"ms_per_doc": 0.0, "base": "trained"}
-    assert row["spans"]["model.forward"]["ms_per_doc"] == 500.0
+    assert row["spans"]["training.encode_document"] == {"ms": 0.0, "base": "trained"}
+    assert row["spans"]["model.forward"]["ms"] == 500.0

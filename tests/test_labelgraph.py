@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 from itertools import combinations
 
@@ -7,15 +6,12 @@ import pytest
 from scipy import stats
 
 from laha.data import Document
-from laha.errors import DataFormatError, ValidationError
+from laha.errors import ValidationError
 from laha.labelgraph import (
-    LabelEmbedding,
     LabelGraph,
     WalkConfig,
     build_cooccurrence_graph,
-    load_embedding,
     sample_walks,
-    save_embedding,
     train_skipgram,
 )
 
@@ -24,22 +20,28 @@ def _doc(i, labels):
     return Document(doc_id=f"d{i}", tokens=["x"], labels=set(labels))
 
 
+def _dense(graph):
+    """The k x k weight matrix of a graph, built from its CSR arrays; 0 where no edge."""
+    adj = np.zeros((graph.k, graph.k), dtype=np.int64)
+    adj[np.repeat(np.arange(graph.k), np.diff(graph.indptr)), graph.indices] = graph.weights
+    return adj
+
+
 def test_cooccurrence_shared_document_edges():
-    graph = build_cooccurrence_graph([_doc(0, {1, 2}), _doc(1, {2, 3})], k=4)
-    assert graph.weight(1, 2) == 1
-    assert graph.weight(2, 3) == 1
-    assert not graph.has_edge(1, 3)
+    adj = _dense(build_cooccurrence_graph([_doc(0, {1, 2}), _doc(1, {2, 3})], k=4))
+    assert adj[1, 2] == 1
+    assert adj[2, 3] == 1
+    assert adj[1, 3] == 0
 
 
 def test_cooccurrence_weight_counts_documents():
     graph = build_cooccurrence_graph([_doc(0, {1, 2}), _doc(1, {1, 2})], k=3)
-    assert graph.weight(1, 2) == 2
+    assert _dense(graph)[1, 2] == 2
 
 
 def test_cooccurrence_single_label_docs_no_edges():
     graph = build_cooccurrence_graph([_doc(i, {i}) for i in range(4)], k=4)
-    assert graph.num_edges == 0
-    assert graph.isolated == [0, 1, 2, 3]
+    assert graph.indptr.tolist() == [0, 0, 0, 0, 0]  # no edge: every label isolated
 
 
 def test_cooccurrence_label_out_of_range():
@@ -59,11 +61,13 @@ def test_graph_symmetry_and_no_self_loops():
         n = int(rng.integers(1, 4))
         docs.append(_doc(i, set(rng.choice(10, size=n, replace=False).tolist())))
     graph = build_cooccurrence_graph(docs, k=10)
-    for i in range(10):
-        assert not graph.has_edge(i, i)
-        for j, w in graph.neighbors(i):
-            assert graph.weight(j, i) == w
-            assert w >= 1
+    adj = _dense(graph)
+    np.testing.assert_array_equal(adj, adj.T)
+    assert not np.diag(adj).any()
+    assert (graph.weights >= 1).all()
+    # every row's neighbours are sorted by id
+    assert all((np.diff(graph.indices[lo:hi]) > 0).all()
+               for lo, hi in zip(graph.indptr[:-1], graph.indptr[1:]))
 
 
 def _path_graph():
@@ -81,6 +85,10 @@ def _weighted_5_node():
     [(0, 1, 1), (1, 2, 0)],  # weight 0
     [(0, 1, 2.7)],  # float weight, not truncated to 2
     [(0.0, 1, 1)],  # float id
+    [(0, 1)],  # a pair, not a triple
+    [(0, 1, 1, 1)],  # four fields
+    [0, 1, 1],  # one flat triple
+    [(0, 1, 1), (1, 2)],  # rows of unequal length
 ])
 def test_graph_constructor_rejects_bad_edges(edges):
     with pytest.raises(ValidationError):
@@ -89,23 +97,12 @@ def test_graph_constructor_rejects_bad_edges(edges):
 
 def test_graph_duplicate_edges_sum_weights():
     g = LabelGraph(4, [(0, 1, 2), (1, 0, 3), (2, 3, 1), (0, 1, 1)])
-    assert g.weight(0, 1) == g.weight(1, 0) == 6
-    assert g.neighbors(1) == [(0, 6)]
-    assert g.num_edges == 2
+    adj = _dense(g)
+    assert adj[0, 1] == adj[1, 0] == 6
     assert g.indptr.tolist() == [0, 1, 2, 3, 4]
     assert g.indices.tolist() == [1, 0, 3, 2]
     assert g.weights.tolist() == [6, 6, 1, 1]
-    assert not g.has_edge(0, 2) and g.weight(0, 2) == 0
-
-
-def test_graph_lookups_outside_label_range_find_nothing():
-    g = _path_graph()
-    # (0, 3) and (2, -1) share their flat keys with the real edges (1, 0) and (1, 2)
-    assert not g.has_edge(0, 3) and g.weight(0, 3) == 0
-    assert not g.has_edge(2, -1) and g.weight(2, -1) == 0
-    assert not g.has_edge(2, 3) and g.weight(2, 3) == 0
-    assert not g.has_edge(3, 0) and g.weight(3, 0) == 0
-    assert g.has_edge(1, 0) and g.weight(1, 2) == 1
+    assert np.count_nonzero(adj) == 4 and adj[0, 2] == 0
 
 
 def test_walks_start_everywhere_and_deterministic():
@@ -144,11 +141,10 @@ def test_first_order_transition_frequencies_p_q_1():
             trans[(a, b)] += 1
             outgoing[a] += 1
     assert sum(outgoing.values()) >= 10**5
+    adj = _dense(g)
     for node in range(5):
-        nbrs = g.neighbors(node)
-        total_w = sum(w for _, w in nbrs)
-        for nxt, w in nbrs:
-            expected = w / total_w
+        for nxt in np.flatnonzero(adj[node]).tolist():
+            expected = adj[node, nxt] / adj[node].sum()
             observed = trans[(node, nxt)] / outgoing[node]
             assert abs(observed - expected) <= 0.02
 
@@ -164,13 +160,13 @@ def test_chi_square_second_order_matches_first_order():
         for a, b in zip(walk[1:], walk[2:]):
             trans[(a, b)] += 1
             outgoing[a] += 1
+    adj = _dense(g)
     for node in range(5):
-        nbrs = g.neighbors(node)
+        nbrs = np.flatnonzero(adj[node])
         if len(nbrs) < 2:
             continue
-        total_w = sum(w for _, w in nbrs)
-        observed = np.array([trans[(node, nxt)] for nxt, _ in nbrs], dtype=float)
-        expected = np.array([w / total_w for _, w in nbrs]) * observed.sum()
+        observed = np.array([trans[(node, nxt)] for nxt in nbrs.tolist()], dtype=float)
+        expected = adj[node, nbrs] / adj[node].sum() * observed.sum()
         chi2 = ((observed - expected) ** 2 / expected).sum()
         p_value = stats.chi2.sf(chi2, df=len(nbrs) - 1)
         assert p_value > 0.01
@@ -185,12 +181,12 @@ def test_huge_q_returns_to_previous_node():
     assert returns / len(walks) >= 0.999
 
 
-def _node2vec_probs(g, prev, cur, p, q):
+def _node2vec_probs(adj, prev, cur, p, q):
     """Exact node2vec transition out of cur after prev, as {next: probability}."""
     biased = {}
-    for nxt, w in g.neighbors(cur):
-        bias = 1 / p if nxt == prev else 1.0 if g.has_edge(prev, nxt) else 1 / q
-        biased[nxt] = w * bias
+    for nxt in np.flatnonzero(adj[cur]).tolist():
+        bias = 1 / p if nxt == prev else 1.0 if adj[prev, nxt] else 1 / q
+        biased[nxt] = adj[cur, nxt] * bias
     total = sum(biased.values())
     return {nxt: b / total for nxt, b in biased.items()}
 
@@ -204,9 +200,10 @@ def test_chi_square_second_order_matches_node2vec(p, q):
         for prev, cur, nxt in zip(walk, walk[1:], walk[2:]):
             trans[(prev, cur, nxt)] += 1
     rows = 0
+    adj = _dense(g)
     for cur in range(5):
-        for prev, _ in g.neighbors(cur):
-            probs = _node2vec_probs(g, prev, cur, p, q)
+        for prev in np.flatnonzero(adj[cur]).tolist():
+            probs = _node2vec_probs(adj, prev, cur, p, q)
             observed = np.array([trans[(prev, cur, nxt)] for nxt in probs], dtype=float)
             assert observed.sum() >= 500
             expected = np.array(list(probs.values())) * observed.sum()
@@ -356,74 +353,6 @@ def test_skipgram_separates_disconnected_cliques():
             sim = _cosine(emb[:, i], emb[:, j])
             (intra if (i < 3) == (j < 3) else inter).append(sim)
     assert np.mean(intra) > np.mean(inter)
-
-
-def test_embedding_roundtrip_bit_identical(tmp_path):
-    rng = np.random.default_rng(8)
-    emb = LabelEmbedding(vectors=rng.normal(size=(5, 3)))
-    path = tmp_path / "labels.emb"
-    save_embedding(str(path), emb)
-    loaded = load_embedding(str(path))
-    np.testing.assert_array_equal(loaded.vectors, emb.vectors)
-    assert loaded.r == 5 and loaded.k == 3
-
-
-def test_interrupted_embedding_save_keeps_the_earlier_file(tmp_path, monkeypatch):
-    path = tmp_path / "labels.emb"
-    save_embedding(str(path), LabelEmbedding(vectors=np.ones((2, 3))))
-    before = path.read_bytes()
-
-    def interrupted(src, dst):
-        raise OSError("interrupted")
-
-    monkeypatch.setattr(os, "replace", interrupted)
-    with pytest.raises(OSError, match="interrupted"):
-        save_embedding(str(path), LabelEmbedding(vectors=np.zeros((4, 5))))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["labels.emb"]
-
-
-def test_embedding_roundtrip_single_label(tmp_path):
-    emb = LabelEmbedding(vectors=np.array([[0.1], [0.2]]))
-    path = tmp_path / "one.emb"
-    save_embedding(str(path), emb)
-    loaded = load_embedding(str(path))
-    np.testing.assert_array_equal(loaded.vectors, emb.vectors)
-
-
-def test_embedding_truncated_file(tmp_path):
-    rng = np.random.default_rng(8)
-    emb = LabelEmbedding(vectors=rng.normal(size=(4, 3)))
-    path = tmp_path / "labels.emb"
-    save_embedding(str(path), emb)
-    text = path.read_text().splitlines()
-    path.write_text("\n".join(text[:-1]) + "\n")
-    with pytest.raises(DataFormatError, match="line 4"):
-        load_embedding(str(path))
-
-
-def test_embedding_extra_rows_name_the_first_one(tmp_path):
-    path = tmp_path / "labels.emb"
-    path.write_text("2 2\n0.1 0.2\n0.3 0.4\n\n0.5 0.6\n0.7 0.8\n")
-    with pytest.raises(DataFormatError, match="line 5"):
-        load_embedding(str(path))
-    path.write_text("2 2\n0.1 0.2\n0.3 0.4\n\n  \n")
-    assert load_embedding(str(path)).vectors.shape == (2, 2)
-
-
-def test_embedding_header_mismatch(tmp_path):
-    path = tmp_path / "bad.emb"
-    path.write_text("3\n0.0 0.0 0.0\n")
-    with pytest.raises(DataFormatError):
-        load_embedding(str(path))
-
-
-def test_embedding_non_finite_rejected_with_line(tmp_path):
-    path = tmp_path / "bad.emb"
-    for bad in ("nan", "inf", "-inf"):
-        path.write_text(f"2 2\n0.1 0.2\n0.3 {bad}\n")
-        with pytest.raises(DataFormatError, match="line 3"):
-            load_embedding(str(path))
 
 
 def test_walk_config_validation():

@@ -5,14 +5,12 @@ import pytest
 
 from laha.data import Document
 from laha.errors import ValidationError
+from laha.labelgraph import LabelGraph, build_cooccurrence_graph
 from laha.metrics import (
-    EvalReport,
     LabelGroupSpec,
     evaluate,
     fusion_weight_histogram,
     label_frequencies,
-    ndcg_at_k,
-    precision_at_k,
     rank_labels,
 )
 
@@ -46,24 +44,31 @@ def brute_ndcg(scores, truth, tau):
     return gain / ideal
 
 
+def _one_doc(scores, truth, tau):
+    """(P@tau, nDCG@tau) of one document, from `evaluate` over a one-document corpus."""
+    scores = np.asarray(scores, dtype=np.float64)
+    report = evaluate(lambda doc: scores, [Document("d", ["x"], set(truth))], taus=(tau,))
+    return report.overall[f"P@{tau}"], report.overall[f"nDCG@{tau}"]
+
+
 def test_precision_hand_case():
     # truth {1,3}, ranking [1,2,3]: two of the top three are relevant
     scores = np.array([0.0, 0.9, 0.8, 0.7])
-    assert precision_at_k(scores, {1, 3}, 3) == pytest.approx(2 / 3, abs=1e-15)
+    assert _one_doc(scores, {1, 3}, 3)[0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_precision_all_relevant():
-    assert precision_at_k(np.array([0.9, 0.8, 0.1]), {0, 1}, 2) == 1.0
+    assert _one_doc(np.array([0.9, 0.8, 0.1]), {0, 1}, 2)[0] == 1.0
 
 
 def test_precision_no_overlap():
-    assert precision_at_k(np.array([0.9, 0.8, 0.1]), {2}, 2) == 0.0
+    assert _one_doc(np.array([0.9, 0.8, 0.1]), {2}, 2)[0] == 0.0
 
 
 def test_precision_tie_breaks_to_lower_index():
     scores = np.array([0.5, 0.5, 0.5])
-    assert precision_at_k(scores, {0}, 1) == 1.0
-    assert precision_at_k(scores, {2}, 1) == 0.0
+    assert _one_doc(scores, {0}, 1)[0] == 1.0
+    assert _one_doc(scores, {2}, 1)[0] == 0.0
 
 
 def test_ndcg_hand_case():
@@ -72,14 +77,14 @@ def test_ndcg_hand_case():
     scores = np.array([0.9, 0.5, 0.4, 0.1])
     truth = {0, 2}
     assert list(rank_labels(scores)[:3]) == [0, 1, 2]
-    value = ndcg_at_k(scores, truth, 3)
+    value = _one_doc(scores, truth, 3)[1]
     expected = (1 / math.log2(2) + 1 / math.log2(4)) / (1 / math.log2(2) + 1 / math.log2(3))
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.9197, abs=5e-5)
 
 
 def test_ndcg_perfect_ranking_is_one():
-    assert ndcg_at_k(np.array([0.9, 0.8, 0.1, 0.0]), {0, 1}, 3) == pytest.approx(1.0)
+    assert _one_doc(np.array([0.9, 0.8, 0.1, 0.0]), {0, 1}, 3)[1] == pytest.approx(1.0)
 
 
 def test_p1_equals_ndcg1_random():
@@ -88,7 +93,8 @@ def test_p1_equals_ndcg1_random():
         k = int(rng.integers(2, 20))
         scores = rng.normal(size=k)
         truth = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
-        assert precision_at_k(scores, truth, 1) == ndcg_at_k(scores, truth, 1)
+        p1, ndcg1 = _one_doc(scores, truth, 1)
+        assert p1 == ndcg1
 
 
 def test_metrics_match_brute_force_oracle():
@@ -100,10 +106,9 @@ def test_metrics_match_brute_force_oracle():
             scores = np.round(scores, 1)  # provoke ties
         truth = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
         tau = int(rng.integers(1, k + 1))
-        assert abs(precision_at_k(scores, truth, tau)
-                   - brute_precision(scores.tolist(), truth, tau)) <= 1e-12
-        assert abs(ndcg_at_k(scores, truth, tau)
-                   - brute_ndcg(scores.tolist(), truth, tau)) <= 1e-12
+        precision, ndcg = _one_doc(scores, truth, tau)
+        assert abs(precision - brute_precision(scores.tolist(), truth, tau)) <= 1e-12
+        assert abs(ndcg - brute_ndcg(scores.tolist(), truth, tau)) <= 1e-12
 
 
 def test_metrics_invariant_under_monotone_transform():
@@ -114,12 +119,9 @@ def test_metrics_invariant_under_monotone_transform():
         truth = set(rng.choice(k, size=3, replace=False).tolist())
         transformed = np.exp(2.0 * scores) + 1.0
         for tau in (1, 3, 5):
-            assert precision_at_k(scores, truth, tau) == precision_at_k(
-                transformed, truth, tau
-            )
-            assert ndcg_at_k(scores, truth, tau) == pytest.approx(
-                ndcg_at_k(transformed, truth, tau), abs=1e-12
-            )
+            before, after = _one_doc(scores, truth, tau), _one_doc(transformed, truth, tau)
+            assert before[0] == after[0]
+            assert before[1] == pytest.approx(after[1], abs=1e-12)
 
 
 def test_metrics_bounded():
@@ -129,45 +131,39 @@ def test_metrics_bounded():
         scores = rng.normal(size=k)
         truth = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
         tau = int(rng.integers(1, k + 1))
-        assert 0.0 <= precision_at_k(scores, truth, tau) <= 1.0
-        assert 0.0 <= ndcg_at_k(scores, truth, tau) <= 1.0
+        precision, ndcg = _one_doc(scores, truth, tau)
+        assert 0.0 <= precision <= 1.0
+        assert 0.0 <= ndcg <= 1.0
 
 
 def test_metric_validation_errors():
-    with pytest.raises(ValidationError):
-        precision_at_k(np.array([0.1, 0.2]), set(), 1)
-    with pytest.raises(ValidationError):
-        precision_at_k(np.array([0.1, 0.2]), {0}, 3)
-    with pytest.raises(ValidationError):
-        ndcg_at_k(np.array([0.1, 0.2]), {5}, 1)
+    with pytest.raises(ValidationError, match="no labels"):
+        _one_doc(np.array([0.1, 0.2]), set(), 1)
+    with pytest.raises(ValidationError, match="label"):
+        _one_doc(np.array([0.1, 0.2]), {5}, 1)
     for tau in (0, 1.5, True, "1"):  # int() would truncate 1.5 to P@1 and read True as 1
         with pytest.raises(ValidationError, match="tau"):
-            precision_at_k(np.array([0.1, 0.2]), {0}, tau)
-        with pytest.raises(ValidationError, match="tau"):
-            ndcg_at_k(np.array([0.1, 0.2]), {0}, tau)
+            _one_doc(np.array([0.1, 0.2]), {0}, tau)
 
 
 def test_truth_labels_must_be_integers_in_range():
     # a float or bool label would otherwise never match a rank and score 0.0
     scores = np.array([0.1, 0.2, 0.3])
     for bad in (1.5, True, 2.0, "2", -1, 3):
-        with pytest.raises(ValidationError, match="truth label"):
-            precision_at_k(scores, {bad}, 1)
-        with pytest.raises(ValidationError, match="truth label"):
-            ndcg_at_k(scores, {bad}, 1)
-    assert precision_at_k(scores, {np.int64(2)}, 1) == 1.0
-    assert ndcg_at_k(scores, {np.int64(2)}, 1) == 1.0
+        with pytest.raises(ValidationError, match="label"):
+            _one_doc(scores, {bad}, 1)
+    assert _one_doc(scores, {np.int64(2)}, 1) == (1.0, 1.0)
 
 
 def test_precision_at_k_rejects_non_finite_scores():
     # ranked silently, the NaN would sort last and label 1 would score P@1 = 1
-    with pytest.raises(ValidationError, match="finite"):
-        precision_at_k(np.array([np.nan, 0.5, 0.1]), {1}, 1)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _one_doc(np.array([np.nan, 0.5, 0.1]), {1}, 1)
 
 
 def test_ndcg_at_k_rejects_non_finite_scores():
-    with pytest.raises(ValidationError, match="finite"):
-        ndcg_at_k(np.array([np.inf, np.nan, 0.1]), {1}, 3)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _one_doc(np.array([np.inf, np.nan, 0.1]), {1}, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +239,7 @@ def test_evaluate_report_structure():
     for group in report.groups:
         if group.doc_count:
             assert set(group.metrics) == set(report.overall)
-    payload = report.to_dict()
-    assert payload["documents"] == 6
+    assert report.documents == 6
 
 
 def test_evaluate_zero_presence_group_is_null():
@@ -435,13 +430,17 @@ _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
 @pytest.mark.parametrize("call", [
     lambda: evaluate(_SCORES, _DOCS, train_corpus=_DOCS, k=2.5),
     lambda: evaluate(_SCORES, _DOCS, k=3.0),
+    lambda: label_frequencies(_DOCS, 3.0),
+    lambda: build_cooccurrence_graph(_DOCS, 3.0),
+    lambda: LabelGraph(3.0),
     lambda: evaluate(_SCORES, [Document("a", ["x"], {1.0})], train_corpus=_DOCS, k=3),
     lambda: evaluate(_SCORES, _DOCS, train_corpus=[Document("t", ["x"], {0.0})], k=3),
     lambda: fusion_weight_histogram(lambda doc: _FakeTrace([0, 1, 2], [0.5] * 3), _DOCS, bins=2.5),
     lambda: LabelGroupSpec(boundaries=5),
     lambda: LabelGroupSpec((5.5, "a")),
     lambda: LabelGroupSpec((5, "a")),
-], ids=["k=2.5", "k=3.0", "float test label", "float train label", "bins=2.5",
+], ids=["k=2.5", "k=3.0", "label_frequencies k=3.0", "build_cooccurrence_graph k=3.0",
+        "LabelGraph k=3.0", "float test label", "float train label", "bins=2.5",
         "boundaries=5", "float boundary", "str boundary"])
 def test_malformed_integer_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError, match="integer"):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from laha import numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
+    VARIANTS,
     ForwardTrace,
     ModelConfig,
     bilstm_forward,
-    export_attention,
     forward,
     forward_batch,
     fuse,
@@ -711,41 +711,31 @@ def test_unreached_leaf_gets_no_gradient_buffer():
     assert np.abs(pn["w_s2"].grad).sum() > 0
 
 
-def test_forward_rejects_a_gate_that_computes_zero_over_zero():
-    # both raw gates underflow to 0, so alpha = 0 / 0 reaches every logit
+def test_forward_gives_a_finite_gate_for_fuse_biases_of_minus_1e4():
+    # both raw gates underflow to 0 there; alpha is then sigmoid of their difference,
+    # which the biases leave alone
     cfg = _cfg()
     params = _params(cfg)
-    params["fuse1_b"][:] = params["fuse2_b"][:] = -1e4
-    with np.errstate(invalid="ignore", under="ignore"), pytest.raises(NumericalError):
-        _forward(cfg, params, _label_vectors(cfg), "laha")
+    lv = _label_vectors(cfg)
+    alphas = []
+    for bias in (-1e4, -2e4):
+        params["fuse1_b"][:] = params["fuse2_b"][:] = bias
+        alphas.append(_forward(cfg, params, lv, "laha").alpha.value)
+    assert ((alphas[0] > 0) & (alphas[0] < 1)).all()
+    np.testing.assert_allclose(alphas[0], alphas[1], rtol=1e-9)
 
 
-def test_export_attention_single_token():
-    cfg = _cfg(max_len=1)
-    params = _params(cfg)
-    trace = forward(
-        np.array([2]), np.array([True]), wrap_params(params),
-        _label_vectors(cfg), [0, 1], "laha",
-    )
-    report = export_attention(trace, ["word"], ["zero", "one"], doc_id="d0")
-    assert report["doc_id"] == "d0"
-    for entry in report["labels"]:
-        assert entry["tokens"] == [["word", 1.0]]
-
-
-def test_export_attention_weights_sum_to_one_and_sorted():
-    cfg = _cfg()
-    params = _params(cfg)
-    trace = _forward(cfg, params, _label_vectors(cfg), "laha")
-    tokens = ["alpha", "beta", "gamma"]
-    report = export_attention(trace, tokens, [str(i) for i in range(cfg.k)])
-    fused = trace.mix.value
-    for j, entry in enumerate(report["labels"]):
-        weights = [w for _, w in entry["tokens"]]
-        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-        assert weights == sorted(weights, reverse=True)
-        top_token = entry["tokens"][0][0]
-        assert top_token == tokens[int(np.argmax(fused[:3, j]))]
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mix_columns_sum_to_one_over_real_tokens_and_are_0_on_padding(variant):
+    cfg = _cfg(max_len=5)
+    params, lv = _params(cfg), _label_vectors(cfg)
+    mix = _forward(cfg, params, lv, variant).mix.value  # 3 real tokens, then 2 of padding
+    np.testing.assert_allclose(mix[:3].sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    assert (mix[3:] == 0).all() and (mix[:3] > 0).all()
+    # one real token takes every label's whole weight
+    one = forward(np.array([2, 0]), np.array([True, False]), wrap_params(params), lv, [0, 1],
+                  variant).mix.value
+    np.testing.assert_array_equal(one, [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_params_canonical_order_stable():

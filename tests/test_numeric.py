@@ -808,6 +808,25 @@ def test_gate_of_saturated_inputs_is_one_half_with_finite_gradients():
            {"a": np.array([[-40.0, -39.0, -41.0]]), "b": np.array([[-39.0, -40.0, -42.0]])})
 
 
+def test_gate_of_inputs_below_minus_354_is_sigmoid_of_their_difference():
+    # both sigmoids are e^z to double precision there, and s * s underflows (s itself below
+    # about -745): alpha is a two-way softmax, with finite gradients down to -1e4 and beyond
+    z_a = np.array([[-400.0, -800.0, -1e4, -1e4, -500.0, 1.5]])
+    z_b = np.array([[-401.0, -799.0, -1e4, -9990.0, -10.0, -0.5]])
+    weight = np.array([[1.0, -2.0, 3.0, 0.5, 1.0, -1.0]])
+    value, (d_a, d_b) = _value_and_grads(gate, (z_a, z_b), weight)
+    alpha = value[:, :4]
+    np.testing.assert_array_equal(alpha, numeric.sigmoid(z_a - z_b)[:, :4])
+    np.testing.assert_array_equal(d_a[:, :4], weight[:, :4] * alpha * (1.0 - alpha))
+    np.testing.assert_array_equal(d_b[:, :4], -d_a[:, :4])
+    _check(lambda p: sum_all(mul(gate(p["a"], p["b"]), weight)), {"a": z_a, "b": z_b})
+    # where one input is above the range, the chain's bits stay
+    oracle = _value_and_grads(gate_oracle, (z_a[:, 4:], z_b[:, 4:]), weight[:, 4:])
+    np.testing.assert_array_equal(value[:, 4:], oracle[0])
+    for got, want in zip((d_a, d_b), oracle[1]):
+        np.testing.assert_array_equal(got[:, 4:].view(np.int64), want.view(np.int64))
+
+
 def test_gate_is_bit_identical_to_sigmoid_add_and_div_nodes():
     # random, huge and saturated inputs; zero weights give zero gradients, whose sign must match
     rng = np.random.default_rng(45)
