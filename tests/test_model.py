@@ -725,17 +725,22 @@ def test_forward_gives_a_finite_gate_for_fuse_biases_of_minus_1e4():
     np.testing.assert_allclose(alphas[0], alphas[1], rtol=1e-9)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_mix_columns_sum_to_one_over_real_tokens_and_are_0_on_padding(variant):
+def test_mix_columns_sum_to_one_over_real_tokens_and_are_0_on_padding():
     cfg = _cfg(max_len=5)
     params, lv = _params(cfg), _label_vectors(cfg)
-    mix = _forward(cfg, params, lv, variant).mix.value  # 3 real tokens, then 2 of padding
-    np.testing.assert_allclose(mix[:3].sum(axis=0), 1.0, rtol=0, atol=1e-12)
-    assert (mix[3:] == 0).all() and (mix[:3] > 0).all()
-    # one real token takes every label's whole weight
-    one = forward(np.array([2, 0]), np.array([True, False]), wrap_params(params), lv, [0, 1],
-                  variant).mix.value
-    np.testing.assert_array_equal(one, [[1.0, 1.0], [0.0, 0.0]])
+    for variant in VARIANTS:
+        mix = _forward(cfg, params, lv, variant).mix.value  # 3 real tokens, then 2 of padding
+        np.testing.assert_allclose(mix[:3].sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert (mix[3:] == 0).all() and (mix[:3] > 0).all(), variant
+
+
+def test_mix_gives_a_single_real_token_every_labels_whole_weight():
+    cfg = _cfg()
+    params, lv = wrap_params(_params(cfg)), _label_vectors(cfg)
+    for variant in VARIANTS:
+        one = forward(np.array([2, 0]), np.array([True, False]), params, lv, [0, 1],
+                      variant).mix.value
+        np.testing.assert_array_equal(one, [[1.0, 1.0], [0.0, 0.0]], err_msg=variant)
 
 
 def test_params_canonical_order_stable():
