@@ -112,6 +112,7 @@ def build_vocab(corpus: Corpus, min_freq: int = 1, max_size: int = 100000) -> Vo
     counts: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
+    del counts[PAD_TOKEN], counts[UNK_TOKEN]  # in a text they keep their reserved ids
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),

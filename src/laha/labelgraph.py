@@ -2,11 +2,11 @@
 
 Two labels are connected whenever they tag at least one common document;
 edge weight is the number of shared documents.  The graph is an immutable
-CSR matrix.  Labels embed into a dense low-dimensional space from node2vec
-walks, second-order biased random walks over the graph (return parameter
-p, in-out parameter q) all stepped together as arrays, then one randomized
-SVD of the positive PMI of the walks' (center, context) pairs, the matrix
-skip-gram implicitly factorizes, so nearby labels get similar vectors.
+CSR matrix.  Labels embed into a dense low-dimensional space from
+weight-proportional random walks over the graph (node2vec's walk at
+p = q = 1), all stepped together as arrays, then one randomized SVD of the
+positive PMI of the walks' (center, context) pairs, the matrix skip-gram
+implicitly factorizes, so nearby labels get similar vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import Corpus
-from .errors import ValidationError, check_int, check_positive
+from .errors import ValidationError, check_int
 
 
 class LabelGraph:
@@ -53,9 +53,7 @@ class LabelGraph:
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
         self.indices = keys % k
         self.weights = np.bincount(slot, weights=np.concatenate([w, w])).astype(np.int64)
-        # one sorted key per entry, plus a sentinel past every real key
-        self._keys = np.append(keys, k * k)
-        for a in (self.indptr, self.indices, self.weights, self._keys):
+        for a in (self.indptr, self.indices, self.weights):
             a.flags.writeable = False
 
 
@@ -75,31 +73,24 @@ def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
 
 @dataclass
 class WalkConfig:
-    p: float = 1.0
-    q: float = 1.0
     walk_length: int = 40
     walks_per_node: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        check_positive("p", self.p)
-        check_positive("q", self.q)
         check_int("walk_length", self.walk_length, 1)
         check_int("walks_per_node", self.walks_per_node, 1)
         check_int("seed", self.seed, 0)
 
 
 def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
-    """Second-order biased walks of walk_length nodes, walks_per_node from every node.
+    """Weight-proportional walks of walk_length nodes, walks_per_node from every node.
 
     Walks come out grouped by start node in id order; a walk from an
-    isolated node is the singleton [node].  From prev t at cur v the next
-    node x has probability proportional to w(v,x) * bias, with bias 1/p if
-    x == t, 1 if x neighbors t and 1/q otherwise; the first step is plain
-    weight-proportional.  Every walk takes each step at once under one
-    generator seeded with config.seed.  A weight-proportional step is one
-    draw from a cumulative-weight array over all rows; a biased step
-    (p or q != 1) draws from each walk's exact biased row.
+    isolated node is the singleton [node].  From cur v the next node x has
+    probability w(v,x) / sum of v's weights, node2vec's walk at p = q = 1.
+    Every walk takes each step at once under one generator seeded with
+    config.seed: one draw from a cumulative-weight array over all rows.
     """
     rng = np.random.default_rng(config.seed)
     starts = np.repeat(np.arange(graph.k), config.walks_per_node)
@@ -108,22 +99,8 @@ def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
     steps[:, 0] = starts[moving]
     cum = np.concatenate([[0.0], np.cumsum(graph.weights, dtype=np.float64)])
     for s in range(1, config.walk_length):
-        lo, hi = graph.indptr[steps[:, s - 1]], graph.indptr[steps[:, s - 1] + 1]
-        if s == 1 or config.p == config.q == 1:
-            steps[:, s] = graph.indices[_inverse_cdf(cum, lo, hi, rng)]
-            continue
-        lens = hi - lo
-        seg = np.cumsum(lens) - lens
-        entry = np.repeat(lo - seg, lens) + np.arange(lens.sum())
-        prev, nxt = np.repeat(steps[:, s - 2], lens), graph.indices[entry]
-        key = prev * graph.k + nxt  # the k * k sentinel keeps every search inside _keys
-        linked = graph._keys[np.searchsorted(graph._keys, key)] == key
-        bias = np.where(nxt == prev, 1 / config.p, np.where(linked, 1.0, 1 / config.q))
-        biased = graph.weights[entry] * bias
-        # each row scaled to sum 1, so one running total resolves every row alike
-        biased /= np.repeat(np.add.reduceat(biased, seg), lens)
-        cum_biased = np.concatenate([[0.0], np.cumsum(biased)])
-        steps[:, s] = nxt[_inverse_cdf(cum_biased, seg, seg + lens, rng)]
+        cur = steps[:, s - 1]
+        steps[:, s] = graph.indices[_inverse_cdf(cum, graph.indptr[cur], graph.indptr[cur + 1], rng)]
     rows = iter(steps.tolist())
     return [next(rows) if m else [node] for node, m in zip(starts.tolist(), moving.tolist())]
 

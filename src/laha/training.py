@@ -283,7 +283,9 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     variant = header["variant"]
     if variant not in model_mod.VARIANTS:
         raise CheckpointError(f"unknown variant {variant!r}")
-    vocab_tokens = list(header["vocab"])
+    vocab_tokens = header["vocab"]
+    if not isinstance(vocab_tokens, list) or not all(isinstance(t, str) for t in vocab_tokens):
+        raise CheckpointError("vocab must be a list of strings")
     table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
     adam_info = header["adam"]
     adam_names = adam_info["params"]

@@ -141,6 +141,15 @@ def test_build_vocab_empty_corpus():
     assert vocab.id(data.UNK_TOKEN) == UNK
 
 
+@pytest.mark.parametrize("reserved, reserved_id", [(data.PAD_TOKEN, PAD), (data.UNK_TOKEN, UNK)])
+def test_build_vocab_leaves_reserved_names_in_the_text_their_ids(reserved, reserved_id):
+    # tokenize lowercases, so "<UNK>" in a text is the reserved "<unk>"
+    corpus = _docs((f"the {reserved.upper()} cat", [0]), (f"the {reserved}", [1]))
+    vocab = build_vocab(corpus, min_freq=1, max_size=100)
+    assert vocab.tokens == ["the", "cat"]
+    assert vocab.id(reserved) == reserved_id
+
+
 def test_build_vocab_max_size_cap():
     corpus = _docs(("a a a b b c", [0]),)
     vocab = build_vocab(corpus, min_freq=1, max_size=2)

@@ -11,7 +11,6 @@ from laha import numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
     VARIANTS,
-    ForwardTrace,
     ModelConfig,
     bilstm_forward,
     forward,

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from laha import model as model_mod
 from laha import numeric as nm
 from laha.data import Document, Vocabulary
 from laha.errors import (
@@ -535,6 +534,15 @@ def _vocab_size_mismatch(h):
     h["vocab"].pop()
 
 
+def _vocab_as_a_string(h):
+    # as many distinct characters as tokens, so only the type gives it away
+    h["vocab"] = "".join(chr(ord("a") + i) for i in range(len(h["vocab"])))
+
+
+def _vocab_of_integers(h):
+    h["vocab"] = list(range(len(h["vocab"])))
+
+
 def _swapped_tensor_names(h):
     # fuse1_b and b_o are both 1x1, so only the names' order gives the swap away
     names = [t[0] for t in h["tensors"]]
@@ -557,7 +565,7 @@ def _setting(*keys_then_value):
 @pytest.mark.parametrize("mutate", [
     _drop_tensors, _drop_adam, _drop_variant, _unknown_adam_param,
     _adam_shape_mismatch, _negative_shape, _unknown_variant, _vocab_size_mismatch,
-    _swapped_tensor_names,
+    _swapped_tensor_names, _vocab_as_a_string, _vocab_of_integers,
     _setting("epoch", 2.7), _setting("epoch", -3), _setting("epoch", True),
     _setting("adam", "step", -1), _setting("adam", "step", 2.0), _setting("adam", "step", True),
     _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
