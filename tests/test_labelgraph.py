@@ -312,7 +312,8 @@ def test_walk_config_validation():
 
 
 @pytest.mark.parametrize("fields", [
-    {"walk_length": 2.5}, {"walks_per_node": True}, {"seed": 1.5},
+    {"walk_length": "40"}, {"walks_per_node": 0}, {"seed": -1}, {"walk_length": 2.5},
+    {"walks_per_node": True}, {"seed": 1.5},
 ])
 def test_walk_config_rejects_malformed_values(fields):
     with pytest.raises(ValidationError):
