@@ -23,6 +23,7 @@ PAD = 0
 UNK = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
+MAX_VOCAB = 100000  # non-reserved tokens `build_vocab` keeps
 
 
 @dataclass
@@ -102,22 +103,13 @@ class Vocabulary:
         return self._id_to_token[2:]
 
 
-def build_vocab(corpus: Corpus, min_freq: int = 1, max_size: int = 100000) -> Vocabulary:
-    """Keep tokens with frequency >= min_freq, most frequent first.
-
-    Ties break lexicographically; at most max_size non-reserved tokens kept.
-    """
-    check_int("min_freq", min_freq, 1)
-    check_int("max_size", max_size, 0)
+def build_vocab(corpus: Corpus) -> Vocabulary:
+    """Every token of the corpus, most frequent first, ties lexicographic; at most MAX_VOCAB."""
     counts: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
     del counts[PAD_TOKEN], counts[UNK_TOKEN]  # in a text they keep their reserved ids
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    return Vocabulary(kept[:max_size])
+    return Vocabulary(sorted(counts, key=lambda tok: (-counts[tok], tok))[:MAX_VOCAB])
 
 
 @dataclass

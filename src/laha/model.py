@@ -98,6 +98,7 @@ def param_table(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int, 
 
 def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelParams:
     """Seeded parameters per `param_table`, Xavier-uniform draws in table order."""
+    check_int("seed", seed, 0)
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.ndim != 2 or embedding.shape[1] != cfg.d:
         raise ShapeError(
@@ -164,7 +165,7 @@ def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     Returns A_s, n x k' column-stochastic attention over unmasked words;
     the paper's per-label context matrix is C_s = H @ A_s.
     """
-    t = nm.activate(nm.matmul(w_s1, h), "tanh")
+    t = nm.tanh(nm.matmul(w_s1, h))
     return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask, transposed=True)  # n x k'
 
 
@@ -198,7 +199,7 @@ def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
 
 def predict(h: Node, mix: Node, w_f, w_o, b_o) -> Node:
     """Logits per label: W_o relu(W_f H mix) + b, a 1 x k' row (no sigmoid)."""
-    hidden = nm.activate(nm.matmul_chain(w_f, h, mix), "relu")
+    hidden = nm.relu(nm.matmul_chain(w_f, h, mix))
     return nm.add_colvec(nm.matmul(w_o, hidden), b_o)
 
 

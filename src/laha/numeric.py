@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
-ACTIVATIONS = ("tanh", "relu")
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
@@ -297,24 +296,25 @@ def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return x
 
 
-def activate(a, kind: str) -> Node:
-    """Elementwise activation: tanh or relu."""
+def tanh(a) -> Node:
+    """Elementwise tanh."""
     a = _node(a)
-    if kind == "tanh":
-        y = np.tanh(a.value)
+    y = np.tanh(a.value)
 
-        def bwd(g):
-            a.grad += g * (1.0 - y * y)
+    def bwd(g):
+        a.grad += g * (1.0 - y * y)
 
-    elif kind == "relu":
-        y = np.maximum(a.value, 0.0)
-
-        def bwd(g):
-            a.grad += g * (a.value > 0)
-
-    else:
-        raise ValidationError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
     return Node(y, (a,), bwd)
+
+
+def relu(a) -> Node:
+    """Elementwise max(a, 0), with gradient 0 at 0."""
+    a = _node(a)
+
+    def bwd(g):
+        a.grad += g * (a.value > 0)
+
+    return Node(np.maximum(a.value, 0.0), (a,), bwd)
 
 
 def gate(z_a, z_b) -> Node:
@@ -351,8 +351,8 @@ def gate(z_a, z_b) -> Node:
     return Node(alpha, (z_a, z_b), bwd)
 
 
-def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:
-    """Column softmax of P = a @ b (of P^T if `transposed`) in P's buffer: masked rows get 0.
+def softmax_product(a, b, mask, transposed: bool = False) -> Node:
+    """Column softmax of P = a @ b (of P^T if `transposed`) in P's buffer: rows off `mask` get 0.
 
     Max subtraction keeps huge scores from overflowing; the backward forms dS once.
     """
@@ -360,13 +360,12 @@ def softmax_product(a, b, mask=None, transposed: bool = False) -> Node:
     if a.cols != b.rows:
         raise ShapeError(f"softmax_product: {a.value.shape} x {b.value.shape} do not fit")
     x = (a.value @ b.value).T if transposed else a.value @ b.value
-    if mask is not None:
-        valid = np.asarray(mask).astype(bool).ravel()
-        if valid.shape != (x.shape[0],):
-            raise ShapeError(f"mask length {valid.shape} does not match {x.shape[0]} rows")
-        if not valid.any():
-            raise DegenerateInputError("softmax_product: every row is masked out")
-        x[~valid] = -np.inf
+    valid = np.asarray(mask).astype(bool).ravel()
+    if valid.shape != (x.shape[0],):
+        raise ShapeError(f"mask length {valid.shape} does not match {x.shape[0]} rows")
+    if not valid.any():
+        raise DegenerateInputError("softmax_product: every row is masked out")
+    x[~valid] = -np.inf
     x -= x.max(axis=0, keepdims=True)
     np.exp(x, out=x)  # masked rows: exp(-inf) == 0 exactly
     x /= x.sum(axis=0, keepdims=True)

@@ -248,13 +248,18 @@ def save_checkpoint(
     }
     blob = json.dumps(header).encode() + b"\n"
     blob += b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in tensors)
+    _read_checkpoint(blob)  # the write replaces the file: refuse what the loader would reject
     atomic_write_bytes(path, blob)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """All-or-nothing load; any inconsistency raises CheckpointError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _read_checkpoint(fh.read())
+
+
+def _read_checkpoint(raw: bytes) -> Checkpoint:
+    """The checkpoint in a file's bytes; any inconsistency raises CheckpointError."""
     newline = raw.find(b"\n")
     if newline < 0:
         raise CheckpointError("checkpoint has no header line")
@@ -265,10 +270,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {header.get('version')} is incompatible "
-            f"with supported version {CHECKPOINT_VERSION}"
-        )
+        raise CheckpointError(f"checkpoint version {header.get('version')} is incompatible "
+                              f"with supported version {CHECKPOINT_VERSION}")
     try:
         return _parse_checkpoint(header, raw[newline + 1 :])
     except CheckpointError:
@@ -315,8 +318,9 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
         if type(count) is not int or count < 0:
             raise CheckpointError(f"{name} must be a non-negative integer, got {count!r}")
-    if not (0 <= adam_info["beta1"] < 1 and 0 <= adam_info["beta2"] < 1 and adam_info["eps"] > 0):
-        raise CheckpointError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0")
+    if not (0 <= adam_info["beta1"] < 1 and 0 <= adam_info["beta2"] < 1):
+        raise CheckpointError("Adam needs 0 <= beta1, beta2 < 1")
+    check_positive("Adam eps", adam_info["eps"])  # json reads Infinity, which Adam cannot use
     adam = AdamState(beta1=adam_info["beta1"], beta2=adam_info["beta2"],
                      eps=adam_info["eps"])
     adam.step = adam_info["step"]

@@ -170,7 +170,7 @@ def softmax_columns(a, mask=None) -> Node:
     return Node(x, (a,), bwd)
 
 
-def softmax_product_oracle(a, b, mask=None, transposed: bool = False) -> Node:
+def softmax_product_oracle(a, b, mask, transposed: bool = False) -> Node:
     """`numeric.softmax_product` as `softmax_columns` of a `matmul` (or of its `transpose`)."""
     product = matmul(a, b)
     return softmax_columns(transpose(product) if transposed else product, mask)

@@ -118,23 +118,15 @@ def test_load_corpus_non_integer_labels():
 def test_build_vocab_frequency_order():
     # counts: a=2, b=2, c=1 -> a and b (tie broken lexicographically) before c
     corpus = _docs(("a b a", [0]), ("b c", [1]))
-    vocab = build_vocab(corpus, min_freq=1, max_size=100)
+    vocab = build_vocab(corpus)
     assert len(vocab) == 5
     assert vocab.id("a") == 2
     assert vocab.id("b") == 3
     assert vocab.id("c") == 4
 
 
-def test_build_vocab_min_freq_filters():
-    corpus = _docs(("a b a", [0]), ("b c", [1]))
-    vocab = build_vocab(corpus, min_freq=2, max_size=100)
-    assert len(vocab) == 4
-    assert "c" not in vocab
-    assert vocab.id("c") == UNK
-
-
 def test_build_vocab_empty_corpus():
-    vocab = build_vocab([], min_freq=1, max_size=10)
+    vocab = build_vocab([])
     assert len(vocab) == 2
     assert vocab.tokens == []
     assert vocab.id(data.PAD_TOKEN) == PAD
@@ -145,48 +137,47 @@ def test_build_vocab_empty_corpus():
 def test_build_vocab_leaves_reserved_names_in_the_text_their_ids(reserved, reserved_id):
     # tokenize lowercases, so "<UNK>" in a text is the reserved "<unk>"
     corpus = _docs((f"the {reserved.upper()} cat", [0]), (f"the {reserved}", [1]))
-    vocab = build_vocab(corpus, min_freq=1, max_size=100)
+    vocab = build_vocab(corpus)
     assert vocab.tokens == ["the", "cat"]
     assert vocab.id(reserved) == reserved_id
 
 
-def test_build_vocab_max_size_cap():
+def test_build_vocab_max_size_cap(monkeypatch):
+    monkeypatch.setattr(data, "MAX_VOCAB", 2)
     corpus = _docs(("a a a b b c", [0]),)
-    vocab = build_vocab(corpus, min_freq=1, max_size=2)
+    vocab = build_vocab(corpus)
     assert len(vocab) == 4
     assert "c" not in vocab
+    assert vocab.id("c") == UNK
 
 
 def test_build_vocab_deterministic():
     corpus = _docs(("x y z y", [0]), ("z q", [1]))
-    v1 = build_vocab(corpus, 1, 100)
-    v2 = build_vocab(corpus, 1, 100)
+    v1 = build_vocab(corpus)
+    v2 = build_vocab(corpus)
     assert v1.tokens == v2.tokens
 
 
-def test_build_vocab_bad_min_freq():
-    with pytest.raises(ValidationError):
-        build_vocab([], min_freq=0)
-
-
 _CORPUS = [Document("d", ["a", "b", "a"], {0})]
+_TINY_CFG = ModelConfig(k=2, max_len=2, d=2, r=1, d_a=1)
 
 
 @pytest.mark.parametrize("call", [
     lambda: encode_document(_CORPUS[0], Vocabulary(["a"]), 2.5),
     lambda: encode_document(_CORPUS[0], Vocabulary(["a"]), True),
-    lambda: build_vocab(_CORPUS, min_freq=1.5),
-    lambda: build_vocab(_CORPUS, max_size=-1),
-    lambda: build_vocab(_CORPUS, max_size=2.5),
     lambda: load_word_vectors([], Vocabulary(["a"]), 2.5, 0),
     lambda: load_word_vectors([], Vocabulary(["a"]), 2, 1.5),
     lambda: load_word_vectors([], Vocabulary(["a"]), 2, -1),
     lambda: sample_labels({0}, 1.5, 4, np.random.default_rng(0)),
     lambda: sample_labels({0}, 1, 2.5, np.random.default_rng(0)),
     lambda: sample_labels({0}, -1, 4, np.random.default_rng(0)),
-], ids=["max_len float", "max_len bool", "min_freq float", "max_size negative",
-        "max_size float", "d float", "seed float", "seed negative", "negatives float",
-        "k float", "negatives negative"])
+    # numpy would raise its own ValueError for -1 and TypeError for 1.5, and read True as 1
+    lambda: init_params(_TINY_CFG, np.zeros((3, 2)), -1),
+    lambda: init_params(_TINY_CFG, np.zeros((3, 2)), 1.5),
+    lambda: init_params(_TINY_CFG, np.zeros((3, 2)), True),
+], ids=["max_len float", "max_len bool", "d float", "seed float", "seed negative",
+        "negatives float", "k float", "negatives negative", "init_params seed negative",
+        "init_params seed float", "init_params seed bool"])
 def test_integer_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()

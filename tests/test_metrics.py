@@ -7,7 +7,7 @@ from laha.data import Document
 from laha.errors import ValidationError
 from laha.labelgraph import LabelGraph, build_cooccurrence_graph
 from laha.metrics import (
-    LabelGroupSpec,
+    GROUP_NAMES,
     evaluate,
     fusion_weight_histogram,
     label_frequencies,
@@ -47,7 +47,7 @@ def brute_ndcg(scores, truth, tau):
 def _one_doc(scores, truth, tau):
     """(P@tau, nDCG@tau) of one document, from `evaluate` over a one-document corpus."""
     scores = np.asarray(scores, dtype=np.float64)
-    report = evaluate(lambda doc: scores, [Document("d", ["x"], set(truth))], taus=(tau,))
+    report = evaluate(lambda doc: scores, [Document("d", ["x"], set(truth))], scores.size)
     return report.overall[f"P@{tau}"], report.overall[f"nDCG@{tau}"]
 
 
@@ -58,11 +58,11 @@ def test_precision_hand_case():
 
 
 def test_precision_all_relevant():
-    assert _one_doc(np.array([0.9, 0.8, 0.1]), {0, 1}, 2)[0] == 1.0
+    assert _one_doc(np.array([0.9, 0.8, 0.7, 0.1]), {0, 1, 2}, 3)[0] == 1.0
 
 
 def test_precision_no_overlap():
-    assert _one_doc(np.array([0.9, 0.8, 0.1]), {2}, 2)[0] == 0.0
+    assert _one_doc(np.array([0.9, 0.8, 0.7, 0.1]), {3}, 3)[0] == 0.0
 
 
 def test_precision_tie_breaks_to_lower_index():
@@ -105,10 +105,10 @@ def test_metrics_match_brute_force_oracle():
         if rng.random() < 0.3:
             scores = np.round(scores, 1)  # provoke ties
         truth = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
-        tau = int(rng.integers(1, k + 1))
-        precision, ndcg = _one_doc(scores, truth, tau)
-        assert abs(precision - brute_precision(scores.tolist(), truth, tau)) <= 1e-12
-        assert abs(ndcg - brute_ndcg(scores.tolist(), truth, tau)) <= 1e-12
+        for tau in (1, 3, 5):  # capped at k, as for a group smaller than the cutoff
+            precision, ndcg = _one_doc(scores, truth, tau)
+            assert abs(precision - brute_precision(scores.tolist(), truth, min(tau, k))) <= 1e-12
+            assert abs(ndcg - brute_ndcg(scores.tolist(), truth, min(tau, k))) <= 1e-12
 
 
 def test_metrics_invariant_under_monotone_transform():
@@ -130,10 +130,10 @@ def test_metrics_bounded():
         k = int(rng.integers(2, 12))
         scores = rng.normal(size=k)
         truth = set(rng.choice(k, size=int(rng.integers(1, k)), replace=False).tolist())
-        tau = int(rng.integers(1, k + 1))
-        precision, ndcg = _one_doc(scores, truth, tau)
-        assert 0.0 <= precision <= 1.0
-        assert 0.0 <= ndcg <= 1.0
+        for tau in (1, 3, 5):
+            precision, ndcg = _one_doc(scores, truth, tau)
+            assert 0.0 <= precision <= 1.0
+            assert 0.0 <= ndcg <= 1.0
 
 
 def test_metric_validation_errors():
@@ -141,9 +141,6 @@ def test_metric_validation_errors():
         _one_doc(np.array([0.1, 0.2]), set(), 1)
     with pytest.raises(ValidationError, match="label"):
         _one_doc(np.array([0.1, 0.2]), {5}, 1)
-    for tau in (0, 1.5, True, "1"):  # int() would truncate 1.5 to P@1 and read True as 1
-        with pytest.raises(ValidationError, match="tau"):
-            _one_doc(np.array([0.1, 0.2]), {0}, tau)
 
 
 def test_truth_labels_must_be_integers_in_range():
@@ -171,19 +168,20 @@ def test_ndcg_at_k_rejects_non_finite_scores():
 # ---------------------------------------------------------------------------
 
 
+def _train_with_frequencies(freqs):
+    """max(freqs) training documents; document i carries label j iff i < freqs[j]."""
+    return [Document(f"t{i}", ["x"], {j for j, f in enumerate(freqs) if i < f})
+            for i in range(max(freqs))]
+
+
 def test_group_spec_boundaries():
-    spec = LabelGroupSpec((5, 50))
-    assert spec.group_of(1) == 0
-    assert spec.group_of(5) == 0
-    assert spec.group_of(6) == 1
-    assert spec.group_of(50) == 1
-    assert spec.group_of(51) == 2
-    assert spec.names == ["G1(F<=5)", "G2(5<F<=50)", "G3(F>50)"]
-
-
-def test_group_spec_rejects_unsorted():
-    with pytest.raises(ValidationError):
-        LabelGroupSpec((50, 5))
+    # frequencies on both sides of 5 and of 50: G1 F<=5, G2 5<F<=50, G3 F>50
+    train = _train_with_frequencies([1, 5, 6, 50, 51])
+    docs = [Document(f"d{j}", ["x"], {j}) for j in range(5)]
+    report = evaluate(lambda doc: np.zeros(5), docs, 5, train_corpus=train)
+    assert [g.name for g in report.groups] == list(GROUP_NAMES)
+    assert GROUP_NAMES == ("G1(F<=5)", "G2(5<F<=50)", "G3(F>50)")
+    assert [(g.label_count, g.doc_count) for g in report.groups] == [(2, 2), (2, 2), (1, 1)]
 
 
 def test_label_frequencies_counts():
@@ -215,7 +213,6 @@ def test_evaluate_perfect_single_doc():
     report = evaluate(
         _score_fn_from_table({"d": scores}),
         [doc],
-        taus=(1, 3),
         train_corpus=[doc],
         k=4,
     )
@@ -230,12 +227,9 @@ def test_evaluate_report_structure():
         doc.doc_id: np.random.default_rng(i).normal(size=5)
         for i, doc in enumerate(docs)
     }
-    report = evaluate(
-        _score_fn_from_table(table), docs, taus=(1, 3), group_spec=LabelGroupSpec((1,)),
-        train_corpus=docs, k=5,
-    )
-    assert set(report.overall) == {"P@1", "P@3", "nDCG@1", "nDCG@3"}
-    assert len(report.groups) == 2
+    report = evaluate(_score_fn_from_table(table), docs, train_corpus=docs, k=5)
+    assert set(report.overall) == {"P@1", "P@3", "P@5", "nDCG@1", "nDCG@3", "nDCG@5"}
+    assert len(report.groups) == 3
     for group in report.groups:
         if group.doc_count:
             assert set(group.metrics) == set(report.overall)
@@ -247,41 +241,30 @@ def test_evaluate_zero_presence_group_is_null():
     report = evaluate(
         _score_fn_from_table({"d": np.array([0.9, 0.1])}),
         docs,
-        taus=(1,),
-        group_spec=LabelGroupSpec((100,)),
         train_corpus=docs,
         k=2,
     )
-    # all labels fall in G1, so G2 has no labels and no docs
-    assert report.groups[1].metrics is None
-    assert report.groups[1].doc_count == 0
-    assert report.groups[1].label_count == 0
+    # all labels fall in G1, so G2 and G3 have no labels and no docs
+    for group in report.groups[1:]:
+        assert group.metrics is None
+        assert group.doc_count == 0
+        assert group.label_count == 0
 
 
 def test_evaluate_group_assignment_matches_hand_counts():
-    train = [
-        Document("t0", ["x"], {0, 1}),
-        Document("t1", ["x"], {0}),
-        Document("t2", ["x"], {0, 2}),
-    ]
-    # frequencies: label0=3, label1=1, label2=1, label3=0
-    spec = LabelGroupSpec((1, 2))
-    freqs = label_frequencies(train, 4)
-    groups = [spec.group_of(int(f)) for f in freqs]
-    assert groups == [2, 0, 0, 0]
+    train = _train_with_frequencies([60, 7, 2, 0])  # groups G3, G2, G1, G1
+    docs = [Document("a", ["x"], {0, 2}), Document("b", ["x"], {1}), Document("c", ["x"], {3})]
+    report = evaluate(lambda doc: np.arange(4.0), docs, 4, train_corpus=train)
+    np.testing.assert_array_equal(label_frequencies(train, 4), [60, 7, 2, 0])
+    assert [(g.label_count, g.doc_count) for g in report.groups] == [(2, 2), (1, 1), (1, 1)]
+    # in-group rankings: G1 ranks label 3 over 2, so "a" misses at 1 and "c" hits
+    assert report.groups[0].metrics["P@1"] == 0.5
 
 
 def test_evaluate_label_space_mismatch():
     docs = [Document("d", ["x"], {7})]
     with pytest.raises(ValidationError):
-        evaluate(_score_fn_from_table({"d": np.zeros(3)}), docs, taus=(1,), k=3)
-
-
-@pytest.mark.parametrize("taus", [(0,), (1.5, 2.9), (True,), (1, "3"), ()])
-def test_evaluate_rejects_non_integer_or_non_positive_taus(taus):
-    docs = [Document("d", ["x"], {0})]
-    with pytest.raises(ValidationError, match="tau"):
-        evaluate(_score_fn_from_table({"d": np.arange(3.0)}), docs, taus=taus, k=3)
+        evaluate(_score_fn_from_table({"d": np.zeros(3)}), docs, k=3)
 
 
 def test_evaluate_macro_average_against_brute_force():
@@ -293,7 +276,7 @@ def test_evaluate_macro_average_against_brute_force():
         truth = set(rng.choice(k, size=int(rng.integers(1, 5)), replace=False).tolist())
         docs.append(Document(f"d{i}", ["x"], truth))
         table[f"d{i}"] = rng.normal(size=k)
-    report = evaluate(_score_fn_from_table(table), docs, taus=(1, 3, 5), k=k)
+    report = evaluate(_score_fn_from_table(table), docs, k=k)
     for tau in (1, 3, 5):
         expected_p = np.mean(
             [brute_precision(table[d.doc_id].tolist(), d.labels, tau) for d in docs]
@@ -305,12 +288,12 @@ def test_evaluate_macro_average_against_brute_force():
         assert report.overall[f"nDCG@{tau}"] == pytest.approx(expected_n, abs=1e-12)
 
 
-def _brute_group_means(table, docs, train, k, boundaries, taus):
+def _brute_group_means(table, docs, train, k):
     """Per-group macro means from plain loops: each group's labels, ranked alone."""
     freqs = [sum(label in d.labels for d in train) for label in range(k)]
-    group = [sum(f > b for b in boundaries) for f in freqs]
+    group = [0 if f <= 5 else 1 if f <= 50 else 2 for f in freqs]
     means = []
-    for gid in range(len(boundaries) + 1):
+    for gid in range(3):
         members = [label for label in range(k) if group[label] == gid]
         rows = []
         for d in docs:
@@ -319,42 +302,35 @@ def _brute_group_means(table, docs, train, k, boundaries, taus):
                 continue
             scores = [table[d.doc_id][label] for label in members]
             rows.append({f"P@{t}": brute_precision(scores, truth, min(t, len(members)))
-                         for t in taus}
+                         for t in (1, 3, 5)}
                         | {f"nDCG@{t}": brute_ndcg(scores, truth, min(t, len(members)))
-                           for t in taus})
+                           for t in (1, 3, 5)})
         means.append((len(members), len(rows),
                       {m: np.mean([r[m] for r in rows]) for m in rows[0]} if rows else None))
     return means
 
 
-@pytest.mark.parametrize("boundaries", [(1, 3), (2,), ()])
-def test_evaluate_groups_match_brute_force_oracle(boundaries):
+def test_evaluate_groups_match_brute_force_oracle():
     rng = np.random.default_rng(8)
-    k, taus = 14, (1, 3, 5, 20)
-
-    def draw(prefix, n):
-        return [Document(f"{prefix}{i}", ["x"], set(
-            rng.choice(k, size=int(rng.integers(1, 4)), replace=False).tolist()))
-            for i in range(n)]
-
-    train, docs = draw("r", 12), draw("d", 40)
+    # 60 training documents: labels 0-1 in G3, 2-4 in G2 (2 and 3 on its bounds), 5-13 in G1
+    freqs = [60, 51, 50, 6, 20, 5, 3, 1, 0, 2, 4, 1, 0, 5]
+    k, train = len(freqs), _train_with_frequencies(freqs)
+    docs = [Document(f"d{i}", ["x"], set(
+        rng.choice(k, size=int(rng.integers(1, 4)), replace=False).tolist())) for i in range(40)]
     # integer-valued scores, so most rankings contain ties
     table = {d.doc_id: rng.integers(0, 3, size=k).astype(float) for d in docs}
-    report = evaluate(_score_fn_from_table(table), docs, taus=taus,
-                      group_spec=LabelGroupSpec(boundaries), train_corpus=train, k=k)
-    expected = _brute_group_means(table, docs, train, k, boundaries, taus)
-    assert len(report.groups) == len(expected)
-    for group, (label_count, doc_count, means) in zip(report.groups, expected):
-        assert (group.label_count, group.doc_count) == (label_count, doc_count)
-        assert (group.metrics is None) == (means is None)
-        for name, value in (means or {}).items():
-            assert abs(group.metrics[name] - value) <= 1e-12
-    # tau 20 exceeds every group's size; some documents miss some group
-    assert max(g.label_count for g in report.groups) < max(taus)
-    if boundaries:
-        assert min(g.doc_count for g in report.groups if g.label_count) < len(docs)
-    else:
-        assert report.groups[0].metrics == pytest.approx(report.overall, abs=1e-12)
+    # the second corpus leaves G2 with labels but no documents
+    for test in (docs, [d for d in docs if not d.labels & {2, 3, 4}]):
+        report = evaluate(_score_fn_from_table(table), test, train_corpus=train, k=k)
+        expected = _brute_group_means(table, test, train, k)
+        for group, (label_count, doc_count, means) in zip(report.groups, expected, strict=True):
+            assert (group.label_count, group.doc_count) == (label_count, doc_count)
+            assert (group.metrics is None) == (means is None)
+            for name, value in (means or {}).items():
+                assert abs(group.metrics[name] - value) <= 1e-12
+    # G2 and G3 hold fewer than 5 labels, so their P@5 and nDCG@5 are capped
+    assert [g.label_count for g in report.groups] == [9, 3, 2]
+    assert report.groups[1].doc_count == 0 and min(g.doc_count for g in report.groups) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -362,7 +338,7 @@ def test_evaluate_rejects_non_finite_scores(bad):
     docs = [Document("a", ["x"], {0}), Document("b", ["x"], {1})]
     table = {"a": np.array([0.9, 0.5, 0.1]), "b": np.array([bad, 0.5, 0.1])}
     with pytest.raises(ValidationError, match="'b'"):
-        evaluate(_score_fn_from_table(table), docs, taus=(1,), k=3)
+        evaluate(_score_fn_from_table(table), docs, k=3)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +361,8 @@ def test_histogram_all_half():
     docs = [Document(f"d{i}", ["x"], {0, 1}) for i in range(3)]
     trace_fn = lambda doc: _FakeTrace([0, 1], [0.5, 0.5])
     counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts["alpha"][5] == 6
-    assert sum(counts["alpha"]) == 6
+    assert counts[5] == 6
+    assert sum(counts) == 6
 
 
 def test_histogram_counts_match_pairs():
@@ -398,24 +374,15 @@ def test_histogram_counts_match_pairs():
     trace_fn = lambda doc: _FakeTrace([0, 1, 2], [0.05, 0.55, 0.95])
     counts = fusion_weight_histogram(trace_fn, docs)
     n_pairs = sum(len(d.labels) for d in docs)
-    assert sum(counts["alpha"]) == n_pairs
-    assert sum(counts["beta"]) == n_pairs
-
-
-def test_histogram_alpha_beta_mirror():
-    rng = np.random.default_rng(6)
-    alphas = rng.uniform(0.011, 0.989, size=8)  # keep off bin edges
-    docs = [Document(f"d{i}", ["x"], {j for j in range(8)}) for i in range(4)]
-    trace_fn = lambda doc: _FakeTrace(list(range(8)), alphas)
-    counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts["beta"] == counts["alpha"][::-1]
+    assert sum(counts) == n_pairs
+    assert counts == [3, 0, 0, 0, 0, 1, 0, 0, 0, 2]  # label 0 three times, label 2 twice
 
 
 def test_histogram_right_closed_last_bin():
     docs = [Document("d", ["x"], {0})]
     trace_fn = lambda doc: _FakeTrace([0], [1.0])
     counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts["alpha"][9] == 1 and counts["beta"][0] == 1
+    assert counts[9] == 1 and sum(counts) == 1
 
 
 def test_histogram_empty_documents():
@@ -436,12 +403,8 @@ _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
     lambda: evaluate(_SCORES, [Document("a", ["x"], {1.0})], train_corpus=_DOCS, k=3),
     lambda: evaluate(_SCORES, _DOCS, train_corpus=[Document("t", ["x"], {0.0})], k=3),
     lambda: fusion_weight_histogram(lambda doc: _FakeTrace([0, 1, 2], [0.5] * 3), _DOCS, bins=2.5),
-    lambda: LabelGroupSpec(boundaries=5),
-    lambda: LabelGroupSpec((5.5, "a")),
-    lambda: LabelGroupSpec((5, "a")),
 ], ids=["k=2.5", "k=3.0", "label_frequencies k=3.0", "build_cooccurrence_graph k=3.0",
-        "LabelGraph k=3.0", "float test label", "float train label", "bins=2.5",
-        "boundaries=5", "float boundary", "str boundary"])
+        "LabelGraph k=3.0", "float test label", "float train label", "bins=2.5"])
 def test_malformed_integer_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError, match="integer"):
         call()

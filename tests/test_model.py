@@ -606,7 +606,7 @@ def test_forward_batch_gradients_are_bit_identical_to_the_two_lstm_oracle(
 
 def _old_self_attention(h, w_s1, w_s2, subset, mask):
     """The content route as two matmuls, a transpose and a softmax node."""
-    t = nm.activate(nm.matmul(w_s1, h), "tanh")
+    t = nm.tanh(nm.matmul(w_s1, h))
     return softmax_columns(nm.transpose(nm.matmul(nm.take_rows(w_s2, subset), t)), mask)
 
 

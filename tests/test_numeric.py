@@ -8,7 +8,6 @@ from laha import numeric
 from laha.errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 from laha.numeric import (
     Node,
-    activate,
     add_colvec,
     add_halves,
     backward,
@@ -18,9 +17,11 @@ from laha.numeric import (
     matmul,
     matmul_chain,
     mix_columns,
+    relu,
     slice_cols,
     softmax_product,
     take_rows,
+    tanh,
     transpose,
 )
 
@@ -43,12 +44,19 @@ from extra_ops import (
     vconcat,
 )
 
+
+def _rows(x, mask):
+    """`mask`, or all of x's rows where no mask is meant: the fused op takes one always."""
+    return np.ones(np.shape(x)[0], dtype=bool) if mask is None else mask
+
+
 # A column softmax three ways: the per-step op, and the fused op on x = x @ I and on x = (I x^T)^T
 SOFTMAXES = {
     "softmax_columns": softmax_columns,
-    "softmax_product": lambda x, mask=None: softmax_product(x, np.eye(np.shape(x)[1]), mask),
+    "softmax_product": lambda x, mask=None: softmax_product(x, np.eye(np.shape(x)[1]),
+                                                            _rows(x, mask)),
     "softmax_product_transposed": lambda x, mask=None: softmax_product(
-        np.eye(np.shape(x)[1]), np.transpose(x), mask, transposed=True),
+        np.eye(np.shape(x)[1]), np.transpose(x), _rows(x, mask), transposed=True),
 }
 
 
@@ -136,11 +144,9 @@ def test_softmax_overflow_safe():
 
 
 def test_activation_values():
-    assert activate(np.zeros((1, 1)), "tanh").value[0, 0] == 0.0
+    assert tanh(np.zeros((1, 1))).value[0, 0] == 0.0
     assert gate(np.zeros((1, 1)), np.zeros((1, 1))).value[0, 0] == 0.5
-    assert activate(np.array([[-3.2]]), "relu").value[0, 0] == 0.0
-    with pytest.raises(ValueError):
-        activate(np.zeros((1, 1)), "gelu")
+    assert relu(np.array([[-3.2]])).value[0, 0] == 0.0
 
 
 def test_sigmoid_is_bit_identical_to_dividing_each_branch():
@@ -165,11 +171,6 @@ def test_in_place_sigmoid_is_bit_identical_to_the_two_branch_where():
     np.testing.assert_array_equal(view.view(np.int64), want.view(np.int64))
     np.testing.assert_array_equal(numeric.sigmoid(x).view(np.int64), want.view(np.int64))
     assert not buffer[:, 0].any()
-
-
-def test_unknown_activation_kind_raises_validation_error():
-    with pytest.raises(ValidationError, match="gelu"):
-        activate(np.zeros((1, 1)), "gelu")
 
 
 def test_non_finite_input_rejected():
@@ -269,7 +270,7 @@ def test_backward_linearity_on_shared_parameters():
         return x.grad.copy(), w.grad.copy()
 
     f = lambda x, w: sum_all(matmul(x, w))
-    g = lambda x, w: sum_all(activate(matmul(x, w), "tanh"))
+    g = lambda x, w: sum_all(tanh(matmul(x, w)))
     fg = lambda x, w: add(f(x, w), g(x, w))
     gx_f, gw_f = run(f)
     gx_g, gw_g = run(g)
@@ -326,9 +327,9 @@ def test_grad_broadcast_ops(trial):
     m = _rand(rng, (3, 4))
     v = _rand(rng, (3, 1))
     r = _rand(rng, (1, 4))
-    _check(lambda p: sum_all(activate(add_colvec(p["m"], p["v"]), "tanh")),
+    _check(lambda p: sum_all(tanh(add_colvec(p["m"], p["v"]))),
            {"m": m, "v": v})
-    _check(lambda p: sum_all(activate(scale_cols(p["m"], p["r"]), "tanh")),
+    _check(lambda p: sum_all(tanh(scale_cols(p["m"], p["r"]))),
            {"m": m, "r": r})
     _check(lambda p: sum_all(scale(p["m"], -1.7)), {"m": m})
     _check(lambda p: sum_all(const_minus(2.5, p["m"])), {"m": m})
@@ -341,10 +342,10 @@ def test_grad_activations(trial):
     # keep relu inputs away from the kink so central differences are valid
     x_relu = np.where(np.abs(x) < 1e-2, x + np.sign(x + 0.5) * 0.1, x)
     y = rng.integers(0, 2, size=(3, 3)).astype(float)
-    _check(lambda p: sum_all(activate(p["x"], "tanh")), {"x": x})
+    _check(lambda p: sum_all(tanh(p["x"])), {"x": x})
     _check(lambda p: sum_all(mul(gate(p["x"], p["y"]), p["w"])),
            {"x": x, "y": _rand(rng, (3, 3), -4.0, 4.0), "w": _rand(rng, (3, 3))})
-    _check(lambda p: sum_all(activate(p["x"], "relu")), {"x": x_relu})
+    _check(lambda p: sum_all(relu(p["x"])), {"x": x_relu})
     _check(lambda p: bce_with_logits([p["x"]], [y]), {"x": x})
     _check(lambda p: bce_with_logits([p["x"], slice_cols(p["x"], 1, 3)], [y, y[:, 1:]]),
            {"x": x})
@@ -589,7 +590,7 @@ def test_grad_add_halves(trial):
     a = _rand(rng, (6, 3))
     w = _rand(rng, (3, 3))
     _check(lambda p: add(sum_all(mul(add_halves(p["a"]), w)),
-                         sum_all(activate(add_halves(p["a"]), "tanh"))), {"a": a})
+                         sum_all(tanh(add_halves(p["a"])))), {"a": a})
 
 
 def test_add_halves_equals_the_sum_of_the_halves_and_rejects_an_odd_row_count():
@@ -618,7 +619,7 @@ def test_grad_slice_cols(trial):
     a = _rand(rng, (3, 5))
     w = _rand(rng, (3, 2))
     _check(lambda p: add(sum_all(mul(slice_cols(p["a"], 1, 3), w)),
-                         sum_all(activate(slice_cols(p["a"], 2, 5), "tanh"))), {"a": a})
+                         sum_all(tanh(slice_cols(p["a"], 2, 5)))), {"a": a})
 
 
 def test_slice_cols_full_range_is_the_input_and_bad_ranges_raise():
@@ -632,7 +633,7 @@ def test_slice_cols_full_range_is_the_input_and_bad_ranges_raise():
 def test_backward_keeps_leaf_gradients_and_releases_intermediate_ones():
     x = Node(np.array([[1.0, -2.0]]))
     w = Node(np.array([[3.0], [4.0]]))
-    hidden = activate(matmul(x, w), "tanh")
+    hidden = tanh(matmul(x, w))
     root = scale(hidden, 2.0)
     backward(root)
     slope = 2.0 * (1.0 - math.tanh(-5.0) ** 2)

@@ -570,7 +570,7 @@ def _setting(*keys_then_value):
     _setting("adam", "step", -1), _setting("adam", "step", 2.0), _setting("adam", "step", True),
     _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
     _setting("adam", "beta2", 1.0), _setting("adam", "beta2", -0.1),
-    _setting("adam", "eps", 0.0), _setting("adam", "eps", -1e-8),
+    _setting("adam", "eps", 0.0), _setting("adam", "eps", -1e-8), _setting("adam", "eps", math.inf),
     _setting("model", "max_len", 2.5), _setting("train", "batch_size", 2.5),
     _setting("train", "seed", 1.5), _setting("train", "learning_rate", math.nan),
     _setting("train", "finetune_word_vectors", "no"),
@@ -593,14 +593,39 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
 
 @pytest.mark.parametrize("tensor, value", [("param/w_q", math.nan), ("adam_v/lstm_b_f", math.inf)])
 def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, tensor, value):
+    import json
+
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
-    kind, name = tensor.split("/")
-    (params if kind == "param" else adam.v)[name][1, 0] = value
-    path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), params, cfg, "laha", vocab, tcfg, adam, 0)
+    # save_checkpoint refuses a non-finite tensor, so write entry [1, 0] into the payload
+    blob = bytearray(path.read_bytes())
+    nl = blob.find(b"\n")
+    table = json.loads(blob[:nl])["tensors"]
+    i = [name for name, _, _ in table].index(tensor)
+    at = nl + 1 + 8 * (sum(rows * cols for _, rows, cols in table[:i]) + table[i][2])
+    blob[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match=tensor):
-        load_checkpoint(path)
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("variant, epoch, w_q_entry", [
+    ("laha", 0, math.nan), ("laha", -1, 0.5), ("bogus", 0, 0.5),
+], ids=["non-finite parameter", "epoch=-1", "variant='bogus'"])
+def test_save_checkpoint_refuses_what_load_rejects_and_keeps_the_earlier_file(
+        tmp_path, variant, epoch, w_q_entry):
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    adam = AdamState.init(params.arrays())
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), params, cfg, "laha", vocab, tcfg, adam, 0)
+    earlier = path.read_bytes()
+    params["w_q"][1, 0] = w_q_entry
+    with pytest.raises(CheckpointError):
+        save_checkpoint(str(path), params, cfg, variant, vocab, tcfg, adam, epoch)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
