@@ -310,17 +310,24 @@ def _brute_group_means(table, docs, train, k):
     return means
 
 
-def test_evaluate_groups_match_brute_force_oracle():
+# frequencies of the labels added at the fixed bounds (5, 50): on and one past both
+# bounds, one past each bound only, and none
+_EDGE_LABELS = {(51, 50, 6, 5, 5): [9, 3, 2], (6, 51): [7, 2, 2], (): [7, 1, 1]}
+
+
+@pytest.mark.parametrize("boundaries", list(_EDGE_LABELS))
+def test_evaluate_groups_match_brute_force_oracle(boundaries):
     rng = np.random.default_rng(8)
-    # 60 training documents: labels 0-1 in G3, 2-4 in G2 (2 and 3 on its bounds), 5-13 in G1
-    freqs = [60, 51, 50, 6, 20, 5, 3, 1, 0, 2, 4, 1, 0, 5]
+    # 60 training documents: labels 0-8 have frequencies away from the bounds
+    freqs = [60, 20, 3, 1, 0, 2, 4, 1, 0, *boundaries]
     k, train = len(freqs), _train_with_frequencies(freqs)
+    g2 = {j for j, f in enumerate(freqs) if 5 < f <= 50}
     docs = [Document(f"d{i}", ["x"], set(
         rng.choice(k, size=int(rng.integers(1, 4)), replace=False).tolist())) for i in range(40)]
     # integer-valued scores, so most rankings contain ties
     table = {d.doc_id: rng.integers(0, 3, size=k).astype(float) for d in docs}
     # the second corpus leaves G2 with labels but no documents
-    for test in (docs, [d for d in docs if not d.labels & {2, 3, 4}]):
+    for test in (docs, [d for d in docs if not d.labels & g2]):
         report = evaluate(_score_fn_from_table(table), test, train_corpus=train, k=k)
         expected = _brute_group_means(table, test, train, k)
         for group, (label_count, doc_count, means) in zip(report.groups, expected, strict=True):
@@ -329,7 +336,7 @@ def test_evaluate_groups_match_brute_force_oracle():
             for name, value in (means or {}).items():
                 assert abs(group.metrics[name] - value) <= 1e-12
     # G2 and G3 hold fewer than 5 labels, so their P@5 and nDCG@5 are capped
-    assert [g.label_count for g in report.groups] == [9, 3, 2]
+    assert [g.label_count for g in report.groups] == _EDGE_LABELS[boundaries]
     assert report.groups[1].doc_count == 0 and min(g.doc_count for g in report.groups) == 0
 
 
