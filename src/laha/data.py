@@ -36,6 +36,14 @@ class Document:
 Corpus = list[Document]
 
 
+def doc_labels(doc: Document, k: int) -> list[int]:
+    """The document's labels, sorted, once each is checked to be an integer in [0, k)."""
+    for label in doc.labels:
+        if type(label) is not int or not 0 <= label < k:  # plain in-range ids skip the full check
+            check_int(f"document {doc.doc_id!r} label", label, 0, k)
+    return sorted(doc.labels)
+
+
 def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
@@ -117,9 +125,6 @@ class WordVectors:
     """Embedding table; row id matches the vocabulary, PAD row all-zero."""
 
     table: np.ndarray
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.float64)
 
 
 def load_word_vectors(

@@ -12,63 +12,37 @@ implicitly factorizes, so nearby labels get similar vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import permutations
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, doc_labels
 from .errors import ValidationError, check_int
 
 
+@dataclass(frozen=True)
 class LabelGraph:
-    """Undirected weighted graph over label ids 0..k-1, no self-loops, as CSR.
+    """Undirected weighted graph over label ids 0..k-1, no self-loops, as read-only CSR.
 
-    Built once from (i, j, weight) triples; duplicate edges add their
-    weights.  Row i's neighbours are `indices[indptr[i]:indptr[i + 1]]`,
-    sorted by id, with their `weights`.
+    Row i's neighbours are `indices[indptr[i]:indptr[i + 1]]`, sorted by
+    id, with their `weights`.
     """
 
-    def __init__(self, k: int, edges=()):
-        check_int("k", k, 1)
-        try:
-            e = np.asarray(edges)
-        except ValueError as err:  # rows of unequal length
-            raise ValidationError(f"edges must be (i, j, weight) triples: {err}") from err
-        if e.size and (e.ndim != 2 or e.shape[1] != 3):
-            raise ValidationError(f"edges must be (i, j, weight) triples, got shape {e.shape}")
-        if e.size and e.dtype.kind not in "iu":
-            raise ValidationError(f"edge ids and weights must be integers, got {e.dtype}")
-        e = e.reshape(-1, 3).astype(np.int64)
-        i, j, w = e.T
-        if (i == j).any():
-            raise ValidationError("self-loops are not allowed")
-        bad = np.flatnonzero(((e[:, :2] < 0) | (e[:, :2] >= k)).any(axis=1))
-        if bad.size:
-            raise ValidationError(
-                f"edge ({i[bad[0]]},{j[bad[0]]}) outside label range [0,{k})")
-        if (w < 1).any():
-            raise ValidationError("edge weight must be >= 1")
-        keys, slot = np.unique(np.concatenate([i * k + j, j * k + i]), return_inverse=True)
-        self.k = k
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // k, minlength=k))])
-        self.indices = keys % k
-        self.weights = np.bincount(slot, weights=np.concatenate([w, w])).astype(np.int64)
-        for a in (self.indptr, self.indices, self.weights):
-            a.flags.writeable = False
+    k: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
 
 def build_cooccurrence_graph(corpus: Corpus, k: int) -> LabelGraph:
     """Edge (i, j) weighted by the number of documents containing both labels."""
-    edges = []
-    for doc in corpus:
-        labels = sorted(doc.labels)
-        for label in labels:
-            if not (0 <= label < k):
-                raise ValidationError(
-                    f"document {doc.doc_id!r} has label {label} outside range [0,{k})"
-                )
-        edges.extend((a, b, 1) for a, b in combinations(labels, 2))
-    return LabelGraph(k, edges)
+    check_int("k", k, 1)
+    keys = [a * k + b for doc in corpus for a, b in permutations(doc_labels(doc, k), 2)]
+    keys, weights = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    csr = np.searchsorted(keys, np.arange(k + 1) * k), keys % k, weights
+    for a in csr:
+        a.flags.writeable = False
+    return LabelGraph(k, *csr)
 
 
 @dataclass
@@ -116,11 +90,6 @@ class LabelEmbedding:
     """Dense label vectors as columns: matrix of shape (r, k)."""
 
     vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValidationError("label embedding must be a 2-D matrix")
 
 
 def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, negatives: int = 5,

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Corpus, Document
+from .data import Corpus, Document, doc_labels
 from .errors import ValidationError, check_int
 
 TAUS = (1, 3, 5)
@@ -52,12 +52,8 @@ def _ranked_metrics(ranking: np.ndarray, truth: set[int]) -> list[float]:
 def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
     """Occurrences of each label over the corpus documents."""
     check_int("k", k, 1)
-    freqs = np.zeros(k, dtype=np.int64)
-    for doc in corpus:
-        for label in doc.labels:
-            check_int(f"document {doc.doc_id!r} label", label, 0, k)
-            freqs[label] += 1
-    return freqs
+    labels = [label for doc in corpus for label in doc_labels(doc, k)]
+    return np.bincount(np.array(labels, dtype=np.int64), minlength=k)
 
 
 @dataclass
@@ -104,15 +100,14 @@ def evaluate(
             raise ValidationError(f"document {doc.doc_id!r} has a non-finite score")
         if not doc.labels:
             raise ValidationError(f"document {doc.doc_id!r} has no labels")
-        for label in doc.labels:
-            check_int(f"document {doc.doc_id!r} label", label, 0, k)
+        labels = doc_labels(doc, k)
         ranking = rank_labels(scores)
         sums[0] += _ranked_metrics(ranking, doc.labels)
         doc_counts[0] += 1
         if group_ids is None:
             continue
         ranked_groups = group_ids[ranking]
-        for gid in np.unique(group_ids[list(doc.labels)]).tolist():
+        for gid in np.unique(group_ids[labels]).tolist():
             truth = {label for label in doc.labels if group_ids[label] == gid}
             sums[1 + gid] += _ranked_metrics(ranking[ranked_groups == gid], truth)
             doc_counts[1 + gid] += 1

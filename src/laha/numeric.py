@@ -25,11 +25,13 @@ only the recurrent GEMM and the gate math, and the backward is
 hand-written BPTT.  Its kernel steps a stack of directions, every array
 with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
 lockstep, each op one call for the two; from it on each is a stack of its
-own, and with two usable CPUs (and BLAS on one thread) a worker thread
-steps the reverse one in both passes: it touches no Node, runs in a copy
-of the caller's context (numpy's error state) and is joined before the
-node returns or raises.  The gates take the public `sigmoid`'s one
-formula, max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A
+own, and when `os.sched_getaffinity` gives the process two or more CPUs
+a worker thread steps the reverse one in both passes: it touches no
+Node, runs in a copy of the caller's context (numpy's error state) and
+is joined before the node returns or raises.  The BLAS thread count is
+not checked: the bench, and CI's one-thread test steps, pin BLAS to one
+thread.  The gates take the public `sigmoid`'s one formula,
+max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A
 backward pass consumes its graph: it overwrites `bilstm`'s stored gates
 and releases them, so a second sweep raises ValidationError, and it
 releases each op node's gradient once passed on, so only the leaves keep

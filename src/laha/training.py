@@ -12,7 +12,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Sequence
 
@@ -28,6 +28,7 @@ from .numeric import Node
 
 CHECKPOINT_FORMAT = "laha-checkpoint"
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # a checkpoint records them, and must match
 
 
 @dataclass
@@ -47,24 +48,18 @@ class TrainConfig:
             raise ValidationError("finetune_word_vectors must be a bool")
 
 
+@dataclass
 class AdamState:
     """First/second moment accumulators and shared step counter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    step: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], **kwargs) -> "AdamState":
-        state = cls(**kwargs)
-        for name, arr in params.items():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+    def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={n: np.zeros_like(a) for n, a in params.items()},
+                   v={n: np.zeros_like(a) for n, a in params.items()})
 
 
 def adam_step(
@@ -76,8 +71,8 @@ def adam_step(
     """One bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -86,11 +81,11 @@ def adam_step(
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def sample_labels(
@@ -239,9 +234,9 @@ def save_checkpoint(
         "epoch": epoch,
         "adam": {
             "step": adam.step,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
+            "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS,
             "params": adam_names,
         },
         "tensors": [[name, arr.shape[0], arr.shape[1]] for name, arr in tensors],
@@ -318,15 +313,11 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
         if type(count) is not int or count < 0:
             raise CheckpointError(f"{name} must be a non-negative integer, got {count!r}")
-    if not (0 <= adam_info["beta1"] < 1 and 0 <= adam_info["beta2"] < 1):
-        raise CheckpointError("Adam needs 0 <= beta1, beta2 < 1")
-    check_positive("Adam eps", adam_info["eps"])  # json reads Infinity, which Adam cannot use
-    adam = AdamState(beta1=adam_info["beta1"], beta2=adam_info["beta2"],
-                     eps=adam_info["eps"])
-    adam.step = adam_info["step"]
-    for name in adam_names:
-        adam.m[name] = tensors[f"adam_m/{name}"]
-        adam.v[name] = tensors[f"adam_v/{name}"]
+    if [adam_info[key] for key in ("beta1", "beta2", "eps")] != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
+        raise CheckpointError(f"Adam's beta1, beta2 and eps must be {ADAM_BETA1}, {ADAM_BETA2} "
+                              f"and {ADAM_EPS}")
+    adam = AdamState(adam_info["step"], {n: tensors[f"adam_m/{n}"] for n in adam_names},
+                     {n: tensors[f"adam_v/{n}"] for n in adam_names})
     return Checkpoint(
         params=ModelParams((n, tensors[f"param/{n}"]) for n in table),
         model_cfg=model_cfg,

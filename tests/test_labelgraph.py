@@ -8,12 +8,12 @@ from scipy import stats
 from laha.data import Document
 from laha.errors import ValidationError
 from laha.labelgraph import (
-    LabelGraph,
     WalkConfig,
     build_cooccurrence_graph,
     sample_walks,
     train_skipgram,
 )
+from laha.metrics import label_frequencies
 
 
 def _doc(i, labels):
@@ -54,6 +54,31 @@ def test_cooccurrence_negative_label_rejected():
         build_cooccurrence_graph([_doc(0, {-1, 2})], k=4)
 
 
+@pytest.mark.parametrize("labels", [{1.5}, {True, 2}, {"a", 1}],
+                         ids=["float label", "bool label", "string label"])
+@pytest.mark.parametrize("count", [build_cooccurrence_graph, label_frequencies])
+def test_non_integer_labels_raise_validation_error(count, labels):
+    with pytest.raises(ValidationError, match="integer"):
+        count([_doc(0, {0, 1}), _doc(1, labels)], 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cooccurrence_matches_brute_force_document_counts(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 25))
+    docs = [_doc(i, rng.choice(k, size=int(rng.integers(1, min(k, 6) + 1)), replace=False).tolist())
+            for i in range(int(rng.integers(0, 80)))]
+    graph = build_cooccurrence_graph(docs, k)
+    adj = _dense(graph)
+    for a in range(k):
+        for b in range(k):
+            assert adj[a, b] == (a != b) * sum({a, b} <= doc.labels for doc in docs)
+    assert not np.diag(adj).any()
+    assert all((np.diff(graph.indices[lo:hi]) > 0).all()
+               for lo, hi in zip(graph.indptr[:-1], graph.indptr[1:]))
+    assert [a.dtype for a in (graph.indptr, graph.indices, graph.weights)] == [np.int64] * 3
+
+
 def test_graph_symmetry_and_no_self_loops():
     rng = np.random.default_rng(0)
     docs = []
@@ -70,29 +95,18 @@ def test_graph_symmetry_and_no_self_loops():
                for lo, hi in zip(graph.indptr[:-1], graph.indptr[1:]))
 
 
+def _graph(k, edges):
+    """The co-occurrence graph of w documents labelled {i, j} for each (i, j, w) edge."""
+    return build_cooccurrence_graph(
+        [_doc(n, {i, j}) for n, (i, j, w) in enumerate(edges) for _ in range(w)], k)
+
+
 def _weighted_5_node():
-    return LabelGraph(5, [(0, 1, 3), (0, 2, 1), (1, 2, 2), (2, 3, 4), (3, 4, 1), (1, 4, 2)])
-
-
-@pytest.mark.parametrize("edges", [
-    [(0, 1, 1), (2, 2, 1)],  # self-loop
-    [(0, 1, 1), (1, 3, 1)],  # id == k
-    [(-1, 1, 1)],  # negative id
-    [(0, 1, 1), (1, 2, 0)],  # weight 0
-    [(0, 1, 2.7)],  # float weight, not truncated to 2
-    [(0.0, 1, 1)],  # float id
-    [(0, 1)],  # a pair, not a triple
-    [(0, 1, 1, 1)],  # four fields
-    [0, 1, 1],  # one flat triple
-    [(0, 1, 1), (1, 2)],  # rows of unequal length
-])
-def test_graph_constructor_rejects_bad_edges(edges):
-    with pytest.raises(ValidationError):
-        LabelGraph(3, edges)
+    return _graph(5, [(0, 1, 3), (0, 2, 1), (1, 2, 2), (2, 3, 4), (3, 4, 1), (1, 4, 2)])
 
 
 def test_graph_duplicate_edges_sum_weights():
-    g = LabelGraph(4, [(0, 1, 2), (1, 0, 3), (2, 3, 1), (0, 1, 1)])
+    g = build_cooccurrence_graph([_doc(i, {0, 1}) for i in range(6)] + [_doc(6, {2, 3})], k=4)
     adj = _dense(g)
     assert adj[0, 1] == adj[1, 0] == 6
     assert g.indptr.tolist() == [0, 1, 2, 3, 4]
@@ -127,7 +141,7 @@ def test_walks_of_a_fixed_seed_are_pinned():
 
 
 def test_isolated_node_walk_is_singleton():
-    g = LabelGraph(3, [(0, 1, 1)])
+    g = _graph(3, [(0, 1, 1)])
     cfg = WalkConfig(walk_length=10, walks_per_node=2, seed=1)
     walks = sample_walks(g, cfg)
     assert [2] in walks
@@ -237,8 +251,8 @@ def _ppmi_oracle(walks, window):
     pytest.param(sample_walks(_weighted_5_node(),
                               WalkConfig(walk_length=8, walks_per_node=3, seed=1)),
                  5, 3, 2, 1, id="weighted-graph"),
-    pytest.param(sample_walks(LabelGraph(9, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (4, 5, 2),
-                                             (5, 6, 1), (6, 4, 4), (2, 5, 1)]),
+    pytest.param(sample_walks(_graph(9, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 1), (4, 5, 2),
+                                         (5, 6, 1), (6, 4, 4), (2, 5, 1)]),
                               WalkConfig(walk_length=6, walks_per_node=2, seed=3)),
                  9, 4, 3, 3, id="isolated-labels-power-iterations"),
     pytest.param([[0, 1, 2, 0, 1]], 6, 5, 1, 2, id="revisits-fewer-labels-than-r"),
@@ -285,7 +299,7 @@ def test_skipgram_ranks_planted_cluster_edges_above_non_edges(seed, epochs):
     non_edges = [pair for pair in combinations(range(48), 2) if pair not in edges]
     edges = sorted(edges)
     non_edges = [non_edges[i] for i in rng.choice(len(non_edges), len(edges), replace=False)]
-    walks = sample_walks(LabelGraph(48, [(a, b, 1) for a, b in edges]), WalkConfig(seed=seed))
+    walks = sample_walks(_graph(48, [(a, b, 1) for a, b in edges]), WalkConfig(seed=seed))
     vectors = train_skipgram(walks, k=48, r=8, epochs=epochs, seed=seed).vectors
     assert _link_auc(vectors, edges, non_edges) >= 0.95
 
@@ -295,7 +309,7 @@ def _cosine(a, b):
 
 
 def test_skipgram_separates_disconnected_cliques():
-    g = LabelGraph(6, [(c + i, c + j, 3) for c in (0, 3) for i in range(3) for j in range(i + 1, 3)])
+    g = _graph(6, [(c + i, c + j, 3) for c in (0, 3) for i in range(3) for j in range(i + 1, 3)])
     walks = sample_walks(g, WalkConfig(walk_length=20, walks_per_node=20, seed=4))
     emb = train_skipgram(walks, k=6, r=8, epochs=10, seed=4).vectors
     intra, inter = [], []

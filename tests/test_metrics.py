@@ -5,7 +5,7 @@ import pytest
 
 from laha.data import Document
 from laha.errors import ValidationError
-from laha.labelgraph import LabelGraph, build_cooccurrence_graph
+from laha.labelgraph import build_cooccurrence_graph
 from laha.metrics import (
     GROUP_NAMES,
     evaluate,
@@ -406,7 +406,7 @@ _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
     lambda: evaluate(_SCORES, _DOCS, k=3.0),
     lambda: label_frequencies(_DOCS, 3.0),
     lambda: build_cooccurrence_graph(_DOCS, 3.0),
-    lambda: LabelGraph(3.0),
+    lambda: build_cooccurrence_graph([Document("g", ["x"], {0, 3.0})], 4),  # a float label
     lambda: evaluate(_SCORES, [Document("a", ["x"], {1.0})], train_corpus=_DOCS, k=3),
     lambda: evaluate(_SCORES, _DOCS, train_corpus=[Document("t", ["x"], {0.0})], k=3),
     lambda: fusion_weight_histogram(lambda doc: _FakeTrace([0, 1, 2], [0.5] * 3), _DOCS, bins=2.5),

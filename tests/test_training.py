@@ -15,6 +15,7 @@ from laha.errors import (
 from laha.model import ModelConfig, forward, init_params, wrap_params
 from laha.numeric import Node
 from laha.training import (
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -147,7 +148,7 @@ def test_adam_first_step_magnitude():
         state = AdamState.init(p)
         adam_step(p, {"w": np.array([[g0]])}, state, lr=0.1)
         delta = p["w"][0, 0]
-        lo = 0.1 * (1.0 - state.eps / (abs(g0) + state.eps))
+        lo = 0.1 * (1.0 - ADAM_EPS / (abs(g0) + ADAM_EPS))
         assert lo - 1e-15 <= abs(delta) <= 0.1 + 1e-15
         assert np.sign(delta) == -np.sign(g0)
 
@@ -569,6 +570,7 @@ def _setting(*keys_then_value):
     _setting("epoch", 2.7), _setting("epoch", -3), _setting("epoch", True),
     _setting("adam", "step", -1), _setting("adam", "step", 2.0), _setting("adam", "step", True),
     _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
+    _setting("adam", "beta1", 0.8),
     _setting("adam", "beta2", 1.0), _setting("adam", "beta2", -0.1),
     _setting("adam", "eps", 0.0), _setting("adam", "eps", -1e-8), _setting("adam", "eps", math.inf),
     _setting("model", "max_len", 2.5), _setting("train", "batch_size", 2.5),
