@@ -20,22 +20,23 @@ the graph.  `take_rows` gathers rows by integer index and returns its
 input for the identity, the one such shortcut.
 `bilstm` runs both LSTM directions over a batch of documents as one node,
 whose value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b
-from it): a GEMM per direction projects every token, the step loops keep
-only the recurrent GEMM and the gate math, and the backward is
-hand-written BPTT.  Its kernel steps a stack of directions, every array
-with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
-lockstep, each op one call for the two; from it on each is a stack of its
-own, and when `os.sched_getaffinity` gives the process two or more CPUs
-a worker thread steps the reverse one in both passes: it touches no
-Node, runs in a copy of the caller's context (numpy's error state) and
-is joined before the node returns or raises.  The BLAS thread count is
-not checked: the bench, and CI's one-thread test steps, pin BLAS to one
+from it): a GEMM per direction projects each distinct token once, placed
+at its positions by a column map, the step loops keep only the recurrent
+GEMM and the gate math, and the backward is hand-written BPTT that sums
+a token's gate gradients (one `np.bincount`) before the input-side GEMMs.
+Its kernel steps a stack of directions, every array with a direction
+axis: below r * r * docs = `_WORKER_MIN` both step in lockstep, each op
+one call for the two; from it on each is a stack of its own, and when
+`os.sched_getaffinity` gives the process two or more CPUs a worker
+thread steps the reverse one in both passes: it touches no Node, runs
+in a copy of the caller's context (numpy's error state) and is joined
+before the node returns or raises.  The BLAS thread count is not
+checked: the bench, and CI's one-thread test steps, pin BLAS to one
 thread.  The gates take the public `sigmoid`'s one formula,
-max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A
-backward pass consumes its graph: it overwrites `bilstm`'s stored gates
-and releases them, so a second sweep raises ValidationError, and it
-releases each op node's gradient once passed on, so only the leaves keep
-theirs.
+max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A backward pass
+consumes its graph: it overwrites `bilstm`'s stored gates and releases
+them, so a second sweep raises ValidationError, and it releases each op
+node's gradient once passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -415,12 +416,13 @@ def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1, columns=None) -> Node:
     """Both LSTM directions over `docs` equal-length documents as one node (see the module).
 
-    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; each direction's wx
-    (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value is the
-    2r x (docs * n) forward over reverse states, column t after reading token t.  Below
+    x is d x U, one column per distinct token; `columns` (the identity if None) maps each of
+    the docs * n positions, document j at j*n ... j*n + n - 1, to its column of x.  Each
+    direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value
+    is the 2r x (docs * n) forward over reverse states, column t after reading token t.  Below
     r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
     two 4r x r recurrent matrices would evict each other from the cache, so each direction
     is a stack of its own, the reverse one on a worker thread if two CPUs are usable.  A
@@ -428,11 +430,15 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
     gates take one in-place `_sigmoid`.
     """
     x, *w = (_node(a) for a in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
+    cols = np.arange(x.cols) if columns is None else np.asarray(columns)
     r, d, shapes = w[1].cols, x.rows, [a.value.shape for a in w]
-    if shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or docs < 1 or x.cols % docs:
-        raise ShapeError(f"bilstm: {shapes} and {docs} documents do not fit {x.value.shape}")
-    h = np.empty((2 * r, x.cols), order="F" if docs == 1 else "C")  # see `_lstm`
-    bptt = _lstm(x.value, [a.value for a in w], docs, h)
+    if (shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or docs < 1 or cols.dtype.kind not in
+            "iu" or cols.ndim != 1 or not cols.size or cols.size % docs or columns is not None
+            and not 0 <= cols.min() <= cols.max() < x.cols):
+        raise ShapeError(f"bilstm: {shapes}, {docs} documents and a column map of {cols.dtype} "
+                         f"{cols.shape} do not fit {x.value.shape}")
+    h = np.empty((2 * r, cols.size), order="F" if docs == 1 else "C")  # see `_lstm`
+    bptt = _lstm(x.value, [a.value for a in w], docs, cols, h)
 
     def bwd(grad):
         for node, g in zip((*w[:3], x, *w[3:], x), bptt(grad)):  # forward direction first
@@ -441,15 +447,16 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
     return Node(h, (x, *w), bwd)
 
 
-def _lstm(x, w, docs: int, out):
+def _lstm(x, w, docs: int, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
     D directions makes one recurrent GEMM and one call per elementwise op a step, through
     buffers made before the loop; each direction's GEMMs keep the oracle's layouts
-    (tests/extra_ops.py), as BLAS may sum others differently.
+    (tests/extra_ops.py), as BLAS may sum others differently.  The checked map `cols` places
+    x's projections (`take`, clip mode: unbuffered); dz sums follow the stepping order.
     """
-    d, r, n = x.shape[0], w[1].shape[1], x.shape[1] // docs
+    r, n, u = w[1].shape[1], cols.size // docs, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
     worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
 
@@ -463,13 +470,12 @@ def _lstm(x, w, docs: int, out):
 
     def stack(ks: tuple):
         D, steps = len(ks), [-1 if k else 1 for k in ks]
-        # column s * docs + j of xs[j] is the s-th token in stepping order of document j
-        xs = [x.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
-              for step in steps]
+        # at[j, s * docs + c] is x's column of document c's s-th token in direction j's order
+        at = np.array([cols.reshape(docs, n).T[::step] for step in steps]).reshape(D, n * docs)
         # gates[:, :, s]: step s's input projection, then its gates, then (in the BPTT) its dz
         gates = np.empty((D, 4 * r, n, docs))
         for j, k in enumerate(ks):
-            np.matmul(w[3 * k], xs[j], out=gates[j].reshape(4 * r, n * docs))
+            (w[3 * k] @ x).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
         wh, b = (w[3 * ks[0] + m][None] if D == 1 else np.stack(w[m::3]) for m in (1, 2))
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((2, n + 1, D, r, docs))  # c[s + 1], h[s + 1]: states after step s
@@ -497,12 +503,12 @@ def _lstm(x, w, docs: int, out):
             raise NumericalError("lstm: non-finite cell state")
         for j, (k, step) in enumerate(zip(ks, steps)):
             out[k * r : (k + 1) * r].reshape(r, docs, n)[...] = h[1:, j][::step].transpose(1, 2, 0)
-        saved = [xs, gates, c, h]
+        saved = [gates, c, h]
 
         def bptt(grad):
             if not saved:
                 raise ValidationError("bilstm: the graph was already swept; build a fresh one")
-            xs, gates, c, h = saved
+            gates, c, h = saved
             saved.clear()
             dh_out = [grad[k * r : (k + 1) * r].reshape(r, docs, n).transpose(2, 0, 1)[::step, None]
                       for k, step in zip(ks, steps)]
@@ -536,12 +542,15 @@ def _lstm(x, w, docs: int, out):
                 np.multiply(dc, f_s, out=dc_next)
                 dz_s[...] = dz
             del dh_out, dc_dh, f_kept, dh_s, dc_dh_s, f_s
+            # dz summed per direction, gate row and column of x, in stepping order
+            dz_u = np.bincount((np.arange(0, D * 4 * r * u, u).reshape(D, 4 * r, 1) + at[:, None])
+                               .ravel(), gates.ravel(), D * 4 * r * u).reshape(D, 4 * r, u)
             grads = []
             for j, (k, step) in enumerate(zip(ks, steps)):
                 dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
                 h_j = h[:-1, j].transpose(0, 2, 1).reshape(n * docs, r)
-                dx = (w[3 * k].T @ dz).reshape(d, n, docs)[:, ::step].transpose(0, 2, 1)
-                grads += [dz @ xs[j].T, dz @ h_j, dz.sum(axis=1)[:, None], dx.reshape(d, docs * n)]
+                dwx = dz_u[j][:, ::step] @ x.T[::step]  # x's columns in stepping order
+                grads += [dwx, dz @ h_j, dz.sum(axis=1)[:, None], w[3 * k].T @ dz_u[j]]
             return grads
 
         return bptt

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import numeric as nm
-from .data import Corpus, Vocabulary, atomic_write_bytes, encode_document
+from .data import Corpus, Vocabulary, atomic_write_bytes, doc_labels, encode_document
 from .errors import CheckpointError, NumericalError, ShapeError, ValidationError
 from .errors import check_int, check_positive
 from .model import ModelConfig, ModelParams
@@ -89,25 +89,23 @@ def adam_step(
 
 
 def sample_labels(
-    positives: set[int], negatives_per_doc: int, k: int, rng
+    positives: list[int], negatives_per_doc: int, k: int, rng
 ) -> list[int]:
     """All positives plus distinct uniform negatives from the complement.
 
-    Positives come first (sorted), then negatives in draw order.  When the
-    complement is not larger than the request, the subset is all k labels.
+    `positives` are a document's labels as `data.doc_labels` returns them
+    (checked, sorted); they come first, then negatives in draw order.  When
+    the complement is not larger than the request, the subset is all k labels.
     """
     check_int("negatives_per_doc", negatives_per_doc, 0)
     check_int("k", k, 1)
     if not positives:
         raise ValidationError("cannot sample labels for an empty positive set")
-    pos = sorted(positives)
-    if pos[0] < 0 or pos[-1] >= k:
-        raise ValidationError(f"positive labels {pos} outside range [0,{k})")
-    complement = np.setdiff1d(np.arange(k), pos, assume_unique=False)
+    complement = np.setdiff1d(np.arange(k), positives, assume_unique=False)
     if negatives_per_doc >= complement.size:
-        return pos + complement.tolist()
+        return positives + complement.tolist()
     drawn = rng.choice(complement, size=negatives_per_doc, replace=False)
-    return pos + [int(x) for x in drawn]
+    return positives + [int(x) for x in drawn]
 
 
 def bce_loss(logits: Sequence[Node], targets: Sequence[np.ndarray]) -> Node:
@@ -154,6 +152,7 @@ def train(
             raise ValidationError(f"Adam state lacks m or v of shape {params[name].shape} "
                                   f"for the trainable parameter {name!r}")
 
+    positives = [doc_labels(doc, model_cfg.k) for doc in corpus]
     encoded = [encode_document(doc, vocab, model_cfg.max_len) for doc in corpus]
     history: list[float] = []
     for epoch in range(start_epoch, cfg.epochs):
@@ -164,19 +163,15 @@ def train(
         for batch_no, start in enumerate(range(0, len(corpus), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             param_nodes = model_mod.wrap_params(params)
-            labels = [corpus[doc_idx].labels for doc_idx in batch]
-            subsets = [
-                sample_labels(pos, cfg.negatives_per_doc, model_cfg.k, rng) for pos in labels
-            ]
+            labels = [positives[doc_idx] for doc_idx in batch]
+            subsets = [sample_labels(p, cfg.negatives_per_doc, model_cfg.k, rng) for p in labels]
             try:
                 ids, masks = zip(*(encoded[doc_idx] for doc_idx in batch))
                 traces = model_mod.forward_batch(
                     ids, masks, param_nodes, label_vectors, subsets, variant
                 )
-                targets = [
-                    np.array([1.0 if l in pos else 0.0 for l in subset])
-                    for pos, subset in zip(labels, subsets)
-                ]
+                # a subset lists its positives first
+                targets = [np.arange(len(s)) < len(p) for p, s in zip(labels, subsets)]
                 loss = bce_loss([trace.logits for trace in traces], targets)
                 nm.backward(loss)
             except NumericalError as err:

@@ -10,9 +10,11 @@ conventions of `laha.numeric`.  `softmax_columns`, `scale_cols` and
 `numeric.mix_columns` and `numeric.gate` fuse, and
 `softmax_product_oracle`, `mix_columns_oracle`, `gate_oracle` and
 `fuse_oracle` (all of `model.fuse`) compose them as the model once did:
-the references those fused ops must match bit for bit.  `lstm` is one LSTM direction as its own node, stepped serially, and
-`bilstm_oracle` stacks two of them with `vconcat` into H: the reference
-that `numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
+the references those fused ops must match bit for bit.  `lstm` is one
+LSTM direction as its own node, stepped serially over the distinct-token
+columns a map places, and `bilstm_oracle` stacks two of them with
+`vconcat` into H: the reference that `numeric.bilstm` and
+`model.bilstm_forward` must match bit for bit, with the same map.
 `grad_check` pits `backward`'s gradients against central finite
 differences.
 """
@@ -210,20 +212,25 @@ def fuse_oracle(h, a_s, a_i, f1_w, f1_b, f2_w, f2_b) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
+def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> Node:
     """One LSTM direction over `docs` equal-length documents as a single node.
 
-    x is d x (docs * n), document j in columns j*n ... j*n + n - 1; wx
-    (4r x d), wh (4r x r) and b (4r x 1) stack the input, forget, cell and
-    output gates.  Each document is stepped over every column, from the
-    right when `reverse`, from zero hidden and cell states.  Returns the
-    r x (docs * n) hidden states in x's column order, column t of a
-    document being its state after reading token t.  Internal arrays keep
-    the documents on their last axis, so each step's recurrent product is
-    one GEMM over them, and one document makes the BLAS calls of an
-    unbatched LSTM.  wx @ x is one GEMM; the backward is hand-written BPTT
-    that overwrites the stored gates, so it runs once.  A non-finite
-    pre-activation or cell state raises NumericalError.
+    x is d x U, one column per distinct token, and `columns` (the identity
+    if None) maps each of the docs * n positions, document j at j*n ...
+    j*n + n - 1, to its column of x; wx (4r x d), wh (4r x r) and b (4r x 1)
+    stack the input, forget, cell and output gates.  Each document is
+    stepped over every position, from the right when `reverse`, from zero
+    hidden and cell states.  Returns the r x (docs * n) hidden states in
+    position order, column t of a document being its state after reading
+    token t.  Internal arrays keep the documents on their last axis, so
+    each step's recurrent product is one GEMM over them, and one document
+    makes the BLAS calls of an unbatched LSTM.  wx @ x is one GEMM whose
+    columns are placed per position; the backward is hand-written BPTT
+    that overwrites the stored gates, so it runs once, and adds up each
+    distinct token's dz, in stepping order, before the GEMMs of dwx and
+    dx; dwx sums over x's columns in stepping order too, so one document
+    on the identity map keeps the per-position arithmetic bit for bit.
+    A non-finite pre-activation or cell state raises NumericalError.
     """
     x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
     r, d = wh.cols, x.rows
@@ -232,12 +239,13 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
             f"lstm: wx {wx.value.shape}, wh {wh.value.shape}, b {b.value.shape} "
             f"do not fit input {x.value.shape}"
         )
-    if docs < 1 or x.cols % docs:
-        raise ShapeError(f"lstm: {x.cols} columns do not split into {docs} documents")
-    n, step = x.cols // docs, -1 if reverse else 1
-    # column s * docs + j of xs is the s-th token in stepping order of document j
-    xs = x.value.reshape(d, docs, n).transpose(0, 2, 1)[:, ::step].reshape(d, n * docs)
-    z = (wx.value @ xs).reshape(4 * r, n, docs).transpose(1, 0, 2).copy()  # n x 4r x docs
+    cols = np.arange(x.cols) if columns is None else np.asarray(columns)
+    if docs < 1 or cols.size % docs:
+        raise ShapeError(f"lstm: {cols.size} columns do not split into {docs} documents")
+    n, step = cols.size // docs, -1 if reverse else 1
+    # column s * docs + j of at is x's column of document j's s-th token in stepping order
+    at = cols.reshape(docs, n).T[::step].ravel()
+    z = (wx.value @ x.value)[:, at].reshape(4 * r, n, docs).transpose(1, 0, 2).copy()
     gates = np.empty((n, 4, r, docs))               # i, f, g, o per step
     c, h = np.zeros((2, n + 1, r, docs))            # c[s + 1], h[s + 1]: states after step s
     for s in range(n):
@@ -280,18 +288,20 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1) -> Node:
             dh_next = wh.value.T @ dz.reshape(4 * r, docs)
             dc_next = dc * f_kept[s]
         dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
-        wx.grad += dz @ xs.T
+        dz_u = np.zeros((4 * r, x.cols))
+        np.add.at(dz_u, (slice(None), at), dz)  # column by column, in stepping order
+        wx.grad += dz_u[:, ::step] @ x.value.T[::step]  # x's columns in stepping order
         wh.grad += dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
         b.grad += dz.sum(axis=1)[:, None]
-        x.grad += to_columns((wx.value.T @ dz).reshape(d, n, docs).transpose(1, 0, 2))
+        x.grad += wx.value.T @ dz_u
 
     return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
 
 
-def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1, columns=None) -> Node:
     """H as the `vconcat` of two `lstm` nodes, the forward direction first."""
-    return vconcat([lstm(x, wx_f, wh_f, b_f, docs=docs),
-                    lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs)])
+    return vconcat([lstm(x, wx_f, wh_f, b_f, docs=docs, columns=columns),
+                    lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs, columns=columns)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laha import numeric as nm
+from laha import model, numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
     VARIANTS,
@@ -601,6 +601,53 @@ def test_forward_batch_gradients_are_bit_identical_to_the_two_lstm_oracle(
         got = _batch_gradients(params, lv, batch, variant, bilstm_forward)
     want = _batch_gradients(params, lv, batch, variant, bilstm_oracle)
     for name in param_table(cfg, 11):
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+# token 3 twice in the first document and once in the last, 5 and 2 in two documents, PAD in two
+SHARED_TOKENS = [np.array([3, 5, 3, 7, 0, 0, 0]), np.array([5, 9, 2, 2, 3, 1, 0]),
+                 np.array([4, 3, 6, 8, 11, 12, 14])]
+
+
+def _shared_token_pass(variant, distinct_min, threaded, encoder=bilstm_forward):
+    """Logits, gradients and `nm.bilstm` call of a batch pass over SHARED_TOKENS."""
+    cfg = ModelConfig(k=6, max_len=7, d=5, r=4, d_a=3)
+    params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
+    pn, subsets = wrap_params(params), [[0, 1, 2, 3], [5, 4], list(range(6))]
+    with mock.patch.object(model, "_DISTINCT_MIN", distinct_min), \
+            mock.patch.object(nm, "_WORKER_MIN", 0 if threaded else math.inf), \
+            mock.patch.object(nm.os, "sched_getaffinity", lambda pid: {0, 1}), \
+            mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
+            mock.patch("laha.model.bilstm_forward", encoder):
+        traces = forward_batch(SHARED_TOKENS, [ids > 0 for ids in SHARED_TOKENS], pn, lv,
+                               subsets, variant)
+        nm.backward(bce_loss([t.logits for t in traces], [np.arange(len(s)) % 2 for s in subsets]))
+    logits = np.hstack([t.logits.value for t in traces])
+    return {"logits": logits, **{name: node.grad for name, node in pn.items()}}, bilstm.call_args
+
+
+@pytest.mark.parametrize("variant", ["sa", "laha"])
+@pytest.mark.parametrize("threaded", [False, True])
+def test_forward_batch_over_distinct_tokens_matches_the_per_position_path(variant, threaded):
+    got, call = _shared_token_pass(variant, 0, threaded)
+    want, per_position = _shared_token_pass(variant, math.inf, threaded)
+    distinct = np.unique(np.concatenate(SHARED_TOKENS))
+    x, columns = call.args[0], call.args[8]
+    assert x.cols == distinct.size == 13
+    np.testing.assert_array_equal(distinct[columns], np.concatenate(SHARED_TOKENS))
+    assert per_position.args[0].cols == 21 and per_position.args[8] is None
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+    assert (got["embedding"][[3, 5, 2, 0]] != 0).all()  # the repeated rows take gradients
+
+
+@pytest.mark.parametrize("variant", ["sa", "laha"])
+@pytest.mark.parametrize("threaded", [False, True])
+def test_forward_batch_over_distinct_tokens_is_bit_identical_to_the_two_lstm_oracle(
+        variant, threaded):
+    got, _ = _shared_token_pass(variant, 0, threaded)
+    want, _ = _shared_token_pass(variant, 0, threaded, bilstm_oracle)
+    for name in want:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 

@@ -523,6 +523,52 @@ def test_bilstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
         bilstm(np.ones((2, cols)), *w, *w, docs=docs)
 
 
+# two documents of five positions over five distinct columns: column 1 twice in the first
+# document, columns 2 and 3 in both, and the PAD column 0 at the end of each
+SHARED_COLUMNS = np.array([1, 2, 1, 3, 0, 3, 4, 2, 0, 0])
+
+
+@pytest.mark.parametrize("schedule", ["lockstep", "worker"])
+def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, started, schedule):
+    _force(monkeypatch, schedule)
+    rng = np.random.default_rng(690)
+    params = _bilstm_arrays(rng, 3, 2, 5, 1)
+    params["x"] *= 2.0
+    w = _rand(rng, (4, SHARED_COLUMNS.size))
+    _check(lambda p: sum_all(mul(bilstm(p["x"], *(p[k] for k in BILSTM_WEIGHTS), 2,
+                                        SHARED_COLUMNS), w)), params)
+    assert bool(started) is (schedule == "worker")
+
+
+@pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2)])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
+        monkeypatch, schedule, d, r, n, docs):
+    _force(monkeypatch, schedule)
+    rng = np.random.default_rng(d + r + n + docs)
+    columns = rng.integers(0, n, size=docs * n)  # n columns: tokens repeat, some go unused
+    arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
+    w = rng.normal(size=(2 * r, docs * n))
+    got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
+    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs, columns)
+    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs, columns)
+    np.testing.assert_array_equal(node.value, h.value)
+    backward(sum_all(mul(node, w)))
+    backward(sum_all(mul(h, w)))
+    for k in arrays:
+        np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+
+
+@pytest.mark.parametrize("columns", [
+    [0.0, 1.0, 2.0, 0.0], [True, False, True, False], [[0, 1], [2, 0]], 1, [0, 1, 2],
+    np.array([], dtype=np.int64), [0, 1, 3, 0], np.array([0, -1, 2, 0], dtype=np.int8),
+], ids=["float", "bool", "2-D", "0-D", "wrong-length", "empty", "past-x", "negative"])
+def test_bilstm_rejects_a_malformed_column_map(columns):
+    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
+    with pytest.raises(ShapeError, match="column map"):
+        bilstm(np.ones((2, 3)), *w, *w, 2, columns)
+
+
 def test_bilstm_rejects_a_direction_that_does_not_fit():
     fits, wide = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1))), np.ones((4, 3))
     with pytest.raises(ShapeError):

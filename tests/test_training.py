@@ -37,7 +37,7 @@ from extra_ops import grad_check
 def test_sample_labels_contains_positives_no_duplicates():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        subset = sample_labels({1, 3}, negatives_per_doc=3, k=100, rng=rng)
+        subset = sample_labels([1, 3], negatives_per_doc=3, k=100, rng=rng)
         assert len(subset) == 5
         assert len(set(subset)) == 5
         assert subset[:2] == [1, 3]
@@ -46,28 +46,28 @@ def test_sample_labels_contains_positives_no_duplicates():
 
 def test_sample_labels_whole_complement():
     rng = np.random.default_rng(1)
-    subset = sample_labels({2}, negatives_per_doc=50, k=6, rng=rng)
+    subset = sample_labels([2], negatives_per_doc=50, k=6, rng=rng)
     assert sorted(subset) == list(range(6))
 
 
 def test_sample_labels_zero_negatives():
     rng = np.random.default_rng(2)
-    assert sample_labels({4, 0}, 0, 10, rng) == [0, 4]
+    assert sample_labels([0, 4], 0, 10, rng) == [0, 4]
 
 
 def test_sample_labels_empty_positives():
     with pytest.raises(ValidationError):
-        sample_labels(set(), 3, 10, np.random.default_rng(0))
+        sample_labels([], 3, 10, np.random.default_rng(0))
 
 
 def test_sample_labels_size_bound():
     rng = np.random.default_rng(3)
     for _ in range(100):
         npos = int(rng.integers(1, 5))
-        positives = set(rng.choice(12, size=npos, replace=False).tolist())
+        positives = sorted(rng.choice(12, size=npos, replace=False).tolist())
         nneg = int(rng.integers(0, 15))
         subset = sample_labels(positives, nneg, 12, rng)
-        assert positives.issubset(subset)
+        assert set(positives).issubset(subset)
         assert len(subset) <= min(12, len(positives) + nneg)
 
 
@@ -325,6 +325,16 @@ def test_train_config_rejects_malformed_values(fields):
         TrainConfig(**{"epochs": 1, **fields})
 
 
+@pytest.mark.parametrize("labels", [{1.5}, {True, 2}, {"a", 1}], ids=["1.5", "True", "a"])
+def test_train_rejects_a_label_that_is_not_an_integer_before_any_update(labels):
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    before = {n: a.copy() for n, a in params.items()}
+    with pytest.raises(ValidationError, match="label"):
+        train(docs + [Document("bad", ["w1"], labels)], vocab, params, cfg, lv, tcfg)
+    for n, arr in params.items():
+        np.testing.assert_array_equal(arr, before[n], err_msg=n)
+
+
 def test_train_empty_corpus_rejected():
     cfg, vocab, params, lv, _, tcfg = _train_setup()
     with pytest.raises(ValidationError):
@@ -364,7 +374,7 @@ def _train_per_document(docs, vocab, params, cfg, lv, tcfg):
             nodes = wrap_params(params)
             logits, targets = [], []
             for i in order[start : start + tcfg.batch_size]:
-                subset = sample_labels(docs[i].labels, tcfg.negatives_per_doc, cfg.k, rng)
+                subset = sample_labels(sorted(docs[i].labels), tcfg.negatives_per_doc, cfg.k, rng)
                 logits.append(forward(*encoded[i], nodes, lv, subset).logits)
                 targets.append(np.array([float(l in docs[i].labels) for l in subset]))
             loss = bce_loss(logits, targets)
