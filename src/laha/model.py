@@ -22,11 +22,10 @@ batch's logits straight to `numeric.bce_with_logits`, one node.  The
 parameters are the arrays `param_table` lists, the one place their
 names, shapes and order are written down.
 
-`forward_batch` checks its inputs, then runs equal-length documents
-through one gather of their distinct tokens' embeddings (every position's
-below `_DISTINCT_MIN`) and one Bi-LSTM node (both directions, the
-documents side by side as column blocks), then the rest per document on
-its column slice of H; `forward` is a batch of one.
+`forward_batch` checks its inputs, then runs the token ids of equal-length
+documents through one Bi-LSTM node (both directions, the documents side
+by side as column blocks), then the rest per document on its column slice
+of H; `forward` is a batch of one.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -45,7 +44,6 @@ from .errors import NumericalError, ShapeError, ValidationError, check_int
 from .numeric import Node
 
 VARIANTS = ("sa", "ia", "sa+ia", "laha")
-_DISTINCT_MIN = 1 << 21  # 4r * d * positions from which the distinct tokens pay: the break-even
 
 
 @dataclass
@@ -146,19 +144,18 @@ class ForwardTrace:
         return nm.sigmoid(self.logits.value).ravel()
 
 
-def bilstm_forward(embedded: Node, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1,
-                   columns=None) -> Node:
-    """Run both LSTM directions over embedded tokens: H, one `numeric.bilstm` node.
+def bilstm_forward(embedding: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """Run both LSTM directions over token ids: H, one `numeric.bilstm` node.
 
-    `embedded` is d x U, a column per distinct token; `columns` (None: the identity) maps
-    document j's positions j*n ... j*n + n - 1 to their columns.  Returns H = [H_f; H_b],
-    2r x (docs * n) in position order: the forward states over the backward ones (column
-    t = state after reading token t from the right), each document from zero states.
-    Padded positions are stepped too, so the backward direction starts at a document's
-    last column whatever the padding.  At large shapes, with two usable CPUs, the node
-    steps the reverse direction on a worker thread that touches no Node.
+    `ids` holds document j's tokens at j*n ... j*n + n - 1, rows of the `embedding` table,
+    which the node gathers.  Returns H = [H_f; H_b], 2r x (docs * n) in position order: the
+    forward states over the backward ones (column t = state after reading token t from the
+    right), each document from zero states.  Padded positions are stepped too, so the
+    backward direction starts at a document's last column whatever the padding.  At large
+    shapes, with two usable CPUs, the node steps the reverse direction on a worker thread
+    that touches no Node.
     """
-    return nm.bilstm(embedded, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs, columns)
+    return nm.bilstm(embedding, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs)
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
@@ -220,10 +217,10 @@ def forward_batch(
 ) -> list[ForwardTrace]:
     """Full pass over equal-length encoded documents, each with its label subset.
 
-    The one place the model's inputs are checked.  One embedding gather and
-    one `bilstm_forward` call step every document; attention, fuse and
-    predict then run per document on its column slice of H.  Returns one
-    trace per document, in order.
+    The one place the model's inputs are checked.  One `bilstm_forward`
+    call embeds and steps every document; attention, fuse and predict then
+    run per document on its column slice of H (H itself for one document).
+    Returns one trace per document, in order.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -245,15 +242,11 @@ def forward_batch(
             raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
         label_rows = Node(np.ascontiguousarray(label_vectors.T))  # scanned once per call
 
-    ids = np.concatenate(token_rows)
-    small = param_nodes["lstm_wx_f"].value.size * ids.size < _DISTINCT_MIN
-    distinct, columns = (ids, None) if small else np.unique(ids, return_inverse=True)
-    embedded = nm.transpose(nm.take_rows(param_nodes["embedding"], distinct))
     h = bilstm_forward(
-        embedded,
+        param_nodes["embedding"], np.concatenate(token_rows),
         param_nodes["lstm_wx_f"], param_nodes["lstm_wh_f"], param_nodes["lstm_b_f"],
         param_nodes["lstm_wx_b"], param_nodes["lstm_wh_b"], param_nodes["lstm_b_b"],
-        docs=docs, columns=columns,
+        docs=docs,
     )
     return [
         _attend(nm.slice_cols(h, j * n, (j + 1) * n), mask, param_nodes, label_rows,

@@ -17,13 +17,14 @@ product's buffer), `gate` (two sigmoids and their ratio), `mix_columns`
 (forming 1 - u itself), and the loss `bce_with_logits`, one node for a
 batch of documents; the `sigmoid` of logits runs on plain arrays, outside
 the graph.  `take_rows` gathers rows by integer index and returns its
-input for the identity, the one such shortcut.
-`bilstm` runs both LSTM directions over a batch of documents as one node,
-whose value is the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b
-from it): a GEMM per direction projects each distinct token once, placed
-at its positions by a column map, the step loops keep only the recurrent
-GEMM and the gate math, and the backward is hand-written BPTT that sums
-a token's gate gradients (one `np.bincount`) before the input-side GEMMs.
+input for the identity, as `slice_cols` does for the full column range.
+`bilstm` runs both LSTM directions over a batch of documents' token ids
+as one node, whose value is the model's H = [H_f; H_b] (`add_halves`
+gives H_f + H_b from it): a GEMM per direction projects each distinct
+token's embedding once, placed by its index in `np.unique`'s sorted ids,
+the step loops keep only the recurrent GEMM and the gate math, and the
+backward is hand-written BPTT that sums a token's gate gradients (one
+`np.bincount`) before the input-side GEMMs and adds one per table row.
 Its kernel steps a stack of directions, every array with a direction
 axis: below r * r * docs = `_WORKER_MIN` both step in lockstep, each op
 one call for the two; from it on each is a stack of its own, and when
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError, check_int
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
@@ -416,11 +417,11 @@ def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1, columns=None) -> Node:
-    """Both LSTM directions over `docs` equal-length documents as one node (see the module).
+def bilstm(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """Both LSTM directions over `docs` equal-length documents of token ids, as one node.
 
-    x is d x U, one column per distinct token; `columns` (the identity if None) maps each of
-    the docs * n positions, document j at j*n ... j*n + n - 1, to its column of x.  Each
+    `ids` holds document j's tokens at j*n ... j*n + n - 1, each a row of the vocab x d
+    `table`, whose distinct rows are read once and take the input-side gradient.  Each
     direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value
     is the 2r x (docs * n) forward over reverse states, column t after reading token t.  Below
     r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
@@ -429,22 +430,27 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1, columns=None) -> 
     stack's step makes one call per op for all its directions and allocates nothing; the
     gates take one in-place `_sigmoid`.
     """
-    x, *w = (_node(a) for a in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
-    cols = np.arange(x.cols) if columns is None else np.asarray(columns)
-    r, d, shapes = w[1].cols, x.rows, [a.value.shape for a in w]
-    if (shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or docs < 1 or cols.dtype.kind not in
-            "iu" or cols.ndim != 1 or not cols.size or cols.size % docs or columns is not None
-            and not 0 <= cols.min() <= cols.max() < x.cols):
-        raise ShapeError(f"bilstm: {shapes}, {docs} documents and a column map of {cols.dtype} "
-                         f"{cols.shape} do not fit {x.value.shape}")
-    h = np.empty((2 * r, cols.size), order="F" if docs == 1 else "C")  # see `_lstm`
-    bptt = _lstm(x.value, [a.value for a in w], docs, cols, h)
+    check_int("docs", docs, 1)
+    table, *w = (_node(a) for a in (table, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValidationError(f"bilstm: token ids must be integer indices, got {ids.dtype}")
+    rows = np.unique(ids)  # sorted: its ends bound the ids, and `searchsorted` maps each id
+    r, d, shapes = w[1].cols, table.cols, [a.value.shape for a in w]
+    if (shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or ids.ndim != 1 or not ids.size
+            or ids.size % docs or not 0 <= rows[0] <= rows[-1] < table.rows):
+        raise ShapeError(f"bilstm: {shapes}, {docs} documents and token ids of shape "
+                         f"{ids.shape} do not fit a {table.value.shape} table")
+    h = np.empty((2 * r, ids.size), order="F" if docs == 1 else "C")  # see `_lstm`
+    bptt = _lstm(table.value[rows].T, [a.value for a in w], docs, rows.searchsorted(ids), h)
 
     def bwd(grad):
-        for node, g in zip((*w[:3], x, *w[3:], x), bptt(grad)):  # forward direction first
+        grads = bptt(grad)  # each direction's dwx, dwh, db and dx, the forward one first
+        for node, g in zip(w, grads[:3] + grads[4:7]):
             node.grad += g
+        table.grad[rows] += (grads[3] + grads[7]).T  # `np.unique` rows are distinct
 
-    return Node(h, (x, *w), bwd)
+    return Node(h, (table, *w), bwd)
 
 
 def _lstm(x, w, docs: int, cols, out):
@@ -453,8 +459,8 @@ def _lstm(x, w, docs: int, cols, out):
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
     D directions makes one recurrent GEMM and one call per elementwise op a step, through
     buffers made before the loop; each direction's GEMMs keep the oracle's layouts
-    (tests/extra_ops.py), as BLAS may sum others differently.  The checked map `cols` places
-    x's projections (`take`, clip mode: unbuffered); dz sums follow the stepping order.
+    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (each position's column of x)
+    places x's projections (`take`, clip mode: unbuffered); dz sums follow the stepping order.
     """
     r, n, u = w[1].shape[1], cols.size // docs, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]

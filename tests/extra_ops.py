@@ -12,9 +12,12 @@ conventions of `laha.numeric`.  `softmax_columns`, `scale_cols` and
 `fuse_oracle` (all of `model.fuse`) compose them as the model once did:
 the references those fused ops must match bit for bit.  `lstm` is one
 LSTM direction as its own node, stepped serially over the distinct-token
-columns a map places, and `bilstm_oracle` stacks two of them with
-`vconcat` into H: the reference that `numeric.bilstm` and
-`model.bilstm_forward` must match bit for bit, with the same map.
+columns a map places.  `bilstm_oracle` gathers a batch's distinct token
+rows with `take_rows` and `transpose` and stacks two `lstm` nodes on
+`np.unique`'s map with `vconcat` into H: the reference that
+`numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
+`bilstm_per_position` gathers every position's row instead, on the
+identity map: the per-position arithmetic, equal to rounding.
 `grad_check` pits `backward`'s gradients against central finite
 differences.
 """
@@ -27,7 +30,7 @@ import numpy as np
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
 from laha.numeric import (
     Node, _node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid,
-    transpose,
+    take_rows, transpose,
 )
 
 
@@ -298,10 +301,22 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
     return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
 
 
-def bilstm_oracle(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1, columns=None) -> Node:
-    """H as the `vconcat` of two `lstm` nodes, the forward direction first."""
+def _two_lstms(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs, columns) -> Node:
     return vconcat([lstm(x, wx_f, wh_f, b_f, docs=docs, columns=columns),
                     lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs, columns=columns)])
+
+
+def bilstm_oracle(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """H of `numeric.bilstm`: the distinct rows, then two `lstm` nodes, the forward one first."""
+    rows, columns = np.unique(ids, return_inverse=True)
+    return _two_lstms(transpose(take_rows(table, rows)), wx_f, wh_f, b_f, wx_b, wh_b, b_b,
+                      docs, columns)
+
+
+def bilstm_per_position(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+    """H over every position's row, a column each: no token's dz is summed before a GEMM."""
+    return _two_lstms(transpose(take_rows(table, ids)), wx_f, wh_f, b_f, wx_b, wh_b, b_b,
+                      docs, None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laha import model, numeric as nm
+from laha import numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
     VARIANTS,
@@ -26,7 +26,9 @@ from laha.model import (
 from laha.numeric import Node
 from laha.training import bce_loss
 
-from extra_ops import bilstm_oracle, fuse_oracle, mix_columns_oracle, softmax_columns
+from extra_ops import (
+    bilstm_oracle, bilstm_per_position, fuse_oracle, mix_columns_oracle, softmax_columns,
+)
 
 
 def _cfg(k=4, max_len=4, d=5, r=3, d_a=3):
@@ -62,9 +64,9 @@ def test_bilstm_zero_weights_zero_states():
     cfg = _cfg()
     r, d, n = cfg.r, cfg.d, 4
     zeros = lambda *s: Node(np.zeros(s))
-    emb = Node(np.random.default_rng(0).normal(size=(d, n)))
+    emb = Node(np.random.default_rng(0).normal(size=(n, d)))
     h = bilstm_forward(
-        emb,
+        emb, np.arange(n),
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
     )
@@ -76,9 +78,8 @@ def test_bilstm_output_shape():
     params = _params(cfg)
     pn = wrap_params(params)
     n = 6
-    emb = Node(np.random.default_rng(1).normal(size=(cfg.d, n)))
     h = bilstm_forward(
-        emb, pn["lstm_wx_f"], pn["lstm_wh_f"], pn["lstm_b_f"],
+        pn["embedding"], [1, 4, 1, 8, 0, 0], pn["lstm_wx_f"], pn["lstm_wh_f"], pn["lstm_b_f"],
         pn["lstm_wx_b"], pn["lstm_wh_b"], pn["lstm_b_b"],
     )
     assert h.value.shape == (2 * cfg.r, n)
@@ -97,7 +98,7 @@ def test_lstm_single_step_scalar_oracle():
     wh = Node(np.zeros((4, 1)))
     b = Node(np.array([[bi], [bf], [bg], [bo]]))
     emb = Node(np.array([[e]]))
-    h = bilstm_forward(emb, wx, wh, b, wx, wh, b)
+    h = bilstm_forward(emb, [0], wx, wh, b, wx, wh, b)
     assert h.value[0, 0] == pytest.approx(h_hand, abs=1e-12)
 
 
@@ -125,7 +126,7 @@ def test_bilstm_matches_per_step_reference(d, r, n):
         weights += [rng.uniform(-limit, limit, size=(4 * r, d)),
                     rng.uniform(-limit, limit, size=(4 * r, r)),
                     rng.normal(scale=0.5, size=(4 * r, 1))]
-    h = bilstm_forward(Node(x), *map(Node, weights))
+    h = bilstm_forward(Node(x.T), np.arange(n), *map(Node, weights))
     ref_fwd = _reference_lstm(x, *weights[:3])
     ref_bwd = _reference_lstm(x[:, ::-1], *weights[3:])[:, ::-1]
     assert h.value.shape == (2 * r, n)
@@ -609,13 +610,12 @@ SHARED_TOKENS = [np.array([3, 5, 3, 7, 0, 0, 0]), np.array([5, 9, 2, 2, 3, 1, 0]
                  np.array([4, 3, 6, 8, 11, 12, 14])]
 
 
-def _shared_token_pass(variant, distinct_min, threaded, encoder=bilstm_forward):
+def _shared_token_pass(variant, threaded, encoder=bilstm_forward):
     """Logits, gradients and `nm.bilstm` call of a batch pass over SHARED_TOKENS."""
     cfg = ModelConfig(k=6, max_len=7, d=5, r=4, d_a=3)
     params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
     pn, subsets = wrap_params(params), [[0, 1, 2, 3], [5, 4], list(range(6))]
-    with mock.patch.object(model, "_DISTINCT_MIN", distinct_min), \
-            mock.patch.object(nm, "_WORKER_MIN", 0 if threaded else math.inf), \
+    with mock.patch.object(nm, "_WORKER_MIN", 0 if threaded else math.inf), \
             mock.patch.object(nm.os, "sched_getaffinity", lambda pid: {0, 1}), \
             mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
             mock.patch("laha.model.bilstm_forward", encoder):
@@ -629,24 +629,23 @@ def _shared_token_pass(variant, distinct_min, threaded, encoder=bilstm_forward):
 @pytest.mark.parametrize("variant", ["sa", "laha"])
 @pytest.mark.parametrize("threaded", [False, True])
 def test_forward_batch_over_distinct_tokens_matches_the_per_position_path(variant, threaded):
-    got, call = _shared_token_pass(variant, 0, threaded)
-    want, per_position = _shared_token_pass(variant, math.inf, threaded)
-    distinct = np.unique(np.concatenate(SHARED_TOKENS))
-    x, columns = call.args[0], call.args[8]
-    assert x.cols == distinct.size == 13
-    np.testing.assert_array_equal(distinct[columns], np.concatenate(SHARED_TOKENS))
-    assert per_position.args[0].cols == 21 and per_position.args[8] is None
+    got, call = _shared_token_pass(variant, threaded)
+    want, _ = _shared_token_pass(variant, threaded, bilstm_per_position)
+    np.testing.assert_array_equal(call.args[1], np.concatenate(SHARED_TOKENS))
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
     assert (got["embedding"][[3, 5, 2, 0]] != 0).all()  # the repeated rows take gradients
+    # the rows of the batch's 13 distinct tokens take gradients, and no other row does
+    np.testing.assert_array_equal(np.flatnonzero(got["embedding"].any(axis=1)),
+                                  np.unique(np.concatenate(SHARED_TOKENS)))
 
 
 @pytest.mark.parametrize("variant", ["sa", "laha"])
 @pytest.mark.parametrize("threaded", [False, True])
 def test_forward_batch_over_distinct_tokens_is_bit_identical_to_the_two_lstm_oracle(
         variant, threaded):
-    got, _ = _shared_token_pass(variant, 0, threaded)
-    want, _ = _shared_token_pass(variant, 0, threaded, bilstm_oracle)
+    got, _ = _shared_token_pass(variant, threaded)
+    want, _ = _shared_token_pass(variant, threaded, bilstm_oracle)
     for name in want:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 

@@ -425,9 +425,11 @@ BILSTM_WEIGHTS = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")
 
 
 def _bilstm_arrays(rng, d, r, n, docs, scale=1.0):
-    """x (d x docs * n), then each direction's wx, wh, b, drawn from [-scale, scale]."""
+    """A docs * n x d table, then each direction's wx, wh, b, drawn from [-scale, scale]."""
     shapes = [(d, docs * n)] + [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2
-    return dict(zip(("x", *BILSTM_WEIGHTS), (_rand(rng, s, -scale, scale) for s in shapes)))
+    arrays = dict(zip(("table", *BILSTM_WEIGHTS), (_rand(rng, s, -scale, scale) for s in shapes)))
+    arrays["table"] = np.ascontiguousarray(arrays["table"].T)  # row t is read at position t
+    return arrays
 
 
 @pytest.fixture
@@ -456,10 +458,10 @@ def test_grad_bilstm(monkeypatch, two_cpus, started, docs, threaded):
     monkeypatch.setattr(numeric, "_WORKER_MIN", 0 if threaded else math.inf)
     rng = np.random.default_rng(680 + docs)
     params = _bilstm_arrays(rng, 3, 2, 4, docs)
-    params["x"] *= 2.0
-    w = _rand(rng, (4, docs * 4))
-    _check(lambda p: sum_all(mul(bilstm(p["x"], *(p[k] for k in BILSTM_WEIGHTS), docs), w)),
-           params)
+    params["table"] *= 2.0
+    w, ids = _rand(rng, (4, docs * 4)), np.arange(docs * 4)
+    _check(lambda p: sum_all(mul(bilstm(p["table"], ids, *(p[k] for k in BILSTM_WEIGHTS), docs),
+                                 w)), params)
     assert bool(started) is threaded
 
 
@@ -467,10 +469,10 @@ def test_grad_bilstm(monkeypatch, two_cpus, started, docs, threaded):
 def test_bilstm_is_bit_identical_to_two_lstm_nodes(two_cpus, d, r, n, docs):
     rng = np.random.default_rng(d + r + n + docs)
     arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
-    w = rng.normal(size=(2 * r, docs * n))
+    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n)
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -500,10 +502,10 @@ def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
     threads, before = _force(monkeypatch, schedule), threading.active_count()
     rng = np.random.default_rng(d + r + n + docs)
     arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
-    w = rng.normal(size=(2 * r, docs * n))
+    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n)
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
     np.testing.assert_array_equal(node.value, h.value)
     root = sum_all(mul(node, w))
     backward(root)
@@ -518,14 +520,22 @@ def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
 
 @pytest.mark.parametrize("cols, docs", [(5, 2), (4, 0), (3, 4)])
 def test_bilstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
+    # docs=0 fails `errors.check_int` (ValidationError), the other two the shape check
     w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
-    with pytest.raises(ShapeError, match="documents"):
-        bilstm(np.ones((2, cols)), *w, *w, docs=docs)
+    with pytest.raises((ShapeError, ValidationError), match="documents|docs"):
+        bilstm(np.ones((cols, 2)), np.arange(cols), *w, *w, docs=docs)
 
 
-# two documents of five positions over five distinct columns: column 1 twice in the first
-# document, columns 2 and 3 in both, and the PAD column 0 at the end of each
-SHARED_COLUMNS = np.array([1, 2, 1, 3, 0, 3, 4, 2, 0, 0])
+@pytest.mark.parametrize("docs", [2.0, True, 0])
+def test_bilstm_rejects_a_document_count_that_is_not_a_positive_integer(docs):
+    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
+    with pytest.raises(ValidationError, match="docs"):
+        bilstm(np.ones((4, 2)), np.arange(4), *w, *w, docs=docs)
+
+
+# two documents of five positions over a table of five rows: row 1 twice in the first
+# document, rows 2 and 3 in both, and the PAD row 0 at the end of each
+SHARED_IDS = np.array([1, 2, 1, 3, 0, 3, 4, 2, 0, 0])
 
 
 @pytest.mark.parametrize("schedule", ["lockstep", "worker"])
@@ -533,10 +543,10 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
     _force(monkeypatch, schedule)
     rng = np.random.default_rng(690)
     params = _bilstm_arrays(rng, 3, 2, 5, 1)
-    params["x"] *= 2.0
-    w = _rand(rng, (4, SHARED_COLUMNS.size))
-    _check(lambda p: sum_all(mul(bilstm(p["x"], *(p[k] for k in BILSTM_WEIGHTS), 2,
-                                        SHARED_COLUMNS), w)), params)
+    params["table"] *= 2.0
+    w = _rand(rng, (4, SHARED_IDS.size))
+    _check(lambda p: sum_all(mul(bilstm(p["table"], SHARED_IDS, *(p[k] for k in BILSTM_WEIGHTS),
+                                        2), w)), params)
     assert bool(started) is (schedule == "worker")
 
 
@@ -546,12 +556,12 @@ def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         monkeypatch, schedule, d, r, n, docs):
     _force(monkeypatch, schedule)
     rng = np.random.default_rng(d + r + n + docs)
-    columns = rng.integers(0, n, size=docs * n)  # n columns: tokens repeat, some go unused
+    ids = rng.integers(0, n, size=docs * n)  # n table rows: tokens repeat, some go unused
     arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
     w = rng.normal(size=(2 * r, docs * n))
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["x"], *(got[k] for k in BILSTM_WEIGHTS), docs, columns)
-    h = bilstm_oracle(want["x"], *(want[k] for k in BILSTM_WEIGHTS), docs, columns)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -559,26 +569,29 @@ def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
 
 
-@pytest.mark.parametrize("columns", [
-    [0.0, 1.0, 2.0, 0.0], [True, False, True, False], [[0, 1], [2, 0]], 1, [0, 1, 2],
-    np.array([], dtype=np.int64), [0, 1, 3, 0], np.array([0, -1, 2, 0], dtype=np.int8),
+# token ids, from which `bilstm` builds its column map, for two documents over a 3-row table
+@pytest.mark.parametrize("ids, error", [
+    ([0.0, 1.0, 2.0, 0.0], ValidationError), ([True, False, True, False], ValidationError),
+    ([[0, 1], [2, 0]], ShapeError), (1, ShapeError), ([0, 1, 2], ShapeError),
+    (np.array([], dtype=np.int64), ShapeError), ([0, 1, 3, 0], ShapeError),
+    (np.array([0, -1, 2, 0], dtype=np.int8), ShapeError),
 ], ids=["float", "bool", "2-D", "0-D", "wrong-length", "empty", "past-x", "negative"])
-def test_bilstm_rejects_a_malformed_column_map(columns):
+def test_bilstm_rejects_a_malformed_column_map(ids, error):
     w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
-    with pytest.raises(ShapeError, match="column map"):
-        bilstm(np.ones((2, 3)), *w, *w, 2, columns)
+    with pytest.raises(error, match="token ids"):
+        bilstm(np.ones((3, 2)), ids, *w, *w, 2)
 
 
 def test_bilstm_rejects_a_direction_that_does_not_fit():
     fits, wide = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1))), np.ones((4, 3))
     with pytest.raises(ShapeError):
-        bilstm(np.ones((2, 3)), *fits, wide, *fits[1:])
+        bilstm(np.ones((3, 2)), [0, 1, 2], *fits, wide, *fits[1:])
 
 
 def test_bilstm_joins_its_worker_after_a_forward_and_a_backward(two_cpus, started):
     before = threading.active_count()
     arrays = _bilstm_arrays(np.random.default_rng(0), 6, 256, 3, 1, 0.1)
-    node = bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
+    node = bilstm(arrays["table"], [0, 1, 2], *(arrays[k] for k in BILSTM_WEIGHTS))
     assert threading.active_count() == before
     backward(sum_all(node))
     assert threading.active_count() == before
@@ -590,14 +603,14 @@ def test_bilstm_overflow_in_either_direction_raises_on_the_caller(monkeypatch, s
     # wx @ x and b are each 1e308 in one direction only, so its first pre-activation is inf;
     # the worker must see the caller's errstate, or the overflow warning would raise instead
     arrays = _bilstm_arrays(np.random.default_rng(1), 6, 256, 3, 1, 0.1)
-    arrays["x"][:] = 1.0 / 6
+    arrays["table"][:] = 1.0 / 6
     arrays["wx" + direction][:] = arrays["b" + direction][:] = 1e308
     before = threading.active_count()
     for schedule in SCHEDULES:
         started.clear()
         threads = _force(monkeypatch, schedule)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="pre-activation"):
-            bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS))
+            bilstm(arrays["table"], [0, 1, 2], *(arrays[k] for k in BILSTM_WEIGHTS))
         assert threading.active_count() == before
         assert len(started) == threads and not any(t.is_alive() for t in started)
 
@@ -605,11 +618,11 @@ def test_bilstm_overflow_in_either_direction_raises_on_the_caller(monkeypatch, s
 def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
     # the squares of 1e200 overflow the per-step check's sum, so it must look at every entry
     arrays = _bilstm_arrays(np.random.default_rng(1), 6, 3, 4, 1, 0.1)
-    arrays["x"][:] = 1.0 / 6
+    arrays["table"][:] = 1.0 / 6
     arrays["wx_b"][:] = 1e200
     for schedule in SCHEDULES:
         _force(monkeypatch, schedule)
-        h = bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS)).value
+        h = bilstm(arrays["table"], [0, 1, 2, 3], *(arrays[k] for k in BILSTM_WEIGHTS)).value
         # every reverse gate is 1, so its cell state counts the tokens read, from the right
         np.testing.assert_array_equal(h[3:], np.tanh([[4.0, 3.0, 2.0, 1.0]] * 3))
         assert np.isfinite(h).all()
@@ -626,7 +639,8 @@ def test_bilstm_takes_a_worker_only_at_large_shapes_with_two_cpus(
         monkeypatch, started, r, docs, cpus, threads):
     monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus)
     arrays = _bilstm_arrays(np.random.default_rng(2), 1, r, 1, docs, 0.1)
-    backward(sum_all(bilstm(arrays["x"], *(arrays[k] for k in BILSTM_WEIGHTS), docs)))
+    backward(sum_all(bilstm(arrays["table"], np.arange(docs), *(arrays[k] for k in BILSTM_WEIGHTS),
+                            docs)))
     assert len(started) == threads
 
 
@@ -650,13 +664,13 @@ def test_add_halves_equals_the_sum_of_the_halves_and_rejects_an_odd_row_count():
 @pytest.mark.parametrize("docs", [1, 2])
 def test_a_second_sweep_through_a_bilstm_node_raises_a_typed_error(docs):
     arrays = _bilstm_arrays(np.random.default_rng(3), 3, 2, 4, docs)
-    x = Node(arrays["x"])
-    root = sum_all(bilstm(x, *(arrays[k] for k in BILSTM_WEIGHTS), docs))
+    table = Node(arrays["table"])
+    root = sum_all(bilstm(table, np.arange(docs * 4), *(arrays[k] for k in BILSTM_WEIGHTS), docs))
     backward(root)
-    swept = x.grad.copy()
+    swept = table.grad.copy()
     with pytest.raises(ValidationError, match="already swept"):
         backward(root)
-    np.testing.assert_array_equal(x.grad, swept)
+    np.testing.assert_array_equal(table.grad, swept)
 
 
 @pytest.mark.parametrize("trial", range(10))
