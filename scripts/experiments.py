@@ -16,9 +16,10 @@ that measure it themselves (not through aapd-quality's quality gate):
 and holds the commit, the environment, each run's calibrated figure, the
 median raw seconds of its samples (a sample is one timed call: an
 embedding, a chunk of scored documents, a batch or epoch of training)
-and their count, its operation counts and, for aapd-quality (the only
-workload that trains a model to the quality check), its quality figures,
-and each workload's median and quartiles.
+and their count, its peak RSS (`peak_rss_mb`, the whole run's), its
+operation counts and, for aapd-quality (the only workload that trains a
+model to the quality check), its quality figures, and each workload's
+median and quartiles.
 
 With --trace, each workload and seed also gets one run with --trace 1,
 and BENCH_layers.json records, for every span of each traced run, its
@@ -84,6 +85,7 @@ def run_row(record: dict, prefix: str, metric: str) -> dict:
     raw = [raw_s for raw_s, _ in record["info"]["raw_and_reference_seconds"][metric]]
     return {"seed": record["environment"]["seed"], metric: measures[metric],
             f"{prefix}_raw_s": float(np.median(raw)), f"{prefix}_samples": len(raw),
+            "peak_rss_mb": measures["peak_rss_mb"],
             **{name: measures[name] for name in QUALITY if record["workload"] == "aapd-quality"},
             **{name: result[name] for name in ("correct", "attempted", "failed")}}
 
@@ -128,7 +130,8 @@ def summarize_layers(rows: list[dict]) -> dict:
 def summarize(rows: list[dict], prefix: str, metric: str) -> dict:
     """Median and quartiles of each figure over the runs, and the operation totals."""
     out = {}
-    for name in (metric, f"{prefix}_raw_s") + tuple(name for name in QUALITY if name in rows[0]):
+    for name in (metric, f"{prefix}_raw_s", "peak_rss_mb") + tuple(
+            name for name in QUALITY if name in rows[0]):
         q1, median, q3 = np.percentile([row[name] for row in rows], [25, 50, 75])
         out[name] = {"median": median, "q1": q1, "q3": q3}
     out["runs"] = len(rows)

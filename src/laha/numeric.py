@@ -19,12 +19,13 @@ batch of documents; the `sigmoid` of logits runs on plain arrays, outside
 the graph.  `take_rows` gathers rows by integer index and returns its
 input for the identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a batch of documents' token ids
-as one node, whose value is the model's H = [H_f; H_b] (`add_halves`
-gives H_f + H_b from it): a GEMM per direction projects each distinct
-token's embedding once, placed by its index in `np.unique`'s sorted ids,
-the step loops keep only the recurrent GEMM and the gate math, and the
-backward is hand-written BPTT that sums a token's gate gradients (one
-`np.bincount`) before the input-side GEMMs and adds one per table row.
+as one node, whose value is the model's read-only H = [H_f; H_b]
+(`add_halves` gives H_f + H_b from it): a GEMM per direction projects
+each distinct token's embedding once, placed by its index in `np.unique`'s
+sorted ids.  The node keeps its gates and cell states; its hand-written
+BPTT reads the states before each step back from H and sums a token's
+gate gradients in stepping order (`np.bincount` per block of gate rows)
+before the input-side GEMMs, adding one per table row.
 Its kernel steps a stack of directions, every array with a direction
 axis: below r * r * docs = `_WORKER_MIN` both step in lockstep, each op
 one call for the two; from it on each is a stack of its own, and when
@@ -427,8 +428,8 @@ def bilstm(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
     r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
     two 4r x r recurrent matrices would evict each other from the cache, so each direction
     is a stack of its own, the reverse one on a worker thread if two CPUs are usable.  A
-    stack's step makes one call per op for all its directions and allocates nothing; the
-    gates take one in-place `_sigmoid`.
+    stack's step makes one call per op for all its directions and allocates nothing.  The node
+    keeps the gates and cell states, and the value is read-only: the BPTT reads H back.
     """
     check_int("docs", docs, 1)
     table, *w = (_node(a) for a in (table, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
@@ -443,6 +444,7 @@ def bilstm(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
                          f"{ids.shape} do not fit a {table.value.shape} table")
     h = np.empty((2 * r, ids.size), order="F" if docs == 1 else "C")  # see `_lstm`
     bptt = _lstm(table.value[rows].T, [a.value for a in w], docs, rows.searchsorted(ids), h)
+    h.flags.writeable = False  # the BPTT reads its states back from H
 
     def bwd(grad):
         grads = bptt(grad)  # each direction's dwx, dwh, db and dx, the forward one first
@@ -460,7 +462,8 @@ def _lstm(x, w, docs: int, cols, out):
     D directions makes one recurrent GEMM and one call per elementwise op a step, through
     buffers made before the loop; each direction's GEMMs keep the oracle's layouts
     (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (each position's column of x)
-    places x's projections (`take`, clip mode: unbuffered); dz sums follow the stepping order.
+    places x's projections (`take`, clip mode: unbuffered); the BPTT reads the states before each
+    step from out and sums dz per block of gate rows, each sum in stepping order.
     """
     r, n, u = w[1].shape[1], cols.size // docs, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -484,7 +487,7 @@ def _lstm(x, w, docs: int, cols, out):
             (w[3 * k] @ x).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
         wh, b = (w[3 * ks[0] + m][None] if D == 1 else np.stack(w[m::3]) for m in (1, 2))
         by_step = gates.transpose(2, 0, 1, 3)
-        c, h = np.zeros((2, n + 1, D, r, docs))  # c[s + 1], h[s + 1]: states after step s
+        c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
         zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
@@ -509,28 +512,29 @@ def _lstm(x, w, docs: int, cols, out):
             raise NumericalError("lstm: non-finite cell state")
         for j, (k, step) in enumerate(zip(ks, steps)):
             out[k * r : (k + 1) * r].reshape(r, docs, n)[...] = h[1:, j][::step].transpose(1, 2, 0)
-        saved = [gates, c, h]
+        saved = [gates, c]  # not h, a buffer of its own: the BPTT reads the states back from out
 
         def bptt(grad):
             if not saved:
                 raise ValidationError("bilstm: the graph was already swept; build a fresh one")
-            gates, c, h = saved
+            gates, c = saved
             saved.clear()
             dh_out = [grad[k * r : (k + 1) * r].reshape(r, docs, n).transpose(2, 0, 1)[::step, None]
                       for k, step in zip(ks, steps)]
             dh_out = np.concatenate(dh_out, axis=1) if D == 2 else dh_out[0]  # n x D x r x docs
             # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k overwrites its
-            # gate (n x D x r x docs views), with products in the oracle's order, and then dz
-            # overwrites k
+            # gate (n x D x r x docs views) in place, as the oracle's (a * y) * (1 - y) with a * y
+            # first, and dz then overwrites k; no call writes one gate while reading another
             i, f, g, o = gates.reshape(D, 4, r, n, docs).transpose(1, 3, 0, 2, 4)
-            f_kept, tc = f.copy(), np.tanh(c[1:])
-            dc_dh, k2 = o * (1.0 - tc * tc), i * (1.0 - g * g)
-            for a, y in ((tc, o), (g, i), (c[:-1], f)):  # y <- a * y * (1 - y)
-                a = a * y
-                np.subtract(1.0, y, out=y)
-                y *= a
-            g[...] = k2
-            del tc, k2, c, a
+            f_kept, tc, c_prev = f.copy(), np.tanh(c[1:]), c[:-1]
+            dc_dh = np.multiply(tc, tc)
+            np.multiply(o, np.subtract(1.0, dc_dh, out=dc_dh), out=dc_dh)  # o * (1 - tc * tc)
+            np.multiply(np.multiply(tc, o, out=tc), np.subtract(1.0, o, out=o), out=o)
+            np.multiply(np.multiply(c_prev, f, out=c_prev), np.subtract(1.0, f, out=f), out=f)
+            np.multiply(i, np.subtract(1.0, np.multiply(g, g, out=tc), out=tc), out=tc)  # g's k
+            np.multiply(np.multiply(g, i, out=c_prev), np.subtract(1.0, i, out=i), out=i)
+            g[...] = tc
+            del tc, c, c_prev
             dh, dc, dh_next, dc_next = np.zeros((4, D, r, docs))
             dz = np.empty((D, 4 * r, docs))
             dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
@@ -548,13 +552,23 @@ def _lstm(x, w, docs: int, cols, out):
                 np.multiply(dc, f_s, out=dc_next)
                 dz_s[...] = dz
             del dh_out, dc_dh, f_kept, dh_s, dc_dh_s, f_s
-            # dz summed per direction, gate row and column of x, in stepping order
-            dz_u = np.bincount((np.arange(0, D * 4 * r * u, u).reshape(D, 4 * r, 1) + at[:, None])
-                               .ravel(), gates.ravel(), D * 4 * r * u).reshape(D, 4 * r, u)
+            # dz summed per direction, gate row and column of x, in stepping order: one bincount
+            # per block of the D * 4r gate rows, over at most 2^18 index entries
+            block, dz_rows = max(1, 2**18 // (n * docs)), gates.reshape(D * 4 * r, n * docs)
+            dz_u = np.empty((D, 4 * r, u))
+            for lo in range(0, D * 4 * r, block):
+                q = np.arange(lo, min(lo + block, D * 4 * r))
+                at_q = at[q // (4 * r)]
+                at_q += (q - lo)[:, None] * u
+                dz_u.reshape(-1, u)[lo : lo + block] = np.bincount(
+                    at_q.ravel(), dz_rows[lo : lo + block].ravel(), q.size * u).reshape(q.size, u)
+            del at_q
             grads = []
             for j, (k, step) in enumerate(zip(ks, steps)):
                 dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
-                h_j = h[:-1, j].transpose(0, 2, 1).reshape(n * docs, r)
+                h_k = out[k * r : (k + 1) * r].reshape(r, docs, n)[:, :, ::step]  # stepping order
+                h_j = np.zeros((n * docs, r))  # the states before each step: 0, then H's
+                h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
                 dwx = dz_u[j][:, ::step] @ x.T[::step]  # x's columns in stepping order
                 grads += [dwx, dz @ h_j, dz.sum(axis=1)[:, None], w[3 * k].T @ dz_u[j]]
             return grads

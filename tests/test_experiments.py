@@ -23,24 +23,37 @@ def test_parse_seeds_takes_ranges_and_single_seeds(experiments):
 def test_summarize_two_runs(experiments):
     rows = [
         {"seed": 1, "score_docs_per_s": 4.0, "score_raw_s": 0.5, "score_samples": 3,
-         "correct": True, "attempted": 10, "failed": 0},
+         "peak_rss_mb": 200.0, "correct": True, "attempted": 10, "failed": 0},
         {"seed": 2, "score_docs_per_s": 6.0, "score_raw_s": 0.25, "score_samples": 4,
-         "correct": False, "attempted": 12, "failed": 1},
+         "peak_rss_mb": 204.0, "correct": False, "attempted": 12, "failed": 1},
     ]
     assert experiments.summarize(rows, "score", "score_docs_per_s") == {
         "score_docs_per_s": {"median": 5.0, "q1": 4.5, "q3": 5.5},
         "score_raw_s": {"median": 0.375, "q1": 0.3125, "q3": 0.4375},
+        "peak_rss_mb": {"median": 202.0, "q1": 201.0, "q3": 203.0},
         "runs": 2, "correct_runs": 1, "attempted": 22, "failed": 1,
     }
 
 
 def test_summarize_reports_quality_where_the_runs_have_it(experiments):
     quality = dict.fromkeys(experiments.QUALITY, 0.5)
-    rows = [{"seed": s, "train_docs_per_s": 2.0, "train_raw_s": 1.0, "correct": True,
-             "attempted": 1, "failed": 0, **quality} for s in (1, 2)]
+    rows = [{"seed": s, "train_docs_per_s": 2.0, "train_raw_s": 1.0, "peak_rss_mb": 40.0,
+             "correct": True, "attempted": 1, "failed": 0, **quality} for s in (1, 2)]
     summary = experiments.summarize(rows, "train", "train_docs_per_s")
     for name in experiments.QUALITY:
         assert summary[name] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_run_row_records_the_runs_peak_rss(experiments):
+    # a hand-made aapd-train record: the row takes the run's peak RSS from its measures
+    record = {"workload": "aapd-train", "environment": {"seed": 3},
+              "measures": {"train_docs_per_s": 22.5, "peak_rss_mb": 241.6, "setup_s": 0.08},
+              "info": {"raw_and_reference_seconds": {"train_docs_per_s": [[0.7, 0.01],
+                                                                          [0.9, 0.01]]}},
+              "result": {"correct": True, "attempted": 2, "failed": 0}}
+    assert experiments.run_row(record, "train", "train_docs_per_s") == {
+        "seed": 3, "train_docs_per_s": 22.5, "train_raw_s": 0.8, "train_samples": 2,
+        "peak_rss_mb": 241.6, "correct": True, "attempted": 2, "failed": 0}
 
 
 @pytest.mark.parametrize("text", ["5-3", "1,1", "1-3,2", "4,2-5"])

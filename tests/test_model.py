@@ -149,6 +149,22 @@ def test_bilstm_forward_hands_the_bilstm_node_itself_to_the_trace():
     assert np.shares_memory(trace.h.value, built[0].value)
 
 
+def test_a_write_into_the_bilstm_states_raises_instead_of_changing_gradients():
+    # the BPTT reads the states before each step back from H: H is read-only, and so is the
+    # column view each document of a batch reads
+    cfg = _cfg()
+    params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
+    rows, masks, subsets = _batch(cfg, 15, docs=3, seed=4)
+    one = _forward(cfg, params, lv, "laha")
+    view = forward_batch(rows, masks, wrap_params(params), lv, subsets)[1].h.value
+    assert view.base is not None and view.shape == (2 * cfg.r, cfg.max_len)
+    for h in (one.h.value, view):
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            h *= 2.0
+
+
 def test_forward_node_count_independent_of_max_len(monkeypatch):
     counts = []
     node_init = Node.__init__

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -550,7 +551,10 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
     assert bool(started) is (schedule == "worker")
 
 
-@pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2)])
+# the last shape sums dz in blocks of 5 gate rows (2^18 // 48000 positions), one of which
+# holds rows of both directions when they step in lockstep
+@pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2),
+                                           (3, 4, 4, 12000)])
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         monkeypatch, schedule, d, r, n, docs):
@@ -626,6 +630,39 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
         # every reverse gate is 1, so its cell state counts the tokens read, from the right
         np.testing.assert_array_equal(h[3:], np.tanh([[4.0, 3.0, 2.0, 1.0]] * 3))
         assert np.isfinite(h).all()
+
+
+# `bilstm`'s traced bytes in state-sized buffers, n x r x docs float64 (one direction's
+# states).  The forward keeps the gates (4 a direction) and c (n + 1 steps) beyond H and x,
+# and half a state for the column maps.  The backward's peak is H's gradient (2), a
+# direction's copy of f, tanh(c) (then scratch) and dc/dh (3 each, both directions at once),
+# both directions' dh stacked in lockstep (2) and 1 for the rest.  The dz sums' index, at most
+# 2^18 entries (2 MB, 1.6 states here) a call, comes after those three are freed.
+@pytest.mark.parametrize("schedule, states", [("lockstep", 2 + 6 + 2 + 1), ("worker", 2 + 6 + 1)])
+def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
+        monkeypatch, schedule, states):
+    _force(monkeypatch, schedule)
+    d, r, n, docs = 8, 16, 40, 256
+    rng = np.random.default_rng(6)
+    arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
+    ids = rng.integers(0, n, size=n * docs)
+    weights = [arrays[k] for k in BILSTM_WEIGHTS]
+    backward(sum_all(bilstm(arrays["table"], ids[:n], *weights)))  # first-call imports
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        node = bilstm(arrays["table"], ids, *weights, docs)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        root = sum_all(node)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        backward(root)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    state, x = n * r * docs * 8, d * np.unique(ids).size * 8
+    assert (kept - node.value.nbytes - x) / state <= 2 * (4 * n + n + 1) / n + 0.5
+    assert peak / state <= states
 
 
 @pytest.mark.parametrize("r, docs, cpus, threads", [
