@@ -60,7 +60,16 @@ class ModelConfig:
 
 
 class ModelParams(dict):
-    """Parameter name -> array, one entry per `param_table` row, in its order."""
+    """Name -> zero-filled float64 array of the given shape, each a view of one buffer, `flat`.
+
+    `flat` is C-contiguous, in this order, and Adam walks it in chunks: never replace an array.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes.values()]).tolist()
+        self.flat = np.zeros(ends[-1])
+        super().__init__((name, self.flat[start:end].reshape(shape))
+                         for (name, shape), start, end in zip(shapes.items(), ends, ends[1:]))
 
     def arrays(self) -> dict[str, np.ndarray]:
         return self
@@ -97,7 +106,7 @@ def param_table(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int, 
 
 
 def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelParams:
-    """Seeded parameters per `param_table`, Xavier-uniform draws in table order."""
+    """Seeded parameters per `param_table`, Xavier-uniform draws in table order, made in place."""
     check_int("seed", seed, 0)
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.ndim != 2 or embedding.shape[1] != cfg.d:
@@ -107,16 +116,17 @@ def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelPara
     if not np.isfinite(embedding).all():
         raise NumericalError("embedding table has non-finite entries")
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, (rows, cols, init) in param_table(cfg, embedding.shape[0]).items():
+    table = param_table(cfg, embedding.shape[0])
+    params = ModelParams({name: (rows, cols) for name, (rows, cols, _) in table.items()})
+    for name, (_, cols, init) in table.items():
         if init == "given":
-            arrays[name] = embedding.copy()
-        elif init == "zeros":
-            arrays[name] = np.zeros((rows, cols))
-        else:
+            params[name][...] = embedding
+        elif init != "zeros":  # rng.uniform(-limit, limit)'s arithmetic, drawn into the view
             limit = math.sqrt(6.0 / (cols + init))
-            arrays[name] = rng.uniform(-limit, limit, size=(rows, cols))
-    return ModelParams(arrays)
+            view = rng.random(out=params[name])
+            view *= limit + limit
+            view -= limit
+    return params
 
 
 def wrap_params(params: ModelParams) -> dict[str, Node]:

@@ -1,4 +1,4 @@
-"""Negative-sampled training loop, Adam optimizer, checkpointing.
+"""Negative-sampled training loop, Adam in chunks over packed buffers, checkpointing.
 
 Each document trains against its positive labels plus a small random set
 of negatives; a batch runs through one `model.forward_batch` call, and
@@ -12,7 +12,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from typing import Sequence
 
@@ -29,6 +29,7 @@ from .numeric import Node
 CHECKPOINT_FORMAT = "laha-checkpoint"
 CHECKPOINT_VERSION = 1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # a checkpoint records them, and must match
+_CHUNK = 1 << 16  # floats per Adam pass: all of a d = r = 32 model; five such arrays stay cached
 
 
 @dataclass
@@ -50,42 +51,50 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and shared step counter."""
+    """The shared step counter, and moments m and v packed in the order of their parameters."""
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int
+    m: ModelParams
+    v: ModelParams
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(m={n: np.zeros_like(a) for n, a in params.items()},
-                   v={n: np.zeros_like(a) for n, a in params.items()})
+        return cls(0, *(ModelParams({n: a.shape for n, a in params.items()}) for _ in "mv"))
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float):
+    """One bias-corrected Adam update, in place, of the parameters `grads` names.
+
+    They must end `params`, `state.m` and `state.v`, in order, and every gradient is checked
+    before anything is written.  The tail spans go in chunks of `_CHUNK` floats, gathering the
+    gradients a chunk spans; each element takes Adam's ops in Adam's order.
+    """
+    for name, g in grads.items():
+        if g.shape != params[name].shape:
+            raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+    packs = (params, state.m, state.v)
+    if any(list(pack)[len(pack) - len(grads):] != list(grads) for pack in packs):
+        raise ValidationError(f"{list(grads)} must end the parameters and both moments, in order")
+    starts = np.cumsum([0] + [g.size for g in grads.values()]).tolist()
+    p_all, m_all, v_all = (pack.flat[pack.flat.size - starts[-1]:] for pack in packs)
+    state.step += 1
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step
+    scratch = np.empty((2, min(starts[-1], _CHUNK)))
+    for lo in range(0, starts[-1], _CHUNK):
+        hi = min(lo + _CHUNK, starts[-1])
+        pieces = [g.reshape(-1)[max(lo - start, 0) : hi - start] for g, start, end
+                  in zip(grads.values(), starts, starts[1:]) if start < hi and end > lo]
+        u, t = scratch[:, : hi - lo]  # u holds a gathered g until the moments are updated
+        g = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, out=u)
+        p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, g, out=t), 1.0 - ADAM_BETA2, out=t)
+        np.add(np.sqrt(np.divide(v, bc2, out=t), out=t), ADAM_EPS, out=t)
+        p -= np.divide(np.multiply(np.divide(m, bc1, out=u), lr, out=u), t, out=u)
 
 
 def sample_labels(
@@ -101,7 +110,7 @@ def sample_labels(
     check_int("k", k, 1)
     if not positives:
         raise ValidationError("cannot sample labels for an empty positive set")
-    complement = np.setdiff1d(np.arange(k), positives, assume_unique=False)
+    complement = np.flatnonzero(np.bincount(positives, minlength=k) == 0)
     if negatives_per_doc >= complement.size:
         return positives + complement.tolist()
     drawn = rng.choice(complement, size=negatives_per_doc, replace=False)
@@ -137,7 +146,7 @@ def train(
     updates only when cfg.finetune_word_vectors.  Epoch randomness comes
     from a stream seeded by (cfg.seed, epoch), so training from epoch e of
     a checkpoint continues the original run exactly.  A given `adam` must
-    hold m and v in the shape of every trainable parameter.
+    end with m and v in the shape of every trainable parameter, in order.
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
@@ -181,7 +190,7 @@ def train(
             loss_value = float(loss.value[0, 0])
             grads = {n: param_nodes[n].grad for n in trainable}
             del traces, loss, param_nodes  # free the graph before Adam's temporaries
-            adam_step({n: params[n] for n in trainable}, grads, adam, cfg.learning_rate)
+            adam_step(params, grads, adam, cfg.learning_rate)
             loss_sum += loss_value * len(batch)
             docs_seen += len(batch)
         history.append(loss_sum / docs_seen)
@@ -296,13 +305,16 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     expected_bytes = sum(rows * cols for _, rows, cols in expected) * 8
     if len(payload) != expected_bytes:
         raise CheckpointError(f"payload is {len(payload)} bytes, header declares {expected_bytes}")
-    tensors: dict[str, np.ndarray] = {}
+    params = ModelParams({n: (rows, cols) for n, (rows, cols, _) in table.items()})
+    m, v = (ModelParams({n: table[n][:2] for n in table if n in adam_names}) for _ in "mv")
+    tensors = {f"{kind}/{n}": a for kind, pack in (("param", params), ("adam_m", m), ("adam_v", v))
+               for n, a in pack.items()}  # views to fill in file order; moments in table order
     offset = 0
     for name, rows, cols in expected:
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name} has non-finite entries")
-        tensors[name] = arr.reshape(rows, cols).astype(np.float64)
+        tensors[name][...] = arr.reshape(rows, cols)
         offset += rows * cols * 8
 
     for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
@@ -311,14 +323,12 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     if [adam_info[key] for key in ("beta1", "beta2", "eps")] != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
         raise CheckpointError(f"Adam's beta1, beta2 and eps must be {ADAM_BETA1}, {ADAM_BETA2} "
                               f"and {ADAM_EPS}")
-    adam = AdamState(adam_info["step"], {n: tensors[f"adam_m/{n}"] for n in adam_names},
-                     {n: tensors[f"adam_v/{n}"] for n in adam_names})
     return Checkpoint(
-        params=ModelParams((n, tensors[f"param/{n}"]) for n in table),
+        params=params,
         model_cfg=model_cfg,
         variant=variant,
         vocab_tokens=vocab_tokens,
         train_cfg=train_cfg,
-        adam=adam,
+        adam=AdamState(adam_info["step"], m, v),
         epoch=header["epoch"],
     )

@@ -18,6 +18,9 @@ rows with `take_rows` and `transpose` and stacks two `lstm` nodes on
 `numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
 `bilstm_per_position` gathers every position's row instead, on the
 identity map: the per-position arithmetic, equal to rounding.
+`adam_step_oracle` is Adam as a loop over parameter names, one array at
+a time: the reference that the chunked `training.adam_step` must match
+bit for bit.  `packed` copies plain arrays into one `ModelParams` buffer.
 `grad_check` pits `backward`'s gradients against central finite
 differences.
 """
@@ -28,10 +31,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
+from laha.model import ModelParams
 from laha.numeric import (
     Node, _node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid,
     take_rows, transpose,
 )
+from laha.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def add(a, b) -> Node:
@@ -317,6 +322,41 @@ def bilstm_per_position(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int 
     """H over every position's row, a column each: no token's dz is summed before a GEMM."""
     return _two_lstms(transpose(take_rows(table, ids)), wx_f, wh_f, b_f, wx_b, wh_b, b_b,
                       docs, None)
+
+
+# ---------------------------------------------------------------------------
+# Adam
+# ---------------------------------------------------------------------------
+
+
+def packed(arrays: dict[str, np.ndarray]) -> ModelParams:
+    """The arrays copied, in order, into the views of one `ModelParams` buffer."""
+    params = ModelParams({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        params[name][...] = a
+    return params
+
+
+def adam_step_oracle(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state,
+                     lr: float) -> None:
+    """One bias-corrected Adam update, in place, a parameter at a time in `params` order."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

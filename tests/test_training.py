@@ -12,10 +12,11 @@ from laha.errors import (
     ShapeError,
     ValidationError,
 )
-from laha.model import ModelConfig, forward, init_params, wrap_params
+from laha.model import ModelConfig, forward, init_params, param_table, wrap_params
 from laha.numeric import Node
 from laha.training import (
     ADAM_EPS,
+    _CHUNK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -26,7 +27,7 @@ from laha.training import (
     train,
 )
 
-from extra_ops import grad_check
+from extra_ops import adam_step_oracle, grad_check, packed
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,32 @@ def test_sample_labels_zero_negatives():
 def test_sample_labels_empty_positives():
     with pytest.raises(ValidationError):
         sample_labels([], 3, 10, np.random.default_rng(0))
+
+
+def _sample_labels_by_setdiff1d(positives, negatives_per_doc, k, rng):
+    """`sample_labels` with the complement that `np.setdiff1d` gives: the reference."""
+    complement = np.setdiff1d(np.arange(k), positives)
+    if negatives_per_doc >= complement.size:
+        return positives + complement.tolist()
+    return positives + [int(x) for x in rng.choice(complement, size=negatives_per_doc,
+                                                   replace=False)]
+
+
+@pytest.mark.parametrize("case", ["random positives", "one positive", "every label positive"])
+def test_sample_labels_draws_as_the_setdiff1d_complement_does(case):
+    trials = np.random.default_rng(8)
+    for seed in range(60):
+        k = int(trials.integers(1, 90))
+        if case == "random positives":
+            positives = sorted(trials.choice(k, size=int(trials.integers(1, k + 1)),
+                                             replace=False).tolist())
+        else:
+            positives = [int(trials.integers(k))] if case == "one positive" else list(range(k))
+        negatives = int(trials.integers(0, k + 2))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (sample_labels(positives, negatives, k, rng)
+                == _sample_labels_by_setdiff1d(positives, negatives, k, oracle_rng))
+        assert rng.random() == oracle_rng.random()  # the same draws were taken
 
 
 def test_sample_labels_size_bound():
@@ -133,7 +160,7 @@ def test_bce_gradient_matches_finite_differences():
 
 
 def test_adam_zero_gradient_is_noop():
-    p = {"w": np.array([[1.0, -2.0]])}
+    p = packed({"w": np.array([[1.0, -2.0]])})
     g = {"w": np.zeros((1, 2))}
     state = AdamState.init(p)
     adam_step(p, g, state, lr=0.1)
@@ -144,7 +171,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_magnitude():
     # first update is ~ -lr * sign(g): |delta| = lr * |g| / (|g| + eps)
     for g0 in (3.0, -0.7, 1e-4):
-        p = {"w": np.array([[0.0]])}
+        p = packed({"w": np.array([[0.0]])})
         state = AdamState.init(p)
         adam_step(p, {"w": np.array([[g0]])}, state, lr=0.1)
         delta = p["w"][0, 0]
@@ -167,7 +194,7 @@ def test_adam_three_steps_match_scalar_oracle():
         x_hand -= lr * m_hat / (math.sqrt(v_hat) + eps)
         trajectory.append(x_hand)
 
-    p = {"x": np.array([[1.0]])}
+    p = packed({"x": np.array([[1.0]])})
     state = AdamState.init(p)
     mine = []
     for _ in range(3):
@@ -178,10 +205,69 @@ def test_adam_three_steps_match_scalar_oracle():
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = {"bad_param": np.array([[1.0]])}
+    p = packed({"bad_param": np.array([[1.0]])})
     state = AdamState.init(p)
     with pytest.raises(NumericalError, match="bad_param"):
         adam_step(p, {"bad_param": np.array([[np.nan]])}, state, lr=0.1)
+
+
+def test_adam_checks_every_gradient_before_it_writes():
+    p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
+    state = AdamState.init(p)
+    with pytest.raises(NumericalError, match="'b'"):
+        adam_step(p, {"a": np.array([[0.5]]), "b": np.array([[np.nan]])}, state, lr=0.1)
+    assert p.flat.tolist() == [1.0, 1.0]
+    assert state.m.flat.tolist() == state.v.flat.tolist() == [0.0, 0.0]
+    assert state.step == 0
+
+
+def test_adam_refuses_gradients_that_do_not_end_the_packed_arrays():
+    p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
+    for state, grads in [(AdamState.init(p), {"a": np.array([[0.5]])}),
+                         (AdamState.init({"b": p["b"], "a": p["a"]}),
+                          {"a": np.array([[0.5]]), "b": np.array([[0.5]])})]:
+        with pytest.raises(ValidationError, match="must end"):
+            adam_step(p, grads, state, lr=0.1)
+        assert p.flat.tolist() == [1.0, 1.0] and state.step == 0
+
+
+# every parameter, in table order, of a d = r = d_a = 32 model over 54 labels and 363 words
+SMALL = {n: (rows, cols) for n, (rows, cols, _) in
+         param_table(ModelConfig(k=54, max_len=14, d=32, r=32, d_a=32), 363).items()}
+# c straddles the first chunk boundary, d fills chunks of its own, e shares the last one
+STRADDLING = {"a": (1, 21), "b": (3, 7), "c": (_CHUNK // 50, 60), "d": (2, _CHUNK), "e": (3, 3)}
+
+
+@pytest.mark.parametrize("shapes, trainable, moments", [
+    (STRADDLING, list(STRADDLING), list(STRADDLING)),
+    (SMALL, list(SMALL), list(SMALL)),
+    (SMALL, list(SMALL)[1:], list(SMALL)),
+    (SMALL, list(SMALL)[1:], list(SMALL)[1:]),
+], ids=["several chunks", "one gathered chunk", "frozen embedding, every moment",
+        "frozen embedding, trainable moments"])
+def test_adam_is_bit_identical_to_the_per_name_loop(shapes, trainable, moments):
+    sizes = [rows * cols for rows, cols in shapes.values()]
+    if shapes is STRADDLING:
+        assert sum(sizes[:2]) < _CHUNK < sum(sizes[:3]) and sum(sizes) > 3 * _CHUNK
+    else:
+        assert sum(sizes) < _CHUNK
+    rng = np.random.default_rng(3)
+    arrays = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    params, oracle = packed(arrays), {n: a.copy() for n, a in arrays.items()}
+    state = AdamState.init({n: params[n] for n in moments})
+    oracle_state = AdamState.init({n: oracle[n] for n in moments})
+    for step in range(3):
+        grads = {n: rng.normal(scale=10.0 ** (step - 1), size=shapes[n]) for n in trainable}
+        adam_step(params, grads, state, lr=0.01)
+        adam_step_oracle({n: oracle[n] for n in trainable}, grads, oracle_state, lr=0.01)
+    assert state.step == oracle_state.step == 3
+    for name in shapes:
+        np.testing.assert_array_equal(params[name], oracle[name])
+    for name in moments:
+        np.testing.assert_array_equal(state.m[name], oracle_state.m[name])
+        np.testing.assert_array_equal(state.v[name], oracle_state.v[name])
+    for name in set(shapes) - set(trainable):
+        np.testing.assert_array_equal(params[name], arrays[name])
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +484,37 @@ def test_train_batches_match_per_document_oracle():
         np.testing.assert_allclose(arr, oracle.arrays()[name], rtol=0, atol=1e-12)
 
 
+def test_train_updates_the_callers_arrays_in_place():
+    cfg, vocab, params, lv, docs, tcfg = _train_setup(seed=5)
+    arrays, flat = dict(params), params.flat
+    before = flat.copy()
+    returned, _ = train(docs, vocab, params, cfg, lv, tcfg)
+    assert returned is params and params.flat is flat
+    assert all(params[name] is arr for name, arr in arrays.items())
+    assert not np.array_equal(flat, before)
+    _assert_packed(params, param_table(cfg, len(vocab)))
+
+
+def test_train_carries_a_given_adam_state_across_calls():
+    # as the bench trains: one call per epoch, the same AdamState each time
+    cfg, vocab, params, lv, docs, _ = _train_setup(seed=6)
+    whole = init_params(cfg, params["embedding"], 6)
+
+    def epochs(n):
+        return TrainConfig(epochs=n, learning_rate=0.01, batch_size=1, negatives_per_doc=2, seed=6)
+
+    adam_whole = AdamState.init(whole.arrays())
+    train(docs, vocab, whole, cfg, lv, epochs(3), adam=adam_whole)
+    adam = AdamState.init(params.arrays())
+    m, v = adam.m, adam.v
+    for epoch in range(3):
+        train(docs, vocab, params, cfg, lv, epochs(epoch + 1), adam=adam, start_epoch=epoch)
+    assert adam.m is m and adam.v is v
+    assert adam.step == adam_whole.step == 3 * len(docs)
+    for pack, want in [(params, whole), (m, adam_whole.m), (v, adam_whole.v)]:
+        np.testing.assert_array_equal(pack.flat, want.flat)
+
+
 def test_train_all_variants():
     for variant in ("sa", "ia", "sa+ia", "laha"):
         cfg, vocab, params, lv, docs, tcfg = _train_setup(seed=7)
@@ -434,6 +551,34 @@ def _checkpoint_roundtrip(tmp_path, epochs_first=1, epochs_total=2, seed=11):
     train(docs, Vocabulary(ckpt.vocab_tokens), ckpt.params, ckpt.model_cfg, lv,
           tcfg, adam=ckpt.adam, start_epoch=ckpt.epoch)
     return params_full, ckpt.params
+
+
+def _assert_packed(pack, names):
+    """`pack` holds `names`, in order, as consecutive views of its one C-contiguous buffer."""
+    assert list(pack) == list(names)
+    assert pack.flat.dtype == np.float64 and pack.flat.flags.c_contiguous
+    offset = 0
+    for arr in pack.values():
+        assert arr.base is pack.flat and arr.ctypes.data == pack.flat.ctypes.data + 8 * offset
+        offset += arr.size
+    assert offset == pack.flat.size
+
+
+def test_init_params_and_load_checkpoint_pack_each_buffer_in_table_order(tmp_path):
+    cfg, vocab, params, lv, docs, tcfg = _train_setup(seed=10)
+    table = param_table(cfg, len(vocab))
+    _assert_packed(params, table)
+    frozen = TrainConfig(epochs=1, batch_size=2, seed=10, finetune_word_vectors=False)
+    adam = AdamState.init({n: a for n, a in params.items() if n != "embedding"})
+    train(docs, vocab, params, cfg, lv, frozen, adam=adam)
+    save_checkpoint(str(tmp_path / "ckpt.bin"), params, cfg, "laha", vocab, frozen, adam, 1)
+    # the fixture lists its moments in sorted order; loaded, they follow the table
+    for path in (tmp_path / "ckpt.bin", FIXTURES / "checkpoint_v1_tiny.bin"):
+        ckpt = load_checkpoint(str(path))
+        table = param_table(ckpt.model_cfg, len(ckpt.vocab_tokens))
+        _assert_packed(ckpt.params, table)
+        _assert_packed(ckpt.adam.m, list(table)[1:])
+        _assert_packed(ckpt.adam.v, list(table)[1:])
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
