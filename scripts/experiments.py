@@ -1,4 +1,5 @@
-"""Bench runs over seeds, summarized in BENCH_labelembed.json, BENCH_score.json, BENCH_train.json.
+"""Bench runs over seeds, summarized in BENCH_labelembed.json, BENCH_score.json, BENCH_setup.json
+and BENCH_train.json.
 
 For each seed, runs
 
@@ -11,11 +12,12 @@ that measure it themselves (not through aapd-quality's quality gate):
 
     BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
     BENCH_score.json       score_docs_per_s  eurlex-score, aapd-quality
+    BENCH_setup.json       setup_s           aapd-train, eurlex-score, aapd-quality
     BENCH_train.json       train_docs_per_s  aapd-train, aapd-quality
 
 and holds the commit, the environment, each run's calibrated figure, the
-median raw seconds of its samples (a sample is one timed call: an
-embedding, a chunk of scored documents, a batch or epoch of training)
+median raw seconds of its samples (a sample is one timed call: a set-up,
+an embedding, a chunk of scored documents, a batch or epoch of training)
 and their count, its peak RSS (`peak_rss_mb`, the whole run's), its
 operation counts and, for aapd-quality (the only workload that trains a
 model to the quality check), its quality figures, and each workload's
@@ -50,6 +52,7 @@ QUALITY = ("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5", "g1_ndcg_at_5
 BENCH_FILES = {
     "BENCH_labelembed.json": ("label_embed", "label_embed_s", ("aapd-quality", "eurlex-score")),
     "BENCH_score.json": ("score", "score_docs_per_s", ("eurlex-score", "aapd-quality")),
+    "BENCH_setup.json": ("setup", "setup_s", ("aapd-train", "eurlex-score", "aapd-quality")),
     "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
 }
 WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")

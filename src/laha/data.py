@@ -112,12 +112,13 @@ class Vocabulary:
 
 
 def build_vocab(corpus: Corpus) -> Vocabulary:
-    """Every token of the corpus, most frequent first, ties lexicographic; at most MAX_VOCAB."""
+    """Every token of the corpus, at most MAX_VOCAB, in `(-count, token)` order: sorted by token,
+    then stably by count, where `reverse` keeps tokens of equal count in the order they came."""
     counts: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.tokens)
     del counts[PAD_TOKEN], counts[UNK_TOKEN]  # in a text they keep their reserved ids
-    return Vocabulary(sorted(counts, key=lambda tok: (-counts[tok], tok))[:MAX_VOCAB])
+    return Vocabulary(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:MAX_VOCAB])
 
 
 @dataclass
@@ -132,9 +133,10 @@ def load_word_vectors(
 ) -> WordVectors:
     """Fill the table from a GloVe-style stream.
 
-    In-vocabulary tokens take their file vector (last occurrence wins);
-    the rest draw uniform(-0.25, 0.25) from one seeded stream in id order,
-    so two calls with the same seed agree exactly.  PAD stays zero.
+    In-vocabulary tokens take their file vector (last occurrence wins).  The rest draw from one
+    seeded stream in id order, as uniform(-0.25, 0.25) would: each run of consecutive uncovered
+    ids is one in-place draw of U in [0, 1), row after row, then -0.25 + 0.5 * U.  So two calls
+    with the same seed agree exactly.  PAD stays zero.
     """
     check_int("d", d, 1)
     check_int("seed", seed, 0)
@@ -152,15 +154,18 @@ def load_word_vectors(
             raise DataFormatError(f"bad float value ({err})", line=lineno) from err
         if not np.isfinite(vec).all():
             raise DataFormatError("non-finite float value", line=lineno)
-        if token in vocab:
+        if token in vocab and token != PAD_TOKEN:
             found[vocab.id(token)] = vec
     rng = np.random.default_rng(seed)
     table = np.zeros((len(vocab), d), dtype=np.float64)
-    for token_id in range(1, len(vocab)):
-        if token_id in found:
-            table[token_id] = found[token_id]
-        else:
-            table[token_id] = rng.uniform(-0.25, 0.25, size=d)
+    covered = sorted(found)
+    for before, stop in zip([PAD, *covered], [*covered, len(vocab)]):
+        if before + 1 < stop:  # ids before + 1 ... stop - 1 are a run of uncovered ids
+            rows = rng.random(out=table[before + 1 : stop])
+            rows *= 0.5
+            rows -= 0.25
+    for token_id, vec in found.items():
+        table[token_id] = vec
     return WordVectors(table=table)
 
 
@@ -178,12 +183,10 @@ def encode_document(
     tokens map to UNK.  mask is True exactly at real token positions.
     """
     check_int("max_len", max_len, 1)
-    ids = np.full(max_len, PAD, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=bool)
-    for i, tok in enumerate(doc.tokens[:max_len]):
-        ids[i] = vocab.id(tok)
-        mask[i] = True
-    return ids, mask
+    tokens, lookup = doc.tokens[:max_len], vocab._token_to_id.get
+    ids = np.zeros(max_len, dtype=np.int64)  # PAD is 0
+    ids[: len(tokens)] = [lookup(tok, UNK) for tok in tokens]
+    return ids, np.arange(max_len) < len(tokens)
 
 
 def atomic_write_bytes(path: str, blob: bytes) -> None:

@@ -12,6 +12,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from itertools import zip_longest
 from typing import Sequence
@@ -69,11 +70,12 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     before anything is written.  The tail spans go in chunks of `_CHUNK` floats, gathering the
     gradients a chunk spans; each element takes Adam's ops in Adam's order.
     """
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
-            raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    with np.errstate(over="ignore"):  # finite entries square to a finite sum unless some are huge
+        for name, g in grads.items():
+            if g.shape != params[name].shape:
+                raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
+            if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+                raise NumericalError(f"non-finite gradient for parameter {name!r}")
     packs = (params, state.m, state.v)
     if any(list(pack)[len(pack) - len(grads):] != list(grads) for pack in packs):
         raise ValidationError(f"{list(grads)} must end the parameters and both moments, in order")

@@ -21,15 +21,20 @@ identity map: the per-position arithmetic, equal to rounding.
 `adam_step_oracle` is Adam as a loop over parameter names, one array at
 a time: the reference that the chunked `training.adam_step` must match
 bit for bit.  `packed` copies plain arrays into one `ModelParams` buffer.
-`grad_check` pits `backward`'s gradients against central finite
-differences.
+`word_vectors_oracle` fills an embedding table a row at a time, one
+`uniform` draw per uncovered row, and `vocab_order_oracle` sorts tokens by
+a `(-count, token)` key: the references that `data.load_word_vectors` and
+`data.build_vocab` must match exactly.  `grad_check` pits `backward`'s
+gradients against central finite differences.
 """
 
 import math
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
+from laha import data
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
 from laha.model import ModelParams
 from laha.numeric import (
@@ -357,6 +362,35 @@ def adam_step_oracle(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+# ---------------------------------------------------------------------------
+# set-up: word vectors and the vocabulary's order
+# ---------------------------------------------------------------------------
+
+
+def word_vectors_oracle(lines, vocab, d: int, seed: int) -> np.ndarray:
+    """The table of `data.load_word_vectors` for well-formed lines, one row at a time."""
+    found = {}
+    for line in lines:
+        token, *values = line.split(" ")
+        if token in vocab:
+            found[vocab.id(token)] = np.array([float(x) for x in values])
+    rng = np.random.default_rng(seed)
+    table = np.zeros((len(vocab), d))
+    for token_id in range(1, len(vocab)):
+        if token_id in found:
+            table[token_id] = found[token_id]
+        else:
+            table[token_id] = rng.uniform(-0.25, 0.25, size=d)
+    return table
+
+
+def vocab_order_oracle(corpus) -> list[str]:
+    """The tokens of `data.build_vocab`, sorted by a `(-count, token)` key per token."""
+    counts = Counter(tok for doc in corpus for tok in doc.tokens)
+    del counts[data.PAD_TOKEN], counts[data.UNK_TOKEN]
+    return sorted(counts, key=lambda tok: (-counts[tok], tok))[:data.MAX_VOCAB]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from laha.data import (
     encode_document,
     load_corpus,
     load_word_vectors,
+    random_word_vectors,
 )
 from laha.errors import DataFormatError, ValidationError
 from laha.model import ModelConfig, init_params
 from laha.training import AdamState, TrainConfig, sample_labels, save_checkpoint
+
+from extra_ops import vocab_order_oracle, word_vectors_oracle
 
 
 def _docs(*texts_labels):
@@ -158,6 +162,26 @@ def test_build_vocab_deterministic():
     assert v1.tokens == v2.tokens
 
 
+@pytest.mark.parametrize("max_vocab", [1, 5, 40, 100000])
+@pytest.mark.parametrize("seed", range(4))
+def test_build_vocab_matches_the_count_then_token_key_on_ties(monkeypatch, max_vocab, seed):
+    # 60 distinct tokens over 4 counts: most counts are shared, and the cap cuts inside a tie
+    monkeypatch.setattr(data, "MAX_VOCAB", max_vocab)
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in rng.permutation(60)]
+    tokens = [w for w in words for _ in range(int(rng.integers(1, 5)))]
+    corpus = [Document(f"d{j}", list(part), {0})
+              for j, part in enumerate(np.array_split(rng.permutation(tokens), 7))]
+    assert build_vocab(corpus).tokens == vocab_order_oracle(corpus)
+
+
+@pytest.mark.parametrize("tokens, repeated", [(["a", "b", "a"], "a"), (["<pad>"], "<pad>"),
+                                              (["x", "<unk>"], "<unk>")])
+def test_vocabulary_rejects_a_repeated_token_by_name(tokens, repeated):
+    with pytest.raises(ValidationError, match=f"duplicate vocabulary token '{repeated}'"):
+        Vocabulary(tokens)
+
+
 _CORPUS = [Document("d", ["a", "b", "a"], {0})]
 _TINY_CFG = ModelConfig(k=2, max_len=2, d=2, r=1, d_a=1)
 
@@ -204,6 +228,48 @@ def test_word_vectors_oov_deterministic():
     assert (np.abs(wv1.table[vocab.id("b")]) <= 0.25).all()
 
 
+def _vector_line(token: str, values) -> str:
+    return " ".join([token, *(repr(float(x)) for x in values)])
+
+
+_WORDS = Vocabulary([f"t{i}" for i in range(30)])
+_SCATTERED = [_vector_line("t3", [1.5, -0.0, 2.0]), _vector_line("elsewhere", [9.0, 9.0, 9.0]),
+              _vector_line("t4", [0.5, 0.5, 0.5]), _vector_line("t20", [-1.0, 3.0, 0.0]),
+              _vector_line("<pad>", [7.0, 7.0, 7.0]), _vector_line("t3", [-2.0, 0.25, 1e-3]),
+              _vector_line("t29", [4.0, 4.0, 4.0]), _vector_line("t0", [0.0, -0.0, 1.0])]
+
+
+@pytest.mark.parametrize("lines, vocab, d", [
+    ([], _WORDS, 3),
+    (_SCATTERED, _WORDS, 3),
+    ([_vector_line(tok, [i, -i, 0.5]) for i, tok in enumerate(["<unk>", *_WORDS.tokens])],
+     _WORDS, 3),
+    ([], Vocabulary(), 4),
+    ([_vector_line("<unk>", [2.0])], Vocabulary(), 1),
+    ([_vector_line(tok, [0.125]) for tok in ("t1", "t2", "t7", "t8", "t9")], _WORDS, 1),
+], ids=["no file", "scattered rows, a repeat, an unknown token and <pad>", "every row covered",
+        "only the reserved rows", "only the reserved rows, covered, d = 1", "d = 1"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_word_vectors_are_bit_identical_to_one_uniform_draw_per_row(lines, vocab, d, seed):
+    table = load_word_vectors(lines, vocab, d, seed).table
+    oracle = word_vectors_oracle(lines, vocab, d, seed)
+    assert table.shape == oracle.shape == (len(vocab), d) and table.dtype == np.float64
+    np.testing.assert_array_equal(table.view(np.int64), oracle.view(np.int64))  # -0.0 != 0.0
+    if not lines:
+        np.testing.assert_array_equal(table, random_word_vectors(vocab, d, seed).table)
+
+
+def test_random_word_vectors_peak_at_about_one_table():
+    vocab = Vocabulary([f"w{i}" for i in range(4000)])
+    tracemalloc.start()
+    try:
+        table = random_word_vectors(vocab, 64, 0).table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes <= peak < 1.1 * table.nbytes
+
+
 def test_word_vectors_wrong_field_count():
     vocab = Vocabulary(["a"])
     with pytest.raises(DataFormatError, match="line 1"):
@@ -229,6 +295,15 @@ def test_encode_pads_and_masks():
     ids, mask = encode_document(doc, vocab, max_len=5)
     np.testing.assert_array_equal(ids, [2, 3, 4, PAD, PAD])
     np.testing.assert_array_equal(mask, [True, True, True, False, False])
+
+
+def test_encode_returns_int64_ids_and_a_bool_mask_for_any_length():
+    vocab = Vocabulary(["a"])
+    for tokens in ([], ["a"], ["a", "zz", "a"]):
+        ids, mask = encode_document(Document("d", tokens, {0}), vocab, max_len=2)
+        assert (ids.dtype, ids.shape, mask.dtype, mask.shape) == (np.int64, (2,), bool, (2,))
+        assert mask.tolist() == [i < len(tokens) for i in range(2)]
+        assert ids.tolist() == ([2, UNK] if len(tokens) > 2 else [2, PAD] if tokens else [PAD] * 2)
 
 
 def test_encode_truncates():

@@ -1,11 +1,13 @@
 """The experiment runner's seed parser and summary, loaded from scripts/ by path."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "experiments.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "experiments.py"
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +108,13 @@ def test_layer_row_of_a_run_that_only_scores_reads_0_for_training_spans(experime
     assert row["documents"] == {"trained": 0, "scored": 4, "both": 4}
     assert row["spans"]["training.encode_document"] == {"ms": 0.0, "base": "trained"}
     assert row["spans"]["model.forward"]["ms"] == 500.0
+
+
+def test_bench_files_cover_every_timed_end_to_end_metric(experiments):
+    # a time or rate claim counts only from a committed bench file, so each needs one
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    timed = {metric["name"] for metric in declared if metric["unit"] in ("s", "docs/s")}
+    assert timed <= {metric for _, metric, _ in experiments.BENCH_FILES.values()}
+    for _, _, workloads in experiments.BENCH_FILES.values():
+        assert set(workloads) <= set(experiments.WORKLOADS)
+

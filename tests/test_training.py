@@ -221,6 +221,26 @@ def test_adam_checks_every_gradient_before_it_writes():
     assert state.step == 0
 
 
+@pytest.mark.parametrize("huge", [[1e200], [1.3e154, -1.3e154]],
+                         ids=["square overflows", "squares finite, their sum overflows"])
+def test_adam_trains_on_a_huge_finite_gradient_as_the_per_name_loop(huge):
+    # the squared norm of each gradient overflows, so only the elementwise scan can pass it
+    rng = np.random.default_rng(8)
+    arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 5))}
+    grads = {n: rng.normal(size=a.shape) for n, a in arrays.items()}
+    grads["b"].flat[1 : 1 + len(huge)] = huge
+    params, oracle = packed(arrays), {n: a.copy() for n, a in arrays.items()}
+    state, oracle_state = AdamState.init(params), AdamState.init(oracle)
+    with np.errstate(over="ignore"):  # g * g of 1e200 is inf in both updates
+        adam_step(params, grads, state, lr=0.01)
+        adam_step_oracle(oracle, grads, oracle_state, lr=0.01)
+    for name in arrays:
+        np.testing.assert_array_equal(params[name].view(np.int64), oracle[name].view(np.int64))
+        np.testing.assert_array_equal(state.m[name], oracle_state.m[name])
+        np.testing.assert_array_equal(state.v[name], oracle_state.v[name])
+    assert state.step == 1 and not np.array_equal(params.flat, packed(arrays).flat)
+
+
 def test_adam_refuses_gradients_that_do_not_end_the_packed_arrays():
     p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
     for state, grads in [(AdamState.init(p), {"a": np.array([[0.5]])}),
