@@ -297,13 +297,15 @@ def test_encode_pads_and_masks():
     np.testing.assert_array_equal(mask, [True, True, True, False, False])
 
 
-def test_encode_returns_int64_ids_and_a_bool_mask_for_any_length():
-    vocab = Vocabulary(["a"])
-    for tokens in ([], ["a"], ["a", "zz", "a"]):
-        ids, mask = encode_document(Document("d", tokens, {0}), vocab, max_len=2)
-        assert (ids.dtype, ids.shape, mask.dtype, mask.shape) == (np.int64, (2,), bool, (2,))
-        assert mask.tolist() == [i < len(tokens) for i in range(2)]
-        assert ids.tolist() == ([2, UNK] if len(tokens) > 2 else [2, PAD] if tokens else [PAD] * 2)
+@pytest.mark.parametrize("tokens, want_ids, want_mask", [
+    ([], [PAD, PAD], [False, False]),
+    (["a"], [2, PAD], [True, False]),
+    (["a", "zz", "a"], [2, UNK], [True, True]),
+])
+def test_encode_returns_int64_ids_and_a_bool_mask_for_any_length(tokens, want_ids, want_mask):
+    ids, mask = encode_document(Document("d", tokens, {0}), Vocabulary(["a"]), max_len=2)
+    assert (ids.dtype, ids.shape, mask.dtype, mask.shape) == (np.int64, (2,), bool, (2,))
+    assert ids.tolist() == want_ids and mask.tolist() == want_mask
 
 
 def test_encode_truncates():
