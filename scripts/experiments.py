@@ -33,6 +33,21 @@ each) for model.forward, metrics.evaluate and bench.score_fn, and
 "both" (their sum) for the rest.
 
     python3 scripts/experiments.py --seeds 1-10 [--trace]
+
+With --against REV, it compares this tree with revision REV instead and
+writes BENCH_compare.json alone.  REV is checked out with `git worktree
+add --detach` into a temporary directory, removed on exit.  For each seed
+and workload, one untraced run of each tree makes a pair; the tree that
+runs first swaps from one pair of a workload to the next.  This tree runs
+as it stands, uncommitted edits included.  Per workload
+and end-to-end metric of BENCHMARK.json the file holds both trees'
+medians and quartiles, each pair's figures, the pairs the tree won, the
+median raw seconds of each run's samples where the metric is timed, and
+the move of the median against the metric's bound (positive is worse).
+It also records whether p_at_5 and ndcg_at_5 were float-equal on every
+pair.  `--against HEAD` gives the noise floor.
+
+    python3 scripts/experiments.py --against REV --seeds 1-10
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +73,7 @@ BENCH_FILES = {
 }
 WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")
 SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for scored docs only
+EQUAL_QUALITY = ("p_at_5", "ndcg_at_5")  # figures a change that keeps the bits leaves float-equal
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -73,21 +90,21 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def bench_run(workload: str, seed: int, trace: int = 0) -> dict:
-    """The record of one bench run, untraced or traced."""
+def bench_run(workload: str, seed: int, trace: int = 0, tree: Path = ROOT) -> dict:
+    """The record of one bench run of a checkout, untraced or traced."""
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                     "--seconds", str(SECONDS), "--trace", str(trace)],
-                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((ROOT / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
+                   cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    return json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
                       .read_text())
 
 
 def run_row(record: dict, prefix: str, metric: str) -> dict:
     """One run's figures for one bench file."""
     measures, result = record["measures"], record["result"]
-    raw = [raw_s for raw_s, _ in record["info"]["raw_and_reference_seconds"][metric]]
+    samples = len(record["info"]["raw_and_reference_seconds"][metric])
     return {"seed": record["environment"]["seed"], metric: measures[metric],
-            f"{prefix}_raw_s": float(np.median(raw)), f"{prefix}_samples": len(raw),
+            f"{prefix}_raw_s": raw_median(record, metric), f"{prefix}_samples": samples,
             "peak_rss_mb": measures["peak_rss_mb"],
             **{name: measures[name] for name in QUALITY if record["workload"] == "aapd-quality"},
             **{name: result[name] for name in ("correct", "attempted", "failed")}}
@@ -119,14 +136,19 @@ def layer_row(record: dict) -> dict:
             **{name: record["result"][name] for name in ("correct", "attempted", "failed")}}
 
 
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize_layers(rows: list[dict]) -> dict:
     """Median and quartiles of each span's milliseconds per unit of its base over the runs."""
     out = {}
     for name, first in rows[0]["spans"].items():
         figures = [row["spans"][name]["ms"] if name in row["spans"] else 0.0
                    for row in rows]
-        q1, median, q3 = np.percentile(figures, [25, 50, 75])
-        out[name] = {"base": first["base"], "median": median, "q1": q1, "q3": q3}
+        out[name] = {"base": first["base"], **quartiles(figures)}
     return out
 
 
@@ -135,13 +157,78 @@ def summarize(rows: list[dict], prefix: str, metric: str) -> dict:
     out = {}
     for name in (metric, f"{prefix}_raw_s", "peak_rss_mb") + tuple(
             name for name in QUALITY if name in rows[0]):
-        q1, median, q3 = np.percentile([row[name] for row in rows], [25, 50, 75])
-        out[name] = {"median": median, "q1": q1, "q3": q3}
+        out[name] = quartiles([row[name] for row in rows])
     out["runs"] = len(rows)
     out["correct_runs"] = sum(row["correct"] for row in rows)
     for name in ("attempted", "failed"):
         out[name] = sum(row[name] for row in rows)
     return out
+
+
+def raw_median(record: dict, metric: str) -> float | None:
+    """Median raw seconds of a run's samples of a timed metric, None for an untimed one."""
+    samples = record["info"]["raw_and_reference_seconds"].get(metric)
+    return None if samples is None else float(np.median([raw_s for raw_s, _ in samples]))
+
+
+def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
+    """One workload's (base, change) record pairs, summed up per metric `declared` as
+    BENCHMARK.json's end_to_end lists them; a pair is won where the change is strictly better."""
+    sides = dict(zip(("base", "change"), zip(*pairs)))
+    metrics = {}
+    for metric in declared:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        base, change = ([record["measures"][name] for record in sides[side]]
+                        for side in ("base", "change"))
+        move = sign * (np.median(change) / np.median(base) - 1.0)
+        metrics[name] = {
+            "base": quartiles(base), "change": quartiles(change),
+            "wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)), "pairs": len(pairs),
+            "move": move, "bound": metric["bound"], "within_bound": bool(move <= metric["bound"]),
+            "base_runs": base, "change_runs": change}
+        raw = {side: [raw_median(record, name) for record in records]
+               for side, records in sides.items()}
+        if None not in raw["base"] + raw["change"]:
+            metrics[name]["raw_s"] = raw
+    return {"metrics": metrics,
+            "quality_equal": {name: all(b["measures"][name] == c["measures"][name]
+                                        for b, c in pairs) for name in EQUAL_QUALITY},
+            **{key: {side: sum(record["result"][key] for record in records)
+                     for side, records in sides.items()} for key in ("attempted", "failed")}}
+
+
+def against(rev: str, seeds: list[int]) -> int:
+    """Alternate bench runs of this tree and of REV, checked out in a temporary worktree, and
+    write BENCH_compare.json."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    pairs = {workload: [] for workload in WORKLOADS}
+    with tempfile.TemporaryDirectory(prefix="laha-against-") as tmp:
+        base_tree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), rev], cwd=ROOT,
+                       check=True, stdout=subprocess.DEVNULL)
+        try:
+            for seed in seeds:
+                for workload in WORKLOADS:
+                    trees = [("base", base_tree), ("change", ROOT)]
+                    if len(pairs[workload]) % 2:
+                        trees.reverse()
+                    runs = {side: bench_run(workload, seed, tree=tree) for side, tree in trees}
+                    pairs[workload].append((runs["base"], runs["change"]))
+                    print(json.dumps({"workload": workload, "seed": seed, "first": trees[0][0],
+                                      "failed": {side: runs[side]["result"]["failed"]
+                                                 for side in runs}}), flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT,
+                           check=False)
+    env = {key: value for key, value in runs["change"]["environment"].items()
+           if key not in ("seed", "git_commit")}
+    report = {"against": rev, "commits": {side: runs[side]["environment"]["git_commit"]
+                                          for side in runs},
+              "environment": env, "command": f"bench/run.py --workload W --seed S --seconds "
+              f"{SECONDS} --trace 0, alternating the two trees", "seeds": seeds,
+              "workloads": {name: compare(pairs[name], declared) for name in WORKLOADS}}
+    (ROOT / "BENCH_compare.json").write_text(json.dumps(report, indent=1) + "\n")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -150,7 +237,13 @@ def main(argv=None) -> int:
                         help="seeds to run, as 1-10 or 3,5,8")
     parser.add_argument("--trace", action="store_true",
                         help="also run each workload and seed traced; write BENCH_layers.json")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare this tree with revision REV; write BENCH_compare.json only")
     args = parser.parse_args(argv)
+    if args.against:
+        if args.trace:
+            parser.error("--against runs untraced only")
+        return against(args.against, args.seeds)
 
     records = {workload: [] for workload in WORKLOADS}
     layers = {workload: [] for workload in WORKLOADS}

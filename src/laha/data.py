@@ -69,7 +69,7 @@ def load_corpus(lines: Iterable[str]) -> Corpus:
         ):
             raise DataFormatError("labels must be a list of integers", line=lineno)
         if any(x < 0 for x in labels_raw):
-            raise ValidationError(f"line {lineno}: negative label index")
+            raise DataFormatError("negative label index", line=lineno)
         labels = set(labels_raw)
         if not labels:
             raise DataFormatError("document has an empty label set", line=lineno)

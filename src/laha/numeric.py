@@ -34,11 +34,11 @@ thread steps the reverse one in both passes: it touches no Node, runs
 in a copy of the caller's context (numpy's error state) and is joined
 before the node returns or raises.  The BLAS thread count is not
 checked: the bench, and CI's one-thread test steps, pin BLAS to one
-thread.  The gates take the public `sigmoid`'s one formula,
-max(e, sign x) / (1 + e) with e = exp(-|x|), in place.  A backward pass
-consumes its graph: it overwrites `bilstm`'s stored gates and releases
-them, so a second sweep raises ValidationError, and it releases each op
-node's gradient once passed on, so only the leaves keep theirs.
+thread.  The gates take the public `sigmoid`'s one formula, max(e,
+copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A backward
+pass consumes its graph: it overwrites `bilstm`'s stored gates and
+releases them, so a second sweep raises ValidationError, and it releases
+each op node's gradient once passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError, check_int
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
+_BPTT_BLOCK = 2**16  # floats in one of the BPTT's block scratch buffers: steps, reversed rows
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
 
@@ -292,11 +293,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """x <- max(e, sign(x)) / (1 + e) in place, through scratch e = exp(-|x|) of x's shape.
+    """x <- max(e, copysign(1, x)) / (1 + e) in place, through scratch e = exp(-|x|) of x's shape.
 
-    As e <= 1 that is 1 / (1 + e) for x >= 0 and e / (1 + e) below: exp cannot overflow."""
+    As e <= 1 that is 1 / (1 + e) for x >= 0 and e / (1 + e) below: exp cannot overflow.
+    (`sign` would give the same bits, but numpy runs it in place as a scalar loop, 4x slower.)"""
     np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
-    np.maximum(e, np.sign(x, out=x), out=x)
+    np.maximum(e, np.copysign(1.0, x, out=x), out=x)
     x /= np.add(e, 1.0, out=e)
     return x
 
@@ -462,8 +464,9 @@ def _lstm(x, w, docs: int, cols, out):
     D directions makes one recurrent GEMM and one call per elementwise op a step, through
     buffers made before the loop; each direction's GEMMs keep the oracle's layouts
     (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (each position's column of x)
-    places x's projections (`take`, clip mode: unbuffered); the BPTT reads the states before each
-    step from out and sums dz per block of gate rows, each sum in stepping order.
+    places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the gate coefficients
+    per block of `_BPTT_BLOCK` floats, reads the states before each step from out, sums dz per
+    block of gate rows, each sum in stepping order, and frees the gates before dwx's GEMM.
     """
     r, n, u = w[1].shape[1], cols.size // docs, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -522,36 +525,49 @@ def _lstm(x, w, docs: int, cols, out):
             dh_out = [grad[k * r : (k + 1) * r].reshape(r, docs, n).transpose(2, 0, 1)[::step, None]
                       for k, step in zip(ks, steps)]
             dh_out = np.concatenate(dh_out, axis=1) if D == 2 else dh_out[0]  # n x D x r x docs
-            # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step; each k overwrites its
-            # gate (n x D x r x docs views) in place, as the oracle's (a * y) * (1 - y) with a * y
-            # first, and dz then overwrites k; no call writes one gate while reading another
+            # dz = [dc * k[0], dc * k[1], dc * k[2], dh * k[3]] at each step.  A block of steps at
+            # a time, last block first, each k overwrites its gate (n x D x r x docs views) in
+            # place, as the oracle's (a * y) * (1 - y) with a * y first, and dz then overwrites k.
+            # f's copy, tanh(c) and dc/dh go to block scratch; tanh(c)'s then takes c_prev * f and
+            # g's k, and g takes g * i: c stays whole, as the next block reads its rows again
             i, f, g, o = gates.reshape(D, 4, r, n, docs).transpose(1, 3, 0, 2, 4)
-            f_kept, tc, c_prev = f.copy(), np.tanh(c[1:]), c[:-1]
-            dc_dh = np.multiply(tc, tc)
-            np.multiply(o, np.subtract(1.0, dc_dh, out=dc_dh), out=dc_dh)  # o * (1 - tc * tc)
-            np.multiply(np.multiply(tc, o, out=tc), np.subtract(1.0, o, out=o), out=o)
-            np.multiply(np.multiply(c_prev, f, out=c_prev), np.subtract(1.0, f, out=f), out=f)
-            np.multiply(i, np.subtract(1.0, np.multiply(g, g, out=tc), out=tc), out=tc)  # g's k
-            np.multiply(np.multiply(g, i, out=c_prev), np.subtract(1.0, i, out=i), out=i)
-            g[...] = tc
-            del tc, c, c_prev
+            span = max(1, _BPTT_BLOCK // (D * r * docs))  # steps a block
+            scratch = np.empty((3, min(span, n), D, r, docs))
             dh, dc, dh_next, dc_next = np.zeros((4, D, r, docs))
             dz = np.empty((D, 4 * r, docs))
             dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
             k_c = gates[:, : 3 * r].reshape(D, 3, r, n, docs).transpose(3, 0, 1, 2, 4)
             k_h, wh_t = gates[:, 3 * r :].transpose(2, 0, 1, 3), wh.transpose(0, 2, 1)
-            for dh_s, dc_dh_s, k_c_s, k_h_s, f_s, dz_s in zip(
-                    dh_out[::-1], dc_dh[::-1], k_c[::-1], k_h[::-1], f_kept[::-1],
-                    gates.transpose(2, 0, 1, 3)[::-1]):
-                np.add(dh_s, dh_next, out=dh)
-                np.multiply(dh, dc_dh_s, out=dc)
-                dc += dc_next
-                np.multiply(k_c_s, dc_c, out=dz_c)
-                np.multiply(k_h_s, dh, out=dz_h)
-                np.matmul(wh_t, dz, out=dh_next)
-                np.multiply(dc, f_s, out=dc_next)
-                dz_s[...] = dz
-            del dh_out, dc_dh, f_kept, dh_s, dc_dh_s, f_s
+            for hi in range(n, 0, -span):
+                lo = max(0, hi - span)
+                f_kept, tc, dc_dh = scratch[:, : hi - lo]
+                ib, fb, gb, ob = i[lo:hi], f[lo:hi], g[lo:hi], o[lo:hi]
+                np.copyto(f_kept, fb)
+                np.tanh(c[lo + 1 : hi + 1], out=tc)
+                np.multiply(ob, np.subtract(1.0, np.square(tc, out=dc_dh), out=dc_dh), out=dc_dh)
+                np.multiply(np.multiply(tc, ob, out=tc), np.subtract(1.0, ob, out=ob), out=ob)
+                np.multiply(np.multiply(c[lo:hi], fb, out=tc), np.subtract(1.0, fb, out=fb), out=fb)
+                np.multiply(ib, np.subtract(1.0, np.multiply(gb, gb, out=tc), out=tc), out=tc)
+                np.multiply(np.multiply(gb, ib, out=gb), np.subtract(1.0, ib, out=ib), out=ib)
+                gb[...] = tc
+                for s in range(hi - 1, lo - 1, -1):
+                    np.add(dh_out[s], dh_next, out=dh)
+                    np.multiply(dh, dc_dh[s - lo], out=dc)
+                    dc += dc_next
+                    np.multiply(k_c[s], dc_c, out=dz_c)
+                    np.multiply(k_h[s], dh, out=dz_h)
+                    np.matmul(wh_t, dz, out=dh_next)
+                    np.multiply(dc, f_kept[s - lo], out=dc_next)
+                    gates[:, :, s] = dz
+            del dh_out, c, scratch, f_kept, tc, dc_dh  # every view of c and the scratch
+            dwh_db = []
+            for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the next one
+                dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
+                h_k = out[k * r : (k + 1) * r].reshape(r, docs, n)[:, :, ::step]  # stepping order
+                h_j = np.zeros((n * docs, r))  # the states before each step: 0, then H's
+                h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
+                dwh_db.append((dz @ h_j, dz.sum(axis=1)[:, None]))
+                del dz, h_j
             # dz summed per direction, gate row and column of x, in stepping order: one bincount
             # per block of the D * 4r gate rows, over at most 2^18 index entries
             block, dz_rows = max(1, 2**18 // (n * docs)), gates.reshape(D * 4 * r, n * docs)
@@ -562,15 +578,14 @@ def _lstm(x, w, docs: int, cols, out):
                 at_q += (q - lo)[:, None] * u
                 dz_u.reshape(-1, u)[lo : lo + block] = np.bincount(
                     at_q.ravel(), dz_rows[lo : lo + block].ravel(), q.size * u).reshape(q.size, u)
-            del at_q
-            grads = []
+                del at_q  # before the next block's is made
+            del dz_rows, gates, i, f, g, o, ib, fb, gb, ob, k_c, k_h  # every view of the gates
+            grads, rows = [], max(1, _BPTT_BLOCK // u)
             for j, (k, step) in enumerate(zip(ks, steps)):
-                dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
-                h_k = out[k * r : (k + 1) * r].reshape(r, docs, n)[:, :, ::step]  # stepping order
-                h_j = np.zeros((n * docs, r))  # the states before each step: 0, then H's
-                h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
-                dwx = dz_u[j][:, ::step] @ x.T[::step]  # x's columns in stepping order
-                grads += [dwx, dz @ h_j, dz.sum(axis=1)[:, None], w[3 * k].T @ dz_u[j]]
+                dx = w[3 * k].T @ dz_u[j]
+                for lo in range(0, 4 * r, rows) if step < 0 else ():  # only after dx, in place
+                    dz_u[j, lo : lo + rows] = dz_u[j, lo : lo + rows, ::-1]  # in stepping order
+                grads += [dz_u[j] @ x.T[::step], *dwh_db[j], dx]  # x's columns in stepping order
             return grads
 
         return bptt

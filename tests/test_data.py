@@ -110,8 +110,9 @@ def test_load_corpus_malformed_json_reports_line():
 
 
 def test_load_corpus_negative_label():
-    with pytest.raises(ValidationError, match="line 1"):
+    with pytest.raises(DataFormatError, match="line 1: negative label index") as err:
         load_corpus(['{"id":"a","labels":[-1],"text":"x"}'])
+    assert err.value.line == 1
 
 
 def test_load_corpus_non_integer_labels():

@@ -118,3 +118,56 @@ def test_bench_files_cover_every_timed_end_to_end_metric(experiments):
     for _, _, workloads in experiments.BENCH_FILES.values():
         assert set(workloads) <= set(experiments.WORKLOADS)
 
+
+
+def _record(measures: dict, raw: dict, failed: int = 0) -> dict:
+    """A hand-made bench record: its measures and, per timed metric, raw and reference seconds."""
+    return {"measures": measures, "info": {"raw_and_reference_seconds": raw},
+            "result": {"correct": not failed, "attempted": 4, "failed": failed}}
+
+
+def test_compare_sums_up_record_pairs_against_the_bounds(experiments):
+    declared = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                {"name": "train_docs_per_s", "better": "higher", "bound": 0.25},
+                {"name": "p_at_5", "better": "higher", "bound": 0.25},
+                {"name": "ndcg_at_5", "better": "higher", "bound": 0.25}]
+    pairs = []
+    for base_rss, change_rss, base_rate, change_rate, change_p in [
+            (236.0, 219.0, 20.0, 21.0, 0.3), (235.0, 218.0, 22.0, 19.0, 0.3),
+            (234.0, 240.0, 21.0, 24.0, 0.5)]:
+        quality = {"p_at_5": 0.3, "ndcg_at_5": 0.6}
+        base = _record({"peak_rss_mb": base_rss, "train_docs_per_s": base_rate, **quality},
+                       {"train_docs_per_s": [[0.8, 0.01], [1.0, 0.01], [0.9, 0.01]]})
+        change = _record({"peak_rss_mb": change_rss, "train_docs_per_s": change_rate,
+                          **quality, "p_at_5": change_p},
+                         {"train_docs_per_s": [[0.5, 0.01], [0.7, 0.01]]}, failed=1)
+        pairs.append((base, change))
+    out = experiments.compare(pairs, declared)
+    rss, rate = out["metrics"]["peak_rss_mb"], out["metrics"]["train_docs_per_s"]
+    assert rss["base"] == {"median": 235.0, "q1": 234.5, "q3": 235.5}
+    assert rss["change"] == {"median": 219.0, "q1": 218.5, "q3": 229.5}
+    assert rss["wins"] == 2 and rss["pairs"] == 3
+    assert rss["move"] == pytest.approx(219.0 / 235.0 - 1.0) and rss["within_bound"] is True
+    assert rss["base_runs"] == [236.0, 235.0, 234.0] and "raw_s" not in rss
+    # a higher-is-better metric moves by the fall of its median: 21 -> 21 is no move
+    assert rate["wins"] == 2 and rate["move"] == 0.0 and rate["bound"] == 0.25
+    assert rate["raw_s"] == {"base": [0.9] * 3, "change": [0.6] * 3}
+    assert out["metrics"]["p_at_5"]["move"] == pytest.approx(-0.0)  # median 0.3 on both sides
+    assert out["quality_equal"] == {"p_at_5": False, "ndcg_at_5": True}
+    assert out["attempted"] == {"base": 12, "change": 12}
+    assert out["failed"] == {"base": 0, "change": 3}
+
+
+def test_compare_marks_a_move_beyond_the_bound(experiments):
+    declared = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    pairs = [(_record({"setup_s": 0.1, "p_at_5": 0.3, "ndcg_at_5": 0.6}, {}),
+              _record({"setup_s": 0.2, "p_at_5": 0.3, "ndcg_at_5": 0.6}, {}))]
+    setup = experiments.compare(pairs, declared)["metrics"]["setup_s"]
+    assert setup["move"] == pytest.approx(1.0) and setup["within_bound"] is False
+    assert setup["wins"] == 0
+
+
+def test_against_refuses_a_traced_comparison(experiments, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        experiments.main(["--against", "HEAD", "--seeds", "1", "--trace"])
+    assert exit_info.value.code == 2 and "--against" in capsys.readouterr().err

@@ -634,10 +634,12 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
 
 # `bilstm`'s traced bytes in state-sized buffers, n x r x docs float64 (one direction's
 # states).  The forward keeps the gates (4 a direction) and c (n + 1 steps) beyond H and x,
-# and half a state for the column maps.  The backward's peak is H's gradient (2), a
-# direction's copy of f, tanh(c) (then scratch) and dc/dh (3 each, both directions at once),
-# both directions' dh stacked in lockstep (2) and 1 for the rest.  The dz sums' index, at most
-# 2^18 entries (2 MB, 1.6 states here) a call, comes after those three are freed.
+# and half a state for the column maps.  The backward's peak stays below H's gradient (2), f's
+# copy, tanh(c) and dc/dh of every step (3 a direction, both at once), both directions' dh
+# stacked in lockstep (2) and 1 for the rest.  As the three are formed a block of steps at a
+# time (8 of the 40 in lockstep, 16 on two stacks) it reads about 5.8 and 5.0; the one-CPU
+# test below bounds the block.  The dz sums' index, at most 2^18 entries (2 MB, 1.6 states
+# here) a call, comes after c and the blocks are freed.
 @pytest.mark.parametrize("schedule, states", [("lockstep", 2 + 6 + 2 + 1), ("worker", 2 + 6 + 1)])
 def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
         monkeypatch, schedule, states):
@@ -663,6 +665,57 @@ def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
     state, x = n * r * docs * 8, d * np.unique(ids).size * 8
     assert (kept - node.value.nbytes - x) / state <= 2 * (4 * n + n + 1) / n + 0.5
     assert peak / state <= states
+
+
+# the backward's traced peak above the forward's end, in states, on the one-CPU schedule's two
+# stacks, one after the other: H's gradient (2), the first direction's dz_u, a block each of f's
+# copy, tanh(c) and dc/dh (3 x 8 of the 40 steps), and 1/2 for the step-sized buffers (dh, dc,
+# their next steps and dz: 8 / 40) and the rest.  The dz sums' index (0.8 states) comes after c
+# (1) is freed.  Holding the three for every step, as a single block does, would need 5.
+def test_bilstm_backward_holds_one_block_of_gate_coefficients(monkeypatch):
+    _force(monkeypatch, "one cpu")
+    d, r, n, docs = 8, 32, 40, 256
+    rng = np.random.default_rng(7)
+    arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
+    ids = rng.integers(0, n, size=n * docs)
+    weights = [arrays[k] for k in BILSTM_WEIGHTS]
+    backward(sum_all(bilstm(arrays["table"], ids[:n], *weights)))  # first-call imports
+    tracemalloc.start()
+    try:
+        root = sum_all(bilstm(arrays["table"], ids, *weights, docs))
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        backward(root)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    state, span = n * r * docs * 8, numeric._BPTT_BLOCK // (r * docs)
+    assert span == 8
+    dz_u = 4 * r * np.unique(ids).size * 8
+    assert peak / state <= 2 + dz_u / state + 3 * span / n + 0.5
+
+
+# `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
+# in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; the reverse direction's
+# dz_u is put in stepping order 60 // U rows at a time
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, started, schedule):
+    threads = _force(monkeypatch, schedule)
+    d, r, n, docs = 7, 5, 11, 3
+    monkeypatch.setattr(numeric, "_BPTT_BLOCK", 4 * r * docs)
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, n, size=docs * n)
+    arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
+    w = rng.normal(size=(2 * r, docs * n))
+    got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
+    np.testing.assert_array_equal(node.value, h.value)
+    backward(sum_all(mul(node, w)))
+    backward(sum_all(mul(h, w)))
+    for k in arrays:
+        np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+    assert 1 < 4 * r * docs // np.unique(ids).size < 4 * r and len(started) == 2 * threads
 
 
 @pytest.mark.parametrize("r, docs, cpus, threads", [
