@@ -39,13 +39,13 @@ writes BENCH_compare.json alone.  REV is checked out with `git worktree
 add --detach` into a temporary directory, removed on exit.  For each seed
 and workload, one untraced run of each tree makes a pair; the tree that
 runs first swaps from one pair of a workload to the next.  This tree runs
-as it stands, uncommitted edits included.  Per workload
-and end-to-end metric of BENCHMARK.json the file holds both trees'
-medians and quartiles, each pair's figures, the pairs the tree won, the
-median raw seconds of each run's samples where the metric is timed, and
-the move of the median against the metric's bound (positive is worse).
-It also records whether p_at_5 and ndcg_at_5 were float-equal on every
-pair.  `--against HEAD` gives the noise floor.
+as it stands, uncommitted edits included.  Per workload and end-to-end
+metric of BENCHMARK.json the file holds both trees' medians and
+quartiles, each pair's figures, the pairs this tree won, the median raw
+seconds of each run's samples where the metric is timed, and the move of
+the median against the metric's bound (positive is worse).  It also
+records whether p_at_5 and ndcg_at_5 were float-equal on every pair.
+`--against HEAD` gives the noise floor.
 
     python3 scripts/experiments.py --against REV --seeds 1-10
 """
