@@ -48,6 +48,10 @@ records whether p_at_5 and ndcg_at_5 were float-equal on every pair.
 `--against HEAD` gives the noise floor.
 
     python3 scripts/experiments.py --against REV --seeds 1-10
+
+Either way it exits 1, once its files are written, if any run it records did
+not end correct or had a failed operation, and names each such run on
+stderr.
 """
 
 from __future__ import annotations
@@ -171,6 +175,18 @@ def raw_median(record: dict, metric: str) -> float | None:
     return None if samples is None else float(np.median([raw_s for raw_s, _ in samples]))
 
 
+def exit_code(records: list[dict]) -> int:
+    """0, or 1 once each run among `records` that did not end correct or had a failed operation
+    is named on stderr."""
+    bad = [record for record in records
+           if record["result"]["correct"] is not True or record["result"]["failed"]]
+    for record in bad:
+        print(f"{record['workload']} seed {record['environment']['seed']} trace {record['trace']}:"
+              f" correct {record['result']['correct']}, {record['result']['failed']} failed "
+              f"operations", file=sys.stderr)
+    return 1 if bad else 0
+
+
 def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     """One workload's (base, change) record pairs, summed up per metric `declared` as
     BENCHMARK.json's end_to_end lists them; a pair is won where the change is strictly better."""
@@ -228,7 +244,7 @@ def against(rev: str, seeds: list[int]) -> int:
               f"{SECONDS} --trace 0, alternating the two trees", "seeds": seeds,
               "workloads": {name: compare(pairs[name], declared) for name in WORKLOADS}}
     (ROOT / "BENCH_compare.json").write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return exit_code([record for runs in pairs.values() for pair in runs for record in pair])
 
 
 def main(argv=None) -> int:
@@ -247,13 +263,15 @@ def main(argv=None) -> int:
 
     records = {workload: [] for workload in WORKLOADS}
     layers = {workload: [] for workload in WORKLOADS}
+    traced = []
     for seed in args.seeds:
         for workload in WORKLOADS:
             record = bench_run(workload, seed)
             records[workload].append(record)
             print(json.dumps({"workload": workload, "seed": seed, **record["result"]}), flush=True)
             if args.trace:
-                layers[workload].append(layer_row(bench_run(workload, seed, trace=1)))
+                traced.append(bench_run(workload, seed, trace=1))
+                layers[workload].append(layer_row(traced[-1]))
     env = {key: value for key, value in record["environment"].items() if key != "seed"}
     head = {"commit": env.pop("git_commit"), "environment": env}
 
@@ -271,7 +289,7 @@ def main(argv=None) -> int:
     if args.trace:
         write("BENCH_layers.json", 1, "ms_per_base", {
             name: {"summary": summarize_layers(rows), "runs": rows} for name, rows in layers.items()})
-    return 0
+    return exit_code([record for runs in records.values() for record in runs] + traced)
 
 
 if __name__ == "__main__":

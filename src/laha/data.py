@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, check_int
+from .errors import DataFormatError, ValidationError, check_int, check_labels
 
 PAD = 0
 UNK = 1
@@ -38,10 +38,7 @@ Corpus = list[Document]
 
 def doc_labels(doc: Document, k: int) -> list[int]:
     """The document's labels, sorted, once each is checked to be an integer in [0, k)."""
-    for label in doc.labels:
-        if type(label) is not int or not 0 <= label < k:  # plain in-range ids skip the full check
-            check_int(f"document {doc.doc_id!r} label", label, 0, k)
-    return sorted(doc.labels)
+    return sorted(check_labels(f"document {doc.doc_id!r} label", doc.labels, k))
 
 
 def tokenize(text: str) -> list[str]:

@@ -39,6 +39,14 @@ def check_int(name: str, value, low: int, high: float = float("inf")) -> None:
         raise ValidationError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
+def check_labels(name: str, labels, k: int):
+    """`labels`, once each passed `check_int(name, label, 0, k)`; plain in-range ints skip it."""
+    for label in labels:
+        if type(label) is not int or not 0 <= label < k:
+            check_int(name, label, 0, k)
+    return labels
+
+
 def check_positive(name: str, value) -> None:
     """Raise ValidationError unless `value` is a finite real number > 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < float("inf"):

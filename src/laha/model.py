@@ -22,10 +22,10 @@ batch's logits straight to `numeric.bce_with_logits`, one node.  The
 parameters are the arrays `param_table` lists, the one place their
 names, shapes and order are written down.
 
-`forward_batch` checks its inputs, then runs the token ids of equal-length
-documents through one Bi-LSTM node (both directions, the documents side
-by side as column blocks), then the rest per document on its column slice
-of H; `forward` is a batch of one.
+`forward_batch` checks its inputs, then runs the docs x n token ids of
+equal-length documents through one Bi-LSTM node (both directions, the
+documents side by side as column blocks), then the rest per document on
+its column slice of H; `forward` is a batch of one.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numeric as nm
-from .errors import NumericalError, ShapeError, ValidationError, check_int
+from .errors import NumericalError, ShapeError, ValidationError, check_int, check_labels
 from .numeric import Node
 
 VARIANTS = ("sa", "ia", "sa+ia", "laha")
@@ -154,18 +154,18 @@ class ForwardTrace:
         return nm.sigmoid(self.logits.value).ravel()
 
 
-def bilstm_forward(embedding: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+def bilstm_forward(embedding: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     """Run both LSTM directions over token ids: H, one `numeric.bilstm` node.
 
-    `ids` holds document j's tokens at j*n ... j*n + n - 1, rows of the `embedding` table,
-    which the node gathers.  Returns H = [H_f; H_b], 2r x (docs * n) in position order: the
-    forward states over the backward ones (column t = state after reading token t from the
-    right), each document from zero states.  Padded positions are stepped too, so the
-    backward direction starts at a document's last column whatever the padding.  At large
-    shapes, with two usable CPUs, the node steps the reverse direction on a worker thread
-    that touches no Node.
+    `ids` is docs x n, a document a row, each id a row of the `embedding` table; the table and
+    the weights are Nodes, as every op takes.  Returns H = [H_f; H_b], 2r x (docs * n), with
+    document j in columns j*n ... j*n + n - 1: the forward states over the backward ones
+    (column t = state after reading token t from the right), each document from zero states.
+    Padded positions are stepped too, so the backward direction starts at a document's last
+    column whatever the padding.  At large shapes, with two usable CPUs, the node steps the
+    reverse direction on a worker thread that touches no Node.
     """
-    return nm.bilstm(embedding, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs)
+    return nm.bilstm(embedding, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b)
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
@@ -253,10 +253,9 @@ def forward_batch(
         label_rows = Node(np.ascontiguousarray(label_vectors.T))  # scanned once per call
 
     h = bilstm_forward(
-        param_nodes["embedding"], np.concatenate(token_rows),
+        param_nodes["embedding"], np.stack(token_rows),
         param_nodes["lstm_wx_f"], param_nodes["lstm_wh_f"], param_nodes["lstm_b_f"],
         param_nodes["lstm_wx_b"], param_nodes["lstm_wh_b"], param_nodes["lstm_b_b"],
-        docs=docs,
     )
     return [
         _attend(nm.slice_cols(h, j * n, (j + 1) * n), mask, param_nodes, label_rows,
@@ -297,7 +296,4 @@ def _valid_subset(subset: Sequence[int], k: int) -> list[int]:
     subset = list(subset)
     if not subset:
         raise ValidationError("label subset must be nonempty")
-    for label in subset:
-        if type(label) is not int or not 0 <= label < k:  # plain in-range ids skip the full check
-            check_int("label", label, 0, k)
-    return subset
+    return check_labels("label", subset, k)

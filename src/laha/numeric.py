@@ -1,15 +1,16 @@
 """Dense float64 matrices with reverse-mode differentiation.
 
 Every tensor in the model is a 2-D numpy array wrapped in a `Node` that
-carries a lazily allocated gradient slot and links to its operands.
+carries a lazily allocated gradient slot and links to its operands.  Ops
+take Nodes: a leaf enters a graph only where its owner builds `Node(...)`.
 `backward()` runs one reverse sweep from a scalar output; the tests'
 `grad_check` pits its gradients against central finite differences.  Ops
-never broadcast implicitly (dedicated column/row-vector ops exist
-instead).  Finiteness is checked where values enter and leave a graph:
-at each leaf but the model's parameters (checked where they are set), in
-`bilstm` (whose sigmoid and tanh would hide an overflow), at the root of
-`backward`, and by the model on its logits and Adam on its gradients.  A
-non-finite op value that reaches none of these does not raise; with
+never broadcast (column and row-vector ops exist instead).  Finiteness is
+checked where values enter and leave a graph: at each leaf but the
+model's parameters (checked where they are set), in `bilstm` (whose
+sigmoid and tanh would hide an overflow), at the root of `backward`, and
+by the model on its logits and Adam on its gradients.
+A non-finite op value that reaches none of these does not raise; with
 finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
 where a chain of nodes kept several: `softmax_product` (a softmax in its
@@ -18,7 +19,7 @@ product's buffer), `gate` (two sigmoids and their ratio), `mix_columns`
 batch of documents; the `sigmoid` of logits runs on plain arrays, outside
 the graph.  `take_rows` gathers rows by integer index and returns its
 input for the identity, as `slice_cols` does for the full column range.
-`bilstm` runs both LSTM directions over a batch of documents' token ids
+`bilstm` runs both LSTM directions over a docs x n array of token ids
 as one node, whose value is the model's read-only H = [H_f; H_b]
 (`add_halves` gives H_f + H_b from it): a GEMM per direction projects
 each distinct token's embedding once, placed by its index in `np.unique`'s
@@ -50,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError, check_int
+from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _BPTT_BLOCK = 2**16  # floats in one of the BPTT's block scratch buffers: steps, reversed rows
@@ -60,10 +61,8 @@ _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s
 def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D float64 array with positive dimensions."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
     if a.ndim != 2:
-        raise ShapeError(f"expected a scalar or 2-D matrix, got shape {a.shape}")
+        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
     return a
@@ -110,10 +109,6 @@ class Node:
     def __repr__(self) -> str:
         kind = "leaf" if not self._parents else "op"
         return f"Node({self.rows}x{self.cols}, {kind})"
-
-
-def _node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -166,9 +161,8 @@ def _toposort(root: Node) -> list[Node]:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Node:
+def matmul(a: Node, b: Node) -> Node:
     """Matrix product a @ b; gradients flow to both operands."""
-    a, b = _node(a), _node(b)
     if a.cols != b.rows:
         raise ShapeError(
             f"matmul: inner dimensions differ for {a.value.shape} x {b.value.shape}"
@@ -181,31 +175,27 @@ def matmul(a, b) -> Node:
     return Node(a.value @ b.value, (a, b), bwd)
 
 
-def associate(a, b, c) -> tuple[Node, Node]:
+def associate(a: Node, b: Node, c: Node) -> tuple[Node, Node]:
     """(ab, c) or (a, bc), whichever product needs fewer multiply-adds, (ab, c) on a tie."""
-    a, b, c = _node(a), _node(b), _node(c)
     if a.rows * b.cols * (a.cols + c.cols) <= b.rows * c.cols * (b.cols + a.rows):
         return matmul(a, b), c
     return a, matmul(b, c)
 
 
-def matmul_chain(a, b, c) -> Node:
+def matmul_chain(a: Node, b: Node, c: Node) -> Node:
     """a @ b @ c in the association `associate` picks."""
     return matmul(*associate(a, b, c))
 
 
-def transpose(a) -> Node:
-    a = _node(a)
-
+def transpose(a: Node) -> Node:
     def bwd(g):
         a.grad += g.T
 
     return Node(a.value.T, (a,), bwd)
 
 
-def slice_cols(a, lo: int, hi: int) -> Node:
+def slice_cols(a: Node, lo: int, hi: int) -> Node:
     """Columns lo .. hi - 1 of a, as a view; the full range returns a itself."""
-    a = _node(a)
     if not 0 <= lo < hi <= a.cols:
         raise ShapeError(f"slice_cols: [{lo}, {hi}) is not a column range of {a.value.shape}")
     if hi - lo == a.cols:
@@ -217,9 +207,8 @@ def slice_cols(a, lo: int, hi: int) -> Node:
     return Node(a.value[:, lo:hi], (a,), bwd)
 
 
-def add_halves(a) -> Node:
+def add_halves(a: Node) -> Node:
     """Top half of a's rows plus its bottom half: a[:r] + a[r:] for 2r rows."""
-    a = _node(a)
     if a.rows % 2:
         raise ShapeError(f"add_halves: {a.rows} rows do not split into two halves")
     r = a.rows // 2
@@ -231,9 +220,8 @@ def add_halves(a) -> Node:
     return Node(a.value[:r] + a.value[r:], (a,), bwd)
 
 
-def take_rows(a, indices) -> Node:
+def take_rows(a: Node, indices) -> Node:
     """Gather rows by index (the identity returns a); the gradient scatters back, repeats add."""
-    a = _node(a)
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("take_rows needs a nonempty 1-D index list")
@@ -250,9 +238,8 @@ def take_rows(a, indices) -> Node:
     return Node(a.value[idx, :], (a,), bwd)
 
 
-def add_colvec(m, v) -> Node:
+def add_colvec(m: Node, v: Node) -> Node:
     """Add a (rows x 1) column vector to every column of m."""
-    m, v = _node(m), _node(v)
     if v.value.shape != (m.rows, 1):
         raise ShapeError(f"add_colvec: expected {(m.rows, 1)}, got {v.value.shape}")
 
@@ -263,9 +250,8 @@ def add_colvec(m, v) -> Node:
     return Node(m.value + v.value, (m, v), bwd)
 
 
-def mix_columns(a, u, b) -> Node:
+def mix_columns(a: Node, u: Node, b: Node) -> Node:
     """a * u + b * (1 - u) for a 1 x cols row u, in one C-order buffer."""
-    a, u, b = _node(a), _node(u), _node(b)
     if not (a.value.shape == b.value.shape and u.value.shape == (1, a.cols)):
         raise ShapeError(f"mix_columns: {[n.value.shape for n in (a, u, b)]} do not fit")
     v = 1.0 - u.value
@@ -303,9 +289,8 @@ def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return x
 
 
-def tanh(a) -> Node:
+def tanh(a: Node) -> Node:
     """Elementwise tanh."""
-    a = _node(a)
     y = np.tanh(a.value)
 
     def bwd(g):
@@ -314,9 +299,8 @@ def tanh(a) -> Node:
     return Node(y, (a,), bwd)
 
 
-def relu(a) -> Node:
+def relu(a: Node) -> Node:
     """Elementwise max(a, 0), with gradient 0 at 0."""
-    a = _node(a)
 
     def bwd(g):
         a.grad += g * (a.value > 0)
@@ -324,7 +308,7 @@ def relu(a) -> Node:
     return Node(np.maximum(a.value, 0.0), (a,), bwd)
 
 
-def gate(z_a, z_b) -> Node:
+def gate(z_a: Node, z_b: Node) -> Node:
     """sigmoid(z_a) / s, s = sigmoid(z_a) + sigmoid(z_b), elementwise: LAHA's fusion weight.
 
     The backward repeats the sigmoid, add and div chain's arithmetic in its order.  Equal
@@ -333,7 +317,6 @@ def gate(z_a, z_b) -> Node:
     is infinite; there sigmoid(z) is e^z to double precision, so the weight is sigmoid(z_a -
     z_b), with slopes +-alpha (1 - alpha).  Every other element keeps the chain's bits.
     """
-    z_a, z_b = _node(z_a), _node(z_b)
     _same_shape(z_a, z_b, "gate")
     y_a, y_b = sigmoid(z_a.value), sigmoid(z_b.value)
     s = y_a + y_b
@@ -358,12 +341,11 @@ def gate(z_a, z_b) -> Node:
     return Node(alpha, (z_a, z_b), bwd)
 
 
-def softmax_product(a, b, mask, transposed: bool = False) -> Node:
+def softmax_product(a: Node, b: Node, mask, transposed: bool = False) -> Node:
     """Column softmax of P = a @ b (of P^T if `transposed`) in P's buffer: rows off `mask` get 0.
 
     Max subtraction keeps huge scores from overflowing; the backward forms dS once.
     """
-    a, b = _node(a), _node(b)
     if a.cols != b.rows:
         raise ShapeError(f"softmax_product: {a.value.shape} x {b.value.shape} do not fit")
     x = (a.value @ b.value).T if transposed else a.value @ b.value
@@ -386,7 +368,7 @@ def softmax_product(a, b, mask, transposed: bool = False) -> Node:
     return Node(x, (a, b), bwd)
 
 
-def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
+def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
     """Binary cross-entropy of each document's logits against its constant targets, one 1x1 node.
 
     Each document's loss is summed over its labels, then the sums are added
@@ -399,7 +381,7 @@ def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
         raise ShapeError(f"bce_with_logits: {len(logits)} logit rows vs {len(targets)} targets")
     if not logits:
         raise ValidationError("bce_with_logits needs at least one document")
-    zs, ys = [_node(z) for z in logits], [np.asarray(y, dtype=np.float64) for y in targets]
+    zs, ys = tuple(logits), [np.asarray(y, dtype=np.float64) for y in targets]
     total = 0.0
     for z, y in zip(zs, ys):
         if y.shape != z.value.shape:
@@ -412,7 +394,7 @@ def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
         for z, y in zip(zs, ys):
             z.grad += (g[0, 0] * inv) * (sigmoid(z.value) - y)
 
-    return Node(np.array([[total * inv]]), tuple(zs), bwd)
+    return Node(np.array([[total * inv]]), zs, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -420,32 +402,31 @@ def bce_with_logits(logits: Sequence, targets: Sequence) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def bilstm(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
-    """Both LSTM directions over `docs` equal-length documents of token ids, as one node.
+def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
+    """Both LSTM directions over a docs x n array of token ids, a document a row, as one node.
 
-    `ids` holds document j's tokens at j*n ... j*n + n - 1, each a row of the vocab x d
-    `table`, whose distinct rows are read once and take the input-side gradient.  Each
-    direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the i, f, g, o gates.  The value
-    is the 2r x (docs * n) forward over reverse states, column t after reading token t.  Below
-    r * r * docs = `_WORKER_MIN` the directions step in lockstep, as one stack; from it on
-    two 4r x r recurrent matrices would evict each other from the cache, so each direction
-    is a stack of its own, the reverse one on a worker thread if two CPUs are usable.  A
-    stack's step makes one call per op for all its directions and allocates nothing.  The node
-    keeps the gates and cell states, and the value is read-only: the BPTT reads H back.
+    Each id is a row of the vocab x d `table`, whose distinct rows are read once and take the
+    input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
+    i, f, g, o gates.  The value is the 2r x (docs * n) forward over reverse states, document j
+    in columns j*n ... j*n + n - 1, column t after reading token t.  Below r * r * docs =
+    `_WORKER_MIN` the directions step in lockstep, as one stack; from it on two 4r x r
+    recurrent matrices would evict each other from the cache, so each direction is a stack of
+    its own, the reverse one on a worker thread if two CPUs are usable.  A stack's step makes
+    one call per op for all its directions and allocates nothing.  The node keeps the gates
+    and cell states, and the value is read-only: the BPTT reads H back.
     """
-    check_int("docs", docs, 1)
-    table, *w = (_node(a) for a in (table, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
+    w = [wx_f, wh_f, b_f, wx_b, wh_b, b_b]
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":
         raise ValidationError(f"bilstm: token ids must be integer indices, got {ids.dtype}")
     rows = np.unique(ids)  # sorted: its ends bound the ids, and `searchsorted` maps each id
     r, d, shapes = w[1].cols, table.cols, [a.value.shape for a in w]
-    if (shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or ids.ndim != 1 or not ids.size
-            or ids.size % docs or not 0 <= rows[0] <= rows[-1] < table.rows):
-        raise ShapeError(f"bilstm: {shapes}, {docs} documents and token ids of shape "
-                         f"{ids.shape} do not fit a {table.value.shape} table")
-    h = np.empty((2 * r, ids.size), order="F" if docs == 1 else "C")  # see `_lstm`
-    bptt = _lstm(table.value[rows].T, [a.value for a in w], docs, rows.searchsorted(ids), h)
+    if (shapes != [(4 * r, d), (4 * r, r), (4 * r, 1)] * 2 or ids.ndim != 2 or not ids.size
+            or not 0 <= rows[0] <= rows[-1] < table.rows):
+        raise ShapeError(f"bilstm: {shapes} and token ids of shape {ids.shape} "
+                         f"do not fit a {table.value.shape} table")
+    h = np.empty((2 * r, ids.size), order="F" if len(ids) == 1 else "C")  # see `_lstm`
+    bptt = _lstm(table.value[rows].T, [a.value for a in w], rows.searchsorted(ids), h)
     h.flags.writeable = False  # the BPTT reads its states back from H
 
     def bwd(grad):
@@ -457,18 +438,18 @@ def bilstm(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
     return Node(h, (table, *w), bwd)
 
 
-def _lstm(x, w, docs: int, cols, out):
+def _lstm(x, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
     D directions makes one recurrent GEMM and one call per elementwise op a step, through
     buffers made before the loop; each direction's GEMMs keep the oracle's layouts
-    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (each position's column of x)
-    places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the gate coefficients
-    per block of `_BPTT_BLOCK` floats, reads the states before each step from out, sums dz per
-    block of gate rows, each sum in stepping order, and frees the gates before dwx's GEMM.
+    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (docs x n, each position's
+    column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
+    gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
+    from out, sums dz per block of gate rows in stepping order, and frees the gates before dwx.
     """
-    r, n, u = w[1].shape[1], cols.size // docs, x.shape[1]
+    r, (docs, n), u = w[1].shape[1], cols.shape, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
     worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
 
@@ -483,7 +464,7 @@ def _lstm(x, w, docs: int, cols, out):
     def stack(ks: tuple):
         D, steps = len(ks), [-1 if k else 1 for k in ks]
         # at[j, s * docs + c] is x's column of document c's s-th token in direction j's order
-        at = np.array([cols.reshape(docs, n).T[::step] for step in steps]).reshape(D, n * docs)
+        at = np.array([cols.T[::step] for step in steps]).reshape(D, n * docs)
         # gates[:, :, s]: step s's input projection, then its gates, then (in the BPTT) its dz
         gates = np.empty((D, 4 * r, n, docs))
         for j, k in enumerate(ks):
@@ -511,8 +492,6 @@ def _lstm(x, w, docs: int, cols, out):
                 c_s += tanh_g
                 np.tanh(c_s, out=h_s)
                 h_s *= o
-        if not np.isfinite(c).all():
-            raise NumericalError("lstm: non-finite cell state")
         for j, (k, step) in enumerate(zip(ks, steps)):
             out[k * r : (k + 1) * r].reshape(r, docs, n)[...] = h[1:, j][::step].transpose(1, 2, 0)
         saved = [gates, c]  # not h, a buffer of its own: the BPTT reads the states back from out
@@ -529,7 +508,7 @@ def _lstm(x, w, docs: int, cols, out):
             # a time, last block first, each k overwrites its gate (n x D x r x docs views) in
             # place, as the oracle's (a * y) * (1 - y) with a * y first, and dz then overwrites k.
             # f's copy, tanh(c) and dc/dh go to block scratch; tanh(c)'s then takes c_prev * f and
-            # g's k, and g takes g * i: c stays whole, as the next block reads its rows again
+            # g's k, and g takes g * i: c stays whole until the last block has formed its k
             i, f, g, o = gates.reshape(D, 4, r, n, docs).transpose(1, 3, 0, 2, 4)
             span = max(1, _BPTT_BLOCK // (D * r * docs))  # steps a block
             scratch = np.empty((3, min(span, n), D, r, docs))
@@ -550,6 +529,8 @@ def _lstm(x, w, docs: int, cols, out):
                 np.multiply(ib, np.subtract(1.0, np.multiply(gb, gb, out=tc), out=tc), out=tc)
                 np.multiply(np.multiply(gb, ib, out=gb), np.subtract(1.0, ib, out=ib), out=ib)
                 gb[...] = tc
+                if not lo:
+                    del c
                 for s in range(hi - 1, lo - 1, -1):
                     np.add(dh_out[s], dh_next, out=dh)
                     np.multiply(dh, dc_dh[s - lo], out=dc)
@@ -559,7 +540,7 @@ def _lstm(x, w, docs: int, cols, out):
                     np.matmul(wh_t, dz, out=dh_next)
                     np.multiply(dc, f_kept[s - lo], out=dc_next)
                     gates[:, :, s] = dz
-            del dh_out, c, scratch, f_kept, tc, dc_dh  # every view of c and the scratch
+            del dh_out, scratch, f_kept, tc, dc_dh  # every view of the scratch
             dwh_db = []
             for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the next one
                 dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")

@@ -13,9 +13,10 @@ conventions of `laha.numeric`.  `softmax_columns`, `scale_cols` and
 the references those fused ops must match bit for bit.  `lstm` is one
 LSTM direction as its own node, stepped serially over the distinct-token
 columns a map places.  `bilstm_oracle` gathers a batch's distinct token
-rows with `take_rows` and `transpose` and stacks two `lstm` nodes on
-`np.unique`'s map with `vconcat` into H: the reference that
-`numeric.bilstm` and `model.bilstm_forward` must match bit for bit.
+rows (its ids docs x n, as `numeric.bilstm` takes them) with `take_rows`
+and `transpose` and stacks two `lstm` nodes on `np.unique`'s map with
+`vconcat` into H: the reference that `numeric.bilstm` and
+`model.bilstm_forward` must match bit for bit.
 `bilstm_per_position` gathers every position's row instead, on the
 identity map: the per-position arithmetic, equal to rounding.
 `adam_step_oracle` is Adam as a loop over parameter names, one array at
@@ -38,10 +39,15 @@ from laha import data
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
 from laha.model import ModelParams
 from laha.numeric import (
-    Node, _node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid,
-    take_rows, transpose,
+    Node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid, take_rows,
+    transpose,
 )
 from laha.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+
+def _node(x) -> Node:
+    """x itself if it is a Node, else a scanned leaf over it: the ops here take plain arrays too."""
+    return x if isinstance(x, Node) else Node(x)
 
 
 def add(a, b) -> Node:
@@ -316,17 +322,18 @@ def _two_lstms(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs, columns) -> Node:
                     lstm(x, wx_b, wh_b, b_b, reverse=True, docs=docs, columns=columns)])
 
 
-def bilstm_oracle(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
-    """H of `numeric.bilstm`: the distinct rows, then two `lstm` nodes, the forward one first."""
+def bilstm_oracle(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
+    """H of `numeric.bilstm` over docs x n ids: the distinct rows, then two `lstm` nodes, the
+    forward one first."""
     rows, columns = np.unique(ids, return_inverse=True)
     return _two_lstms(transpose(take_rows(table, rows)), wx_f, wh_f, b_f, wx_b, wh_b, b_b,
-                      docs, columns)
+                      len(ids), columns.ravel())
 
 
-def bilstm_per_position(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs: int = 1) -> Node:
+def bilstm_per_position(table, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     """H over every position's row, a column each: no token's dz is summed before a GEMM."""
-    return _two_lstms(transpose(take_rows(table, ids)), wx_f, wh_f, b_f, wx_b, wh_b, b_b,
-                      docs, None)
+    return _two_lstms(transpose(take_rows(table, np.ravel(ids))), wx_f, wh_f, b_f, wx_b, wh_b,
+                      b_b, len(ids), None)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,23 @@ def test_load_corpus_non_integer_labels():
         load_corpus(['{"id":"a","labels":["x"],"text":"x"}'])
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "expected a JSON object"), ('"x"', "expected a JSON object"),
+    ('{"id":"d1","labels":[1]}', "missing field 'text'"),
+], ids=["list", "string", "no text"])
+def test_load_corpus_rejects_a_line_that_is_not_a_document_object(line, message):
+    with pytest.raises(DataFormatError, match=f"line 2: {message}") as err:
+        load_corpus(['{"id":"d0","labels":[1],"text":"x"}', line])
+    assert err.value.line == 2
+
+
+def test_load_corpus_skips_blank_lines_but_counts_them():
+    docs = load_corpus(["", '{"id":"d0","labels":[1],"text":"x"}', " \t\n"])
+    assert [doc.doc_id for doc in docs] == ["d0"]
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_corpus(["", "  ", "{nope"])
+
+
 def test_build_vocab_frequency_order():
     # counts: a=2, b=2, c=1 -> a and b (tie broken lexicographically) before c
     corpus = _docs(("a b a", [0]), ("b c", [1]))

@@ -171,3 +171,44 @@ def test_against_refuses_a_traced_comparison(experiments, capsys):
     with pytest.raises(SystemExit) as exit_info:
         experiments.main(["--against", "HEAD", "--seeds", "1", "--trace"])
     assert exit_info.value.code == 2 and "--against" in capsys.readouterr().err
+
+
+def _run_record(workload: str, seed: int, trace: int, correct=True, failed: int = 0) -> dict:
+    """A hand-made bench record with every figure the root files read."""
+    timed = ("label_embed_s", "score_docs_per_s", "setup_s", "train_docs_per_s")
+    return {"workload": workload, "trace": trace,
+            "environment": {"seed": seed, "git_commit": "0" * 40},
+            "measures": {**dict.fromkeys(timed, 2.0), "peak_rss_mb": 40.0,
+                         **dict.fromkeys(("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5",
+                                          "g1_ndcg_at_5"), 0.5)},
+            "info": {"raw_and_reference_seconds": {name: [[0.1, 0.01]] for name in timed},
+                     "spans": [{"name": "bench.run", "calls": 1, "total_s": 1.0, "self_s": 1.0}]},
+            "result": {"correct": correct, "attempted": 4, "failed": failed}}
+
+
+def test_exit_code_names_each_run_that_is_not_correct_or_failed_an_operation(experiments, capsys):
+    assert experiments.exit_code([_run_record("aapd-train", 1, 0),
+                                  _run_record("aapd-train", 1, 1)]) == 0
+    assert capsys.readouterr().err == ""
+    runs = [_run_record("aapd-train", 1, 0), _run_record("aapd-quality", 3, 1, correct=False),
+            _run_record("eurlex-score", 4, 0, failed=2)]
+    assert experiments.exit_code(runs) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "aapd-quality seed 3 trace 1: correct False, 0 failed operations",
+        "eurlex-score seed 4 trace 0: correct True, 2 failed operations"]
+
+
+def test_root_files_are_written_and_the_runner_exits_1_on_an_incorrect_run(
+        experiments, monkeypatch, tmp_path, capsys):
+    def bench_run(workload, seed, trace=0, tree=None):
+        return _run_record(workload, seed, trace, correct=workload != "eurlex-score" or trace == 0)
+
+    monkeypatch.setattr(experiments, "ROOT", tmp_path)
+    monkeypatch.setattr(experiments, "bench_run", bench_run)
+    assert experiments.main(["--seeds", "1", "--trace"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "eurlex-score seed 1 trace 1: correct False, 0 failed operations"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*experiments.BENCH_FILES, "BENCH_layers.json"])
+    monkeypatch.setattr(experiments, "bench_run", lambda w, s, trace=0: _run_record(w, s, trace))
+    assert experiments.main(["--seeds", "1-2"]) == 0

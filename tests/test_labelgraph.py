@@ -229,6 +229,12 @@ def test_skipgram_malformed_walks_raise_validation_error(walks):
         train_skipgram(walks, k=3, r=2)
 
 
+@pytest.mark.parametrize("node", [3, 7])
+def test_skipgram_rejects_a_walk_node_past_the_label_count(node):
+    with pytest.raises(ValidationError, match=f"walk node {node} outside label range"):
+        train_skipgram([[0, 1], [2, node, 1]], k=3, r=2)
+
+
 def _ppmi_oracle(walks, window):
     """Labels in a pair and their dense PPMI matrix, from loops over each walk's pairs."""
     pairs = Counter()

@@ -267,6 +267,18 @@ def test_evaluate_label_space_mismatch():
         evaluate(_score_fn_from_table({"d": np.zeros(3)}), docs, k=3)
 
 
+def test_evaluate_rejects_an_empty_test_corpus():
+    with pytest.raises(ValidationError, match="test corpus must be nonempty"):
+        evaluate(lambda doc: np.zeros(3), [], k=3)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_evaluate_rejects_a_score_vector_of_another_length(length):
+    docs = [Document("d", ["x"], {1})]
+    with pytest.raises(ValidationError, match=f"score vector length {length} != label count 3"):
+        evaluate(lambda doc: np.zeros(length), docs, k=3)
+
+
 def test_evaluate_macro_average_against_brute_force():
     rng = np.random.default_rng(5)
     k = 12
@@ -390,6 +402,12 @@ def test_histogram_right_closed_last_bin():
     trace_fn = lambda doc: _FakeTrace([0], [1.0])
     counts = fusion_weight_histogram(trace_fn, docs)
     assert counts[9] == 1 and sum(counts) == 1
+
+
+def test_histogram_rejects_a_trace_that_misses_a_positive_label():
+    docs = [Document("a", ["x"], {0}), Document("b", ["x"], {0, 2})]
+    with pytest.raises(ValidationError, match="'b' is missing label 2"):
+        fusion_weight_histogram(lambda doc: _FakeTrace([0, 1], [0.5, 0.5]), docs)
 
 
 def test_histogram_empty_documents():

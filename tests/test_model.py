@@ -66,7 +66,7 @@ def test_bilstm_zero_weights_zero_states():
     zeros = lambda *s: Node(np.zeros(s))
     emb = Node(np.random.default_rng(0).normal(size=(n, d)))
     h = bilstm_forward(
-        emb, np.arange(n),
+        emb, np.arange(n)[None],
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
         zeros(4 * r, d), zeros(4 * r, r), zeros(4 * r, 1),
     )
@@ -79,7 +79,7 @@ def test_bilstm_output_shape():
     pn = wrap_params(params)
     n = 6
     h = bilstm_forward(
-        pn["embedding"], [1, 4, 1, 8, 0, 0], pn["lstm_wx_f"], pn["lstm_wh_f"], pn["lstm_b_f"],
+        pn["embedding"], [[1, 4, 1, 8, 0, 0]], pn["lstm_wx_f"], pn["lstm_wh_f"], pn["lstm_b_f"],
         pn["lstm_wx_b"], pn["lstm_wh_b"], pn["lstm_b_b"],
     )
     assert h.value.shape == (2 * cfg.r, n)
@@ -98,7 +98,7 @@ def test_lstm_single_step_scalar_oracle():
     wh = Node(np.zeros((4, 1)))
     b = Node(np.array([[bi], [bf], [bg], [bo]]))
     emb = Node(np.array([[e]]))
-    h = bilstm_forward(emb, [0], wx, wh, b, wx, wh, b)
+    h = bilstm_forward(emb, [[0]], wx, wh, b, wx, wh, b)
     assert h.value[0, 0] == pytest.approx(h_hand, abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_bilstm_matches_per_step_reference(d, r, n):
         weights += [rng.uniform(-limit, limit, size=(4 * r, d)),
                     rng.uniform(-limit, limit, size=(4 * r, r)),
                     rng.normal(scale=0.5, size=(4 * r, 1))]
-    h = bilstm_forward(Node(x.T), np.arange(n), *map(Node, weights))
+    h = bilstm_forward(Node(x.T), np.arange(n)[None], *map(Node, weights))
     ref_fwd = _reference_lstm(x, *weights[:3])
     ref_bwd = _reference_lstm(x[:, ::-1], *weights[3:])[:, ::-1]
     assert h.value.shape == (2 * r, n)
@@ -221,7 +221,7 @@ def test_interaction_attention_identity_oracle():
     w_q = Node(np.eye(n))
     label_rows = np.zeros((2, n))
     label_rows[0, 0] = 1.0
-    attn = interaction_attention(h, label_rows, w_q, [0], np.ones(n, bool))
+    attn = interaction_attention(h, Node(label_rows), w_q, [0], np.ones(n, bool))
     e = np.exp(np.array([2.0, 0.0, 0.0]))
     np.testing.assert_allclose(attn.value[:, 0], e / e.sum(), atol=1e-12)
 
@@ -233,8 +233,8 @@ def test_interaction_attention_single_word():
     h_fwd = rng.normal(size=(cfg.r, 1))
     h_bwd = rng.normal(size=(cfg.r, 1))
     lv = _label_vectors(cfg)
-    attn = interaction_attention(Node(np.vstack([h_fwd, h_bwd])), lv.T, pn["w_q"], [0, 1, 2],
-                                 [True])
+    attn = interaction_attention(Node(np.vstack([h_fwd, h_bwd])), Node(lv.T), pn["w_q"],
+                                 [0, 1, 2], [True])
     ctx = np.vstack([h_fwd, h_bwd]) @ attn.value
     h1 = np.concatenate([h_fwd[:, 0], h_bwd[:, 0]])
     for j in range(3):
@@ -250,7 +250,7 @@ def test_interaction_attention_columns_normalized():
     h_bwd = rng.normal(size=(cfg.r, n))
     mask = np.array([True, True, False, True, True])
     attn = interaction_attention(
-        Node(np.vstack([h_fwd, h_bwd])), _label_vectors(cfg).T, pn["w_q"], [0, 3], mask
+        Node(np.vstack([h_fwd, h_bwd])), Node(_label_vectors(cfg).T), pn["w_q"], [0, 3], mask
     )
     np.testing.assert_allclose(attn.value.sum(axis=0), np.ones(2), atol=1e-9)
     assert (attn.value[2, :] == 0.0).all()
@@ -261,7 +261,7 @@ def test_interaction_attention_bad_label_matrix():
     pn = wrap_params(_params(cfg))
     h = Node(np.ones((2 * cfg.r, 2)))
     with pytest.raises(ShapeError):
-        interaction_attention(h, np.ones((cfg.k, cfg.r + 1)), pn["w_q"], [0], [1, 1])
+        interaction_attention(h, Node(np.ones((cfg.k, cfg.r + 1))), pn["w_q"], [0], [1, 1])
 
 
 def test_block_identity_of_interaction_scores():
@@ -647,7 +647,7 @@ def _shared_token_pass(variant, threaded, encoder=bilstm_forward):
 def test_forward_batch_over_distinct_tokens_matches_the_per_position_path(variant, threaded):
     got, call = _shared_token_pass(variant, threaded)
     want, _ = _shared_token_pass(variant, threaded, bilstm_per_position)
-    np.testing.assert_array_equal(call.args[1], np.concatenate(SHARED_TOKENS))
+    np.testing.assert_array_equal(call.args[1], np.stack(SHARED_TOKENS))
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
     assert (got["embedding"][[3, 5, 2, 0]] != 0).all()  # the repeated rows take gradients
@@ -674,7 +674,7 @@ def _old_self_attention(h, w_s1, w_s2, subset, mask):
 
 def _old_interaction_attention(h, label_rows, w_q, subset, mask):
     """The interaction route on a row-major label matrix's column slice, softmax on its own."""
-    lv = np.ascontiguousarray(label_rows.value.T)[:, subset]
+    lv = Node(np.ascontiguousarray(label_rows.value.T)[:, subset])
     return softmax_columns(nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, lv), mask)
 
 
@@ -722,6 +722,14 @@ def test_init_params_rejects_a_non_finite_embedding():
         emb[3, 1] = bad
         with pytest.raises(NumericalError, match="embedding"):
             init_params(cfg, emb, 0)
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (9,)], ids=["width 3", "1-D"])
+def test_init_params_rejects_an_embedding_that_is_not_vocab_by_d(shape):
+    cfg = _cfg()
+    assert cfg.d != 3
+    with pytest.raises(ShapeError, match="embedding table must be"):
+        init_params(cfg, np.zeros(shape), 0)
 
 
 def test_wrap_params_shares_the_parameter_buffers():

@@ -54,42 +54,42 @@ def _rows(x, mask):
 # A column softmax three ways: the per-step op, and the fused op on x = x @ I and on x = (I x^T)^T
 SOFTMAXES = {
     "softmax_columns": softmax_columns,
-    "softmax_product": lambda x, mask=None: softmax_product(x, np.eye(np.shape(x)[1]),
+    "softmax_product": lambda x, mask=None: softmax_product(Node(x), Node(np.eye(np.shape(x)[1])),
                                                             _rows(x, mask)),
     "softmax_product_transposed": lambda x, mask=None: softmax_product(
-        np.eye(np.shape(x)[1]), np.transpose(x), _rows(x, mask), transposed=True),
+        Node(np.eye(np.shape(x)[1])), Node(np.transpose(x)), _rows(x, mask), transposed=True),
 }
 
 
 def test_matmul_identity():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(a, np.eye(2))
+    out = matmul(Node(a), Node(np.eye(2)))
     np.testing.assert_array_equal(out.value, a)
 
 
 def test_matmul_hand_computed():
     # [[1,2],[3,4]] @ [[5],[6]]: rows give 1*5+2*6=17 and 3*5+4*6=39
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
+    out = matmul(Node(np.array([[1.0, 2.0], [3.0, 4.0]])), Node(np.array([[5.0], [6.0]])))
     np.testing.assert_array_equal(out.value, np.array([[17.0], [39.0]]))
 
 
 def test_matmul_zero():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(a, np.zeros((2, 3)))
+    out = matmul(Node(a), Node(np.zeros((2, 3))))
     np.testing.assert_array_equal(out.value, np.zeros((2, 3)))
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
+        matmul(Node(np.ones((2, 3))), Node(np.ones((2, 2))))
 
 
 def test_matmul_associativity_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        c = rng.normal(size=(2, 5))
+        a = Node(rng.normal(size=(3, 4)))
+        b = Node(rng.normal(size=(4, 2)))
+        c = Node(rng.normal(size=(2, 5)))
         left = matmul(matmul(a, b), c).value
         right = matmul(a, matmul(b, c)).value
         np.testing.assert_allclose(left, right, atol=1e-9)
@@ -145,9 +145,9 @@ def test_softmax_overflow_safe():
 
 
 def test_activation_values():
-    assert tanh(np.zeros((1, 1))).value[0, 0] == 0.0
-    assert gate(np.zeros((1, 1)), np.zeros((1, 1))).value[0, 0] == 0.5
-    assert relu(np.array([[-3.2]])).value[0, 0] == 0.0
+    assert tanh(Node(np.zeros((1, 1)))).value[0, 0] == 0.0
+    assert gate(Node(np.zeros((1, 1))), Node(np.zeros((1, 1)))).value[0, 0] == 0.5
+    assert relu(Node(np.array([[-3.2]]))).value[0, 0] == 0.0
 
 
 def test_sigmoid_is_bit_identical_to_dividing_each_branch():
@@ -179,6 +179,15 @@ def test_non_finite_input_rejected():
         Node(np.array([[np.inf]]))
     with pytest.raises(NumericalError):
         Node(np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize("value", [np.ones((2, 2, 2)), np.ones((2, 0)), np.ones((0, 3)), 1.0],
+                         ids=["3-D", "no columns", "no rows", "0-D"])
+def test_as_matrix_rejects_what_is_not_a_nonempty_matrix(value):
+    with pytest.raises(ShapeError, match="2-D matrix|dimensions must be positive"):
+        numeric.as_matrix(value)
+    with pytest.raises(ShapeError):
+        Node(value)
 
 
 def test_backward_requires_scalar_root():
@@ -222,12 +231,12 @@ def test_bce_with_logits_closed_form():
     # z = 0 costs ln 2 whatever the target; z = ln 3, y = 1 costs ln(4/3)
     z = np.array([[0.0, 0.0, math.log(3.0)]])
     y = np.array([[0.0, 1.0, 1.0]])
-    out = bce_with_logits([z], [y])
+    out = bce_with_logits([Node(z)], [y])
     assert out.value[0, 0] == pytest.approx(2 * math.log(2.0) + math.log(4 / 3), abs=1e-15)
     with pytest.raises(ShapeError):
-        bce_with_logits([z], [np.zeros((1, 2))])
+        bce_with_logits([Node(z)], [np.zeros((1, 2))])
     with pytest.raises(ShapeError):
-        bce_with_logits([z, z], [y])
+        bce_with_logits([Node(z), Node(z)], [y])
     with pytest.raises(ValidationError):
         bce_with_logits([], [])
 
@@ -433,6 +442,11 @@ def _bilstm_arrays(rng, d, r, n, docs, scale=1.0):
     return arrays
 
 
+def _leaves(arrays):
+    """Fresh leaves over `_bilstm_arrays`' table, then over each direction's wx, wh, b."""
+    return [Node(arrays[k]) for k in ("table", *BILSTM_WEIGHTS)]
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Report CPUs 0 and 1 as usable, so a large enough `bilstm` takes a worker thread."""
@@ -460,9 +474,9 @@ def test_grad_bilstm(monkeypatch, two_cpus, started, docs, threaded):
     rng = np.random.default_rng(680 + docs)
     params = _bilstm_arrays(rng, 3, 2, 4, docs)
     params["table"] *= 2.0
-    w, ids = _rand(rng, (4, docs * 4)), np.arange(docs * 4)
-    _check(lambda p: sum_all(mul(bilstm(p["table"], ids, *(p[k] for k in BILSTM_WEIGHTS), docs),
-                                 w)), params)
+    w, ids = _rand(rng, (4, docs * 4)), np.arange(docs * 4).reshape(docs, 4)
+    _check(lambda p: sum_all(mul(bilstm(p["table"], ids, *(p[k] for k in BILSTM_WEIGHTS)), w)),
+           params)
     assert bool(started) is threaded
 
 
@@ -470,10 +484,10 @@ def test_grad_bilstm(monkeypatch, two_cpus, started, docs, threaded):
 def test_bilstm_is_bit_identical_to_two_lstm_nodes(two_cpus, d, r, n, docs):
     rng = np.random.default_rng(d + r + n + docs)
     arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
-    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n)
+    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n).reshape(docs, n)
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -503,10 +517,10 @@ def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
     threads, before = _force(monkeypatch, schedule), threading.active_count()
     rng = np.random.default_rng(d + r + n + docs)
     arrays = _bilstm_arrays(rng, d, r, n, docs, math.sqrt(6.0 / (d + r)))
-    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n)
+    w, ids = rng.normal(size=(2 * r, docs * n)), np.arange(docs * n).reshape(docs, n)
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
     np.testing.assert_array_equal(node.value, h.value)
     root = sum_all(mul(node, w))
     backward(root)
@@ -519,24 +533,24 @@ def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
     assert threading.active_count() == before and not any(t.is_alive() for t in started)
 
 
-@pytest.mark.parametrize("cols, docs", [(5, 2), (4, 0), (3, 4)])
-def test_bilstm_rejects_columns_that_do_not_split_into_documents(cols, docs):
-    # docs=0 fails `errors.check_int` (ValidationError), the other two the shape check
-    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
-    with pytest.raises((ShapeError, ValidationError), match="documents|docs"):
-        bilstm(np.ones((cols, 2)), np.arange(cols), *w, *w, docs=docs)
+def _unit_bilstm(ids):
+    """`bilstm` over a 4 x 1 table of ones and d = r = 1 directions of ones."""
+    w = [Node(np.ones((4, 1))) for _ in range(3)]
+    return bilstm(Node(np.ones((4, 1))), ids, *w, *w)
 
 
-@pytest.mark.parametrize("docs", [2.0, True, 0])
-def test_bilstm_rejects_a_document_count_that_is_not_a_positive_integer(docs):
-    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
-    with pytest.raises(ValidationError, match="docs"):
-        bilstm(np.ones((4, 2)), np.arange(4), *w, *w, docs=docs)
+# the documents are the rows: a flat list of ids, or one with a third axis, has no rows of
+# tokens, and the document count is read from the rows alone
+@pytest.mark.parametrize("ids", [np.arange(4), np.arange(4).reshape(1, 2, 2)], ids=["1-D", "3-D"])
+def test_bilstm_rejects_token_ids_that_are_not_a_document_a_row(ids):
+    with pytest.raises(ShapeError, match="token ids"):
+        _unit_bilstm(ids)
+    assert _unit_bilstm(ids.reshape(2, 2)).value.shape == (2, 4)
 
 
 # two documents of five positions over a table of five rows: row 1 twice in the first
 # document, rows 2 and 3 in both, and the PAD row 0 at the end of each
-SHARED_IDS = np.array([1, 2, 1, 3, 0, 3, 4, 2, 0, 0])
+SHARED_IDS = np.array([[1, 2, 1, 3, 0], [3, 4, 2, 0, 0]])
 
 
 @pytest.mark.parametrize("schedule", ["lockstep", "worker"])
@@ -546,8 +560,8 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
     params = _bilstm_arrays(rng, 3, 2, 5, 1)
     params["table"] *= 2.0
     w = _rand(rng, (4, SHARED_IDS.size))
-    _check(lambda p: sum_all(mul(bilstm(p["table"], SHARED_IDS, *(p[k] for k in BILSTM_WEIGHTS),
-                                        2), w)), params)
+    _check(lambda p: sum_all(mul(bilstm(p["table"], SHARED_IDS, *(p[k] for k in BILSTM_WEIGHTS)),
+                                 w)), params)
     assert bool(started) is (schedule == "worker")
 
 
@@ -560,12 +574,12 @@ def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         monkeypatch, schedule, d, r, n, docs):
     _force(monkeypatch, schedule)
     rng = np.random.default_rng(d + r + n + docs)
-    ids = rng.integers(0, n, size=docs * n)  # n table rows: tokens repeat, some go unused
+    ids = rng.integers(0, n, size=docs * n).reshape(docs, n)  # n rows: tokens repeat, some unused
     arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
     w = rng.normal(size=(2 * r, docs * n))
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -575,27 +589,27 @@ def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
 
 # token ids, from which `bilstm` builds its column map, for two documents over a 3-row table
 @pytest.mark.parametrize("ids, error", [
-    ([0.0, 1.0, 2.0, 0.0], ValidationError), ([True, False, True, False], ValidationError),
-    ([[0, 1], [2, 0]], ShapeError), (1, ShapeError), ([0, 1, 2], ShapeError),
-    (np.array([], dtype=np.int64), ShapeError), ([0, 1, 3, 0], ShapeError),
-    (np.array([0, -1, 2, 0], dtype=np.int8), ShapeError),
-], ids=["float", "bool", "2-D", "0-D", "wrong-length", "empty", "past-x", "negative"])
+    ([[0.0, 1.0], [2.0, 0.0]], ValidationError), ([[True, False], [True, False]], ValidationError),
+    (1, ShapeError), (np.zeros((2, 0), dtype=np.int64), ShapeError), ([[0, 1], [3, 0]], ShapeError),
+    (np.array([[0, -1], [2, 0]], dtype=np.int8), ShapeError),
+], ids=["float", "bool", "0-D", "empty", "past-x", "negative"])
 def test_bilstm_rejects_a_malformed_column_map(ids, error):
-    w = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1)))
+    w = [Node(np.ones(shape)) for shape in ((4, 2), (4, 1), (4, 1))]
     with pytest.raises(error, match="token ids"):
-        bilstm(np.ones((3, 2)), ids, *w, *w, 2)
+        bilstm(Node(np.ones((3, 2))), ids, *w, *w)
 
 
 def test_bilstm_rejects_a_direction_that_does_not_fit():
-    fits, wide = (np.ones((4, 2)), np.ones((4, 1)), np.ones((4, 1))), np.ones((4, 3))
+    fits = [Node(np.ones(shape)) for shape in ((4, 2), (4, 1), (4, 1))]
     with pytest.raises(ShapeError):
-        bilstm(np.ones((3, 2)), [0, 1, 2], *fits, wide, *fits[1:])
+        bilstm(Node(np.ones((3, 2))), [[0, 1, 2]], *fits, Node(np.ones((4, 3))), *fits[1:])
 
 
 def test_bilstm_joins_its_worker_after_a_forward_and_a_backward(two_cpus, started):
     before = threading.active_count()
     arrays = _bilstm_arrays(np.random.default_rng(0), 6, 256, 3, 1, 0.1)
-    node = bilstm(arrays["table"], [0, 1, 2], *(arrays[k] for k in BILSTM_WEIGHTS))
+    table, *weights = _leaves(arrays)
+    node = bilstm(table, [[0, 1, 2]], *weights)
     assert threading.active_count() == before
     backward(sum_all(node))
     assert threading.active_count() == before
@@ -613,8 +627,9 @@ def test_bilstm_overflow_in_either_direction_raises_on_the_caller(monkeypatch, s
     for schedule in SCHEDULES:
         started.clear()
         threads = _force(monkeypatch, schedule)
+        table, *weights = _leaves(arrays)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="pre-activation"):
-            bilstm(arrays["table"], [0, 1, 2], *(arrays[k] for k in BILSTM_WEIGHTS))
+            bilstm(table, [[0, 1, 2]], *weights)
         assert threading.active_count() == before
         assert len(started) == threads and not any(t.is_alive() for t in started)
 
@@ -626,7 +641,8 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
     arrays["wx_b"][:] = 1e200
     for schedule in SCHEDULES:
         _force(monkeypatch, schedule)
-        h = bilstm(arrays["table"], [0, 1, 2, 3], *(arrays[k] for k in BILSTM_WEIGHTS)).value
+        table, *weights = _leaves(arrays)
+        h = bilstm(table, [[0, 1, 2, 3]], *weights).value
         # every reverse gate is 1, so its cell state counts the tokens read, from the right
         np.testing.assert_array_equal(h[3:], np.tanh([[4.0, 3.0, 2.0, 1.0]] * 3))
         assert np.isfinite(h).all()
@@ -634,26 +650,27 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
 
 # `bilstm`'s traced bytes in state-sized buffers, n x r x docs float64 (one direction's
 # states).  The forward keeps the gates (4 a direction) and c (n + 1 steps) beyond H and x,
-# and half a state for the column maps.  The backward's peak stays below H's gradient (2), f's
-# copy, tanh(c) and dc/dh of every step (3 a direction, both at once), both directions' dh
-# stacked in lockstep (2) and 1 for the rest.  As the three are formed a block of steps at a
-# time (8 of the 40 in lockstep, 16 on two stacks) it reads about 5.8 and 5.0; the one-CPU
-# test below bounds the block.  The dz sums' index, at most 2^18 entries (2 MB, 1.6 states
-# here) a call, comes after c and the blocks are freed.
-@pytest.mark.parametrize("schedule, states", [("lockstep", 2 + 6 + 2 + 1), ("worker", 2 + 6 + 1)])
+# and half a state for the column maps.  The backward's peak is H's gradient (2), a block each
+# of f's copy, tanh(c) and dc/dh (3 x 8 of the 40 steps a direction in lockstep: 1.2; 3 x 16 on
+# each of two stacks at once: 2.4), both directions' dh stacked in lockstep (2), the step-sized
+# buffers (dh, dc, their next steps and dz: 8 / 40 a direction) and 1/2 for the rest: 6.1 and
+# 5.3.  It reads 5.75 in lockstep and 4.96-5.11 on the worker.  The dz sums' index, at most
+# 2^18 entries (2 MB, 1.6 states here) a call, comes after c and the blocks are freed.
+@pytest.mark.parametrize("schedule, states", [("lockstep", 6.1), ("worker", 5.3)])
 def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
         monkeypatch, schedule, states):
     _force(monkeypatch, schedule)
     d, r, n, docs = 8, 16, 40, 256
     rng = np.random.default_rng(6)
     arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
-    ids = rng.integers(0, n, size=n * docs)
-    weights = [arrays[k] for k in BILSTM_WEIGHTS]
-    backward(sum_all(bilstm(arrays["table"], ids[:n], *weights)))  # first-call imports
+    ids = rng.integers(0, n, size=n * docs).reshape(docs, n)
+    table, *weights = _leaves(arrays)
+    backward(sum_all(bilstm(table, ids[:1], *weights)))  # first-call imports
+    table, *weights = _leaves(arrays)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        node = bilstm(arrays["table"], ids, *weights, docs)
+        node = bilstm(table, ids, *weights)
         kept = tracemalloc.get_traced_memory()[0] - start
         root = sum_all(node)
         tracemalloc.reset_peak()
@@ -677,12 +694,13 @@ def test_bilstm_backward_holds_one_block_of_gate_coefficients(monkeypatch):
     d, r, n, docs = 8, 32, 40, 256
     rng = np.random.default_rng(7)
     arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
-    ids = rng.integers(0, n, size=n * docs)
-    weights = [arrays[k] for k in BILSTM_WEIGHTS]
-    backward(sum_all(bilstm(arrays["table"], ids[:n], *weights)))  # first-call imports
+    ids = rng.integers(0, n, size=n * docs).reshape(docs, n)
+    table, *weights = _leaves(arrays)
+    backward(sum_all(bilstm(table, ids[:1], *weights)))  # first-call imports
+    table, *weights = _leaves(arrays)
     tracemalloc.start()
     try:
-        root = sum_all(bilstm(arrays["table"], ids, *weights, docs))
+        root = sum_all(bilstm(table, ids, *weights))
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         backward(root)
@@ -695,6 +713,39 @@ def test_bilstm_backward_holds_one_block_of_gate_coefficients(monkeypatch):
     assert peak / state <= 2 + dz_u / state + 3 * span / n + 0.5
 
 
+# one block covers all 40 steps on the one-CPU schedule's two stacks (64 steps a block).  While
+# the first direction steps back it holds H's gradient (2) and f's copy, tanh(c) and dc/dh (3)
+# beside the forward's arrays, less its c (1 + 1/40), freed once the block's coefficients are
+# formed, and 1/2 for the step-sized buffers (8 / 40) and the rest.  It reads 4.2; holding c
+# through the steps reads 5.2.
+def test_bilstm_frees_c_before_a_single_block_steps_back(monkeypatch):
+    _force(monkeypatch, "one cpu")
+    d, r, n, docs = 8, 16, 40, 64
+    assert numeric._BPTT_BLOCK // (r * docs) >= n
+    rng = np.random.default_rng(8)
+    arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
+    ids = rng.integers(0, n, size=n * docs).reshape(docs, n)
+    table, *weights = _leaves(arrays)
+    backward(sum_all(bilstm(table, ids[:1], *weights)))  # first-call imports
+    table, *weights = _leaves(arrays)
+    stepping, matmul = [], np.matmul
+
+    def traced_matmul(*args, **kwargs):  # in the backward, only each step's dh_next calls it
+        stepping.append(tracemalloc.get_traced_memory()[0])
+        return matmul(*args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        root = sum_all(bilstm(table, ids, *weights))
+        start = tracemalloc.get_traced_memory()[0]
+        monkeypatch.setattr(np, "matmul", traced_matmul)
+        backward(root)
+    finally:
+        tracemalloc.stop()
+    assert len(stepping) == 2 * n
+    assert (max(stepping) - start) / (n * r * docs * 8) <= 2 + 3 - 1 + 0.5
+
+
 # `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
 # in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; the reverse direction's
 # dz_u is put in stepping order 60 // U rows at a time
@@ -704,12 +755,12 @@ def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, st
     d, r, n, docs = 7, 5, 11, 3
     monkeypatch.setattr(numeric, "_BPTT_BLOCK", 4 * r * docs)
     rng = np.random.default_rng(11)
-    ids = rng.integers(0, n, size=docs * n)
+    ids = rng.integers(0, n, size=docs * n).reshape(docs, n)
     arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
     w = rng.normal(size=(2 * r, docs * n))
     got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS), docs)
-    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS), docs)
+    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
+    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
     np.testing.assert_array_equal(node.value, h.value)
     backward(sum_all(mul(node, w)))
     backward(sum_all(mul(h, w)))
@@ -729,8 +780,8 @@ def test_bilstm_takes_a_worker_only_at_large_shapes_with_two_cpus(
         monkeypatch, started, r, docs, cpus, threads):
     monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus)
     arrays = _bilstm_arrays(np.random.default_rng(2), 1, r, 1, docs, 0.1)
-    backward(sum_all(bilstm(arrays["table"], np.arange(docs), *(arrays[k] for k in BILSTM_WEIGHTS),
-                            docs)))
+    table, *weights = _leaves(arrays)
+    backward(sum_all(bilstm(table, np.arange(docs).reshape(docs, 1), *weights)))
     assert len(started) == threads
 
 
@@ -745,17 +796,17 @@ def test_grad_add_halves(trial):
 
 def test_add_halves_equals_the_sum_of_the_halves_and_rejects_an_odd_row_count():
     a = np.random.default_rng(0).normal(size=(6, 4))
-    np.testing.assert_array_equal(add_halves(a).value, add(a[:3], a[3:]).value)
+    np.testing.assert_array_equal(add_halves(Node(a)).value, add(a[:3], a[3:]).value)
     for rows in (1, 5):
         with pytest.raises(ShapeError, match="halves"):
-            add_halves(np.ones((rows, 2)))
+            add_halves(Node(np.ones((rows, 2))))
 
 
 @pytest.mark.parametrize("docs", [1, 2])
 def test_a_second_sweep_through_a_bilstm_node_raises_a_typed_error(docs):
     arrays = _bilstm_arrays(np.random.default_rng(3), 3, 2, 4, docs)
-    table = Node(arrays["table"])
-    root = sum_all(bilstm(table, np.arange(docs * 4), *(arrays[k] for k in BILSTM_WEIGHTS), docs))
+    table, *weights = _leaves(arrays)
+    root = sum_all(bilstm(table, np.arange(docs * 4).reshape(docs, 4), *weights))
     backward(root)
     swept = table.grad.copy()
     with pytest.raises(ValidationError, match="already swept"):
@@ -813,7 +864,7 @@ def test_grad_matmul_chain_each_order(trial, shapes, parent, parent_shape):
     rng = np.random.default_rng(250 + trial)
     a, b, c = (_rand(rng, s) for s in shapes)
     w = _rand(rng, (shapes[0][0], shapes[2][1]))
-    out = matmul_chain(a, b, c)
+    out = matmul_chain(Node(a), Node(b), Node(c))
     assert out.value.shape == w.shape
     assert out._parents[parent].value.shape == parent_shape
     assert out._parents[parent]._parents  # the intermediate product, not an operand
@@ -824,11 +875,11 @@ def test_grad_matmul_chain_each_order(trial, shapes, parent, parent_shape):
 
 def test_matmul_chain_tie_keeps_left_order_and_checks_shapes():
     # square operands cost the same both ways
-    out = matmul_chain(np.eye(2), 2 * np.eye(2), 3 * np.eye(2))
+    out = matmul_chain(Node(np.eye(2)), Node(2 * np.eye(2)), Node(3 * np.eye(2)))
     assert out._parents[0]._parents
     np.testing.assert_array_equal(out.value, 6 * np.eye(2))
     with pytest.raises(ShapeError):
-        matmul_chain(np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 1)))
+        matmul_chain(Node(np.ones((2, 3))), Node(np.ones((2, 3))), Node(np.ones((3, 1))))
 
 
 def _softmax_columns_reference(a, mask):
@@ -939,15 +990,15 @@ def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
 
 def test_mix_columns_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        mix_columns(np.ones((2, 3)), np.ones((1, 3)), np.ones((2, 2)))
+        mix_columns(Node(np.ones((2, 3))), Node(np.ones((1, 3))), Node(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        mix_columns(np.ones((2, 3)), np.ones((3, 1)), np.ones((2, 3)))
+        mix_columns(Node(np.ones((2, 3))), Node(np.ones((3, 1))), Node(np.ones((2, 3))))
 
 
 def test_gate_of_saturated_inputs_is_one_half_with_finite_gradients():
     # both sigmoids round to 1 above about 37; equal inputs share any value
     z_a, z_b = np.array([[40.0, 41.0, 39.5, -40.0]]), np.array([[41.0, 40.0, 44.0, -40.0]])
-    np.testing.assert_array_equal(gate(z_a, z_b).value, np.full((1, 4), 0.5))
+    np.testing.assert_array_equal(gate(Node(z_a), Node(z_b)).value, np.full((1, 4), 0.5))
     leaves = [Node(z_a), Node(z_b)]
     backward(sum_all(mul(gate(*leaves), np.array([[1.0, -2.0, 3.0, 0.5]]))))
     assert all(np.isfinite(leaf.grad).all() for leaf in leaves)
@@ -994,7 +1045,7 @@ def test_gate_is_bit_identical_to_sigmoid_add_and_div_nodes():
 
 def test_gate_rejects_mismatched_shapes():
     with pytest.raises(ShapeError, match="gate"):
-        gate(np.ones((1, 3)), np.ones((1, 2)))
+        gate(Node(np.ones((1, 3))), Node(np.ones((1, 2))))
 
 
 @pytest.mark.parametrize("indices, error", [

@@ -211,6 +211,15 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(p, {"bad_param": np.array([[np.nan]])}, state, lr=0.1)
 
 
+def test_adam_rejects_a_gradient_of_another_shape_before_it_writes():
+    p = packed({"a": np.array([[1.0]]), "b": np.ones((2, 3))})
+    state = AdamState.init(p)
+    for shape in [(3, 2), (6,), (1, 2, 3)]:
+        with pytest.raises(ShapeError, match=r"gradient shape .* for b"):
+            adam_step(p, {"a": np.array([[0.5]]), "b": np.ones(shape)}, state, lr=0.1)
+    assert p.flat.tolist() == [1.0] * 7 and state.step == 0
+
+
 def test_adam_checks_every_gradient_before_it_writes():
     p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
     state = AdamState.init(p)
@@ -861,4 +870,17 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"\x00\x01nonsense")
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"{nope", "unreadable checkpoint header"),
+    (b'{"format": "\xff"}', "unreadable checkpoint header"),
+    (b'{"format": "something-else", "version": 1}', "not a model checkpoint file"),
+    (b"[1, 2]", "not a model checkpoint file"),
+], ids=["not JSON", "not UTF-8", "another format", "not an object"])
+def test_checkpoint_with_a_foreign_header_line_raises_checkpoint_error(tmp_path, header, message):
+    path = tmp_path / "other.bin"
+    path.write_bytes(header + b"\n" + bytes(16))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(str(path))
