@@ -1,30 +1,32 @@
-"""Bench runs over seeds, summarized in BENCH_labelembed.json, BENCH_score.json, BENCH_setup.json
-and BENCH_train.json.
+"""Bench runs over seeds, of this tree and optionally of a revision beside it, in one loop.
 
-For each seed, runs
+    python3 scripts/experiments.py --seeds 1-10 [--trace] [--against REV]
 
-    python3 bench/run.py --workload W --seed S --seconds 5 --trace 0
+For each seed S, workload W in aapd-quality, eurlex-score and aapd-train,
+and trace T, 0 or, with --trace, 0 then 1, it runs
 
-for W in aapd-quality, eurlex-score and aapd-train, one subprocess per
-run, and reads the record it leaves in .bench_out/W-seedS-trace0.json.
-Each file at the repo root covers one end-to-end metric on the workloads
-that measure it themselves (not through aapd-quality's quality gate):
+    python3 bench/run.py --workload W --seed S --seconds 5 --trace T
+
+one subprocess per run, and reads the record it leaves in
+.bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
 
     BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
     BENCH_score.json       score_docs_per_s  eurlex-score, aapd-quality
     BENCH_setup.json       setup_s           aapd-train, eurlex-score, aapd-quality
     BENCH_train.json       train_docs_per_s  aapd-train, aapd-quality
+    BENCH_layers.json      ms_per_base       every workload, with --trace only
 
-and holds the commit, the environment, each run's calibrated figure, the
-median raw seconds of its samples (a sample is one timed call: a set-up,
-an embedding, a chunk of scored documents, a batch or epoch of training)
-and their count, its peak RSS (`peak_rss_mb`, the whole run's), its
-operation counts and, for aapd-quality (the only workload that trains a
-model to the quality check), its quality figures, and each workload's
-median and quartiles.
+Each of the first four covers one end-to-end metric, from the untraced
+runs of the workloads that measure it themselves (not through
+aapd-quality's quality gate).  It holds the commit, the environment, each
+run's calibrated figure, the median raw seconds of its samples (a sample
+is one timed call: a set-up, an embedding, a chunk of scored documents, a
+batch or epoch of training) and their count, its peak RSS (`peak_rss_mb`,
+the whole run's), its operation counts and, for aapd-quality (the only
+workload that trains a model to the quality check), its quality figures,
+and each workload's median and quartiles.
 
-With --trace, each workload and seed also gets one run with --trace 1,
-and BENCH_layers.json records, for every span of each traced run, its
+BENCH_layers.json records, for every span of each traced run, its
 milliseconds per unit of its base, and that base beside it: "run" for
 the spans that run once per run (labelgraph.* and bench.run), "trained"
 documents (one training.sample_labels call each) for the training.*
@@ -32,24 +34,20 @@ spans and numeric.backward, "scored" documents (one model.forward call
 each) for model.forward, metrics.evaluate and bench.score_fn, and
 "both" (their sum) for the rest.
 
-    python3 scripts/experiments.py --seeds 1-10 [--trace]
-
-With --against REV, it compares this tree with revision REV instead and
-writes BENCH_compare.json alone.  REV is checked out with `git worktree
-add --detach` into a temporary directory, removed on exit.  For each seed
-and workload, one untraced run of each tree makes a pair; the tree that
-runs first swaps from one pair of a workload to the next.  This tree runs
-as it stands, uncommitted edits included.  Per workload and end-to-end
-metric of BENCHMARK.json the file holds both trees' medians and
-quartiles, each pair's figures, the pairs this tree won, the median raw
-seconds of each run's samples where the metric is timed, and the move of
-the median against the metric's bound (positive is worse).  It also
-records whether p_at_5 and ndcg_at_5 were float-equal on every pair.
+With --against REV, each run is paired with the same run of revision
+REV, checked out with `git worktree add --detach` into a temporary
+directory removed on exit; the tree that runs first swaps from one pair
+of a workload and trace to the next, REV first.  This tree runs as it
+stands, uncommitted edits included.  BENCH_compare.json holds, from the
+untraced pairs, per workload and end-to-end metric of BENCHMARK.json,
+both trees' medians and quartiles, each pair's figures, the pairs this
+tree won, the median raw seconds of each run's samples where the metric
+is timed, and the median's move against the metric's bound (positive is
+worse).  It also holds whether p_at_5 and ndcg_at_5 were float-equal on
+every pair and, with --trace, each tree's BENCH_layers.json summary.
 `--against HEAD` gives the noise floor.
 
-    python3 scripts/experiments.py --against REV --seeds 1-10
-
-Either way it exits 1, once its files are written, if any run it records did
+It exits 1, once its files are written, if any run of either tree did
 not end correct or had a failed operation, and names each such run on
 stderr.
 """
@@ -57,6 +55,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -213,38 +212,18 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
                      for side, records in sides.items()} for key in ("attempted", "failed")}}
 
 
-def against(rev: str, seeds: list[int]) -> int:
-    """Alternate bench runs of this tree and of REV, checked out in a temporary worktree, and
-    write BENCH_compare.json."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = {workload: [] for workload in WORKLOADS}
+@contextlib.contextmanager
+def worktree(rev: str):
+    """REV checked out into a temporary directory, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="laha-against-") as tmp:
-        base_tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), rev], cwd=ROOT,
+        tree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
                        check=True, stdout=subprocess.DEVNULL)
         try:
-            for seed in seeds:
-                for workload in WORKLOADS:
-                    trees = [("base", base_tree), ("change", ROOT)]
-                    if len(pairs[workload]) % 2:
-                        trees.reverse()
-                    runs = {side: bench_run(workload, seed, tree=tree) for side, tree in trees}
-                    pairs[workload].append((runs["base"], runs["change"]))
-                    print(json.dumps({"workload": workload, "seed": seed, "first": trees[0][0],
-                                      "failed": {side: runs[side]["result"]["failed"]
-                                                 for side in runs}}), flush=True)
+            yield tree
         finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT,
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
                            check=False)
-    env = {key: value for key, value in runs["change"]["environment"].items()
-           if key not in ("seed", "git_commit")}
-    report = {"against": rev, "commits": {side: runs[side]["environment"]["git_commit"]
-                                          for side in runs},
-              "environment": env, "command": f"bench/run.py --workload W --seed S --seconds "
-              f"{SECONDS} --trace 0, alternating the two trees", "seeds": seeds,
-              "workloads": {name: compare(pairs[name], declared) for name in WORKLOADS}}
-    (ROOT / "BENCH_compare.json").write_text(json.dumps(report, indent=1) + "\n")
-    return exit_code([record for runs in pairs.values() for pair in runs for record in pair])
 
 
 def main(argv=None) -> int:
@@ -254,42 +233,60 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also run each workload and seed traced; write BENCH_layers.json")
     parser.add_argument("--against", metavar="REV",
-                        help="compare this tree with revision REV; write BENCH_compare.json only")
+                        help="pair every run with one of revision REV; write BENCH_compare.json")
     args = parser.parse_args(argv)
-    if args.against:
-        if args.trace:
-            parser.error("--against runs untraced only")
-        return against(args.against, args.seeds)
+    traces = (0, 1) if args.trace else (0,)
+    sides = ("base", "change") if args.against else ("change",)
+    records = {}  # (side, workload, trace) -> that tree's records, a seed each
+    with worktree(args.against) if args.against else contextlib.nullcontext() as base_tree:
+        trees = {"base": base_tree, "change": ROOT}
+        for index, seed in enumerate(args.seeds):
+            for workload in WORKLOADS:
+                for trace in traces:
+                    # each seed makes one pair a workload and trace, so this swaps per pair
+                    for side in sides[::-1] if index % 2 else sides:
+                        record = bench_run(workload, seed, trace, trees[side])
+                        records.setdefault((side, workload, trace), []).append(record)
+                        print(json.dumps({"side": side, "workload": workload, "seed": seed,
+                                          "trace": trace, **record["result"]}), flush=True)
+    environments = {side: records[side, WORKLOADS[0], 0][0]["environment"] for side in sides}
+    env = {key: value for key, value in environments["change"].items()
+           if key not in ("seed", "git_commit")}
+    head = {"commit": environments["change"]["git_commit"], "environment": env}
 
-    records = {workload: [] for workload in WORKLOADS}
-    layers = {workload: [] for workload in WORKLOADS}
-    traced = []
-    for seed in args.seeds:
-        for workload in WORKLOADS:
-            record = bench_run(workload, seed)
-            records[workload].append(record)
-            print(json.dumps({"workload": workload, "seed": seed, **record["result"]}), flush=True)
-            if args.trace:
-                traced.append(bench_run(workload, seed, trace=1))
-                layers[workload].append(layer_row(traced[-1]))
-    env = {key: value for key, value in record["environment"].items() if key != "seed"}
-    head = {"commit": env.pop("git_commit"), "environment": env}
-
-    def write(path: str, trace: int, metric: str, workloads: dict) -> None:
-        command = f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace {trace}"
-        report = {**head, "command": command, "metric": metric, "seeds": args.seeds,
-                  "workloads": workloads}
+    def write(path: str, report: dict) -> None:
         (ROOT / path).write_text(json.dumps(report, indent=1) + "\n")
 
+    def command(trace: int) -> str:
+        return f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace {trace}"
+
     for path, (prefix, metric, names) in BENCH_FILES.items():
-        runs = {name: [run_row(record, prefix, metric) for record in records[name]]
+        runs = {name: [run_row(record, prefix, metric) for record in records["change", name, 0]]
                 for name in names}
-        write(path, 0, metric, {name: {"summary": summarize(rows, prefix, metric), "runs": rows}
-                                for name, rows in runs.items()})
+        write(path, {**head, "command": command(0), "metric": metric, "seeds": args.seeds,
+                     "workloads": {name: {"summary": summarize(rows, prefix, metric), "runs": rows}
+                                   for name, rows in runs.items()}})
     if args.trace:
-        write("BENCH_layers.json", 1, "ms_per_base", {
-            name: {"summary": summarize_layers(rows), "runs": rows} for name, rows in layers.items()})
-    return exit_code([record for runs in records.values() for record in runs] + traced)
+        layers = {(side, name): [layer_row(record) for record in records[side, name, 1]]
+                  for side in sides for name in WORKLOADS}
+        write("BENCH_layers.json", {
+            **head, "command": command(1), "metric": "ms_per_base", "seeds": args.seeds,
+            "workloads": {name: {"summary": summarize_layers(layers["change", name]),
+                                 "runs": layers["change", name]} for name in WORKLOADS}})
+    if args.against:
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        workloads = {name: compare(list(zip(records["base", name, 0], records["change", name, 0])),
+                                   declared)
+                     for name in WORKLOADS}
+        for name, compared in workloads.items() if args.trace else ():
+            compared["layers"] = {side: summarize_layers(layers[side, name]) for side in sides}
+        write("BENCH_compare.json", {
+            "against": args.against,
+            "commits": {side: environments[side]["git_commit"] for side in sides},
+            "environment": env,
+            "command": " and ".join(map(command, traces)) + ", alternating the two trees",
+            "seeds": args.seeds, "workloads": workloads})
+    return exit_code([record for runs in records.values() for record in runs])
 
 
 if __name__ == "__main__":

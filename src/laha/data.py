@@ -193,6 +193,8 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())  # else a crash after the rename can leave `path` empty
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

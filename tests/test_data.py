@@ -100,6 +100,26 @@ def test_interrupted_checkpoint_save_keeps_the_earlier_file(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
 
+def test_atomic_write_syncs_the_whole_temporary_file_before_the_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    data.atomic_write_bytes(str(tmp_path / "out.bin"), b"abc")
+    assert [call[0] for call in calls] == ["fsync", "replace"]
+    assert calls[0][1:] == calls[1][1:] == ((tmp_path / "out.bin").stat().st_ino, 3)
+    assert (tmp_path / "out.bin").read_bytes() == b"abc"
+
+
 def test_load_corpus_empty_input():
     assert load_corpus([]) == []
 

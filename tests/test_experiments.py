@@ -1,5 +1,6 @@
 """The experiment runner's seed parser and summary, loaded from scripts/ by path."""
 
+import contextlib
 import importlib.util
 import json
 from pathlib import Path
@@ -167,12 +168,6 @@ def test_compare_marks_a_move_beyond_the_bound(experiments):
     assert setup["wins"] == 0
 
 
-def test_against_refuses_a_traced_comparison(experiments, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        experiments.main(["--against", "HEAD", "--seeds", "1", "--trace"])
-    assert exit_info.value.code == 2 and "--against" in capsys.readouterr().err
-
-
 def _run_record(workload: str, seed: int, trace: int, correct=True, failed: int = 0) -> dict:
     """A hand-made bench record with every figure the root files read."""
     timed = ("label_embed_s", "score_docs_per_s", "setup_s", "train_docs_per_s")
@@ -210,5 +205,64 @@ def test_root_files_are_written_and_the_runner_exits_1_on_an_incorrect_run(
         "eurlex-score seed 1 trace 1: correct False, 0 failed operations"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*experiments.BENCH_FILES, "BENCH_layers.json"])
-    monkeypatch.setattr(experiments, "bench_run", lambda w, s, trace=0: _run_record(w, s, trace))
+    monkeypatch.setattr(experiments, "bench_run",
+                        lambda workload, seed, trace, tree: _run_record(workload, seed, trace))
     assert experiments.main(["--seeds", "1-2"]) == 0
+
+
+def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
+        experiments, monkeypatch, tmp_path, capsys):
+    root, rev_tree, calls = tmp_path / "root", tmp_path / "rev", []
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+
+    @contextlib.contextmanager
+    def worktree(rev):
+        assert rev == "REV"
+        yield rev_tree
+
+    def bench_run(workload, seed, trace, tree):
+        # REV's runs are told apart by their commit, peak RSS and span time; one of them fails
+        side = "base" if tree == rev_tree else "change"
+        calls.append((workload, seed, trace, side))
+        failed = (side, workload, seed, trace) == ("base", "aapd-train", 2, 1)
+        record = _run_record(workload, seed, trace, failed=int(failed))
+        record["environment"]["git_commit"] = side
+        record["measures"]["peak_rss_mb"] = {"base": 50.0, "change": 40.0}[side]
+        record["info"]["spans"][0]["total_s"] = {"base": 2.0, "change": 1.0}[side]
+        return record
+
+    monkeypatch.setattr(experiments, "ROOT", root)
+    monkeypatch.setattr(experiments, "worktree", worktree)
+    monkeypatch.setattr(experiments, "bench_run", bench_run)
+    assert experiments.main(["--against", "REV", "--seeds", "1-2", "--trace"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "aapd-train seed 2 trace 1: correct True, 1 failed operations"]
+    # REV runs first on each workload and trace's first pair, this tree on the second
+    assert calls == [(workload, seed, trace, side)
+                     for seed, order in ((1, ("base", "change")), (2, ("change", "base")))
+                     for workload in experiments.WORKLOADS for trace in (0, 1) for side in order]
+    assert sorted(p.name for p in root.iterdir()) == sorted(
+        [*experiments.BENCH_FILES, "BENCH_layers.json", "BENCH_compare.json", "BENCHMARK.json"])
+
+    def read(name):
+        return json.loads((root / name).read_text())
+
+    for path, (_, _, names) in experiments.BENCH_FILES.items():
+        report = read(path)
+        assert report["commit"] == "change" and report["command"].endswith("--trace 0")
+        assert {name: [(row["seed"], row["peak_rss_mb"]) for row in entry["runs"]]
+                for name, entry in report["workloads"].items()} == dict.fromkeys(
+                    names, [(1, 40.0), (2, 40.0)])
+    layers = read("BENCH_layers.json")
+    assert layers["commit"] == "change"
+    for entry in layers["workloads"].values():
+        assert [row["spans"]["bench.run"]["ms"] for row in entry["runs"]] == [1000.0, 1000.0]
+    compared = read("BENCH_compare.json")
+    assert compared["commits"] == {"base": "base", "change": "change"}
+    assert compared["seeds"] == [1, 2]
+    for entry in compared["workloads"].values():
+        rss = entry["metrics"]["peak_rss_mb"]
+        assert rss["base_runs"] == [50.0, 50.0] and rss["change_runs"] == [40.0, 40.0]
+        assert {side: summary["bench.run"]["median"] for side, summary in
+                entry["layers"].items()} == {"base": 2000.0, "change": 1000.0}
