@@ -10,16 +10,17 @@ n x k' attention matrix A (a softmax over words per label).  A learned
 gate (`fuse`) weighs the two per label, and a small feed-forward head
 turns each column of the paper's mixed context H (alpha A_s + beta A_i)
 into a logit.  The 2r x k' contexts H A are never built: each product of
-three matrices takes the cheaper association, and each route's softmax
-runs in its last product's buffer.  Both routes read their label side
-through `numeric.take_rows`: rows of W_s2, and rows of the k x r label
-matrix, one leaf per `forward_batch` call (checked finite there once),
-taken transposed as L.  Every label in index order takes either as it
-is.  The model yields logits, and a non-finite logit raises
-NumericalError, since every score and loss passes through them; the
-sigmoid is applied only by `ForwardTrace.scores()`, and training feeds a
-batch's logits straight to `numeric.bce_with_logits`, one node.  The
-parameters are the arrays `param_table` lists, the one place their
+three matrices takes the cheaper association, each route's softmax runs
+in its last product's buffer, and the content route's tanh in W_s1 H's
+(`numeric.tanh_product`, so no node keeps W_s1 H).  Both routes read
+their label side through `numeric.take_rows`: rows of W_s2, and rows of
+the k x r label matrix, one leaf per `forward_batch` call (checked
+finite there once), taken transposed as L.  Every label in index order
+takes either as it is.  The model yields logits, and a non-finite logit
+raises NumericalError, since every score and loss passes through them;
+the sigmoid is applied only by `ForwardTrace.scores()`, and training
+feeds a batch's logits straight to `numeric.bce_with_logits`, one node.
+The parameters are the arrays `param_table` lists, the one place their
 names, shapes and order are written down.
 
 `forward_batch` checks its inputs, then runs the docs x n token ids of
@@ -169,12 +170,12 @@ def bilstm_forward(embedding: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> No
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
-    """Content attention: rows of W_s2 score tanh(W_s1 H) per label.
+    """Content attention: rows of W_s2 score tanh(W_s1 H), made in W_s1 H's buffer, per label.
 
     Returns A_s, n x k' column-stochastic attention over unmasked words;
     the paper's per-label context matrix is C_s = H @ A_s.
     """
-    t = nm.tanh(nm.matmul(w_s1, h))
+    t = nm.tanh_product(w_s1, h)
     return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask, transposed=True)  # n x k'
 
 

@@ -13,33 +13,36 @@ by the model on its logits and Adam on its gradients.
 A non-finite op value that reaches none of these does not raise; with
 finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
-where a chain of nodes kept several: `softmax_product` (a softmax in its
-product's buffer), `gate` (two sigmoids and their ratio), `mix_columns`
-(forming 1 - u itself), and the loss `bce_with_logits`, one node for a
-batch of documents; the `sigmoid` of logits runs on plain arrays, outside
-the graph.  `take_rows` gathers rows by integer index and returns its
-input for the identity, as `slice_cols` does for the full column range.
-`bilstm` runs both LSTM directions over a docs x n array of token ids
-as one node, whose value is the model's read-only H = [H_f; H_b]
+where a chain of nodes kept several: `softmax_product` and
+`tanh_product` (a softmax or a tanh in its product's buffer), `gate`
+(two sigmoids and their ratio), `mix_columns` (forming 1 - u itself),
+and the loss `bce_with_logits`, one node for a batch of documents; the
+`sigmoid` of logits runs on plain arrays, outside the graph.
+`take_rows` gathers rows by integer index and returns its input for the
+identity, as `slice_cols` does for the full column range.
+`bilstm` runs both LSTM directions over a docs x n array of token ids as
+one node, whose value is the model's read-only H = [H_f; H_b]
 (`add_halves` gives H_f + H_b from it): a GEMM per direction projects
-each distinct token's embedding once, placed by its index in `np.unique`'s
-sorted ids.  The node keeps its gates and cell states; its hand-written
-BPTT reads the states before each step back from H and sums a token's
-gate gradients in stepping order (`np.bincount` per block of gate rows)
-before the input-side GEMMs, adding one per table row.
-Its kernel steps a stack of directions, every array with a direction
-axis: below r * r * docs = `_WORKER_MIN` both step in lockstep, each op
-one call for the two; from it on each is a stack of its own, and when
-`os.sched_getaffinity` gives the process two or more CPUs a worker
-thread steps the reverse one in both passes: it touches no Node, runs
-in a copy of the caller's context (numpy's error state) and is joined
-before the node returns or raises.  The BLAS thread count is not
-checked: the bench, and CI's one-thread test steps, pin BLAS to one
-thread.  The gates take the public `sigmoid`'s one formula, max(e,
-copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A backward
-pass consumes its graph: it overwrites `bilstm`'s stored gates and
-releases them, so a second sweep raises ValidationError, and it releases
-each op node's gradient once passed on, so only the leaves keep theirs.
+each distinct token's embedding once, placed by its index in
+`np.unique`'s sorted ids.  The node keeps its gates and cell states; its
+hand-written BPTT reads the states before each step back from H and sums
+a token's gate gradients in stepping order into the gate buffer
+(`np.bincount` per block of rows) before the input-side GEMMs, adding
+one per table row.  Its kernel steps a stack of directions, every array
+with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
+lockstep, each op one call for the two (W_h's a GEMM per `_STEP_ROWS`
+rows in a step of several columns); from it on each is a
+stack of its own, and when `os.sched_getaffinity` gives the process two
+or more CPUs a worker thread steps the reverse one in both passes: it
+touches no Node, runs in a copy of the caller's context (numpy's error
+state) and is joined before the node returns or raises.  The BLAS thread
+count is not checked: the bench, and CI's one-thread test steps, pin
+BLAS to one thread.  The gates take the public `sigmoid`'s one formula,
+max(e, copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A
+backward pass consumes its graph: it overwrites `bilstm`'s stored gates
+and releases them, so a second sweep raises ValidationError, and it
+releases each op node's gradient once passed on, so only the leaves keep
+theirs.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
-_BPTT_BLOCK = 2**16  # floats in one of the BPTT's block scratch buffers: steps, reversed rows
+_BPTT_BLOCK = 2**16  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
+_STEP_ROWS = 128  # rows of W_h per GEMM in a forward step of several columns, if they divide 4r
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
 
@@ -289,16 +293,6 @@ def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return x
 
 
-def tanh(a: Node) -> Node:
-    """Elementwise tanh."""
-    y = np.tanh(a.value)
-
-    def bwd(g):
-        a.grad += g * (1.0 - y * y)
-
-    return Node(y, (a,), bwd)
-
-
 def relu(a: Node) -> Node:
     """Elementwise max(a, 0), with gradient 0 at 0."""
 
@@ -339,6 +333,22 @@ def gate(z_a: Node, z_b: Node) -> Node:
         z_b.grad += d_b
 
     return Node(alpha, (z_a, z_b), bwd)
+
+
+def tanh_product(a: Node, b: Node) -> Node:
+    """tanh(a @ b) in the product's buffer; the backward repeats tanh's and matmul's arithmetic."""
+    if a.cols != b.rows:
+        raise ShapeError(f"tanh_product: {a.value.shape} x {b.value.shape} do not fit")
+    y = a.value @ b.value
+    np.tanh(y, out=y)
+
+    def bwd(g):
+        dp = np.zeros_like(y)  # the product's gradient slot, as the matmul node held it
+        dp += g * (1.0 - y * y)
+        a.grad += dp @ b.value.T
+        b.grad += a.value.T @ dp
+
+    return Node(y, (a, b), bwd)
 
 
 def softmax_product(a: Node, b: Node, mask, transposed: bool = False) -> Node:
@@ -442,12 +452,14 @@ def _lstm(x, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
-    D directions makes one recurrent GEMM and one call per elementwise op a step, through
-    buffers made before the loop; each direction's GEMMs keep the oracle's layouts
-    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (docs x n, each position's
-    column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
-    gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
-    from out, sums dz per block of gate rows in stepping order, and frees the gates before dwx.
+    D directions makes one call per elementwise op a step, through buffers made before the
+    loop; a step of several columns multiplies W_h `_STEP_ROWS` rows at a time if they divide
+    4r, slices OpenBLAS's AVX-512 kernel does not pack (at some widths not summed as a whole).
+    Each direction's GEMMs keep the oracle's layouts (tests/extra_ops.py), as BLAS may sum
+    others differently.  `cols` (docs x n, each position's column of x) places x's projections
+    (`take`, clip mode: unbuffered).  The BPTT forms the gate coefficients per block of
+    `_BPTT_BLOCK` floats (c freed with the last), reads states from out, and sums dz per block
+    of gate rows in stepping order into the gates' leading floats: the gates live until dwx.
     """
     r, (docs, n), u = w[1].shape[1], cols.shape, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -473,11 +485,13 @@ def _lstm(x, w, cols, out):
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
         zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
+        b, band = b.repeat(docs, 2), _STEP_ROWS if docs > 1 and not 4 * r % _STEP_ROWS else 4 * r
+        wh_b, zs_b = wh.reshape(D, -1, band, r), zs.reshape(D, -1, band, docs)  # W_h's row slices
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
         with np.errstate(over="ignore"):  # an overflow leaves a non-finite value, checked below
-            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h, h[1:]):
-                np.matmul(wh, h_prev, out=zs)
+            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h[:, :, None], h[1:]):
+                np.matmul(wh_b, h_prev, out=zs_b)
                 zs += x_s
                 zs += b
                 # finite values square to a finite sum unless some are huge: then check each
@@ -549,10 +563,10 @@ def _lstm(x, w, cols, out):
                 h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
                 dwh_db.append((dz @ h_j, dz.sum(axis=1)[:, None]))
                 del dz, h_j
-            # dz summed per direction, gate row and column of x, in stepping order: one bincount
-            # per block of the D * 4r gate rows, over at most 2^18 index entries
-            block, dz_rows = max(1, 2**18 // (n * docs)), gates.reshape(D * 4 * r, n * docs)
-            dz_u = np.empty((D, 4 * r, u))
+            # dz summed per direction, gate row and column of x in stepping order, a bincount per
+            # block of gate rows, into the gates' first D 4r u floats: u <= n docs, so none unread
+            block, dz_rows = max(1, _BPTT_BLOCK // (n * docs)), gates.reshape(D * 4 * r, n * docs)
+            dz_u = gates.reshape(-1)[: D * 4 * r * u].reshape(D, 4 * r, u)
             for lo in range(0, D * 4 * r, block):
                 q = np.arange(lo, min(lo + block, D * 4 * r))
                 at_q = at[q // (4 * r)]
@@ -560,7 +574,6 @@ def _lstm(x, w, cols, out):
                 dz_u.reshape(-1, u)[lo : lo + block] = np.bincount(
                     at_q.ravel(), dz_rows[lo : lo + block].ravel(), q.size * u).reshape(q.size, u)
                 del at_q  # before the next block's is made
-            del dz_rows, gates, i, f, g, o, ib, fb, gb, ob, k_c, k_h  # every view of the gates
             grads, rows = [], max(1, _BPTT_BLOCK // u)
             for j, (k, step) in enumerate(zip(ks, steps)):
                 dx = w[3 * k].T @ dz_u[j]

@@ -1,22 +1,24 @@
 """What only the tests need of the autograd: graph ops, oracles and a gradient checker.
 
 `mul` (elementwise product) and `sum_all` (full sum) reduce a matrix
-output to the 1x1 scalar that `grad_check` and `backward` need, weighting
-each entry, `add`, `div` and `const_minus` (c - a) are the other
-elementwise ops, `scale` multiplies by a constant, `sum_nodes` folds
-nodes with `add`, and `vconcat` stacks blocks; all of them follow the op
-conventions of `laha.numeric`.  `softmax_columns`, `scale_cols` and
-`sigmoid_node` are the per-step ops that `numeric.softmax_product`,
-`numeric.mix_columns` and `numeric.gate` fuse, and
-`softmax_product_oracle`, `mix_columns_oracle`, `gate_oracle` and
-`fuse_oracle` (all of `model.fuse`) compose them as the model once did:
-the references those fused ops must match bit for bit.  `lstm` is one
-LSTM direction as its own node, stepped serially over the distinct-token
-columns a map places.  `bilstm_oracle` gathers a batch's distinct token
-rows (its ids docs x n, as `numeric.bilstm` takes them) with `take_rows`
-and `transpose` and stacks two `lstm` nodes on `np.unique`'s map with
-`vconcat` into H: the reference that `numeric.bilstm` and
-`model.bilstm_forward` must match bit for bit.
+output to the 1x1 scalar that `grad_check` and `backward` need,
+weighting each entry, `add`, `div` and `const_minus` (c - a) are the
+other elementwise ops, `scale` multiplies by a constant, `sum_nodes`
+folds nodes with `add`, and `vconcat` stacks blocks; all of them follow
+the op conventions of `laha.numeric`.  `softmax_columns`, `scale_cols`,
+`sigmoid_node` and `tanh` are the per-step ops that
+`numeric.softmax_product`, `numeric.mix_columns`, `numeric.gate` and
+`numeric.tanh_product` fuse, and `softmax_product_oracle`,
+`mix_columns_oracle`, `gate_oracle` and `fuse_oracle` (all of
+`model.fuse`) compose them as the model once did, as `tanh` of a
+`matmul` does for `tanh_product`: the references those fused ops must
+match bit for bit.  `lstm` is one LSTM direction as its own node, stepped
+serially over the distinct-token columns a map places.  `bilstm_oracle`
+gathers a batch's distinct token rows (its ids docs x n, as
+`numeric.bilstm` takes them) with `take_rows` and `transpose` and stacks
+two `lstm` nodes on `np.unique`'s map with `vconcat` into H: the
+reference that `numeric.bilstm` and `model.bilstm_forward` must match
+bit for bit.
 `bilstm_per_position` gathers every position's row instead, on the
 identity map: the per-position arithmetic, equal to rounding.
 `adam_step_oracle` is Adam as a loop over parameter names, one array at
@@ -204,6 +206,17 @@ def sigmoid_node(a) -> Node:
 
     def bwd(g):
         a.grad += g * y * (1.0 - y)
+
+    return Node(y, (a,), bwd)
+
+
+def tanh(a) -> Node:
+    """Elementwise tanh as its own node."""
+    a = _node(a)
+    y = np.tanh(a.value)
+
+    def bwd(g):
+        a.grad += g * (1.0 - y * y)
 
     return Node(y, (a,), bwd)
 

@@ -27,7 +27,7 @@ from laha.numeric import Node
 from laha.training import bce_loss
 
 from extra_ops import (
-    bilstm_oracle, bilstm_per_position, fuse_oracle, mix_columns_oracle, softmax_columns,
+    bilstm_oracle, bilstm_per_position, fuse_oracle, mix_columns_oracle, softmax_columns, tanh,
 )
 
 
@@ -667,8 +667,8 @@ def test_forward_batch_over_distinct_tokens_is_bit_identical_to_the_two_lstm_ora
 
 
 def _old_self_attention(h, w_s1, w_s2, subset, mask):
-    """The content route as two matmuls, a transpose and a softmax node."""
-    t = nm.tanh(nm.matmul(w_s1, h))
+    """The content route as two matmuls, a tanh, a transpose and a softmax node."""
+    t = tanh(nm.matmul(w_s1, h))
     return softmax_columns(nm.transpose(nm.matmul(nm.take_rows(w_s2, subset), t)), mask)
 
 

@@ -22,7 +22,7 @@ from laha.numeric import (
     slice_cols,
     softmax_product,
     take_rows,
-    tanh,
+    tanh_product,
     transpose,
 )
 
@@ -42,6 +42,7 @@ from extra_ops import (
     softmax_product_oracle,
     sum_all,
     sum_nodes,
+    tanh,
     vconcat,
 )
 
@@ -565,10 +566,10 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
     assert bool(started) is (schedule == "worker")
 
 
-# the last shape sums dz in blocks of 5 gate rows (2^18 // 48000 positions), one of which
-# holds rows of both directions when they step in lockstep
+# the fourth shape steps W_h in two row slices of 128, and the fifth in eight, the `aapd-train`
+# step's; the last sums dz in blocks of 1 gate row (2^16 // 48000 positions)
 @pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2),
-                                           (3, 4, 4, 12000)])
+                                           (8, 64, 5, 3), (16, 256, 3, 16), (3, 4, 4, 12000)])
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         monkeypatch, schedule, d, r, n, docs):
@@ -654,8 +655,9 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
 # of f's copy, tanh(c) and dc/dh (3 x 8 of the 40 steps a direction in lockstep: 1.2; 3 x 16 on
 # each of two stacks at once: 2.4), both directions' dh stacked in lockstep (2), the step-sized
 # buffers (dh, dc, their next steps and dz: 8 / 40 a direction) and 1/2 for the rest: 6.1 and
-# 5.3.  It reads 5.75 in lockstep and 4.96-5.11 on the worker.  The dz sums' index, at most
-# 2^18 entries (2 MB, 1.6 states here) a call, comes after c and the blocks are freed.
+# 5.3.  It reads 5.75 in lockstep and 4.96-5.11 on the worker.  The dz sums' index, whole gate
+# rows of at most `_BPTT_BLOCK` entries (6 rows, 0.4 states here) a call, comes after c and the
+# blocks are freed.
 @pytest.mark.parametrize("schedule, states", [("lockstep", 6.1), ("worker", 5.3)])
 def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
         monkeypatch, schedule, states):
@@ -687,7 +689,7 @@ def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
 # the backward's traced peak above the forward's end, in states, on the one-CPU schedule's two
 # stacks, one after the other: H's gradient (2), the first direction's dz_u, a block each of f's
 # copy, tanh(c) and dc/dh (3 x 8 of the 40 steps), and 1/2 for the step-sized buffers (dh, dc,
-# their next steps and dz: 8 / 40) and the rest.  The dz sums' index (0.8 states) comes after c
+# their next steps and dz: 8 / 40) and the rest.  The dz sums' index (0.2 states) comes after c
 # (1) is freed.  Holding the three for every step, as a single block does, would need 5.
 def test_bilstm_backward_holds_one_block_of_gate_coefficients(monkeypatch):
     _force(monkeypatch, "one cpu")
@@ -746,9 +748,48 @@ def test_bilstm_frees_c_before_a_single_block_steps_back(monkeypatch):
     assert (max(stepping) - start) / (n * r * docs * 8) <= 2 + 3 - 1 + 0.5
 
 
+# the peak of the `bilstm` node's own backward above its start, in gate buffers (4r x n x docs
+# float64 a direction, both directions), with both directions' BPTT at once: in one stack, or
+# the reverse one on the worker.  Every position reads a token of its own, so the dz sums per
+# token (4r x U a direction) are as large as the gates: in a buffer of their own they would be a
+# second gate buffer.  `_BPTT_BLOCK` at 4 r docs floats makes the block scratch (three blocks a
+# stack) and the dz sums' index blocks small.  Beside them the backward holds a copy of H's
+# gradient (1/4), the step-sized buffers, and the d x U input gradients (1/16 each): it reads
+# 0.54-0.55.  With the dz sums in a buffer of their own it reads 1.24-1.31.
+@pytest.mark.parametrize("schedule", ["lockstep", "worker"])
+def test_bilstm_sums_dz_in_the_gate_buffer(monkeypatch, schedule):
+    _force(monkeypatch, schedule)
+    d, r, n, docs = 8, 16, 40, 8
+    monkeypatch.setattr(numeric, "_BPTT_BLOCK", 4 * r * docs)
+    rng = np.random.default_rng(12)
+    arrays = _bilstm_arrays(rng, d, r, n, docs, 0.3)
+    ids = rng.permutation(n * docs).reshape(docs, n)
+    table, *weights = _leaves(arrays)
+    backward(sum_all(bilstm(table, ids[:, :2], *weights)))  # first-call imports
+    table, *weights = _leaves(arrays)
+    node, peaks = bilstm(table, ids, *weights), []
+    node_backward = node._backward
+
+    def traced_backward(grad):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        node_backward(grad)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    node._backward = traced_backward
+    root = sum_all(node)
+    tracemalloc.start()
+    try:
+        backward(root)
+    finally:
+        tracemalloc.stop()
+    gates, scratch = 2 * 4 * r * n * docs * 8, 2 * 3 * numeric._BPTT_BLOCK * 8
+    assert len(peaks) == 1 and peaks[0] <= gates + scratch
+
+
 # `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
-# in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; the reverse direction's
-# dz_u is put in stepping order 60 // U rows at a time
+# in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; dz is summed a gate row
+# a call, and the reverse direction's dz_u is put in stepping order 60 // U rows at a time
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, started, schedule):
     threads = _force(monkeypatch, schedule)
@@ -945,6 +986,14 @@ def test_grad_mix_columns(trial):
            {"a": a, "u": u, "b": b, "w": w})
 
 
+@pytest.mark.parametrize("trial", range(30))
+def test_grad_tanh_product(trial):
+    rng = np.random.default_rng(750 + trial)
+    a, b, w = _rand(rng, (3, 2), -1.5, 1.5), _rand(rng, (2, 4), -1.5, 1.5), _rand(rng, (3, 4))
+    _check(lambda p: sum_all(mul(tanh_product(p["a"], p["b"]), p["w"])),
+           {"a": a, "b": b, "w": w})
+
+
 def _value_and_grads(build, arrays, weight):
     """An op's value and every operand's gradient of sum(op * weight), the graph built anew."""
     leaves = [Node(a) for a in arrays]
@@ -986,6 +1035,28 @@ def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
         np.testing.assert_array_equal(fused[0], oracle[0])
         for got, want in zip(fused[1], oracle[1]):
             np.testing.assert_array_equal(got, want)
+
+
+# W_s1 H's shapes, d_a x 2r by 2r x n: H is column-major for one document and a column slice
+# of a row-major H for each of several; one b has a single column
+@pytest.mark.parametrize("m, inner, n, layout", [
+    (3, 4, 5, "C"), (6, 8, 1, "C"), (16, 12, 9, "F"), (24, 64, 40, "slice"), (32, 64, 14, "F"),
+    (32, 64, 14, "slice")])
+def test_tanh_product_is_bit_identical_to_matmul_then_tanh(m, inner, n, layout):
+    rng = np.random.default_rng(m + inner + n)
+    b = rng.normal(size=(inner, 3 * n))
+    b = {"C": b[:, :n].copy(), "F": np.asfortranarray(b[:, :n]), "slice": b[:, n : 2 * n]}[layout]
+    arrays, weight = (rng.normal(size=(m, inner)), b), rng.normal(size=(m, n))
+    fused = _value_and_grads(tanh_product, arrays, weight)
+    oracle = _value_and_grads(lambda a, b: tanh(matmul(a, b)), arrays, weight)
+    np.testing.assert_array_equal(fused[0], oracle[0])
+    for got, want in zip(fused[1], oracle[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_tanh_product_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="tanh_product"):
+        tanh_product(Node(np.ones((2, 3))), Node(np.ones((2, 2))))
 
 
 def test_mix_columns_rejects_mismatched_shapes():
