@@ -30,8 +30,8 @@ a token's gate gradients in stepping order into the gate buffer
 (`np.bincount` per block of rows) before the input-side GEMMs, adding
 one per table row.  Its kernel steps a stack of directions, every array
 with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
-lockstep, each op one call for the two (W_h's a GEMM per `_STEP_ROWS`
-rows in a step of several columns); from it on each is a
+lockstep, each op one call for the two (W_h's product a GEMM per
+`_STEP_ROWS` rows in a step of several columns); from it on each is a
 stack of its own, and when `os.sched_getaffinity` gives the process two
 or more CPUs a worker thread steps the reverse one in both passes: it
 touches no Node, runs in a copy of the caller's context (numpy's error
