@@ -30,19 +30,17 @@ a token's gate gradients in stepping order into the gate buffer
 (`np.bincount` per block of rows) before the input-side GEMMs, adding
 one per table row.  Its kernel steps a stack of directions, every array
 with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
-lockstep, each op one call for the two (W_h's product a GEMM per
-`_STEP_ROWS` rows in a step of several columns); from it on each is a
-stack of its own, and when `os.sched_getaffinity` gives the process two
-or more CPUs a worker thread steps the reverse one in both passes: it
-touches no Node, runs in a copy of the caller's context (numpy's error
-state) and is joined before the node returns or raises.  The BLAS thread
-count is not checked: the bench, and CI's one-thread test steps, pin
-BLAS to one thread.  The gates take the public `sigmoid`'s one formula,
-max(e, copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A
-backward pass consumes its graph: it overwrites `bilstm`'s stored gates
-and releases them, so a second sweep raises ValidationError, and it
-releases each op node's gradient once passed on, so only the leaves keep
-theirs.
+lockstep, each op one call for the two; from it on each is a stack of
+its own, and when `os.sched_getaffinity` gives the process two or more
+CPUs a worker thread steps the reverse one in both passes: it touches no
+Node, runs in a copy of the caller's context (numpy's error state) and
+is joined before the node returns or raises.  The BLAS thread count is
+not checked: the bench, and CI's one-thread test steps, pin BLAS to one
+thread.  The gates take the public `sigmoid`'s one formula, max(e,
+copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A backward
+pass consumes its graph: it overwrites `bilstm`'s stored gates and
+releases them, so a second sweep raises ValidationError, and it releases
+each op node's gradient once passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .errors import DegenerateInputError, NumericalError, ShapeError, Validation
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _BPTT_BLOCK = 2**16  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
-_STEP_ROWS = 128  # rows of W_h per GEMM in a forward step of several columns, if they divide 4r
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
 
@@ -452,14 +449,13 @@ def _lstm(x, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
-    D directions makes one call per elementwise op a step, through buffers made before the
-    loop; a step of several columns multiplies W_h `_STEP_ROWS` rows at a time if they divide
-    4r, slices OpenBLAS's AVX-512 kernel does not pack (at some widths not summed as a whole).
-    Each direction's GEMMs keep the oracle's layouts (tests/extra_ops.py), as BLAS may sum
-    others differently.  `cols` (docs x n, each position's column of x) places x's projections
-    (`take`, clip mode: unbuffered).  The BPTT forms the gate coefficients per block of
-    `_BPTT_BLOCK` floats (c freed with the last), reads states from out, and sums dz per block
-    of gate rows in stepping order into the gates' leading floats: the gates live until dwx.
+    D directions makes one recurrent GEMM and one call per elementwise op a step, through
+    buffers made before the loop; each direction's GEMMs keep the oracle's layouts
+    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (docs x n, each position's
+    column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
+    gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
+    from out, and sums dz per block of gate rows in stepping order into the gates' leading
+    floats: the gates live until dwx.
     """
     r, (docs, n), u = w[1].shape[1], cols.shape, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -485,13 +481,11 @@ def _lstm(x, w, cols, out):
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
         zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
-        b, band = b.repeat(docs, 2), _STEP_ROWS if docs > 1 and not 4 * r % _STEP_ROWS else 4 * r
-        wh_b, zs_b = wh.reshape(D, -1, band, r), zs.reshape(D, -1, band, docs)  # W_h's row slices
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
         with np.errstate(over="ignore"):  # an overflow leaves a non-finite value, checked below
-            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h[:, :, None], h[1:]):
-                np.matmul(wh_b, h_prev, out=zs_b)
+            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h, h[1:]):
+                np.matmul(wh, h_prev, out=zs)
                 zs += x_s
                 zs += b
                 # finite values square to a finite sum unless some are huge: then check each
