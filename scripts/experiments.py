@@ -2,12 +2,13 @@
 
     python3 scripts/experiments.py --seeds 1-10 [--trace] [--against REV]
 
-For each seed S, workload W in aapd-quality, eurlex-score and aapd-train,
-and trace T, 0 or, with --trace, 0 then 1, it runs
+For each seed S, workload W of BENCHMARK.json's workloads, and trace T, 0
+or, with --trace, 0 then 1, it runs
 
-    python3 bench/run.py --workload W --seed S --seconds 5 --trace T
+    python3 bench/run.py --workload W --seed S --seconds R --trace T
 
-one subprocess per run, and reads the record it leaves in
+with R BENCHMARK.json's run_seconds, one subprocess per run, and reads the
+record it leaves in
 .bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
 
     BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
@@ -65,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 5
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())  # the benchmark the pipeline runs
 QUALITY = ("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5", "g1_ndcg_at_5")
 # file -> (prefix of its per-run keys, the calibrated metric, its workloads)
 BENCH_FILES = {
@@ -74,7 +75,7 @@ BENCH_FILES = {
     "BENCH_setup.json": ("setup", "setup_s", ("aapd-train", "eurlex-score", "aapd-quality")),
     "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
 }
-WORKLOADS = ("aapd-quality", "eurlex-score", "aapd-train")
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for scored docs only
 EQUAL_QUALITY = ("p_at_5", "ndcg_at_5")  # figures a change that keeps the bits leaves float-equal
 
@@ -96,7 +97,7 @@ def parse_seeds(text: str) -> list[int]:
 def bench_run(workload: str, seed: int, trace: int = 0, tree: Path = ROOT) -> dict:
     """The record of one bench run of a checkout, untraced or traced."""
     subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(SECONDS), "--trace", str(trace)],
+                    "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
     return json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
                       .read_text())
@@ -258,7 +259,8 @@ def main(argv=None) -> int:
         (ROOT / path).write_text(json.dumps(report, indent=1) + "\n")
 
     def command(trace: int) -> str:
-        return f"bench/run.py --workload W --seed S --seconds {SECONDS} --trace {trace}"
+        seconds = BENCHMARK["run_seconds"]
+        return f"bench/run.py --workload W --seed S --seconds {seconds} --trace {trace}"
 
     for path, (prefix, metric, names) in BENCH_FILES.items():
         runs = {name: [run_row(record, prefix, metric) for record in records["change", name, 0]]
@@ -274,9 +276,8 @@ def main(argv=None) -> int:
             "workloads": {name: {"summary": summarize_layers(layers["change", name]),
                                  "runs": layers["change", name]} for name in WORKLOADS}})
     if args.against:
-        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
         workloads = {name: compare(list(zip(records["base", name, 0], records["change", name, 0])),
-                                   declared)
+                                   BENCHMARK["end_to_end"])
                      for name in WORKLOADS}
         for name, compared in workloads.items() if args.trace else ():
             compared["layers"] = {side: summarize_layers(layers[side, name]) for side in sides}

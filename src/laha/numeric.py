@@ -26,8 +26,8 @@ one node, whose value is the model's read-only H = [H_f; H_b]
 each distinct token's embedding once, placed by its index in
 `np.unique`'s sorted ids.  The node keeps its gates and cell states; its
 hand-written BPTT reads the states before each step back from H and sums
-a token's gate gradients in stepping order into the gate buffer
-(`np.bincount` per block of rows) before the input-side GEMMs, adding
+a token's gate gradients in stepping order into its direction's own gate
+slot (`np.bincount` per block of rows) before the input-side GEMMs, adding
 one per table row.  Its kernel steps a stack of directions, every array
 with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
 lockstep, each op one call for the two; from it on each is a stack of
@@ -454,8 +454,8 @@ def _lstm(x, w, cols, out):
     (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (docs x n, each position's
     column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
     gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
-    from out, and sums dz per block of gate rows in stepping order into the gates' leading
-    floats: the gates live until dwx.
+    from out, and, one direction at a time, sums dz per block of gate rows in stepping order into
+    the leading floats of that direction's own gate slot: the gates live until the last dwx.
     """
     r, (docs, n), u = w[1].shape[1], cols.shape, x.shape[1]
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -549,31 +549,28 @@ def _lstm(x, w, cols, out):
                     np.multiply(dc, f_kept[s - lo], out=dc_next)
                     gates[:, :, s] = dz
             del dh_out, scratch, f_kept, tc, dc_dh  # every view of the scratch
-            dwh_db = []
-            for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the next one
+            grads, block, rows = [], max(1, _BPTT_BLOCK // (n * docs)), max(1, _BPTT_BLOCK // u)
+            for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the sums
                 dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
                 h_k = out[k * r : (k + 1) * r].reshape(r, docs, n)[:, :, ::step]  # stepping order
                 h_j = np.zeros((n * docs, r))  # the states before each step: 0, then H's
                 h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
-                dwh_db.append((dz @ h_j, dz.sum(axis=1)[:, None]))
+                dwh, db = dz @ h_j, dz.sum(axis=1)[:, None]
                 del dz, h_j
-            # dz summed per direction, gate row and column of x in stepping order, a bincount per
-            # block of gate rows, into the gates' first D 4r u floats: u <= n docs, so none unread
-            block, dz_rows = max(1, _BPTT_BLOCK // (n * docs)), gates.reshape(D * 4 * r, n * docs)
-            dz_u = gates.reshape(-1)[: D * 4 * r * u].reshape(D, 4 * r, u)
-            for lo in range(0, D * 4 * r, block):
-                q = np.arange(lo, min(lo + block, D * 4 * r))
-                at_q = at[q // (4 * r)]
-                at_q += (q - lo)[:, None] * u
-                dz_u.reshape(-1, u)[lo : lo + block] = np.bincount(
-                    at_q.ravel(), dz_rows[lo : lo + block].ravel(), q.size * u).reshape(q.size, u)
-                del at_q  # before the next block's is made
-            grads, rows = [], max(1, _BPTT_BLOCK // u)
-            for j, (k, step) in enumerate(zip(ks, steps)):
-                dx = w[3 * k].T @ dz_u[j]
+                # dz summed per gate row and column of x in stepping order into gates[j]'s first
+                # 4r u floats, a bincount per block of rows: [lo, hi) fills [lo u, hi u), and the
+                # rows not yet read start at hi n docs >= hi u
+                dz_u = gates[j].reshape(-1)[: 4 * r * u].reshape(4 * r, u)
+                for lo in range(0, 4 * r, block):
+                    bins = at[j, None].repeat(min(block, 4 * r - lo), 0)  # row lo + i: at[j] + i u
+                    bins += np.arange(0, len(bins) * u, u)[:, None]
+                    dz_u.reshape(-1)[lo * u : (lo + block) * u] = np.bincount(
+                        bins.ravel(), gates[j, lo : lo + block].ravel(), len(bins) * u)
+                    del bins  # before the next block's are made
+                dx = w[3 * k].T @ dz_u
                 for lo in range(0, 4 * r, rows) if step < 0 else ():  # only after dx, in place
-                    dz_u[j, lo : lo + rows] = dz_u[j, lo : lo + rows, ::-1]  # in stepping order
-                grads += [dz_u[j] @ x.T[::step], *dwh_db[j], dx]  # x's columns in stepping order
+                    dz_u[lo : lo + rows] = dz_u[lo : lo + rows, ::-1]  # in stepping order
+                grads += [dz_u @ x.T[::step], dwh, db, dx]  # x's columns in stepping order
             return grads
 
         return bptt

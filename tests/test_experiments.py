@@ -214,7 +214,6 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
         experiments, monkeypatch, tmp_path, capsys):
     root, rev_tree, calls = tmp_path / "root", tmp_path / "rev", []
     root.mkdir()
-    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
 
     @contextlib.contextmanager
     def worktree(rev):
@@ -243,7 +242,7 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
                      for seed, order in ((1, ("base", "change")), (2, ("change", "base")))
                      for workload in experiments.WORKLOADS for trace in (0, 1) for side in order]
     assert sorted(p.name for p in root.iterdir()) == sorted(
-        [*experiments.BENCH_FILES, "BENCH_layers.json", "BENCH_compare.json", "BENCHMARK.json"])
+        [*experiments.BENCH_FILES, "BENCH_layers.json", "BENCH_compare.json"])
 
     def read(name):
         return json.loads((root / name).read_text())

@@ -791,25 +791,29 @@ def test_bilstm_sums_dz_in_the_gate_buffer(monkeypatch, schedule):
 
 # `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
 # in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; dz is summed a gate row
-# a call, and the reverse direction's dz_u is put in stepping order 60 // U rows at a time
+# a call, and the reverse direction's dz_u is put in stepping order 60 // U rows at a time.  At
+# 3 n docs floats dz is summed 3 gate rows a call, so each direction's 4r = 20 rows end in a
+# partial block, and a block taken over both directions' 40 rows would straddle the two
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, started, schedule):
     threads = _force(monkeypatch, schedule)
     d, r, n, docs = 7, 5, 11, 3
-    monkeypatch.setattr(numeric, "_BPTT_BLOCK", 4 * r * docs)
     rng = np.random.default_rng(11)
     ids = rng.integers(0, n, size=docs * n).reshape(docs, n)
     arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
     w = rng.normal(size=(2 * r, docs * n))
-    got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
-    node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
-    h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
-    np.testing.assert_array_equal(node.value, h.value)
-    backward(sum_all(mul(node, w)))
-    backward(sum_all(mul(h, w)))
-    for k in arrays:
-        np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
-    assert 1 < 4 * r * docs // np.unique(ids).size < 4 * r and len(started) == 2 * threads
+    for block in (4 * r * docs, 3 * n * docs):
+        monkeypatch.setattr(numeric, "_BPTT_BLOCK", block)
+        got, want = [{k: Node(a) for k, a in arrays.items()} for _ in range(2)]
+        node = bilstm(got["table"], ids, *(got[k] for k in BILSTM_WEIGHTS))
+        h = bilstm_oracle(want["table"], ids, *(want[k] for k in BILSTM_WEIGHTS))
+        np.testing.assert_array_equal(node.value, h.value)
+        backward(sum_all(mul(node, w)))
+        backward(sum_all(mul(h, w)))
+        for k in arrays:
+            np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+    assert 1 < 4 * r * docs // np.unique(ids).size < 4 * r and len(started) == 4 * threads
+    assert numeric._BPTT_BLOCK // (n * docs) == 3 and 4 * r % 3  # over 40 rows: [18, 21) straddles
 
 
 @pytest.mark.parametrize("r, docs, cpus, threads", [
