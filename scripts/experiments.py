@@ -7,9 +7,8 @@ or, with --trace, 0 then 1, it runs
 
     python3 bench/run.py --workload W --seed S --seconds R --trace T
 
-with R BENCHMARK.json's run_seconds, one subprocess per run, and reads the
-record it leaves in
-.bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
+with R its run_seconds, one subprocess per run, and reads the record it
+leaves in .bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
 
     BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
     BENCH_score.json       score_docs_per_s  eurlex-score, aapd-quality
