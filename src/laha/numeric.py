@@ -34,7 +34,8 @@ lockstep, each op one call for the two; from it on each is a stack of
 its own, and when `os.sched_getaffinity` gives the process two or more
 CPUs a worker thread steps the reverse one in both passes: it touches no
 Node, runs in a copy of the caller's context (numpy's error state) and
-is joined before the node returns or raises.  The BLAS thread count is
+is joined before the node returns or raises.  Steps of several documents
+take W_h and W_h^T in row slices (see `_lstm`).  The BLAS thread count is
 not checked: the bench, and CI's one-thread test steps, pin BLAS to one
 thread.  The gates take the public `sigmoid`'s one formula, max(e,
 copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A backward
@@ -56,6 +57,7 @@ from .errors import DegenerateInputError, NumericalError, ShapeError, Validation
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _BPTT_BLOCK = 2**16  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
+_STEP_SLICE = 2**15  # floats of W_h (or W_h^T) in one GEMM of a step of several documents
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
 
@@ -448,10 +450,12 @@ def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
 def _lstm(x, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
-    The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of
-    D directions makes one recurrent GEMM and one call per elementwise op a step, through
-    buffers made before the loop; each direction's GEMMs keep the oracle's layouts
-    (tests/extra_ops.py), as BLAS may sum others differently.  `cols` (docs x n, each position's
+    The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of D
+    directions makes one call per op a step, through buffers made before the loop.  With several
+    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in row slices of
+    `_STEP_SLICE` floats where they divide it (`band`): OpenBLAS runs these faster than the whole,
+    and on its AVX-512 kernel sums some widths in other last bits, so each direction's GEMMs keep
+    the oracle's slices and layouts (tests/extra_ops.py).  `cols` (docs x n, each position's
     column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
     gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
     from out, and, one direction at a time, sums dz per block of gate rows in stepping order into
@@ -469,6 +473,10 @@ def _lstm(x, w, cols, out):
             second = one_thread.submit(contextvars.copy_context().run, run, items[1])
             return [run(items[0]), second.result()]
 
+    def band(m: int, k: int) -> int:  # rows a GEMM takes of an m x k step matrix: see above
+        rows = _STEP_SLICE // k
+        return rows if docs > 1 and 0 < rows < m and not m % rows else m
+
     def stack(ks: tuple):
         D, steps = len(ks), [-1 if k else 1 for k in ks]
         # at[j, s * docs + c] is x's column of document c's s-th token in direction j's order
@@ -481,11 +489,13 @@ def _lstm(x, w, cols, out):
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
         zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
+        rows, b = band(4 * r, r), b.repeat(docs, 2)  # b in the step's shape: no broadcast add
+        wh_s, zs_s = wh.reshape(D, -1, rows, r), zs.reshape(D, -1, rows, docs)
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
         with np.errstate(over="ignore"):  # an overflow leaves a non-finite value, checked below
-            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h, h[1:]):
-                np.matmul(wh, h_prev, out=zs)
+            for x_s, c_prev, c_s, h_prev, h_s in zip(by_step, c, c[1:], h[:, :, None], h[1:]):
+                np.matmul(wh_s, h_prev, out=zs_s)
                 zs += x_s
                 zs += b
                 # finite values square to a finite sum unless some are huge: then check each
@@ -524,7 +534,9 @@ def _lstm(x, w, cols, out):
             dz = np.empty((D, 4 * r, docs))
             dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
             k_c = gates[:, : 3 * r].reshape(D, 3, r, n, docs).transpose(3, 0, 1, 2, 4)
-            k_h, wh_t = gates[:, 3 * r :].transpose(2, 0, 1, 3), wh.transpose(0, 2, 1)
+            k_h, rows = gates[:, 3 * r :].transpose(2, 0, 1, 3), band(r, 4 * r)
+            wh_t = np.asarray(wh.transpose(0, 2, 1), order="C" if rows < r else "K")  # copy to slice
+            wh_t, dh_s = wh_t.reshape(D, -1, rows, 4 * r), dh_next.reshape(D, -1, rows, docs)
             for hi in range(n, 0, -span):
                 lo = max(0, hi - span)
                 f_kept, tc, dc_dh = scratch[:, : hi - lo]
@@ -545,10 +557,10 @@ def _lstm(x, w, cols, out):
                     dc += dc_next
                     np.multiply(k_c[s], dc_c, out=dz_c)
                     np.multiply(k_h[s], dh, out=dz_h)
-                    np.matmul(wh_t, dz, out=dh_next)
+                    np.matmul(wh_t, dz[:, None], out=dh_s)
                     np.multiply(dc, f_kept[s - lo], out=dc_next)
                     gates[:, :, s] = dz
-            del dh_out, scratch, f_kept, tc, dc_dh  # every view of the scratch
+            del dh_out, scratch, f_kept, tc, dc_dh, wh_t  # every view of the scratch, W_h^T's copy
             grads, block, rows = [], max(1, _BPTT_BLOCK // (n * docs)), max(1, _BPTT_BLOCK // u)
             for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the sums
                 dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")

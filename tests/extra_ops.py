@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from laha import data
+from laha import data, numeric
 from laha.errors import DegenerateInputError, NumericalError, ShapeError
 from laha.model import ModelParams
 from laha.numeric import (
@@ -256,7 +256,10 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
     position order, column t of a document being its state after reading
     token t.  Internal arrays keep the documents on their last axis, so
     each step's recurrent product is one GEMM over them, and one document
-    makes the BLAS calls of an unbatched LSTM.  wx @ x is one GEMM whose
+    makes the BLAS calls of an unbatched LSTM.  A step of several documents
+    multiplies W_h, and in the backward a row-major copy of W_h^T, in the
+    row slices `numeric._lstm` takes (`_step_rows`), a 2-D GEMM a slice, so
+    both sum each product's entries alike.  wx @ x is one GEMM whose
     columns are placed per position; the backward is hand-written BPTT
     that overwrites the stored gates, so it runs once, and adds up each
     distinct token's dz, in stepping order, before the GEMMs of dwx and
@@ -279,10 +282,12 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
     at = cols.reshape(docs, n).T[::step].ravel()
     z = (wx.value @ x.value)[:, at].reshape(4 * r, n, docs).transpose(1, 0, 2).copy()
     gates = np.empty((n, 4, r, docs))               # i, f, g, o per step
+    fwd, back = _step_rows(4 * r, r, docs), _step_rows(r, 4 * r, docs)
     c, h = np.zeros((2, n + 1, r, docs))            # c[s + 1], h[s + 1]: states after step s
     for s in range(n):
         zs = z[s]
-        zs += wh.value @ h[s]
+        for lo in range(0, 4 * r, fwd):
+            zs[lo : lo + fwd] += wh.value[lo : lo + fwd] @ h[s]
         zs += b.value
         gates[s, :2] = sigmoid(zs[: 2 * r]).reshape(2, r, docs)
         gates[s, 2] = np.tanh(zs[2 * r : 3 * r])
@@ -311,13 +316,15 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
         f[...] = c[:-1] * f * (1.0 - f)
         del tc, k2
         dh_next = dc_next = np.zeros((r, docs))
+        wh_t = wh.value.T.copy() if back < r else wh.value.T  # sliced: row-major
         for s in range(n - 1, -1, -1):
             dh = dh_out[s] + dh_next
             dc = dc_next + dh * dc_dh[s]
             dz = gates[s]
             dz[:3] *= dc
             dz[3] *= dh
-            dh_next = wh.value.T @ dz.reshape(4 * r, docs)
+            dz_s = dz.reshape(4 * r, docs)
+            dh_next = np.concatenate([wh_t[lo : lo + back] @ dz_s for lo in range(0, r, back)])
             dc_next = dc * f_kept[s]
         dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
         dz_u = np.zeros((4 * r, x.cols))
@@ -328,6 +335,13 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
         x.grad += wx.value.T @ dz_u
 
     return Node(to_columns(h[1:]), (x, wx, wh, b), bwd)
+
+
+def _step_rows(m: int, k: int, docs: int) -> int:
+    """Rows of an m x k matrix per GEMM of a step over `docs` columns: `numeric._STEP_SLICE` // k
+    where that is fewer than m and divides it, and the step has several documents; else m."""
+    rows = numeric._STEP_SLICE // k
+    return rows if docs > 1 and 0 < rows < m and not m % rows else m
 
 
 def _two_lstms(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs, columns) -> Node:

@@ -566,12 +566,14 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
     assert bool(started) is (schedule == "worker")
 
 
-# at r = 256 the steps of 4 and 10 documents are widths where W_h's product taken in 128-row
-# slices sums in other last bits than the whole product, and 16 is the `aapd-train` step's; the
-# last shape sums dz in blocks of 1 gate row (2^16 // 48000 positions)
+# at r = 256 a step of several documents multiplies W_h in 8 slices of 128 rows and W_h^T in 8
+# of 32: 4 and 10 documents are widths where OpenBLAS's AVX-512 kernel sums a slice in other
+# last bits than the whole product, and 16 is the `aapd-train` step's.  At r = 128 each product
+# takes 2 slices; at r = 300 neither 109 nor 27 rows divides its product, so
+# both stay whole.  The last shape sums dz in blocks of 1 gate row (2^16 // 48000 positions)
 @pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2),
                                            (8, 256, 3, 4), (8, 256, 3, 10), (16, 256, 3, 16),
-                                           (3, 4, 4, 12000)])
+                                           (8, 128, 3, 3), (8, 300, 3, 4), (3, 4, 4, 12000)])
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
         monkeypatch, schedule, d, r, n, docs):
@@ -588,6 +590,29 @@ def test_bilstm_through_a_column_map_is_bit_identical_to_the_oracle(
     backward(sum_all(mul(h, w)))
     for k in arrays:
         np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
+
+
+# the steps of the bench's quality model (`aapd-quality`: r = 32, one or several documents) and
+# of its one-document scoring at r = 256 (`eurlex-score`) take W_h and W_h^T whole, so their bits
+# are those of a `_STEP_SLICE` too large to slice any product
+@pytest.mark.parametrize("d, r, n, docs", [(32, 32, 14, 1), (32, 32, 14, 4), (16, 256, 5, 1)])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_bilstm_takes_whole_products_at_the_bench_quality_and_scoring_shapes(
+        monkeypatch, schedule, d, r, n, docs):
+    _force(monkeypatch, schedule)
+    rng = np.random.default_rng(d + r + n + docs)
+    ids = rng.integers(0, n, size=docs * n).reshape(docs, n)
+    arrays = _bilstm_arrays(rng, d, r, n, 1, math.sqrt(6.0 / (d + r)))
+    w = rng.normal(size=(2 * r, docs * n))
+    runs = []
+    for step_slice in (numeric._STEP_SLICE, 2**40):
+        monkeypatch.setattr(numeric, "_STEP_SLICE", step_slice)
+        leaves = {k: Node(a) for k, a in arrays.items()}
+        node = bilstm(leaves["table"], ids, *(leaves[k] for k in BILSTM_WEIGHTS))
+        backward(sum_all(mul(node, w)))
+        runs.append([node.value] + [leaves[k].grad for k in arrays])
+    for k, default, whole in zip(("H", *arrays), *runs):
+        np.testing.assert_array_equal(default, whole, err_msg=k)
 
 
 # token ids, from which `bilstm` builds its column map, for two documents over a 3-row table
@@ -653,18 +678,26 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
 
 # `bilstm`'s traced bytes in state-sized buffers, n x r x docs float64 (one direction's
 # states).  The forward keeps the gates (4 a direction) and c (n + 1 steps) beyond H and x,
-# and half a state for the column maps.  The backward's peak is H's gradient (2), a block each
+# half a state for the column maps, and in lockstep both directions' W_h stacked for the BPTT
+# (4r x r: 4r / (n docs) a direction).  The backward's peak is H's gradient (2), a block each
 # of f's copy, tanh(c) and dc/dh (3 x 8 of the 40 steps a direction in lockstep: 1.2; 3 x 16 on
 # each of two stacks at once: 2.4), both directions' dh stacked in lockstep (2), the step-sized
 # buffers (dh, dc, their next steps and dz: 8 / 40 a direction) and 1/2 for the rest: 6.1 and
 # 5.3.  It reads 5.75 in lockstep and 4.96-5.11 on the worker.  The dz sums' index, whole gate
 # rows of at most `_BPTT_BLOCK` entries (6 rows, 0.4 states here) a call, comes after c and the
-# blocks are freed.
-@pytest.mark.parametrize("schedule, states", [("lockstep", 6.1), ("worker", 5.3)])
+# blocks are freed.  At r = 128 and 32 documents the same block sizes give the same terms, and
+# both directions step sliced at once on either schedule, each with its row-major copy of W_h^T
+# (4r / (n docs) = 0.4 states): 6.9 and 6.1.  It reads 6.56 and 5.87-5.92 (5.75 and 5.11 with
+# whole products).
+@pytest.mark.parametrize("schedule, r, docs, states", [
+    pytest.param("lockstep", 16, 256, 6.1, id="lockstep-6.1"),
+    pytest.param("worker", 16, 256, 5.3, id="worker-5.3"),
+    pytest.param("lockstep", 128, 32, 6.9, id="lockstep-sliced-6.9"),
+    pytest.param("worker", 128, 32, 6.1, id="worker-sliced-6.1")])
 def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
-        monkeypatch, schedule, states):
+        monkeypatch, schedule, r, docs, states):
     _force(monkeypatch, schedule)
-    d, r, n, docs = 8, 16, 40, 256
+    d, n = 8, 40
     rng = np.random.default_rng(6)
     arrays = _bilstm_arrays(rng, d, r, n, 1, 0.3)
     ids = rng.integers(0, n, size=n * docs).reshape(docs, n)
@@ -684,7 +717,8 @@ def test_bilstm_holds_its_gates_and_cell_states_and_few_state_sized_buffers(
     finally:
         tracemalloc.stop()
     state, x = n * r * docs * 8, d * np.unique(ids).size * 8
-    assert (kept - node.value.nbytes - x) / state <= 2 * (4 * n + n + 1) / n + 0.5
+    stacked = 2 * 4 * r / (n * docs) if schedule == "lockstep" else 0.0
+    assert (kept - node.value.nbytes - x) / state <= 2 * (4 * n + n + 1) / n + 0.5 + stacked
     assert peak / state <= states
 
 
