@@ -569,8 +569,8 @@ def test_grad_bilstm_through_a_column_map_that_repeats_tokens(monkeypatch, start
 # at r = 256 a step of several documents multiplies W_h in 8 slices of 128 rows and W_h^T in 8
 # of 32: 4 and 10 documents are widths where OpenBLAS's AVX-512 kernel sums a slice in other
 # last bits than the whole product, and 16 is the `aapd-train` step's.  At r = 128 each product
-# takes 2 slices; at r = 300 neither 109 nor 27 rows divides its product, so
-# both stay whole.  The last shape sums dz in blocks of 1 gate row (2^16 // 48000 positions)
+# takes 2 slices; at r = 300 neither 109 nor 27 rows divides its product, so both stay whole.
+# The last shape sums dz in blocks of 1 gate row (2^16 // 48000 positions)
 @pytest.mark.parametrize("d, r, n, docs", [(7, 5, 4, 1), (7, 5, 6, 3), (32, 32, 14, 2),
                                            (8, 256, 3, 4), (8, 256, 3, 10), (16, 256, 3, 16),
                                            (8, 128, 3, 3), (8, 300, 3, 4), (3, 4, 4, 12000)])
