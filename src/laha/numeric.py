@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
-_BPTT_BLOCK = 2**16  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
+_BPTT_BLOCK = 2**15  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
 _STEP_SLICE = 2**15  # floats of W_h (or W_h^T) in one GEMM of a step of several documents
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
@@ -414,8 +414,8 @@ def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
 def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     """Both LSTM directions over a docs x n array of token ids, a document a row, as one node.
 
-    Each id is a row of the vocab x d `table`, whose distinct rows are read once and take the
-    input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
+    Each id is a row of the vocab x d `table`, whose distinct rows each direction gathers in each
+    pass and which take the input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
     i, f, g, o gates.  The value is the 2r x (docs * n) forward over reverse states, document j
     in columns j*n ... j*n + n - 1, column t after reading token t.  Below r * r * docs =
     `_WORKER_MIN` the directions step in lockstep, as one stack; from it on two 4r x r
@@ -435,7 +435,7 @@ def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
         raise ShapeError(f"bilstm: {shapes} and token ids of shape {ids.shape} "
                          f"do not fit a {table.value.shape} table")
     h = np.empty((2 * r, ids.size), order="F" if len(ids) == 1 else "C")  # see `_lstm`
-    bptt = _lstm(table.value[rows].T, [a.value for a in w], rows.searchsorted(ids), h)
+    bptt = _lstm(table.value, rows, [a.value for a in w], rows.searchsorted(ids), h)
     h.flags.writeable = False  # the BPTT reads its states back from H
 
     def bwd(grad):
@@ -447,21 +447,21 @@ def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     return Node(h, (table, *w), bwd)
 
 
-def _lstm(x, w, cols, out):
+def _lstm(table, tokens, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of D
     directions makes one call per op a step, through buffers made before the loop.  With several
-    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in row slices of
-    `_STEP_SLICE` floats where they divide it (`band`): OpenBLAS runs these faster than the whole,
-    and on its AVX-512 kernel sums some widths in other last bits, so each direction's GEMMs keep
-    the oracle's slices and layouts (tests/extra_ops.py).  `cols` (docs x n, each position's
-    column of x) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms the
-    gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
-    from out, and, one direction at a time, sums dz per block of gate rows in stepping order into
-    the leading floats of that direction's own gate slot: the gates live until the last dwx.
+    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in `band`'s row slices,
+    which OpenBLAS's AVX-512 kernel runs in 0.4-0.8 of the whole's time, some in other last bits:
+    each direction's GEMMs keep the oracle's slices and layouts (tests/extra_ops.py).  `cols`
+    (docs x n, each position's column of x = table[tokens].T) places x's projections (`take`,
+    clip mode: unbuffered); dwx gathers x again.  The BPTT forms the gate coefficients per block
+    of `_BPTT_BLOCK` floats (c freed with the last), reads states from out, and, one direction at
+    a time, sums dz per block of gate rows in stepping order into the leading floats of that
+    direction's own gate slot: the gates live until the last dwx.
     """
-    r, (docs, n), u = w[1].shape[1], cols.shape, x.shape[1]
+    r, (docs, n), u = w[1].shape[1], cols.shape, tokens.size
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
     worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
 
@@ -474,8 +474,9 @@ def _lstm(x, w, cols, out):
             return [run(items[0]), second.result()]
 
     def band(m: int, k: int) -> int:  # rows a GEMM takes of an m x k step matrix: see above
-        rows = _STEP_SLICE // k
-        return rows if docs > 1 and 0 < rows < m and not m % rows else m
+        rows = _STEP_SLICE // k  # OpenBLAS's AVX-512 small-matrix GEMM: <= 10**6 multiply-adds
+        small = 0 < rows * k * docs <= 10**6 < m * k * docs  # it takes a slice, not the whole
+        return rows if docs > 1 and small and not m % rows else m
 
     def stack(ks: tuple):
         D, steps = len(ks), [-1 if k else 1 for k in ks]
@@ -484,12 +485,11 @@ def _lstm(x, w, cols, out):
         # gates[:, :, s]: step s's input projection, then its gates, then (in the BPTT) its dz
         gates = np.empty((D, 4 * r, n, docs))
         for j, k in enumerate(ks):
-            (w[3 * k] @ x).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
+            (w[3 * k] @ table[tokens].T).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
         wh, b = (w[3 * ks[0] + m][None] if D == 1 else np.stack(w[m::3]) for m in (1, 2))
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
-        zs = np.empty((D, 4 * r, docs))  # one step's pre-activations, then its gates
-        rows, b = band(4 * r, r), b.repeat(docs, 2)  # b in the step's shape: no broadcast add
+        zs, rows = np.empty((D, 4 * r, docs)), band(4 * r, r)  # one step's z, then its gates
         wh_s, zs_s = wh.reshape(D, -1, rows, r), zs.reshape(D, -1, rows, docs)
         i, f, g, o = zs.reshape(D, 4, r, docs).transpose(1, 0, 2, 3)
         e, tanh_g, flat = np.empty(zs.shape), np.empty(g.shape), zs.reshape(-1)
@@ -535,7 +535,7 @@ def _lstm(x, w, cols, out):
             dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
             k_c = gates[:, : 3 * r].reshape(D, 3, r, n, docs).transpose(3, 0, 1, 2, 4)
             k_h, rows = gates[:, 3 * r :].transpose(2, 0, 1, 3), band(r, 4 * r)
-            wh_t = np.asarray(wh.transpose(0, 2, 1), order="C" if rows < r else "K")  # copy to slice
+            wh_t = np.asarray(wh.transpose(0, 2, 1), order="C" if rows < r else "K")  # row-major
             wh_t, dh_s = wh_t.reshape(D, -1, rows, 4 * r), dh_next.reshape(D, -1, rows, docs)
             for hi in range(n, 0, -span):
                 lo = max(0, hi - span)
@@ -582,7 +582,7 @@ def _lstm(x, w, cols, out):
                 dx = w[3 * k].T @ dz_u
                 for lo in range(0, 4 * r, rows) if step < 0 else ():  # only after dx, in place
                     dz_u[lo : lo + rows] = dz_u[lo : lo + rows, ::-1]  # in stepping order
-                grads += [dz_u @ x.T[::step], dwh, db, dx]  # x's columns in stepping order
+                grads += [dz_u @ table[tokens][::step], dwh, db, dx]  # x in stepping order
             return grads
 
         return bptt

@@ -339,9 +339,11 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
 
 def _step_rows(m: int, k: int, docs: int) -> int:
     """Rows of an m x k matrix per GEMM of a step over `docs` columns: `numeric._STEP_SLICE` // k
-    where that is fewer than m and divides it, and the step has several documents; else m."""
+    where the step has several documents, that many rows divide m, and a slice's product has at
+    most 10**6 multiply-adds but the whole product more; else m."""
     rows = numeric._STEP_SLICE // k
-    return rows if docs > 1 and 0 < rows < m and not m % rows else m
+    small = 0 < rows * k * docs <= 10**6 < m * k * docs
+    return rows if docs > 1 and small and not m % rows else m
 
 
 def _two_lstms(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, docs, columns) -> Node:
