@@ -414,8 +414,8 @@ def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
 def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     """Both LSTM directions over a docs x n array of token ids, a document a row, as one node.
 
-    Each id is a row of the vocab x d `table`, whose distinct rows each direction gathers in each
-    pass and which take the input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
+    Each id is a row of the vocab x d `table`, whose distinct rows are read in each pass and take
+    the input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
     i, f, g, o gates.  The value is the 2r x (docs * n) forward over reverse states, document j
     in columns j*n ... j*n + n - 1, column t after reading token t.  Below r * r * docs =
     `_WORKER_MIN` the directions step in lockstep, as one stack; from it on two 4r x r
@@ -452,16 +452,15 @@ def _lstm(table, tokens, w, cols, out):
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of D
     directions makes one call per op a step, through buffers made before the loop.  With several
-    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in `band`'s row slices,
-    which OpenBLAS's AVX-512 kernel runs in 0.4-0.8 of the whole's time, some in other last bits:
-    each direction's GEMMs keep the oracle's slices and layouts (tests/extra_ops.py).  `cols`
-    (docs x n, each position's column of x = table[tokens].T) places x's projections (`take`,
-    clip mode: unbuffered); dwx gathers x again.  The BPTT forms the gate coefficients per block
-    of `_BPTT_BLOCK` floats (c freed with the last), reads states from out, and, one direction at
-    a time, sums dz per block of gate rows in stepping order into the leading floats of that
-    direction's own gate slot: the gates live until the last dwx.
+    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in `band`'s row slices, which
+    OpenBLAS's AVX-512 kernel runs faster, some in other last bits: each direction's GEMMs keep the
+    oracle's slices and layouts (tests/extra_ops.py).  `cols` (docs x n, each position's column of
+    x = table[tokens].T) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms
+    the gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
+    from out, and, one direction at a time, sums dz per block of gate rows in stepping order into
+    its own gate slot's leading floats: the gates live until the last dwx.
     """
-    r, (docs, n), u = w[1].shape[1], cols.shape, tokens.size
+    r, (docs, n), u, x = w[1].shape[1], cols.shape, tokens.size, table[tokens].T
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
     worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
 
@@ -485,7 +484,7 @@ def _lstm(table, tokens, w, cols, out):
         # gates[:, :, s]: step s's input projection, then its gates, then (in the BPTT) its dz
         gates = np.empty((D, 4 * r, n, docs))
         for j, k in enumerate(ks):
-            (w[3 * k] @ table[tokens].T).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
+            (w[3 * k] @ x).take(at[j], 1, gates[j].reshape(4 * r, n * docs), "clip")
         wh, b = (w[3 * ks[0] + m][None] if D == 1 else np.stack(w[m::3]) for m in (1, 2))
         by_step = gates.transpose(2, 0, 1, 3)
         c, h = np.zeros((n + 1, D, r, docs)), np.zeros((n + 1, D, r, docs))  # after step s: [s + 1]
@@ -588,4 +587,5 @@ def _lstm(table, tokens, w, cols, out):
         return bptt
 
     bptts = each(stack, stacks)
+    del x  # gathered again for each dwx, not held through the BPTT's steps
     return lambda grad: [g for grads in each(lambda bptt: bptt(grad), bptts) for g in grads]

@@ -691,7 +691,7 @@ def test_bilstm_steps_through_huge_finite_pre_activations(monkeypatch):
 # whole gate rows of at most `_BPTT_BLOCK` entries (3 rows, 0.2 states here) a call, comes after
 # c and the blocks are freed.  At r = 128 and 30 documents both directions step sliced at once
 # on either schedule, each with a row-major copy of W_h^T (4r / (n docs) = 0.43 states), and the
-# blocks take the same steps as above: 6.35 and 4.95.  It reads 6.02 and 4.65-4.73.  The
+# blocks take the same steps as above: 6.35 and 4.95.  It reads 6.02 and 4.65-4.79.  The
 # lockstep stack of W_h, 0.85 states there, is counted on its own.
 @pytest.mark.parametrize("schedule, r, docs, stacked, states", [
     pytest.param("lockstep", 16, 256, 0.0, 6.1, id="lockstep-6.1"),
