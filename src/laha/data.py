@@ -200,3 +200,8 @@ def atomic_write_bytes(path: str, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    fd = os.open(os.path.dirname(tmp), os.O_RDONLY)  # else a crash can lose the rename itself
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

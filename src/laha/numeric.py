@@ -21,27 +21,24 @@ and the loss `bce_with_logits`, one node for a batch of documents; the
 `take_rows` gathers rows by integer index and returns its input for the
 identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a docs x n array of token ids as
-one node, whose value is the model's read-only H = [H_f; H_b]
+one node, whose value is the model's read-only, row-major H = [H_f; H_b]
 (`add_halves` gives H_f + H_b from it): a GEMM per direction projects
 each distinct token's embedding once, placed by its index in
 `np.unique`'s sorted ids.  The node keeps its gates and cell states; its
 hand-written BPTT reads the states before each step back from H and sums
-a token's gate gradients in stepping order into its direction's own gate
-slot (`np.bincount` per block of rows) before the input-side GEMMs, adding
-one per table row.  Its kernel steps a stack of directions, every array
-with a direction axis: below r * r * docs = `_WORKER_MIN` both step in
-lockstep, each op one call for the two; from it on each is a stack of
-its own, and when `os.sched_getaffinity` gives the process two or more
-CPUs a worker thread steps the reverse one in both passes: it touches no
-Node, runs in a copy of the caller's context (numpy's error state) and
-is joined before the node returns or raises.  Steps of several documents
-take W_h and W_h^T in row slices (see `_lstm`).  The BLAS thread count is
-not checked: the bench, and CI's one-thread test steps, pin BLAS to one
-thread.  The gates take the public `sigmoid`'s one formula, max(e,
-copysign(1, x)) / (1 + e) with e = exp(-|x|), in place.  A backward
-pass consumes its graph: it overwrites `bilstm`'s stored gates and
-releases them, so a second sweep raises ValidationError, and it releases
-each op node's gradient once passed on, so only the leaves keep theirs.
+each token's gate gradients into its direction's own gate slot
+(`np.bincount` per block of rows) before the input-side GEMMs.  The
+worker thread that steps the reverse direction at large shapes (see
+`bilstm`) touches no Node, runs in a copy of the caller's context
+(numpy's error state) and is joined before the node returns or raises.
+Both directions take one layout and one summation order at every batch
+width (see `_lstm`).  The BLAS thread count is not checked: the bench,
+and CI's one-thread test steps, pin BLAS to one thread.  The gates take
+the public `sigmoid`'s one formula, max(e, copysign(1, x)) / (1 + e)
+with e = exp(-|x|), in place.  A backward pass consumes its graph: it
+overwrites `bilstm`'s stored gates and releases them, so a second sweep
+raises ValidationError, and it releases each op node's gradient once
+passed on, so only the leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -422,7 +419,8 @@ def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     recurrent matrices would evict each other from the cache, so each direction is a stack of
     its own, the reverse one on a worker thread if two CPUs are usable.  A stack's step makes
     one call per op for all its directions and allocates nothing.  The node keeps the gates
-    and cell states, and the value is read-only: the BPTT reads H back.
+    and cell states, and the value, row-major at every batch width, is read-only: the BPTT
+    reads H back.
     """
     w = [wx_f, wh_f, b_f, wx_b, wh_b, b_b]
     ids = np.asarray(ids)
@@ -434,7 +432,7 @@ def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
             or not 0 <= rows[0] <= rows[-1] < table.rows):
         raise ShapeError(f"bilstm: {shapes} and token ids of shape {ids.shape} "
                          f"do not fit a {table.value.shape} table")
-    h = np.empty((2 * r, ids.size), order="F" if len(ids) == 1 else "C")  # see `_lstm`
+    h = np.empty((2 * r, ids.size))
     bptt = _lstm(table.value, rows, [a.value for a in w], rows.searchsorted(ids), h)
     h.flags.writeable = False  # the BPTT reads its states back from H
 
@@ -451,14 +449,15 @@ def _lstm(table, tokens, w, cols, out):
     """Step `bilstm`'s directions (w: each one's wx, wh, b), write H to out, return the BPTT.
 
     The BPTT returns each direction's (dwx, dwh, db, dx), the forward one first.  A stack of D
-    directions makes one call per op a step, through buffers made before the loop.  With several
-    documents its GEMM takes W_h (the BPTT a row-major copy of W_h^T) in `band`'s row slices, which
-    OpenBLAS's AVX-512 kernel runs faster, some in other last bits: each direction's GEMMs keep the
-    oracle's slices and layouts (tests/extra_ops.py).  `cols` (docs x n, each position's column of
-    x = table[tokens].T) places x's projections (`take`, clip mode: unbuffered).  The BPTT forms
-    the gate coefficients per block of `_BPTT_BLOCK` floats (c freed with the last), reads states
-    from out, and, one direction at a time, sums dz per block of gate rows in stepping order into
-    its own gate slot's leading floats: the gates live until the last dwx.
+    directions makes one call per op a step, through buffers made before the loop.  Every array
+    has one layout at every batch width, the BPTT's W_h^T a row-major copy; with several
+    documents both GEMMs take `band`'s row slices, which OpenBLAS's AVX-512 kernel runs faster,
+    some in other last bits, as the oracle does (tests/extra_ops.py).  `cols` (docs x n, each
+    position's column of x = table[tokens].T) places x's projections (`take`, clip mode:
+    unbuffered).  The BPTT forms the gate coefficients per block of `_BPTT_BLOCK` floats (c freed
+    with the last), reads states from out, and, one direction at a time, sums dz per token and
+    block of gate rows into its own gate slot's leading floats (the gates live until the last
+    dwx); each direction's dwx then sums over x's columns in `np.unique`'s order.
     """
     r, (docs, n), u, x = w[1].shape[1], cols.shape, tokens.size, table[tokens].T
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
@@ -534,7 +533,7 @@ def _lstm(table, tokens, w, cols, out):
             dz_c, dz_h, dc_c = dz[:, : 3 * r].reshape(D, 3, r, docs), dz[:, 3 * r :], dc[:, None]
             k_c = gates[:, : 3 * r].reshape(D, 3, r, n, docs).transpose(3, 0, 1, 2, 4)
             k_h, rows = gates[:, 3 * r :].transpose(2, 0, 1, 3), band(r, 4 * r)
-            wh_t = np.asarray(wh.transpose(0, 2, 1), order="C" if rows < r else "K")  # row-major
+            wh_t = np.ascontiguousarray(wh.transpose(0, 2, 1))  # W_h^T, row-major
             wh_t, dh_s = wh_t.reshape(D, -1, rows, 4 * r), dh_next.reshape(D, -1, rows, docs)
             for hi in range(n, 0, -span):
                 lo = max(0, hi - span)
@@ -560,17 +559,17 @@ def _lstm(table, tokens, w, cols, out):
                     np.multiply(dc, f_kept[s - lo], out=dc_next)
                     gates[:, :, s] = dz
             del dh_out, scratch, f_kept, tc, dc_dh, wh_t  # every view of the scratch, W_h^T's copy
-            grads, block, rows = [], max(1, _BPTT_BLOCK // (n * docs)), max(1, _BPTT_BLOCK // u)
+            grads, block = [], max(1, _BPTT_BLOCK // (n * docs))
             for j, (k, step) in enumerate(zip(ks, steps)):  # h_j freed before the sums
-                dz = np.asarray(gates[j].reshape(4 * r, n * docs), order="F" if docs == 1 else "C")
+                dz = gates[j].reshape(4 * r, n * docs)
                 h_k = out[k * r : (k + 1) * r].reshape(r, docs, n)[:, :, ::step]  # stepping order
                 h_j = np.zeros((n * docs, r))  # the states before each step: 0, then H's
                 h_j.reshape(n, docs, r)[1:] = h_k[:, :, :-1].T
                 dwh, db = dz @ h_j, dz.sum(axis=1)[:, None]
                 del dz, h_j
-                # dz summed per gate row and column of x in stepping order into gates[j]'s first
-                # 4r u floats, a bincount per block of rows: [lo, hi) fills [lo u, hi u), and the
-                # rows not yet read start at hi n docs >= hi u
+                # dz summed per gate row and column of x into gates[j]'s first 4r u floats, a
+                # bincount per block of rows: [lo, hi) fills [lo u, hi u), and the rows not yet
+                # read start at hi n docs >= hi u
                 dz_u = gates[j].reshape(-1)[: 4 * r * u].reshape(4 * r, u)
                 for lo in range(0, 4 * r, block):
                     bins = at[j, None].repeat(min(block, 4 * r - lo), 0)  # row lo + i: at[j] + i u
@@ -578,10 +577,7 @@ def _lstm(table, tokens, w, cols, out):
                     dz_u.reshape(-1)[lo * u : (lo + block) * u] = np.bincount(
                         bins.ravel(), gates[j, lo : lo + block].ravel(), len(bins) * u)
                     del bins  # before the next block's are made
-                dx = w[3 * k].T @ dz_u
-                for lo in range(0, 4 * r, rows) if step < 0 else ():  # only after dx, in place
-                    dz_u[lo : lo + rows] = dz_u[lo : lo + rows, ::-1]  # in stepping order
-                grads += [dz_u @ table[tokens][::step], dwh, db, dx]  # x in stepping order
+                grads += [dz_u @ table[tokens], dwh, db, w[3 * k].T @ dz_u]
             return grads
 
         return bptt

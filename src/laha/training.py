@@ -66,10 +66,11 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float):
     """One bias-corrected Adam update, in place, of the parameters `grads` names.
 
-    They must end `params`, `state.m` and `state.v`, in order, and every gradient is checked
-    before anything is written.  The tail spans go in chunks of `_CHUNK` floats, gathering the
-    gradients a chunk spans; each element takes Adam's ops in Adam's order.
+    They must end `params`, `state.m` and `state.v`, in order, and `lr` and every gradient are
+    checked before anything is written.  The tail spans go in chunks of `_CHUNK` floats,
+    gathering the gradients a chunk spans; each element takes Adam's ops in Adam's order.
     """
+    check_positive("lr", lr)
     with np.errstate(over="ignore"):  # finite entries square to a finite sum unless some are huge
         for name, g in grads.items():
             if g.shape != params[name].shape:
@@ -170,7 +171,6 @@ def train(
         rng = np.random.default_rng((cfg.seed, epoch))
         order = rng.permutation(len(corpus))
         loss_sum = 0.0
-        docs_seen = 0
         for batch_no, start in enumerate(range(0, len(corpus), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
             param_nodes = model_mod.wrap_params(params)
@@ -194,8 +194,7 @@ def train(
             del traces, loss, param_nodes  # free the graph before Adam's temporaries
             adam_step(params, grads, adam, cfg.learning_rate)
             loss_sum += loss_value * len(batch)
-            docs_seen += len(batch)
-        history.append(loss_sum / docs_seen)
+        history.append(loss_sum / len(corpus))  # every document, once an epoch
     return params, history
 
 
@@ -228,8 +227,7 @@ def save_checkpoint(
     """JSON header line, then raw little-endian float64 payloads in header order."""
     tensors: list[tuple[str, np.ndarray]] = [(f"param/{n}", a) for n, a in params.items()]
     adam_names = [n for n in params if n in adam.m]
-    tensors += [(f"adam_m/{n}", adam.m[n]) for n in adam_names]
-    tensors += [(f"adam_v/{n}", adam.v[n]) for n in adam_names]
+    tensors += [(f"adam_{m}/{n}", getattr(adam, m)[n]) for m in "mv" for n in adam_names]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -293,9 +291,9 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
     adam_info = header["adam"]
     adam_names = adam_info["params"]
-    for name in adam_names:
-        if name not in table:
-            raise CheckpointError(f"Adam state names unknown parameter {name!r}")
+    for i, name in enumerate(adam_names):
+        if name not in table or name in adam_names[:i]:
+            raise CheckpointError(f"Adam state names an unknown or repeated parameter {name!r}")
     # the tensor table this config, vocabulary and Adam state imply, in saved order
     expected = [[f"param/{n}", rows, cols] for n, (rows, cols, _) in table.items()]
     expected += [[f"adam_{m}/{n}", *table[n][:2]] for m in "mv" for n in adam_names]

@@ -13,14 +13,15 @@ the op conventions of `laha.numeric`.  `softmax_columns`, `scale_cols`,
 `model.fuse`) compose them as the model once did, as `tanh` of a
 `matmul` does for `tanh_product`: the references those fused ops must
 match bit for bit.  `lstm` is one LSTM direction as its own node, stepped
-serially over the distinct-token columns a map places.  `bilstm_oracle`
+serially over the distinct-token columns a map places, with one layout
+and one summation order at every batch width.  `bilstm_oracle`
 gathers a batch's distinct token rows (its ids docs x n, as
 `numeric.bilstm` takes them) with `take_rows` and `transpose` and stacks
 two `lstm` nodes on `np.unique`'s map with `vconcat` into H: the
 reference that `numeric.bilstm` and `model.bilstm_forward` must match
 bit for bit.
 `bilstm_per_position` gathers every position's row instead, on the
-identity map: the per-position arithmetic, equal to rounding.
+identity map: equal to `bilstm_oracle` up to rounding.
 `adam_step_oracle` is Adam as a loop over parameter names, one array at
 a time: the reference that the chunked `training.adam_step` must match
 bit for bit.  `packed` copies plain arrays into one `ModelParams` buffer.
@@ -254,17 +255,15 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
     stepped over every position, from the right when `reverse`, from zero
     hidden and cell states.  Returns the r x (docs * n) hidden states in
     position order, column t of a document being its state after reading
-    token t.  Internal arrays keep the documents on their last axis, so
-    each step's recurrent product is one GEMM over them, and one document
-    makes the BLAS calls of an unbatched LSTM.  A step of several documents
-    multiplies W_h, and in the backward a row-major copy of W_h^T, in the
-    row slices `numeric._lstm` takes (`_step_rows`), a 2-D GEMM a slice, so
-    both sum each product's entries alike.  wx @ x is one GEMM whose
-    columns are placed per position; the backward is hand-written BPTT
-    that overwrites the stored gates, so it runs once, and adds up each
-    distinct token's dz, in stepping order, before the GEMMs of dwx and
-    dx; dwx sums over x's columns in stepping order too, so one document
-    on the identity map keeps the per-position arithmetic bit for bit.
+    token t, row-major.  Internal arrays keep the documents on their last
+    axis, so each step's recurrent product is one GEMM over them.  The
+    backward multiplies a row-major copy of W_h^T; a step of several
+    documents takes it and W_h in the row slices `numeric._lstm` takes
+    (`_step_rows`), a 2-D GEMM a slice, so both sum each product's entries
+    alike.  wx @ x is one GEMM whose columns are placed per position; the
+    backward is hand-written BPTT that overwrites the stored gates, so it
+    runs once, and adds up each distinct token's dz before the GEMMs of dwx
+    and dx; dwx takes x's columns in their own order in either direction.
     A non-finite pre-activation or cell state raises NumericalError.
     """
     x, wx, wh, b = _node(x), _node(wx), _node(wh), _node(b)
@@ -298,8 +297,8 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
     if not (np.isfinite(z).all() and np.isfinite(c).all()):
         raise NumericalError("lstm: non-finite gate pre-activation or cell state")
 
-    def to_columns(a):  # stepping-order (n, rows, docs) -> rows x (docs * n) input order
-        return a[::step].transpose(1, 2, 0).reshape(a.shape[1], docs * n)
+    def to_columns(a):  # stepping-order (n, rows, docs) -> row-major rows x (docs * n) input order
+        return np.ascontiguousarray(a[::step].transpose(1, 2, 0).reshape(a.shape[1], docs * n))
 
     def bwd(grad):
         dh_out = grad.reshape(r, docs, n).transpose(2, 0, 1)[::step]  # n x r x docs
@@ -316,7 +315,7 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
         f[...] = c[:-1] * f * (1.0 - f)
         del tc, k2
         dh_next = dc_next = np.zeros((r, docs))
-        wh_t = wh.value.T.copy() if back < r else wh.value.T  # sliced: row-major
+        wh_t = wh.value.T.copy()  # row-major
         for s in range(n - 1, -1, -1):
             dh = dh_out[s] + dh_next
             dc = dc_next + dh * dc_dh[s]
@@ -326,10 +325,10 @@ def lstm(x, wx, wh, b, reverse: bool = False, docs: int = 1, columns=None) -> No
             dz_s = dz.reshape(4 * r, docs)
             dh_next = np.concatenate([wh_t[lo : lo + back] @ dz_s for lo in range(0, r, back)])
             dc_next = dc * f_kept[s]
-        dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).reshape(4 * r, n * docs)
+        dz = gates.reshape(n, 4 * r, docs).transpose(1, 0, 2).copy().reshape(4 * r, n * docs)
         dz_u = np.zeros((4 * r, x.cols))
         np.add.at(dz_u, (slice(None), at), dz)  # column by column, in stepping order
-        wx.grad += dz_u[:, ::step] @ x.value.T[::step]  # x's columns in stepping order
+        wx.grad += dz_u @ x.value.T
         wh.grad += dz @ h[:-1].transpose(0, 2, 1).reshape(n * docs, r)
         b.grad += dz.sum(axis=1)[:, None]
         x.grad += wx.value.T @ dz_u

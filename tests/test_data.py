@@ -115,8 +115,9 @@ def test_atomic_write_syncs_the_whole_temporary_file_before_the_rename(tmp_path,
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     data.atomic_write_bytes(str(tmp_path / "out.bin"), b"abc")
-    assert [call[0] for call in calls] == ["fsync", "replace"]
+    assert [call[0] for call in calls] == ["fsync", "replace", "fsync"]
     assert calls[0][1:] == calls[1][1:] == ((tmp_path / "out.bin").stat().st_ino, 3)
+    assert calls[2][1] == tmp_path.stat().st_ino  # then the directory, so the rename lasts
     assert (tmp_path / "out.bin").read_bytes() == b"abc"
 
 

@@ -534,6 +534,31 @@ def test_every_bilstm_schedule_is_bit_identical_to_the_oracle(
     assert threading.active_count() == before and not any(t.is_alive() for t in started)
 
 
+# with both directions' weights equal, a palindrome reads the same either way, so the reverse
+# direction steps through the forward one's arithmetic: fed the forward half's upstream gradient
+# reversed, its states are the forward ones reversed and its weight gradients the same bits
+@pytest.mark.parametrize("docs", [1, 2, 3, 4])
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_bilstm_directions_are_bit_symmetric_on_palindromes(monkeypatch, schedule, docs):
+    _force(monkeypatch, schedule)
+    d, r, n = 7, 5, 9
+    rng = np.random.default_rng(30 + docs)
+    half = rng.integers(0, 3 * n, size=(docs, n // 2 + 1))
+    ids = np.hstack([half, half[:, -2::-1]])
+    assert (ids == ids[:, ::-1]).all()
+    arrays = _bilstm_arrays(rng, d, r, n, 3, math.sqrt(6.0 / (d + r)))
+    for k in ("wx", "wh", "b"):
+        arrays[k + "_b"] = arrays[k + "_f"].copy()
+    table, *weights = _leaves(arrays)
+    node = bilstm(table, ids, *weights)
+    g_f = rng.normal(size=(r, docs, n))
+    backward(sum_all(mul(node, np.concatenate([g_f, g_f[:, :, ::-1]]).reshape(2 * r, -1))))
+    h_f, h_b = node.value.reshape(2, r, docs, n)
+    np.testing.assert_array_equal(h_b, h_f[:, :, ::-1])
+    for k, fwd, rev in zip(("wx", "wh", "b"), weights[:3], weights[3:]):
+        np.testing.assert_array_equal(rev.grad, fwd.grad, err_msg=k)
+
+
 def _unit_bilstm(ids):
     """`bilstm` over a 4 x 1 table of ones and d = r = 1 directions of ones."""
     w = [Node(np.ones((4, 1))) for _ in range(3)]
@@ -828,9 +853,9 @@ def test_bilstm_sums_dz_in_the_gate_buffer(monkeypatch, schedule):
 
 # `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
 # in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; dz is summed a gate row
-# a call, and the reverse direction's dz_u is put in stepping order 60 // U rows at a time.  At
-# 3 n docs floats dz is summed 3 gate rows a call, so each direction's 4r = 20 rows end in a
-# partial block, and a block taken over both directions' 40 rows would straddle the two
+# a call, and 4 r docs // U lies strictly between 1 and 4r.  At 3 n docs floats dz is summed 3
+# gate rows a call, so each direction's 4r = 20 rows end in a partial block, and a block taken
+# over both directions' 40 rows would straddle the two
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, started, schedule):
     threads = _force(monkeypatch, schedule)
@@ -1080,8 +1105,9 @@ def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
             np.testing.assert_array_equal(got, want)
 
 
-# W_s1 H's shapes, d_a x 2r by 2r x n: H is column-major for one document and a column slice
-# of a row-major H for each of several; one b has a single column
+# W_s1 H's shapes, d_a x 2r by 2r x n: H is row-major, whole for one document and a column
+# slice for each of several, and a column-major b stands for any other layout; one b has a
+# single column
 @pytest.mark.parametrize("m, inner, n, layout", [
     (3, 4, 5, "C"), (6, 8, 1, "C"), (16, 12, 9, "F"), (24, 64, 40, "slice"), (32, 64, 14, "F"),
     (32, 64, 14, "slice")])

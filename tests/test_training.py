@@ -230,6 +230,17 @@ def test_adam_checks_every_gradient_before_it_writes():
     assert state.step == 0
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1, True])
+def test_adam_rejects_a_learning_rate_that_is_not_finite_and_positive_before_it_writes(lr):
+    p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
+    state = AdamState.init(p)
+    with pytest.raises(ValidationError, match="lr"):
+        adam_step(p, {"a": np.array([[0.5]]), "b": np.array([[0.5]])}, state, lr=lr)
+    assert p.flat.tolist() == [1.0, 1.0]
+    assert state.m.flat.tolist() == state.v.flat.tolist() == [0.0, 0.0]
+    assert state.step == 0
+
+
 @pytest.mark.parametrize("huge", [[1e200], [1.3e154, -1.3e154]],
                          ids=["square overflows", "squares finite, their sum overflows"])
 def test_adam_trains_on_a_huge_finite_gradient_as_the_per_name_loop(huge):
@@ -735,6 +746,14 @@ def _swapped_tensor_names(h):
     h["tensors"][i][0], h["tensors"][j][0] = names[j], names[i]
 
 
+def _adam_param_named_twice(h):
+    # fuse1_b and b_o are both 1x1, so the Adam state can name b_o twice and keep the payload's size
+    names = h["adam"]["params"]
+    names[names.index("fuse1_b")] = "b_o"
+    for t in h["tensors"]:
+        t[0] = t[0].replace("adam_m/fuse1_b", "adam_m/b_o").replace("adam_v/fuse1_b", "adam_v/b_o")
+
+
 def _setting(*keys_then_value):
     *keys, value = keys_then_value
 
@@ -750,7 +769,7 @@ def _setting(*keys_then_value):
 @pytest.mark.parametrize("mutate", [
     _drop_tensors, _drop_adam, _drop_variant, _unknown_adam_param,
     _adam_shape_mismatch, _negative_shape, _unknown_variant, _vocab_size_mismatch,
-    _swapped_tensor_names, _vocab_as_a_string, _vocab_of_integers,
+    _swapped_tensor_names, _vocab_as_a_string, _vocab_of_integers, _adam_param_named_twice,
     _setting("epoch", 2.7), _setting("epoch", -3), _setting("epoch", True),
     _setting("adam", "step", -1), _setting("adam", "step", 2.0), _setting("adam", "step", True),
     _setting("adam", "beta1", 1.0), _setting("adam", "beta1", -0.1),
