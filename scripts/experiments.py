@@ -41,9 +41,11 @@ of a workload and trace to the next, REV first.  This tree runs as it
 stands, uncommitted edits included.  BENCH_compare.json holds, from the
 untraced pairs, per workload and end-to-end metric of BENCHMARK.json,
 both trees' medians and quartiles, each pair's figures, the pairs this
-tree won, the median raw seconds of each run's samples where the metric
-is timed, and the median's move against the metric's bound (positive is
-worse).  It also holds whether p_at_5 and ndcg_at_5 were float-equal on
+tree won, how many of this tree's runs read better than every run of REV
+and how many read worse than every one (where the runs spread wider than
+a bound, all runs better is what resolves the metric), the median raw
+seconds of each run's samples where the metric is timed, and the
+median's move against the metric's bound (positive is worse).  It also holds whether p_at_5 and ndcg_at_5 were float-equal on
 every pair and, with --trace, each tree's BENCH_layers.json summary.
 `--against HEAD` gives the noise floor.
 
@@ -188,7 +190,9 @@ def exit_code(records: list[dict]) -> int:
 
 def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     """One workload's (base, change) record pairs, summed up per metric `declared` as
-    BENCHMARK.json's end_to_end lists them; a pair is won where the change is strictly better."""
+    BENCHMARK.json's end_to_end lists them; a pair is won where the change is strictly better,
+    and a change run is beyond the base where it is strictly better (or worse) than every base
+    run."""
     sides = dict(zip(("base", "change"), zip(*pairs)))
     metrics = {}
     for metric in declared:
@@ -199,6 +203,8 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
         metrics[name] = {
             "base": quartiles(base), "change": quartiles(change),
             "wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)), "pairs": len(pairs),
+            "better_than_every_base": sum(all(sign * (c - b) < 0 for b in base) for c in change),
+            "worse_than_every_base": sum(all(sign * (c - b) > 0 for b in base) for c in change),
             "move": move, "bound": metric["bound"], "within_bound": bool(move <= metric["bound"]),
             "base_runs": base, "change_runs": change}
         raw = {side: [raw_median(record, name) for record in records]

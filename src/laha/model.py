@@ -12,11 +12,12 @@ turns each column of the paper's mixed context H (alpha A_s + beta A_i)
 into a logit.  The 2r x k' contexts H A are never built: each product of
 three matrices takes the cheaper association, each route's softmax runs
 in its last product's buffer, and the content route's tanh in W_s1 H's
-(`numeric.tanh_product`, so no node keeps W_s1 H).  Both routes read
-their label side through `numeric.take_rows`: rows of W_s2, and rows of
-the k x r label matrix, one leaf per `forward_batch` call (checked
-finite there once), taken transposed as L.  Every label in index order
-takes either as it is.  The model yields logits, and a non-finite logit
+(`numeric.tanh_product`, so no node keeps W_s1 H).  Each route is one
+`numeric.softmax_product` of label rows against a document matrix: rows
+of W_s2 against tanh(W_s1 H), and rows of the k x r label matrix (one
+leaf per `forward_batch` call, checked finite there once) against
+W_q^T (H_f + H_b), each A row-major.  Every label in index order takes
+either label matrix as it is.  The model yields logits, and a non-finite logit
 raises NumericalError, since every score and loss passes through them;
 the sigmoid is applied only by `ForwardTrace.scores()`, and training
 feeds a batch's logits straight to `numeric.bce_with_logits`, one node.
@@ -176,22 +177,21 @@ def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
     the paper's per-label context matrix is C_s = H @ A_s.
     """
     t = nm.tanh_product(w_s1, h)
-    return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask, transposed=True)  # n x k'
+    return nm.softmax_product(nm.take_rows(w_s2, subset), t, mask)  # n x k'
 
 
 def interaction_attention(h: Node, label_rows: Node, w_q, subset: Sequence[int], mask) -> Node:
     """Structure attention: words match projected label vectors.
 
-    `label_rows` is the k x r label matrix, one row per label, and L its
-    transposed subset rows.  With H = [H_f; H_b], the matching score for
-    word t and label j is H[:, t] . [Q; Q][:, j], Q = W_q L: the block form
-    [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q (`add_halves`),
-    associated as `matmul_chain` would.  Returns A_i, the n x k' softmax
-    over words; the paper's context matrix is C_i = H @ A_i.
+    `label_rows` is the k x r label matrix, one row per label, and L^T its subset
+    rows.  With H = [H_f; H_b], word t and label j score H[:, t] . [Q; Q][:, j],
+    Q = W_q L: the block form [H_f^T H_b^T][Q; Q], collapsed to (H_f + H_b)^T Q
+    (`add_halves`) and formed, as the content route's, as label rows L^T against
+    W_q^T (H_f + H_b), associated as `matmul_chain` would.  Returns A_i, the
+    n x k' softmax over words; the paper's context matrix is C_i = H @ A_i.
     """
-    h_sum = nm.transpose(nm.add_halves(h))
-    lv = nm.transpose(nm.take_rows(label_rows, subset))
-    return nm.softmax_product(*nm.associate(h_sum, w_q, lv), mask)  # n x k'
+    lt = nm.take_rows(label_rows, subset)
+    return nm.softmax_product(*nm.associate(lt, nm.transpose(w_q), nm.add_halves(h)), mask)
 
 
 def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):

@@ -17,7 +17,9 @@ where a chain of nodes kept several: `softmax_product` and
 `tanh_product` (a softmax or a tanh in its product's buffer), `gate`
 (two sigmoids and their ratio), `mix_columns` (forming 1 - u itself),
 and the loss `bce_with_logits`, one node for a batch of documents; the
-`sigmoid` of logits runs on plain arrays, outside the graph.
+`sigmoid` of logits runs on plain arrays, outside the graph.  Label rows
+against a document matrix, `softmax_product` forms the words x labels
+product itself, so every attention matrix is row-major.
 `take_rows` gathers rows by integer index and returns its input for the
 identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a docs x n array of token ids as
@@ -53,7 +55,7 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
-_BPTT_BLOCK = 2**15  # floats (or index entries) in a BPTT block: steps, dz sums, reversed rows
+_BPTT_BLOCK = 2**15  # floats (or index entries) in a BPTT block: steps, dz sums
 _STEP_SLICE = 2**15  # floats of W_h (or W_h^T) in one GEMM of a step of several documents
 _GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
 
@@ -251,19 +253,17 @@ def add_colvec(m: Node, v: Node) -> Node:
 
 
 def mix_columns(a: Node, u: Node, b: Node) -> Node:
-    """a * u + b * (1 - u) for a 1 x cols row u, in one C-order buffer."""
+    """a * u + b * (1 - u) for a 1 x cols row u."""
     if not (a.value.shape == b.value.shape and u.value.shape == (1, a.cols)):
         raise ShapeError(f"mix_columns: {[n.value.shape for n in (a, u, b)]} do not fit")
     v = 1.0 - u.value
-    out = np.multiply(a.value, u.value, order="C")
+    out = a.value * u.value
     out += b.value * v
 
     def bwd(g):
         a.grad += g * u.value
         b.grad += g * v
-        a_sum, b_sum = (np.multiply(g, m.value, order="F" if m.value.flags.f_contiguous else "C")
-                        .sum(axis=0, keepdims=True) for m in (a, b))  # in m's layout, as the oracle
-        u.grad += a_sum - b_sum
+        u.grad += np.sum(g * a.value, 0, keepdims=True) - np.sum(g * b.value, 0, keepdims=True)
 
     return Node(out, (a, u, b), bwd)
 
@@ -347,14 +347,14 @@ def tanh_product(a: Node, b: Node) -> Node:
     return Node(y, (a, b), bwd)
 
 
-def softmax_product(a: Node, b: Node, mask, transposed: bool = False) -> Node:
-    """Column softmax of P = a @ b (of P^T if `transposed`) in P's buffer: rows off `mask` get 0.
+def softmax_product(a: Node, b: Node, mask) -> Node:
+    """Column softmax of P = b^T a^T (a's rows by b's columns), row-major: rows off `mask` get 0.
 
     Max subtraction keeps huge scores from overflowing; the backward forms dS once.
     """
     if a.cols != b.rows:
         raise ShapeError(f"softmax_product: {a.value.shape} x {b.value.shape} do not fit")
-    x = (a.value @ b.value).T if transposed else a.value @ b.value
+    x = b.value.T @ a.value.T
     valid = np.asarray(mask).astype(bool).ravel()
     if valid.shape != (x.shape[0],):
         raise ShapeError(f"mask length {valid.shape} does not match {x.shape[0]} rows")
@@ -367,9 +367,8 @@ def softmax_product(a: Node, b: Node, mask, transposed: bool = False) -> Node:
 
     def bwd(g):
         ds = x * (g - (g * x).sum(axis=0, keepdims=True))  # per column; masked rows have x == 0
-        ds = ds.T if transposed else ds
-        a.grad += ds @ b.value.T
-        b.grad += a.value.T @ ds
+        a.grad += (b.value @ ds).T  # as `matmul` of b's and a's `transpose` multiplies
+        b.grad += (ds @ a.value).T
 
     return Node(x, (a, b), bwd)
 

@@ -23,7 +23,7 @@ from . import model as model_mod
 from . import numeric as nm
 from .data import Corpus, Vocabulary, atomic_write_bytes, doc_labels, encode_document
 from .errors import CheckpointError, NumericalError, ShapeError, ValidationError
-from .errors import check_int, check_positive
+from .errors import check_int, check_labels, check_positive
 from .model import ModelConfig, ModelParams
 from .numeric import Node
 
@@ -71,15 +71,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     gathering the gradients a chunk spans; each element takes Adam's ops in Adam's order.
     """
     check_positive("lr", lr)
+    packs = (params, state.m, state.v)
+    if any(list(pack)[len(pack) - len(grads):] != list(grads) for pack in packs):
+        raise ValidationError(f"{list(grads)} must end the parameters and both moments, in order")
     with np.errstate(over="ignore"):  # finite entries square to a finite sum unless some are huge
         for name, g in grads.items():
             if g.shape != params[name].shape:
                 raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
             if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
-    packs = (params, state.m, state.v)
-    if any(list(pack)[len(pack) - len(grads):] != list(grads) for pack in packs):
-        raise ValidationError(f"{list(grads)} must end the parameters and both moments, in order")
     starts = np.cumsum([0] + [g.size for g in grads.values()]).tolist()
     p_all, m_all, v_all = (pack.flat[pack.flat.size - starts[-1]:] for pack in packs)
     state.step += 1
@@ -105,14 +105,14 @@ def sample_labels(
 ) -> list[int]:
     """All positives plus distinct uniform negatives from the complement.
 
-    `positives` are a document's labels as `data.doc_labels` returns them
-    (checked, sorted); they come first, then negatives in draw order.  When
-    the complement is not larger than the request, the subset is all k labels.
+    `positives` are a document's distinct labels in [0, k), as `data.doc_labels`
+    returns them; they come first, then negatives in draw order.  When the
+    complement is not larger than the request, the subset is all k labels.
     """
     check_int("negatives_per_doc", negatives_per_doc, 0)
     check_int("k", k, 1)
-    if not positives:
-        raise ValidationError("cannot sample labels for an empty positive set")
+    if not positives or len(set(check_labels("positive label", positives, k))) < len(positives):
+        raise ValidationError(f"positives must be distinct labels, at least one, got {positives}")
     complement = np.flatnonzero(np.bincount(positives, minlength=k) == 0)
     if negatives_per_doc >= complement.size:
         return positives + complement.tolist()

@@ -8,9 +8,10 @@ folds nodes with `add`, and `vconcat` stacks blocks; all of them follow
 the op conventions of `laha.numeric`.  `softmax_columns`, `scale_cols`,
 `sigmoid_node` and `tanh` are the per-step ops that
 `numeric.softmax_product`, `numeric.mix_columns`, `numeric.gate` and
-`numeric.tanh_product` fuse, and `softmax_product_oracle`,
-`mix_columns_oracle`, `gate_oracle` and `fuse_oracle` (all of
-`model.fuse`) compose them as the model once did, as `tanh` of a
+`numeric.tanh_product` fuse, and `softmax_product_oracle` (of the
+words x labels `matmul` of two `transpose` nodes, as the fused op
+multiplies), `mix_columns_oracle`, `gate_oracle` and `fuse_oracle` (all
+of `model.fuse`) compose them as the model once did, as `tanh` of a
 `matmul` does for `tanh_product`: the references those fused ops must
 match bit for bit.  `lstm` is one LSTM direction as its own node, stepped
 serially over the distinct-token columns a map places, with one layout
@@ -194,10 +195,9 @@ def softmax_columns(a, mask=None) -> Node:
     return Node(x, (a,), bwd)
 
 
-def softmax_product_oracle(a, b, mask, transposed: bool = False) -> Node:
-    """`numeric.softmax_product` as `softmax_columns` of a `matmul` (or of its `transpose`)."""
-    product = matmul(a, b)
-    return softmax_columns(transpose(product) if transposed else product, mask)
+def softmax_product_oracle(a, b, mask) -> Node:
+    """`numeric.softmax_product` as `softmax_columns` of a `matmul` of b's and a's `transpose`."""
+    return softmax_columns(matmul(transpose(b), transpose(a)), mask)
 
 
 def sigmoid_node(a) -> Node:

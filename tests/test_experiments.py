@@ -148,12 +148,18 @@ def test_compare_sums_up_record_pairs_against_the_bounds(experiments):
     assert rss["base"] == {"median": 235.0, "q1": 234.5, "q3": 235.5}
     assert rss["change"] == {"median": 219.0, "q1": 218.5, "q3": 229.5}
     assert rss["wins"] == 2 and rss["pairs"] == 3
+    # 219 and 218 read below every base run, 240 above every one
+    assert rss["better_than_every_base"] == 2 and rss["worse_than_every_base"] == 1
     assert rss["move"] == pytest.approx(219.0 / 235.0 - 1.0) and rss["within_bound"] is True
     assert rss["base_runs"] == [236.0, 235.0, 234.0] and "raw_s" not in rss
     # a higher-is-better metric moves by the fall of its median: 21 -> 21 is no move
     assert rate["wins"] == 2 and rate["move"] == 0.0 and rate["bound"] == 0.25
     assert rate["raw_s"] == {"base": [0.9] * 3, "change": [0.6] * 3}
-    assert out["metrics"]["p_at_5"]["move"] == pytest.approx(-0.0)  # median 0.3 on both sides
+    # higher is better: 24 reads above every base run, 19 below every one, 21 within them
+    assert rate["better_than_every_base"] == 1 and rate["worse_than_every_base"] == 1
+    p_at_5 = out["metrics"]["p_at_5"]
+    assert p_at_5["move"] == pytest.approx(-0.0)  # median 0.3 on both sides
+    assert p_at_5["better_than_every_base"] == 1 and p_at_5["worse_than_every_base"] == 0  # ties
     assert out["quality_equal"] == {"p_at_5": False, "ndcg_at_5": True}
     assert out["attempted"] == {"base": 12, "change": 12}
     assert out["failed"] == {"base": 0, "change": 3}

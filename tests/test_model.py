@@ -166,19 +166,29 @@ def test_a_write_into_the_bilstm_states_raises_instead_of_changing_gradients():
 
 
 def test_forward_node_count_independent_of_max_len(monkeypatch):
-    counts = []
+    # Node constructions of one forward, the label leaf included, at every label and at a subset
+    pinned = {"sa": [10, 11], "ia": [12, 13], "sa+ia": [15, 17], "laha": [21, 23]}
+    built = [0]
     node_init = Node.__init__
 
     def counting_init(self, *args, **kwargs):
-        counts[-1] += 1
+        built[0] += 1
         node_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Node, "__init__", counting_init)
     for max_len in (4, 40):
         cfg = _cfg(max_len=max_len)
-        counts.append(0)
-        _forward(cfg, _params(cfg), _label_vectors(cfg), "laha")
-    assert counts[0] == counts[1]
+        nodes, lv = wrap_params(_params(cfg)), _label_vectors(cfg)
+        ids = np.zeros(max_len, dtype=np.int64)
+        ids[:3] = [2, 5, 3]
+        counts = {variant: [] for variant in VARIANTS}
+        with monkeypatch.context() as patch:
+            patch.setattr(Node, "__init__", counting_init)
+            for variant in VARIANTS:
+                for subset in (list(range(cfg.k)), [2, 0]):
+                    built[0] = 0
+                    forward(ids, ids > 0, nodes, lv, subset, variant)
+                    counts[variant].append(built[0])
+        assert counts == pinned, max_len
 
 
 def test_self_attention_single_word():
@@ -386,6 +396,7 @@ def test_forward_variant_field_population():
 
     t_full = _forward(cfg, params, lv, "laha")
     assert t_full.attn_self is not None and t_full.attn_inter is not None
+    assert t_full.attn_self.value.flags.c_contiguous and t_full.attn_inter.value.flags.c_contiguous
     assert (t_full.alpha.value + (1 - t_full.alpha.value) == 1.0).all()
 
 
@@ -536,7 +547,7 @@ def _context_form_logits(ids, mask, params, lv, subset, variant):
 @pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])
 @pytest.mark.parametrize("k, n, r, head_order", [(4, 40, 16, "a(bc)"), (400, 8, 16, "(ab)c")])
 def test_forward_matches_context_form_oracle(monkeypatch, variant, k, n, r, head_order):
-    # k' far below n builds H @ mix and W_q L; k' far above n builds W_f H and H^T W_q
+    # k' far below n builds H @ mix and L^T W_q^T; k' far above n builds W_f H and W_q^T H
     orders = []
     associate = nm.associate
 
@@ -560,8 +571,8 @@ def test_forward_matches_context_form_oracle(monkeypatch, variant, k, n, r, head
     oracle = _context_form_logits(ids, mask, params, lv, subset, variant)
     np.testing.assert_allclose(trace.logits.value, oracle, rtol=0, atol=1e-12)
     assert orders[-1] == head_order
-    if variant != "sa":
-        assert orders[0] == head_order  # the interaction match
+    if variant != "sa":  # the interaction match, labels on the left: the head's mirror
+        assert orders[0] == {"a(bc)": "(ab)c", "(ab)c": "a(bc)"}[head_order]
 
 
 def _batch(cfg, vocab_size, docs, seed):
@@ -667,15 +678,16 @@ def test_forward_batch_over_distinct_tokens_is_bit_identical_to_the_two_lstm_ora
 
 
 def _old_self_attention(h, w_s1, w_s2, subset, mask):
-    """The content route as two matmuls, a tanh, a transpose and a softmax node."""
+    """The content route as two matmuls, a tanh, two transposes and a softmax node."""
     t = tanh(nm.matmul(w_s1, h))
-    return softmax_columns(nm.transpose(nm.matmul(nm.take_rows(w_s2, subset), t)), mask)
+    return softmax_columns(nm.matmul(nm.transpose(t), nm.transpose(nm.take_rows(w_s2, subset))),
+                           mask)
 
 
 def _old_interaction_attention(h, label_rows, w_q, subset, mask):
-    """The interaction route on a row-major label matrix's column slice, softmax on its own."""
-    lv = Node(np.ascontiguousarray(label_rows.value.T)[:, subset])
-    return softmax_columns(nm.matmul_chain(nm.transpose(nm.add_halves(h)), w_q, lv), mask)
+    """The interaction route on a copy of the label matrix's subset rows, softmax on its own."""
+    a, b = nm.associate(Node(label_rows.value[subset]), nm.transpose(w_q), nm.add_halves(h))
+    return softmax_columns(nm.matmul(nm.transpose(b), nm.transpose(a)), mask)
 
 
 @pytest.mark.parametrize("variant", ["sa", "ia", "sa+ia", "laha"])

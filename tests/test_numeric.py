@@ -52,13 +52,11 @@ def _rows(x, mask):
     return np.ones(np.shape(x)[0], dtype=bool) if mask is None else mask
 
 
-# A column softmax three ways: the per-step op, and the fused op on x = x @ I and on x = (I x^T)^T
+# A column softmax two ways: the per-step op, and the fused op on x = (x^T)^T I^T
 SOFTMAXES = {
     "softmax_columns": softmax_columns,
-    "softmax_product": lambda x, mask=None: softmax_product(Node(x), Node(np.eye(np.shape(x)[1])),
-                                                            _rows(x, mask)),
-    "softmax_product_transposed": lambda x, mask=None: softmax_product(
-        Node(np.eye(np.shape(x)[1])), Node(np.transpose(x)), _rows(x, mask), transposed=True),
+    "softmax_product": lambda x, mask=None: softmax_product(
+        Node(np.eye(np.shape(x)[1])), Node(np.transpose(x)), _rows(x, mask)),
 }
 
 
@@ -853,9 +851,8 @@ def test_bilstm_sums_dz_in_the_gate_buffer(monkeypatch, schedule):
 
 # `_BPTT_BLOCK` at 4 r docs floats gives blocks of 4 steps a direction on two stacks and of 2
 # in lockstep, so 11 steps run in 3 or 6 blocks, the last one partial; dz is summed a gate row
-# a call, and 4 r docs // U lies strictly between 1 and 4r.  At 3 n docs floats dz is summed 3
-# gate rows a call, so each direction's 4r = 20 rows end in a partial block, and a block taken
-# over both directions' 40 rows would straddle the two
+# a call.  At 3 n docs floats dz is summed 3 gate rows a call, so each direction's 4r = 20 rows
+# end in a partial block, and a block taken over both directions' 40 rows would straddle the two
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, started, schedule):
     threads = _force(monkeypatch, schedule)
@@ -874,7 +871,7 @@ def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, st
         backward(sum_all(mul(h, w)))
         for k in arrays:
             np.testing.assert_array_equal(got[k].grad, want[k].grad, err_msg=k)
-    assert 1 < 4 * r * docs // np.unique(ids).size < 4 * r and len(started) == 4 * threads
+    assert len(started) == 4 * threads
     assert numeric._BPTT_BLOCK // (n * docs) == 3 and 4 * r % 3  # over 40 rows: [18, 21) straddles
 
 
@@ -1032,16 +1029,15 @@ def test_grad_softmax_columns(trial):
     _check(f, {"x": x, "w": w})
 
 
-@pytest.mark.parametrize("transposed", [False, True])
 @pytest.mark.parametrize("trial", range(30))
-def test_grad_softmax_product(trial, transposed):
+def test_grad_softmax_product(trial):
     rng = np.random.default_rng(600 + trial)
     a, b = _rand(rng, (4, 2), -1.5, 1.5), _rand(rng, (2, 3), -1.5, 1.5)
-    rows = 3 if transposed else 4
-    w = _rand(rng, (rows, 7 - rows))
-    mask = rng.integers(0, 2, size=rows)
-    mask[rng.integers(rows)] = 1
-    _check(lambda p: sum_all(mul(softmax_product(p["a"], p["b"], mask, transposed), p["w"])),
+    w = _rand(rng, (3, 4))
+    mask = rng.integers(0, 2, size=3)
+    mask[rng.integers(3)] = 1
+    assert softmax_product(Node(a), Node(b), mask).value.flags.c_contiguous
+    _check(lambda p: sum_all(mul(softmax_product(p["a"], p["b"], mask), p["w"])),
            {"a": a, "b": b, "w": w})
 
 
@@ -1070,32 +1066,28 @@ def _value_and_grads(build, arrays, weight):
     return out.value, [leaf.grad for leaf in leaves]
 
 
-@pytest.mark.parametrize("transposed", [False, True])
-def test_softmax_product_is_bit_identical_to_matmul_then_softmax_columns(transposed):
+def test_softmax_product_is_bit_identical_to_matmul_then_softmax_columns():
     rng = np.random.default_rng(43)
     for _ in range(60):
         m, inner, n = (int(x) for x in rng.integers(1, 40, size=3))
         a, b = rng.normal(size=(m, inner)), rng.normal(size=(inner, n))
-        rows, cols = (n, m) if transposed else (m, n)
-        mask = rng.integers(0, 2, size=rows).astype(bool)
-        mask[rng.integers(rows)] = True
-        weight = rng.normal(size=(rows, cols))
-        fused = _value_and_grads(lambda x, y: softmax_product(x, y, mask, transposed), (a, b),
-                                 weight)
-        oracle = _value_and_grads(lambda x, y: softmax_product_oracle(x, y, mask, transposed),
-                                  (a, b), weight)
-        assert fused[0].flags.f_contiguous == oracle[0].flags.f_contiguous
+        mask = rng.integers(0, 2, size=n).astype(bool)
+        mask[rng.integers(n)] = True
+        weight = rng.normal(size=(n, m))
+        fused = _value_and_grads(lambda x, y: softmax_product(x, y, mask), (a, b), weight)
+        oracle = _value_and_grads(lambda x, y: softmax_product_oracle(x, y, mask), (a, b), weight)
+        assert fused[0].flags.c_contiguous and oracle[0].flags.c_contiguous
         np.testing.assert_array_equal(fused[0], oracle[0])
         for got, want in zip(fused[1], oracle[1]):
             np.testing.assert_array_equal(got, want)
 
 
 def test_mix_columns_is_bit_identical_to_two_scale_cols_and_add():
-    # a column-major a and a row-major b, as the attention routes hand them over
+    # two row-major attention matrices, as both routes hand them over
     rng = np.random.default_rng(44)
     for _ in range(60):
         n, k = (int(x) for x in rng.integers(1, 40, size=2))
-        arrays = (rng.random((k, n)).T, rng.random((1, k)), rng.random((n, k)))
+        arrays = (rng.random((n, k)), rng.random((1, k)), rng.random((n, k)))
         weight = rng.normal(size=(n, k))
         fused = _value_and_grads(mix_columns, arrays, weight)
         oracle = _value_and_grads(mix_columns_oracle, arrays, weight)

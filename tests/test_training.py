@@ -61,6 +61,15 @@ def test_sample_labels_empty_positives():
         sample_labels([], 3, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("positives", [[5], [4], [-1], [1.5], [True], [np.float64(2.0)], [1, 1],
+                                       [0, 2, 0]])
+def test_sample_labels_rejects_a_positive_out_of_range_not_an_integer_or_repeated(positives):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError):
+        sample_labels(positives, 2, 4, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+
+
 def _sample_labels_by_setdiff1d(positives, negatives_per_doc, k, rng):
     """`sample_labels` with the complement that `np.setdiff1d` gives: the reference."""
     complement = np.setdiff1d(np.arange(k), positives)
@@ -265,7 +274,8 @@ def test_adam_refuses_gradients_that_do_not_end_the_packed_arrays():
     p = packed({"a": np.array([[1.0]]), "b": np.array([[1.0]])})
     for state, grads in [(AdamState.init(p), {"a": np.array([[0.5]])}),
                          (AdamState.init({"b": p["b"], "a": p["a"]}),
-                          {"a": np.array([[0.5]]), "b": np.array([[0.5]])})]:
+                          {"a": np.array([[0.5]]), "b": np.array([[0.5]])}),
+                         (AdamState.init(p), {"nope": np.array([[0.5]])})]:
         with pytest.raises(ValidationError, match="must end"):
             adam_step(p, grads, state, lr=0.1)
         assert p.flat.tolist() == [1.0, 1.0] and state.step == 0
