@@ -45,8 +45,9 @@ tree won, how many of this tree's runs read better than every run of REV
 and how many read worse than every one (where the runs spread wider than
 a bound, all runs better is what resolves the metric), the median raw
 seconds of each run's samples where the metric is timed, and the
-median's move against the metric's bound (positive is worse).  It also holds whether p_at_5 and ndcg_at_5 were float-equal on
-every pair and, with --trace, each tree's BENCH_layers.json summary.
+median's move against the metric's bound (positive is worse).  It also
+holds whether p_at_5 and ndcg_at_5 were float-equal on every pair and,
+with --trace, each tree's BENCH_layers.json summary.
 `--against HEAD` gives the noise floor.
 
 It exits 1, once its files are written, if any run of either tree did
