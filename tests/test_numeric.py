@@ -1029,13 +1029,15 @@ def test_grad_softmax_columns(trial):
     _check(f, {"x": x, "w": w})
 
 
+# More labels than words gives a wide words x labels product, fewer a tall one
+@pytest.mark.parametrize("labels, words", [(4, 3), (3, 4)])
 @pytest.mark.parametrize("trial", range(30))
-def test_grad_softmax_product(trial):
+def test_grad_softmax_product(trial, labels, words):
     rng = np.random.default_rng(600 + trial)
-    a, b = _rand(rng, (4, 2), -1.5, 1.5), _rand(rng, (2, 3), -1.5, 1.5)
-    w = _rand(rng, (3, 4))
-    mask = rng.integers(0, 2, size=3)
-    mask[rng.integers(3)] = 1
+    a, b = _rand(rng, (labels, 2), -1.5, 1.5), _rand(rng, (2, words), -1.5, 1.5)
+    w = _rand(rng, (words, labels))
+    mask = rng.integers(0, 2, size=words)
+    mask[rng.integers(words)] = 1
     assert softmax_product(Node(a), Node(b), mask).value.flags.c_contiguous
     _check(lambda p: sum_all(mul(softmax_product(p["a"], p["b"], mask), p["w"])),
            {"a": a, "b": b, "w": w})
