@@ -47,7 +47,9 @@ a bound, all runs better is what resolves the metric), the median raw
 seconds of each run's samples where the metric is timed, and the
 median's move against the metric's bound (positive is worse).  It also
 holds whether p_at_5 and ndcg_at_5 were float-equal on every pair and,
-with --trace, each tree's BENCH_layers.json summary.
+with --trace, each tree's BENCH_layers.json summary and, per span, how
+many traced pairs this tree won (`layer_wins`: fewer milliseconds per
+unit of the span's base).
 `--against HEAD` gives the noise floor.
 
 It exits 1, once its files are written, if any run of either tree did
@@ -156,6 +158,17 @@ def summarize_layers(rows: list[dict]) -> dict:
                    for row in rows]
         out[name] = {"base": first["base"], **quartiles(figures)}
     return out
+
+
+def span_wins(base: list[dict], change: list[dict]) -> dict:
+    """Per span of a workload's traced (base, change) layer rows, paired by seed, the pairs in
+    which the change took fewer milliseconds per unit of its base (a missing span reads 0)."""
+    def ms(row: dict, name: str) -> float:
+        return row["spans"][name]["ms"] if name in row["spans"] else 0.0
+
+    names = sorted({name for row in base + change for name in row["spans"]})
+    return {name: {"wins": sum(ms(c, name) < ms(b, name) for b, c in zip(base, change)),
+                   "pairs": len(base)} for name in names}
 
 
 def summarize(rows: list[dict], prefix: str, metric: str) -> dict:
@@ -287,6 +300,7 @@ def main(argv=None) -> int:
                      for name in WORKLOADS}
         for name, compared in workloads.items() if args.trace else ():
             compared["layers"] = {side: summarize_layers(layers[side, name]) for side in sides}
+            compared["layer_wins"] = span_wins(layers["base", name], layers["change", name])
         write("BENCH_compare.json", {
             "against": args.against,
             "commits": {side: environments[side]["git_commit"] for side in sides},

@@ -53,8 +53,9 @@ def load_corpus(lines: Iterable[str]) -> Corpus:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DataFormatError(f"invalid JSON ({err.msg})", line=lineno) from err
+        except (json.JSONDecodeError, RecursionError) as err:  # the latter: nested too deeply
+            reason = getattr(err, "msg", err)
+            raise DataFormatError(f"invalid JSON ({reason})", line=lineno) from err
         if not isinstance(obj, dict):
             raise DataFormatError("expected a JSON object", line=lineno)
         for key in ("id", "labels", "text"):
@@ -125,9 +126,7 @@ class WordVectors:
     table: np.ndarray
 
 
-def load_word_vectors(
-    lines: Iterable[str], vocab: Vocabulary, d: int, seed: int
-) -> WordVectors:
+def load_word_vectors(lines: Iterable[str], vocab: Vocabulary, d: int, seed: int) -> WordVectors:
     """Fill the table from a GloVe-style stream.
 
     In-vocabulary tokens take their file vector (last occurrence wins).  The rest draw from one
@@ -141,9 +140,8 @@ def load_word_vectors(
     for lineno, line in enumerate(lines, start=1):
         parts = line.rstrip("\n").split(" ")
         if len(parts) != d + 1:
-            raise DataFormatError(
-                f"expected a token and {d} floats, got {len(parts)} fields", line=lineno
-            )
+            raise DataFormatError(f"expected a token and {d} floats, got {len(parts)} fields",
+                                  line=lineno)
         token = parts[0]
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)

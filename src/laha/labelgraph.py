@@ -111,12 +111,14 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     for name, value, low in (("k", k, 1), ("r", r, 1), ("window", window, 1),
                              ("negatives", negatives, 0), ("epochs", epochs, 0), ("seed", seed, 0)):
         check_int(name, value, low)
-    if not walks:
+    if len(walks) == 0:
         raise ValidationError("cannot embed labels from zero walks")
-    lens = np.array([len(walk) for walk in walks])
+    try:
+        lens, flat = np.array([len(walk) for walk in walks]), np.concatenate(walks)
+    except (TypeError, ValueError) as err:  # a walk that is no sequence, or one of sequences
+        raise ValidationError(f"walks must be sequences of label ids: {err}") from None
     if lens.min() == 0:
         raise ValidationError("walks must not be empty")
-    flat = np.concatenate(walks)
     if flat.dtype.kind not in "iu":
         raise ValidationError(f"walk nodes must be integers, got {flat.dtype}")
     outside = flat[(flat < 0) | (flat >= k)]

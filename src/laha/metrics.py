@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import Corpus, Document, doc_labels
 from .errors import ValidationError, check_int
+from .numeric import as_floats
 
 TAUS = (1, 3, 5)
 GROUP_BOUNDS = (5, 50)
@@ -30,7 +31,7 @@ _KEYS = [f"P@{t}" for t in TAUS] + [f"nDCG@{t}" for t in TAUS]
 
 def rank_labels(scores: np.ndarray) -> np.ndarray:
     """Label indices by descending score; ties go to the lower index."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return np.argsort(-as_floats(scores), kind="stable")
 
 
 def _ranked_metrics(ranking: np.ndarray, truth: set[int]) -> list[float]:
@@ -86,7 +87,7 @@ def evaluate(
     if not test_corpus:
         raise ValidationError("test corpus must be nonempty")
     check_int("k", k, 1)
-    all_scores = [np.asarray(score_fn(doc), dtype=np.float64).ravel() for doc in test_corpus]
+    all_scores = [as_floats(score_fn(doc)).ravel() for doc in test_corpus]
     group_ids = (np.searchsorted(GROUP_BOUNDS, label_frequencies(train_corpus, k))
                  if train_corpus is not None else None)
 

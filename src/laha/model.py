@@ -110,11 +110,9 @@ def param_table(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, int, 
 def init_params(cfg: ModelConfig, embedding: np.ndarray, seed: int) -> ModelParams:
     """Seeded parameters per `param_table`, Xavier-uniform draws in table order, made in place."""
     check_int("seed", seed, 0)
-    embedding = np.asarray(embedding, dtype=np.float64)
+    embedding = nm.as_floats(embedding)
     if embedding.ndim != 2 or embedding.shape[1] != cfg.d:
-        raise ShapeError(
-            f"embedding table must be (vocab, {cfg.d}), got {embedding.shape}"
-        )
+        raise ShapeError(f"embedding table must be (vocab, {cfg.d}), got {embedding.shape}")
     if not np.isfinite(embedding).all():
         raise NumericalError("embedding table has non-finite entries")
     rng = np.random.default_rng(seed)
@@ -199,8 +197,8 @@ def fuse(h: Node, a_s: Node, a_i: Node, f1_w, f1_b, f2_w, f2_b):
 
     alpha_j = a_j / (a_j + b_j) for a_j = sigmoid(F1 C_s[:, j] + b1) and b_j =
     sigmoid(F2 C_i[:, j] + b2) on the contexts C = H A, taken as F H A: one
-    `numeric.gate` node.  Column j of mix is alpha_j A_s[:, j] + beta_j A_i[:, j],
-    beta_j = 1 - alpha_j, so H @ mix is the mixed context alpha C_s + beta C_i.
+    `numeric.gate` node, which takes it as sigmoid(log a_j - log b_j).  Column j of mix
+    is alpha_j A_s[:, j] + beta_j A_i[:, j], beta_j = 1 - alpha_j: H @ mix is alpha C_s + beta C_i.
     """
     alpha = nm.gate(nm.add_colvec(nm.matmul_chain(f1_w, h, a_s), f1_b),
                     nm.add_colvec(nm.matmul_chain(f2_w, h, a_i), f2_b))
@@ -247,7 +245,7 @@ def forward_batch(
     subsets = [_valid_subset(subset, k) for subset in subsets]
     label_rows = None
     if label_vectors is not None:
-        label_vectors = np.asarray(label_vectors, dtype=np.float64)
+        label_vectors = nm.as_floats(label_vectors)
         expected = (param_nodes["w_q"].cols, k)
         if label_vectors.shape != expected:
             raise ShapeError(f"label embedding must be {expected}, got {label_vectors.shape}")
@@ -274,11 +272,8 @@ def _attend(h, mask, param_nodes, label_rows, subset, variant):
         attn_inter = interaction_attention(h, label_rows, param_nodes["w_q"], subset, mask)
 
     if variant == "laha":
-        mix, alpha = fuse(
-            h, attn_self, attn_inter,
-            param_nodes["fuse1_w"], param_nodes["fuse1_b"],
-            param_nodes["fuse2_w"], param_nodes["fuse2_b"],
-        )
+        mix, alpha = fuse(h, attn_self, attn_inter, param_nodes["fuse1_w"], param_nodes["fuse1_b"],
+                          param_nodes["fuse2_w"], param_nodes["fuse2_b"])
     else:
         alpha = Node(np.full((1, len(subset)), {"sa": 1.0, "ia": 0.0, "sa+ia": 0.5}[variant]))
         if variant == "sa+ia":

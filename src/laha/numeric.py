@@ -15,11 +15,11 @@ finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
 where a chain of nodes kept several: `softmax_product` and
 `tanh_product` (a softmax or a tanh in its product's buffer), `gate`
-(two sigmoids and their ratio), `mix_columns` (forming 1 - u itself),
-and the loss `bce_with_logits`, one node for a batch of documents; the
-`sigmoid` of logits runs on plain arrays, outside the graph.  Label rows
-against a document matrix, `softmax_product` forms the words x labels
-product itself, so every attention matrix is row-major.
+(two sigmoids' ratio, as one sigmoid in log space), `mix_columns` (forming
+1 - u itself), and the loss `bce_with_logits`, one node for a batch of
+documents; the `sigmoid` of logits runs on plain arrays, outside the
+graph.  Label rows against a document matrix, `softmax_product` forms the
+words x labels product itself, so every attention matrix is row-major.
 `take_rows` gathers rows by integer index and returns its input for the
 identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a docs x n array of token ids as
@@ -57,12 +57,19 @@ from .errors import DegenerateInputError, NumericalError, ShapeError, Validation
 _WORKER_MIN = 65536  # r * r * docs from which `bilstm` uses two threads: the measured break-even
 _BPTT_BLOCK = 2**15  # floats (or index entries) in a BPTT block: steps, dz sums
 _STEP_SLICE = 2**15  # floats of W_h (or W_h^T) in one GEMM of a step of several documents
-_GATE_FLOOR = math.sqrt(np.finfo(np.float64).tiny)  # `gate`'s s below it: s * s underflows
+
+
+def as_floats(x) -> np.ndarray:
+    """x as a float64 array; what is not numbers in a regular array raises ValidationError."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as err:  # strings, other objects, or ragged rows
+        raise ValidationError(f"expected an array of numbers: {err}") from None
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array with positive dimensions."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce to a 2-D float64 array (`as_floats`) with positive dimensions."""
+    a = as_floats(x)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -299,34 +306,20 @@ def relu(a: Node) -> Node:
 
 
 def gate(z_a: Node, z_b: Node) -> Node:
-    """sigmoid(z_a) / s, s = sigmoid(z_a) + sigmoid(z_b), elementwise: LAHA's fusion weight.
+    """sigmoid(z_a) / (sigmoid(z_a) + sigmoid(z_b)), elementwise: LAHA's fusion weight alpha.
 
-    The backward repeats the sigmoid, add and div chain's arithmetic in its order.  Equal
-    inputs, or two above 37 (both sigmoids round to 1), give 1/2.  Where both inputs are
-    below about -354, s * s underflows (s itself below about -745) and the chain's gradient
-    is infinite; there sigmoid(z) is e^z to double precision, so the weight is sigmoid(z_a -
-    z_b), with slopes +-alpha (1 - alpha).  Every other element keeps the chain's bits.
+    Taken as sigmoid(log sigmoid(z_a) - log sigmoid(z_b)), log sigmoid(z) = min(z, 0) -
+    log1p(exp(-|z|)): one formula, finite for every input, whose slopes are +-alpha (1 - alpha)
+    sigmoid(-z).  Equal inputs, or two above 37, give exactly 1/2.
     """
     _same_shape(z_a, z_b, "gate")
-    y_a, y_b = sigmoid(z_a.value), sigmoid(z_b.value)
-    s = y_a + y_b
-    low = s < _GATE_FLOOR
-    if low.any():
-        s[low] = 1.0  # keeps the chain's arithmetic finite there; its results are replaced
-    else:
-        low = None
-    alpha = y_a / s
-    if low is not None:
-        alpha[low] = sigmoid(z_a.value[low] - z_b.value[low])
+    l_a, l_b = (np.minimum(z.value, 0.0) - np.log1p(np.exp(-np.abs(z.value))) for z in (z_a, z_b))
+    alpha = _sigmoid(np.subtract(l_a, l_b, out=l_a), l_b)  # l_b is the sigmoid's scratch
 
     def bwd(g):
-        g_s = 0.0 - g * y_a / (s * s)  # the gradient of s, as the add node held it
-        d_a, d_b = (g / s + g_s) * y_a * (1.0 - y_a), g_s * y_b * (1.0 - y_b)
-        if low is not None:
-            d_a[low] = g[low] * alpha[low] * (1.0 - alpha[low])
-            d_b[low] = -d_a[low]
-        z_a.grad += d_a
-        z_b.grad += d_b
+        g = g * alpha * (1.0 - alpha)
+        z_a.grad += g * sigmoid(-z_a.value)
+        z_b.grad -= g * sigmoid(-z_b.value)
 
     return Node(alpha, (z_a, z_b), bwd)
 
@@ -339,8 +332,7 @@ def tanh_product(a: Node, b: Node) -> Node:
     np.tanh(y, out=y)
 
     def bwd(g):
-        dp = np.zeros_like(y)  # the product's gradient slot, as the matmul node held it
-        dp += g * (1.0 - y * y)
+        dp = g * (1.0 - y * y)
         a.grad += dp @ b.value.T
         b.grad += a.value.T @ dp
 
@@ -386,7 +378,7 @@ def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
         raise ShapeError(f"bce_with_logits: {len(logits)} logit rows vs {len(targets)} targets")
     if not logits:
         raise ValidationError("bce_with_logits needs at least one document")
-    zs, ys = tuple(logits), [np.asarray(y, dtype=np.float64) for y in targets]
+    zs, ys = tuple(logits), [as_floats(y) for y in targets]
     total = 0.0
     for z, y in zip(zs, ys):
         if y.shape != z.value.shape:

@@ -100,9 +100,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         p -= np.divide(np.multiply(np.divide(m, bc1, out=u), lr, out=u), t, out=u)
 
 
-def sample_labels(
-    positives: list[int], negatives_per_doc: int, k: int, rng
-) -> list[int]:
+def sample_labels(positives: list[int], negatives_per_doc: int, k: int, rng) -> list[int]:
     """All positives plus distinct uniform negatives from the complement.
 
     `positives` are a document's distinct labels in [0, k), as `data.doc_labels`
@@ -126,9 +124,7 @@ def bce_loss(logits: Sequence[Node], targets: Sequence[np.ndarray]) -> Node:
     Takes the head's logits, not probabilities, and the batch is one
     `numeric.bce_with_logits` op, so a saturated logit keeps its gradient.
     """
-    return nm.bce_with_logits(
-        logits, [np.asarray(y, dtype=np.float64).reshape(1, -1) for y in targets]
-    )
+    return nm.bce_with_logits(logits, [nm.as_floats(y).reshape(1, -1) for y in targets])
 
 
 def train(
@@ -264,7 +260,7 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         raise CheckpointError("checkpoint has no header line")
     try:
         header = json.loads(raw[:newline].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise CheckpointError(f"unreadable checkpoint header: {err}") from err
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint file")

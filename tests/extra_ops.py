@@ -6,16 +6,19 @@ weighting each entry, `add`, `div` and `const_minus` (c - a) are the
 other elementwise ops, `scale` multiplies by a constant, `sum_nodes`
 folds nodes with `add`, and `vconcat` stacks blocks; all of them follow
 the op conventions of `laha.numeric`.  `softmax_columns`, `scale_cols`,
-`sigmoid_node` and `tanh` are the per-step ops that
+`sigmoid_node`, `log_sigmoid` and `tanh` are the per-step ops that
 `numeric.softmax_product`, `numeric.mix_columns`, `numeric.gate` and
 `numeric.tanh_product` fuse, and `softmax_product_oracle` (of the
 words x labels `matmul` of two `transpose` nodes, as the fused op
-multiplies), `mix_columns_oracle`, `gate_oracle` and `fuse_oracle` (all
-of `model.fuse`) compose them as the model once did, as `tanh` of a
-`matmul` does for `tanh_product`: the references those fused ops must
-match bit for bit.  `lstm` is one LSTM direction as its own node, stepped
-serially over the distinct-token columns a map places, with one layout
-and one summation order at every batch width.  `bilstm_oracle`
+multiplies), `mix_columns_oracle`, `gate_oracle` (`sigmoid_node` of
+one `log_sigmoid` less the other) and `fuse_oracle` (all of
+`model.fuse`) compose them, as `tanh` of a `matmul` does for
+`tanh_product`: the references those fused ops must match bit for bit.
+`paper_gate` is the paper's ratio of two sigmoids, a `div` node, as the
+model once took it: `numeric.gate` must match it up to rounding.
+`lstm` is one LSTM direction as its own node, stepped serially over the
+distinct-token columns a map places, with one layout and one summation
+order at every batch width.  `bilstm_oracle`
 gathers a batch's distinct token rows (its ids docs x n, as
 `numeric.bilstm` takes them) with `take_rows` and `transpose` and stacks
 two `lstm` nodes on `np.unique`'s map with `vconcat` into H: the
@@ -227,8 +230,25 @@ def mix_columns_oracle(a, u, b) -> Node:
     return add(scale_cols(a, u), scale_cols(b, const_minus(1.0, u)))
 
 
+def log_sigmoid(a) -> Node:
+    """Elementwise log sigmoid(a) = min(a, 0) - log1p(exp(-|a|)) as its own node."""
+    a = _node(a)
+
+    def bwd(g):
+        a.grad += g * sigmoid(-a.value)
+
+    return Node(np.minimum(a.value, 0.0) - np.log1p(np.exp(-np.abs(a.value))), (a,), bwd)
+
+
 def gate_oracle(z_a, z_b) -> Node:
-    """`numeric.gate` as a `div` of one `sigmoid_node` by the `add` of both."""
+    """`numeric.gate` as a `sigmoid_node` of the `add` of `log_sigmoid(z_a)` and -1 times
+    (`scale`) `log_sigmoid(z_b)`."""
+    return sigmoid_node(add(log_sigmoid(z_a), scale(log_sigmoid(z_b), -1.0)))
+
+
+def paper_gate(z_a, z_b) -> Node:
+    """The paper's ratio as a `div` of one `sigmoid_node` by the `add` of both: `numeric.gate`
+    up to rounding, but where both inputs are below about -354 its gradient is not finite."""
     raw_a = sigmoid_node(z_a)
     return div(raw_a, add(raw_a, sigmoid_node(z_b)))
 

@@ -144,7 +144,8 @@ def test_load_corpus_non_integer_labels():
 @pytest.mark.parametrize("line, message", [
     ("[1, 2]", "expected a JSON object"), ('"x"', "expected a JSON object"),
     ('{"id":"d1","labels":[1]}', "missing field 'text'"),
-], ids=["list", "string", "no text"])
+    ("[" * 100000 + "]" * 100000, "invalid JSON \\(maximum recursion depth"),
+], ids=["list", "string", "no text", "nested too deeply"])
 def test_load_corpus_rejects_a_line_that_is_not_a_document_object(line, message):
     with pytest.raises(DataFormatError, match=f"line 2: {message}") as err:
         load_corpus(['{"id":"d0","labels":[1],"text":"x"}', line])

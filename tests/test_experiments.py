@@ -100,6 +100,21 @@ def test_layer_row_counts_a_document_per_forward_and_per_label_draw(experiments)
         "base": "trained", "median": 400.0, "q1": 400.0, "q3": 400.0}, rel=1e-12)
 
 
+def test_span_wins_counts_the_traced_pairs_the_change_took_less_time_in(experiments):
+    # three seeds: the change is faster on fuse in two and ties in one; a span that only one
+    # side's run has reads 0 on the other, so the side without it wins that pair
+    def row(**ms):
+        return {"spans": {name.replace("_", "."): {"ms": value, "base": "both"}
+                          for name, value in ms.items()}}
+
+    base = [row(model_fuse=2.0, model_predict=1.0), row(model_fuse=2.0, model_predict=1.0),
+            row(model_fuse=2.0)]
+    change = [row(model_fuse=1.0, model_predict=1.5), row(model_fuse=2.0, model_predict=0.5),
+              row(model_fuse=1.5, model_predict=0.5)]
+    assert experiments.span_wins(base, change) == {
+        "model.fuse": {"wins": 2, "pairs": 3}, "model.predict": {"wins": 1, "pairs": 3}}
+
+
 def test_layer_row_of_a_run_that_only_scores_reads_0_for_training_spans(experiments):
     record = {"environment": {"seed": 1}, "result": {"correct": True, "attempted": 1, "failed": 0},
               "info": {"spans": [
@@ -271,3 +286,4 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
         assert rss["base_runs"] == [50.0, 50.0] and rss["change_runs"] == [40.0, 40.0]
         assert {side: summary["bench.run"]["median"] for side, summary in
                 entry["layers"].items()} == {"base": 2000.0, "change": 1000.0}
+        assert entry["layer_wins"] == {"bench.run": {"wins": 2, "pairs": 2}}

@@ -223,10 +223,18 @@ def test_skipgram_no_walks_errors():
         train_skipgram([], k=3, r=2)
 
 
-@pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]]])
+@pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]], [[0, [1]]],
+                                   [0, 1], [[0, 1], 2]])
 def test_skipgram_malformed_walks_raise_validation_error(walks):
     with pytest.raises(ValidationError):
         train_skipgram(walks, k=3, r=2)
+
+
+def test_skipgram_takes_equal_length_walks_as_a_2d_array():
+    walks = [[0, 1, 2, 1], [2, 1, 0, 1], [1, 0, 1, 2]]
+    got = train_skipgram(np.array(walks), k=3, r=2, window=2, epochs=2, seed=3).vectors
+    np.testing.assert_array_equal(
+        got, train_skipgram(walks, k=3, r=2, window=2, epochs=2, seed=3).vectors)
 
 
 @pytest.mark.parametrize("node", [3, 7])

@@ -279,6 +279,15 @@ def test_evaluate_rejects_a_score_vector_of_another_length(length):
         evaluate(lambda doc: np.zeros(length), docs, k=3)
 
 
+@pytest.mark.parametrize("scores", [["a"] * 3, [[0.1, 0.2], [0.3]]], ids=["strings", "ragged"])
+def test_evaluate_and_rank_labels_reject_scores_that_are_not_numbers(scores):
+    docs = [Document("d", ["x"], {1})]
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        evaluate(lambda doc: scores, docs, k=3)
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        rank_labels(scores)
+
+
 def test_evaluate_macro_average_against_brute_force():
     rng = np.random.default_rng(5)
     k = 12

@@ -409,6 +409,15 @@ def test_forward_requires_embedding_for_interaction():
     bilstm.assert_not_called()  # checked before the Bi-LSTM runs
 
 
+@pytest.mark.parametrize("vectors", ["strings", "ragged"])
+def test_forward_rejects_label_vectors_that_are_not_numbers(vectors):
+    cfg = _cfg()
+    rows = _label_vectors(cfg).tolist()
+    rows = [["a"] * len(rows[0])] * len(rows) if vectors == "strings" else rows[:-1] + [[0.0]]
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        _forward(cfg, _params(cfg), rows, "laha")
+
+
 def test_forward_rejects_one_dimensional_label_vectors():
     cfg = _cfg()
     with pytest.raises(ShapeError):
@@ -742,6 +751,13 @@ def test_init_params_rejects_an_embedding_that_is_not_vocab_by_d(shape):
     assert cfg.d != 3
     with pytest.raises(ShapeError, match="embedding table must be"):
         init_params(cfg, np.zeros(shape), 0)
+
+
+@pytest.mark.parametrize("table", [[["x"] * 4] * 9, [[0.0] * 4] * 8 + [[0.0] * 3]],
+                         ids=["strings", "ragged"])
+def test_init_params_rejects_an_embedding_that_is_not_numbers(table):
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        init_params(_cfg(), table, 0)
 
 
 def test_wrap_params_shares_the_parameter_buffers():

@@ -33,9 +33,11 @@ from extra_ops import (
     div,
     gate_oracle,
     grad_check,
+    log_sigmoid,
     lstm,
     mix_columns_oracle,
     mul,
+    paper_gate,
     scale,
     scale_cols,
     softmax_columns,
@@ -189,6 +191,14 @@ def test_as_matrix_rejects_what_is_not_a_nonempty_matrix(value):
         Node(value)
 
 
+@pytest.mark.parametrize("value", [[["x"] * 3] * 2, [[1.0, 2.0], [3.0]], [[1.0, object()]]],
+                         ids=["strings", "ragged", "an object"])
+def test_as_matrix_rejects_what_is_not_numbers_in_a_regular_array(value):
+    for coerce in (numeric.as_matrix, numeric.as_floats, Node):
+        with pytest.raises(ValidationError, match="expected an array of numbers"):
+            coerce(value)
+
+
 def test_backward_requires_scalar_root():
     with pytest.raises(ShapeError):
         backward(Node(np.ones((2, 2))))
@@ -238,6 +248,8 @@ def test_bce_with_logits_closed_form():
         bce_with_logits([Node(z), Node(z)], [y])
     with pytest.raises(ValidationError):
         bce_with_logits([], [])
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        bce_with_logits([Node(z)], [[["y", "n", "y"]]])
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -358,6 +370,7 @@ def test_grad_activations(trial):
     _check(lambda p: bce_with_logits([p["x"]], [y]), {"x": x})
     _check(lambda p: bce_with_logits([p["x"], slice_cols(p["x"], 1, 3)], [y, y[:, 1:]]),
            {"x": x})
+    _check(lambda p: sum_all(mul(log_sigmoid(p["x"]), p["w"])), {"x": x, "w": _rand(rng, (3, 3))})
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -1156,14 +1169,36 @@ def test_gate_of_inputs_below_minus_354_is_sigmoid_of_their_difference():
     np.testing.assert_array_equal(d_a[:, :4], weight[:, :4] * alpha * (1.0 - alpha))
     np.testing.assert_array_equal(d_b[:, :4], -d_a[:, :4])
     _check(lambda p: sum_all(mul(gate(p["a"], p["b"]), weight)), {"a": z_a, "b": z_b})
-    # where one input is above the range, the chain's bits stay
-    oracle = _value_and_grads(gate_oracle, (z_a[:, 4:], z_b[:, 4:]), weight[:, 4:])
-    np.testing.assert_array_equal(value[:, 4:], oracle[0])
+    # the oracle's bits hold there, and where one input is above the range
+    oracle = _value_and_grads(gate_oracle, (z_a, z_b), weight)
+    np.testing.assert_array_equal(value, oracle[0])
     for got, want in zip((d_a, d_b), oracle[1]):
-        np.testing.assert_array_equal(got[:, 4:].view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_gate_is_bit_identical_to_sigmoid_add_and_div_nodes():
+@pytest.mark.parametrize("scale", [0.5, 5.0, 50.0, 500.0])
+def test_gate_is_the_papers_ratio_up_to_rounding(scale):
+    # alpha within 4 eps max(1, |z_a|, |z_b|) of sigmoid(z_a) / (sigmoid(z_a) + sigmoid(z_b)),
+    # each gradient within 4 eps max(1, |z|) |w| of the ratio's, wherever the ratio's sum s has
+    # a normal square; at scale 500 some draws leave the ratio's range, and the gate stays finite
+    rng = np.random.default_rng(46)
+    arrays = tuple(rng.normal(scale=scale, size=(1, 20000)) for _ in "ab")
+    weight = rng.normal(size=(1, 20000))
+    value, grads = _value_and_grads(gate, arrays, weight)
+    assert np.isfinite(value).all() and all(np.isfinite(g).all() for g in grads)
+    s = numeric.sigmoid(arrays[0]) + numeric.sigmoid(arrays[1])
+    keep = (s * s >= np.finfo(np.float64).tiny)[0]
+    assert keep.mean() > 0.9 and keep.all() == (scale < 500)
+    (z_a, z_b), eps = (z[:, keep] for z in arrays), np.finfo(np.float64).eps
+    paper = _value_and_grads(paper_gate, (z_a, z_b), weight[:, keep])
+    bound = 4 * eps * np.maximum(1.0, np.maximum(abs(z_a), abs(z_b)))
+    assert (abs(value[:, keep] - paper[0]) <= bound).all()
+    for z, got, want in zip((z_a, z_b), grads, paper[1]):
+        bound = 4 * eps * np.maximum(1.0, abs(z)) * abs(weight[:, keep])
+        assert (abs(got[:, keep] - want) <= bound).all()
+
+
+def test_gate_is_bit_identical_to_log_sigmoid_and_sigmoid_nodes():
     # random, huge and saturated inputs; zero weights give zero gradients, whose sign must match
     rng = np.random.default_rng(45)
     for _ in range(60):

@@ -907,7 +907,8 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     (b'{"format": "\xff"}', "unreadable checkpoint header"),
     (b'{"format": "something-else", "version": 1}', "not a model checkpoint file"),
     (b"[1, 2]", "not a model checkpoint file"),
-], ids=["not JSON", "not UTF-8", "another format", "not an object"])
+    (b"[" * 100000, "unreadable checkpoint header: maximum recursion depth"),
+], ids=["not JSON", "not UTF-8", "another format", "not an object", "nested too deeply"])
 def test_checkpoint_with_a_foreign_header_line_raises_checkpoint_error(tmp_path, header, message):
     path = tmp_path / "other.bin"
     path.write_bytes(header + b"\n" + bytes(16))
