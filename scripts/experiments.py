@@ -150,24 +150,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def span_ms(row: dict, name: str) -> float:
+    """A layer row's milliseconds per unit of a span's base, 0 where its run has no such span."""
+    return row["spans"][name]["ms"] if name in row["spans"] else 0.0
+
+
 def summarize_layers(rows: list[dict]) -> dict:
     """Median and quartiles of each span's milliseconds per unit of its base over the runs."""
-    out = {}
-    for name, first in rows[0]["spans"].items():
-        figures = [row["spans"][name]["ms"] if name in row["spans"] else 0.0
-                   for row in rows]
-        out[name] = {"base": first["base"], **quartiles(figures)}
-    return out
+    return {name: {"base": first["base"], **quartiles([span_ms(row, name) for row in rows])}
+            for name, first in rows[0]["spans"].items()}
 
 
 def span_wins(base: list[dict], change: list[dict]) -> dict:
     """Per span of a workload's traced (base, change) layer rows, paired by seed, the pairs in
-    which the change took fewer milliseconds per unit of its base (a missing span reads 0)."""
-    def ms(row: dict, name: str) -> float:
-        return row["spans"][name]["ms"] if name in row["spans"] else 0.0
-
+    which the change took fewer milliseconds per unit of its base."""
     names = sorted({name for row in base + change for name in row["spans"]})
-    return {name: {"wins": sum(ms(c, name) < ms(b, name) for b, c in zip(base, change)),
+    return {name: {"wins": sum(span_ms(c, name) < span_ms(b, name) for b, c in zip(base, change)),
                    "pairs": len(base)} for name in names}
 
 
