@@ -281,8 +281,9 @@ def mix_columns(a: Node, u: Node, b: Node) -> Node:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of a plain array: `_sigmoid` of a float64 copy."""
-    return _sigmoid(np.array(x, dtype=np.float64), np.empty(np.shape(x)))
+    """Logistic function of a plain array: `_sigmoid` of a copy of `as_floats(x)`."""
+    x = as_floats(x)
+    return _sigmoid(x.copy(), np.empty(x.shape))
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ the loss is binary cross-entropy on the model's logits (one fused
 `bce_with_logits` op per batch), summed over each subset and averaged
 over the batch.  All randomness derives from (seed, epoch), so a
 run is a pure function of its config and resuming from a checkpoint
-reproduces the uninterrupted run bit for bit.
+reproduces the uninterrupted run bit for bit.  A checkpoint is one value,
+a `Checkpoint`: `save_checkpoint` writes it and `load_checkpoint` returns it.
 """
 
 from __future__ import annotations
@@ -100,13 +101,14 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         p -= np.divide(np.multiply(np.divide(m, bc1, out=u), lr, out=u), t, out=u)
 
 
-def sample_labels(positives: list[int], negatives_per_doc: int, k: int, rng) -> list[int]:
-    """All positives plus distinct uniform negatives from the complement.
+def sample_labels(positives: Sequence[int], negatives_per_doc: int, k: int, rng) -> list[int]:
+    """All positives plus distinct uniform negatives from the complement, as a list.
 
     `positives` are a document's distinct labels in [0, k), as `data.doc_labels`
     returns them; they come first, then negatives in draw order.  When the
     complement is not larger than the request, the subset is all k labels.
     """
+    positives = list(positives)
     check_int("negatives_per_doc", negatives_per_doc, 0)
     check_int("k", k, 1)
     if not positives or len(set(check_labels("positive label", positives, k))) < len(positives):
@@ -201,44 +203,39 @@ def train(
 
 @dataclass
 class Checkpoint:
+    """A run's state after `epoch` epochs, what `save_checkpoint` writes and `load_checkpoint`
+    returns; `train(corpus, ckpt.vocab, ckpt.params, ...)` resumes it from `epoch` on."""
+
     params: ModelParams
     model_cfg: ModelConfig
     variant: str
-    vocab_tokens: list[str]
+    vocab: Vocabulary
     train_cfg: TrainConfig
     adam: AdamState
     epoch: int
 
 
-def save_checkpoint(
-    path: str,
-    params: ModelParams,
-    model_cfg: ModelConfig,
-    variant: str,
-    vocab: Vocabulary,
-    train_cfg: TrainConfig,
-    adam: AdamState,
-    epoch: int,
-) -> None:
+def _tensors(params: dict, adam: AdamState, adam_names: list[str]) -> list[tuple[str, np.ndarray]]:
+    """(file name, array) of every tensor, in file order: each parameter, then m and v of each
+    of `adam_names`.  Shapes in place of arrays give the tensor table without allocating."""
+    return [(f"param/{n}", a) for n, a in params.items()] + [
+        (f"adam_{m}/{n}", getattr(adam, m)[n]) for m in "mv" for n in adam_names]
+
+
+def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """JSON header line, then raw little-endian float64 payloads in header order."""
-    tensors: list[tuple[str, np.ndarray]] = [(f"param/{n}", a) for n, a in params.items()]
-    adam_names = [n for n in params if n in adam.m]
-    tensors += [(f"adam_{m}/{n}", getattr(adam, m)[n]) for m in "mv" for n in adam_names]
+    adam_names = [n for n in ckpt.params if n in ckpt.adam.m]
+    tensors = _tensors(ckpt.params, ckpt.adam, adam_names)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "model": asdict(model_cfg),
-        "variant": variant,
-        "vocab": vocab.tokens,
-        "train": asdict(train_cfg),
-        "epoch": epoch,
-        "adam": {
-            "step": adam.step,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps": ADAM_EPS,
-            "params": adam_names,
-        },
+        "model": asdict(ckpt.model_cfg),
+        "variant": ckpt.variant,
+        "vocab": ckpt.vocab.tokens,
+        "train": asdict(ckpt.train_cfg),
+        "epoch": ckpt.epoch,
+        "adam": {"step": ckpt.adam.step, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                 "eps": ADAM_EPS, "params": adam_names},
         "tensors": [[name, arr.shape[0], arr.shape[1]] for name, arr in tensors],
     }
     blob = json.dumps(header).encode() + b"\n"
@@ -281,18 +278,20 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     variant = header["variant"]
     if variant not in model_mod.VARIANTS:
         raise CheckpointError(f"unknown variant {variant!r}")
-    vocab_tokens = header["vocab"]
-    if not isinstance(vocab_tokens, list) or not all(isinstance(t, str) for t in vocab_tokens):
+    tokens = header["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CheckpointError("vocab must be a list of strings")
-    table = model_mod.param_table(model_cfg, len(Vocabulary(vocab_tokens)))
+    vocab = Vocabulary(tokens)
+    table = model_mod.param_table(model_cfg, len(vocab))
+    shapes = {n: [rows, cols] for n, (rows, cols, _) in table.items()}
     adam_info = header["adam"]
     adam_names = adam_info["params"]
     for i, name in enumerate(adam_names):
-        if name not in table or name in adam_names[:i]:
+        if name not in shapes or name in adam_names[:i]:
             raise CheckpointError(f"Adam state names an unknown or repeated parameter {name!r}")
-    # the tensor table this config, vocabulary and Adam state imply, in saved order
-    expected = [[f"param/{n}", rows, cols] for n, (rows, cols, _) in table.items()]
-    expected += [[f"adam_{m}/{n}", *table[n][:2]] for m in "mv" for n in adam_names]
+    # the tensor table this config, vocabulary and Adam state imply, checked before allocating
+    expected = [[name, *shape] for name, shape in
+                _tensors(shapes, AdamState(0, shapes, shapes), adam_names)]
     declared = header["tensors"]
     if declared != expected:
         i, (got, want) = next((i, pair) for i, pair in enumerate(zip_longest(declared, expected))
@@ -301,30 +300,20 @@ def _parse_checkpoint(header: dict, payload: bytes) -> Checkpoint:
     expected_bytes = sum(rows * cols for _, rows, cols in expected) * 8
     if len(payload) != expected_bytes:
         raise CheckpointError(f"payload is {len(payload)} bytes, header declares {expected_bytes}")
-    params = ModelParams({n: (rows, cols) for n, (rows, cols, _) in table.items()})
-    m, v = (ModelParams({n: table[n][:2] for n in table if n in adam_names}) for _ in "mv")
-    tensors = {f"{kind}/{n}": a for kind, pack in (("param", params), ("adam_m", m), ("adam_v", v))
-               for n, a in pack.items()}  # views to fill in file order; moments in table order
-    offset = 0
-    for name, rows, cols in expected:
-        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        if not np.isfinite(arr).all():
+    moments = {n: shape for n, shape in shapes.items() if n in adam_names}  # in table order
+    adam = AdamState(adam_info["step"], ModelParams(moments), ModelParams(moments))
+    params, offset = ModelParams(shapes), 0
+    for name, arr in _tensors(params, adam, adam_names):  # filled in file order
+        values = np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
+        if not np.isfinite(values).all():
             raise CheckpointError(f"tensor {name} has non-finite entries")
-        tensors[name][...] = arr.reshape(rows, cols)
-        offset += rows * cols * 8
+        arr[...] = values.reshape(arr.shape)
+        offset += arr.size * 8
 
-    for name, count in (("epoch", header["epoch"]), ("adam step", adam_info["step"])):
+    for name, count in (("epoch", header["epoch"]), ("adam step", adam.step)):
         if type(count) is not int or count < 0:
             raise CheckpointError(f"{name} must be a non-negative integer, got {count!r}")
     if [adam_info[key] for key in ("beta1", "beta2", "eps")] != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
         raise CheckpointError(f"Adam's beta1, beta2 and eps must be {ADAM_BETA1}, {ADAM_BETA2} "
                               f"and {ADAM_EPS}")
-    return Checkpoint(
-        params=params,
-        model_cfg=model_cfg,
-        variant=variant,
-        vocab_tokens=vocab_tokens,
-        train_cfg=train_cfg,
-        adam=AdamState(adam_info["step"], m, v),
-        epoch=header["epoch"],
-    )
+    return Checkpoint(params, model_cfg, variant, vocab, train_cfg, adam, header["epoch"])

@@ -19,7 +19,7 @@ from laha.data import (
 )
 from laha.errors import DataFormatError, ValidationError
 from laha.model import ModelConfig, init_params
-from laha.training import AdamState, TrainConfig, sample_labels, save_checkpoint
+from laha.training import AdamState, Checkpoint, TrainConfig, sample_labels, save_checkpoint
 
 from extra_ops import vocab_order_oracle, word_vectors_oracle
 
@@ -70,8 +70,8 @@ def _save_tiny_checkpoint(path, seed=0):
     cfg = ModelConfig(k=2, max_len=2, d=2, r=1, d_a=1)
     vocab = Vocabulary(["a"])
     params = init_params(cfg, np.zeros((len(vocab), cfg.d)), seed)
-    save_checkpoint(str(path), params, cfg, "laha", vocab, TrainConfig(epochs=1),
-                    AdamState.init(params), 0)
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, TrainConfig(epochs=1),
+                                          AdamState.init(params), 0))
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

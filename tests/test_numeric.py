@@ -175,6 +175,19 @@ def test_in_place_sigmoid_is_bit_identical_to_the_two_branch_where():
     assert not buffer[:, 0].any()
 
 
+@pytest.mark.parametrize("value", [["a"], [[1.0, 2.0], [3.0]], [1.0, object()]],
+                         ids=["strings", "ragged", "an object"])
+def test_sigmoid_rejects_what_is_not_numbers_in_a_regular_array(value):
+    with pytest.raises(ValidationError, match="expected an array of numbers"):
+        numeric.sigmoid(value)
+
+
+def test_sigmoid_leaves_its_input_as_it_was():
+    x = np.array([[-800.0, -1.0], [0.0, 3.5]])
+    before = x.copy()
+    assert numeric.sigmoid(x) is not x
+    np.testing.assert_array_equal(x, before)
+
 def test_non_finite_input_rejected():
     with pytest.raises(NumericalError):
         Node(np.array([[np.inf]]))

@@ -20,10 +20,12 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT = {
     "data.load_corpus": "the reader of the documented JSON-lines corpus format, whose "
                         "malformed lines the tests hold to typed errors",
-    "training.save_checkpoint": "half of resume-equals-uninterrupted, and the one caller of "
+    "training.save_checkpoint": "writes the Checkpoint that load_checkpoint returns, half of "
+                                "resume-equals-uninterrupted; the one caller of "
                                 "data.atomic_write_bytes",
-    "training.load_checkpoint": "the other half of resume-equals-uninterrupted, and the reader "
-                                "of the checkpoint fixture that must keep loading",
+    "training.load_checkpoint": "returns the Checkpoint that save_checkpoint writes, the other "
+                                "half of resume-equals-uninterrupted; the reader of the "
+                                "checkpoint fixture that must keep loading",
     "metrics.fusion_weight_histogram": "the gate-weight histogram that the planned ablation of "
                                        "the fusion gate reports (ROADMAP item 1)",
 }

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from laha.training import (
     ADAM_EPS,
     _CHUNK,
     AdamState,
+    Checkpoint,
     TrainConfig,
     adam_step,
     bce_loss,
@@ -69,6 +71,19 @@ def test_sample_labels_rejects_a_positive_out_of_range_not_an_integer_or_repeate
         sample_labels(positives, 2, 4, rng)
     assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
 
+
+@pytest.mark.parametrize("positives, negatives_per_doc, k", [
+    ([1], 1, 3), ([1, 3], 1, 5), ([2, 0], 5, 4),
+], ids=["one positive", "two positives", "whole complement"])
+@pytest.mark.parametrize("container", [np.array, tuple])
+def test_sample_labels_takes_array_and_tuple_positives_as_the_equal_list(
+        positives, negatives_per_doc, k, container):
+    rng, list_rng = np.random.default_rng(3), np.random.default_rng(3)
+    subset = sample_labels(container(positives), negatives_per_doc, k, rng)
+    assert type(subset) is list
+    assert subset == sample_labels(positives, negatives_per_doc, k, list_rng)
+    assert all(0 <= label < k for label in subset)
+    assert rng.random() == list_rng.random()  # the same draws were taken
 
 def _sample_labels_by_setdiff1d(positives, negatives_per_doc, k, rng):
     """`sample_labels` with the complement that `np.setdiff1d` gives: the reference."""
@@ -595,10 +610,10 @@ def _checkpoint_roundtrip(tmp_path, epochs_first=1, epochs_total=2, seed=11):
                             negatives_per_doc=2, seed=seed)
     train(docs, vocab, params_a, cfg, lv, first_cfg, adam=adam_a)
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params_a, cfg, "laha", vocab, tcfg, adam_a, epochs_first)
+    save_checkpoint(path, Checkpoint(params_a, cfg, "laha", vocab, tcfg, adam_a, epochs_first))
 
     ckpt = load_checkpoint(path)
-    train(docs, Vocabulary(ckpt.vocab_tokens), ckpt.params, ckpt.model_cfg, lv,
+    train(docs, ckpt.vocab, ckpt.params, ckpt.model_cfg, lv,
           tcfg, adam=ckpt.adam, start_epoch=ckpt.epoch)
     return params_full, ckpt.params
 
@@ -621,11 +636,12 @@ def test_init_params_and_load_checkpoint_pack_each_buffer_in_table_order(tmp_pat
     frozen = TrainConfig(epochs=1, batch_size=2, seed=10, finetune_word_vectors=False)
     adam = AdamState.init({n: a for n, a in params.items() if n != "embedding"})
     train(docs, vocab, params, cfg, lv, frozen, adam=adam)
-    save_checkpoint(str(tmp_path / "ckpt.bin"), params, cfg, "laha", vocab, frozen, adam, 1)
+    save_checkpoint(str(tmp_path / "ckpt.bin"),
+                    Checkpoint(params, cfg, "laha", vocab, frozen, adam, 1))
     # the fixture lists its moments in sorted order; loaded, they follow the table
     for path in (tmp_path / "ckpt.bin", FIXTURES / "checkpoint_v1_tiny.bin"):
         ckpt = load_checkpoint(str(path))
-        table = param_table(ckpt.model_cfg, len(ckpt.vocab_tokens))
+        table = param_table(ckpt.model_cfg, len(ckpt.vocab))
         _assert_packed(ckpt.params, table)
         _assert_packed(ckpt.adam.m, list(table)[1:])
         _assert_packed(ckpt.adam.v, list(table)[1:])
@@ -636,7 +652,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     adam = AdamState.init(params.arrays())
     train(docs, vocab, params, cfg, lv, tcfg, adam=adam)
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, tcfg.epochs)
+    save_checkpoint(path, Checkpoint(params, cfg, "laha", vocab, tcfg, adam, tcfg.epochs))
     ckpt = load_checkpoint(path)
     for name, arr in params.arrays().items():
         np.testing.assert_array_equal(ckpt.params.arrays()[name], arr)
@@ -645,7 +661,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         np.testing.assert_array_equal(ckpt.adam.v[name], adam.v[name])
     assert ckpt.adam.step == adam.step
     assert ckpt.variant == "laha"
-    assert ckpt.vocab_tokens == vocab.tokens
+    assert ckpt.vocab.tokens == vocab.tokens
     assert ckpt.epoch == tcfg.epochs
 
 
@@ -663,7 +679,7 @@ def test_resume_rejects_adam_state_that_does_not_fit_the_trainable_parameters(tm
     adam = AdamState.init({n: a for n, a in params.items() if n != "embedding"})
     train(docs, vocab, params, cfg, lv, frozen, adam=adam)
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, frozen, adam, 1)
+    save_checkpoint(path, Checkpoint(params, cfg, "laha", vocab, frozen, adam, 1))
     ckpt = load_checkpoint(path)
     finetune = case == "frozen word vectors resumed fine-tuned"  # no moments for embedding
     resumed = TrainConfig(epochs=2, batch_size=2, negatives_per_doc=2, seed=12,
@@ -672,7 +688,7 @@ def test_resume_rejects_adam_state_that_does_not_fit_the_trainable_parameters(tm
         ckpt.adam.v["w_q"] = ckpt.adam.v["w_q"][:, :1].copy()
     saved = {n: a.copy() for n, a in ckpt.params.items()}
     with pytest.raises(ValidationError, match="'embedding'" if finetune else "'w_q'"):
-        train(docs, Vocabulary(ckpt.vocab_tokens), ckpt.params, ckpt.model_cfg, lv, resumed,
+        train(docs, ckpt.vocab, ckpt.params, ckpt.model_cfg, lv, resumed,
               adam=ckpt.adam, start_epoch=ckpt.epoch)
     for name, arr in ckpt.params.items():
         np.testing.assert_array_equal(arr, saved[name])
@@ -683,7 +699,7 @@ def test_checkpoint_corrupted_file(tmp_path):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    save_checkpoint(path, Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[: len(blob) - 16])
     with pytest.raises(CheckpointError):
@@ -694,7 +710,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    save_checkpoint(path, Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     blob = Path(path).read_bytes()
     nl = blob.find(b"\n")
     import json
@@ -796,7 +812,7 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = str(tmp_path / "ckpt.bin")
-    save_checkpoint(path, params, cfg, "laha", vocab, tcfg, adam, 0)
+    save_checkpoint(path, Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     blob = Path(path).read_bytes()
     nl = blob.find(b"\n")
     header = json.loads(blob[:nl])
@@ -813,7 +829,7 @@ def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, t
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(str(path), params, cfg, "laha", vocab, tcfg, adam, 0)
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     # save_checkpoint refuses a non-finite tensor, so write entry [1, 0] into the payload
     blob = bytearray(path.read_bytes())
     nl = blob.find(b"\n")
@@ -834,11 +850,11 @@ def test_save_checkpoint_refuses_what_load_rejects_and_keeps_the_earlier_file(
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(str(path), params, cfg, "laha", vocab, tcfg, adam, 0)
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     earlier = path.read_bytes()
     params["w_q"][1, 0] = w_q_entry
     with pytest.raises(CheckpointError):
-        save_checkpoint(str(path), params, cfg, variant, vocab, tcfg, adam, epoch)
+        save_checkpoint(str(path), Checkpoint(params, cfg, variant, vocab, tcfg, adam, epoch))
     assert path.read_bytes() == earlier
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
@@ -870,7 +886,7 @@ def _fixture_state():
 def _assert_fixture_state(ckpt):
     cfg, vocab, params, tcfg, adam = _fixture_state()
     assert (ckpt.model_cfg, ckpt.train_cfg, ckpt.variant) == (cfg, tcfg, "laha")
-    assert ckpt.vocab_tokens == vocab.tokens
+    assert ckpt.vocab.tokens == vocab.tokens
     assert (ckpt.epoch, ckpt.adam.step) == (3, adam.step)
     assert list(ckpt.params) == list(params)
     for name, arr in params.items():
@@ -888,12 +904,38 @@ def test_checkpoint_fixture_from_sorted_adam_saver_loads_identically(tmp_path):
     _assert_fixture_state(ckpt)
     # saved again, the Adam moments follow the parameter table's order
     path = tmp_path / "again.bin"
-    save_checkpoint(str(path), ckpt.params, ckpt.model_cfg, ckpt.variant,
-                    Vocabulary(ckpt.vocab_tokens), ckpt.train_cfg, ckpt.adam, ckpt.epoch)
+    save_checkpoint(str(path), ckpt)
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert header["adam"]["params"] == list(ckpt.params)[1:]
     _assert_fixture_state(load_checkpoint(str(path)))
 
+
+def test_checkpoint_bytes_are_pinned_and_a_loaded_checkpoint_saves_them_again(tmp_path):
+    # the v1 bytes of the fixture's state, as the saver that took each field as an argument wrote
+    cfg, vocab, params, tcfg, adam = _fixture_state()
+    first, again = tmp_path / "first.bin", tmp_path / "again.bin"
+    save_checkpoint(str(first), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 3))
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "19eb150588cf112f6788f46410d45881fd37c0d7961dfe99ed4773c0847435b5")
+    save_checkpoint(str(again), load_checkpoint(str(first)))
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_declaring_a_huge_table_is_refused_before_any_allocation(tmp_path):
+    import json
+
+    cfg, vocab, params, tcfg, adam = _fixture_state()
+    path = tmp_path / "huge.bin"
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 3))
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header["model"]["k"] = 10**15  # w_s2 alone would take 16 PB
+    table = param_table(ModelConfig(**header["model"]), len(vocab))
+    header["tensors"] = [[f"param/{n}", rows, cols] for n, (rows, cols, _) in table.items()]
+    header["tensors"] += [[f"adam_{m}/{n}", *table[n][:2]]
+                          for m in "mv" for n in header["adam"]["params"]]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+    with pytest.raises(CheckpointError, match="payload is 64 bytes, header declares"):
+        load_checkpoint(str(path))
 
 def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "junk.bin"
