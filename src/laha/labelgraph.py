@@ -6,7 +6,9 @@ CSR matrix.  Labels embed into a dense low-dimensional space from
 weight-proportional random walks over the graph (node2vec's walk at
 p = q = 1), all stepped together as arrays, then one randomized SVD of the
 positive PMI of the walks' (center, context) pairs, the matrix skip-gram
-implicitly factorizes, so nearby labels get similar vectors.
+implicitly factorizes, so nearby labels get similar vectors.  Its sketches'
+bases come from the Gram matrix at `_GRAM_BASIS_ASPECT` rows per column or
+more (eigenvalues under 1e-12 of the largest dropped), else from QR.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 
 from .data import Corpus, doc_labels
 from .errors import ValidationError, check_int
+
+_GRAM_BASIS_ASPECT = 4  # rows per column from which a Gram basis beats QR: the measured break-even
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     are U S^1/2 from a randomized SVD of M (Halko, Martinsson & Tropp, SIAM
     Review 2011) with min(r + 10, m) columns and `epochs - 1` power
     iterations, 0 past M's numerical rank, each column of U signed so that
-    its largest entry is positive.  `negatives` is unused: a
+    its largest entry is positive; a tall sketch's basis is from its Gram
+    matrix, another's from QR (`_basis`).  `negatives` is unused: a
     log(negatives) shift empties M on small graphs.  Labels in no pair
     keep their seeded random init, which epochs=0 returns unchanged.
     """
@@ -138,7 +143,7 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
     if not keys.size:  # single-node walks only: no label is in a pair
         return LabelEmbedding(vectors=vectors.T)
-    labels = np.unique(keys // k)
+    labels = np.flatnonzero(np.bincount(keys // k))
     omega = rng.standard_normal((labels.size, min(r + 10, labels.size)))
     rows, cols = np.searchsorted(labels, keys // k), np.searchsorted(labels, keys % k)
     # pairs are symmetric: #w is also w's context count, and M^T has M's entry positions
@@ -146,17 +151,27 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
     smooth = total ** 0.75 / (total ** 0.75).sum()
     mat = rows, cols, np.maximum(np.log(counts / (total[rows] * smooth[cols])), 0)
     mat_t = rows, cols, np.maximum(np.log(counts / (total[cols] * smooth[rows])), 0)
-    basis = np.linalg.qr(_sparse_times(*mat, omega))[0]
+    basis = _basis(_sparse_times(*mat, omega))
     for _ in range(epochs - 1):
-        basis = np.linalg.qr(_sparse_times(*mat, np.linalg.qr(_sparse_times(*mat_t, basis))[0]))[0]
+        basis = _basis(_sparse_times(*mat, _basis(_sparse_times(*mat_t, basis))))
     bt = _sparse_times(*mat_t, basis)  # (basis^T M)^T
     evals, u = np.linalg.eigh(bt.T @ bt)
     evals, u = evals[:-r - 1:-1], basis @ u[:, :-r - 1:-1]  # the top r, largest first
     # a singular vector's sign is arbitrary and training follows it: fix it, not LAPACK's pick
     u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(evals.size)])
-    root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2, 0 past M's rank
-    vectors[labels] = np.pad(u * root, ((0, 0), (0, r - evals.size)))
+    u *= np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25  # S^1/2, 0 past M's rank
+    vectors[labels, :evals.size], vectors[labels, evals.size:] = u, 0
     return LabelEmbedding(vectors=vectors.T)
+
+
+def _basis(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of y's range: for m >= _GRAM_BASIS_ASPECT c, y V L^-1/2 from y^T y =
+    V L V^T over eigenvalues above 1e-12 L_max (the rest are rounding noise), else QR's."""
+    if y.shape[0] < _GRAM_BASIS_ASPECT * y.shape[1]:
+        return np.linalg.qr(y)[0]
+    evals, v = np.linalg.eigh(y.T @ y)
+    keep = evals > 1e-12 * evals[-1]
+    return y @ (v[:, keep] / np.sqrt(evals[keep]))
 
 
 def _sparse_times(rows, cols, vals, x: np.ndarray) -> np.ndarray:
@@ -164,8 +179,8 @@ def _sparse_times(rows, cols, vals, x: np.ndarray) -> np.ndarray:
     out, n = np.empty(x.shape), x.shape[0]
     bounds = np.searchsorted(rows, np.arange(0, n + 128, 128))
     for top, lo, hi in zip(range(0, n, 128), bounds[:-1], bounds[1:]):
-        used, at = np.unique(cols[lo:hi], return_inverse=True)
+        used = np.flatnonzero(seen := np.bincount(cols[lo:hi], minlength=n) > 0)
         block = np.zeros((min(128, n - top), used.size))
-        block[rows[lo:hi] - top, at] = vals[lo:hi]
+        block[rows[lo:hi] - top, np.cumsum(seen)[cols[lo:hi]] - 1] = vals[lo:hi]
         out[top:top + 128] = block @ x[used]
     return out

@@ -32,8 +32,12 @@ bit for bit.  `packed` copies plain arrays into one `ModelParams` buffer.
 `word_vectors_oracle` fills an embedding table a row at a time, one
 `uniform` draw per uncovered row, and `vocab_order_oracle` sorts tokens by
 a `(-count, token)` key: the references that `data.load_word_vectors` and
-`data.build_vocab` must match exactly.  `grad_check` pits `backward`'s
-gradients against central finite differences.
+`data.build_vocab` must match exactly.  `skipgram_oracle` is
+`labelgraph.train_skipgram` with a Householder QR basis for every sketch,
+`np.unique`'s label and column maps and `np.pad`: the reference that
+`train_skipgram` must match bit for bit where every sketch has fewer than
+`_GRAM_BASIS_ASPECT` rows per column.  `grad_check` pits `backward`'s
+gradients against four-point central finite differences.
 """
 
 import math
@@ -448,6 +452,55 @@ def vocab_order_oracle(corpus) -> list[str]:
     return sorted(counts, key=lambda tok: (-counts[tok], tok))[:data.MAX_VOCAB]
 
 
+def skipgram_oracle(walks, k: int, r: int, window: int = 5, epochs: int = 5,
+                    seed: int = 0) -> np.ndarray:
+    """`labelgraph.train_skipgram`'s vectors (r x k) with every sketch's basis by QR."""
+    lens, flat = np.array([len(walk) for walk in walks]), np.concatenate(walks)
+    rng = np.random.default_rng(seed)
+    vectors = (rng.random((k, r)) - 0.5) / r
+    if epochs == 0:
+        return vectors.T
+    flat = flat.astype(np.int32 if k * k < 2**31 else np.int64)
+    after = np.repeat(np.cumsum(lens), lens) - np.arange(flat.size) - 1
+    pairs = []
+    for offset in range(1, min(window, lens.max()) + 1):
+        head = np.flatnonzero(after >= offset)
+        pairs += [flat[head] * k + flat[head + offset], flat[head + offset] * k + flat[head]]
+    keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
+    if not keys.size:
+        return vectors.T
+    labels = np.unique(keys // k)
+    omega = rng.standard_normal((labels.size, min(r + 10, labels.size)))
+    rows, cols = np.searchsorted(labels, keys // k), np.searchsorted(labels, keys % k)
+    total = np.bincount(rows, weights=counts, minlength=labels.size)
+    smooth = total ** 0.75 / (total ** 0.75).sum()
+    mat = rows, cols, np.maximum(np.log(counts / (total[rows] * smooth[cols])), 0)
+    mat_t = rows, cols, np.maximum(np.log(counts / (total[cols] * smooth[rows])), 0)
+    basis = np.linalg.qr(_sparse_times_oracle(*mat, omega))[0]
+    for _ in range(epochs - 1):
+        inner = np.linalg.qr(_sparse_times_oracle(*mat_t, basis))[0]
+        basis = np.linalg.qr(_sparse_times_oracle(*mat, inner))[0]
+    bt = _sparse_times_oracle(*mat_t, basis)
+    evals, u = np.linalg.eigh(bt.T @ bt)
+    evals, u = evals[:-r - 1:-1], basis @ u[:, :-r - 1:-1]
+    u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(evals.size)])
+    root = np.where(evals > 1e-12 * evals[:1], evals, 0) ** 0.25
+    vectors[labels] = np.pad(u * root, ((0, 0), (0, r - evals.size)))
+    return vectors.T
+
+
+def _sparse_times_oracle(rows, cols, vals, x: np.ndarray) -> np.ndarray:
+    """Sparse square matrix (sorted by row) times x in 128-row blocks, columns mapped by np.unique."""
+    out, n = np.empty(x.shape), x.shape[0]
+    bounds = np.searchsorted(rows, np.arange(0, n + 128, 128))
+    for top, lo, hi in zip(range(0, n, 128), bounds[:-1], bounds[1:]):
+        used, at = np.unique(cols[lo:hi], return_inverse=True)
+        block = np.zeros((min(128, n - top), used.size))
+        block[rows[lo:hi] - top, at] = vals[lo:hi]
+        out[top:top + 128] = block @ x[used]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
@@ -456,14 +509,17 @@ def vocab_order_oracle(corpus) -> list[str]:
 def grad_check(
     f: Callable[[dict[str, Node]], Node],
     params: dict[str, np.ndarray],
-    epsilon: float = 1e-5,
+    epsilon: float = 1e-3,
 ) -> float:
-    """Worst relative error of reverse-mode gradients vs central differences.
+    """Worst relative error of reverse-mode gradients vs four-point central differences.
 
     `f` maps a dict of leaf nodes to a 1x1 output and must be deterministic.
-    Every entry of every parameter is perturbed by +/- epsilon.  The error
-    denominator is floored at 1e-6 so finite-difference noise on near-zero
-    entries does not dominate; two exact zeros score 0.
+    Every entry of every parameter is perturbed by +/- h and +/- h/2, h =
+    epsilon, for (8 (f(h/2) - f(-h/2)) - (f(h) - f(-h))) / (6h), whose
+    truncation error is O(h^4), so h can stay large enough that rounding in
+    f does not reach the check's tolerances.  The error denominator is
+    floored at 1e-6 so finite-difference noise on near-zero entries does not
+    dominate; two exact zeros score 0.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -480,12 +536,12 @@ def grad_check(
         ana = analytic[k].ravel()
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + epsilon
-            f_plus = _eval_scalar(f, arrays)
-            flat[i] = keep - epsilon
-            f_minus = _eval_scalar(f, arrays)
+            at = []
+            for step in (epsilon, -epsilon, epsilon / 2, -epsilon / 2):
+                flat[i] = keep + step
+                at.append(_eval_scalar(f, arrays))
             flat[i] = keep
-            numeric_grad = (f_plus - f_minus) / (2.0 * epsilon)
+            numeric_grad = (8.0 * (at[2] - at[3]) - (at[0] - at[1])) / (6.0 * epsilon)
             denom = max(abs(ana[i]), abs(numeric_grad), 1e-6)
             worst = max(worst, abs(ana[i] - numeric_grad) / denom)
     return worst

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from extra_ops import skipgram_oracle
 from laha.data import Document
 from laha.errors import ValidationError
 from laha.labelgraph import (
+    _GRAM_BASIS_ASPECT,
     WalkConfig,
+    _basis,
     build_cooccurrence_graph,
     sample_walks,
     train_skipgram,
@@ -261,7 +264,36 @@ def _ppmi_oracle(walks, window):
     return labels, np.maximum(pmi, 0)
 
 
+def _star_forest(sizes):
+    """One star per entry of `sizes`, that many leaves round a centre: 1 + leaves labels each."""
+    edges, centre = [], 0
+    for leaves in sizes:
+        edges += [(centre, centre + j, 1) for j in range(1, leaves + 1)]
+        centre += leaves + 1
+    return _graph(centre, edges)
+
+
+def _random_graph(k, edges, seed):
+    """A co-occurrence graph of `edges` draws of two labels, weights 1-3, self-pairs dropped."""
+    rng = np.random.default_rng(seed)
+    a, b, w = rng.integers(0, k, edges), rng.integers(0, k, edges), rng.integers(1, 4, edges)
+    return _graph(k, [(int(i), int(j), int(n)) for i, j, n in zip(a, b, w) if i != j])
+
+
+# Window 1 pairs each leaf with its centre alone, so a star's leaves share one context: M has
+# rank 2 a star.  With r = 20 the sketches have 30 columns and 4.5-6 times as many rows, so
+# they take the Gram basis: 15 stars fill the sketch's rank, 10 leave 10 null directions.
+STAR_CASES = [
+    pytest.param(sample_walks(_star_forest(sizes), WalkConfig(walk_length=6, walks_per_node=2,
+                                                              seed=3)),
+                 sum(sizes) + len(sizes), 20, 1, epochs, id=f"{name}-gram-basis-{epochs}-epochs")
+    for name, sizes in (("stars-full-rank", range(4, 19)), ("stars-rank-deficient", [18] * 10))
+    for epochs in (1, 3)
+]
+
+
 @pytest.mark.parametrize("walks, k, r, window, epochs", [
+    *STAR_CASES,
     pytest.param(sample_walks(_weighted_5_node(),
                               WalkConfig(walk_length=8, walks_per_node=3, seed=1)),
                  5, 3, 2, 1, id="weighted-graph"),
@@ -278,12 +310,13 @@ def test_skipgram_matches_dense_ppmi_svd_oracle(walks, k, r, window, epochs):
     got = train_skipgram(walks, k=k, r=r, window=window, epochs=epochs, seed=9).vectors
     init = train_skipgram(walks, k=k, r=r, window=window, epochs=0, seed=9).vectors
     labels, ppmi = _ppmi_oracle(walks, window)
-    assert len(labels) <= r + 10  # the sketch spans all of M, so the result is exact
+    rank = np.linalg.matrix_rank(ppmi)
+    assert min(len(labels), rank) <= r + 10  # the sketch spans all of M, so the result is exact
     u, s, _ = np.linalg.svd(ppmi)
     assert s.size <= r or s[r - 1] > s[r] * (1 + 1e-6)  # rank r is well defined
     np.testing.assert_allclose(got[:, labels].T @ got[:, labels],
                                (u[:, :r] * s[:r]) @ u[:, :r].T, rtol=0, atol=1e-10)
-    assert (got[np.linalg.matrix_rank(ppmi):, labels] == 0).all()
+    assert (got[rank:, labels] == 0).all()
     coords = got[:, labels]  # each coordinate's largest entry over the labels is positive
     assert not labels or (coords[np.arange(r), np.abs(coords).argmax(axis=1)] >= 0).all()
     others = [c for c in range(k) if c not in labels]
@@ -291,6 +324,67 @@ def test_skipgram_matches_dense_ppmi_svd_oracle(walks, k, r, window, epochs):
     np.testing.assert_array_equal(
         got, train_skipgram(walks, k=k, r=r, window=window, negatives=0, epochs=epochs,
                             seed=9).vectors)
+
+
+@pytest.mark.parametrize("walks, k, r, window, epochs", [
+    pytest.param(sample_walks(_weighted_5_node(), WalkConfig(seed=0)), 5, 4, 5, epochs,
+                 id=f"weighted-graph-{epochs}-epochs") for epochs in (0, 1, 3)
+] + [
+    pytest.param([[0, 1, 2, 0, 1]], 6, 5, 1, 2, id="revisits-fewer-labels-than-r"),
+    pytest.param([[0], [2], [1]], 3, 2, 4, 2, id="all-singleton-walks"),
+    pytest.param(sample_walks(_random_graph(54, 200, 11), WalkConfig(walk_length=10,
+                                                                     walks_per_node=2, seed=11)),
+                 54, 32, 3, 1, id="aapd-quality-sized"),
+    pytest.param(sample_walks(_random_graph(119, 400, 5), WalkConfig(walk_length=6, seed=5)),
+                 119, 20, 2, 3, id="one-row-short-of-the-gram-basis"),
+] + [
+    pytest.param(sample_walks(_star_forest([12] * 8), WalkConfig(walk_length=8, seed=7)),
+                 104, 94, 2, epochs, id=f"square-sketch-{epochs}-epochs") for epochs in (1, 5)
+])
+def test_skipgram_below_the_break_even_is_bit_identical_to_the_qr_oracle(walks, k, r, window,
+                                                                          epochs):
+    labels = np.unique(np.concatenate(walks))
+    assert labels.size < _GRAM_BASIS_ASPECT * min(r + 10, labels.size)
+    np.testing.assert_array_equal(
+        train_skipgram(walks, k=k, r=r, window=window, epochs=epochs, seed=4).vectors,
+        skipgram_oracle(walks, k=k, r=r, window=window, epochs=epochs, seed=4))
+
+
+@pytest.mark.parametrize("k, r, edges, epochs", [(600, 100, 3000, 1), (600, 100, 3000, 3),
+                                                 (1200, 256, 6000, 1)])
+def test_skipgram_above_the_break_even_stays_within_1e_10_of_the_qr_oracle(monkeypatch, k, r,
+                                                                           edges, epochs):
+    walks = sample_walks(_random_graph(k, edges, k + epochs),
+                         WalkConfig(walk_length=5, walks_per_node=2, seed=epochs))
+    want = skipgram_oracle(walks, k=k, r=r, window=2, epochs=epochs, seed=epochs)
+    monkeypatch.setattr(np.linalg, "qr", _refuse)  # every sketch takes the Gram basis
+    got = train_skipgram(walks, k=k, r=r, window=2, epochs=epochs, seed=epochs).vectors
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert ((got * want).sum(axis=1) > 0).all()  # no coordinate's sign flips
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other basis ran")
+
+
+@pytest.mark.parametrize("m, c, gram", [(54, 42, False), (2731, 266, True), (119, 30, False),
+                                        (120, 30, True), (266, 266, False)])
+def test_basis_takes_qr_below_the_break_even_and_the_gram_matrix_from_it(monkeypatch, m, c,
+                                                                          gram):
+    y = np.random.default_rng(m + c).standard_normal((m, c))
+    monkeypatch.setattr(np.linalg, "qr" if gram else "eigh", _refuse)
+    q = _basis(y)
+    np.testing.assert_allclose(q.T @ q, np.eye(c), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q @ (q.T @ y), y, rtol=0, atol=1e-12 * np.abs(y).max())
+
+
+def test_gram_basis_drops_the_null_directions_of_a_rank_deficient_sketch():
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal((190, 20)) @ rng.standard_normal((20, 30))
+    q = _basis(y)
+    assert q.shape == (190, 20)
+    np.testing.assert_allclose(q.T @ q, np.eye(20), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q @ (q.T @ y), y, rtol=0, atol=1e-12 * np.abs(y).max())
 
 
 def _link_auc(vectors, edges, non_edges):

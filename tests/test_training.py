@@ -169,7 +169,7 @@ def test_bce_gradient_matches_finite_differences():
     def f(p):
         return bce_loss([p["z"]], [y])
 
-    err = grad_check(f, {"z": z}, epsilon=1e-6)
+    err = grad_check(f, {"z": z})
     assert err <= 1e-6
     # closed form for one document: dloss/dz_j = sigmoid(z_j) - y_j
     leaf = Node(z)
@@ -380,7 +380,7 @@ def micro_loss_builder(cfg, vocab, label_vectors, docs, variant="laha"):
 def test_full_model_gradient_check_micro():
     cfg, vocab, params, lv, docs = micro_setup(seed=3)
     f = micro_loss_builder(cfg, vocab, lv, docs)
-    err = grad_check(f, params.arrays(), epsilon=1e-5)
+    err = grad_check(f, params.arrays())
     assert err <= 1e-4
 
 
