@@ -8,7 +8,7 @@ p = q = 1), all stepped together as arrays, then one randomized SVD of the
 positive PMI of the walks' (center, context) pairs, the matrix skip-gram
 implicitly factorizes, so nearby labels get similar vectors.  Its sketches'
 bases come from the Gram matrix at `_GRAM_BASIS_ASPECT` rows per column or
-more (eigenvalues under 1e-12 of the largest dropped), else from QR.
+more (eigenvalues at most 1e-12 of the largest dropped), else from QR.
 """
 
 from __future__ import annotations
