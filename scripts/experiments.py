@@ -46,7 +46,8 @@ and how many read worse than every one (where the runs spread wider than
 a bound, all runs better is what resolves the metric), the median raw
 seconds of each run's samples where the metric is timed, and the
 median's move against the metric's bound (positive is worse).  It also
-holds whether p_at_5 and ndcg_at_5 were float-equal on every pair and,
+holds whether each quality figure (P@1/3/5, nDCG@3/5 and G1 nDCG@5) was
+float-equal on every pair and,
 with --trace, each tree's BENCH_layers.json summary and, per span, how
 many traced pairs this tree won (`layer_wins`: fewer milliseconds per
 unit of the span's base).
@@ -81,7 +82,6 @@ BENCH_FILES = {
 }
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for scored docs only
-EQUAL_QUALITY = ("p_at_5", "ndcg_at_5")  # figures a change that keeps the bits leaves float-equal
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -225,7 +225,7 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
             metrics[name]["raw_s"] = raw
     return {"metrics": metrics,
             "quality_equal": {name: all(b["measures"][name] == c["measures"][name]
-                                        for b, c in pairs) for name in EQUAL_QUALITY},
+                                        for b, c in pairs) for name in QUALITY},
             **{key: {side: sum(record["result"][key] for record in records)
                      for side, records in sides.items()} for key in ("attempted", "failed")}}
 

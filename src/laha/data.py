@@ -53,7 +53,7 @@ def load_corpus(lines: Iterable[str]) -> Corpus:
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as err:  # the latter: nested too deeply
+        except (ValueError, RecursionError) as err:  # bad JSON, a huge integer; nested too deeply
             reason = getattr(err, "msg", err)
             raise DataFormatError(f"invalid JSON ({reason})", line=lineno) from err
         if not isinstance(obj, dict):

@@ -122,6 +122,8 @@ def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, nega
         lens, flat = np.array([len(walk) for walk in walks]), np.concatenate(walks)
     except (TypeError, ValueError) as err:  # a walk that is no sequence, or one of sequences
         raise ValidationError(f"walks must be sequences of label ids: {err}") from None
+    if flat.ndim != 1 or flat.size != lens.sum():
+        raise ValidationError("walks must be sequences of label ids, not of sequences")
     if lens.min() == 0:
         raise ValidationError("walks must not be empty")
     if flat.dtype.kind not in "iu":

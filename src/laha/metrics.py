@@ -5,10 +5,9 @@ label group by training-corpus frequency F at `GROUP_BOUNDS`: G1 F<=5, G2
 5<F<=50, G3 F>50.  P@t is the fraction of the top-t scored labels that
 are relevant; nDCG@t discounts hits by log2(rank + 1) and normalizes by
 the ideal ordering truncated at min(t, #relevant).  Ties in scores break
-toward the lower label index.  A group's metrics restrict both the truth
-and the ranking to the group's labels, t capped at the group's size:
-`evaluate` ranks each score vector once, and the stable tie order makes
-that ranking, restricted, equal to ranking the group's own scores.
+toward the lower label index.  `evaluate` ranks a chunk's scores once, a
+document a row; a group keeps its own labels of each row, which the stable
+tie order makes equal to ranking the group's scores, t capped at its size.
 """
 
 from __future__ import annotations
@@ -34,20 +33,22 @@ def rank_labels(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-as_floats(scores), kind="stable")
 
 
-def _ranked_metrics(ranking: np.ndarray, truth: set[int]) -> list[float]:
-    """P@t for every t in TAUS, then nDCG@t for every t, over one ranking.
-
-    Each t is capped at the ranking's length.  P@t is the hit count over t;
-    nDCG@t sums 1/log2(rank + 2) over the hits in rank order and divides by
-    the same sum over the first min(t, |truth|) ranks.
-    """
-    caps = [min(t, ranking.size) for t in TAUS]
-    gains = [1.0 / math.log2(rank + 2) for rank in range(max(caps))]
-    hits = [label in truth for label in ranking[: max(caps)].tolist()]
-    precision = [sum(hits[:t]) / t for t in caps]
-    ndcg = [sum(g for g, hit in zip(gains[:t], hits) if hit) / sum(gains[: min(t, len(truth))])
-            for t in caps]
-    return precision + ndcg
+def _ranked_metrics(ranking: np.ndarray, truth: np.ndarray) -> tuple[int, dict[str, float] | None]:
+    """How many rows of a docs x m ranking have a relevant label in docs x k `truth`, and their
+    mean P@t for every t in TAUS, then nDCG@t, t capped at m (None for no row).  P@t is the hit
+    count over t; nDCG@t sums 1/log2(rank + 2) over the hits in rank order, over that sum at
+    min(t, |truth|) ranks.  The mean sums row by row, as numpy reduces a row-major matrix."""
+    meets = truth.any(axis=1)
+    if not meets.any():
+        return 0, None
+    ranking, truth = ranking[meets], truth[meets]
+    caps = np.minimum(TAUS, ranking.shape[1])
+    gains = np.array([1.0 / math.log2(rank + 2) for rank in range(caps.max())])
+    hits = np.take_along_axis(truth, ranking[:, : caps.max()], axis=1)
+    found, ideal = np.cumsum(np.where(hits, gains, 0.0), axis=1), np.cumsum(gains)
+    ideal_at = ideal[np.minimum.outer(truth.sum(axis=1), caps) - 1]
+    rows = np.hstack([np.cumsum(hits, axis=1)[:, caps - 1] / caps, found[:, caps - 1] / ideal_at])
+    return len(rows), dict(zip(_KEYS, rows.mean(axis=0).tolist()))
 
 
 def label_frequencies(corpus: Corpus, k: int) -> np.ndarray:
@@ -72,54 +73,33 @@ class EvalReport:
     documents: int
 
 
-def evaluate(
-    score_fn: Callable[[Document], np.ndarray],
-    test_corpus: Corpus,
-    k: int,
-    train_corpus: Corpus | None = None,
-) -> EvalReport:
-    """Macro-averaged P@t / nDCG@t at `TAUS`, overall and per frequency group.
-
-    `score_fn` maps a document to a length-k score vector over the full
-    label set.  Without a training corpus every group is empty; a document
-    counts in a group only if its truth meets the group's labels.
-    """
+def evaluate(score_fn: Callable[[Document], np.ndarray], test_corpus: Corpus, k: int,
+             train_corpus: Corpus | None = None) -> EvalReport:
+    """Macro-averaged P@t / nDCG@t at `TAUS`, overall and per frequency group.  `score_fn` maps
+    a document to a length-k score vector over the full label set.  Without a training corpus
+    every group is empty; a document counts in a group if its truth meets the group's labels."""
     if not test_corpus:
         raise ValidationError("test corpus must be nonempty")
     check_int("k", k, 1)
     all_scores = [as_floats(score_fn(doc)).ravel() for doc in test_corpus]
     group_ids = (np.searchsorted(GROUP_BOUNDS, label_frequencies(train_corpus, k))
                  if train_corpus is not None else None)
-
-    # Row 0 sums the overall metrics, row 1 + g those of group g.
-    sums = np.zeros((1 + len(GROUP_NAMES), len(_KEYS)))
-    doc_counts = [0] * (1 + len(GROUP_NAMES))
-    for doc, scores in zip(test_corpus, all_scores):
+    truth = np.zeros((len(test_corpus), k), dtype=bool)
+    for row, doc, scores in zip(truth, test_corpus, all_scores):
         if scores.size != k:
             raise ValidationError(f"score vector length {scores.size} != label count {k}")
         if not np.isfinite(scores).all():
             raise ValidationError(f"document {doc.doc_id!r} has a non-finite score")
         if not doc.labels:
             raise ValidationError(f"document {doc.doc_id!r} has no labels")
-        labels = doc_labels(doc, k)
-        ranking = rank_labels(scores)
-        sums[0] += _ranked_metrics(ranking, doc.labels)
-        doc_counts[0] += 1
-        if group_ids is None:
-            continue
-        ranked_groups = group_ids[ranking]
-        for gid in np.unique(group_ids[labels]).tolist():
-            truth = {label for label in doc.labels if group_ids[label] == gid}
-            sums[1 + gid] += _ranked_metrics(ranking[ranked_groups == gid], truth)
-            doc_counts[1 + gid] += 1
-
-    means = [dict(zip(_KEYS, (row / n).tolist())) if n else None
-             for row, n in zip(sums, doc_counts)]
-    label_counts = (np.bincount(group_ids, minlength=len(GROUP_NAMES)).tolist()
-                    if group_ids is not None else [0] * len(GROUP_NAMES))
-    groups = [GroupReport(name, label_counts[g], doc_counts[1 + g], means[1 + g])
-              for g, name in enumerate(GROUP_NAMES)]
-    return EvalReport(overall=means[0], groups=groups, documents=len(test_corpus))
+        row[doc_labels(doc, k)] = True
+    ranking = rank_labels(np.stack(all_scores))
+    groups = [GroupReport(name, 0, 0, None) for name in GROUP_NAMES]
+    for g, name in enumerate(GROUP_NAMES if group_ids is not None else ()):
+        in_group = group_ids == g  # each row keeps the group's labels, in the chunk's rank order
+        ranked = ranking[in_group[ranking]].reshape(len(truth), -1)
+        groups[g] = GroupReport(name, ranked.shape[1], *_ranked_metrics(ranked, truth & in_group))
+    return EvalReport(_ranked_metrics(ranking, truth)[1], groups, len(truth))
 
 
 def fusion_weight_histogram(

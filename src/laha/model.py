@@ -138,10 +138,8 @@ def wrap_params(params: ModelParams) -> dict[str, Node]:
 class ForwardTrace:
     """Intermediate tensors of one document pass (nodes keep the graph alive)."""
 
-    h: Node
     attn_self: Node | None
     attn_inter: Node | None
-    mix: Node
     alpha: Node  # the weight of the content route per label; beta is 1 - alpha
     logits: Node
     subset: list[int]
@@ -284,8 +282,8 @@ def _attend(h, mask, param_nodes, label_rows, subset, variant):
     logits = predict(h, mix, param_nodes["w_f"], param_nodes["w_o"], param_nodes["b_o"])
     if not np.isfinite(logits.value).all():
         raise NumericalError("non-finite logit")
-    return ForwardTrace(h=h, attn_self=attn_self, attn_inter=attn_inter, mix=mix, alpha=alpha,
-                        logits=logits, subset=subset)
+    return ForwardTrace(attn_self=attn_self, attn_inter=attn_inter, alpha=alpha, logits=logits,
+                        subset=subset)
 
 
 def _valid_subset(subset: Sequence[int], k: int) -> list[int]:

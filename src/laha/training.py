@@ -257,7 +257,7 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         raise CheckpointError("checkpoint has no header line")
     try:
         header = json.loads(raw[:newline].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:  # ValueError: bad UTF-8 or JSON, a huge integer
         raise CheckpointError(f"unreadable checkpoint header: {err}") from err
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint file")

@@ -36,7 +36,10 @@ a `(-count, token)` key: the references that `data.load_word_vectors` and
 `labelgraph.train_skipgram` with a Householder QR basis for every sketch,
 `np.unique`'s label and column maps and `np.pad`: the reference that
 `train_skipgram` must match bit for bit where every sketch has fewer than
-`_GRAM_BASIS_ASPECT` rows per column.  `grad_check` pits `backward`'s
+`_GRAM_BASIS_ASPECT` rows per column.  `evaluate_oracle` is
+`metrics.evaluate` as a loop over documents, each ranked and scored by
+itself, with a truth set per document and group: the reference that the
+ranking-matrix `evaluate` must match exactly.  `grad_check` pits `backward`'s
 gradients against four-point central finite differences.
 """
 
@@ -46,8 +49,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from laha import data, numeric
-from laha.errors import DegenerateInputError, NumericalError, ShapeError
+from laha import data, metrics, numeric
+from laha.errors import (
+    DegenerateInputError, NumericalError, ShapeError, ValidationError, check_int,
+)
 from laha.model import ModelParams
 from laha.numeric import (
     Node, _same_shape, add_colvec, as_matrix, backward, matmul, matmul_chain, sigmoid, take_rows,
@@ -499,6 +504,59 @@ def _sparse_times_oracle(rows, cols, vals, x: np.ndarray) -> np.ndarray:
         block[rows[lo:hi] - top, at] = vals[lo:hi]
         out[top:top + 128] = block @ x[used]
     return out
+
+
+def _ranked_metrics_oracle(ranking: np.ndarray, truth: set[int]) -> list[float]:
+    """P@t for every t in TAUS, then nDCG@t, over one ranking, t capped at its length."""
+    caps = [min(t, ranking.size) for t in metrics.TAUS]
+    gains = [1.0 / math.log2(rank + 2) for rank in range(max(caps))]
+    hits = [label in truth for label in ranking[: max(caps)].tolist()]
+    precision = [sum(hits[:t]) / t for t in caps]
+    ndcg = [sum(g for g, hit in zip(gains[:t], hits) if hit) / sum(gains[: min(t, len(truth))])
+            for t in caps]
+    return precision + ndcg
+
+
+def evaluate_oracle(score_fn, test_corpus, k: int, train_corpus=None) -> metrics.EvalReport:
+    """`metrics.evaluate` as a loop over documents, each ranked and scored by itself."""
+    if not test_corpus:
+        raise ValidationError("test corpus must be nonempty")
+    check_int("k", k, 1)
+    all_scores = [numeric.as_floats(score_fn(doc)).ravel() for doc in test_corpus]
+    group_ids = (np.searchsorted(metrics.GROUP_BOUNDS, metrics.label_frequencies(train_corpus, k))
+                 if train_corpus is not None else None)
+    names = metrics.GROUP_NAMES
+
+    # Row 0 sums the overall metrics, row 1 + g those of group g.
+    keys = [f"P@{t}" for t in metrics.TAUS] + [f"nDCG@{t}" for t in metrics.TAUS]
+    sums = np.zeros((1 + len(names), len(keys)))
+    doc_counts = [0] * (1 + len(names))
+    for doc, scores in zip(test_corpus, all_scores):
+        if scores.size != k:
+            raise ValidationError(f"score vector length {scores.size} != label count {k}")
+        if not np.isfinite(scores).all():
+            raise ValidationError(f"document {doc.doc_id!r} has a non-finite score")
+        if not doc.labels:
+            raise ValidationError(f"document {doc.doc_id!r} has no labels")
+        labels = data.doc_labels(doc, k)
+        ranking = metrics.rank_labels(scores)
+        sums[0] += _ranked_metrics_oracle(ranking, doc.labels)
+        doc_counts[0] += 1
+        if group_ids is None:
+            continue
+        ranked_groups = group_ids[ranking]
+        for gid in np.unique(group_ids[labels]).tolist():
+            truth = {label for label in doc.labels if group_ids[label] == gid}
+            sums[1 + gid] += _ranked_metrics_oracle(ranking[ranked_groups == gid], truth)
+            doc_counts[1 + gid] += 1
+
+    means = [dict(zip(keys, (row / n).tolist())) if n else None
+             for row, n in zip(sums, doc_counts)]
+    label_counts = (np.bincount(group_ids, minlength=len(names)).tolist()
+                    if group_ids is not None else [0] * len(names))
+    groups = [metrics.GroupReport(name, label_counts[g], doc_counts[1 + g], means[1 + g])
+              for g, name in enumerate(names)]
+    return metrics.EvalReport(overall=means[0], groups=groups, documents=len(test_corpus))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,18 @@ def test_load_corpus_rejects_a_line_that_is_not_a_document_object(line, message)
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("field", ["labels", "id"])
+def test_load_corpus_rejects_an_integer_too_long_to_parse(field):
+    import sys
+
+    digits = "1" * (sys.get_int_max_str_digits() + 1)  # past what int() parses from a string
+    line = {"labels": f'{{"id":"d1","labels":[{digits}],"text":"x"}}',
+            "id": f'{{"id":{digits},"labels":[1],"text":"x"}}'}[field]
+    with pytest.raises(DataFormatError, match="line 2: invalid JSON") as err:
+        load_corpus(['{"id":"d0","labels":[1],"text":"x"}', line])
+    assert err.value.line == 2
+
+
 def test_load_corpus_skips_blank_lines_but_counts_them():
     docs = load_corpus(["", '{"id":"d0","labels":[1],"text":"x"}', " \t\n"])
     assert [doc.doc_id for doc in docs] == ["d0"]

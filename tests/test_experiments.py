@@ -151,11 +151,11 @@ def test_compare_sums_up_record_pairs_against_the_bounds(experiments):
     for base_rss, change_rss, base_rate, change_rate, change_p in [
             (236.0, 219.0, 20.0, 21.0, 0.3), (235.0, 218.0, 22.0, 19.0, 0.3),
             (234.0, 240.0, 21.0, 24.0, 0.5)]:
-        quality = {"p_at_5": 0.3, "ndcg_at_5": 0.6}
+        quality = dict.fromkeys(experiments.QUALITY, 0.5) | {"p_at_5": 0.3, "ndcg_at_5": 0.6}
         base = _record({"peak_rss_mb": base_rss, "train_docs_per_s": base_rate, **quality},
                        {"train_docs_per_s": [[0.8, 0.01], [1.0, 0.01], [0.9, 0.01]]})
         change = _record({"peak_rss_mb": change_rss, "train_docs_per_s": change_rate,
-                          **quality, "p_at_5": change_p},
+                          **quality, "p_at_5": change_p, "g1_ndcg_at_5": 0.5 + change_p - 0.3},
                          {"train_docs_per_s": [[0.5, 0.01], [0.7, 0.01]]}, failed=1)
         pairs.append((base, change))
     out = experiments.compare(pairs, declared)
@@ -175,15 +175,17 @@ def test_compare_sums_up_record_pairs_against_the_bounds(experiments):
     p_at_5 = out["metrics"]["p_at_5"]
     assert p_at_5["move"] == pytest.approx(-0.0)  # median 0.3 on both sides
     assert p_at_5["better_than_every_base"] == 1 and p_at_5["worse_than_every_base"] == 0  # ties
-    assert out["quality_equal"] == {"p_at_5": False, "ndcg_at_5": True}
+    # every figure of `QUALITY` is checked: G1 nDCG@5 moves with P@5, the other four stay
+    assert out["quality_equal"] == {"p_at_1": True, "p_at_3": True, "p_at_5": False,
+                                    "ndcg_at_3": True, "ndcg_at_5": True, "g1_ndcg_at_5": False}
     assert out["attempted"] == {"base": 12, "change": 12}
     assert out["failed"] == {"base": 0, "change": 3}
 
 
 def test_compare_marks_a_move_beyond_the_bound(experiments):
     declared = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
-    pairs = [(_record({"setup_s": 0.1, "p_at_5": 0.3, "ndcg_at_5": 0.6}, {}),
-              _record({"setup_s": 0.2, "p_at_5": 0.3, "ndcg_at_5": 0.6}, {}))]
+    quality = dict.fromkeys(experiments.QUALITY, 0.5)
+    pairs = [(_record({"setup_s": 0.1, **quality}, {}), _record({"setup_s": 0.2, **quality}, {}))]
     setup = experiments.compare(pairs, declared)["metrics"]["setup_s"]
     assert setup["move"] == pytest.approx(1.0) and setup["within_bound"] is False
     assert setup["wins"] == 0

@@ -227,7 +227,7 @@ def test_skipgram_no_walks_errors():
 
 
 @pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]], [[0, [1]]],
-                                   [0, 1], [[0, 1], 2]])
+                                   [0, 1], [[0, 1], 2], [[[0, 1], [1, 2]]], [[[0, 1]]]])
 def test_skipgram_malformed_walks_raise_validation_error(walks):
     with pytest.raises(ValidationError):
         train_skipgram(walks, k=3, r=2)

@@ -14,6 +14,8 @@ from laha.metrics import (
     rank_labels,
 )
 
+from extra_ops import evaluate_oracle
+
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracle (kept deliberately separate from the
@@ -359,6 +361,49 @@ def test_evaluate_groups_match_brute_force_oracle(boundaries):
     # G2 and G3 hold fewer than 5 labels, so their P@5 and nDCG@5 are capped
     assert [g.label_count for g in report.groups] == _EDGE_LABELS[boundaries]
     assert report.groups[1].doc_count == 0 and min(g.doc_count for g in report.groups) == 0
+
+
+def _random_chunk(rng, docs, k, train_docs, ties):
+    """A seeded chunk of `docs` documents over k labels, and a training corpus of `train_docs`
+    documents (None for 0) whose label frequencies spread over the groups."""
+    def labels(most, weights=None):
+        size = int(rng.integers(1, min(k, most) + 1))
+        return set(rng.choice(k, size=size, replace=False, p=weights).tolist())
+
+    test = [Document(f"d{i}", ["x"], labels(6)) for i in range(docs)]
+    table = {d.doc_id: rng.integers(0, 3, size=k).astype(float) if ties else rng.normal(size=k)
+             for d in test}
+    weights = rng.pareto(1.0, k) + 1e-3
+    train = [Document(f"t{i}", ["x"], labels(8, weights / weights.sum()))
+             for i in range(train_docs)] or None
+    return _score_fn_from_table(table), test, k, train
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_equals_the_per_document_oracle_on_random_chunks(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        chunk = _random_chunk(rng, int(rng.integers(1, 25)), int(rng.integers(1, 40)),
+                              int(rng.choice([0, 3, 60, 200])), ties=bool(rng.random() < 0.5))
+        assert evaluate(*chunk) == evaluate_oracle(*chunk)
+
+
+def test_evaluate_equals_the_per_document_oracle_on_edge_chunks():
+    rng = np.random.default_rng(9)
+    # labels 0-5 in G1 and 6-7 in G2; G3 has no labels, and no truth below meets G2
+    train = _train_with_frequencies([1, 2, 3, 4, 5, 0, 6, 50])
+    docs = [Document(f"d{i}", ["x"], {i % 6, (i + 2) % 6}) for i in range(12)]
+    tied = {d.doc_id: rng.integers(0, 2, size=8).astype(float) for d in docs}
+    for train_corpus, counts in ((train, [(6, 12), (2, 0), (0, 0)]), (None, [(0, 0)] * 3)):
+        chunk = _score_fn_from_table(tied), docs, 8, train_corpus
+        report = evaluate(*chunk)
+        assert report == evaluate_oracle(*chunk)
+        assert [(g.label_count, g.doc_count) for g in report.groups] == counts
+    # one document over EUR-Lex's label count, with and without groups
+    chunk = _random_chunk(rng, 1, 3956, 0, ties=False)
+    assert evaluate(*chunk) == evaluate_oracle(*chunk)
+    chunk = _random_chunk(rng, 1, 3956, 400, ties=True)
+    assert evaluate(*chunk) == evaluate_oracle(*chunk)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

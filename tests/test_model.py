@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laha import numeric as nm
+from laha import model, numeric as nm
 from laha.errors import NumericalError, ShapeError, ValidationError
 from laha.model import (
     VARIANTS,
@@ -134,8 +134,30 @@ def test_bilstm_matches_per_step_reference(d, r, n):
     np.testing.assert_allclose(h.value[r:], ref_bwd, rtol=0, atol=1e-12)
 
 
-def test_bilstm_forward_hands_the_bilstm_node_itself_to_the_trace():
-    # one document: H is the `nm.bilstm` node, and its trace reads it without a copy
+def _attended_states(call):
+    """call()'s result, and the Bi-LSTM states H that each document's attention read, in order."""
+    states, attend = [], model._attend
+
+    def recording_attend(h, *args):
+        states.append(h)
+        return attend(h, *args)
+
+    with mock.patch.object(model, "_attend", recording_attend):
+        return call(), states
+
+
+def _mix(trace) -> np.ndarray:
+    """The trace's mixed attention alpha A_s + (1 - alpha) A_i, rebuilt from its routes."""
+    if trace.attn_inter is None:
+        return trace.attn_self.value
+    if trace.attn_self is None:
+        return trace.attn_inter.value
+    alpha = trace.alpha.value
+    return trace.attn_self.value * alpha + trace.attn_inter.value * (1.0 - alpha)
+
+
+def test_bilstm_forward_hands_the_bilstm_node_itself_to_attention():
+    # one document: H is the `nm.bilstm` node, and the attention reads it without a copy
     cfg = _cfg()
     built, bilstm = [], nm.bilstm
 
@@ -144,9 +166,9 @@ def test_bilstm_forward_hands_the_bilstm_node_itself_to_the_trace():
         return built[-1]
 
     with mock.patch.object(nm, "bilstm", recording_bilstm):
-        trace = _forward(cfg, _params(cfg), _label_vectors(cfg), "laha")
-    assert len(built) == 1 and trace.h is built[0]
-    assert np.shares_memory(trace.h.value, built[0].value)
+        _, states = _attended_states(
+            lambda: _forward(cfg, _params(cfg), _label_vectors(cfg), "laha"))
+    assert len(built) == len(states) == 1 and states[0] is built[0]
 
 
 def test_a_write_into_the_bilstm_states_raises_instead_of_changing_gradients():
@@ -155,10 +177,12 @@ def test_a_write_into_the_bilstm_states_raises_instead_of_changing_gradients():
     cfg = _cfg()
     params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
     rows, masks, subsets = _batch(cfg, 15, docs=3, seed=4)
-    one = _forward(cfg, params, lv, "laha")
-    view = forward_batch(rows, masks, wrap_params(params), lv, subsets)[1].h.value
+    _, [one] = _attended_states(lambda: _forward(cfg, params, lv, "laha"))
+    _, states = _attended_states(
+        lambda: forward_batch(rows, masks, wrap_params(params), lv, subsets))
+    view = states[1].value
     assert view.base is not None and view.shape == (2 * cfg.r, cfg.max_len)
-    for h in (one.h.value, view):
+    for h in (one.value, view):
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -378,21 +402,15 @@ def test_forward_variant_field_population():
     params = _params(cfg)
     lv = _label_vectors(cfg)
     t_sa = _forward(cfg, params, None, "sa")
-    assert t_sa.attn_inter is None
-    assert t_sa.attn_self is not None and t_sa.mix is t_sa.attn_self
+    assert t_sa.attn_inter is None and t_sa.attn_self is not None
     assert (t_sa.alpha.value == 1.0).all() and not hasattr(t_sa, "beta")
+    assert not hasattr(t_sa, "h") and not hasattr(t_sa, "mix")
 
     t_ia = _forward(cfg, params, lv, "ia")
-    assert t_ia.attn_self is None
-    assert t_ia.attn_inter is not None and t_ia.mix is t_ia.attn_inter
+    assert t_ia.attn_self is None and t_ia.attn_inter is not None
 
     t_mix = _forward(cfg, params, lv, "sa+ia")
     assert (t_mix.alpha.value == 0.5).all()
-    np.testing.assert_allclose(
-        t_mix.mix.value,
-        0.5 * t_mix.attn_self.value + 0.5 * t_mix.attn_inter.value,
-        atol=1e-15,
-    )
 
     t_full = _forward(cfg, params, lv, "laha")
     assert t_full.attn_self is not None and t_full.attn_inter is not None
@@ -491,7 +509,8 @@ def test_forward_deterministic():
     t1 = _forward(cfg, params, lv, "laha")
     t2 = _forward(cfg, params, lv, "laha")
     np.testing.assert_array_equal(t1.logits.value, t2.logits.value)
-    np.testing.assert_array_equal(t1.mix.value, t2.mix.value)
+    for name in ("attn_self", "attn_inter", "alpha"):
+        np.testing.assert_array_equal(getattr(t1, name).value, getattr(t2, name).value)
 
 
 def test_forward_full_subset_scores_every_label():
@@ -520,13 +539,24 @@ def test_forward_label_equivariance():
 def test_forward_convexity_of_mixed_context():
     cfg = _cfg()
     params = _params(cfg)
-    trace = _forward(cfg, params, _label_vectors(cfg), "laha")
-    h = trace.h.value
+    trace, [h] = _attended_states(lambda: _forward(cfg, params, _label_vectors(cfg), "laha"))
+    h = h.value
     recombined = (
         (h @ trace.attn_self.value) * trace.alpha.value
         + (h @ trace.attn_inter.value) * (1 - trace.alpha.value)
     )
-    assert np.abs(h @ trace.mix.value - recombined).max() <= 1e-12
+    assert np.abs(h @ _mix(trace) - recombined).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_mix_rebuilt_from_the_trace_gives_its_logits_bit_for_bit(variant):
+    # the routes and alpha a trace keeps are all the head reads besides H
+    cfg = _cfg()
+    params = _params(cfg)
+    trace, [h] = _attended_states(lambda: _forward(cfg, params, _label_vectors(cfg), variant))
+    nodes = wrap_params(params)
+    logits = predict(h, Node(_mix(trace)), nodes["w_f"], nodes["w_o"], nodes["b_o"])
+    np.testing.assert_array_equal(logits.value, trace.logits.value)
 
 
 def _context_form_logits(ids, mask, params, lv, subset, variant):
@@ -608,7 +638,7 @@ def test_forward_batch_matches_forward_per_document(variant, dims):
     assert len(batched) == 4
     for trace, ids, mask, subset in zip(batched, rows, masks, subsets):
         alone = forward(ids, mask, wrap_params(params), lv, subset, variant)
-        assert trace.subset == subset and trace.h.value.shape == (2 * cfg.r, cfg.max_len)
+        assert trace.subset == subset and _mix(trace).shape == (cfg.max_len, len(subset))
         np.testing.assert_allclose(trace.logits.value, alone.logits.value, rtol=0, atol=1e-12)
 
 
@@ -826,7 +856,7 @@ def test_mix_columns_sum_to_one_over_real_tokens_and_are_0_on_padding():
     cfg = _cfg(max_len=5)
     params, lv = _params(cfg), _label_vectors(cfg)
     for variant in VARIANTS:
-        mix = _forward(cfg, params, lv, variant).mix.value  # 3 real tokens, then 2 of padding
+        mix = _mix(_forward(cfg, params, lv, variant))  # 3 real tokens, then 2 of padding
         np.testing.assert_allclose(mix[:3].sum(axis=0), 1.0, rtol=0, atol=1e-12)
         assert (mix[3:] == 0).all() and (mix[:3] > 0).all(), variant
 
@@ -835,8 +865,8 @@ def test_mix_gives_a_single_real_token_every_labels_whole_weight():
     cfg = _cfg()
     params, lv = wrap_params(_params(cfg)), _label_vectors(cfg)
     for variant in VARIANTS:
-        one = forward(np.array([2, 0]), np.array([True, False]), params, lv, [0, 1],
-                      variant).mix.value
+        one = _mix(forward(np.array([2, 0]), np.array([True, False]), params, lv, [0, 1],
+                           variant))
         np.testing.assert_array_equal(one, [[1.0, 1.0], [0.0, 0.0]], err_msg=variant)
 
 

@@ -822,6 +822,24 @@ def test_checkpoint_malformed_header_raises_checkpoint_error(tmp_path, mutate):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_an_integer_too_long_to_parse_raises_checkpoint_error(tmp_path):
+    import json
+    import sys
+
+    cfg, vocab, params, lv, docs, tcfg = _train_setup()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg,
+                                          AdamState.init(params.arrays()), 0))
+    blob = path.read_bytes()
+    nl = blob.find(b"\n")
+    header = json.loads(blob[:nl]) | {"epoch": "EPOCH"}
+    digits = "9" * (sys.get_int_max_str_digits() + 1)  # past what int() parses from a string
+    text = json.dumps(header).replace('"EPOCH"', digits)
+    path.write_bytes(text.encode() + b"\n" + blob[nl + 1 :])
+    with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("tensor, value", [("param/w_q", math.nan), ("adam_v/lstm_b_f", math.inf)])
 def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, tensor, value):
     import json
