@@ -35,19 +35,22 @@ each) for model.forward, metrics.evaluate and bench.score_fn, and
 "both" (their sum) for the rest.
 
 With --against REV, each run is paired with the same run of revision
-REV, checked out with `git worktree add --detach` into a temporary
-directory removed on exit; the tree that runs first swaps from one pair
-of a workload and trace to the next, REV first.  This tree runs as it
-stands, uncommitted edits included.  BENCH_compare.json holds, from the
-untraced pairs, per workload and end-to-end metric of BENCHMARK.json,
-both trees' medians and quartiles, each pair's figures, the pairs this
-tree won, how many of this tree's runs read better than every run of REV
-and how many read worse than every one (where the runs spread wider than
-a bound, all runs better is what resolves the metric), the median raw
-seconds of each run's samples where the metric is timed, and the
-median's move against the metric's bound (positive is worse).  It also
-holds whether each quality figure (P@1/3/5, nDCG@3/5 and G1 nDCG@5) was
-float-equal on every pair and,
+REV, resolved to its commit once before the first run and exported with
+`git archive` (its committed files only) into a temporary directory
+removed on exit; nothing is registered in the repository, so a killed
+run leaves no worktree behind.  The tree that runs first swaps from one
+pair of a workload and trace to the next, REV first.  This tree runs as
+it stands, uncommitted edits included.  BENCH_compare.json holds both
+commits (REV's as resolved: its export is no checkout, so its bench
+records read "unknown") and, from the untraced pairs, per workload and
+end-to-end metric of BENCHMARK.json, both trees' medians and quartiles,
+each pair's figures, the pairs this tree won, how many of this tree's
+runs read better than every run of REV and how many read worse than
+every one (where the runs spread wider than a bound, all runs better is
+what resolves the metric), the median raw seconds of each run's samples
+where the metric is timed, and the median's move against the metric's
+bound (positive is worse).  It also holds whether each quality figure
+(P@1/3/5, nDCG@3/5 and G1 nDCG@5) was float-equal on every pair and,
 with --trace, each tree's BENCH_layers.json summary and, per span, how
 many traced pairs this tree won (`layer_wins`: fewer milliseconds per
 unit of the span's base).
@@ -85,11 +88,12 @@ SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for sc
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`1-10`, `3,5,8` or a mix of both; an empty range or a repeated seed raises ValueError."""
+    """`1-10`, `3,5,8` or a mix of both; an empty range, a range missing an end (`1-`) or a
+    repeated seed raises ValueError."""
     seeds = []
     for part in text.split(","):
-        first, _, last = part.partition("-")
-        span = range(int(first), int(last or first) + 1)
+        first, dash, last = part.partition("-")
+        span = range(int(first), int(last if dash else first) + 1)
         if not span:
             raise ValueError(f"seed range {part!r} is empty")
         seeds += span
@@ -231,17 +235,20 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
 
 
 @contextlib.contextmanager
-def worktree(rev: str):
-    """REV checked out into a temporary directory, removed on exit."""
+def export(rev: str):
+    """(REV's commit, its committed files exported into a temporary directory removed on exit).
+
+    `git archive` writes the files, so the repository registers nothing that a killed run
+    would leave behind."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory(prefix="laha-against-") as tmp:
         tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
-                       check=True, stdout=subprocess.DEVNULL)
-        try:
-            yield tree
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT,
-                           check=False)
+        tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        yield commit, tree
 
 
 def main(argv=None) -> int:
@@ -256,7 +263,8 @@ def main(argv=None) -> int:
     traces = (0, 1) if args.trace else (0,)
     sides = ("base", "change") if args.against else ("change",)
     records = {}  # (side, workload, trace) -> that tree's records, a seed each
-    with worktree(args.against) if args.against else contextlib.nullcontext() as base_tree:
+    with export(args.against) if args.against else contextlib.nullcontext((None, None)) as (
+            base_commit, base_tree):
         trees = {"base": base_tree, "change": ROOT}
         for index, seed in enumerate(args.seeds):
             for workload in WORKLOADS:
@@ -301,7 +309,7 @@ def main(argv=None) -> int:
             compared["layer_wins"] = span_wins(layers["base", name], layers["change", name])
         write("BENCH_compare.json", {
             "against": args.against,
-            "commits": {side: environments[side]["git_commit"] for side in sides},
+            "commits": {"base": base_commit, "change": environments["change"]["git_commit"]},
             "environment": env,
             "command": " and ".join(map(command, traces)) + ", alternating the two trees",
             "seeds": args.seeds, "workloads": workloads})

@@ -86,16 +86,14 @@ class Vocabulary:
     """token <-> id map with reserved PAD=0 and UNK=1 ids."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self._id_to_token = [PAD_TOKEN, UNK_TOKEN]
-        self._token_to_id: dict[str, int] = {PAD_TOKEN: PAD, UNK_TOKEN: UNK}
+        self._token_to_id: dict[str, int] = {PAD_TOKEN: PAD, UNK_TOKEN: UNK}  # in id order
         for tok in tokens:
             if tok in self._token_to_id:
                 raise ValidationError(f"duplicate vocabulary token {tok!r}")
-            self._token_to_id[tok] = len(self._id_to_token)
-            self._id_to_token.append(tok)
+            self._token_to_id[tok] = len(self._token_to_id)
 
     def __len__(self) -> int:
-        return len(self._id_to_token)
+        return len(self._token_to_id)
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
@@ -106,7 +104,7 @@ class Vocabulary:
     @property
     def tokens(self) -> list[str]:
         """Non-reserved tokens in id order (for serialization)."""
-        return self._id_to_token[2:]
+        return list(self._token_to_id)[2:]
 
 
 def build_vocab(corpus: Corpus) -> Vocabulary:

@@ -1,8 +1,8 @@
 """Label-aware document representation via hybrid attention.
 
-Pipeline per document: token embeddings (d x n) run through a Bi-LSTM
-giving H = [H_f; H_b] (2r x n), the forward context states (r x n) over
-the backward ones, as one node.  Two attention routes score every word
+Pipeline per document: a Bi-LSTM over the token embeddings gives H =
+[H_f; H_b], the forward states over the backward ones, as one node
+(`numeric.bilstm` states its layout).  Two attention routes score every word
 against every label: a content route tanh(W_s1 H) scored by per-label
 rows of W_s2, and an interaction route matching H_f + H_b, summed from
 H's halves, against projected label vectors W_q L.  Each route yields an
@@ -23,11 +23,6 @@ the sigmoid is applied only by `ForwardTrace.scores()`, and training
 feeds a batch's logits straight to `numeric.bce_with_logits`, one node.
 The parameters are the arrays `param_table` lists, the one place their
 names, shapes and order are written down.
-
-`forward_batch` checks its inputs, then runs the docs x n token ids of
-equal-length documents through one Bi-LSTM node (both directions, the
-documents side by side as column blocks), then the rest per document on
-its column slice of H; `forward` is a batch of one.
 
 Ablation variants: "sa" (content route only), "ia" (interaction route
 only), "sa+ia" (fixed 50/50 mix), "laha" (learned gate).
@@ -152,18 +147,9 @@ class ForwardTrace:
         return nm.sigmoid(self.logits.value).ravel()
 
 
-def bilstm_forward(embedding: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
-    """Run both LSTM directions over token ids: H, one `numeric.bilstm` node.
-
-    `ids` is docs x n, a document a row, each id a row of the `embedding` table; the table and
-    the weights are Nodes, as every op takes.  Returns H = [H_f; H_b], 2r x (docs * n), with
-    document j in columns j*n ... j*n + n - 1: the forward states over the backward ones
-    (column t = state after reading token t from the right), each document from zero states.
-    Padded positions are stepped too, so the backward direction starts at a document's last
-    column whatever the padding.  At large shapes, with two usable CPUs, the node steps the
-    reverse direction on a worker thread that touches no Node.
-    """
-    return nm.bilstm(embedding, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b)
+# The model's one name for its encoder: the bench's tracer times the Bi-LSTM under it, and
+# tests substitute their oracles here.
+bilstm_forward = nm.bilstm
 
 
 def self_attention(h: Node, w_s1, w_s2, subset: Sequence[int], mask) -> Node:
@@ -213,7 +199,7 @@ def forward(
     token_ids: np.ndarray, mask: np.ndarray, param_nodes: dict[str, Node],
     label_vectors: np.ndarray | None, subset: Sequence[int], variant: str = "laha",
 ) -> ForwardTrace:
-    """Full pass over one encoded document for the labels in `subset`."""
+    """Full pass over one encoded document for the labels in `subset`: a batch of one."""
     return forward_batch([token_ids], [mask], param_nodes, label_vectors, [subset], variant)[0]
 
 

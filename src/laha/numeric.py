@@ -23,19 +23,10 @@ words x labels product itself, so every attention matrix is row-major.
 `take_rows` gathers rows by integer index and returns its input for the
 identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a docs x n array of token ids as
-one node, whose value is the model's read-only, row-major H = [H_f; H_b]
-(`add_halves` gives H_f + H_b from it): a GEMM per direction projects
-each distinct token's embedding once, placed by its index in
-`np.unique`'s sorted ids.  The node keeps its gates and cell states; its
-hand-written BPTT reads the states before each step back from H and sums
-each token's gate gradients into its direction's own gate slot
-(`np.bincount` per block of rows) before the input-side GEMMs.  The
-worker thread that steps the reverse direction at large shapes (see
-`bilstm`) touches no Node, runs in a copy of the caller's context
-(numpy's error state) and is joined before the node returns or raises.
-Both directions take one layout and one summation order at every batch
-width (see `_lstm`).  The BLAS thread count is not checked: the bench,
-and CI's one-thread test steps, pin BLAS to one thread.  The gates take
+one node, the model's H = [H_f; H_b] (`add_halves` gives H_f + H_b from
+it); `bilstm` and `_lstm` state its layout, its worker thread and its
+BPTT.  The BLAS thread count is not checked: the bench, and CI's
+one-thread test steps, pin BLAS to one thread.  The gates take
 the public `sigmoid`'s one formula, max(e, copysign(1, x)) / (1 + e)
 with e = exp(-|x|), in place.  A backward pass consumes its graph: it
 overwrites `bilstm`'s stored gates and releases them, so a second sweep
@@ -403,16 +394,21 @@ def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
 def bilstm(table: Node, ids, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Node:
     """Both LSTM directions over a docs x n array of token ids, a document a row, as one node.
 
-    Each id is a row of the vocab x d `table`, whose distinct rows are read in each pass and take
-    the input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1) stack the
-    i, f, g, o gates.  The value is the 2r x (docs * n) forward over reverse states, document j
-    in columns j*n ... j*n + n - 1, column t after reading token t.  Below r * r * docs =
-    `_WORKER_MIN` the directions step in lockstep, as one stack; from it on two 4r x r
-    recurrent matrices would evict each other from the cache, so each direction is a stack of
-    its own, the reverse one on a worker thread if two CPUs are usable.  A stack's step makes
-    one call per op for all its directions and allocates nothing.  The node keeps the gates
-    and cell states, and the value, row-major at every batch width, is read-only: the BPTT
-    reads H back.
+    Each id is a row of the vocab x d `table`, whose distinct rows are read in each pass (each
+    direction's one GEMM projects each once, placed by its index in `np.unique`'s sorted ids)
+    and take the input-side gradient.  Each direction's wx (4r x d), wh (4r x r) and b (4r x 1)
+    stack the i, f, g, o gates.  The value is the 2r x (docs * n) forward over reverse states,
+    document j in columns j*n ... j*n + n - 1, column t after reading token t.  Each document
+    starts from zero states, and padded positions are stepped too, so the reverse direction
+    reads a document's PADs first.  Below r * r * docs = `_WORKER_MIN` the directions step in
+    lockstep, as one stack; from it on two 4r x r recurrent matrices would evict each other
+    from the cache, so each direction is a stack of its own, the reverse one on a worker thread
+    if two CPUs are usable.  That thread touches no Node, runs in a copy of the caller's
+    context (numpy's error state) and is joined before the node returns or raises.  A stack's
+    step makes one call per op for all its directions and allocates nothing.  The node keeps
+    the gates and cell states, and the value, row-major at every batch width, is read-only:
+    the BPTT reads H back.  Both directions take one layout and one summation order at every
+    batch width (see `_lstm`).
     """
     w = [wx_f, wh_f, b_f, wx_b, wh_b, b_b]
     ids = np.asarray(ids)

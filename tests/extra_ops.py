@@ -22,8 +22,8 @@ order at every batch width.  `bilstm_oracle`
 gathers a batch's distinct token rows (its ids docs x n, as
 `numeric.bilstm` takes them) with `take_rows` and `transpose` and stacks
 two `lstm` nodes on `np.unique`'s map with `vconcat` into H: the
-reference that `numeric.bilstm` and `model.bilstm_forward` must match
-bit for bit.
+reference that `numeric.bilstm`, the model's `bilstm_forward`, must
+match bit for bit.
 `bilstm_per_position` gathers every position's row instead, on the
 identity map: equal to `bilstm_oracle` up to rounding.
 `adam_step_oracle` is Adam as a loop over parameter names, one array at

@@ -3,6 +3,9 @@
 import contextlib
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,7 +62,7 @@ def test_run_row_records_the_runs_peak_rss(experiments):
         "peak_rss_mb": 241.6, "correct": True, "attempted": 2, "failed": 0}
 
 
-@pytest.mark.parametrize("text", ["5-3", "1,1", "1-3,2", "4,2-5"])
+@pytest.mark.parametrize("text", ["5-3", "1,1", "1-3,2", "4,2-5", "1-"])
 def test_parse_seeds_rejects_an_empty_range_or_a_repeated_seed(experiments, text, capsys):
     with pytest.raises(ValueError):
         experiments.parse_seeds(text)
@@ -239,9 +242,9 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
     root.mkdir()
 
     @contextlib.contextmanager
-    def worktree(rev):
+    def export(rev):
         assert rev == "REV"
-        yield rev_tree
+        yield "base", rev_tree
 
     def bench_run(workload, seed, trace, tree):
         # REV's runs are told apart by their commit, peak RSS and span time; one of them fails
@@ -255,7 +258,7 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
         return record
 
     monkeypatch.setattr(experiments, "ROOT", root)
-    monkeypatch.setattr(experiments, "worktree", worktree)
+    monkeypatch.setattr(experiments, "export", export)
     monkeypatch.setattr(experiments, "bench_run", bench_run)
     assert experiments.main(["--against", "REV", "--seeds", "1-2", "--trace"]) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -289,3 +292,56 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
         assert {side: summary["bench.run"]["median"] for side, summary in
                 entry["layers"].items()} == {"base": 2000.0, "change": 1000.0}
         assert entry["layer_wins"] == {"bench.run": {"wins": 2, "pairs": 2}}
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                           "commit.gpgsign=false", *args], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _worktrees(repo: Path) -> list[str]:
+    return [line for line in _git(repo, "worktree", "list", "--porcelain").splitlines()
+            if line.startswith("worktree ")]
+
+
+def test_against_exports_the_committed_files_and_registers_no_worktree(
+        experiments, monkeypatch, tmp_path):
+    # a throwaway repository: one committed file edited since, one in a directory, one untracked
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "bench" / "run.py").write_text("# committed\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    (repo / "kept.txt").write_text("edited\n")
+    (repo / "untracked.txt").write_text("untracked\n")
+    monkeypatch.setattr(experiments, "ROOT", repo)
+    with experiments.export("HEAD") as (commit, tree):
+        assert commit == _git(repo, "rev-parse", "HEAD").strip()
+        assert sorted(str(path.relative_to(tree)) for path in tree.rglob("*")) == [
+            "bench", "bench/run.py", "kept.txt"]
+        assert (tree / "kept.txt").read_text() == "committed\n"
+        assert _worktrees(repo) == [f"worktree {repo}"]
+    assert not tree.exists() and not tree.parent.exists()
+    assert _worktrees(repo) == [f"worktree {repo}"]
+    with pytest.raises(subprocess.CalledProcessError):  # resolved before anything is exported
+        with experiments.export("no-such-rev"):
+            pass
+
+    # a run stopped by SIGTERM inside the export leaves no worktree registered either
+    code = (f"import importlib.util, pathlib, time\n"
+            f"spec = importlib.util.spec_from_file_location('experiments', {str(SCRIPT)!r})\n"
+            f"module = importlib.util.module_from_spec(spec)\n"
+            f"spec.loader.exec_module(module)\n"
+            f"module.ROOT = pathlib.Path({str(repo)!r})\n"
+            f"with module.export('HEAD') as (commit, tree):\n"
+            f"    print(tree, flush=True)\n"
+            f"    time.sleep(60)\n")
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True) as run:
+        tree = Path(run.stdout.readline().strip())
+        run.terminate()
+    assert run.returncode != 0 and tree.name == "base"
+    shutil.rmtree(tree.parent, ignore_errors=True)  # the signal skipped the directory's removal
+    assert _worktrees(repo) == [f"worktree {repo}"]

@@ -165,7 +165,7 @@ def test_bilstm_forward_hands_the_bilstm_node_itself_to_attention():
         built.append(bilstm(*args))
         return built[-1]
 
-    with mock.patch.object(nm, "bilstm", recording_bilstm):
+    with mock.patch("laha.model.bilstm_forward", recording_bilstm):
         _, states = _attended_states(
             lambda: _forward(cfg, _params(cfg), _label_vectors(cfg), "laha"))
     assert len(built) == len(states) == 1 and states[0] is built[0]
@@ -421,7 +421,7 @@ def test_forward_variant_field_population():
 def test_forward_requires_embedding_for_interaction():
     cfg = _cfg()
     params = _params(cfg)
-    with mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
+    with mock.patch("laha.model.bilstm_forward", wraps=nm.bilstm) as bilstm, \
             pytest.raises(ValidationError, match="label embedding"):
         _forward(cfg, params, None, "ia")
     bilstm.assert_not_called()  # checked before the Bi-LSTM runs
@@ -458,7 +458,7 @@ def test_forward_batch_scans_the_label_matrix_once_before_the_bilstm(variant, su
     params, lv = _params(cfg), _label_vectors(cfg)
     subset = list(range(cfg.k)) if subset == "all" else [2, 0, 3, 1]
     lv[1, 2] = np.nan
-    with mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
+    with mock.patch("laha.model.bilstm_forward", wraps=nm.bilstm) as bilstm, \
             pytest.raises(NumericalError):
         _forward(cfg, params, lv, variant, subset=subset)
     bilstm.assert_not_called()
@@ -677,14 +677,13 @@ SHARED_TOKENS = [np.array([3, 5, 3, 7, 0, 0, 0]), np.array([5, 9, 2, 2, 3, 1, 0]
 
 
 def _shared_token_pass(variant, threaded, encoder=bilstm_forward):
-    """Logits, gradients and `nm.bilstm` call of a batch pass over SHARED_TOKENS."""
+    """Logits, gradients and encoder call of a batch pass over SHARED_TOKENS."""
     cfg = ModelConfig(k=6, max_len=7, d=5, r=4, d_a=3)
     params, lv = _params(cfg, vocab_size=15), _label_vectors(cfg)
     pn, subsets = wrap_params(params), [[0, 1, 2, 3], [5, 4], list(range(6))]
     with mock.patch.object(nm, "_WORKER_MIN", 0 if threaded else math.inf), \
             mock.patch.object(nm.os, "sched_getaffinity", lambda pid: {0, 1}), \
-            mock.patch.object(nm, "bilstm", wraps=nm.bilstm) as bilstm, \
-            mock.patch("laha.model.bilstm_forward", encoder):
+            mock.patch("laha.model.bilstm_forward", wraps=encoder) as bilstm:
         traces = forward_batch(SHARED_TOKENS, [ids > 0 for ids in SHARED_TOKENS], pn, lv,
                                subsets, variant)
         nm.backward(bce_loss([t.logits for t in traces], [np.arange(len(s)) % 2 for s in subsets]))
