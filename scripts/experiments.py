@@ -37,9 +37,9 @@ each) for model.forward, metrics.evaluate and bench.score_fn, and
 With --against REV, each run is paired with the same run of revision
 REV, resolved to its commit once before the first run and exported with
 `git archive` (its committed files only) into a temporary directory
-removed on exit; nothing is registered in the repository, so a killed
-run leaves no worktree behind.  The tree that runs first swaps from one
-pair of a workload and trace to the next, REV first.  This tree runs as
+removed on exit, on SIGTERM too; nothing is registered in the repository,
+so a killed run leaves no worktree behind.  The tree that runs first
+swaps from one pair of a workload and trace to the next, REV first.  This tree runs as
 it stands, uncommitted edits included.  BENCH_compare.json holds both
 commits (REV's as resolved: its export is no checkout, so its bench
 records read "unknown") and, from the untraced pairs, per workload and
@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import subprocess
 import sys
 import tempfile
@@ -239,16 +240,21 @@ def export(rev: str):
     """(REV's commit, its committed files exported into a temporary directory removed on exit).
 
     `git archive` writes the files, so the repository registers nothing that a killed run
-    would leave behind."""
+    would leave behind.  While it is open SIGTERM raises SystemExit, which kills and reaps a
+    running bench child and removes the directory; the previous handler returns on exit."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                             check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
-    with tempfile.TemporaryDirectory(prefix="laha-against-") as tmp:
-        tree = Path(tmp) / "base"
-        tree.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-        yield commit, tree
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        with tempfile.TemporaryDirectory(prefix="laha-against-") as tmp:
+            tree = Path(tmp) / "base"
+            tree.mkdir()
+            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+            yield commit, tree
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def main(argv=None) -> int:

@@ -33,10 +33,11 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable or incompatible with the run config."""
 
 
-def check_int(name: str, value, low: int, high: float = float("inf")) -> None:
-    """Raise ValidationError unless `value` is an integer, not a bool, in [low, high)."""
+def check_int(name: str, value, low: int, high: float = float("inf")) -> int:
+    """`value` as a plain int; ValidationError unless an integer, not a bool, in [low, high)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
         raise ValidationError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
 
 
 def check_labels(name: str, labels, k: int):

@@ -56,9 +56,8 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("walk_length", self.walk_length, 1)
-        check_int("walks_per_node", self.walks_per_node, 1)
-        check_int("seed", self.seed, 0)
+        for name, low in (("walk_length", 1), ("walks_per_node", 1), ("seed", 0)):
+            setattr(self, name, check_int(name, getattr(self, name), low))
 
 
 def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:

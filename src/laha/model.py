@@ -53,7 +53,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            check_int(f.name, getattr(self, f.name), 1)
+            setattr(self, f.name, check_int(f.name, getattr(self, f.name), 1))
 
 
 class ModelParams(dict):

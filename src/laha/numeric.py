@@ -449,7 +449,8 @@ def _lstm(table, tokens, w, cols, out):
     """
     r, (docs, n), u, x = w[1].shape[1], cols.shape, tokens.size, table[tokens].T
     stacks = [(0, 1)] if r * r * docs < _WORKER_MIN else [(0,), (1,)]
-    worker = len(stacks) == 2 and len(os.sched_getaffinity(0)) >= 2
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    worker = len(stacks) == 2 and cpus >= 2
 
     def each(run, items: list) -> list:  # the second item on the worker, if there is one
         if not worker:

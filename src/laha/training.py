@@ -45,7 +45,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_doc", 0), ("seed", 0)):
-            check_int(name, getattr(self, name), low)
+            setattr(self, name, check_int(name, getattr(self, name), low))
         check_positive("learning_rate", self.learning_rate)
         if not isinstance(self.finetune_word_vectors, bool):
             raise ValidationError("finetune_word_vectors must be a bool")
@@ -67,8 +67,8 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float):
     """One bias-corrected Adam update, in place, of the parameters `grads` names.
 
-    They must end `params`, `state.m` and `state.v`, in order, and `lr` and every gradient are
-    checked before anything is written.  The tail spans go in chunks of `_CHUNK` floats,
+    They end `params`, `state.m` and `state.v` in order and shape, checked with `lr` and every
+    gradient before anything is written.  The tail spans go in chunks of `_CHUNK` floats,
     gathering the gradients a chunk spans; each element takes Adam's ops in Adam's order.
     """
     check_positive("lr", lr)
@@ -79,6 +79,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         for name, g in grads.items():
             if g.shape != params[name].shape:
                 raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
+            if state.m[name].shape != g.shape or state.v[name].shape != g.shape:
+                raise ValidationError(f"Adam state lacks m or v of shape {g.shape} for {name!r}")
             if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
     starts = np.cumsum([0] + [g.size for g in grads.values()]).tolist()
@@ -147,7 +149,7 @@ def train(
     updates only when cfg.finetune_word_vectors.  Epoch randomness comes
     from a stream seeded by (cfg.seed, epoch), so training from epoch e of
     a checkpoint continues the original run exactly.  A given `adam` must
-    end with m and v in the shape of every trainable parameter, in order.
+    end with m and v of every trainable parameter's shape, in order: `adam_step` enforces it.
     """
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
@@ -157,10 +159,6 @@ def train(
         trainable.remove("embedding")
     if adam is None:
         adam = AdamState.init({n: params[n] for n in trainable})
-    for name in trainable:
-        if any(np.shape(moments.get(name)) != params[name].shape for moments in (adam.m, adam.v)):
-            raise ValidationError(f"Adam state lacks m or v of shape {params[name].shape} "
-                                  f"for the trainable parameter {name!r}")
 
     positives = [doc_labels(doc, model_cfg.k) for doc in corpus]
     encoded = [encode_document(doc, vocab, model_cfg.max_len) for doc in corpus]

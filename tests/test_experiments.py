@@ -3,7 +3,7 @@
 import contextlib
 import importlib.util
 import json
-import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +318,7 @@ def test_against_exports_the_committed_files_and_registers_no_worktree(
     (repo / "kept.txt").write_text("edited\n")
     (repo / "untracked.txt").write_text("untracked\n")
     monkeypatch.setattr(experiments, "ROOT", repo)
+    handler = signal.getsignal(signal.SIGTERM)
     with experiments.export("HEAD") as (commit, tree):
         assert commit == _git(repo, "rev-parse", "HEAD").strip()
         assert sorted(str(path.relative_to(tree)) for path in tree.rglob("*")) == [
@@ -326,11 +327,12 @@ def test_against_exports_the_committed_files_and_registers_no_worktree(
         assert _worktrees(repo) == [f"worktree {repo}"]
     assert not tree.exists() and not tree.parent.exists()
     assert _worktrees(repo) == [f"worktree {repo}"]
+    assert signal.getsignal(signal.SIGTERM) is handler
     with pytest.raises(subprocess.CalledProcessError):  # resolved before anything is exported
         with experiments.export("no-such-rev"):
             pass
 
-    # a run stopped by SIGTERM inside the export leaves no worktree registered either
+    # a run stopped by SIGTERM inside the export leaves neither its directory nor a worktree
     code = (f"import importlib.util, pathlib, time\n"
             f"spec = importlib.util.spec_from_file_location('experiments', {str(SCRIPT)!r})\n"
             f"module = importlib.util.module_from_spec(spec)\n"
@@ -343,5 +345,5 @@ def test_against_exports_the_committed_files_and_registers_no_worktree(
         tree = Path(run.stdout.readline().strip())
         run.terminate()
     assert run.returncode != 0 and tree.name == "base"
-    shutil.rmtree(tree.parent, ignore_errors=True)  # the signal skipped the directory's removal
+    assert not tree.parent.exists()
     assert _worktrees(repo) == [f"worktree {repo}"]

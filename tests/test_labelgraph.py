@@ -433,6 +433,12 @@ def test_walk_config_validation():
         WalkConfig(walk_length=0)
 
 
+def test_walk_config_keeps_numpy_integers_as_plain_ints():
+    cfg = WalkConfig(walk_length=np.int64(5), walks_per_node=np.int32(2), seed=np.uint8(1))
+    assert (cfg.walk_length, cfg.walks_per_node, cfg.seed) == (5, 2, 1)
+    assert {type(value) for value in vars(cfg).values()} == {int}
+
+
 @pytest.mark.parametrize("fields", [
     {"walk_length": "40"}, {"walks_per_node": 0}, {"seed": -1}, {"walk_length": 2.5},
     {"walks_per_node": True}, {"seed": 1.5},

@@ -907,10 +907,16 @@ def test_bilstm_in_several_blocks_is_bit_identical_to_the_oracle(monkeypatch, st
     (256, 16, {0, 1}, 2),       # aapd-train: r = 256, 16 documents per batch
     (256, 1, {0, 1}, 2),        # eurlex-score: r = 256, one document at a time
     (128, 2, {0, 1, 2, 3}, 0),
+    (256, 1, 1, 0),             # affinity call missing (macOS, Windows): os.cpu_count() is 1
+    (256, 1, 2, 2),             # affinity call missing, os.cpu_count() is 2
 ])
 def test_bilstm_takes_a_worker_only_at_large_shapes_with_two_cpus(
         monkeypatch, started, r, docs, cpus, threads):
-    monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus)
+    if isinstance(cpus, int):
+        monkeypatch.delattr(numeric.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(numeric.os, "cpu_count", lambda: cpus)
+    else:
+        monkeypatch.setattr(numeric.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     arrays = _bilstm_arrays(np.random.default_rng(2), 1, r, 1, docs, 0.1)
     table, *weights = _leaves(arrays)
     backward(sum_all(bilstm(table, np.arange(docs).reshape(docs, 1), *weights)))
@@ -1153,6 +1159,17 @@ def test_mix_columns_rejects_mismatched_shapes():
         mix_columns(Node(np.ones((2, 3))), Node(np.ones((1, 3))), Node(np.ones((2, 2))))
     with pytest.raises(ShapeError):
         mix_columns(Node(np.ones((2, 3))), Node(np.ones((3, 1))), Node(np.ones((2, 3))))
+
+
+def test_add_colvec_rejects_a_vector_that_is_not_a_column_of_the_matrix_rows():
+    for v in (np.ones((3, 1)), np.ones((1, 2)), np.ones((2, 2))):
+        with pytest.raises(ShapeError, match="add_colvec"):
+            add_colvec(Node(np.ones((2, 3))), Node(v))
+
+
+def test_softmax_product_rejects_operands_that_do_not_fit():
+    with pytest.raises(ShapeError, match="softmax_product"):
+        softmax_product(Node(np.ones((2, 3))), Node(np.ones((2, 4))), np.ones(4))
 
 
 def test_gate_of_saturated_inputs_is_one_half_with_finite_gradients():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,18 @@ def test_adam_refuses_gradients_that_do_not_end_the_packed_arrays():
         with pytest.raises(ValidationError, match="must end"):
             adam_step(p, grads, state, lr=0.1)
         assert p.flat.tolist() == [1.0, 1.0] and state.step == 0
+
+
+@pytest.mark.parametrize("moments", [{"a": (1, 1), "b": (2, 2)}, {"a": (1, 1), "b": (1, 1)}],
+                         ids=["names in order, shapes swapped", "too short"])
+def test_adam_refuses_moments_not_in_their_parameters_shapes_before_it_writes(moments):
+    p = packed({"a": np.arange(4.0).reshape(2, 2), "b": np.array([[4.0]])})
+    state = AdamState(0, *(packed({n: np.full(s, x) for n, s in moments.items()}) for x in (1, 2)))
+    with pytest.raises(ValidationError, match="Adam state lacks m or v of shape .* 'a'"):
+        adam_step(p, {"a": np.ones((2, 2)), "b": np.ones((1, 1))}, state, lr=0.1)
+    assert p.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0] and state.step == 0
+    assert state.m.flat.tolist() == [1.0] * state.m.flat.size
+    assert state.v.flat.tolist() == [2.0] * state.v.flat.size
 
 
 # every parameter, in table order, of a d = r = d_a = 32 model over 54 labels and 363 words
@@ -937,6 +950,19 @@ def test_checkpoint_bytes_are_pinned_and_a_loaded_checkpoint_saves_them_again(tm
         "19eb150588cf112f6788f46410d45881fd37c0d7961dfe99ed4773c0847435b5")
     save_checkpoint(str(again), load_checkpoint(str(first)))
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_a_checkpoint_of_configs_built_from_numpy_integers_saves_the_plain_int_bytes(tmp_path):
+    cfg, vocab, params, tcfg, adam = _fixture_state()
+    np_cfg = ModelConfig(**{name: np.int64(value) for name, value in asdict(cfg).items()})
+    np_tcfg = TrainConfig(epochs=np.int64(5), learning_rate=0.01, batch_size=np.int32(2),
+                          negatives_per_doc=np.uint8(1), seed=np.int64(11),
+                          finetune_word_vectors=False)
+    assert (np_cfg, np_tcfg) == (cfg, tcfg)
+    plain, numpy_built = tmp_path / "plain.bin", tmp_path / "numpy.bin"
+    save_checkpoint(str(plain), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 3))
+    save_checkpoint(str(numpy_built), Checkpoint(params, np_cfg, "laha", vocab, np_tcfg, adam, 3))
+    assert numpy_built.read_bytes() == plain.read_bytes()
 
 
 def test_checkpoint_declaring_a_huge_table_is_refused_before_any_allocation(tmp_path):
