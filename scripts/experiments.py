@@ -10,15 +10,16 @@ or, with --trace, 0 then 1, it runs
 with R its run_seconds, one subprocess per run, and reads the record it
 leaves in .bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
 
-    BENCH_labelembed.json  label_embed_s     aapd-quality, eurlex-score
+    BENCH_labelembed.json  label_embed_s     eurlex-score, aapd-quality
     BENCH_score.json       score_docs_per_s  eurlex-score, aapd-quality
     BENCH_setup.json       setup_s           aapd-train, eurlex-score, aapd-quality
     BENCH_train.json       train_docs_per_s  aapd-train, aapd-quality
     BENCH_layers.json      ms_per_base       every workload, with --trace only
 
 Each of the first four covers one end-to-end metric, from the untraced
-runs of the workloads that measure it themselves (not through
-aapd-quality's quality gate).  It holds the commit, the environment, each
+runs of the workloads that measure it themselves: a workload's first
+record has the metric and does not list it in info["from_gate"], the
+metrics it took from aapd-quality's quality gate.  It holds the commit, the environment, each
 run's calibrated figure, the median raw seconds of its samples (a sample
 is one timed call: a set-up, an embedding, a chunk of scored documents, a
 batch or epoch of training) and their count, its peak RSS (`peak_rss_mb`,
@@ -77,12 +78,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())  # the benchmark the pipeline runs
 QUALITY = ("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5", "g1_ndcg_at_5")
-# file -> (prefix of its per-run keys, the calibrated metric, its workloads)
+# file -> (prefix of its per-run keys, the calibrated metric)
 BENCH_FILES = {
-    "BENCH_labelembed.json": ("label_embed", "label_embed_s", ("aapd-quality", "eurlex-score")),
-    "BENCH_score.json": ("score", "score_docs_per_s", ("eurlex-score", "aapd-quality")),
-    "BENCH_setup.json": ("setup", "setup_s", ("aapd-train", "eurlex-score", "aapd-quality")),
-    "BENCH_train.json": ("train", "train_docs_per_s", ("aapd-train", "aapd-quality")),
+    "BENCH_labelembed.json": ("label_embed", "label_embed_s"),
+    "BENCH_score.json": ("score", "score_docs_per_s"),
+    "BENCH_setup.json": ("setup", "setup_s"),
+    "BENCH_train.json": ("train", "train_docs_per_s"),
 }
 WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
 SCORED_SPANS = ("model.forward", "metrics.evaluate", "bench.score_fn")  # for scored docs only
@@ -110,6 +111,11 @@ def bench_run(workload: str, seed: int, trace: int = 0, tree: Path = ROOT) -> di
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
     return json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json")
                       .read_text())
+
+
+def measures_itself(record: dict, metric: str) -> bool:
+    """Whether a run measured `metric` in its own phase, not took it from the quality gate."""
+    return metric in record["measures"] and metric not in record["info"].get("from_gate", ())
 
 
 def run_row(record: dict, prefix: str, metric: str) -> dict:
@@ -293,9 +299,9 @@ def main(argv=None) -> int:
         seconds = BENCHMARK["run_seconds"]
         return f"bench/run.py --workload W --seed S --seconds {seconds} --trace {trace}"
 
-    for path, (prefix, metric, names) in BENCH_FILES.items():
+    for path, (prefix, metric) in BENCH_FILES.items():
         runs = {name: [run_row(record, prefix, metric) for record in records["change", name, 0]]
-                for name in names}
+                for name in WORKLOADS if measures_itself(records["change", name, 0][0], metric)}
         write(path, {**head, "command": command(0), "metric": metric, "seeds": args.seeds,
                      "workloads": {name: {"summary": summarize(rows, prefix, metric), "runs": rows}
                                    for name, rows in runs.items()}})

@@ -48,7 +48,8 @@ def check_labels(name: str, labels, k: int):
     return labels
 
 
-def check_positive(name: str, value) -> None:
-    """Raise ValidationError unless `value` is a finite real number > 0."""
+def check_positive(name: str, value) -> float:
+    """`value` as a plain float; ValidationError unless a finite real number > 0, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < float("inf"):
         raise ValidationError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)

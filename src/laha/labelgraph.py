@@ -60,26 +60,25 @@ class WalkConfig:
             setattr(self, name, check_int(name, getattr(self, name), low))
 
 
-def sample_walks(graph: LabelGraph, config: WalkConfig) -> list[list[int]]:
-    """Weight-proportional walks of walk_length nodes, walks_per_node from every node.
+def sample_walks(graph: LabelGraph, config: WalkConfig) -> np.ndarray:
+    """Weight-proportional walks of walk_length nodes, walks_per_node from each label with an edge.
 
-    Walks come out grouped by start node in id order; a walk from an
-    isolated node is the singleton [node].  From cur v the next node x has
-    probability w(v,x) / sum of v's weights, node2vec's walk at p = q = 1.
-    Every walk takes each step at once under one generator seeded with
-    config.seed: one draw from a cumulative-weight array over all rows.
+    One walk a row of an int64 array, grouped by start label in id order; an
+    isolated label starts no walk, so an edgeless graph gives (0, walk_length).
+    From cur v the next node x has probability w(v,x) / sum of v's weights,
+    node2vec's walk at p = q = 1.  Every walk takes each step at once under
+    one generator seeded with config.seed: one draw from a cumulative-weight
+    array over all rows.
     """
     rng = np.random.default_rng(config.seed)
-    starts = np.repeat(np.arange(graph.k), config.walks_per_node)
-    moving = np.diff(graph.indptr)[starts] > 0
-    steps = np.empty((int(moving.sum()), config.walk_length), dtype=np.int64)
-    steps[:, 0] = starts[moving]
+    starts = np.repeat(np.flatnonzero(np.diff(graph.indptr)), config.walks_per_node)
+    steps = np.empty((starts.size, config.walk_length), dtype=np.int64)
+    steps[:, 0] = starts
     cum = np.concatenate([[0.0], np.cumsum(graph.weights, dtype=np.float64)])
     for s in range(1, config.walk_length):
         cur = steps[:, s - 1]
         steps[:, s] = graph.indices[_inverse_cdf(cum, graph.indptr[cur], graph.indptr[cur + 1], rng)]
-    rows = iter(steps.tolist())
-    return [next(rows) if m else [node] for node, m in zip(starts.tolist(), moving.tolist())]
+    return steps
 
 
 def _inverse_cdf(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, rng) -> np.ndarray:
@@ -95,55 +94,49 @@ class LabelEmbedding:
     vectors: np.ndarray
 
 
-def train_skipgram(walks: list[list[int]], k: int, r: int, window: int = 5, negatives: int = 5,
+def train_skipgram(walks: np.ndarray, k: int, r: int, window: int = 5, negatives: int = 5,
                    epochs: int = 5, seed: int = 0) -> LabelEmbedding:
     """Label vectors from a rank-r factorization of the walks' positive PMI matrix.
 
-    Skip-gram implicitly factorizes this matrix (Levy & Goldberg, NeurIPS
-    2014; Qiu et al., WSDM 2018).  Nodes at most `window` apart in a walk
-    pair up both ways; over the m labels in a pair, M[w, c] =
-    max(log(#(w,c) / (#w * P(c))), 0), with P the pair counts raised to
-    0.75 and normalized (Levy, Goldberg & Dagan, TACL 2015).  The vectors
-    are U S^1/2 from a randomized SVD of M (Halko, Martinsson & Tropp, SIAM
-    Review 2011) with min(r + 10, m) columns and `epochs - 1` power
-    iterations, 0 past M's numerical rank, each column of U signed so that
-    its largest entry is positive; a tall sketch's basis is from its Gram
-    matrix, another's from QR (`_basis`).  `negatives` is unused: a
-    log(negatives) shift empties M on small graphs.  Labels in no pair
-    keep their seeded random init, which epochs=0 returns unchanged.
+    `walks` holds a walk a row: a 2-D array of label ids in [0, k), or what
+    `np.asarray` makes one of.  Skip-gram implicitly factorizes this matrix
+    (Levy & Goldberg, NeurIPS 2014; Qiu et al., WSDM 2018).  Nodes at most
+    `window` apart in a walk pair up both ways; over the m labels in a
+    pair, M[w, c] = max(log(#(w,c) / (#w * P(c))), 0), with P the pair
+    counts raised to 0.75 and normalized (Levy, Goldberg & Dagan, TACL
+    2015).  The vectors are U S^1/2 from a randomized SVD of M (Halko,
+    Martinsson & Tropp, SIAM Review 2011) with min(r + 10, m) columns and
+    `epochs - 1` power iterations, 0 past M's numerical rank, each column
+    of U signed so that its largest entry is positive; a tall sketch's
+    basis is from its Gram matrix, another's from QR (`_basis`).
+    `negatives` is unused: a log(negatives) shift empties M on small
+    graphs.  Labels in no pair keep their seeded random init, which
+    epochs=0, zero rows or one column return unchanged.
     """
     for name, value, low in (("k", k, 1), ("r", r, 1), ("window", window, 1),
                              ("negatives", negatives, 0), ("epochs", epochs, 0), ("seed", seed, 0)):
         check_int(name, value, low)
-    if len(walks) == 0:
-        raise ValidationError("cannot embed labels from zero walks")
     try:
-        lens, flat = np.array([len(walk) for walk in walks]), np.concatenate(walks)
-    except (TypeError, ValueError) as err:  # a walk that is no sequence, or one of sequences
-        raise ValidationError(f"walks must be sequences of label ids: {err}") from None
-    if flat.ndim != 1 or flat.size != lens.sum():
-        raise ValidationError("walks must be sequences of label ids, not of sequences")
-    if lens.min() == 0:
-        raise ValidationError("walks must not be empty")
-    if flat.dtype.kind not in "iu":
-        raise ValidationError(f"walk nodes must be integers, got {flat.dtype}")
-    outside = flat[(flat < 0) | (flat >= k)]
+        walks = np.asarray(walks)
+    except ValueError as err:  # ragged rows, or a node that is a sequence
+        raise ValidationError(f"walks must be equal-length rows of label ids: {err}") from None
+    if walks.ndim != 2 or walks.shape[1] == 0 or walks.dtype.kind not in "iu":
+        raise ValidationError(f"walks must be rows of integer label ids, one or more a row, got "
+                              f"{walks.dtype} of shape {walks.shape}")
+    outside = walks[(walks < 0) | (walks >= k)]
     if outside.size:
         raise ValidationError(f"walk node {outside[0]} outside label range [0,{k})")
 
     rng = np.random.default_rng(seed)
     vectors = (rng.random((k, r)) - 0.5) / r
-    if epochs == 0:
+    if epochs == 0 or walks.shape[0] == 0 or walks.shape[1] == 1:  # untrained, or no pair
         return LabelEmbedding(vectors=vectors.T)  # column-major, as the model reads it
-    flat = flat.astype(np.int32 if k * k < 2**31 else np.int64)  # keys center * k + context
-    after = np.repeat(np.cumsum(lens), lens) - np.arange(flat.size) - 1  # later nodes in its walk
+    walks = walks.astype(np.int32 if k * k < 2**31 else np.int64)  # keys center * k + context
     pairs = []
-    for offset in range(1, min(window, lens.max()) + 1):
-        head = np.flatnonzero(after >= offset)
-        pairs += [flat[head] * k + flat[head + offset], flat[head + offset] * k + flat[head]]
+    for offset in range(1, min(window, walks.shape[1] - 1) + 1):
+        head, tail = walks[:, :-offset], walks[:, offset:]
+        pairs += [(head * k + tail).ravel(), (tail * k + head).ravel()]
     keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
-    if not keys.size:  # single-node walks only: no label is in a pair
-        return LabelEmbedding(vectors=vectors.T)
     labels = np.flatnonzero(np.bincount(keys // k))
     omega = rng.standard_normal((labels.size, min(r + 10, labels.size)))
     rows, cols = np.searchsorted(labels, keys // k), np.searchsorted(labels, keys % k)

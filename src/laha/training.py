@@ -46,7 +46,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_doc", 0), ("seed", 0)):
             setattr(self, name, check_int(name, getattr(self, name), low))
-        check_positive("learning_rate", self.learning_rate)
+        self.learning_rate = check_positive("learning_rate", self.learning_rate)
         if not isinstance(self.finetune_word_vectors, bool):
             raise ValidationError("finetune_word_vectors must be a bool")
 
@@ -67,9 +67,9 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, lr: float):
     """One bias-corrected Adam update, in place, of the parameters `grads` names.
 
-    They end `params`, `state.m` and `state.v` in order and shape, checked with `lr` and every
-    gradient before anything is written.  The tail spans go in chunks of `_CHUNK` floats,
-    gathering the gradients a chunk spans; each element takes Adam's ops in Adam's order.
+    They end `params`, `state.m` and `state.v` in order and shape as views of each `flat`, checked
+    with `lr` and every gradient before anything is written.  The tail spans go in chunks of
+    `_CHUNK` floats, gathering the gradients a chunk spans; each element takes Adam's ops in order.
     """
     check_positive("lr", lr)
     packs = (params, state.m, state.v)
@@ -81,6 +81,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
                 raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
             if state.m[name].shape != g.shape or state.v[name].shape != g.shape:
                 raise ValidationError(f"Adam state lacks m or v of shape {g.shape} for {name!r}")
+            if any(pack[name].base is not pack.flat for pack in packs):  # the update walks flat
+                raise ValidationError(f"{name!r} of the parameters or a moment was replaced")
             if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
     starts = np.cumsum([0] + [g.size for g in grads.values()]).tolist()

@@ -133,10 +133,16 @@ def test_bench_files_cover_every_timed_end_to_end_metric(experiments):
     # a time or rate claim counts only from a committed bench file, so each needs one
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     timed = {metric["name"] for metric in declared if metric["unit"] in ("s", "docs/s")}
-    assert timed <= {metric for _, metric, _ in experiments.BENCH_FILES.values()}
-    for _, _, workloads in experiments.BENCH_FILES.values():
-        assert set(workloads) <= set(experiments.WORKLOADS)
+    assert timed <= {metric for _, metric in experiments.BENCH_FILES.values()}
 
+
+def test_a_run_measures_a_metric_itself_unless_it_took_it_from_the_quality_gate(experiments):
+    record = _run_record("aapd-train", 1, 0)
+    assert [metric for _, metric in experiments.BENCH_FILES.values()
+            if experiments.measures_itself(record, metric)] == ["setup_s", "train_docs_per_s"]
+    del record["info"]["from_gate"]  # aapd-quality's record lists none
+    assert experiments.measures_itself(record, "label_embed_s")
+    assert not experiments.measures_itself(record, "no_such_metric")
 
 
 def _record(measures: dict, raw: dict, failed: int = 0) -> dict:
@@ -194,16 +200,28 @@ def test_compare_marks_a_move_beyond_the_bound(experiments):
     assert setup["wins"] == 0
 
 
+QUALITY_NAMES = ("g1_ndcg_at_5", "ndcg_at_3", "ndcg_at_5", "p_at_1", "p_at_3", "p_at_5")
+# the metrics a workload's record takes from aapd-quality's gate, as bench runs list them
+FROM_GATE = {"aapd-train": ["final_loss", "label_embed_s", "score_docs_per_s", *QUALITY_NAMES],
+             "eurlex-score": ["final_loss", "train_docs_per_s", *QUALITY_NAMES]}
+# the workloads whose own phase measures each root file's metric
+OWN_WORKLOADS = {"BENCH_labelembed.json": ["eurlex-score", "aapd-quality"],
+                 "BENCH_score.json": ["eurlex-score", "aapd-quality"],
+                 "BENCH_setup.json": ["aapd-train", "eurlex-score", "aapd-quality"],
+                 "BENCH_train.json": ["aapd-train", "aapd-quality"]}
+
+
 def _run_record(workload: str, seed: int, trace: int, correct=True, failed: int = 0) -> dict:
     """A hand-made bench record with every figure the root files read."""
     timed = ("label_embed_s", "score_docs_per_s", "setup_s", "train_docs_per_s")
+    gate = {"from_gate": FROM_GATE[workload]} if workload in FROM_GATE else {}
     return {"workload": workload, "trace": trace,
             "environment": {"seed": seed, "git_commit": "0" * 40},
-            "measures": {**dict.fromkeys(timed, 2.0), "peak_rss_mb": 40.0,
-                         **dict.fromkeys(("p_at_1", "p_at_3", "p_at_5", "ndcg_at_3", "ndcg_at_5",
-                                          "g1_ndcg_at_5"), 0.5)},
+            "measures": {**dict.fromkeys(timed, 2.0), "peak_rss_mb": 40.0, "final_loss": 0.1,
+                         **dict.fromkeys(QUALITY_NAMES, 0.5)},
             "info": {"raw_and_reference_seconds": {name: [[0.1, 0.01]] for name in timed},
-                     "spans": [{"name": "bench.run", "calls": 1, "total_s": 1.0, "self_s": 1.0}]},
+                     "spans": [{"name": "bench.run", "calls": 1, "total_s": 1.0, "self_s": 1.0}],
+                     **gate},
             "result": {"correct": correct, "attempted": 4, "failed": failed}}
 
 
@@ -273,12 +291,13 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
     def read(name):
         return json.loads((root / name).read_text())
 
-    for path, (_, _, names) in experiments.BENCH_FILES.items():
+    for path in experiments.BENCH_FILES:
         report = read(path)
         assert report["commit"] == "change" and report["command"].endswith("--trace 0")
         assert {name: [(row["seed"], row["peak_rss_mb"]) for row in entry["runs"]]
                 for name, entry in report["workloads"].items()} == dict.fromkeys(
-                    names, [(1, 40.0), (2, 40.0)])
+                    OWN_WORKLOADS[path], [(1, 40.0), (2, 40.0)])
+        assert list(report["workloads"]) == OWN_WORKLOADS[path]
     layers = read("BENCH_layers.json")
     assert layers["commit"] == "change"
     for entry in layers["workloads"].values():

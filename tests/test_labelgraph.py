@@ -123,34 +123,39 @@ def test_walks_start_everywhere_and_deterministic():
     cfg = WalkConfig(walk_length=10, walks_per_node=3, seed=9)
     walks1 = sample_walks(g, cfg)
     walks2 = sample_walks(g, cfg)
-    assert walks1 == walks2
-    assert len(walks1) == 15
-    assert Counter(w[0] for w in walks1) == {i: 3 for i in range(5)}
-    assert all(len(w) == 10 for w in walks1)
+    assert np.array_equal(walks1, walks2)
+    assert walks1.shape == (15, 10) and walks1.dtype == np.int64
+    assert Counter(walks1[:, 0].tolist()) == {i: 3 for i in range(5)}
     # walk_length counts nodes, the start included
     one = sample_walks(g, WalkConfig(walk_length=1, walks_per_node=3, seed=9))
-    assert one == [[i] for i in range(5) for _ in range(3)]
+    assert one.tolist() == [[i] for i in range(5) for _ in range(3)]
 
 
 def test_walks_of_a_fixed_seed_are_pinned():
     # a change to the step that re-draws the walks re-draws the label vectors
     # and every model trained on them
     walks = sample_walks(_weighted_5_node(), WalkConfig(walk_length=6, walks_per_node=2, seed=9))
-    assert walks == [
+    assert walks.tolist() == [
         [0, 2, 3, 2, 1, 0], [0, 1, 0, 2, 3, 2], [1, 2, 0, 2, 3, 2], [1, 4, 3, 4, 3, 2],
         [2, 3, 4, 3, 2, 3], [2, 3, 2, 3, 2, 3], [3, 4, 1, 2, 0, 1], [3, 4, 3, 2, 3, 2],
         [4, 1, 0, 2, 0, 1], [4, 1, 4, 1, 0, 1],
     ]
 
 
-def test_isolated_node_walk_is_singleton():
+def test_isolated_label_starts_no_walk():
     g = _graph(3, [(0, 1, 1)])
     cfg = WalkConfig(walk_length=10, walks_per_node=2, seed=1)
     walks = sample_walks(g, cfg)
-    assert [2] in walks
-    for w in walks:
-        if w[0] == 2:
-            assert w == [2]
+    assert walks.shape == (4, 10)
+    assert 2 not in walks[:, 0]
+
+
+def test_edgeless_graph_gives_no_walk_and_the_seeded_init():
+    g = build_cooccurrence_graph([_doc(0, {1}), _doc(1, {2})], k=3)
+    walks = sample_walks(g, WalkConfig(walk_length=7, walks_per_node=2, seed=1))
+    assert walks.shape == (0, 7) and walks.dtype == np.int64
+    np.testing.assert_array_equal(train_skipgram(walks, k=3, r=2, epochs=2, seed=4).vectors,
+                                  train_skipgram(walks, k=3, r=2, epochs=0, seed=4).vectors)
 
 
 def test_transition_frequencies_follow_edge_weights():
@@ -227,7 +232,8 @@ def test_skipgram_no_walks_errors():
 
 
 @pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]], [[0, [1]]],
-                                   [0, 1], [[0, 1], 2], [[[0, 1], [1, 2]]], [[[0, 1]]]])
+                                   [0, 1], [[0, 1], 2], [[[0, 1], [1, 2]]], [[[0, 1]]],
+                                   [[0, 1], [2]]])
 def test_skipgram_malformed_walks_raise_validation_error(walks):
     with pytest.raises(ValidationError):
         train_skipgram(walks, k=3, r=2)
@@ -243,7 +249,7 @@ def test_skipgram_takes_equal_length_walks_as_a_2d_array():
 @pytest.mark.parametrize("node", [3, 7])
 def test_skipgram_rejects_a_walk_node_past_the_label_count(node):
     with pytest.raises(ValidationError, match=f"walk node {node} outside label range"):
-        train_skipgram([[0, 1], [2, node, 1]], k=3, r=2)
+        train_skipgram([[0, 1, 1], [2, node, 1]], k=3, r=2)
 
 
 def _ppmi_oracle(walks, window):
@@ -302,7 +308,7 @@ STAR_CASES = [
                               WalkConfig(walk_length=6, walks_per_node=2, seed=3)),
                  9, 4, 3, 3, id="isolated-labels-power-iterations"),
     pytest.param([[0, 1, 2, 0, 1]], 6, 5, 1, 2, id="revisits-fewer-labels-than-r"),
-    pytest.param([[4, 2, 4, 4], [1]], 5, 2, 2, 1, id="revisits-itself-next-to-itself"),
+    pytest.param([[4, 2, 4, 4]], 5, 2, 2, 1, id="revisits-itself-next-to-itself"),
     pytest.param([[0, 1], [2, 1]], 4, 3, 1, 1, id="rank-below-labels-in-a-pair"),
     pytest.param([[0], [2], [1]], 3, 2, 4, 2, id="all-singleton-walks"),
 ])

@@ -309,6 +309,20 @@ def test_adam_refuses_moments_not_in_their_parameters_shapes_before_it_writes(mo
     assert state.v.flat.tolist() == [2.0] * state.v.flat.size
 
 
+@pytest.mark.parametrize("pack", ["params", "m", "v"])
+def test_adam_refuses_an_entry_replaced_by_a_copy_before_it_writes(pack):
+    # the update walks each pack's flat buffer, so a replaced entry would go stale unseen
+    p = packed({"a": np.array([[1.0]]), "w_q": np.array([[2.0, 3.0]])})
+    state = AdamState.init(p)
+    packs = {"params": p, "m": state.m, "v": state.v}
+    packs[pack]["w_q"] = packs[pack]["w_q"].copy()
+    with pytest.raises(ValidationError, match="'w_q' of the parameters or a moment was replaced"):
+        adam_step(p, {"a": np.array([[0.5]]), "w_q": np.array([[0.5, 0.5]])}, state, lr=0.1)
+    assert p.flat.tolist() == [1.0, 2.0, 3.0] and state.step == 0
+    assert state.m.flat.tolist() == state.v.flat.tolist() == [0.0] * 3
+    assert packs[pack]["w_q"].tolist() == [[2.0, 3.0] if pack == "params" else [0.0, 0.0]]
+
+
 # every parameter, in table order, of a d = r = d_a = 32 model over 54 labels and 363 words
 SMALL = {n: (rows, cols) for n, (rows, cols, _) in
          param_table(ModelConfig(k=54, max_len=14, d=32, r=32, d_a=32), 363).items()}
@@ -963,6 +977,17 @@ def test_a_checkpoint_of_configs_built_from_numpy_integers_saves_the_plain_int_b
     save_checkpoint(str(plain), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 3))
     save_checkpoint(str(numpy_built), Checkpoint(params, np_cfg, "laha", vocab, np_tcfg, adam, 3))
     assert numpy_built.read_bytes() == plain.read_bytes()
+
+
+def test_a_checkpoint_of_a_numpy_float_learning_rate_saves_and_loads_it_as_a_plain_float(
+        tmp_path):
+    cfg, vocab, params, tcfg, adam = _fixture_state()
+    np_tcfg = TrainConfig(**{**asdict(tcfg), "learning_rate": np.float32(0.01)})
+    assert type(np_tcfg.learning_rate) is float
+    assert np_tcfg.learning_rate == float(np.float32(0.01)) != 0.01  # the float32's exact value
+    path = tmp_path / "float32.bin"
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, np_tcfg, adam, 3))
+    assert load_checkpoint(str(path)).train_cfg == np_tcfg
 
 
 def test_checkpoint_declaring_a_huge_table_is_refused_before_any_allocation(tmp_path):
