@@ -81,8 +81,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
                 raise ShapeError(f"gradient shape {g.shape} != {params[name].shape} for {name}")
             if state.m[name].shape != g.shape or state.v[name].shape != g.shape:
                 raise ValidationError(f"Adam state lacks m or v of shape {g.shape} for {name!r}")
-            if any(pack[name].base is not pack.flat for pack in packs):  # the update walks flat
-                raise ValidationError(f"{name!r} of the parameters or a moment was replaced")
+            for pack in packs:  # the update walks each pack's flat, not its entries
+                if pack[name].base is not pack.flat:
+                    raise ValidationError(f"{name!r} of the parameters or a moment was replaced")
             if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
     starts = np.cumsum([0] + [g.size for g in grads.values()]).tolist()
