@@ -19,7 +19,10 @@ leaves in .bench_out/W-seedS-traceT.json.  It writes, from this tree's runs:
 Each of the first four covers one end-to-end metric, from the untraced
 runs of the workloads that measure it themselves: a workload's first
 record has the metric and does not list it in info["from_gate"], the
-metrics it took from aapd-quality's quality gate.  It holds the commit, the environment, each
+metrics it took from aapd-quality's quality gate.  It holds the commit and,
+beside it, `uncommitted`: this tree's `git status --porcelain` entries
+under src/, bench/ and scripts/ as the runs start ([] for a clean tree,
+null outside a git checkout).  It also holds the environment, each
 run's calibrated figure, the median raw seconds of its samples (a sample
 is one timed call: a set-up, an embedding, a chunk of scored documents, a
 batch or epoch of training) and their count, its peak RSS (`peak_rss_mb`,
@@ -43,7 +46,8 @@ so a killed run leaves no worktree behind.  The tree that runs first
 swaps from one pair of a workload and trace to the next, REV first.  This tree runs as
 it stands, uncommitted edits included.  BENCH_compare.json holds both
 commits (REV's as resolved: its export is no checkout, so its bench
-records read "unknown") and, from the untraced pairs, per workload and
+records read "unknown"), this tree's `uncommitted` entries and, from the
+untraced pairs, per workload and
 end-to-end metric of BENCHMARK.json, both trees' medians and quartiles,
 each pair's figures, the pairs this tree won, how many of this tree's
 runs read better than every run of REV and how many read worse than
@@ -263,6 +267,16 @@ def export(rev: str):
         signal.signal(signal.SIGTERM, previous)
 
 
+def uncommitted() -> list[str] | None:
+    """This tree's `git status --porcelain` entries under src/, bench/ and scripts/: [] for a
+    clean tree, None outside a git checkout."""
+    if not (ROOT / ".git").exists():  # do not let git search the parent directories
+        return None
+    return subprocess.run(["git", "status", "--porcelain", "--", "src", "bench", "scripts"],
+                          cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
+                          ).stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=parse_seeds, required=True,
@@ -275,6 +289,7 @@ def main(argv=None) -> int:
     traces = (0, 1) if args.trace else (0,)
     sides = ("base", "change") if args.against else ("change",)
     records = {}  # (side, workload, trace) -> that tree's records, a seed each
+    edits = uncommitted()  # the tree as the runs start
     with export(args.against) if args.against else contextlib.nullcontext((None, None)) as (
             base_commit, base_tree):
         trees = {"base": base_tree, "change": ROOT}
@@ -290,7 +305,8 @@ def main(argv=None) -> int:
     environments = {side: records[side, WORKLOADS[0], 0][0]["environment"] for side in sides}
     env = {key: value for key, value in environments["change"].items()
            if key not in ("seed", "git_commit")}
-    head = {"commit": environments["change"]["git_commit"], "environment": env}
+    head = {"commit": environments["change"]["git_commit"], "uncommitted": edits,
+            "environment": env}
 
     def write(path: str, report: dict) -> None:
         (ROOT / path).write_text(json.dumps(report, indent=1) + "\n")
@@ -322,6 +338,7 @@ def main(argv=None) -> int:
         write("BENCH_compare.json", {
             "against": args.against,
             "commits": {"base": base_commit, "change": environments["change"]["git_commit"]},
+            "uncommitted": edits,
             "environment": env,
             "command": " and ".join(map(command, traces)) + ", alternating the two trees",
             "seeds": args.seeds, "workloads": workloads})

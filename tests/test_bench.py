@@ -3,9 +3,11 @@
 The tracer records nothing for a name the package no longer has, so a
 renamed traced function (`model.bilstm_forward`, say) would read 0 in its
 per-layer metric without an error; `install` must leave `absent` empty.
-Nor may the model call its encoder past the name the tracer wraps: the
-training and the scoring path each run the Bi-LSTM under
-`model.bilstm_forward`.
+Nor may the model call its encoder, or `train` its loss, past the name
+the tracer wraps: the training and the scoring path each run the Bi-LSTM
+under `model.bilstm_forward`, and `train` runs each batch's loss under
+`training.bce_loss`, which the bench's `training.bce_loss.ms_per_batch`
+and its batch count read.
 """
 
 import importlib.util
@@ -64,4 +66,5 @@ def test_the_bench_tracer_times_the_bilstm_of_a_trained_batch_and_of_a_scored_do
     finally:
         tracer.uninstall()
     assert tracer.calls["training.adam_step"] == tracer.calls["model.forward"] == 1
+    assert tracer.calls["training.bce_loss"] == 1
     assert tracer.calls["model.bilstm_forward"] == 2

@@ -275,9 +275,14 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
         record["info"]["spans"][0]["total_s"] = {"base": 2.0, "change": 1.0}[side]
         return record
 
+    def uncommitted():
+        assert calls == []  # read as the runs start
+        return [" M src/laha/training.py"]
+
     monkeypatch.setattr(experiments, "ROOT", root)
     monkeypatch.setattr(experiments, "export", export)
     monkeypatch.setattr(experiments, "bench_run", bench_run)
+    monkeypatch.setattr(experiments, "uncommitted", uncommitted)
     assert experiments.main(["--against", "REV", "--seeds", "1-2", "--trace"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "aapd-train seed 2 trace 1: correct True, 1 failed operations"]
@@ -291,6 +296,8 @@ def test_against_interleaves_both_trees_traced_and_untraced_in_one_loop(
     def read(name):
         return json.loads((root / name).read_text())
 
+    for path in [*experiments.BENCH_FILES, "BENCH_layers.json", "BENCH_compare.json"]:
+        assert read(path)["uncommitted"] == [" M src/laha/training.py"]
     for path in experiments.BENCH_FILES:
         report = read(path)
         assert report["commit"] == "change" and report["command"].endswith("--trace 0")
@@ -366,3 +373,29 @@ def test_against_exports_the_committed_files_and_registers_no_worktree(
     assert run.returncode != 0 and tree.name == "base"
     assert not tree.parent.exists()
     assert _worktrees(repo) == [f"worktree {repo}"]
+
+
+def test_uncommitted_lists_the_code_entries_of_git_status_and_searches_no_parent_directory(
+        experiments, monkeypatch, tmp_path):
+    # a throwaway repository with a file in each code directory and one outside them
+    repo = tmp_path / "repo"
+    for name in ("src", "bench", "scripts", "docs"):
+        (repo / name).mkdir(parents=True)
+        (repo / name / "a.py").write_text("committed\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    monkeypatch.setattr(experiments, "ROOT", repo)
+    assert experiments.uncommitted() == []
+    (repo / "src" / "a.py").write_text("edited\n")
+    (repo / "bench" / "a.py").unlink()
+    (repo / "scripts" / "new.py").write_text("untracked\n")
+    (repo / "docs" / "a.py").write_text("edited\n")
+    (repo / "notes.txt").write_text("untracked\n")
+    assert sorted(experiments.uncommitted()) == [
+        " D bench/a.py", " M src/a.py", "?? scripts/new.py"]
+    # a directory inside the checkout, and one outside any, are no checkout of their own
+    monkeypatch.setattr(experiments, "ROOT", repo / "docs")
+    assert experiments.uncommitted() is None
+    monkeypatch.setattr(experiments, "ROOT", tmp_path)
+    assert experiments.uncommitted() is None

@@ -226,14 +226,9 @@ def test_skipgram_deterministic():
     np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
 
-def test_skipgram_no_walks_errors():
-    with pytest.raises(ValidationError):
-        train_skipgram([], k=3, r=2)
-
-
 @pytest.mark.parametrize("walks", [[[]], [[0, 1], []], [[0, 1.5]], [[0, 1], [2.0]], [[0, [1]]],
                                    [0, 1], [[0, 1], 2], [[[0, 1], [1, 2]]], [[[0, 1]]],
-                                   [[0, 1], [2]]])
+                                   [[0, 1], [2]], []])
 def test_skipgram_malformed_walks_raise_validation_error(walks):
     with pytest.raises(ValidationError):
         train_skipgram(walks, k=3, r=2)

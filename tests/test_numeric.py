@@ -265,6 +265,24 @@ def test_bce_with_logits_closed_form():
         bce_with_logits([Node(z)], [[["y", "n", "y"]]])
 
 
+@pytest.mark.parametrize("targets", [
+    [0.0, 1.0, 1.0], np.array([False, True, True]), [[0], [1], [1]], np.array([[[0, 1, 1]]]),
+], ids=["1-D list", "1-D bool", "column", "3-D"])
+def test_bce_with_logits_reads_as_many_targets_as_logits_in_any_shape(targets):
+    # `train` hands each document a 1-D 0/1 row; a 1 x 3 row is the logits' own shape
+    z = np.array([[0.5, -2.0, 3.0]])
+    row, other = Node(z), Node(z)
+    want = bce_with_logits([row], [np.array([[0.0, 1.0, 1.0]])])
+    got = bce_with_logits([other], [targets])
+    backward(want)
+    backward(got)
+    np.testing.assert_array_equal(got.value, want.value)
+    np.testing.assert_array_equal(other.grad, row.grad)
+    for wrong in ([0.0, 1.0], np.zeros(4), np.zeros((2, 2))):
+        with pytest.raises(ShapeError, match=f"{np.size(wrong)} targets != 3 logits"):
+            bce_with_logits([Node(z)], [wrong])
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_bce_with_logits_is_bit_identical_to_the_mean_of_per_document_nodes(trial):
     # the batch op against one op per document, folded with `add` and scaled by 1 / documents

@@ -128,6 +128,10 @@ def test_sample_labels_size_bound():
 # ---------------------------------------------------------------------------
 
 
+def test_the_training_loss_is_the_autograd_op():
+    assert bce_loss is nm.bce_with_logits
+
+
 def test_bce_perfect_prediction_is_tiny():
     # logits of +-30 on the right side: each label costs log1p(e^-30)
     y = np.array([1.0, 0.0, 1.0])
@@ -887,17 +891,20 @@ def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, t
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("variant, epoch, w_q_entry", [
-    ("laha", 0, math.nan), ("laha", -1, 0.5), ("bogus", 0, 0.5),
-], ids=["non-finite parameter", "epoch=-1", "variant='bogus'"])
+@pytest.mark.parametrize("variant, epoch, w_q_entry, extra_moment", [
+    ("laha", 0, math.nan, False), ("laha", -1, 0.5, False), ("bogus", 0, 0.5, False),
+    ("laha", 0, 0.5, True),
+], ids=["non-finite parameter", "epoch=-1", "variant='bogus'", "a moment of no parameter"])
 def test_save_checkpoint_refuses_what_load_rejects_and_keeps_the_earlier_file(
-        tmp_path, variant, epoch, w_q_entry):
+        tmp_path, variant, epoch, w_q_entry, extra_moment):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
     adam = AdamState.init(params.arrays())
     path = tmp_path / "ckpt.bin"
     save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
     earlier = path.read_bytes()
     params["w_q"][1, 0] = w_q_entry
+    if extra_moment:
+        adam = AdamState.init({**params, "extra": np.zeros((2, 2))})
     with pytest.raises(CheckpointError):
         save_checkpoint(str(path), Checkpoint(params, cfg, variant, vocab, tcfg, adam, epoch))
     assert path.read_bytes() == earlier
