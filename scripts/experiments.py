@@ -46,11 +46,11 @@ so a killed run leaves no worktree behind.  The tree that runs first
 swaps from one pair of a workload and trace to the next, REV first.  This tree runs as
 it stands, uncommitted edits included.  BENCH_compare.json holds both
 commits (REV's as resolved: its export is no checkout, so its bench
-records read "unknown"), this tree's `uncommitted` entries and, from the
-untraced pairs, per workload and
-end-to-end metric of BENCHMARK.json, both trees' medians and quartiles,
-each pair's figures, the pairs this tree won, how many of this tree's
-runs read better than every run of REV and how many read worse than
+records read "unknown"), this tree's `uncommitted` entries and, from
+the untraced pairs, per workload and end-to-end metric of
+BENCHMARK.json, both trees' medians and quartiles, each pair's figures,
+the pairs this tree won, how many of this tree's runs read better than
+every run of REV and how many read worse than
 every one (where the runs spread wider than a bound, all runs better is
 what resolves the metric), the median raw seconds of each run's samples
 where the metric is timed, and the median's move against the metric's
