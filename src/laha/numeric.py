@@ -13,14 +13,13 @@ by the model on its logits and Adam on its gradients.
 A non-finite op value that reaches none of these does not raise; with
 finite leaves it is an overflow near 1e308 that a later op absorbs (a
 masked softmax row, tanh or relu of +-inf).  Fused ops keep one buffer
-where a chain of nodes kept several: `softmax_product` and
-`tanh_product` (a softmax or a tanh in its product's buffer), `gate`
-(two sigmoids' ratio, as one sigmoid in log space), `mix_columns` (forming
-1 - u itself), and `bce_with_logits`, the one training loss (as
-`training.bce_loss`), one node for a batch of documents; the `sigmoid`
-of logits runs on plain arrays, outside the graph.  Label rows against
-a document matrix, `softmax_product` forms the words x labels product
-itself, so every attention matrix is row-major.
+where a chain of nodes kept several: `softmax_product` and `tanh_product`
+(a softmax or a tanh in its product's buffer), `gate` (two sigmoids'
+ratio, as one sigmoid in log space), `mix_columns` (forming 1 - u itself),
+and the one loss `bce_with_logits` (`training.bce_loss`), one node for a
+batch of documents; the `sigmoid` of logits runs on plain arrays, outside
+the graph.  Label rows against a document matrix, `softmax_product` forms
+the words x labels product itself, so every attention matrix is row-major.
 `take_rows` gathers rows by integer index and returns its input for the
 identity, as `slice_cols` does for the full column range.
 `bilstm` runs both LSTM directions over a docs x n array of token ids as
@@ -361,13 +360,13 @@ def softmax_product(a: Node, b: Node, mask) -> Node:
 def bce_with_logits(logits: Sequence[Node], targets: Sequence) -> Node:
     """Binary cross-entropy of each document's logits against its constant targets, one 1x1 node.
 
-    A document's targets are as many numbers as its logits, in any shape
-    (a 1-D 0/1 row, say), read in the logits' shape.  Each document's
-    loss is summed over its labels, then the sums are added in document
-    order and averaged.  Computed as max(z, 0) - z*y +
-    log1p(exp(-|z|)), which cannot overflow; the gradient is (sigmoid(z) -
-    y) / documents, so a confidently wrong logit keeps a gradient of
-    magnitude near 1 / documents instead of saturating to 0.
+    A document's targets are as many numbers as its logits, in any shape (a
+    1-D 0/1 row, say), read in the logits' shape.  Each document's loss is
+    summed over its labels, then the sums are added in document order and
+    averaged.  Computed as max(z, 0) - z*y + log1p(exp(-|z|)), which cannot
+    overflow; the gradient is (sigmoid(z) - y) / documents, so a confidently
+    wrong logit keeps a gradient of magnitude near 1 / documents instead of
+    saturating to 0.
     """
     if len(logits) != len(targets):
         raise ShapeError(f"bce_with_logits: {len(logits)} logit rows vs {len(targets)} targets")

@@ -1,13 +1,13 @@
 """Negative-sampled training loop, Adam in chunks over packed buffers, checkpointing.
 
 Each document trains against its positive labels plus a small random set
-of negatives; a batch runs through one `model.forward_batch` call, and
-its loss is `bce_loss`, the op `numeric.bce_with_logits`, of each
-document's logits against its subset's 1-D 0/1 targets (positives first).
-All randomness derives from (seed, epoch), so a
-run is a pure function of its config and resuming from a checkpoint
-reproduces the uninterrupted run bit for bit.  A checkpoint is one value,
-a `Checkpoint`: `save_checkpoint` writes it and `load_checkpoint` returns it.
+of negatives; a batch runs through one `model.forward_batch` call, and its
+loss is `bce_loss`, the op `numeric.bce_with_logits`, of each document's
+logits against its subset's 1-D 0/1 targets (positives first).  All
+randomness derives from (seed, epoch), so a run is a pure function of its
+config and resuming from a checkpoint reproduces the uninterrupted run bit
+for bit.  A checkpoint is one value, a `Checkpoint`: `save_checkpoint`
+writes it and `load_checkpoint` returns it.
 """
 
 from __future__ import annotations
@@ -218,12 +218,9 @@ def _tensors(params: dict, adam: AdamState, adam_names: list[str]) -> list[tuple
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """JSON header line, then raw little-endian float64 payloads in header order.
-
-    Writes every parameter, then m and v of every moment in `ckpt.adam`.  A moment of a name
-    the model has no parameter for raises CheckpointError, as anything the loader would reject
-    does, before the file is touched.
-    """
+    """JSON header line, then raw little-endian float64 payloads in header order: every
+    parameter, then m and v of every moment in `ckpt.adam`.  A moment the model has no
+    parameter for raises CheckpointError, as all the loader rejects does, before the write."""
     adam_names = list(ckpt.adam.m)
     tensors = _tensors(ckpt.params, ckpt.adam, adam_names)
     header = {
