@@ -1,4 +1,4 @@
-"""Ranking metrics at fixed cutoffs, frequency-group breakdowns, gate-weight histograms.
+"""Ranking metrics at fixed cutoffs and frequency-group breakdowns.
 
 `evaluate` reports P@t and nDCG@t at `TAUS` = (1, 3, 5), overall and per
 label group by training-corpus frequency F at `GROUP_BOUNDS`: G1 F<=5, G2
@@ -101,31 +101,3 @@ def evaluate(score_fn: Callable[[Document], np.ndarray], test_corpus: Corpus, k:
         groups[g] = GroupReport(name, ranked.shape[1], *_ranked_metrics(ranked, truth & in_group))
     return EvalReport(_ranked_metrics(ranking, truth)[1], groups, len(truth))
 
-
-def fusion_weight_histogram(
-    trace_fn: Callable[[Document], "object"],
-    documents: Corpus,
-    bins: int = 10,
-) -> list[int]:
-    """Histogram of the gate weight alpha over (document, positive label) pairs.
-
-    Bin b covers [b/bins, (b+1)/bins), except the last bin which also
-    includes 1.0.  beta = 1 - alpha needs no histogram of its own: off the
-    bin edges it is this one reversed.  `trace_fn` must return a forward
-    trace whose subset covers the document's labels.
-    """
-    if not documents:
-        raise ValidationError("need at least one document")
-    check_int("bins", bins, 1)
-    counts = [0] * bins
-    for doc in documents:
-        trace = trace_fn(doc)
-        positions = {label: idx for idx, label in enumerate(trace.subset)}
-        for label in sorted(doc.labels):
-            if label not in positions:
-                raise ValidationError(
-                    f"trace subset for {doc.doc_id!r} is missing label {label}"
-                )
-            alpha = float(trace.alpha.value[0, positions[label]])
-            counts[min(int(alpha * bins), bins - 1)] += 1
-    return counts

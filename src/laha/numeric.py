@@ -106,10 +106,6 @@ class Node:
     def cols(self) -> int:
         return self.value.shape[1]
 
-    def __repr__(self) -> str:
-        kind = "leaf" if not self._parents else "op"
-        return f"Node({self.rows}x{self.cols}, {kind})"
-
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
     if a.value.shape != b.value.shape:

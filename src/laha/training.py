@@ -220,8 +220,11 @@ def _tensors(params: dict, adam: AdamState, adam_names: list[str]) -> list[tuple
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """JSON header line, then raw little-endian float64 payloads in header order: every
     parameter, then m and v of every moment in `ckpt.adam`.  A moment the model has no
-    parameter for raises CheckpointError, as all the loader rejects does, before the write."""
+    parameter for, or a v whose names are not m's, raises CheckpointError, as all the loader
+    rejects does, before the write."""
     adam_names = list(ckpt.adam.m)
+    if list(ckpt.adam.v) != adam_names:
+        raise CheckpointError(f"Adam v moments {list(ckpt.adam.v)} are not m's {adam_names}")
     tensors = _tensors(ckpt.params, ckpt.adam, adam_names)
     header = {
         "format": CHECKPOINT_FORMAT,

@@ -9,7 +9,6 @@ from laha.labelgraph import build_cooccurrence_graph
 from laha.metrics import (
     GROUP_NAMES,
     evaluate,
-    fusion_weight_histogram,
     label_frequencies,
     rank_labels,
 )
@@ -414,61 +413,6 @@ def test_evaluate_rejects_non_finite_scores(bad):
         evaluate(_score_fn_from_table(table), docs, k=3)
 
 
-# ---------------------------------------------------------------------------
-# histograms
-# ---------------------------------------------------------------------------
-
-
-class _FakeTraceRow:
-    def __init__(self, values):
-        self.value = np.asarray(values).reshape(1, -1)
-
-
-class _FakeTrace:
-    def __init__(self, subset, alphas):
-        self.subset = subset
-        self.alpha = _FakeTraceRow(alphas)  # a trace holds alpha alone; beta is 1 - alpha
-
-
-def test_histogram_all_half():
-    docs = [Document(f"d{i}", ["x"], {0, 1}) for i in range(3)]
-    trace_fn = lambda doc: _FakeTrace([0, 1], [0.5, 0.5])
-    counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts[5] == 6
-    assert sum(counts) == 6
-
-
-def test_histogram_counts_match_pairs():
-    docs = [
-        Document("a", ["x"], {0}),
-        Document("b", ["x"], {0, 2}),
-        Document("c", ["x"], {1, 2, 0}),
-    ]
-    trace_fn = lambda doc: _FakeTrace([0, 1, 2], [0.05, 0.55, 0.95])
-    counts = fusion_weight_histogram(trace_fn, docs)
-    n_pairs = sum(len(d.labels) for d in docs)
-    assert sum(counts) == n_pairs
-    assert counts == [3, 0, 0, 0, 0, 1, 0, 0, 0, 2]  # label 0 three times, label 2 twice
-
-
-def test_histogram_right_closed_last_bin():
-    docs = [Document("d", ["x"], {0})]
-    trace_fn = lambda doc: _FakeTrace([0], [1.0])
-    counts = fusion_weight_histogram(trace_fn, docs)
-    assert counts[9] == 1 and sum(counts) == 1
-
-
-def test_histogram_rejects_a_trace_that_misses_a_positive_label():
-    docs = [Document("a", ["x"], {0}), Document("b", ["x"], {0, 2})]
-    with pytest.raises(ValidationError, match="'b' is missing label 2"):
-        fusion_weight_histogram(lambda doc: _FakeTrace([0, 1], [0.5, 0.5]), docs)
-
-
-def test_histogram_empty_documents():
-    with pytest.raises(ValidationError):
-        fusion_weight_histogram(lambda d: None, [])
-
-
 _DOCS = [Document("a", ["x"], {0, 2}), Document("b", ["x"], {1})]
 _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
 
@@ -481,9 +425,8 @@ _SCORES = _score_fn_from_table({"a": np.arange(3.0), "b": np.arange(3.0)})
     lambda: build_cooccurrence_graph([Document("g", ["x"], {0, 3.0})], 4),  # a float label
     lambda: evaluate(_SCORES, [Document("a", ["x"], {1.0})], train_corpus=_DOCS, k=3),
     lambda: evaluate(_SCORES, _DOCS, train_corpus=[Document("t", ["x"], {0.0})], k=3),
-    lambda: fusion_weight_histogram(lambda doc: _FakeTrace([0, 1, 2], [0.5] * 3), _DOCS, bins=2.5),
 ], ids=["k=2.5", "k=3.0", "label_frequencies k=3.0", "build_cooccurrence_graph k=3.0",
-        "LabelGraph k=3.0", "float test label", "float train label", "bins=2.5"])
+        "LabelGraph k=3.0", "float test label", "float train label"])
 def test_malformed_integer_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError, match="integer"):
         call()

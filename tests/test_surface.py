@@ -6,7 +6,9 @@ itself: as an attribute of a name bound to its module, as a name imported
 from its module, as a bare name in the module that defines it, or as a
 string that is exactly the name (the bench tracer wraps functions by their
 attribute names).  So `np.tanh` is no use of a `laha` `tanh`.  Docstrings
-and comments do not count.
+and comments do not count.  A private `_name` counts as used only where
+other code in `src/laha` names it.  Dunder names such as `__version__` are
+not checked.
 """
 
 import ast
@@ -26,8 +28,6 @@ KEPT = {
     "training.load_checkpoint": "returns the Checkpoint that save_checkpoint writes, the other "
                                 "half of resume-equals-uninterrupted; the reader of the "
                                 "checkpoint fixture that must keep loading",
-    "metrics.fusion_weight_histogram": "the gate-weight histogram that the planned ablation of "
-                                       "the fusion gate reports (ROADMAP item 1)",
 }
 
 
@@ -79,9 +79,10 @@ def _uses(tree, bound, module=None):
 
 
 def _unused(package: dict, outside: list) -> list:
-    """`module.name` of each public definition in `package` (module -> source) that neither
-    the code of `package` outside that definition nor any `outside` source names."""
-    used = set()
+    """`module.name` of each definition in `package` (module -> source) that the code of
+    `package` outside that definition does not name, nor, for a public name, any `outside`
+    source."""
+    inside, used = set(), set()
     for tree in map(ast.parse, outside):
         used.update(_uses(tree, dict(_imports(tree))))
     trees = {module: ast.parse(source) for module, source in package.items()}
@@ -89,11 +90,12 @@ def _unused(package: dict, outside: list) -> list:
         bound = dict(_imports(tree))
         for statement in tree.body:
             own = set(_definitions(statement))
-            used.update(set(_uses(statement, bound, module)) - own
-                        - {f"laha.{module}.{name}" for name in own})
+            inside.update(set(_uses(statement, bound, module)) - own
+                          - {f"laha.{module}.{name}" for name in own})
+    used |= inside
     return [f"{module}.{name}" for module, tree in trees.items() for statement in tree.body
-            for name in _definitions(statement) if not name.startswith("_")
-            and not {name, f"laha.{module}.{name}"} & used]
+            for name in _definitions(statement) if not name.startswith("__")
+            and not {name, f"laha.{module}.{name}"} & (inside if name[0] == "_" else used)]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -102,15 +104,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                for path in sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("scripts/*.py"))]
     unused = _unused(package, outside)
     assert [name for name in unused if name not in KEPT] == [], (
-        "public names that only the tests call: give each a caller, or delete it")
+        "names that only the tests call: give each a caller, or delete it")
     assert [name for name in KEPT if name not in unused] == [], (
         "a kept name has a caller now: take it off KEPT")
 
 
 TANH = "import numpy as np\n\n\ndef tanh(a):\n    return np.tanh(a)\n"
+PRIVATE = TANH.replace("def tanh", "def _tanh")
 
 
-# a public `tanh` in `numeric`, and each form of caller in a bench script or in the package
+# a `tanh` or `_tanh` in `numeric`, and each form of caller in a bench script or in the package
 @pytest.mark.parametrize("package, outside, unused", [
     ({"numeric": TANH}, ["import numpy as np\n\nnp.tanh(0.0)\n"], ["numeric.tanh"]),
     ({"numeric": TANH}, ["from laha import numeric\n\nnumeric.tanh(0.0)\n"], []),
@@ -123,8 +126,11 @@ TANH = "import numpy as np\n\n\ndef tanh(a):\n    return np.tanh(a)\n"
     ({"numeric": TANH, "model": "from .numeric import tanh\n"}, [], []),
     ({"numeric": TANH, "model": "from . import numeric as nm\n\nnm.tanh(0.0)\n"}, [], []),
     ({"numeric": TANH, "model": "tanh = None\n\ntanh(0.0)\n"}, [], ["numeric.tanh"]),
+    ({"numeric": PRIVATE, "model": "from .numeric import _tanh\n"}, [], []),
+    ({"numeric": PRIVATE}, ["from laha.numeric import _tanh\n"], ["numeric._tanh"]),
+    ({"numeric": "__version__ = '0'\n"}, [], []),
 ], ids=["numpy's", "module attribute", "module alias", "package attribute", "imported name",
         "string", "own module", "own definition", "relative import", "relative module",
-        "other module's"])
+        "other module's", "private in the package", "private outside it alone", "dunder"])
 def test_a_use_names_the_laha_definition_itself(package, outside, unused):
     assert _unused(package, outside) == unused

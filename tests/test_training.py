@@ -14,7 +14,7 @@ from laha.errors import (
     ShapeError,
     ValidationError,
 )
-from laha.model import ModelConfig, forward, init_params, param_table, wrap_params
+from laha.model import ModelConfig, ModelParams, forward, init_params, param_table, wrap_params
 from laha.numeric import Node
 from laha.training import (
     ADAM_EPS,
@@ -891,20 +891,26 @@ def test_checkpoint_with_a_non_finite_tensor_raises_checkpoint_error(tmp_path, t
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("variant, epoch, w_q_entry, extra_moment", [
-    ("laha", 0, math.nan, False), ("laha", -1, 0.5, False), ("bogus", 0, 0.5, False),
-    ("laha", 0, 0.5, True),
-], ids=["non-finite parameter", "epoch=-1", "variant='bogus'", "a moment of no parameter"])
+@pytest.mark.parametrize("variant, epoch, w_q_entry, m_edit, v_edit", [
+    ("laha", 0, math.nan, {}, {}), ("laha", -1, 0.5, {}, {}), ("bogus", 0, 0.5, {}, {}),
+    ("laha", 0, 0.5, {"extra": (2, 2)}, {"extra": (2, 2)}),
+    ("laha", 0, 0.5, {}, {"w_q": None}), ("laha", 0, 0.5, {}, {"extra": (2, 2)}),
+], ids=["non-finite parameter", "epoch=-1", "variant='bogus'", "a moment of no parameter",
+        "v lacks a moment of m", "v has a moment m lacks"])
 def test_save_checkpoint_refuses_what_load_rejects_and_keeps_the_earlier_file(
-        tmp_path, variant, epoch, w_q_entry, extra_moment):
+        tmp_path, variant, epoch, w_q_entry, m_edit, v_edit):
     cfg, vocab, params, lv, docs, tcfg = _train_setup()
-    adam = AdamState.init(params.arrays())
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg, adam, 0))
+    save_checkpoint(str(path), Checkpoint(params, cfg, "laha", vocab, tcfg,
+                                          AdamState.init(params.arrays()), 0))
     earlier = path.read_bytes()
     params["w_q"][1, 0] = w_q_entry
-    if extra_moment:
-        adam = AdamState.init({**params, "extra": np.zeros((2, 2))})
+
+    def moments(edit):  # the parameters' shapes with `edit`'s entries added, replaced or dropped
+        shapes = {name: a.shape for name, a in params.items()} | edit
+        return ModelParams({name: shape for name, shape in shapes.items() if shape is not None})
+
+    adam = AdamState(0, moments(m_edit), moments(v_edit))
     with pytest.raises(CheckpointError):
         save_checkpoint(str(path), Checkpoint(params, cfg, variant, vocab, tcfg, adam, epoch))
     assert path.read_bytes() == earlier
