@@ -128,9 +128,14 @@ PRIVATE = TANH.replace("def tanh", "def _tanh")
     ({"numeric": TANH, "model": "tanh = None\n\ntanh(0.0)\n"}, [], ["numeric.tanh"]),
     ({"numeric": PRIVATE, "model": "from .numeric import _tanh\n"}, [], []),
     ({"numeric": PRIVATE}, ["from laha.numeric import _tanh\n"], ["numeric._tanh"]),
+    ({"numeric": PRIVATE}, ["wrap(numeric, '_tanh')\n"], ["numeric._tanh"]),
+    ({"numeric": PRIVATE + "\n\ndef gate(a):\n    return _tanh(a)\n"}, [], ["numeric.gate"]),
+    ({"numeric": "def _tanh(a):\n    return _tanh(a)\n"}, [], ["numeric._tanh"]),
     ({"numeric": "__version__ = '0'\n"}, [], []),
 ], ids=["numpy's", "module attribute", "module alias", "package attribute", "imported name",
         "string", "own module", "own definition", "relative import", "relative module",
-        "other module's", "private in the package", "private outside it alone", "dunder"])
+        "other module's", "private in the package", "private outside it alone",
+        "private string outside it alone", "private in its own module",
+        "private in its own definition", "dunder"])
 def test_a_use_names_the_laha_definition_itself(package, outside, unused):
     assert _unused(package, outside) == unused
